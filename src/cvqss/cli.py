@@ -127,7 +127,8 @@ def _load_config(path: str) -> list:
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
+                raise ValueError(f"bad config file {path}:{lineno}: "
+                                 f"expected key=value, got {line!r}")
             key, value = line.split("=", 1)
             flags.append(f"--{key.strip().replace('_', '-')}")
             value = value.strip()
@@ -141,6 +142,8 @@ def _apply_config(argv: list) -> list:
     path = None
     for position, token in enumerate(argv):
         if token == "--config":
+            if position + 1 == len(argv):
+                raise ValueError("--config needs a file path")
             path = argv[position + 1]
         elif token.startswith("--config="):
             path = token.split("=", 1)[1]
@@ -365,8 +368,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cvqss: cannot read config file: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, IndexError) as exc:
-        print(f"cvqss: bad config file: {exc}", file=sys.stderr)
+    except ValueError as exc:
+        print(f"cvqss: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
         args = parser.parse_args(argv)

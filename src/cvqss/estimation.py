@@ -10,6 +10,15 @@ where c is the covariance vector between target and estimators and Gamma
 the estimators' covariance block. The optimal gains are g = Gamma^+ c.
 All entropic quantities are in bits (base-2 logarithms).
 
+:func:`schur` is the one inference kernel. It evaluates many estimator sets
+of equal size against the same target at once: the (S, g, g) estimator
+blocks are gathered by fancy indexing and pseudo-inverted by one batched
+eigendecomposition per block of SCHUR_BLOCK_ROWS rows, so a (k, n) scheme's
+C(n, k) access structures cost a few numpy calls instead of a Python loop.
+Every row gets the same arithmetic as a single-row call, so results do not
+depend on how the rows are batched. :func:`conditional_variance_coords` is
+its one-row form.
+
 These formulas are exact for Gaussian states. If applied to second moments
 estimated from non-Gaussian data they yield a lower bound on the mutual
 information instead.
@@ -30,6 +39,11 @@ DEGENERATE_VARIANCE_TOL = 1e-12
 #: modes make the block singular; the inference variance is still
 #: well-defined as a limit and the pseudo-inverse realises it.
 PINV_CUTOFF = 1e-10
+
+#: Estimator sets per batched eigendecomposition in :func:`schur`. It bounds
+#: the temporary (rows, g, g) arrays, so memory stays flat in the number of
+#: structures.
+SCHUR_BLOCK_ROWS = 256
 
 
 class DegenerateEstimatorError(ValueError):
@@ -70,18 +84,61 @@ class ConditioningResult:
     unconditional_variance: float
 
     def __post_init__(self):
-        if not 0.0 < self.conditional_variance <= self.unconditional_variance:
-            raise ValueError(
-                f"conditional variance {self.conditional_variance} must lie in "
-                f"(0, {self.unconditional_variance}]")
+        check_conditional_variances(self.conditional_variance,
+                                    self.unconditional_variance)
 
 
-def _pinv_psd(matrix: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse of a PSD matrix with eigenvalue cutoff PINV_CUTOFF * trace."""
-    eigval, eigvec = np.linalg.eigh(matrix)
-    cutoff = PINV_CUTOFF * max(np.trace(matrix), 0.0)
-    inv = np.where(eigval > cutoff, 1.0 / np.where(eigval > cutoff, eigval, 1.0), 0.0)
-    return (eigvec * inv) @ eigvec.T
+def check_conditional_variances(conditional, unconditional: float) -> None:
+    """Raise ValueError unless every conditional variance lies in (0, V]."""
+    inside = (conditional > 0.0) & (conditional <= unconditional)
+    if inside is True or np.asarray(inside).all():
+        return
+    first = float(np.asarray(conditional).flat[np.argmin(inside)])
+    raise ValueError(f"conditional variance {first} must lie in (0, {unconditional}]")
+
+
+def schur(cov: np.ndarray, target_idx: int, estimator_idx: np.ndarray) -> tuple:
+    """Optimal linear inference of one coordinate from many estimator sets.
+
+    Row s of ``estimator_idx`` lists the coordinates of estimator set s.
+    Each set's block is pseudo-inverted with eigenvalues at or below
+    PINV_CUTOFF times its trace cut, so singular blocks (duplicated or
+    perfectly correlated coordinates) give the limiting variance.
+
+    Args:
+        cov: Covariance matrix.
+        target_idx: Index of the target coordinate in ``cov``.
+        estimator_idx: (S, g) integer array of estimator indices, g >= 1,
+            none equal to ``target_idx``.
+
+    Returns:
+        (conditional_variances, gains, unconditional_variance): an (S,)
+        array, an (S, g) array aligned with ``estimator_idx``, and the
+        target's variance as a float.
+    """
+    idx = np.asarray(estimator_idx, dtype=int)
+    if idx.ndim != 2 or idx.size == 0:
+        raise ValueError("estimator coordinate set must be nonempty")
+    if (idx == target_idx).any():
+        raise ValueError("estimator coordinates must exclude the target")
+    v_target = float(cov[target_idx, target_idx])
+    variances, gains = [], []
+    for start in range(0, len(idx), SCHUR_BLOCK_ROWS):
+        rows = idx[start:start + SCHUR_BLOCK_ROWS]
+        gamma = cov[rows[:, :, None], rows[:, None, :]]
+        c = cov[target_idx, rows][:, None, :]
+        eigval, eigvec = np.linalg.eigh(gamma)
+        cutoff = PINV_CUTOFF * np.maximum(gamma.trace(axis1=1, axis2=2), 0.0)
+        keep = eigval > cutoff[:, None]
+        inv = keep / np.where(keep, eigval, 1.0)  # 1/eigval where kept, else 0
+        # Matrix-vector and row-column matmuls, as for a single 1-D block:
+        # einsum would sum in another order and move results by an ulp.
+        g = ((eigvec * inv[:, None, :]) @ eigvec.transpose(0, 2, 1)) @ c.transpose(0, 2, 1)
+        variances.append(v_target - (c @ g)[:, 0, 0])
+        gains.append(g[:, :, 0])
+    if len(variances) > 1:
+        return np.concatenate(variances), np.concatenate(gains), v_target
+    return variances[0], gains[0], v_target
 
 
 def _coord_indices(state: GaussianState, coords: Iterable) -> np.ndarray:
@@ -105,19 +162,10 @@ def conditional_variance_coords(
         (conditional_variance, gains, unconditional_variance) with gains as
         an array aligned with ``estimator_coords``.
     """
-    coords = list(estimator_coords)
-    if not coords:
-        raise ValueError("estimator coordinate set must be nonempty")
-    t_idx = state.quad_index(*target)
-    e_idx = _coord_indices(state, coords)
-    if t_idx in e_idx:
-        raise ValueError("estimator coordinates must exclude the target")
-    v_target = state.cov[t_idx, t_idx]
-    c = state.cov[t_idx, e_idx]
-    gamma = state.cov[np.ix_(e_idx, e_idx)]
-    gains = _pinv_psd(gamma) @ c
-    explained = float(c @ gains)
-    return float(v_target - explained), gains, float(v_target)
+    e_idx = _coord_indices(state, estimator_coords)
+    variances, gains, v_target = schur(state.cov, state.quad_index(*target),
+                                       e_idx.reshape(1, -1))
+    return float(variances[0]), gains[0], v_target
 
 
 def conditional_variance_optimal(
@@ -165,17 +213,12 @@ def conditional_variance_fixed(
     return float(state.cov[t_idx, t_idx] - cov_te**2 / var_est)
 
 
-def gaussian_mutual_information(unconditional_variance: float,
-                                conditional_variance: float) -> float:
+def gaussian_mutual_information(unconditional_variance: float, conditional_variance):
     """Mutual information (bits) between a Gaussian variable and its estimator.
 
     I = H(target) - H(target | est) = (1/2) log2(V / V_cond); requires
-    0 < V_cond <= V.
+    0 < V_cond <= V. An array of conditional variances gives an array.
     """
-    if not conditional_variance > 0.0:
-        raise ValueError("conditional variance must be positive")
-    if conditional_variance > unconditional_variance:
-        raise ValueError(
-            f"conditional variance {conditional_variance} exceeds the "
-            f"unconditional variance {unconditional_variance}")
-    return 0.5 * float(np.log2(unconditional_variance / conditional_variance))
+    check_conditional_variances(conditional_variance, unconditional_variance)
+    info = 0.5 * np.log2(unconditional_variance / conditional_variance)
+    return info if isinstance(info, np.ndarray) else float(info)

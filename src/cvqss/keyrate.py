@@ -32,14 +32,19 @@ announcement map, and the dealer's quadratures are always literal.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .estimation import (
     ConditioningResult,
     JointVariable,
+    check_conditional_variances,
     conditional_variance_coords,
     gaussian_mutual_information,
+    schur,
 )
 from .gaussian import GaussianState
 from .states import PartyLayout
@@ -51,6 +56,11 @@ SECURITY_THRESHOLD = math.exp(-2.0)
 #: Structure enumeration is capped here; C(n, k) growth makes larger
 #: schemes useless at desk scale.
 MAX_PLAYERS = 24
+
+#: Most access plus adversarial structures a scheme may have. Each one is
+#: evaluated and kept in the report, so larger schemes are refused before
+#: any subset is built.
+MAX_STRUCTURES = 10**6
 
 _LOG2_E = math.log2(math.e)
 
@@ -85,6 +95,25 @@ class ThresholdScheme:
         object.__setattr__(self, "access_structures", access)
         object.__setattr__(self, "adversarial_structures", adversarial)
 
+    @cached_property
+    def _player_rows(self) -> tuple:
+        """(access, colluding, honest) arrays of 0-based player positions.
+
+        Row s of ``access`` and ``colluding`` lists the players of access and
+        adversarial structure s; row s of ``honest`` the players outside
+        adversarial structure s, in player order. Cached because a sweep
+        evaluates one scheme at every grid point.
+        """
+        access = np.array(self.access_structures, dtype=int) - 1
+        colluding = np.array(self.adversarial_structures, dtype=int).reshape(
+            len(self.adversarial_structures), self.k - 1) - 1
+        is_honest = np.ones((len(colluding), self.n), dtype=bool)
+        is_honest[np.arange(len(colluding))[:, None], colluding] = False
+        honest = np.nonzero(is_honest)[1].reshape(len(colluding), -1)
+        for rows in (access, colluding, honest):
+            rows.setflags(write=False)
+        return access, colluding, honest
+
 
 def enumerate_structures(n: int, k: int) -> ThresholdScheme:
     """All access and adversarial structures of a (k, n) scheme.
@@ -99,6 +128,11 @@ def enumerate_structures(n: int, k: int) -> ThresholdScheme:
         raise ValueError(
             f"n = {n} players exceeds the supported maximum of {MAX_PLAYERS}; "
             f"the structure count C(n, k) is beyond desk scale")
+    count = math.comb(n, k) + math.comb(n, k - 1)
+    if count > MAX_STRUCTURES:
+        raise ValueError(
+            f"(k, n) = ({k}, {n}) has {count} access and adversarial structures, "
+            f"over the budget of {MAX_STRUCTURES}")
     players = range(1, n + 1)
     return ThresholdScheme(
         k=k,
@@ -245,16 +279,21 @@ def keyrate_dishonest(state: GaussianState, layout: PartyLayout,
     )
 
 
-def _structure_players(layout: PartyLayout, structure: tuple) -> tuple:
-    return tuple(layout.player_modes[i - 1] for i in structure)
+def _announced_indices(state: GaussianState, layout: PartyLayout, basis: str):
+    """Covariance indices of every player's announced ``basis`` outcome."""
+    return np.array([state.quad_index(*coord) for coord in
+                     layout.announced_coordinates(layout.player_modes, basis)])
 
 
 def keyrate_qss(state: GaussianState, layout: PartyLayout, scheme: ThresholdScheme,
                 beta: float = 1.0) -> KeyRateReport:
     """Combined (k, n) bound: min access mutual information minus max Holevo.
 
-    Per-structure evaluations are independent Schur complements; the final
-    reduction is order-independent (min/max).
+    Every access structure is one Schur complement of the dealer's x on its
+    players' announced x outcomes, and every adversarial structure one of
+    the dealer's p on its honest complement's announced p outcomes; each
+    side is a single batched :func:`~cvqss.estimation.schur` call. The
+    final reduction is order-independent (min/max).
     """
     layout.check_state(state)
     if scheme.n != layout.num_players:
@@ -264,30 +303,36 @@ def keyrate_qss(state: GaussianState, layout: PartyLayout, scheme: ThresholdSche
         raise ValueError("(1, 1) is not a sharing scheme: one player holding "
                          "everything needs no threshold")
 
+    access, colluding, honest = scheme._player_rows
+    access_v, access_g, dealer_x = schur(
+        state.cov, state.quad_index(layout.dealer_mode, "x"),
+        _announced_indices(state, layout, "x")[access])
+    adversarial_v, adversarial_g, dealer_p = schur(
+        state.cov, state.quad_index(layout.dealer_mode, "p"),
+        _announced_indices(state, layout, "p")[honest])
+    access_bits = gaussian_mutual_information(dealer_x, access_v).tolist()
+    check_conditional_variances(adversarial_v, dealer_p)
+
+    def labels(rows):
+        return [tuple(map(layout.player_modes.__getitem__, row)) for row in rows.tolist()]
+
     access_mi = {}
     access_var = {}
     access_gains = {}
-    for structure in scheme.access_structures:
-        players = _structure_players(layout, structure)
-        side = _inference(state, layout, "x", players)
-        access_var[players] = side.conditional_variance
-        access_gains[players] = side.gains
-        access_mi[players] = gaussian_mutual_information(
-            side.unconditional_variance, side.conditional_variance)
-
-    dealer_x = state.variance(layout.dealer_mode, "x")
-    dealer_p = state.variance(layout.dealer_mode, "p")
+    for players, v, gains, mi in zip(labels(access), access_v.tolist(), access_g,
+                                     access_bits):
+        access_var[players] = v
+        access_gains[players] = JointVariable("x", dict(zip(players, gains)))
+        access_mi[players] = mi
 
     adversarial_chi = {}
     adversarial_var = {}
     adversarial_gains = {}
-    for structure in scheme.adversarial_structures:
-        colluders = _structure_players(layout, structure)
-        honest = tuple(p for p in layout.player_modes if p not in set(colluders))
-        side = _inference(state, layout, "p", honest)
-        adversarial_var[colluders] = side.conditional_variance
-        adversarial_gains[colluders] = side.gains
-        adversarial_chi[colluders] = holevo_term(dealer_x, side.conditional_variance)
+    for colluders, honest_players, v, gains in zip(
+            labels(colluding), labels(honest), adversarial_v.tolist(), adversarial_g):
+        adversarial_var[colluders] = v
+        adversarial_gains[colluders] = JointVariable("p", dict(zip(honest_players, gains)))
+        adversarial_chi[colluders] = holevo_term(dealer_x, v)
 
     binding_access = min(access_mi, key=access_mi.get)
     binding_adversarial = max(adversarial_chi, key=adversarial_chi.get)

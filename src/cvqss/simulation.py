@@ -41,17 +41,12 @@ from .keyrate import (
 )
 from .states import PartyLayout
 
-_CONJUGATE = {"x": "p", "p": "x"}
-
 #: Eigenvalues of a covariance matrix in [-this, 0) are treated as rounding
 #: debris and clipped to zero before factorisation.
 EIGENVALUE_CLIP = 1e-10
 
 #: Minimum sifted rounds required for a regression.
 MIN_SIFTED_ROUNDS = 100
-
-_LOG2_E = math.log2(math.e)
-
 
 class UndersampledError(RuntimeError):
     """Too few sifted rounds for a requested regression."""

@@ -92,3 +92,26 @@ def chain_expected_variances(r: float, transmissivity: float) -> dict:
         "v_p_given_c_only": v_p_given_c,
         "v_p_given_b_only": v_p_given_b,
     }
+
+
+def pinv_psd(matrix: np.ndarray, cutoff: float = 1e-10) -> np.ndarray:
+    """Pseudo-inverse of a PSD matrix, eigenvalues <= cutoff * trace cut."""
+    eigval, eigvec = np.linalg.eigh(matrix)
+    cut = cutoff * max(np.trace(matrix), 0.0)
+    inv = np.where(eigval > cut, 1.0 / np.where(eigval > cut, eigval, 1.0), 0.0)
+    return (eigvec * inv) @ eigvec.T
+
+
+def schur_loop(cov: np.ndarray, target_idx: int, estimator_idx) -> tuple:
+    """One 2-D Schur complement per estimator set, in a Python loop.
+
+    The unbatched reference for ``cvqss.estimation.schur``: same return
+    values, computed one (g, g) block at a time.
+    """
+    variances, gains = [], []
+    for row in np.asarray(estimator_idx):
+        c = cov[target_idx, row]
+        g = pinv_psd(cov[np.ix_(row, row)]) @ c
+        variances.append(float(cov[target_idx, target_idx] - float(c @ g)))
+        gains.append(g)
+    return np.array(variances), np.array(gains), float(cov[target_idx, target_idx])

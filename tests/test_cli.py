@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -99,6 +100,28 @@ class TestThreshold:
         code, out, _ = run(["threshold", "--n", "2", "--k", "2", "--quiet"], capsys)
         assert code == EXIT_OK
         assert out.startswith("K = ")
+
+
+class TestThresholdBytes:
+    """The (4, 8) star breakdown, byte for byte.
+
+    The digests were recorded before structures were batched into one Schur
+    kernel, so any change to the evaluation that moves a printed digit shows
+    here. They hold for numpy 2.4 with OpenBLAS on x86-64; another BLAS or
+    libm may move the last digit of a float.
+    """
+
+    ARGV = ["threshold", "--n", "8", "--k", "4", "--topology", "star"]
+
+    @pytest.mark.parametrize("extra, digest", [
+        ([], "54d55af5efccf63d406d941fb9fe17f2085abfa2f06458b435d0e2316aed4cde"),
+        (["--format", "json"],
+         "ec919a82ad08d604feb7b04dbea96ba95c1349129a5c260ca13d66da2bde2ab6"),
+    ])
+    def test_output_digest(self, capsys, extra, digest):
+        code, out, _ = run(self.ARGV + extra, capsys)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestSimulate:
@@ -204,6 +227,11 @@ class TestConfigFile:
         code, _, err = run(["sweep", "--config", str(config)], capsys)
         assert code == EXIT_CONFIG
         assert "key=value" in err
+
+    def test_trailing_flag_without_path_is_config_error(self, capsys):
+        code, _, err = run(["threshold", "--config"], capsys)
+        assert code == EXIT_CONFIG
+        assert err == "cvqss: --config needs a file path\n"
 
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         code, _, _ = run(["sweep", "--config", str(tmp_path / "absent.cfg")],

@@ -6,19 +6,32 @@ import numpy as np
 import pytest
 
 from cvqss import (
+    ChannelSpec,
     DegenerateEstimatorError,
     GaussianState,
     JointVariable,
+    build_kn_state,
     build_three_mode_chain,
     conditional_variance_coords,
     conditional_variance_fixed,
     conditional_variance_optimal,
     gaussian_mutual_information,
     squeezed_vacuum,
+    star_topology,
     tensor,
 )
-from cvqss.estimation import ConditioningResult
-from helpers import product_vacuum, tmsv_conditional_variance, two_mode_squeezed
+from cvqss.estimation import (
+    SCHUR_BLOCK_ROWS,
+    ConditioningResult,
+    check_conditional_variances,
+    schur,
+)
+from helpers import (
+    product_vacuum,
+    schur_loop,
+    tmsv_conditional_variance,
+    two_mode_squeezed,
+)
 
 
 class TestFixedEstimator:
@@ -150,6 +163,71 @@ class TestMixedCoordinates:
         assert v_dup == pytest.approx(v_single, rel=1e-10)
 
 
+class TestSchurKernel:
+    """The batched kernel against a loop of single 2-D Schur complements."""
+
+    @staticmethod
+    def star_state(n=6):
+        spec = ChannelSpec(0.9, 0.01)
+        state, _ = build_kn_state(n, 1.15, {f"B{i}": spec for i in range(1, n + 1)},
+                                  star_topology(n))
+        return state
+
+    def test_singular_blocks_match_loop(self):
+        # Duplicated coordinates make the block singular; the eigenvalue cut
+        # must treat each row exactly as a lone 2-D block would.
+        state = self.star_state()
+        t, b1, b2 = (state.quad_index("A", "x"), state.quad_index("B1", "p"),
+                     state.quad_index("B2", "p"))
+        rows = np.array([[b1, b1, b2], [b1, b2, b2], [b2, b2, b2], [b1, b2, b1]])
+        variances, gains, v_target = schur(state.cov, t, rows)
+        ref_variances, ref_gains, ref_target = schur_loop(state.cov, t, rows)
+        assert np.array_equal(variances, ref_variances)
+        assert np.array_equal(gains, ref_gains)
+        assert v_target == ref_target
+        lone, _, _ = schur(state.cov, t, [[b2]])
+        assert variances[2] == pytest.approx(lone[0], rel=1e-10)
+
+    def test_rows_across_blocks_match_loop(self):
+        state = self.star_state()
+        t = state.quad_index("A", "p")
+        candidates = [i for i in range(len(state.cov)) if i != t]
+        rng = np.random.default_rng(7)
+        rows = np.array([rng.choice(candidates, 4, replace=False)
+                         for _ in range(2 * SCHUR_BLOCK_ROWS + 3)])
+        variances, gains, _ = schur(state.cov, t, rows)
+        ref_variances, ref_gains, _ = schur_loop(state.cov, t, rows)
+        assert np.array_equal(variances, ref_variances)
+        assert np.array_equal(gains, ref_gains)
+
+    def test_coords_call_is_one_row(self):
+        state = self.star_state()
+        coords = [("B1", "p"), ("B3", "x"), ("B4", "p")]
+        v, gains, v_unc = conditional_variance_coords(state, ("A", "x"), coords)
+        row = [[state.quad_index(*c) for c in coords]]
+        ref_variances, ref_gains, ref_target = schur_loop(
+            state.cov, state.quad_index("A", "x"), row)
+        assert v == ref_variances[0] and v_unc == ref_target
+        assert np.array_equal(gains, ref_gains[0])
+
+    def test_empty_or_target_rows_rejected(self):
+        state = self.star_state()
+        with pytest.raises(ValueError, match="nonempty"):
+            schur(state.cov, 0, np.zeros((3, 0), dtype=int))
+        with pytest.raises(ValueError, match="exclude the target"):
+            schur(state.cov, 0, [[2, 3], [4, 0]])
+
+    def test_range_check_uses_conditioning_message(self):
+        gains = JointVariable("x", {"B": 1.0})
+        for bad in (0.0, -1e-3, 0.7, float("nan")):
+            with pytest.raises(ValueError) as batched:
+                check_conditional_variances(np.array([0.2, bad, 0.0]), 0.5)
+            with pytest.raises(ValueError) as single:
+                ConditioningResult(bad, gains, 0.5)
+            assert str(batched.value) == str(single.value)
+        check_conditional_variances(np.array([0.5, 1e-300]), 0.5)
+
+
 class TestMutualInformation:
     def test_independence_gives_zero_bits(self):
         assert gaussian_mutual_information(0.5, 0.5) == 0.0
@@ -172,6 +250,12 @@ class TestMutualInformation:
     def test_nonpositive_conditional_rejected(self):
         with pytest.raises(ValueError):
             gaussian_mutual_information(0.5, 0.0)
+
+    def test_array_matches_scalar_calls(self):
+        conditional = np.linspace(0.01, 2.0, 37)
+        info = gaussian_mutual_information(2.0, conditional)
+        assert np.array_equal(
+            info, [gaussian_mutual_information(2.0, v) for v in conditional])
 
 
 class TestDataTypes:

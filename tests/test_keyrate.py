@@ -22,7 +22,14 @@ from cvqss import (
     tensor,
     vacuum,
 )
-from helpers import chain_expected_variances, product_vacuum, two_mode_squeezed
+from cvqss import keyrate as keyrate_module
+from cvqss.estimation import ConditioningResult, JointVariable
+from helpers import (
+    chain_expected_variances,
+    product_vacuum,
+    schur_loop,
+    two_mode_squeezed,
+)
 
 #: Squeezing at which the two-mode inference product sits exactly on the
 #: security threshold: 1/(2 cosh 2r)^2 = exp(-2).
@@ -62,6 +69,17 @@ class TestEnumeration:
     def test_player_cap(self):
         with pytest.raises(ValueError, match="desk scale"):
             enumerate_structures(25, 2)
+
+    def test_structure_budget_refuses_before_enumerating(self, monkeypatch):
+        def no_subsets(*args):
+            raise AssertionError("subsets built before the budget check")
+
+        monkeypatch.setattr(keyrate_module, "combinations", no_subsets)
+        count = math.comb(24, 12) + math.comb(24, 11)
+        assert count > keyrate_module.MAX_STRUCTURES
+        with pytest.raises(ValueError, match=f"{count} .*budget of "
+                                             f"{keyrate_module.MAX_STRUCTURES}"):
+            enumerate_structures(24, 12)
 
     def test_scheme_invariants_enforced(self):
         with pytest.raises(ValueError):
@@ -259,3 +277,83 @@ class TestDegenerateThreshold:
         state, layout = build_three_mode_chain(1.0, 1.0)
         report = keyrate_qss(state, layout, enumerate_structures(2, 1))
         assert report.combined_rate <= report.eavesdropping_rate + 1e-12
+
+
+def _kn_state(n, topology, r=1.15, transmissivity=0.93):
+    spec = ChannelSpec(transmissivity, 0.0)
+    return build_kn_state(n, r, {f"B{i}": spec for i in range(1, n + 1)},
+                          topology(n))
+
+
+def _reference_sides(state, layout, scheme):
+    """Per-structure variances and gains from one 2-D Schur complement each."""
+
+    def indices(groups, basis):
+        return [[state.quad_index(*coord)
+                 for coord in layout.announced_coordinates(players, basis)]
+                for players in groups]
+
+    def players(structure):
+        return tuple(layout.player_modes[i - 1] for i in structure)
+
+    access = [players(s) for s in scheme.access_structures]
+    honest = [tuple(p for p in layout.player_modes if p not in players(s))
+              for s in scheme.adversarial_structures]
+    x_side = schur_loop(state.cov, state.quad_index("A", "x"), indices(access, "x"))
+    p_side = schur_loop(state.cov, state.quad_index("A", "p"), indices(honest, "p"))
+    return x_side, p_side
+
+
+class TestBatchedStructures:
+    """keyrate_qss's batched kernel against the per-structure loop, bit for bit."""
+
+    @pytest.mark.parametrize("n, k, topology", [
+        (14, 7, star_topology),
+        (4, 2, star_topology),
+        (6, 3, chain_topology),
+        (5, 1, chain_topology),
+        (5, 5, star_topology),
+        (5, 5, chain_topology),
+    ])
+    def test_matches_structure_loop(self, n, k, topology):
+        state, layout = _kn_state(n, topology)
+        scheme = enumerate_structures(n, k)
+        report = keyrate_qss(state, layout, scheme)
+        (x_var, x_gains, _), (p_var, p_gains, _) = _reference_sides(
+            state, layout, scheme)
+        assert np.array_equal(
+            list(report.access_conditional_variance.values()), x_var)
+        assert np.array_equal(
+            [list(g.gains.values()) for g in report.access_gains.values()], x_gains)
+        assert np.array_equal(
+            list(report.adversarial_conditional_variance.values()), p_var)
+        assert np.array_equal(
+            [list(g.gains.values()) for g in report.adversarial_gains.values()],
+            p_gains)
+        for players, gains in report.access_gains.items():
+            assert tuple(gains.gains) == players and gains.quadrature == "x"
+        for colluders, gains in report.adversarial_gains.items():
+            assert set(gains.gains).isdisjoint(colluders) and gains.quadrature == "p"
+            assert len(gains.gains) == n - len(colluders)
+
+    @pytest.mark.parametrize("side, scale", [("x", 0.0), ("p", 1.5)])
+    def test_out_of_range_variance_raises_conditioning_message(
+            self, monkeypatch, side, scale):
+        state, layout = _kn_state(4, star_topology)
+        target = state.quad_index("A", side)
+        bad = scale * state.variance("A", side)
+        real_schur = keyrate_module.schur
+
+        def corrupted(cov, target_idx, estimator_idx):
+            variances, gains, v_target = real_schur(cov, target_idx, estimator_idx)
+            if target_idx == target:
+                variances[1] = bad
+            return variances, gains, v_target
+
+        monkeypatch.setattr(keyrate_module, "schur", corrupted)
+        with pytest.raises(ValueError) as batched:
+            keyrate_qss(state, layout, enumerate_structures(4, 2))
+        with pytest.raises(ValueError) as single:
+            ConditioningResult(bad, JointVariable(side, {"B1": 1.0}),
+                               state.variance("A", side))
+        assert str(batched.value) == str(single.value)
