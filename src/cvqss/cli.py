@@ -17,7 +17,7 @@ override it. Exit codes: 0 success, 1 configuration error, 2 I/O error,
 import argparse
 import json
 import sys
-from dataclasses import asdict, is_dataclass
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
@@ -172,7 +172,7 @@ def _write_text(path, text: str, quiet: bool) -> None:
 
 def _jsonable(value):
     if is_dataclass(value) and not isinstance(value, type):
-        return _jsonable(asdict(value))
+        return {f.name: _jsonable(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, dict):
         return {_json_key(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

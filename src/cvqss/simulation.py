@@ -10,18 +10,32 @@ rounds are counted as raw key material (reconciliation and privacy
 amplification are out of scope; the report exposes everything such a stage
 would need).
 
-Simulation device, not physics: every round draws one joint sample of ALL
-quadratures from the state's multivariate normal and then discards all but
-each party's chosen-basis value. Conjugate quadratures are never jointly
-observable in the lab, but only the revealed per-round values are
-protocol-visible, and their marginal and joint statistics over sifted
-rounds match true homodyne statistics, which is all the estimators
-consume.
+Simulation device, not physics: :func:`run_protocol` draws the key,
+check and other round counts from one multinomial law, then outcomes only
+for the revealed key and check rounds. Each such row is a joint sample of
+the m quadratures its pattern measures, from their marginal of the state's
+multivariate normal; rounds are independent, so the rows have the law of a
+uniformly chosen revealed subset. Nothing reads the outcomes of other
+rounds, so they stay counts (unrevealed key rounds are the raw key).
+:func:`sample_outcomes` instead draws ALL quadratures of every round and
+keeps each party's chosen-basis value. Conjugate quadratures are never
+jointly observable in the lab, but only chosen-basis values are read, and
+their joint statistics over any basis pattern match true homodyne
+statistics, which is all the estimators consume.
 
-Determinism contract: a batch is a pure function of (state, rounds,
-basis probability, seed). Basis choices are drawn before outcomes from a
-single PCG64 stream; the parameter-estimation subset uses a separately
-derived stream so reveal choices never perturb the samples.
+A pattern's regressions share the Gram matrix of its revealed design
+(intercept, dealer, players) and its delete-one-group jackknife versions:
+each structure is one batched solve on sub-blocks of them (:func:`_fit`),
+and :func:`empirical_conditional_variance` is the one-structure form.
+
+Determinism contract: a protocol run is a pure function of (state,
+layout, scheme, rounds, reveal fraction, basis probability, seed, beta).
+One PCG64 stream seeded with ``seed`` draws, in this order, the pattern
+counts, the revealed key rows and the revealed check rows. A
+:func:`sample_outcomes` batch is a pure function of (state, rounds, basis
+probability, seed); its stream draws every basis choice, then every
+outcome. The two use their streams differently, so one seed gives them
+unrelated samples.
 """
 
 import math
@@ -32,13 +46,7 @@ import numpy as np
 
 from .estimation import JointVariable
 from .gaussian import GaussianState, Quadrature, UnphysicalStateError, validate
-from .keyrate import (
-    KeyRateReport,
-    ThresholdScheme,
-    holevo_term,
-    keyrate_eavesdropping,
-    keyrate_qss,
-)
+from .keyrate import KeyRateReport, ThresholdScheme, holevo_term, keyrate_qss
 from .states import PartyLayout
 
 #: Eigenvalues of a covariance matrix in [-this, 0) are treated as rounding
@@ -48,15 +56,36 @@ EIGENVALUE_CLIP = 1e-10
 #: Minimum sifted rounds required for a regression.
 MIN_SIFTED_ROUNDS = 100
 
-class UndersampledError(RuntimeError):
-    """Too few sifted rounds for a requested regression."""
+#: Groups of the delete-one-group jackknife on a residual variance.
+JACKKNIFE_GROUPS = 50
 
-    def __init__(self, available: int, required: int = MIN_SIFTED_ROUNDS):
+
+class UndersampledError(RuntimeError):
+    """Too few sifted rounds for a requested regression.
+
+    ``rounds_needed`` is the number of protocol rounds at which the
+    expected count of such rounds reaches ``required``.
+    """
+
+    def __init__(self, available: int, rounds_needed: int,
+                 required: int = MIN_SIFTED_ROUNDS):
         self.available = available
+        self.rounds_needed = rounds_needed
         self.required = required
         super().__init__(
             f"only {available} sifted rounds match the required bases "
-            f"(need >= {required})")
+            f"(need >= {required}, expected from about {rounds_needed} rounds)")
+
+
+def _pattern_probability(required: Mapping, basis_probability: float) -> float:
+    """Chance that every listed party measures its required basis in a round."""
+    xs = sum(basis == "x" for basis in required.values())
+    return basis_probability ** xs * (1.0 - basis_probability) ** (len(required) - xs)
+
+
+def _rounds_needed(probability: float) -> int:
+    """Rounds whose expected count at ``probability`` a round is the minimum."""
+    return math.ceil(MIN_SIFTED_ROUNDS / probability)
 
 
 @dataclass(frozen=True)
@@ -105,18 +134,14 @@ class SampleBatch:
             mask &= col if basis == "x" else ~col
         return mask
 
-    def subset(self, rows: np.ndarray) -> "SampleBatch":
-        return SampleBatch(self.labels, self.x_chosen[rows], self.outcomes[rows],
-                           self.seed, self.basis_probability)
 
+def _checked_spectrum(state: GaussianState, rounds: int,
+                      basis_probability: float) -> tuple:
+    """Eigendecomposition of the state's covariance, after the sampling checks.
 
-def sample_outcomes(state: GaussianState, rounds: int,
-                    basis_probability: float = 0.5, seed: int = 0) -> SampleBatch:
-    """Draw per-round homodyne outcomes for every mode of a state.
-
-    Each party independently measures x with probability
-    ``basis_probability`` (else p). Outcomes are exact multivariate-normal
-    homodyne statistics; the batch is bit-identical for identical inputs.
+    Rejects a non-positive round count, a basis probability outside (0, 1),
+    a non-bona-fide state and a covariance with a negative eigenvalue
+    beyond EIGENVALUE_CLIP.
     """
     if rounds < 1:
         raise ValueError("need at least one round")
@@ -131,8 +156,23 @@ def sample_outcomes(state: GaussianState, rounds: int,
     if eigval.min() < -EIGENVALUE_CLIP:
         raise UnphysicalStateError(
             f"covariance matrix has a negative eigenvalue {eigval.min():.3e}")
-    factor = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
+    return eigval, eigvec
 
+
+def _factor(eigval: np.ndarray, eigvec: np.ndarray) -> np.ndarray:
+    """F with F @ F.T the decomposed matrix, rounding debris clipped to zero."""
+    return eigvec * np.sqrt(np.clip(eigval, 0.0, None))
+
+
+def sample_outcomes(state: GaussianState, rounds: int,
+                    basis_probability: float = 0.5, seed: int = 0) -> SampleBatch:
+    """Draw per-round homodyne outcomes for every mode of a state.
+
+    Each party independently measures x with probability
+    ``basis_probability`` (else p). Outcomes are exact multivariate-normal
+    homodyne statistics; the batch is bit-identical for identical inputs.
+    """
+    factor = _factor(*_checked_spectrum(state, rounds, basis_probability))
     rng = np.random.default_rng(seed)
     num_modes = state.num_modes
     x_chosen = rng.random((rounds, num_modes)) < basis_probability
@@ -152,6 +192,51 @@ class EmpiricalConditioning:
     rounds_used: int
 
 
+def _jackknife_grams(design: np.ndarray, jackknife_groups: int) -> tuple:
+    """Gram matrices of a design over all rows and with each group left out.
+
+    The groups are min(jackknife_groups, N // 2) contiguous, near-equal
+    blocks of the N rows. Returns ``(grams, rows)``: ``grams[0]`` is
+    ``design.T @ design``, ``grams[1 + g]`` the same without group g, and
+    ``rows`` the matching row counts.
+    """
+    blocks = np.array_split(design, min(jackknife_groups, len(design) // 2))
+    gram = design.T @ design
+    grams = np.stack([gram] + [gram - block.T @ block for block in blocks])
+    rows = np.array([len(design)] + [len(design) - len(block) for block in blocks])
+    return grams, rows
+
+
+def _fit(grams: np.ndarray, rows: np.ndarray, target_basis: Quadrature,
+         columns: Mapping) -> EmpiricalConditioning:
+    """Least-squares fit of design column 1 on the intercept and ``columns``.
+
+    ``columns`` maps each estimator party to its design column; column 0 is
+    the intercept. The full-sample fit and every delete-one-group refit are
+    one batched solve on sub-blocks of ``grams`` (see
+    :func:`_jackknife_grams`). The residual variance uses 1/(N - d) with d
+    fitted parameters; its standard error is the grouped jackknife, and the
+    gains' errors are the usual OLS coefficient errors.
+    """
+    c = np.array([0, *columns.values()])
+    d = len(c)
+    gram = grams[:, c[:, None], c]
+    moment = grams[:, c, 1]
+    coeffs = np.linalg.solve(gram, moment[..., None])[..., 0]
+    estimates = (grams[:, 1, 1] - (coeffs * moment).sum(axis=1)) / (rows - d)
+    variance, jackknife = float(estimates[0]), estimates[1:]
+    groups = len(jackknife)
+    se = math.sqrt((groups - 1) / groups * float(np.sum((jackknife - jackknife.mean()) ** 2)))
+    gain_se = np.sqrt(variance * np.diag(np.linalg.inv(gram[0])))[1:]
+    return EmpiricalConditioning(
+        variance=variance,
+        gains=JointVariable(target_basis, dict(zip(columns, coeffs[0, 1:]))),
+        standard_error=se,
+        gain_standard_errors=dict(zip(columns, gain_se)),
+        rounds_used=int(rows[0]),
+    )
+
+
 def _normalize_estimators(estimator_parties, target_basis: Quadrature) -> dict:
     if isinstance(estimator_parties, Mapping):
         return dict(estimator_parties)
@@ -163,7 +248,7 @@ def empirical_conditional_variance(
     target_party,
     target_basis: Quadrature,
     estimator_parties,
-    jackknife_groups: int = 50,
+    jackknife_groups: int = JACKKNIFE_GROUPS,
 ) -> EmpiricalConditioning:
     """Residual variance of the target under least-squares inference.
 
@@ -185,46 +270,13 @@ def empirical_conditional_variance(
     mask = batch.basis_mask(required)
     n = int(mask.sum())
     if n < MIN_SIFTED_ROUNDS:
-        raise UndersampledError(n)
+        raise UndersampledError(n, _rounds_needed(
+            _pattern_probability(required, batch.basis_probability)))
 
-    order = list(estimators)
-    cols = [batch.party_index(p) for p in order]
-    y = batch.outcomes[mask][:, batch.party_index(target_party)]
-    design = np.column_stack([np.ones(n)] + [batch.outcomes[mask][:, c] for c in cols])
-    d = design.shape[1]
-
-    gram = design.T @ design
-    moment = design.T @ y
-    coeffs = np.linalg.solve(gram, moment)
-    rss = float(y @ y - coeffs @ moment)
-    variance = rss / (n - d)
-
-    gram_inv = np.linalg.inv(gram)
-    gain_se = np.sqrt(variance * np.diag(gram_inv))[1:]
-
-    # Grouped jackknife on the residual variance: leave one block of sifted
-    # rounds out at a time, refitting from downdated Gram matrices.
-    groups = min(jackknife_groups, n // 2)
-    splits = np.array_split(np.arange(n), groups)
-    estimates = np.empty(groups)
-    yy = float(y @ y)
-    for g, rows in enumerate(splits):
-        block = design[rows]
-        gram_g = gram - block.T @ block
-        moment_g = moment - block.T @ y[rows]
-        coeffs_g = np.linalg.solve(gram_g, moment_g)
-        rss_g = (yy - float(y[rows] @ y[rows])) - float(coeffs_g @ moment_g)
-        estimates[g] = rss_g / (n - len(rows) - d)
-    se = math.sqrt((groups - 1) / groups * float(np.sum((estimates - estimates.mean()) ** 2)))
-
-    gains = JointVariable(target_basis, dict(zip(order, coeffs[1:])))
-    return EmpiricalConditioning(
-        variance=variance,
-        gains=gains,
-        standard_error=se,
-        gain_standard_errors=dict(zip(order, gain_se)),
-        rounds_used=n,
-    )
+    design = np.ones((n, 1 + len(required)))
+    design[:, 1:] = batch.outcomes[np.ix_(mask, [batch.party_index(p) for p in required])]
+    return _fit(*_jackknife_grams(design, jackknife_groups), target_basis,
+                {party: column for column, party in enumerate(estimators, start=2)})
 
 
 @dataclass(frozen=True)
@@ -266,14 +318,36 @@ def _pattern_string(labels: Sequence, required: Mapping) -> str:
     return "".join(required[label] for label in labels)
 
 
-def _reveal(mask: np.ndarray, fraction: float, rng: np.random.Generator) -> np.ndarray:
-    """Seeded uniform choice without replacement of sifted rounds to reveal."""
-    idx = np.flatnonzero(mask)
-    count = int(round(fraction * len(idx)))
-    chosen = rng.choice(idx, size=count, replace=False, shuffle=False)
-    revealed = np.zeros_like(mask)
-    revealed[np.sort(chosen)] = True
-    return revealed
+def _revealed_designs(state: GaussianState, patterns: Sequence, rounds: int,
+                      reveal_fraction: float, basis_probability: float,
+                      seed: int) -> tuple:
+    """Pattern counts, then outcomes of the revealed rounds of each pattern.
+
+    ``patterns`` holds two party -> basis maps, the key and the check
+    pattern. Returns ``(counts, designs)``: ``counts`` is the number of
+    rounds on the first pattern, the second and any other; ``designs[i]``
+    has a row (1, outcome of party 1, ...) per revealed round of pattern i,
+    parties in the map's order. Raises UndersampledError before any
+    Gaussian draw when a pattern reveals fewer than MIN_SIFTED_ROUNDS.
+    """
+    probabilities = [_pattern_probability(required, basis_probability)
+                     for required in patterns]
+    rng = np.random.default_rng(seed)
+    counts = rng.multinomial(
+        rounds, probabilities + [max(0.0, 1.0 - sum(probabilities))]).tolist()
+    revealed = [int(round(reveal_fraction * count)) for count in counts[:2]]
+    if min(revealed) < MIN_SIFTED_ROUNDS:
+        raise UndersampledError(
+            min(revealed), _rounds_needed(reveal_fraction * min(probabilities)))
+
+    designs = []
+    for required, count in zip(patterns, revealed):
+        idx = [state.quad_index(party, basis) for party, basis in required.items()]
+        factor = _factor(*np.linalg.eigh(state.cov[np.ix_(idx, idx)]))
+        design = np.ones((count, 1 + len(idx)))
+        design[:, 1:] = rng.standard_normal((count, len(idx))) @ factor.T + state.mean[idx]
+        designs.append(design)
+    return counts, designs
 
 
 def run_protocol(
@@ -299,50 +373,29 @@ def run_protocol(
     if scheme.n != layout.num_players:
         raise ValueError(f"scheme expects {scheme.n} players but the layout has "
                          f"{layout.num_players}")
-
-    batch = sample_outcomes(state, rounds, basis_probability, seed)
-
-    # Per-pattern sifting accounting over all 2^m basis patterns.
-    weights = 1 << np.arange(len(batch.labels))
-    pattern_ids = (~batch.x_chosen) @ weights
-    counts = np.bincount(pattern_ids, minlength=1 << len(batch.labels))
-    sifted_counts = {}
-    for pid, count in enumerate(counts):
-        name = "".join("p" if pid >> j & 1 else "x" for j in range(len(batch.labels)))
-        sifted_counts[name] = int(count)
+    _checked_spectrum(state, rounds, basis_probability)
 
     key_required = _required_bases(layout, "x")
     check_required = _required_bases(layout, "p")
-    key_mask = batch.basis_mask(key_required)
-    check_mask = batch.basis_mask(check_required)
+    key_pattern = _pattern_string(state.labels, key_required)
+    check_pattern = _pattern_string(state.labels, check_required)
+    (key_count, check_count, other), (key_design, check_design) = _revealed_designs(
+        state, (key_required, check_required), rounds, reveal_fraction,
+        basis_probability, seed)
 
-    rng_reveal = np.random.default_rng([seed, 1])
-    key_revealed = _reveal(key_mask, reveal_fraction, rng_reveal)
-    check_revealed = _reveal(check_mask, reveal_fraction, rng_reveal)
-    key_batch = batch.subset(key_revealed)
-    check_batch = batch.subset(check_revealed)
-    raw_key_length = int(key_mask.sum() - key_revealed.sum())
-
-    x_estimators = {p: key_required[p] for p in layout.player_modes}
-    p_estimators = {p: check_required[p] for p in layout.player_modes}
-    inference_x = empirical_conditional_variance(
-        key_batch, layout.dealer_mode, "x", x_estimators)
-    inference_p = empirical_conditional_variance(
-        check_batch, layout.dealer_mode, "p", p_estimators)
-
-    dealer_col = key_batch.party_index(layout.dealer_mode)
-    dealer_x_var = float(np.var(key_batch.outcomes[:, dealer_col], ddof=1))
+    # Design column of each player: 0 is the intercept, 1 the dealer.
+    column = {player: j for j, player in enumerate(layout.player_modes, start=2)}
+    key_grams = _jackknife_grams(key_design, JACKKNIFE_GROUPS)
+    check_grams = _jackknife_grams(check_design, JACKKNIFE_GROUPS)
+    inference_x = _fit(*key_grams, "x", column)
+    inference_p = _fit(*check_grams, "p", column)
+    dealer_x_var = float(np.var(key_design[:, 1], ddof=1))
 
     access_var = {}
     access_mi = {}
     for structure in scheme.access_structures:
         players = tuple(layout.player_modes[i - 1] for i in structure)
-        if players == layout.player_modes:
-            fit = inference_x
-        else:
-            fit = empirical_conditional_variance(
-                key_batch, layout.dealer_mode, "x",
-                {p: key_required[p] for p in players})
+        fit = _fit(*key_grams, "x", {p: column[p] for p in players})
         access_var[players] = fit
         access_mi[players] = 0.5 * math.log2(dealer_x_var / fit.variance)
 
@@ -351,12 +404,7 @@ def run_protocol(
     for structure in scheme.adversarial_structures:
         colluders = tuple(layout.player_modes[i - 1] for i in structure)
         honest = tuple(p for p in layout.player_modes if p not in set(colluders))
-        if honest == layout.player_modes:
-            fit = inference_p
-        else:
-            fit = empirical_conditional_variance(
-                check_batch, layout.dealer_mode, "p",
-                {p: check_required[p] for p in honest})
+        fit = _fit(*check_grams, "p", {p: column[p] for p in honest})
         adversarial_var[colluders] = fit
         adversarial_chi[colluders] = holevo_term(dealer_x_var, fit.variance)
 
@@ -385,12 +433,13 @@ def run_protocol(
         seed=seed,
         basis_probability=basis_probability,
         reveal_fraction=reveal_fraction,
-        sifted_counts=sifted_counts,
-        key_pattern=_pattern_string(batch.labels, key_required),
-        check_pattern=_pattern_string(batch.labels, check_required),
-        revealed_key_rounds=int(key_revealed.sum()),
-        revealed_check_rounds=int(check_revealed.sum()),
-        raw_key_length=raw_key_length,
+        sifted_counts={key_pattern: key_count, check_pattern: check_count,
+                       "other": other},
+        key_pattern=key_pattern,
+        check_pattern=check_pattern,
+        revealed_key_rounds=len(key_design),
+        revealed_check_rounds=len(check_design),
+        raw_key_length=key_count - len(key_design),
         dealer_x_variance=dealer_x_var,
         inference_x=inference_x,
         inference_p=inference_p,

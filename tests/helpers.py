@@ -115,3 +115,43 @@ def schur_loop(cov: np.ndarray, target_idx: int, estimator_idx) -> tuple:
         variances.append(float(cov[target_idx, target_idx] - float(c @ g)))
         gains.append(g)
     return np.array(variances), np.array(gains), float(cov[target_idx, target_idx])
+
+
+def regression_loop(batch, target_party, target_basis, estimators, jackknife_groups=50):
+    """One least-squares fit with its grouped jackknife, refitting in a loop.
+
+    The per-structure reference for the shared-Gram regression kernel in
+    ``cvqss.simulation``: sifts ``batch`` to the rounds where the target and
+    every estimator party (a party -> basis mapping) measured the required
+    basis, fits the target on an intercept and the estimators, and refits
+    once per left-out jackknife group. Returns (variance, gains,
+    standard_error, gain_standard_errors, rounds_used), gains and their
+    errors as party -> value dicts.
+    """
+    required = {target_party: target_basis, **estimators}
+    mask = batch.basis_mask(required)
+    n = int(mask.sum())
+    order = list(estimators)
+    cols = [batch.party_index(p) for p in order]
+    y = batch.outcomes[mask][:, batch.party_index(target_party)]
+    design = np.column_stack([np.ones(n)] + [batch.outcomes[mask][:, c] for c in cols])
+    d = design.shape[1]
+
+    gram = design.T @ design
+    moment = design.T @ y
+    coeffs = np.linalg.solve(gram, moment)
+    variance = float(y @ y - coeffs @ moment) / (n - d)
+    gain_se = np.sqrt(variance * np.diag(np.linalg.inv(gram)))[1:]
+
+    groups = min(jackknife_groups, n // 2)
+    estimates = np.empty(groups)
+    yy = float(y @ y)
+    for g, rows in enumerate(np.array_split(np.arange(n), groups)):
+        block = design[rows]
+        gram_g = gram - block.T @ block
+        moment_g = moment - block.T @ y[rows]
+        coeffs_g = np.linalg.solve(gram_g, moment_g)
+        rss_g = (yy - float(y[rows] @ y[rows])) - float(coeffs_g @ moment_g)
+        estimates[g] = rss_g / (n - len(rows) - d)
+    se = math.sqrt((groups - 1) / groups * float(np.sum((estimates - estimates.mean()) ** 2)))
+    return (variance, dict(zip(order, coeffs[1:])), se, dict(zip(order, gain_se)), n)

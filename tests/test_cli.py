@@ -150,6 +150,8 @@ class TestSimulate:
         assert code == EXIT_OK
         lines = out.read_text().splitlines()
         assert lines[0] == "quantity,structure,value,standard_error"
+        assert [line.split(",")[1] for line in lines
+                if line.startswith("sifted_count,")] == ["xpx", "pxp", "other"]
         assert any(line.startswith("combined_rate") for line in lines)
 
     def test_undersampled_run_is_config_error(self, capsys):

@@ -1,24 +1,48 @@
 """Monte Carlo sampling, sifting and parameter estimation."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from cvqss import (
+    ChannelSpec,
     GaussianState,
     PartyLayout,
+    SampleBatch,
     UndersampledError,
     UnphysicalStateError,
+    build_kn_state,
     build_three_mode_chain,
     empirical_conditional_variance,
     enumerate_structures,
     keyrate_eavesdropping,
     run_protocol,
     sample_outcomes,
+    star_topology,
 )
-from helpers import chain_expected_variances, product_vacuum, two_mode_squeezed
+from cvqss import simulation
+from helpers import (
+    chain_expected_variances,
+    product_vacuum,
+    regression_loop,
+    two_mode_squeezed,
+)
+
+
+def star_state(n, r=1.15, transmissivity=0.95):
+    spec = ChannelSpec(transmissivity, 0.0)
+    return build_kn_state(n, r, {f"B{i}": spec for i in range(1, n + 1)},
+                          star_topology(n))
+
+
+def announced_pattern(layout, dealer_basis):
+    """Party -> measured quadrature of every party in one sifted pattern."""
+    coords = [(layout.dealer_mode, dealer_basis)]
+    coords += layout.announced_coordinates(layout.player_modes, dealer_basis)
+    return dict(coords)
 
 
 class TestSampling:
@@ -114,6 +138,7 @@ class TestEmpiricalConditioning:
             empirical_conditional_variance(batch, "A", "x", {"B": "p", "C": "x"})
         assert excinfo.value.available < 100
         assert excinfo.value.required == 100
+        assert excinfo.value.rounds_needed == 800  # 100 / (1/2)^3
 
     def test_standard_errors_are_positive(self):
         batch = sample_outcomes(two_mode_squeezed(0.5), 20000, seed=10)
@@ -199,11 +224,7 @@ class TestRunProtocol:
         assert len(report.access_variance) == 2
 
     def test_star_scheme_runs_per_structure_regressions(self):
-        from cvqss import ChannelSpec, build_kn_state, star_topology
-
-        spec = ChannelSpec(1.0, 0.0)
-        state, layout = build_kn_state(
-            3, 1.0, {f"B{i}": spec for i in range(1, 4)}, star_topology(3))
+        state, layout = star_state(3, r=1.0, transmissivity=1.0)
         report = run_protocol(state, layout, enumerate_structures(3, 2),
                               rounds=100000, seed=29, reveal_fraction=1.0)
         assert len(report.access_variance) == 3
@@ -211,3 +232,123 @@ class TestRunProtocol:
         for colluders, fit in report.adversarial_variance.items():
             analytic = report.analytic.adversarial_conditional_variance[colluders]
             assert abs(fit.variance - analytic) / analytic < 0.1
+
+
+class TestRevealedSampling:
+    @pytest.mark.parametrize("players, basis_probability", [(2, 0.5), (4, 0.3)])
+    def test_pattern_counts_are_within_five_sigma(self, players, basis_probability):
+        if players == 2:
+            state, layout = build_three_mode_chain(1.0, 0.9)
+        else:
+            state, layout = star_state(players)
+        rounds = 100000
+        report = run_protocol(state, layout, enumerate_structures(players, 2),
+                              rounds=rounds, seed=31,
+                              basis_probability=basis_probability)
+        assert set(report.sifted_counts) == {report.key_pattern,
+                                             report.check_pattern, "other"}
+        assert sum(report.sifted_counts.values()) == rounds
+        for pattern in (report.key_pattern, report.check_pattern):
+            p = math.prod(basis_probability if basis == "x" else 1 - basis_probability
+                          for basis in pattern)
+            sigma = math.sqrt(rounds * p * (1 - p))
+            assert abs(report.sifted_counts[pattern] - rounds * p) < 5 * sigma
+
+    def test_revealed_rows_follow_the_pattern_marginal(self):
+        state, layout = star_state(4, transmissivity=0.9)
+        patterns = [announced_pattern(layout, "x"), announced_pattern(layout, "p")]
+        # p = 1/32 per pattern, so about 2e5 rows each.
+        counts, designs = simulation._revealed_designs(
+            state, patterns, 6_400_000, 1.0, 0.5, seed=37)
+        for required, count, design in zip(patterns, counts, designs):
+            assert len(design) == count
+            assert np.all(design[:, 0] == 1.0)
+            idx = [state.quad_index(party, basis) for party, basis in required.items()]
+            expected = state.cov[np.ix_(idx, idx)]
+            empirical = np.cov(design[:, 1:], rowvar=False)
+            diag = np.diag(expected)
+            sigma = np.sqrt((np.outer(diag, diag) + expected**2) / count)
+            assert np.all(np.abs(empirical - expected) < 5 * sigma)
+            mean_sigma = np.sqrt(diag / count)
+            assert np.all(np.abs(design[:, 1:].mean(axis=0)) < 5 * mean_sigma)
+
+    def test_twenty_player_undersampling_fails_before_any_normal(self, monkeypatch):
+        real_rng = np.random.default_rng
+
+        class NoNormals:
+            def __init__(self, seed):
+                self._rng = real_rng(seed)
+
+            def __getattr__(self, name):
+                if name == "standard_normal":
+                    raise AssertionError("drew Gaussian outcomes")
+                return getattr(self._rng, name)
+
+        monkeypatch.setattr(np.random, "default_rng", NoNormals)
+        state, layout = star_state(20)
+        scheme = enumerate_structures(20, 2)
+        start = time.perf_counter()
+        with pytest.raises(UndersampledError, match="sifted") as excinfo:
+            run_protocol(state, layout, scheme, rounds=1000, seed=1)
+        assert time.perf_counter() - start < 1.0
+        # Both patterns have p = 2^-21; half their rounds are revealed.
+        assert excinfo.value.rounds_needed == 100 * 2**22
+        assert str(excinfo.value.rounds_needed) in str(excinfo.value)
+
+
+class TestRegressionKernel:
+    RTOL = 1e-12
+
+    def assert_matches(self, fit, reference, target_square_mean):
+        variance, gains, se, gain_se, rounds = reference
+        assert fit.rounds_used == rounds
+        np.testing.assert_allclose(fit.variance, variance, rtol=self.RTOL)
+        # A jackknife refit (YY_g - c_g . m_g) / (n_g - d) cancels sums of
+        # size YY_g ~ n * E[y^2], so summing in another order moves it by a
+        # few eps * E[y^2]; the standard error combines 50 such refits.
+        # Relative to the standard error that is up to ~2e-12 here.
+        se_atol = 4 * math.sqrt(50) * np.finfo(float).eps * target_square_mean
+        np.testing.assert_allclose(fit.standard_error, se, rtol=0, atol=se_atol)
+        assert list(fit.gains.gains) == list(gains)
+        for party in gains:
+            np.testing.assert_allclose(fit.gains.gains[party], gains[party], rtol=self.RTOL)
+            np.testing.assert_allclose(fit.gain_standard_errors[party], gain_se[party],
+                                       rtol=self.RTOL)
+
+    @pytest.mark.parametrize("players", [2, 4])
+    def test_shared_gram_fits_match_the_reference_loop(self, players):
+        if players == 2:
+            state, layout = build_three_mode_chain(1.0, 0.9)
+        else:
+            state, layout = star_state(players)
+        rounds, seed = 200000, 41
+        report = run_protocol(state, layout, enumerate_structures(players, 2),
+                              rounds=rounds, seed=seed)
+        patterns = [announced_pattern(layout, "x"), announced_pattern(layout, "p")]
+        _, designs = simulation._revealed_designs(state, patterns, rounds, 0.5, 0.5, seed)
+        dealer, everyone = layout.dealer_mode, layout.player_modes
+
+        def check(basis, fits):
+            pattern, design = (patterns[basis == "p"], designs[basis == "p"])
+            batch = SampleBatch(
+                tuple(pattern), np.tile([b == "x" for b in pattern.values()],
+                                        (len(design), 1)),
+                design[:, 1:], seed, 0.5)
+            for estimators, fit in fits:
+                reference = regression_loop(batch, dealer, basis,
+                                            {p: pattern[p] for p in estimators})
+                self.assert_matches(fit, reference, np.mean(design[:, 1] ** 2))
+
+        check("x", [(everyone, report.inference_x)]
+              + list(report.access_variance.items()))
+        check("p", [(everyone, report.inference_p)]
+              + [([p for p in everyone if p not in colluders], fit)
+                 for colluders, fit in report.adversarial_variance.items()])
+
+    def test_one_structure_call_matches_the_reference_loop(self):
+        state, _ = build_three_mode_chain(1.0, 0.9)
+        batch = sample_outcomes(state, 100000, seed=43)
+        for estimators in ({"B": "p", "C": "x"}, {"C": "p"}, {"B": "x"}):
+            fit = empirical_conditional_variance(batch, "A", "x", estimators)
+            reference = regression_loop(batch, "A", "x", estimators)
+            self.assert_matches(fit, reference, np.mean(batch.outcomes[:, 0] ** 2))
