@@ -15,6 +15,7 @@ override it. Exit codes: 0 success, 1 configuration error, 2 I/O error,
 """
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import fields, is_dataclass
@@ -71,6 +72,11 @@ def _state_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--transmissivity", "-T", dest="transmissivity",
                         type=float, default=1.0,
                         help="channel transmissivity for every player (default 1)")
+    _scheme_flags(parser)
+
+
+def _scheme_flags(parser: argparse.ArgumentParser) -> None:
+    """Resource and scheme flags, shared with ``sweep``, which scans r and T."""
     parser.add_argument("--excess-noise", type=float, default=0.0,
                         help="channel excess noise in vacuum units (default 0)")
     parser.add_argument("--cz-weight", type=float, default=1.0,
@@ -82,7 +88,9 @@ def _state_flags(parser: argparse.ArgumentParser) -> None:
                         help="resource graph family (default chain)")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once: parsing leaves it unchanged."""
     parser = _Parser(prog="cvqss", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -93,11 +101,7 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--r-steps", type=int, default=61)
     p_sweep.add_argument("--transmissivities", default="1,0.95,0.9,0.85",
                          help="comma-separated channel transmissivities")
-    p_sweep.add_argument("--excess-noise", type=float, default=0.0)
-    p_sweep.add_argument("--cz-weight", type=float, default=1.0)
-    p_sweep.add_argument("--n", type=int, default=2)
-    p_sweep.add_argument("--k", type=int, default=2)
-    p_sweep.add_argument("--topology", choices=sorted(TOPOLOGIES), default="chain")
+    _scheme_flags(p_sweep)
     _common_flags(p_sweep)
 
     p_thr = sub.add_parser("threshold", help="per-structure (k, n) breakdown")

@@ -23,6 +23,8 @@ computed, all in bits per round:
   collusions, each bounded through its honest complement as above. The
   reported rate is ``min_i I_i - max_S chi_S``.
 
+:func:`combine` is the one reduction from conditional variances to these
+rates, for the empirical ones of :func:`~cvqss.simulation.run_protocol` too.
 For (2, 2) the combination reduces exactly to the minimum of the two
 single-dishonest-player bounds, which is asserted in the test suite.
 
@@ -32,20 +34,12 @@ announcement map, and the dealer's quadratures are always literal.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .estimation import (
-    ConditioningResult,
-    JointVariable,
-    check_conditional_variances,
-    conditional_variance_coords,
-    gaussian_mutual_information,
-    schur,
-)
+from .estimation import JointVariable, check_conditional_variances, schur
 from .gaussian import GaussianState
 from .states import PartyLayout
 
@@ -65,6 +59,30 @@ MAX_STRUCTURES = 10**6
 _LOG2_E = math.log2(math.e)
 
 
+def _complements(rows: np.ndarray, n: int) -> np.ndarray:
+    """Row s: the positions 0..n-1 missing from row s of ``rows``, in order."""
+    is_outside = np.ones((len(rows), n), dtype=bool)
+    is_outside[np.arange(len(rows))[:, None], rows] = False
+    return np.nonzero(is_outside)[1].reshape(len(rows), -1)
+
+
+def _structure_rows(structures: tuple, size: int, n: int, kind: str) -> np.ndarray:
+    """The C(n, size) structures as rows of ``size`` increasing indices in 1..n."""
+    count = math.comb(n, size)
+    if len(structures) != count:
+        raise ValueError(f"expected {count} {kind} structures")
+    if set(map(len, structures)) != {size}:
+        raise ValueError(f"every {kind} structure must list {size} players")
+    rows = np.array(structures)
+    if rows.size and rows.dtype.kind not in "iu":
+        raise ValueError(f"{kind} structures must list integer player indices")
+    bad = ((rows < 1) | (rows > n)).any(axis=1) | (np.diff(rows, axis=1) <= 0).any(axis=1)
+    if bad.any():
+        raise ValueError(f"structure {structures[bad.argmax()]} is not over indices "
+                         f"1..{n} in strictly increasing order")
+    return rows.astype(int)  # an empty structure's array is float
+
+
 @dataclass(frozen=True)
 class ThresholdScheme:
     """A (k, n)-threshold scheme with its derived structures.
@@ -72,6 +90,10 @@ class ThresholdScheme:
     ``access_structures`` holds every k-subset of the player indices 1..n
     (groups entitled to decode); ``adversarial_structures`` every
     (k-1)-subset (groups treated as colluding eavesdroppers).
+
+    ``_player_rows`` (not a field: unseen by equality, repr and JSON) holds
+    (access, colluding, honest) arrays of 0-based positions: row s lists the
+    players in access structure s, in adversarial structure s and outside it.
     """
 
     k: int
@@ -82,37 +104,16 @@ class ThresholdScheme:
     def __post_init__(self):
         if not 1 <= self.k <= self.n:
             raise ValueError(f"need 1 <= k <= n, got (k, n) = ({self.k}, {self.n})")
-        access = tuple(tuple(s) for s in self.access_structures)
-        adversarial = tuple(tuple(s) for s in self.adversarial_structures)
-        if len(access) != math.comb(self.n, self.k):
-            raise ValueError(f"expected {math.comb(self.n, self.k)} access structures")
-        if len(adversarial) != math.comb(self.n, self.k - 1):
-            raise ValueError(
-                f"expected {math.comb(self.n, self.k - 1)} adversarial structures")
-        for subset in access + adversarial:
-            if any(not 1 <= i <= self.n for i in subset):
-                raise ValueError(f"structure {subset} is not over indices 1..{self.n}")
+        access = tuple(map(tuple, self.access_structures))
+        adversarial = tuple(map(tuple, self.adversarial_structures))
+        access_rows = _structure_rows(access, self.k, self.n, "access") - 1
+        colluding = _structure_rows(adversarial, self.k - 1, self.n, "adversarial") - 1
+        rows = (access_rows, colluding, _complements(colluding, self.n))
+        for array in rows:
+            array.setflags(write=False)
         object.__setattr__(self, "access_structures", access)
         object.__setattr__(self, "adversarial_structures", adversarial)
-
-    @cached_property
-    def _player_rows(self) -> tuple:
-        """(access, colluding, honest) arrays of 0-based player positions.
-
-        Row s of ``access`` and ``colluding`` lists the players of access and
-        adversarial structure s; row s of ``honest`` the players outside
-        adversarial structure s, in player order. Cached because a sweep
-        evaluates one scheme at every grid point.
-        """
-        access = np.array(self.access_structures, dtype=int) - 1
-        colluding = np.array(self.adversarial_structures, dtype=int).reshape(
-            len(self.adversarial_structures), self.k - 1) - 1
-        is_honest = np.ones((len(colluding), self.n), dtype=bool)
-        is_honest[np.arange(len(colluding))[:, None], colluding] = False
-        honest = np.nonzero(is_honest)[1].reshape(len(colluding), -1)
-        for rows in (access, colluding, honest):
-            rows.setflags(write=False)
-        return access, colluding, honest
+        object.__setattr__(self, "_player_rows", rows)
 
 
 def enumerate_structures(n: int, k: int) -> ThresholdScheme:
@@ -196,20 +197,56 @@ class KeyRateReport:
     threshold: float
 
 
-def _inference(state: GaussianState, layout: PartyLayout, dealer_basis: str,
-               players: Iterable) -> ConditioningResult:
-    """Optimal inference of the dealer's quadrature from announced outcomes."""
-    players = list(players)
-    coords = layout.announced_coordinates(players, dealer_basis)
-    v_cond, gains, v_unc = conditional_variance_coords(
-        state, (layout.dealer_mode, dealer_basis), coords)
-    joint = JointVariable(dealer_basis, dict(zip(players, gains)))
-    return ConditioningResult(v_cond, joint, v_unc)
-
-
 def holevo_term(v_x_unconditional: float, v_p_conditional: float) -> float:
     # H_G(X_A) - log2(2 pi) + log2 sqrt(2 pi e V(P_A|.)) collapses to this.
     return _LOG2_E + 0.5 * math.log2(v_x_unconditional * v_p_conditional)
+
+
+class RateBound(NamedTuple):
+    """A combined bound and the per-structure terms it was reduced from."""
+
+    access_bits: list
+    adversarial_holevo: list
+    binding_access: int
+    binding_adversarial: int
+    rate: float
+
+
+def combine(dealer_x_variance: float, access_variances, adversarial_variances,
+            beta: float = 1.0) -> RateBound:
+    """The one rate reduction: ``beta * min_i I_i - max_j chi_j``, ties to the first.
+
+    ``I_i = log2(V / v_i) / 2`` with v_i access structure i's conditional x
+    variance, ``chi_j = holevo_term(V, u_j)`` with u_j adversarial structure
+    j's honest-side conditional p variance. Nothing is range-checked, since
+    a fitted v_i may exceed V.
+    """
+    bits = 0.5 * np.log2(dealer_x_variance / np.asarray(access_variances, dtype=float))
+    holevo = [holevo_term(dealer_x_variance, u)
+              for u in np.asarray(adversarial_variances, dtype=float).tolist()]
+    binding_access, binding_adversarial = int(np.argmin(bits)), int(np.argmax(holevo))
+    bits = bits.tolist()
+    return RateBound(bits, holevo, binding_access, binding_adversarial,
+                     beta * bits[binding_access] - holevo[binding_adversarial])
+
+
+def _infer(state: GaussianState, layout: PartyLayout, basis: str, rows) -> tuple:
+    """:func:`~cvqss.estimation.schur` of the dealer's ``basis`` quadrature, checked.
+
+    Estimator set s is the announced ``basis`` outcomes of the players at
+    the 0-based positions in row s of ``rows``.
+    """
+    announced = np.array([state.quad_index(*coord) for coord in
+                          layout.announced_coordinates(layout.player_modes, basis)])
+    variances, gains, dealer = schur(state.cov, state.quad_index(layout.dealer_mode, basis),
+                                     announced[np.asarray(rows)])
+    check_conditional_variances(variances, dealer)
+    return variances, gains, dealer
+
+
+def _player_labels(layout: PartyLayout, rows: np.ndarray) -> list:
+    """The tuple of player labels of each row of 0-based player positions."""
+    return [tuple(map(layout.player_modes.__getitem__, row)) for row in rows.tolist()]
 
 
 def keyrate_eavesdropping(state: GaussianState, layout: PartyLayout,
@@ -221,24 +258,22 @@ def keyrate_eavesdropping(state: GaussianState, layout: PartyLayout,
     term (1 = the ideal value assumed by the closed form).
     """
     layout.check_state(state)
-    x_side = _inference(state, layout, "x", layout.player_modes)
-    p_side = _inference(state, layout, "p", layout.player_modes)
-    mutual = gaussian_mutual_information(x_side.unconditional_variance,
-                                         x_side.conditional_variance)
-    holevo = holevo_term(x_side.unconditional_variance, p_side.conditional_variance)
-    product = x_side.conditional_variance * p_side.conditional_variance
+    v_x, x_gains, dealer_x = _infer(state, layout, "x", [range(layout.num_players)])
+    v_p, p_gains, dealer_p = _infer(state, layout, "p", [range(layout.num_players)])
+    bound = combine(dealer_x, v_x, v_p, beta)
+    (v_x,), (v_p,) = v_x.tolist(), v_p.tolist()
     return EavesdroppingReport(
-        rate=beta * mutual - holevo,
-        mutual_information=mutual,
-        holevo_bound=holevo,
-        v_x_conditional=x_side.conditional_variance,
-        v_p_conditional=p_side.conditional_variance,
-        v_x_unconditional=x_side.unconditional_variance,
-        v_p_unconditional=p_side.unconditional_variance,
-        inference_product=product,
+        rate=bound.rate,
+        mutual_information=bound.access_bits[0],
+        holevo_bound=bound.adversarial_holevo[0],
+        v_x_conditional=v_x,
+        v_p_conditional=v_p,
+        v_x_unconditional=dealer_x,
+        v_p_unconditional=dealer_p,
+        inference_product=v_x * v_p,
         threshold=SECURITY_THRESHOLD,
-        x_gains=x_side.gains,
-        p_gains=p_side.gains,
+        x_gains=JointVariable("x", dict(zip(layout.player_modes, x_gains[0]))),
+        p_gains=JointVariable("p", dict(zip(layout.player_modes, p_gains[0]))),
     )
 
 
@@ -252,37 +287,31 @@ def keyrate_dishonest(state: GaussianState, layout: PartyLayout,
     the colluders' knowledge.
     """
     layout.check_state(state)
-    dishonest = [p for p in layout.player_modes if p in set(dishonest_players)]
-    unknown = set(dishonest_players) - set(layout.player_modes)
+    chosen = set(dishonest_players)
+    unknown = chosen - set(layout.player_modes)
     if unknown:
         raise ValueError(f"unknown players: {sorted(unknown, key=str)}")
-    if not dishonest:
+    if not chosen:
         raise ValueError("dishonest player set must be nonempty")
-    honest = tuple(p for p in layout.player_modes if p not in set(dishonest))
+    honest = [j for j, p in enumerate(layout.player_modes) if p not in chosen]
     if not honest:
         raise ValueError("cannot bound dishonesty of all players at once: "
                          "no honest outcomes remain to anchor the check side")
-    x_side = _inference(state, layout, "x", layout.player_modes)
-    p_side = _inference(state, layout, "p", honest)
-    mutual = gaussian_mutual_information(x_side.unconditional_variance,
-                                         x_side.conditional_variance)
-    holevo = holevo_term(x_side.unconditional_variance, p_side.conditional_variance)
+    v_x, x_gains, dealer_x = _infer(state, layout, "x", [range(layout.num_players)])
+    v_p, p_gains, _ = _infer(state, layout, "p", [honest])
+    bound = combine(dealer_x, v_x, v_p, beta)
+    (v_x,), (v_p,) = v_x.tolist(), v_p.tolist()
+    honest_players = tuple(layout.player_modes[j] for j in honest)
     return DishonestReport(
-        rate=beta * mutual - holevo,
-        dishonest_players=tuple(dishonest),
-        honest_players=honest,
-        v_x_conditional=x_side.conditional_variance,
-        v_p_honest_conditional=p_side.conditional_variance,
-        inference_product=x_side.conditional_variance * p_side.conditional_variance,
-        x_gains=x_side.gains,
-        p_gains=p_side.gains,
+        rate=bound.rate,
+        dishonest_players=tuple(p for p in layout.player_modes if p in chosen),
+        honest_players=honest_players,
+        v_x_conditional=v_x,
+        v_p_honest_conditional=v_p,
+        inference_product=v_x * v_p,
+        x_gains=JointVariable("x", dict(zip(layout.player_modes, x_gains[0]))),
+        p_gains=JointVariable("p", dict(zip(honest_players, p_gains[0]))),
     )
-
-
-def _announced_indices(state: GaussianState, layout: PartyLayout, basis: str):
-    """Covariance indices of every player's announced ``basis`` outcome."""
-    return np.array([state.quad_index(*coord) for coord in
-                     layout.announced_coordinates(layout.player_modes, basis)])
 
 
 def keyrate_qss(state: GaussianState, layout: PartyLayout, scheme: ThresholdScheme,
@@ -292,8 +321,8 @@ def keyrate_qss(state: GaussianState, layout: PartyLayout, scheme: ThresholdSche
     Every access structure is one Schur complement of the dealer's x on its
     players' announced x outcomes, and every adversarial structure one of
     the dealer's p on its honest complement's announced p outcomes; each
-    side is a single batched :func:`~cvqss.estimation.schur` call. The
-    final reduction is order-independent (min/max).
+    side is one batched :func:`~cvqss.estimation.schur` call. The single
+    dishonest players' p sides are one more, against the all-player x side.
     """
     layout.check_state(state)
     if scheme.n != layout.num_players:
@@ -304,62 +333,42 @@ def keyrate_qss(state: GaussianState, layout: PartyLayout, scheme: ThresholdSche
                          "everything needs no threshold")
 
     access, colluding, honest = scheme._player_rows
-    access_v, access_g, dealer_x = schur(
-        state.cov, state.quad_index(layout.dealer_mode, "x"),
-        _announced_indices(state, layout, "x")[access])
-    adversarial_v, adversarial_g, dealer_p = schur(
-        state.cov, state.quad_index(layout.dealer_mode, "p"),
-        _announced_indices(state, layout, "p")[honest])
-    access_bits = gaussian_mutual_information(dealer_x, access_v).tolist()
-    check_conditional_variances(adversarial_v, dealer_p)
+    access_v, access_g, dealer_x = _infer(state, layout, "x", access)
+    adversarial_v, adversarial_g, dealer_p = _infer(state, layout, "p", honest)
+    bound = combine(dealer_x, access_v, adversarial_v, beta)
 
-    def labels(rows):
-        return [tuple(map(layout.player_modes.__getitem__, row)) for row in rows.tolist()]
-
-    access_mi = {}
-    access_var = {}
-    access_gains = {}
-    for players, v, gains, mi in zip(labels(access), access_v.tolist(), access_g,
-                                     access_bits):
-        access_var[players] = v
-        access_gains[players] = JointVariable("x", dict(zip(players, gains)))
-        access_mi[players] = mi
-
-    adversarial_chi = {}
-    adversarial_var = {}
-    adversarial_gains = {}
-    for colluders, honest_players, v, gains in zip(
-            labels(colluding), labels(honest), adversarial_v.tolist(), adversarial_g):
-        adversarial_var[colluders] = v
-        adversarial_gains[colluders] = JointVariable("p", dict(zip(honest_players, gains)))
-        adversarial_chi[colluders] = holevo_term(dealer_x, v)
-
-    binding_access = min(access_mi, key=access_mi.get)
-    binding_adversarial = max(adversarial_chi, key=adversarial_chi.get)
-    combined = beta * access_mi[binding_access] - adversarial_chi[binding_adversarial]
+    access_labels = _player_labels(layout, access)
+    adversarial_labels = _player_labels(layout, colluding)
 
     eavesdropping = keyrate_eavesdropping(state, layout, beta=beta)
+    single_v, _, _ = _infer(state, layout, "p",
+                            _complements(np.arange(scheme.n)[:, None], scheme.n))
     dishonest_rates = {
-        player: keyrate_dishonest(state, layout, [player], beta=beta).rate
-        for player in layout.player_modes
-    } if layout.num_players >= 2 else {}
+        player: combine(dealer_x, [eavesdropping.v_x_conditional], [v], beta).rate
+        for player, v in zip(layout.player_modes, single_v.tolist())}
 
     return KeyRateReport(
         scheme=scheme,
-        combined_rate=combined,
-        positive=bool(combined > 0.0),
+        combined_rate=bound.rate,
+        positive=bool(bound.rate > 0.0),
         eavesdropping_rate=eavesdropping.rate,
         dishonest_rates=dishonest_rates,
-        access_mutual_information=access_mi,
-        access_conditional_variance=access_var,
-        access_gains=access_gains,
-        adversarial_holevo=adversarial_chi,
-        adversarial_conditional_variance=adversarial_var,
-        adversarial_gains=adversarial_gains,
-        binding_access=binding_access,
-        binding_adversarial=binding_adversarial,
+        access_mutual_information=dict(zip(access_labels, bound.access_bits)),
+        access_conditional_variance=dict(zip(access_labels, access_v.tolist())),
+        access_gains={players: JointVariable("x", dict(zip(players, gains)))
+                      for players, gains in zip(access_labels, access_g)},
+        adversarial_holevo=dict(zip(adversarial_labels, bound.adversarial_holevo)),
+        adversarial_conditional_variance=dict(zip(adversarial_labels,
+                                                  adversarial_v.tolist())),
+        adversarial_gains={
+            colluders: JointVariable("p", dict(zip(honest_players, gains)))
+            for colluders, honest_players, gains in zip(
+                adversarial_labels, _player_labels(layout, honest), adversarial_g)},
+        binding_access=access_labels[bound.binding_access],
+        binding_adversarial=adversarial_labels[bound.binding_adversarial],
         dealer_x_variance=dealer_x,
         dealer_p_variance=dealer_p,
-        inference_product=access_var[binding_access] * adversarial_var[binding_adversarial],
+        inference_product=float(access_v[bound.binding_access]
+                                * adversarial_v[bound.binding_adversarial]),
         threshold=SECURITY_THRESHOLD,
     )

@@ -5,7 +5,8 @@ mode. Rounds whose basis pattern matches the layout's key pattern (dealer
 measures x, players measure their announced-x quadratures) or check
 pattern (the conjugate choices) are kept; a seeded random subset of each
 is publicly revealed and drives the parameter-estimation regressions whose
-residual variances feed the key-rate formulas. The remaining sifted key
+residual variances feed :func:`cvqss.keyrate.combine`, the one rate
+reduction, which the analytic bounds also use. The remaining sifted key
 rounds are counted as raw key material (reconciliation and privacy
 amplification are out of scope; the report exposes everything such a stage
 would need).
@@ -46,7 +47,7 @@ import numpy as np
 
 from .estimation import JointVariable
 from .gaussian import GaussianState, Quadrature, UnphysicalStateError, validate
-from .keyrate import KeyRateReport, ThresholdScheme, holevo_term, keyrate_qss
+from .keyrate import KeyRateReport, ThresholdScheme, _player_labels, combine, keyrate_qss
 from .states import PartyLayout
 
 #: Eigenvalues of a covariance matrix in [-this, 0) are treated as rounding
@@ -363,8 +364,8 @@ def run_protocol(
     """Simulate sampling, sifting and parameter estimation end to end.
 
     The revealed fraction of each sifted pattern feeds the regressions;
-    empirical conditional variances are plugged into the same key-rate
-    formulas as the analytic second moments, and both are reported. The
+    the fitted conditional variances take the analytic second moments'
+    reduction, :func:`~cvqss.keyrate.combine`, and both are reported. The
     run is reproducible bit for bit from (state, configuration, seed).
     """
     if not 0.0 < reveal_fraction <= 1.0:
@@ -391,31 +392,20 @@ def run_protocol(
     inference_p = _fit(*check_grams, "p", column)
     dealer_x_var = float(np.var(key_design[:, 1], ddof=1))
 
-    access_var = {}
-    access_mi = {}
-    for structure in scheme.access_structures:
-        players = tuple(layout.player_modes[i - 1] for i in structure)
-        fit = _fit(*key_grams, "x", {p: column[p] for p in players})
-        access_var[players] = fit
-        access_mi[players] = 0.5 * math.log2(dealer_x_var / fit.variance)
-
-    adversarial_var = {}
-    adversarial_chi = {}
-    for structure in scheme.adversarial_structures:
-        colluders = tuple(layout.player_modes[i - 1] for i in structure)
-        honest = tuple(p for p in layout.player_modes if p not in set(colluders))
-        fit = _fit(*check_grams, "p", {p: column[p] for p in honest})
-        adversarial_var[colluders] = fit
-        adversarial_chi[colluders] = holevo_term(dealer_x_var, fit.variance)
-
-    binding_access = min(access_mi, key=access_mi.get)
-    binding_adv = max(adversarial_chi, key=adversarial_chi.get)
-    combined = beta * access_mi[binding_access] - adversarial_chi[binding_adv]
+    access, colluding, honest = scheme._player_rows
+    access_labels = _player_labels(layout, access)
+    adversarial_labels = _player_labels(layout, colluding)
+    access_fits = [_fit(*key_grams, "x", {p: column[p] for p in group})
+                   for group in access_labels]
+    adversarial_fits = [_fit(*check_grams, "p", {p: column[p] for p in group})
+                        for group in _player_labels(layout, honest)]
+    bound = combine(dealer_x_var, [fit.variance for fit in access_fits],
+                    [fit.variance for fit in adversarial_fits], beta)
 
     # Delta-method error on the combined rate at the binding structures; the
     # x- and p-pattern rounds are disjoint, so the two terms are independent.
-    vx = access_var[binding_access]
-    vp = adversarial_var[binding_adv]
+    vx = access_fits[bound.binding_access]
+    vp = adversarial_fits[bound.binding_adversarial]
     dealer_var_se = dealer_x_var * math.sqrt(2.0 / (vx.rounds_used - 1))
     scale = 1.0 / (2.0 * math.log(2.0))
     combined_se = math.sqrt(
@@ -423,9 +413,8 @@ def run_protocol(
         + (scale * vp.standard_error / vp.variance) ** 2
         + ((beta - 1.0) * scale * dealer_var_se / dealer_x_var) ** 2)
 
-    eavesdropping = (beta * 0.5 * math.log2(dealer_x_var / inference_x.variance)
-                     - holevo_term(dealer_x_var, inference_p.variance))
-
+    eavesdropping = combine(dealer_x_var, [inference_x.variance],
+                            [inference_p.variance], beta).rate
     analytic = keyrate_qss(state, layout, scheme, beta=beta)
 
     return ProtocolReport(
@@ -443,13 +432,13 @@ def run_protocol(
         dealer_x_variance=dealer_x_var,
         inference_x=inference_x,
         inference_p=inference_p,
-        access_variance=access_var,
-        adversarial_variance=adversarial_var,
-        access_mutual_information=access_mi,
-        adversarial_holevo=adversarial_chi,
-        combined_rate=combined,
+        access_variance=dict(zip(access_labels, access_fits)),
+        adversarial_variance=dict(zip(adversarial_labels, adversarial_fits)),
+        access_mutual_information=dict(zip(access_labels, bound.access_bits)),
+        adversarial_holevo=dict(zip(adversarial_labels, bound.adversarial_holevo)),
+        combined_rate=bound.rate,
         combined_rate_standard_error=combined_se,
         eavesdropping_rate=eavesdropping,
         analytic=analytic,
-        secure=bool(combined - 3.0 * combined_se > 0.0),
+        secure=bool(bound.rate - 3.0 * combined_se > 0.0),
     )

@@ -6,7 +6,15 @@ import json
 import pytest
 
 from cvqss import UnphysicalStateError
-from cvqss.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_UNPHYSICAL, SWEEP_HEADER, main
+from cvqss.cli import (
+    EXIT_CONFIG,
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_UNPHYSICAL,
+    SWEEP_HEADER,
+    build_parser,
+    main,
+)
 
 
 def run(argv, capsys):
@@ -244,3 +252,20 @@ class TestConfigFile:
 def test_missing_subcommand_is_config_error(capsys):
     assert main([]) == EXIT_CONFIG
     capsys.readouterr()
+
+
+class TestParser:
+    def test_built_once_and_reused_without_leaking_values(self):
+        parser = build_parser()
+        assert build_parser() is parser
+        assert parser.parse_args(["threshold", "--n", "5", "--k", "3"]).n == 5
+        assert parser.parse_args(["threshold"]).n == 2
+
+    def test_sweep_shares_the_scheme_flags(self, capsys):
+        args = build_parser().parse_args(["sweep"])
+        assert (args.excess_noise, args.cz_weight, args.n, args.k, args.topology) == (
+            0.0, 1.0, 2, 2, "chain")
+        code, out, _ = run(["sweep", "--help"], capsys)
+        assert code == EXIT_OK
+        assert "number of players (default 2)" in out
+        assert "resource graph family (default chain)" in out

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from cvqss import (
     ChannelSpec,
@@ -14,6 +15,7 @@ from cvqss import (
     build_kn_state,
     chain_topology,
     enumerate_structures,
+    gaussian_mutual_information,
     keyrate_dishonest,
     keyrate_eavesdropping,
     keyrate_qss,
@@ -24,6 +26,7 @@ from cvqss import (
 )
 from cvqss import keyrate as keyrate_module
 from cvqss.estimation import ConditioningResult, JointVariable
+from cvqss.keyrate import combine
 from helpers import (
     chain_expected_variances,
     product_vacuum,
@@ -86,6 +89,23 @@ class TestEnumeration:
             ThresholdScheme(2, 2, ((1, 2),), ((1,),))  # missing (2,)
         with pytest.raises(ValueError):
             ThresholdScheme(2, 2, ((1, 3),), ((1,), (2,)))  # index out of range
+
+    @pytest.mark.parametrize("access, message", [
+        (((1, 1), (1, 2), (2, 3)), r"structure \(1, 1\) .*strictly increasing"),
+        (((2, 1), (1, 3), (2, 3)), r"structure \(2, 1\) .*strictly increasing"),
+        (((1, 2, 3), (1, 2), (2, 3)), "every access structure must list 2 players"),
+        (((1, 2), (1.5, 3), (2, 3)), "access structures must list integer player indices"),
+    ], ids=["repeated-player", "unordered", "wrong-size", "non-integer"])
+    def test_malformed_structure_rejected(self, access, message):
+        with pytest.raises(ValueError, match=message):
+            ThresholdScheme(2, 3, access, ((1,), (2,), (3,)))
+
+    def test_lists_are_stored_as_tuples(self):
+        scheme = ThresholdScheme(2, 2, [[1, 2]], [[1], [2]])
+        assert scheme == enumerate_structures(2, 2)
+        access, colluding, honest = scheme._player_rows
+        assert access.tolist() == [[0, 1]]
+        assert colluding.tolist() == [[0], [1]] and honest.tolist() == [[1], [0]]
 
 
 class TestEavesdroppingBound:
@@ -357,3 +377,64 @@ class TestBatchedStructures:
             ConditioningResult(bad, JointVariable(side, {"B1": 1.0}),
                                state.variance("A", side))
         assert str(batched.value) == str(single.value)
+
+
+class TestCombine:
+    """The one reduction from conditional variances to a rate."""
+
+    def test_hand_values_with_first_index_ties(self):
+        # I = log2(2 / v) / 2 and chi = log2(e) + log2(2 u) / 2, both tied twice.
+        bound = combine(2.0, [1.0, 0.5, 1.0], np.array([0.25, 1.0, 1.0]), beta=0.8)
+        log2_e = math.log2(math.e)
+        assert bound.access_bits == [0.5, 1.0, 0.5]
+        assert bound.adversarial_holevo == [log2_e - 0.5, log2_e + 0.5, log2_e + 0.5]
+        assert (bound.binding_access, bound.binding_adversarial) == (0, 1)
+        assert bound.rate == 0.8 * 0.5 - (log2_e + 0.5)
+
+    def test_information_is_gaussian_mutual_information_bit_for_bit(self):
+        # np.log2 and math.log2 differ in the last bit for about 1 in 10^4 doubles.
+        conditional = np.random.default_rng(5).uniform(0.01, 1.9, 100_000)
+        bound = combine(1.9, conditional, [0.5])
+        assert np.array_equal(bound.access_bits, gaussian_mutual_information(1.9, conditional))
+
+    def test_fitted_variance_above_the_dealer_variance_is_allowed(self):
+        bound = combine(1.0, [2.0], [0.5])
+        assert bound.access_bits == [-0.5]
+        assert bound.rate == -0.5 - (math.log2(math.e) - 0.5)
+
+    @pytest.mark.parametrize("n, k, topology, beta", [
+        (10, 5, star_topology, 1.0),
+        (6, 3, chain_topology, 0.9),
+    ])
+    def test_dishonest_rates_equal_the_single_player_bound_exactly(
+            self, n, k, topology, beta):
+        state, layout = _kn_state(n, topology)
+        report = keyrate_qss(state, layout, enumerate_structures(n, k), beta=beta)
+        assert list(report.dishonest_rates) == list(layout.player_modes)
+        for player, rate in report.dishonest_rates.items():
+            assert rate == keyrate_dishonest(state, layout, [player], beta=beta).rate
+
+    def test_report_is_combine_of_its_own_variances(self):
+        state, layout = _kn_state(6, star_topology)
+        report = keyrate_qss(state, layout, enumerate_structures(6, 3), beta=0.95)
+        bound = combine(report.dealer_x_variance,
+                        list(report.access_conditional_variance.values()),
+                        list(report.adversarial_conditional_variance.values()), beta=0.95)
+        assert report.combined_rate == bound.rate
+        assert list(report.access_mutual_information.values()) == bound.access_bits
+        assert list(report.adversarial_holevo.values()) == bound.adversarial_holevo
+        assert report.binding_access == list(report.access_gains)[bound.binding_access]
+        assert report.binding_adversarial == list(
+            report.adversarial_gains)[bound.binding_adversarial]
+
+
+@seed(1603_03224)
+@settings(max_examples=50, deadline=None, database=None)
+@given(data=st.data(), n=st.integers(2, 6), star=st.booleans(),
+       r=st.floats(0.0, 2.0), transmissivity=st.floats(0.0, 1.0))
+def test_combined_rate_never_beats_eavesdropping(data, n, star, r, transmissivity):
+    k = data.draw(st.integers(1, n), label="k")
+    state, layout = _kn_state(n, star_topology if star else chain_topology,
+                              r=r, transmissivity=transmissivity)
+    report = keyrate_qss(state, layout, enumerate_structures(n, k))
+    assert report.combined_rate <= report.eavesdropping_rate + 1e-9
