@@ -8,7 +8,6 @@ the Schur complement
 
 where c is the covariance vector between target and estimators and Gamma
 the estimators' covariance block. The optimal gains are g = Gamma^+ c.
-All entropic quantities are in bits (base-2 logarithms).
 
 :func:`schur` is the one inference kernel. It evaluates many estimator sets
 of equal size against the same target at once: the (S, g, g) estimator
@@ -16,8 +15,9 @@ blocks are gathered by fancy indexing and pseudo-inverted by one batched
 eigendecomposition per block of SCHUR_BLOCK_ROWS rows, so a (k, n) scheme's
 C(n, k) access structures cost a few numpy calls instead of a Python loop.
 Every row gets the same arithmetic as a single-row call, so results do not
-depend on how the rows are batched. :func:`conditional_variance_coords` is
-its one-row form.
+depend on how the rows are batched; a single estimator set is a one-row
+index array. :func:`conditional_variance_fixed` is the separate fixed-gain
+formula, an independent check of the optimum.
 
 These formulas are exact for Gaussian states. If applied to second moments
 estimated from non-Gaussian data they yield a lower bound on the mutual
@@ -25,7 +25,7 @@ information instead.
 """
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -75,25 +75,12 @@ class JointVariable:
         object.__setattr__(self, "gains", gains)
 
 
-@dataclass(frozen=True)
-class ConditioningResult:
-    """Outcome of an optimal-inference computation."""
-
-    conditional_variance: float
-    gains: JointVariable
-    unconditional_variance: float
-
-    def __post_init__(self):
-        check_conditional_variances(self.conditional_variance,
-                                    self.unconditional_variance)
-
-
-def check_conditional_variances(conditional, unconditional: float) -> None:
+def check_conditional_variances(conditional: np.ndarray, unconditional: float) -> None:
     """Raise ValueError unless every conditional variance lies in (0, V]."""
     inside = (conditional > 0.0) & (conditional <= unconditional)
-    if inside is True or np.asarray(inside).all():
+    if inside.all():
         return
-    first = float(np.asarray(conditional).flat[np.argmin(inside)])
+    first = float(conditional.flat[np.argmin(inside)])
     raise ValueError(f"conditional variance {first} must lie in (0, {unconditional}]")
 
 
@@ -117,7 +104,9 @@ def schur(cov: np.ndarray, target_idx: int, estimator_idx: np.ndarray) -> tuple:
         target's variance as a float.
     """
     idx = np.asarray(estimator_idx, dtype=int)
-    if idx.ndim != 2 or idx.size == 0:
+    if idx.ndim != 2:
+        raise ValueError(f"estimator_idx must be an (S, g) index array, got shape {idx.shape}")
+    if idx.size == 0:
         raise ValueError("estimator coordinate set must be nonempty")
     if (idx == target_idx).any():
         raise ValueError("estimator coordinates must exclude the target")
@@ -141,56 +130,6 @@ def schur(cov: np.ndarray, target_idx: int, estimator_idx: np.ndarray) -> tuple:
     return variances[0], gains[0], v_target
 
 
-def _coord_indices(state: GaussianState, coords: Iterable) -> np.ndarray:
-    return np.array([state.quad_index(mode, quad) for mode, quad in coords], dtype=int)
-
-
-def conditional_variance_coords(
-    state: GaussianState,
-    target: tuple,
-    estimator_coords: Sequence,
-) -> tuple:
-    """Optimal inference of a target coordinate from arbitrary coordinates.
-
-    Args:
-        state: The Gaussian state supplying the moments.
-        target: (mode, quadrature) of the variable to infer.
-        estimator_coords: Sequence of (mode, quadrature) pairs the estimator
-            may combine; must not contain the target itself.
-
-    Returns:
-        (conditional_variance, gains, unconditional_variance) with gains as
-        an array aligned with ``estimator_coords``.
-    """
-    e_idx = _coord_indices(state, estimator_coords)
-    variances, gains, v_target = schur(state.cov, state.quad_index(*target),
-                                       e_idx.reshape(1, -1))
-    return float(variances[0]), gains[0], v_target
-
-
-def conditional_variance_optimal(
-    state: GaussianState,
-    target: tuple,
-    estimator_modes: Sequence,
-    quadrature: Quadrature,
-) -> ConditioningResult:
-    """Minimum inference variance of a target given a set of modes.
-
-    The estimator is the optimal linear combination of ``quadrature`` over
-    ``estimator_modes`` (a Schur complement; the block pseudo-inverse covers
-    singular covariance blocks).
-    """
-    modes = list(estimator_modes)
-    if not modes:
-        raise ValueError("estimator mode set must be nonempty")
-    if target[0] in modes:
-        raise ValueError("estimator modes must exclude the target mode")
-    coords = [(mode, quadrature) for mode in modes]
-    v_cond, gains, v_unc = conditional_variance_coords(state, target, coords)
-    joint = JointVariable(quadrature, dict(zip(modes, gains)))
-    return ConditioningResult(v_cond, joint, v_unc)
-
-
 def conditional_variance_fixed(
     state: GaussianState,
     target: tuple,
@@ -201,24 +140,12 @@ def conditional_variance_fixed(
     Returns Var(target) - Cov(target, est)^2 / Var(est) for the scalar
     estimator est = sum_j gains[j] * (quadrature of mode j).
     """
-    coords = [(mode, estimator.quadrature) for mode in estimator.gains]
-    g = np.array([estimator.gains[mode] for mode in estimator.gains], dtype=float)
+    g = np.array(list(estimator.gains.values()), dtype=float)
     t_idx = state.quad_index(*target)
-    e_idx = _coord_indices(state, coords)
+    e_idx = np.array([state.quad_index(mode, estimator.quadrature) for mode in estimator.gains])
     var_est = float(g @ state.cov[np.ix_(e_idx, e_idx)] @ g)
     if var_est <= DEGENERATE_VARIANCE_TOL:
         raise DegenerateEstimatorError(
             f"estimator variance {var_est:.3e} is degenerate")
     cov_te = float(state.cov[t_idx, e_idx] @ g)
     return float(state.cov[t_idx, t_idx] - cov_te**2 / var_est)
-
-
-def gaussian_mutual_information(unconditional_variance: float, conditional_variance):
-    """Mutual information (bits) between a Gaussian variable and its estimator.
-
-    I = H(target) - H(target | est) = (1/2) log2(V / V_cond); requires
-    0 < V_cond <= V. An array of conditional variances gives an array.
-    """
-    check_conditional_variances(conditional_variance, unconditional_variance)
-    info = 0.5 * np.log2(unconditional_variance / conditional_variance)
-    return info if isinstance(info, np.ndarray) else float(info)

@@ -149,7 +149,7 @@ class SymplecticTransform:
             raise ValueError(f"symplectic matrix must be 2m x 2m, got {matrix.shape}")
         omega = symplectic_form(matrix.shape[0] // 2)
         residual = np.abs(matrix @ omega @ matrix.T - omega).max()
-        if residual > SYMPLECTIC_TOL:
+        if not residual <= SYMPLECTIC_TOL:  # a NaN residual fails too
             raise ValueError(f"matrix is not symplectic (residual {residual:.3e})")
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
@@ -193,12 +193,18 @@ def squeezed_vacuum(r: float, squeezed_quadrature: Quadrature = "p",
     The squeezed quadrature has variance exp(-2r)/2, its conjugate
     exp(+2r)/2; flip ``squeezed_quadrature`` rather than passing r < 0.
     """
+    if not math.isfinite(r):
+        raise ValueError(f"squeezing parameter r must be finite, got {r}")
     if r < 0:
         raise ValueError("squeezing parameter must be >= 0; "
                          "choose squeezed_quadrature to flip the orientation")
     _check_quadrature(squeezed_quadrature)
     v_squeezed = 0.5 * math.exp(-2.0 * r)
-    v_anti = 0.5 * math.exp(2.0 * r)
+    try:
+        v_anti = 0.5 * math.exp(2.0 * r)
+    except OverflowError:
+        raise ValueError(f"squeezing parameter r = {r} overflows the anti-squeezed "
+                         "variance exp(2r)/2") from None
     if squeezed_quadrature == "x":
         diag = [v_squeezed, v_anti]
     else:
@@ -237,6 +243,8 @@ def cz_transform(state: GaussianState, i, j, weight: float) -> SymplecticTransfo
     """
     if i == j:
         raise ValueError("coupling gate needs two distinct modes")
+    if not math.isfinite(weight):
+        raise ValueError(f"coupling weight must be finite, got {weight}")
     block = np.eye(4)
     block[1, 2] = weight
     block[3, 0] = weight

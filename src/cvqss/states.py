@@ -54,8 +54,8 @@ class ChannelSpec:
     def __post_init__(self):
         if not 0.0 <= self.transmissivity <= 1.0:
             raise ValueError(f"transmissivity must lie in [0, 1], got {self.transmissivity}")
-        if self.excess_noise < 0.0:
-            raise ValueError(f"excess noise must be >= 0, got {self.excess_noise}")
+        if not 0.0 <= self.excess_noise < np.inf:
+            raise ValueError(f"excess noise must be finite and >= 0, got {self.excess_noise}")
 
 
 @dataclass(frozen=True)

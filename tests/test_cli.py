@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 
 import pytest
 
@@ -247,6 +248,27 @@ class TestConfigFile:
         code, _, _ = run(["sweep", "--config", str(tmp_path / "absent.cfg")],
                          capsys)
         assert code == EXIT_IO
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["threshold", "--excess-noise", "nan"], "excess noise must be finite"),
+    (["threshold", "--excess-noise", "inf"], "excess noise must be finite"),
+    (["threshold", "--r", "nan"], "squeezing parameter r must be finite"),
+    (["threshold", "--r", "inf"], "squeezing parameter r must be finite"),
+    (["threshold", "--r", "400"], "squeezing parameter r = 400.0 overflows"),
+    (["threshold", "--cz-weight", "nan"], "coupling weight must be finite"),
+    (["threshold", "--cz-weight", "inf"], "coupling weight must be finite"),
+    (["sweep", "--excess-noise", "nan"], "excess noise must be finite"),
+    (["validate", "--excess-noise", "nan"], "excess noise must be finite"),
+])
+def test_non_finite_parameter_is_config_error(argv, message, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+        code, out, err = run(argv, capsys)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("cvqss: ") and message in err
+    assert "Traceback" not in err
 
 
 def test_missing_subcommand_is_config_error(capsys):

@@ -1,4 +1,4 @@
-"""Conditional variances, optimal gains and Gaussian mutual information."""
+"""Conditional variances, optimal gains and the mutual information built from them."""
 
 import math
 
@@ -12,20 +12,17 @@ from cvqss import (
     JointVariable,
     build_kn_state,
     build_three_mode_chain,
-    conditional_variance_coords,
     conditional_variance_fixed,
-    conditional_variance_optimal,
-    gaussian_mutual_information,
     squeezed_vacuum,
     star_topology,
     tensor,
 )
 from cvqss.estimation import (
     SCHUR_BLOCK_ROWS,
-    ConditioningResult,
     check_conditional_variances,
     schur,
 )
+from cvqss.keyrate import combine
 from helpers import (
     product_vacuum,
     schur_loop,
@@ -72,42 +69,53 @@ class TestFixedEstimator:
             conditional_variance_fixed(frozen, ("A", "x"), JointVariable("x", {"B": 1.0}))
 
 
+def rows(state, *coords):
+    """A one-row ``schur`` index array of (mode, quadrature) coordinates."""
+    return [[state.quad_index(*coord) for coord in coords]]
+
+
 class TestOptimalEstimator:
     def test_single_mode_matches_fixed(self):
         state = two_mode_squeezed(0.8)
-        result = conditional_variance_optimal(state, ("A", "x"), ["B"], "x")
-        fixed = conditional_variance_fixed(state, ("A", "x"), result.gains)
-        assert result.conditional_variance == pytest.approx(fixed, abs=1e-12)
+        v, gains, _ = schur(state.cov, state.quad_index("A", "x"), rows(state, ("B", "x")))
+        fixed = conditional_variance_fixed(state, ("A", "x"), JointVariable("x", {"B": gains[0, 0]}))
+        assert v[0] == pytest.approx(fixed, abs=1e-12)
         expected_gain = (state.covariance(("A", "x"), ("B", "x"))
                          / state.variance("B", "x"))
-        assert result.gains.gains["B"] == pytest.approx(expected_gain, rel=1e-12)
+        assert gains[0, 0] == pytest.approx(expected_gain, rel=1e-12)
 
     @pytest.mark.parametrize("r,transmissivity", [(0.5, 1.0), (1.0, 0.9), (1.15, 0.85)])
     def test_fixed_with_optimal_gains_matches_optimal(self, r, transmissivity):
         state, _ = build_three_mode_chain(r, transmissivity)
-        result = conditional_variance_optimal(state, ("A", "p"), ["B", "C"], "p")
-        fixed = conditional_variance_fixed(state, ("A", "p"), result.gains)
-        assert fixed == pytest.approx(result.conditional_variance, abs=1e-12)
+        v, gains, _ = schur(state.cov, state.quad_index("A", "p"),
+                            rows(state, ("B", "p"), ("C", "p")))
+        optimal = JointVariable("p", dict(zip(["B", "C"], gains[0])))
+        fixed = conditional_variance_fixed(state, ("A", "p"), optimal)
+        assert fixed == pytest.approx(v[0], abs=1e-12)
 
     @pytest.mark.parametrize("r,transmissivity", [(0.3, 1.0), (1.0, 0.9), (1.15, 0.85)])
     def test_monotone_in_estimator_set(self, r, transmissivity):
         state, _ = build_three_mode_chain(r, transmissivity)
-        both = conditional_variance_optimal(state, ("A", "p"), ["B", "C"], "p")
-        one = conditional_variance_optimal(state, ("A", "p"), ["C"], "p")
-        assert both.conditional_variance <= one.conditional_variance + 1e-12
+        target = state.quad_index("A", "p")
+        both, _, _ = schur(state.cov, target, rows(state, ("B", "p"), ("C", "p")))
+        one, _, _ = schur(state.cov, target, rows(state, ("C", "p")))
+        assert both[0] <= one[0] + 1e-12
 
     def test_result_invariant_holds(self):
         state, _ = build_three_mode_chain(1.0, 0.9)
-        result = conditional_variance_optimal(state, ("A", "x"), ["B", "C"], "x")
-        assert 0.0 < result.conditional_variance <= result.unconditional_variance
+        v, _, v_unc = schur(state.cov, state.quad_index("A", "x"),
+                            rows(state, ("B", "x"), ("C", "x")))
+        assert 0.0 < v[0] <= v_unc
 
     def test_empty_estimator_set_rejected(self):
+        state = two_mode_squeezed(0.5)
         with pytest.raises(ValueError):
-            conditional_variance_optimal(two_mode_squeezed(0.5), ("A", "x"), [], "x")
+            schur(state.cov, state.quad_index("A", "x"), rows(state))
 
     def test_target_mode_cannot_estimate_itself(self):
+        state = two_mode_squeezed(0.5)
         with pytest.raises(ValueError):
-            conditional_variance_optimal(two_mode_squeezed(0.5), ("A", "x"), ["A", "B"], "x")
+            schur(state.cov, state.quad_index("A", "x"), rows(state, ("A", "x"), ("B", "x")))
 
 
 class TestMixedCoordinates:
@@ -118,49 +126,49 @@ class TestMixedCoordinates:
         # residue 1/(4 cosh 2r); the optimal gains are proportional to (1, -1).
         r = 1.0
         state, _ = build_three_mode_chain(r, 1.0)
-        v_cond, gains, v_unc = conditional_variance_coords(
-            state, ("A", "x"), [("B", "p"), ("C", "x")])
-        assert v_cond == pytest.approx(1.0 / (4.0 * math.cosh(2 * r)), rel=1e-12)
+        v_cond, gains, v_unc = schur(state.cov, state.quad_index("A", "x"),
+                                     rows(state, ("B", "p"), ("C", "x")))
+        assert v_cond[0] == pytest.approx(1.0 / (4.0 * math.cosh(2 * r)), rel=1e-12)
         assert v_unc == pytest.approx(0.5 * math.exp(2 * r), rel=1e-12)
-        assert gains[0] == pytest.approx(-gains[1], rel=1e-12)
+        assert gains[0, 0] == pytest.approx(-gains[0, 1], rel=1e-12)
 
     def test_same_quadrature_x_gains_are_blind_on_the_cluster(self):
         # The literal x-x covariances vanish on the chain, so an x-only
         # estimator learns nothing; the announced labels fix this.
         state, _ = build_three_mode_chain(1.0, 1.0)
-        result = conditional_variance_optimal(state, ("A", "x"), ["B", "C"], "x")
-        assert result.conditional_variance == pytest.approx(
-            state.variance("A", "x"), rel=1e-12)
+        v, _, _ = schur(state.cov, state.quad_index("A", "x"),
+                        rows(state, ("B", "x"), ("C", "x")))
+        assert v[0] == pytest.approx(state.variance("A", "x"), rel=1e-12)
 
     def test_optimal_beats_unit_gain_choice_under_loss(self):
         state, _ = build_three_mode_chain(1.0, 0.9)
-        v_opt, _, _ = conditional_variance_coords(
-            state, ("A", "x"), [("B", "p"), ("C", "x")])
+        v_opt, _, _ = schur(state.cov, state.quad_index("A", "x"),
+                            rows(state, ("B", "p"), ("C", "x")))
         # Fixed unit-gain combination, evaluated from raw covariances.
         var_est = (state.variance("B", "p") + state.variance("C", "x")
                    - 2.0 * state.covariance(("B", "p"), ("C", "x")))
         cov_te = (state.covariance(("A", "x"), ("B", "p"))
                   - state.covariance(("A", "x"), ("C", "x")))
         v_fixed = state.variance("A", "x") - cov_te**2 / var_est
-        assert v_opt < v_fixed - 1e-9
+        assert v_opt[0] < v_fixed - 1e-9
 
     def test_unit_gain_choice_is_optimal_without_loss(self):
         state, _ = build_three_mode_chain(1.0, 1.0)
-        v_opt, _, _ = conditional_variance_coords(
-            state, ("A", "x"), [("B", "p"), ("C", "x")])
+        v_opt, _, _ = schur(state.cov, state.quad_index("A", "x"),
+                            rows(state, ("B", "p"), ("C", "x")))
         var_est = (state.variance("B", "p") + state.variance("C", "x")
                    - 2.0 * state.covariance(("B", "p"), ("C", "x")))
         cov_te = (state.covariance(("A", "x"), ("B", "p"))
                   - state.covariance(("A", "x"), ("C", "x")))
         v_fixed = state.variance("A", "x") - cov_te**2 / var_est
-        assert v_opt == pytest.approx(v_fixed, rel=1e-12)
+        assert v_opt[0] == pytest.approx(v_fixed, rel=1e-12)
 
     def test_duplicated_coordinate_handled_by_pseudoinverse(self):
         state = two_mode_squeezed(0.8)
-        v_dup, _, _ = conditional_variance_coords(
-            state, ("A", "x"), [("B", "x"), ("B", "x")])
-        v_single, _, _ = conditional_variance_coords(state, ("A", "x"), [("B", "x")])
-        assert v_dup == pytest.approx(v_single, rel=1e-10)
+        target = state.quad_index("A", "x")
+        v_dup, _, _ = schur(state.cov, target, rows(state, ("B", "x"), ("B", "x")))
+        v_single, _, _ = schur(state.cov, target, rows(state, ("B", "x")))
+        assert v_dup[0] == pytest.approx(v_single[0], rel=1e-10)
 
 
 class TestSchurKernel:
@@ -200,62 +208,44 @@ class TestSchurKernel:
         assert np.array_equal(variances, ref_variances)
         assert np.array_equal(gains, ref_gains)
 
-    def test_coords_call_is_one_row(self):
-        state = self.star_state()
-        coords = [("B1", "p"), ("B3", "x"), ("B4", "p")]
-        v, gains, v_unc = conditional_variance_coords(state, ("A", "x"), coords)
-        row = [[state.quad_index(*c) for c in coords]]
-        ref_variances, ref_gains, ref_target = schur_loop(
-            state.cov, state.quad_index("A", "x"), row)
-        assert v == ref_variances[0] and v_unc == ref_target
-        assert np.array_equal(gains, ref_gains[0])
-
     def test_empty_or_target_rows_rejected(self):
         state = self.star_state()
         with pytest.raises(ValueError, match="nonempty"):
             schur(state.cov, 0, np.zeros((3, 0), dtype=int))
+        with pytest.raises(ValueError, match=r"\(S, g\) index array, got shape \(2,\)"):
+            schur(state.cov, 0, [3, 4])
         with pytest.raises(ValueError, match="exclude the target"):
             schur(state.cov, 0, [[2, 3], [4, 0]])
 
     def test_range_check_uses_conditioning_message(self):
-        gains = JointVariable("x", {"B": 1.0})
         for bad in (0.0, -1e-3, 0.7, float("nan")):
             with pytest.raises(ValueError) as batched:
                 check_conditional_variances(np.array([0.2, bad, 0.0]), 0.5)
-            with pytest.raises(ValueError) as single:
-                ConditioningResult(bad, gains, 0.5)
-            assert str(batched.value) == str(single.value)
+            assert str(batched.value) == f"conditional variance {bad} must lie in (0, 0.5]"
         check_conditional_variances(np.array([0.5, 1e-300]), 0.5)
 
 
 class TestMutualInformation:
     def test_independence_gives_zero_bits(self):
-        assert gaussian_mutual_information(0.5, 0.5) == 0.0
+        assert combine(0.5, [0.5], [0.5]).access_bits == [0.0]
 
     def test_factor_four_gives_one_bit(self):
-        assert gaussian_mutual_information(2.0, 0.5) == pytest.approx(1.0, abs=1e-14)
+        assert combine(2.0, [0.5], [0.5]).access_bits[0] == pytest.approx(1.0, abs=1e-14)
 
     @pytest.mark.parametrize("r", [0.3, 1.0, 2.0])
     def test_tmsv_information(self, r):
         state = two_mode_squeezed(r)
-        result = conditional_variance_optimal(state, ("A", "x"), ["B"], "x")
-        info = gaussian_mutual_information(result.unconditional_variance,
-                                           result.conditional_variance)
+        v, _, v_unc = schur(state.cov, state.quad_index("A", "x"), rows(state, ("B", "x")))
+        info = combine(v_unc, v, [v_unc]).access_bits[0]
         assert info == pytest.approx(math.log2(math.cosh(2 * r)), rel=1e-12)
 
     def test_inverted_ordering_rejected(self):
         with pytest.raises(ValueError):
-            gaussian_mutual_information(0.5, 0.6)
+            check_conditional_variances(np.array([0.6]), 0.5)
 
     def test_nonpositive_conditional_rejected(self):
         with pytest.raises(ValueError):
-            gaussian_mutual_information(0.5, 0.0)
-
-    def test_array_matches_scalar_calls(self):
-        conditional = np.linspace(0.01, 2.0, 37)
-        info = gaussian_mutual_information(2.0, conditional)
-        assert np.array_equal(
-            info, [gaussian_mutual_information(2.0, v) for v in conditional])
+            check_conditional_variances(np.array([0.0]), 0.5)
 
 
 class TestDataTypes:
@@ -268,10 +258,3 @@ class TestDataTypes:
         with pytest.raises(DegenerateEstimatorError):
             conditional_variance_fixed(state, ("A", "x"),
                                        JointVariable("x", {"B": 0.0}))
-
-    def test_conditioning_result_ordering_enforced(self):
-        gains = JointVariable("x", {"B": 1.0})
-        with pytest.raises(ValueError):
-            ConditioningResult(0.7, gains, 0.5)
-        with pytest.raises(ValueError):
-            ConditioningResult(0.0, gains, 0.5)

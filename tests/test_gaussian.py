@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cvqss import (
+    ChannelSpec,
     GaussianState,
     SymplecticTransform,
     apply_beamsplitter,
@@ -256,3 +257,20 @@ class TestSymplecticTransform:
         squeeze = SymplecticTransform(np.diag([2.0, 0.5]))
         with pytest.raises(ValueError):
             squeeze.apply(vacuum(2))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: squeezed_vacuum(math.nan), "squeezing parameter r"),
+    (lambda: squeezed_vacuum(math.inf), "squeezing parameter r"),
+    (lambda: squeezed_vacuum(400.0), "squeezing parameter r"),
+    (lambda: ChannelSpec(0.9, math.nan), "excess noise"),
+    (lambda: ChannelSpec(0.9, math.inf), "excess noise"),
+    (lambda: cz_transform(vacuum(2), "m0", "m1", math.nan), "coupling weight"),
+    (lambda: cz_transform(vacuum(2), "m0", "m1", -math.inf), "coupling weight"),
+    (lambda: SymplecticTransform(np.full((2, 2), math.nan)), "not symplectic"),
+], ids=["r-nan", "r-inf", "r-overflow", "noise-nan", "noise-inf", "weight-nan",
+        "weight-inf", "matrix-nan"])
+def test_non_finite_parameters_rejected(build, message):
+    # NaN fails every comparison, so a plain range check lets it through.
+    with pytest.raises(ValueError, match=message):
+        build()
