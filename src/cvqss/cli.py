@@ -22,13 +22,9 @@ from dataclasses import fields, is_dataclass
 
 import numpy as np
 
+from .estimation import SCHUR_BLOCK_ROWS
 from .gaussian import UnphysicalStateError, validate
-from .keyrate import (
-    SECURITY_THRESHOLD,
-    enumerate_structures,
-    keyrate_eavesdropping,
-    keyrate_qss,
-)
+from .keyrate import enumerate_structures, key_rates, keyrate_eavesdropping, keyrate_qss
 from .simulation import UndersampledError, run_protocol
 from .states import ChannelSpec, build_kn_state, chain_topology, star_topology
 
@@ -164,12 +160,12 @@ def _build_state(args):
                           cz_weight=args.cz_weight)
 
 
-def _write_text(path, text: str, quiet: bool) -> None:
+def _write_text(path, pieces: list, quiet: bool) -> None:
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
         if not quiet:
             print(f"wrote {path}", file=sys.stderr)
 
@@ -194,6 +190,18 @@ def _json_key(key):
     return str(key)
 
 
+def _sweep_rows(args, scheme, r: np.ndarray, transmissivity: float) -> list:
+    """The sweep rows of one curve's points ``r``: one stacked state, one key_rates call."""
+    state, layout = _build_state(argparse.Namespace(
+        r=r, transmissivity=transmissivity, excess_noise=args.excess_noise,
+        cz_weight=args.cz_weight, n=args.n, topology=args.topology))
+    rates = key_rates(state, layout, scheme)
+    v_x, v_p = rates.everyone_x[0][:, 0], rates.everyone_p[0][:, 0]
+    columns = (r, np.full(len(r), transmissivity), rates.eavesdropping.rate,
+               rates.combined.rate, v_x, v_p, rates.adversarial[0].max(axis=-1), v_x * v_p)
+    return list(zip(*(column.tolist() for column in columns)))
+
+
 def cmd_sweep(args) -> int:
     if args.r_min > args.r_max or args.r_steps < 1:
         raise ValueError("need r_min <= r_max and r_steps >= 1")
@@ -205,30 +213,22 @@ def cmd_sweep(args) -> int:
     scheme = enumerate_structures(args.n, args.k)
     grid = np.linspace(args.r_min, args.r_max, args.r_steps)
 
-    rows = []
-    for transmissivity in transmissivities:
-        for r in grid:
-            point = argparse.Namespace(
-                r=float(r), transmissivity=transmissivity,
-                excess_noise=args.excess_noise, cz_weight=args.cz_weight,
-                n=args.n, topology=args.topology)
-            state, layout = _build_state(point)
-            eav = keyrate_eavesdropping(state, layout)
-            report = keyrate_qss(state, layout, scheme)
-            honest_max = max(report.adversarial_conditional_variance.values())
-            rows.append((float(r), transmissivity, eav.rate, report.combined_rate,
-                         eav.v_x_conditional, eav.v_p_conditional, honest_max,
-                         eav.inference_product))
-
+    # Chunks of at most SCHUR_BLOCK_ROWS structure rows per side (one point at
+    # least), and the CSV text one piece per chunk, never joined: memory is
+    # the output plus one chunk, whatever the grid size and the scheme.
+    structures = max(len(scheme.access_structures), len(scheme.adversarial_structures))
+    points = max(1, SCHUR_BLOCK_ROWS // structures)
+    chunks = (_sweep_rows(args, scheme, grid[start:start + points], transmissivity)
+              for transmissivity in transmissivities
+              for start in range(0, len(grid), points))
     if args.format == "json":
         keys = SWEEP_HEADER.split(",")
-        payload = {"rows": [dict(zip(keys, row)) for row in rows]}
-        text = json.dumps(_jsonable(payload), indent=2) + "\n"
+        payload = {"rows": [dict(zip(keys, row)) for rows in chunks for row in rows]}
+        pieces = [json.dumps(payload, indent=2) + "\n"]
     else:
-        lines = [SWEEP_HEADER]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
-        text = "\n".join(lines) + "\n"
-    _write_text(args.output, text, args.quiet)
+        pieces = [SWEEP_HEADER + "\n"] + [
+            "".join(",".join(map(_fmt, row)) + "\n" for row in rows) for rows in chunks]
+    _write_text(args.output, pieces, args.quiet)
     return EXIT_OK
 
 
@@ -239,7 +239,7 @@ def cmd_threshold(args) -> int:
 
     if args.format == "json":
         text = json.dumps(_jsonable(report), indent=2) + "\n"
-        _write_text(args.output, text, args.quiet)
+        _write_text(args.output, [text], args.quiet)
         return EXIT_OK
 
     lines = []
@@ -262,7 +262,7 @@ def cmd_threshold(args) -> int:
     lines.append(f"K = {_fmt(report.combined_rate)}")
     lines.append("verdict: " + ("positive key rate" if report.positive
                                 else "no secure key"))
-    _write_text(args.output, "\n".join(lines) + "\n", args.quiet)
+    _write_text(args.output, ["\n".join(lines) + "\n"], args.quiet)
     return EXIT_OK
 
 
@@ -329,7 +329,7 @@ def cmd_simulate(args) -> int:
             out.append(f"combined_rate,,{_fmt(report.combined_rate)},"
                        f"{_fmt(report.combined_rate_standard_error)}")
             text = "\n".join(out) + "\n"
-        _write_text(args.output, text, quiet=True)
+        _write_text(args.output, [text], quiet=True)
     return EXIT_OK
 
 
@@ -352,7 +352,7 @@ def cmd_validate(args) -> int:
             f"physical: {diagnostics.physical}",
         ]
         text = "\n".join(lines) + "\n"
-    _write_text(args.output, text, args.quiet)
+    _write_text(args.output, [text], args.quiet)
     return EXIT_OK if diagnostics.physical else EXIT_UNPHYSICAL
 
 

@@ -13,11 +13,12 @@ the estimators' covariance block. The optimal gains are g = Gamma^+ c.
 of equal size against the same target at once: the (S, g, g) estimator
 blocks are gathered by fancy indexing and pseudo-inverted by one batched
 eigendecomposition per block of SCHUR_BLOCK_ROWS rows, so a (k, n) scheme's
-C(n, k) access structures cost a few numpy calls instead of a Python loop.
-Every row gets the same arithmetic as a single-row call, so results do not
-depend on how the rows are batched; a single estimator set is a one-row
-index array. :func:`conditional_variance_fixed` is the separate fixed-gain
-formula, an independent check of the optimum.
+C(n, k) access structures cost a few numpy calls instead of a Python loop;
+a stack of covariances, one per grid point, shares the same blocks. Every
+row gets the same arithmetic as a single-row call on one matrix, so results
+do not depend on how rows or points are batched; a single estimator set is a
+one-row index array. :func:`conditional_variance_fixed` is the separate
+fixed-gain formula, an independent check of the optimum.
 
 These formulas are exact for Gaussian states. If applied to second moments
 estimated from non-Gaussian data they yield a lower bound on the mutual
@@ -25,6 +26,7 @@ information instead.
 """
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Mapping
 
 import numpy as np
@@ -75,13 +77,15 @@ class JointVariable:
         object.__setattr__(self, "gains", gains)
 
 
-def check_conditional_variances(conditional: np.ndarray, unconditional: float) -> None:
-    """Raise ValueError unless every conditional variance lies in (0, V]."""
-    inside = (conditional > 0.0) & (conditional <= unconditional)
+def check_conditional_variances(conditional: np.ndarray, unconditional) -> None:
+    """Raise ValueError unless every conditional variance (..., S) lies in (0, V (...)]."""
+    bound = np.asarray(unconditional, dtype=float)[..., None]
+    inside = (conditional > 0.0) & (conditional <= bound)
     if inside.all():
         return
-    first = float(conditional.flat[np.argmin(inside)])
-    raise ValueError(f"conditional variance {first} must lie in (0, {unconditional}]")
+    first = np.argmin(inside)
+    raise ValueError(f"conditional variance {float(conditional.flat[first])} must lie in "
+                     f"(0, {float(np.broadcast_to(bound, inside.shape).flat[first])}]")
 
 
 def schur(cov: np.ndarray, target_idx: int, estimator_idx: np.ndarray) -> tuple:
@@ -93,15 +97,15 @@ def schur(cov: np.ndarray, target_idx: int, estimator_idx: np.ndarray) -> tuple:
     perfectly correlated coordinates) give the limiting variance.
 
     Args:
-        cov: Covariance matrix.
+        cov: Covariance matrix, or a (..., d, d) stack of them.
         target_idx: Index of the target coordinate in ``cov``.
         estimator_idx: (S, g) integer array of estimator indices, g >= 1,
             none equal to ``target_idx``.
 
     Returns:
-        (conditional_variances, gains, unconditional_variance): an (S,)
-        array, an (S, g) array aligned with ``estimator_idx``, and the
-        target's variance as a float.
+        (conditional_variances, gains, unconditional_variance): a (..., S)
+        array, a (..., S, g) array aligned with ``estimator_idx``, and the
+        target's variance, a (...) array for a stack or a float.
     """
     idx = np.asarray(estimator_idx, dtype=int)
     if idx.ndim != 2:
@@ -110,12 +114,19 @@ def schur(cov: np.ndarray, target_idx: int, estimator_idx: np.ndarray) -> tuple:
         raise ValueError("estimator coordinate set must be nonempty")
     if (idx == target_idx).any():
         raise ValueError("estimator coordinates must exclude the target")
-    v_target = float(cov[target_idx, target_idx])
+    cov = np.asarray(cov)
+    stack = cov.reshape((-1,) + cov.shape[-2:])
+    count, width = idx.shape
+    v_target = stack[:, target_idx, target_idx]
+    # Whole covariances per block where their rows fit. The gathers are made C-ordered,
+    # as for one matrix, so the matmuls below take the same kernels.
+    points = max(1, SCHUR_BLOCK_ROWS // count)
     variances, gains = [], []
-    for start in range(0, len(idx), SCHUR_BLOCK_ROWS):
-        rows = idx[start:start + SCHUR_BLOCK_ROWS]
-        gamma = cov[rows[:, :, None], rows[:, None, :]]
-        c = cov[target_idx, rows][:, None, :]
+    for first, start in product(range(0, len(stack), points), range(0, count, SCHUR_BLOCK_ROWS)):
+        block, rows = stack[first:first + points], idx[start:start + SCHUR_BLOCK_ROWS]
+        gamma = np.ascontiguousarray(block[:, rows[:, :, None], rows[:, None, :]]).reshape(
+            -1, width, width)
+        c = np.ascontiguousarray(block[:, target_idx, rows]).reshape(-1, 1, width)
         eigval, eigvec = np.linalg.eigh(gamma)
         cutoff = PINV_CUTOFF * np.maximum(gamma.trace(axis1=1, axis2=2), 0.0)
         keep = eigval > cutoff[:, None]
@@ -123,11 +134,14 @@ def schur(cov: np.ndarray, target_idx: int, estimator_idx: np.ndarray) -> tuple:
         # Matrix-vector and row-column matmuls, as for a single 1-D block:
         # einsum would sum in another order and move results by an ulp.
         g = ((eigvec * inv[:, None, :]) @ eigvec.transpose(0, 2, 1)) @ c.transpose(0, 2, 1)
-        variances.append(v_target - (c @ g)[:, 0, 0])
+        variances.append((v_target[first:first + points, None]
+                          - (c @ g)[:, 0, 0].reshape(len(block), -1)).ravel())
         gains.append(g[:, :, 0])
     if len(variances) > 1:
-        return np.concatenate(variances), np.concatenate(gains), v_target
-    return variances[0], gains[0], v_target
+        variances, gains = [np.concatenate(variances)], [np.concatenate(gains)]
+    leading = cov.shape[:-2]
+    return (variances[0].reshape(leading + (count,)), gains[0].reshape(leading + idx.shape),
+            v_target.reshape(leading) if leading else float(v_target[0]))
 
 
 def conditional_variance_fixed(
@@ -140,12 +154,13 @@ def conditional_variance_fixed(
     Returns Var(target) - Cov(target, est)^2 / Var(est) for the scalar
     estimator est = sum_j gains[j] * (quadrature of mode j).
     """
+    cov = state._single_cov()
     g = np.array(list(estimator.gains.values()), dtype=float)
     t_idx = state.quad_index(*target)
     e_idx = np.array([state.quad_index(mode, estimator.quadrature) for mode in estimator.gains])
-    var_est = float(g @ state.cov[np.ix_(e_idx, e_idx)] @ g)
+    var_est = float(g @ cov[np.ix_(e_idx, e_idx)] @ g)
     if var_est <= DEGENERATE_VARIANCE_TOL:
         raise DegenerateEstimatorError(
             f"estimator variance {var_est:.3e} is degenerate")
-    cov_te = float(state.cov[t_idx, e_idx] @ g)
-    return float(state.cov[t_idx, t_idx] - cov_te**2 / var_est)
+    cov_te = float(cov[t_idx, e_idx] @ g)
+    return float(cov[t_idx, t_idx] - cov_te**2 / var_est)

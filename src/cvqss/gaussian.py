@@ -68,11 +68,13 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussianState:
-    """A Gaussian state of ``m`` labelled modes.
+    """A Gaussian state of ``m`` labelled modes, or a stack of such states.
 
     Attributes:
         mean: Length-2m vector of quadrature means, ordering x1,p1,...,xm,pm.
-        cov: Symmetric 2m x 2m covariance matrix in the same ordering.
+        cov: Symmetric 2m x 2m covariance matrix in the same ordering, or a
+            (..., 2m, 2m) stack of them sharing mean and labels, which the
+            builders and maps below map as one matrix.
         labels: Unique identifier per mode.
 
     The constructor enforces shape consistency, label uniqueness and
@@ -94,14 +96,15 @@ class GaussianState:
         dim = 2 * len(labels)
         if mean.shape != (dim,):
             raise ValueError(f"mean must have length {dim}, got {mean.shape}")
-        if cov.shape != (dim, dim):
+        if cov.shape[-2:] != (dim, dim):
             raise ValueError(f"cov must be {dim}x{dim}, got {cov.shape}")
-        scale = max(np.abs(cov).max(), 1.0)
-        asym = np.abs(cov - cov.T).max()
-        if asym > SYMMETRY_RTOL * scale:
-            raise ValueError(f"cov is not symmetric (residual {asym:.3e})")
+        transposed = cov.swapaxes(-1, -2)
+        scale = np.abs(cov).max(axis=(-2, -1), keepdims=True, initial=1.0)
+        asym = (np.abs(cov - transposed) / scale).max()
+        if asym > SYMMETRY_RTOL:
+            raise ValueError(f"cov is not symmetric (relative residual {asym:.3e})")
         # Symmetrise exactly so chained transforms cannot accumulate skew.
-        cov = 0.5 * (cov + cov.T)
+        cov = 0.5 * (cov + transposed)
         mean.setflags(write=False)
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
@@ -122,15 +125,21 @@ class GaussianState:
         """Row/column index of a (mode, quadrature) coordinate."""
         return 2 * self.mode_index(label) + _QUAD_OFFSET[_check_quadrature(quadrature)]
 
+    def _single_cov(self) -> np.ndarray:
+        """``cov`` of one state; a stack has no single matrix to read."""
+        if self.cov.ndim != 2:
+            raise ValueError(f"expected one state, got a {self.cov.shape} covariance stack")
+        return self.cov
+
     def variance(self, label, quadrature: Quadrature) -> float:
         i = self.quad_index(label, quadrature)
-        return float(self.cov[i, i])
+        return float(self._single_cov()[i, i])
 
     def covariance(self, coord_a: tuple, coord_b: tuple) -> float:
         """Covariance between two (mode, quadrature) coordinates."""
         i = self.quad_index(*coord_a)
         j = self.quad_index(*coord_b)
-        return float(self.cov[i, j])
+        return float(self._single_cov()[i, j])
 
 
 @dataclass(frozen=True)
@@ -192,24 +201,25 @@ def squeezed_vacuum(r: float, squeezed_quadrature: Quadrature = "p",
 
     The squeezed quadrature has variance exp(-2r)/2, its conjugate
     exp(+2r)/2; flip ``squeezed_quadrature`` rather than passing r < 0.
+    An array of r values gives the stack of their states.
     """
-    if not math.isfinite(r):
-        raise ValueError(f"squeezing parameter r must be finite, got {r}")
-    if r < 0:
-        raise ValueError("squeezing parameter must be >= 0; "
-                         "choose squeezed_quadrature to flip the orientation")
+    values = np.asarray(r, dtype=float)
+    covs = []
+    for value in values.ravel().tolist():
+        if not math.isfinite(value):
+            raise ValueError(f"squeezing parameter r must be finite, got {value}")
+        if value < 0:
+            raise ValueError("squeezing parameter must be >= 0; "
+                             "choose squeezed_quadrature to flip the orientation")
+        try:
+            squeezed, anti = 0.5 * math.exp(-2.0 * value), 0.5 * math.exp(2.0 * value)
+        except OverflowError:
+            raise ValueError(f"squeezing parameter r = {value} overflows the anti-squeezed "
+                             "variance exp(2r)/2") from None
+        covs.append([squeezed, 0.0, 0.0, anti] if squeezed_quadrature == "x"
+                    else [anti, 0.0, 0.0, squeezed])
     _check_quadrature(squeezed_quadrature)
-    v_squeezed = 0.5 * math.exp(-2.0 * r)
-    try:
-        v_anti = 0.5 * math.exp(2.0 * r)
-    except OverflowError:
-        raise ValueError(f"squeezing parameter r = {r} overflows the anti-squeezed "
-                         "variance exp(2r)/2") from None
-    if squeezed_quadrature == "x":
-        diag = [v_squeezed, v_anti]
-    else:
-        diag = [v_anti, v_squeezed]
-    return GaussianState(np.zeros(2), np.diag(diag), (label,))
+    return GaussianState(np.zeros(2), np.reshape(covs, values.shape + (2, 2)), (label,))
 
 
 def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
@@ -218,9 +228,10 @@ def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
     if overlap:
         raise ValueError(f"mode labels collide: {sorted(overlap, key=str)}")
     dim_a, dim_b = 2 * a.num_modes, 2 * b.num_modes
-    cov = np.zeros((dim_a + dim_b, dim_a + dim_b))
-    cov[:dim_a, :dim_a] = a.cov
-    cov[dim_a:, dim_a:] = b.cov
+    stack = max(a.cov.shape[:-2], b.cov.shape[:-2], key=len)  # one may be a single state
+    cov = np.zeros(stack + (dim_a + dim_b, dim_a + dim_b))
+    cov[..., :dim_a, :dim_a] = a.cov
+    cov[..., dim_a:, dim_a:] = b.cov
     return GaussianState(np.concatenate([a.mean, b.mean]), cov, a.labels + b.labels)
 
 
@@ -296,7 +307,7 @@ def partial_trace(state: GaussianState, keep: Sequence) -> GaussianState:
     for lab in kept_labels:
         idx.extend([state.quad_index(lab, "x"), state.quad_index(lab, "p")])
     idx = np.array(idx)
-    return GaussianState(state.mean[idx], state.cov[np.ix_(idx, idx)], kept_labels)
+    return GaussianState(state.mean[idx], state.cov[..., idx[:, None], idx], kept_labels)
 
 
 def validate(state: GaussianState) -> StateDiagnostics:
@@ -306,9 +317,10 @@ def validate(state: GaussianState) -> StateDiagnostics:
     eigenvalue is >= 1/2 - BONA_FIDE_TOL; purity is the product of
     1/(2 nu_k) over the symplectic eigenvalues (1 for pure states).
     """
-    scale = max(np.abs(state.cov).max(), 1.0)
-    residual = float(np.abs(state.cov - state.cov.T).max() / scale)
-    nus = symplectic_eigenvalues(state.cov)
+    cov = state._single_cov()
+    scale = max(np.abs(cov).max(), 1.0)
+    residual = float(np.abs(cov - cov.T).max() / scale)
+    nus = symplectic_eigenvalues(cov)
     min_nu = float(nus.min())
     purity = float(np.prod(1.0 / (2.0 * nus)))
     return StateDiagnostics(

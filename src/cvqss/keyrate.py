@@ -23,6 +23,8 @@ computed, all in bits per round:
   collusions, each bounded through its honest complement as above. The
   reported rate is ``min_i I_i - max_S chi_S``.
 
+:func:`key_rates` evaluates every term as arrays over a state stack (a
+sweep curve), one kernel call per side; :func:`keyrate_qss` is its report.
 :func:`combine` is the one reduction from conditional variances to these
 rates, for the empirical ones of :func:`~cvqss.simulation.run_protocol` too.
 For (2, 2) the combination reduces exactly to the minimum of the two
@@ -197,11 +199,6 @@ class KeyRateReport:
     threshold: float
 
 
-def holevo_term(v_x_unconditional: float, v_p_conditional: float) -> float:
-    # H_G(X_A) - log2(2 pi) + log2 sqrt(2 pi e V(P_A|.)) collapses to this.
-    return _LOG2_E + 0.5 * math.log2(v_x_unconditional * v_p_conditional)
-
-
 class RateBound(NamedTuple):
     """A combined bound and the per-structure terms it was reduced from."""
 
@@ -212,22 +209,40 @@ class RateBound(NamedTuple):
     rate: float
 
 
+def _rate_bound(dealer_x_variance, access_variances, adversarial_variances,
+                beta: float) -> RateBound:
+    """:func:`combine` over leading axes, as (..., S) and (...) arrays."""
+    dealer = np.asarray(dealer_x_variance, dtype=float)[..., None]
+    with np.errstate(over="ignore"):  # an infinite term is refused below
+        bits = 0.5 * np.log2(dealer / np.asarray(access_variances, dtype=float))
+        products = dealer * np.asarray(adversarial_variances, dtype=float)
+    # chi = H_G(X_A) - log2(2 pi) + log2 sqrt(2 pi e V(P_A|.)) collapses to
+    # log2(e) + log2(V u) / 2. math.log2, as np.log2 differs in the last bit
+    # on about 1 in 10^4 doubles.
+    holevo = _LOG2_E + 0.5 * np.reshape(list(map(math.log2, products.ravel().tolist())),
+                                        products.shape)
+    for name, terms in (("mutual information", bits), ("Holevo term", holevo)):
+        if not np.isfinite(terms).all():  # V / v or V u overflows at extreme squeezing
+            first = np.argmin(np.isfinite(terms))
+            raise ValueError(f"{name} {terms.flat[first]} is not finite at dealer x variance "
+                             f"{np.broadcast_to(dealer, terms.shape).flat[first]:.6g}: "
+                             "the squeezing r is too large for double precision")
+    return RateBound(bits, holevo, bits.argmin(axis=-1), holevo.argmax(axis=-1),
+                     beta * bits.min(axis=-1) - holevo.max(axis=-1))
+
+
 def combine(dealer_x_variance: float, access_variances, adversarial_variances,
             beta: float = 1.0) -> RateBound:
     """The one rate reduction: ``beta * min_i I_i - max_j chi_j``, ties to the first.
 
     ``I_i = log2(V / v_i) / 2`` with v_i access structure i's conditional x
-    variance, ``chi_j = holevo_term(V, u_j)`` with u_j adversarial structure
-    j's honest-side conditional p variance. Nothing is range-checked, since
-    a fitted v_i may exceed V.
+    variance, ``chi_j = log2(e) + log2(V u_j) / 2`` with u_j adversarial
+    structure j's honest-side conditional p variance. Nothing is
+    range-checked, since a fitted v_i may exceed V, but a term that is not
+    finite raises ValueError.
     """
-    bits = 0.5 * np.log2(dealer_x_variance / np.asarray(access_variances, dtype=float))
-    holevo = [holevo_term(dealer_x_variance, u)
-              for u in np.asarray(adversarial_variances, dtype=float).tolist()]
-    binding_access, binding_adversarial = int(np.argmin(bits)), int(np.argmax(holevo))
-    bits = bits.tolist()
-    return RateBound(bits, holevo, binding_access, binding_adversarial,
-                     beta * bits[binding_access] - holevo[binding_adversarial])
+    return RateBound(*(np.asarray(term).tolist() for term in _rate_bound(
+        dealer_x_variance, access_variances, adversarial_variances, beta)))
 
 
 def _infer(state: GaussianState, layout: PartyLayout, basis: str, rows) -> tuple:
@@ -244,6 +259,44 @@ def _infer(state: GaussianState, layout: PartyLayout, basis: str, rows) -> tuple
     return variances, gains, dealer
 
 
+def _everyone(state: GaussianState, layout: PartyLayout, beta: float) -> tuple:
+    """The all-player x and p inferences and the eavesdropping bound they give."""
+    everyone = [range(layout.num_players)]
+    x = _infer(state, layout, "x", everyone)
+    p = _infer(state, layout, "p", everyone)
+    return x, p, _rate_bound(x[2], x[0], p[0], beta)
+
+
+class KeyRates(NamedTuple):
+    """The :func:`_infer` results and bounds of a (k, n) scheme, over a stack's axes."""
+
+    access: tuple
+    adversarial: tuple
+    everyone_x: tuple
+    everyone_p: tuple
+    combined: RateBound
+    eavesdropping: RateBound
+
+
+def key_rates(state: GaussianState, layout: PartyLayout, scheme: ThresholdScheme,
+              beta: float = 1.0) -> KeyRates:
+    """Every key rate of a (k, n) scheme on one state or a stack of states."""
+    layout.check_state(state, stacked=True)
+    if scheme.n != layout.num_players:
+        raise ValueError(f"scheme expects {scheme.n} players but the layout has "
+                         f"{layout.num_players}")
+    if scheme.k == 1 and scheme.n == 1:
+        raise ValueError("(1, 1) is not a sharing scheme: one player holding "
+                         "everything needs no threshold")
+    access, _, honest = scheme._player_rows
+    access_side = _infer(state, layout, "x", access)
+    adversarial_side = _infer(state, layout, "p", honest)
+    everyone_x, everyone_p, eavesdropping = _everyone(state, layout, beta)
+    return KeyRates(access_side, adversarial_side, everyone_x, everyone_p,
+                    _rate_bound(access_side[2], access_side[0], adversarial_side[0], beta),
+                    eavesdropping)
+
+
 def _player_labels(layout: PartyLayout, rows: np.ndarray) -> list:
     """The tuple of player labels of each row of 0-based player positions."""
     return [tuple(map(layout.player_modes.__getitem__, row)) for row in rows.tolist()]
@@ -258,14 +311,12 @@ def keyrate_eavesdropping(state: GaussianState, layout: PartyLayout,
     term (1 = the ideal value assumed by the closed form).
     """
     layout.check_state(state)
-    v_x, x_gains, dealer_x = _infer(state, layout, "x", [range(layout.num_players)])
-    v_p, p_gains, dealer_p = _infer(state, layout, "p", [range(layout.num_players)])
-    bound = combine(dealer_x, v_x, v_p, beta)
+    (v_x, x_gains, dealer_x), (v_p, p_gains, dealer_p), bound = _everyone(state, layout, beta)
     (v_x,), (v_p,) = v_x.tolist(), v_p.tolist()
     return EavesdroppingReport(
-        rate=bound.rate,
-        mutual_information=bound.access_bits[0],
-        holevo_bound=bound.adversarial_holevo[0],
+        rate=float(bound.rate),
+        mutual_information=float(bound.access_bits[0]),
+        holevo_bound=float(bound.adversarial_holevo[0]),
         v_x_conditional=v_x,
         v_p_conditional=v_p,
         v_x_unconditional=dealer_x,
@@ -318,46 +369,34 @@ def keyrate_qss(state: GaussianState, layout: PartyLayout, scheme: ThresholdSche
                 beta: float = 1.0) -> KeyRateReport:
     """Combined (k, n) bound: min access mutual information minus max Holevo.
 
-    Every access structure is one Schur complement of the dealer's x on its
-    players' announced x outcomes, and every adversarial structure one of
-    the dealer's p on its honest complement's announced p outcomes; each
-    side is one batched :func:`~cvqss.estimation.schur` call. The single
-    dishonest players' p sides are one more, against the all-player x side.
+    The per-structure report of :func:`key_rates` on one state.
     """
     layout.check_state(state)
-    if scheme.n != layout.num_players:
-        raise ValueError(f"scheme expects {scheme.n} players but the layout has "
-                         f"{layout.num_players}")
-    if scheme.k == 1 and scheme.n == 1:
-        raise ValueError("(1, 1) is not a sharing scheme: one player holding "
-                         "everything needs no threshold")
+    rates = key_rates(state, layout, scheme, beta)
+    access_v, access_g, dealer_x = rates.access
+    adversarial_v, adversarial_g, dealer_p = rates.adversarial
+    bound = rates.combined
 
     access, colluding, honest = scheme._player_rows
-    access_v, access_g, dealer_x = _infer(state, layout, "x", access)
-    adversarial_v, adversarial_g, dealer_p = _infer(state, layout, "p", honest)
-    bound = combine(dealer_x, access_v, adversarial_v, beta)
-
     access_labels = _player_labels(layout, access)
     adversarial_labels = _player_labels(layout, colluding)
-
-    eavesdropping = keyrate_eavesdropping(state, layout, beta=beta)
-    single_v, _, _ = _infer(state, layout, "p",
-                            _complements(np.arange(scheme.n)[:, None], scheme.n))
-    dishonest_rates = {
-        player: combine(dealer_x, [eavesdropping.v_x_conditional], [v], beta).rate
-        for player, v in zip(layout.player_modes, single_v.tolist())}
-
+    # Player j alone dishonest: the all-player x side against one p side per player,
+    # which for k = 2 are the adversarial structures' honest sides already.
+    single = adversarial_v if scheme.k == 2 else _infer(
+        state, layout, "p", _complements(np.arange(scheme.n)[:, None], scheme.n))[0]
+    v_x = np.broadcast_to(rates.everyone_x[0], (scheme.n, 1))
+    dishonest = _rate_bound(np.full(scheme.n, dealer_x), v_x, single[:, None], beta)
     return KeyRateReport(
         scheme=scheme,
-        combined_rate=bound.rate,
+        combined_rate=float(bound.rate),
         positive=bool(bound.rate > 0.0),
-        eavesdropping_rate=eavesdropping.rate,
-        dishonest_rates=dishonest_rates,
-        access_mutual_information=dict(zip(access_labels, bound.access_bits)),
+        eavesdropping_rate=float(rates.eavesdropping.rate),
+        dishonest_rates=dict(zip(layout.player_modes, dishonest.rate.tolist())),
+        access_mutual_information=dict(zip(access_labels, bound.access_bits.tolist())),
         access_conditional_variance=dict(zip(access_labels, access_v.tolist())),
         access_gains={players: JointVariable("x", dict(zip(players, gains)))
                       for players, gains in zip(access_labels, access_g)},
-        adversarial_holevo=dict(zip(adversarial_labels, bound.adversarial_holevo)),
+        adversarial_holevo=dict(zip(adversarial_labels, bound.adversarial_holevo.tolist())),
         adversarial_conditional_variance=dict(zip(adversarial_labels,
                                                   adversarial_v.tolist())),
         adversarial_gains={

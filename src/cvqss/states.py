@@ -14,7 +14,8 @@ the p quadrature of its graph neighbours), so players at odd graph
 distance from the dealer announce their measurements under swapped
 labels. The layout records that assignment, and every inference routine
 in :mod:`cvqss.keyrate` and :mod:`cvqss.simulation` resolves announced
-coordinates through it.
+coordinates through it. Given an array of squeezings, :func:`build_kn_state`
+builds the stack of their resources, one covariance per value.
 """
 
 from collections import deque
@@ -92,7 +93,10 @@ class PartyLayout:
     def num_players(self) -> int:
         return len(self.player_modes)
 
-    def check_state(self, state: GaussianState) -> None:
+    def check_state(self, state: GaussianState, stacked: bool = False) -> None:
+        """Refuse a state missing a layout mode, or a stack unless ``stacked``."""
+        if not stacked:
+            state._single_cov()
         missing = ({self.dealer_mode} | set(self.player_modes)) - set(state.labels)
         if missing:
             raise ValueError(f"layout references modes absent from the state: "
@@ -128,8 +132,8 @@ def pure_loss(state: GaussianState, mode, spec: ChannelSpec) -> GaussianState:
     if spec.excess_noise > 0.0:
         i = out.quad_index(mode, "x")
         cov = np.array(out.cov)
-        cov[i, i] += spec.excess_noise
-        cov[i + 1, i + 1] += spec.excess_noise
+        cov[..., i, i] += spec.excess_noise
+        cov[..., i + 1, i + 1] += spec.excess_noise
         out = GaussianState(out.mean, cov, out.labels)
     return out
 
@@ -185,7 +189,8 @@ def build_kn_state(
 
     Args:
         n: Number of players (>= 2).
-        r: Input squeezing parameter, shared by all modes.
+        r: Input squeezing parameter, shared by all modes; an array of
+            them builds the stack of their resources.
         specs: Mapping from player label to its ChannelSpec.
         topology: Iterable of undirected edges over {"A"} | player labels;
             must form a connected graph.

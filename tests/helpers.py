@@ -5,10 +5,21 @@ tests never trust the code path they are checking.
 """
 
 import math
+from itertools import combinations
 
 import numpy as np
 
-from cvqss import GaussianState, apply_beamsplitter, squeezed_vacuum, tensor
+from cvqss import (
+    ChannelSpec,
+    GaussianState,
+    apply_beamsplitter,
+    apply_cz,
+    chain_topology,
+    pure_loss,
+    squeezed_vacuum,
+    star_topology,
+    tensor,
+)
 
 
 def two_mode_squeezed(r: float, labels=("A", "B")) -> GaussianState:
@@ -155,3 +166,68 @@ def regression_loop(batch, target_party, target_basis, estimators, jackknife_gro
         estimates[g] = rss_g / (n - len(rows) - d)
     se = math.sqrt((groups - 1) / groups * float(np.sum((estimates - estimates.mean()) ** 2)))
     return (variance, dict(zip(order, coeffs[1:])), se, dict(zip(order, gain_se)), n)
+
+
+def kn_state_loop(r: float, specs: dict, edges, cz_weight: float = 1.0) -> GaussianState:
+    """The cluster resource built one public state operation at a time.
+
+    p-squeezed vacua on "A" and on each player of ``specs`` (in its order),
+    an x-x gate on each edge, then each player's channel.
+    """
+    state = squeezed_vacuum(r, "p", label="A")
+    for label in specs:
+        state = tensor(state, squeezed_vacuum(r, "p", label=label))
+    for a, b in edges:
+        state = apply_cz(state, a, b, cz_weight)
+    for label, spec in specs.items():
+        state = pure_loss(state, label, spec)
+    return state
+
+
+def sweep_loop(n, k, topology, grid, transmissivities, excess_noise=0.0, cz_weight=1.0):
+    """The ``cvqss sweep`` rows, one grid point and one Schur complement at a time.
+
+    The per-point reference for the stacked sweep: every point's resource is
+    built from ``squeezed_vacuum``, ``tensor``, ``apply_cz`` and
+    ``pure_loss``, every estimator set is inferred by :func:`schur_loop`, and
+    the bounds are the closed forms ``log2(V / v) / 2`` and
+    ``log2(e) + log2(V u) / 2``. ``topology`` is "chain" or "star". Rows
+    follow ``SWEEP_HEADER``: (r, T, K_eve, K_qss, V(X_A | all x),
+    V(P_A | all p), largest honest-side V(P_A | .), their product).
+    """
+    players = [f"B{i}" for i in range(1, n + 1)]
+    edges = {"chain": chain_topology, "star": star_topology}[topology](n)
+    # Players at odd graph distance from the dealer announce swapped labels.
+    conjugate = [topology == "star" or i % 2 == 1 for i in range(1, n + 1)]
+    swap = {"x": "p", "p": "x"}
+    log2_e = math.log2(math.e)
+    rows = []
+    for transmissivity in transmissivities:
+        spec = ChannelSpec(transmissivity, excess_noise)
+        for r in map(float, grid):
+            state = kn_state_loop(r, dict.fromkeys(players, spec), edges, cz_weight)
+
+            def infer(basis, groups):
+                announced = [state.quad_index(p, swap[basis] if c else basis)
+                             for p, c in zip(players, conjugate)]
+                sets = [[announced[j] for j in group] for group in groups]
+                return schur_loop(state.cov, state.quad_index("A", basis), sets)[0]
+
+            dealer = state.variance("A", "x")
+            v_x = infer("x", [range(n)])[0]
+            v_p = infer("p", [range(n)])[0]
+            access = infer("x", combinations(range(n), k))
+            honest = infer("p", [[j for j in range(n) if j not in colluders]
+                                 for colluders in combinations(range(n), k - 1)])
+
+            def bits(v):
+                return 0.5 * np.log2(dealer / np.array(v))
+
+            def holevo(u):
+                return log2_e + 0.5 * math.log2(dealer * u)
+
+            k_eve = float(bits([v_x])[0]) - holevo(v_p)
+            k_qss = float(bits(access).min()) - max(map(holevo, honest.tolist()))
+            rows.append((r, transmissivity, k_eve, k_qss, v_x, v_p,
+                         float(honest.max()), v_x * v_p))
+    return rows

@@ -291,3 +291,21 @@ class TestParser:
         assert code == EXIT_OK
         assert "number of players (default 2)" in out
         assert "resource graph family (default chain)" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["threshold", "--r", "300"],
+    ["sweep", "--r-min", "299", "--r-max", "300", "--r-steps", "2"],
+], ids=["threshold", "sweep"])
+def test_squeezing_beyond_double_precision_is_config_error(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("cvqss: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_threshold_names_the_overflowing_holevo_term(capsys):
+    _, _, err = run(["threshold", "--r", "300"], capsys)
+    assert err.startswith("cvqss: Holevo term inf is not finite")
+    assert "the squeezing r is too large" in err
