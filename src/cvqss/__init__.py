@@ -35,11 +35,8 @@ from .keyrate import (
 from .simulation import (
     EmpiricalConditioning,
     ProtocolReport,
-    SampleBatch,
     UndersampledError,
-    empirical_conditional_variance,
     run_protocol,
-    sample_outcomes,
 )
 from .states import (
     ChannelSpec,
@@ -64,7 +61,6 @@ __all__ = [
     "KeyRateReport",
     "PartyLayout",
     "ProtocolReport",
-    "SampleBatch",
     "SECURITY_THRESHOLD",
     "StateDiagnostics",
     "SymplecticTransform",
@@ -77,7 +73,6 @@ __all__ = [
     "build_kn_state",
     "chain_topology",
     "conditional_variance_fixed",
-    "empirical_conditional_variance",
     "enumerate_structures",
     "keyrate_dishonest",
     "keyrate_eavesdropping",
@@ -85,7 +80,6 @@ __all__ = [
     "partial_trace",
     "pure_loss",
     "run_protocol",
-    "sample_outcomes",
     "squeezed_vacuum",
     "star_topology",
     "symplectic_eigenvalues",

@@ -18,25 +18,15 @@ the m quadratures its pattern measures, from their marginal of the state's
 multivariate normal; rounds are independent, so the rows have the law of a
 uniformly chosen revealed subset. Nothing reads the outcomes of other
 rounds, so they stay counts (unrevealed key rounds are the raw key).
-:func:`sample_outcomes` instead draws ALL quadratures of every round and
-keeps each party's chosen-basis value. Conjugate quadratures are never
-jointly observable in the lab, but only chosen-basis values are read, and
-their joint statistics over any basis pattern match true homodyne
-statistics, which is all the estimators consume.
 
 A pattern's regressions share the Gram matrix of its revealed design
 (intercept, dealer, players) and its delete-one-group jackknife versions:
-each structure is one batched solve on sub-blocks of them (:func:`_fit`),
-and :func:`empirical_conditional_variance` is the one-structure form.
+each structure is one batched solve on sub-blocks of them (:func:`_fit`).
 
 Determinism contract: a protocol run is a pure function of (state,
 layout, scheme, rounds, reveal fraction, basis probability, seed, beta).
 One PCG64 stream seeded with ``seed`` draws, in this order, the pattern
-counts, the revealed key rows and the revealed check rows. A
-:func:`sample_outcomes` batch is a pure function of (state, rounds, basis
-probability, seed); its stream draws every basis choice, then every
-outcome. The two use their streams differently, so one seed gives them
-unrelated samples.
+counts, the revealed key rows and the revealed check rows.
 """
 
 import math
@@ -68,14 +58,13 @@ class UndersampledError(RuntimeError):
     expected count of such rounds reaches ``required``.
     """
 
-    def __init__(self, available: int, rounds_needed: int,
-                 required: int = MIN_SIFTED_ROUNDS):
+    def __init__(self, available: int, rounds_needed: int):
         self.available = available
         self.rounds_needed = rounds_needed
-        self.required = required
+        self.required = MIN_SIFTED_ROUNDS
         super().__init__(
             f"only {available} sifted rounds match the required bases "
-            f"(need >= {required}, expected from about {rounds_needed} rounds)")
+            f"(need >= {MIN_SIFTED_ROUNDS}, expected from about {rounds_needed} rounds)")
 
 
 def _pattern_probability(required: Mapping, basis_probability: float) -> float:
@@ -89,61 +78,10 @@ def _rounds_needed(probability: float) -> int:
     return math.ceil(MIN_SIFTED_ROUNDS / probability)
 
 
-@dataclass(frozen=True)
-class SampleBatch:
-    """Per-round basis choices and revealed homodyne outcomes.
-
-    ``x_chosen[r, j]`` is True where party j measured x in round r;
-    ``outcomes[r, j]`` is the corresponding revealed value. Parties are
-    ordered as ``labels``.
-    """
-
-    labels: tuple
-    x_chosen: np.ndarray
-    outcomes: np.ndarray
-    seed: int
-    basis_probability: float
-
-    def __post_init__(self):
-        x_chosen = np.asarray(self.x_chosen, dtype=bool)
-        outcomes = np.asarray(self.outcomes, dtype=float)
-        if x_chosen.shape != outcomes.shape or x_chosen.ndim != 2:
-            raise ValueError("basis and outcome arrays must share shape (rounds, parties)")
-        if x_chosen.shape[1] != len(self.labels):
-            raise ValueError("party count does not match the labels")
-        x_chosen.setflags(write=False)
-        outcomes.setflags(write=False)
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "x_chosen", x_chosen)
-        object.__setattr__(self, "outcomes", outcomes)
-
-    @property
-    def rounds(self) -> int:
-        return self.outcomes.shape[0]
-
-    def party_index(self, label) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ValueError(f"unknown party {label!r}") from None
-
-    def basis_mask(self, required: Mapping) -> np.ndarray:
-        """Rounds in which every listed party measured its required basis."""
-        mask = np.ones(self.rounds, dtype=bool)
-        for label, basis in required.items():
-            col = self.x_chosen[:, self.party_index(label)]
-            mask &= col if basis == "x" else ~col
-        return mask
-
-
-def _checked_spectrum(state: GaussianState, rounds: int,
-                      basis_probability: float) -> tuple:
-    """Eigendecomposition of the state's covariance, after the sampling checks.
-
-    Rejects a non-positive round count, a basis probability outside (0, 1),
-    a non-bona-fide state and a covariance with a negative eigenvalue
-    beyond EIGENVALUE_CLIP.
-    """
+def _check_sampling(state: GaussianState, rounds: int, basis_probability: float) -> None:
+    """Reject a non-positive round count, a basis probability outside (0, 1),
+    a non-bona-fide state and a covariance with a negative eigenvalue beyond
+    EIGENVALUE_CLIP."""
     if rounds < 1:
         raise ValueError("need at least one round")
     if not 0.0 < basis_probability < 1.0:
@@ -153,33 +91,10 @@ def _checked_spectrum(state: GaussianState, rounds: int,
         raise UnphysicalStateError(
             f"cannot sample a non-bona-fide state (min symplectic eigenvalue "
             f"{diagnostics.min_symplectic_eigenvalue:.6g})")
-    eigval, eigvec = np.linalg.eigh(state.cov)
-    if eigval.min() < -EIGENVALUE_CLIP:
+    smallest = np.linalg.eigvalsh(state.cov)[0]
+    if smallest < -EIGENVALUE_CLIP:
         raise UnphysicalStateError(
-            f"covariance matrix has a negative eigenvalue {eigval.min():.3e}")
-    return eigval, eigvec
-
-
-def _factor(eigval: np.ndarray, eigvec: np.ndarray) -> np.ndarray:
-    """F with F @ F.T the decomposed matrix, rounding debris clipped to zero."""
-    return eigvec * np.sqrt(np.clip(eigval, 0.0, None))
-
-
-def sample_outcomes(state: GaussianState, rounds: int,
-                    basis_probability: float = 0.5, seed: int = 0) -> SampleBatch:
-    """Draw per-round homodyne outcomes for every mode of a state.
-
-    Each party independently measures x with probability
-    ``basis_probability`` (else p). Outcomes are exact multivariate-normal
-    homodyne statistics; the batch is bit-identical for identical inputs.
-    """
-    factor = _factor(*_checked_spectrum(state, rounds, basis_probability))
-    rng = np.random.default_rng(seed)
-    num_modes = state.num_modes
-    x_chosen = rng.random((rounds, num_modes)) < basis_probability
-    joint = rng.standard_normal((rounds, 2 * num_modes)) @ factor.T + state.mean
-    outcomes = np.where(x_chosen, joint[:, 0::2], joint[:, 1::2])
-    return SampleBatch(state.labels, x_chosen, outcomes, seed, basis_probability)
+            f"covariance matrix has a negative eigenvalue {smallest:.3e}")
 
 
 @dataclass(frozen=True)
@@ -193,15 +108,15 @@ class EmpiricalConditioning:
     rounds_used: int
 
 
-def _jackknife_grams(design: np.ndarray, jackknife_groups: int) -> tuple:
+def _jackknife_grams(design: np.ndarray) -> tuple:
     """Gram matrices of a design over all rows and with each group left out.
 
-    The groups are min(jackknife_groups, N // 2) contiguous, near-equal
+    The groups are min(JACKKNIFE_GROUPS, N // 2) contiguous, near-equal
     blocks of the N rows. Returns ``(grams, rows)``: ``grams[0]`` is
     ``design.T @ design``, ``grams[1 + g]`` the same without group g, and
     ``rows`` the matching row counts.
     """
-    blocks = np.array_split(design, min(jackknife_groups, len(design) // 2))
+    blocks = np.array_split(design, min(JACKKNIFE_GROUPS, len(design) // 2))
     gram = design.T @ design
     grams = np.stack([gram] + [gram - block.T @ block for block in blocks])
     rows = np.array([len(design)] + [len(design) - len(block) for block in blocks])
@@ -236,48 +151,6 @@ def _fit(grams: np.ndarray, rows: np.ndarray, target_basis: Quadrature,
         gain_standard_errors=dict(zip(columns, gain_se)),
         rounds_used=int(rows[0]),
     )
-
-
-def _normalize_estimators(estimator_parties, target_basis: Quadrature) -> dict:
-    if isinstance(estimator_parties, Mapping):
-        return dict(estimator_parties)
-    return {party: target_basis for party in estimator_parties}
-
-
-def empirical_conditional_variance(
-    batch: SampleBatch,
-    target_party,
-    target_basis: Quadrature,
-    estimator_parties,
-    jackknife_groups: int = JACKKNIFE_GROUPS,
-) -> EmpiricalConditioning:
-    """Residual variance of the target under least-squares inference.
-
-    Sifts the batch down to rounds where the target party measured
-    ``target_basis`` and every estimator party its required basis
-    (``estimator_parties`` is either a sequence, implying the target basis
-    for everyone, or an explicit party -> basis mapping). The target
-    outcomes are regressed on the estimator outcomes with an intercept;
-    the residual variance uses 1/(N - d) with d fitted parameters. The
-    variance's standard error is a delete-one-group jackknife; per-gain
-    errors are the usual OLS coefficient errors.
-    """
-    estimators = _normalize_estimators(estimator_parties, target_basis)
-    if not estimators:
-        raise ValueError("need at least one estimator party")
-    if target_party in estimators:
-        raise ValueError("estimator parties must exclude the target party")
-    required = {target_party: target_basis, **estimators}
-    mask = batch.basis_mask(required)
-    n = int(mask.sum())
-    if n < MIN_SIFTED_ROUNDS:
-        raise UndersampledError(n, _rounds_needed(
-            _pattern_probability(required, batch.basis_probability)))
-
-    design = np.ones((n, 1 + len(required)))
-    design[:, 1:] = batch.outcomes[np.ix_(mask, [batch.party_index(p) for p in required])]
-    return _fit(*_jackknife_grams(design, jackknife_groups), target_basis,
-                {party: column for column, party in enumerate(estimators, start=2)})
 
 
 @dataclass(frozen=True)
@@ -344,7 +217,9 @@ def _revealed_designs(state: GaussianState, patterns: Sequence, rounds: int,
     designs = []
     for required, count in zip(patterns, revealed):
         idx = [state.quad_index(party, basis) for party, basis in required.items()]
-        factor = _factor(*np.linalg.eigh(state.cov[np.ix_(idx, idx)]))
+        eigval, eigvec = np.linalg.eigh(state.cov[np.ix_(idx, idx)])
+        # F @ F.T is the marginal covariance, rounding debris clipped to zero.
+        factor = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
         design = np.ones((count, 1 + len(idx)))
         design[:, 1:] = rng.standard_normal((count, len(idx))) @ factor.T + state.mean[idx]
         designs.append(design)
@@ -374,7 +249,7 @@ def run_protocol(
     if scheme.n != layout.num_players:
         raise ValueError(f"scheme expects {scheme.n} players but the layout has "
                          f"{layout.num_players}")
-    _checked_spectrum(state, rounds, basis_probability)
+    _check_sampling(state, rounds, basis_probability)
 
     key_required = _required_bases(layout, "x")
     check_required = _required_bases(layout, "p")
@@ -386,8 +261,8 @@ def run_protocol(
 
     # Design column of each player: 0 is the intercept, 1 the dealer.
     column = {player: j for j, player in enumerate(layout.player_modes, start=2)}
-    key_grams = _jackknife_grams(key_design, JACKKNIFE_GROUPS)
-    check_grams = _jackknife_grams(check_design, JACKKNIFE_GROUPS)
+    key_grams = _jackknife_grams(key_design)
+    check_grams = _jackknife_grams(check_design)
     inference_x = _fit(*key_grams, "x", column)
     inference_p = _fit(*check_grams, "p", column)
     dealer_x_var = float(np.var(key_design[:, 1], ddof=1))

@@ -1,7 +1,9 @@
 """Shared state builders and independent closed-form oracles for the tests.
 
-Everything here is derived by hand from 2x2/4x4 moment propagation so the
-tests never trust the code path they are checking.
+The oracles and loop references are derived by hand from 2x2/4x4 moment
+propagation so the tests never trust the code path they are checking.
+``revealed_design`` and ``fit_design`` are the exception: they run
+``run_protocol``'s own sampler and fit, which the oracles then check.
 """
 
 import math
@@ -20,6 +22,7 @@ from cvqss import (
     star_topology,
     tensor,
 )
+from cvqss import simulation
 
 
 def two_mode_squeezed(r: float, labels=("A", "B")) -> GaussianState:
@@ -128,24 +131,20 @@ def schur_loop(cov: np.ndarray, target_idx: int, estimator_idx) -> tuple:
     return np.array(variances), np.array(gains), float(cov[target_idx, target_idx])
 
 
-def regression_loop(batch, target_party, target_basis, estimators, jackknife_groups=50):
+def regression_loop(design, parties, estimators, jackknife_groups=50):
     """One least-squares fit with its grouped jackknife, refitting in a loop.
 
     The per-structure reference for the shared-Gram regression kernel in
-    ``cvqss.simulation``: sifts ``batch`` to the rounds where the target and
-    every estimator party (a party -> basis mapping) measured the required
-    basis, fits the target on an intercept and the estimators, and refits
-    once per left-out jackknife group. Returns (variance, gains,
-    standard_error, gain_standard_errors, rounds_used), gains and their
-    errors as party -> value dicts.
+    ``cvqss.simulation``. ``design`` has columns (intercept, target, then
+    ``parties`` in order); the target is fitted on the intercept and the
+    ``estimators`` columns, then refitted once per left-out jackknife group.
+    Returns (variance, gains, standard_error, gain_standard_errors,
+    rounds_used), gains and their errors as party -> value dicts.
     """
-    required = {target_party: target_basis, **estimators}
-    mask = batch.basis_mask(required)
-    n = int(mask.sum())
+    n = len(design)
     order = list(estimators)
-    cols = [batch.party_index(p) for p in order]
-    y = batch.outcomes[mask][:, batch.party_index(target_party)]
-    design = np.column_stack([np.ones(n)] + [batch.outcomes[mask][:, c] for c in cols])
+    y = design[:, 1]
+    design = design[:, [0] + [2 + list(parties).index(p) for p in order]]
     d = design.shape[1]
 
     gram = design.T @ design
@@ -166,6 +165,27 @@ def regression_loop(batch, target_party, target_basis, estimators, jackknife_gro
         estimates[g] = rss_g / (n - len(rows) - d)
     se = math.sqrt((groups - 1) / groups * float(np.sum((estimates - estimates.mean()) ** 2)))
     return (variance, dict(zip(order, coeffs[1:])), se, dict(zip(order, gain_se)), n)
+
+
+def revealed_design(state, pattern, rounds, seed):
+    """The design of every round that matches ``pattern`` (party -> basis).
+
+    Drawn the way ``run_protocol`` draws its revealed key rows: ``pattern``
+    is paired with its conjugate as the check pattern, and every matched
+    round is revealed. Columns are (intercept, then parties in ``pattern``
+    order).
+    """
+    conjugate = {party: "p" if basis == "x" else "x" for party, basis in pattern.items()}
+    _, (design, _) = simulation._revealed_designs(
+        state, (pattern, conjugate), rounds, 1.0, 0.5, seed)
+    return design
+
+
+def fit_design(design, target_basis, estimators):
+    """``run_protocol``'s shared-Gram fit of design column 1 on ``estimators``,
+    the parties of columns 2, 3, ... in order."""
+    return simulation._fit(*simulation._jackknife_grams(design), target_basis,
+                           {party: j for j, party in enumerate(estimators, start=2)})
 
 
 def kn_state_loop(r: float, specs: dict, edges, cz_weight: float = 1.0) -> GaussianState:

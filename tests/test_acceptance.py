@@ -18,13 +18,11 @@ from cvqss import (
     build_three_mode_chain,
     build_kn_state,
     chain_topology,
-    empirical_conditional_variance,
     enumerate_structures,
     keyrate_dishonest,
     keyrate_eavesdropping,
     keyrate_qss,
     pure_loss,
-    sample_outcomes,
     squeezed_vacuum,
     star_topology,
     symplectic_eigenvalues,
@@ -36,7 +34,9 @@ from cvqss.cli import SWEEP_HEADER, main as cli_main
 from cvqss.gaussian import beamsplitter_transform, cz_transform
 from helpers import (
     chain_expected_variances,
+    fit_design,
     product_vacuum,
+    revealed_design,
     tmsv_conditional_variance,
     two_mode_squeezed,
 )
@@ -126,6 +126,14 @@ def test_criterion_2_closed_form_oracles():
                "forms hold to 1e-12")
 
 
+def _oracle_fit(state, target_basis, estimators):
+    """The dealer's ``target_basis`` fitted on ``estimators`` (party -> basis),
+    from the rounds of ORACLE_ROUNDS that match that pattern."""
+    design = revealed_design(state, {"A": target_basis, **estimators},
+                             ORACLE_ROUNDS, ORACLE_SEED)
+    return fit_design(design, target_basis, estimators)
+
+
 def test_criterion_3_statistical_oracle():
     start = time.monotonic()
     checks = []  # (label, empirical, analytic)
@@ -135,14 +143,12 @@ def test_criterion_3_statistical_oracle():
         ("tmsv(0.3)", two_mode_squeezed(0.3), tmsv_conditional_variance(0.3)),
         ("tmsv(1)", two_mode_squeezed(1.0), tmsv_conditional_variance(1.0)),
     ]:
-        batch = sample_outcomes(state, ORACLE_ROUNDS, seed=ORACLE_SEED)
-        fit = empirical_conditional_variance(batch, "A", "x", ["B"])
+        fit = _oracle_fit(state, "x", {"B": "x"})
         checks.append((label, fit.variance, expected))
 
     for r, transmissivity in [(0.5, 1.0), (1.15, 1.0), (1.0, 0.9)]:
         state, layout = build_three_mode_chain(r, transmissivity)
         expected = chain_expected_variances(r, transmissivity)
-        batch = sample_outcomes(state, ORACLE_ROUNDS, seed=ORACLE_SEED)
         x_map = {p: layout.announced_coordinate(p, "x")[1]
                  for p in layout.player_modes}
         p_map = {p: layout.announced_coordinate(p, "p")[1]
@@ -154,8 +160,7 @@ def test_criterion_3_statistical_oracle():
             ("p|C", "p", {"C": p_map["C"]}, expected["v_p_given_c_only"]),
             ("p|B", "p", {"B": p_map["B"]}, expected["v_p_given_b_only"]),
         ]:
-            fit = empirical_conditional_variance(batch, "A", target_basis,
-                                                 estimators)
+            fit = _oracle_fit(state, target_basis, estimators)
             checks.append((f"{tag} {name}", fit.variance, value))
 
     worst = 0.0

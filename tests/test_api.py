@@ -17,13 +17,12 @@ PUBLIC_NAMES = {
     "ThresholdScheme", "enumerate_structures", "keyrate_dishonest",
     "keyrate_eavesdropping", "keyrate_qss",
     # simulation
-    "EmpiricalConditioning", "ProtocolReport", "SampleBatch", "UndersampledError",
-    "empirical_conditional_variance", "run_protocol", "sample_outcomes",
+    "EmpiricalConditioning", "ProtocolReport", "UndersampledError", "run_protocol",
 }
 
 
 def test_all_is_the_pinned_name_set():
-    assert len(PUBLIC_NAMES) == 39
+    assert len(PUBLIC_NAMES) == 36
     assert set(cvqss.__all__) == PUBLIC_NAMES
 
 

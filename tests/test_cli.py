@@ -133,6 +133,32 @@ class TestThresholdBytes:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+class TestSimulateBytes:
+    """A (2, 2) chain and a (2, 4) star run, stdout and JSON file byte for byte.
+
+    Any change to the protocol's random streams, its fits or the report
+    formatting moves these digests. Like ``TestThresholdBytes`` they hold
+    for numpy 2.4 with OpenBLAS on x86-64.
+    """
+
+    @pytest.mark.parametrize("argv, stdout_digest, json_digest", [
+        (["simulate", "--rounds", "100000", "--seed", "5", "--r", "1.0",
+          "--transmissivity", "0.9"],
+         "f6a17bde4648c2f26e8eb33fc630cd5afb6a5562415ef741abb90d347921e62d",
+         "d9fd10be856739df38e6a6ff2db1694b8933ba5a966788bb9149f04071b3f408"),
+        (["simulate", "--n", "4", "--k", "2", "--topology", "star",
+          "--rounds", "200000", "--seed", "9", "--transmissivity", "0.95"],
+         "f85ecf2edaed95435672672a21ead6644295f4a1680a7831a00c2f723f12d68e",
+         "e4245757f87bf97fd772197979e3004cf1feb44d98683deaae853a0fd66592d3"),
+    ])
+    def test_output_digest(self, tmp_path, capsys, argv, stdout_digest, json_digest):
+        report = tmp_path / "report.json"
+        code, out, _ = run(argv + ["--format", "json", "--output", str(report)], capsys)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == json_digest
+
+
 class TestSimulate:
     def test_secure_verdict(self, capsys):
         code, out, _ = run(["simulate", "--rounds", "200000", "--seed", "7",

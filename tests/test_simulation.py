@@ -5,30 +5,28 @@ import time
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from cvqss import (
     ChannelSpec,
     GaussianState,
     PartyLayout,
-    SampleBatch,
     UndersampledError,
     UnphysicalStateError,
     build_kn_state,
     build_three_mode_chain,
-    empirical_conditional_variance,
     enumerate_structures,
     keyrate_eavesdropping,
     run_protocol,
-    sample_outcomes,
     star_topology,
 )
 from cvqss import simulation
 from cvqss.keyrate import combine
 from helpers import (
     chain_expected_variances,
+    fit_design,
     product_vacuum,
     regression_loop,
+    revealed_design,
     two_mode_squeezed,
 )
 
@@ -48,32 +46,34 @@ def announced_pattern(layout, dealer_basis):
 
 class TestSampling:
     def test_same_seed_is_bit_identical(self):
-        state, _ = build_three_mode_chain(0.7, 0.9)
-        first = sample_outcomes(state, 5000, seed=11)
-        second = sample_outcomes(state, 5000, seed=11)
-        assert np.array_equal(first.outcomes, second.outcomes)
-        assert np.array_equal(first.x_chosen, second.x_chosen)
+        state, layout = build_three_mode_chain(0.7, 0.9)
+        patterns = [announced_pattern(layout, "x"), announced_pattern(layout, "p")]
+        first = simulation._revealed_designs(state, patterns, 5000, 0.5, 0.5, seed=11)
+        second = simulation._revealed_designs(state, patterns, 5000, 0.5, 0.5, seed=11)
+        assert first[0] == second[0]
+        for a, b in zip(first[1], second[1]):
+            assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
-        state, _ = build_three_mode_chain(0.7, 0.9)
-        first = sample_outcomes(state, 1000, seed=1)
-        second = sample_outcomes(state, 1000, seed=2)
-        assert not np.array_equal(first.outcomes, second.outcomes)
+        state, layout = build_three_mode_chain(0.7, 0.9)
+        patterns = [announced_pattern(layout, "x"), announced_pattern(layout, "p")]
+        _, (first, _) = simulation._revealed_designs(state, patterns, 5000, 0.5, 0.5, seed=1)
+        _, (second, _) = simulation._revealed_designs(state, patterns, 5000, 0.5, 0.5, seed=2)
+        assert not np.array_equal(first, second)
 
     def test_vacuum_variances(self):
-        batch = sample_outcomes(product_vacuum(["A", "B"]), 100000, seed=3)
-        for column in range(2):
-            values = batch.outcomes[:, column]
+        design = revealed_design(product_vacuum(["A", "B"]), {"A": "x", "B": "p"},
+                                 400000, seed=3)
+        for column in (1, 2):
+            values = design[:, column]
             sample_variance = values.var(ddof=1)
             standard_error = 0.5 * math.sqrt(2.0 / (len(values) - 1))
             assert abs(sample_variance - 0.5) < 3.0 * standard_error
 
     def test_tmsv_cross_covariance(self):
         r = 0.8
-        batch = sample_outcomes(two_mode_squeezed(r), 200000, seed=4)
-        both_x = batch.x_chosen[:, 0] & batch.x_chosen[:, 1]
-        xa = batch.outcomes[both_x, 0]
-        xb = batch.outcomes[both_x, 1]
+        design = revealed_design(two_mode_squeezed(r), {"A": "x", "B": "x"}, 200000, seed=4)
+        xa, xb = design[:, 1], design[:, 2]
         empirical = np.cov(xa, xb)[0, 1]
         expected = 0.5 * math.sinh(2 * r)
         var = 0.5 * math.cosh(2 * r)
@@ -81,32 +81,25 @@ class TestSampling:
         assert abs(empirical - expected) < 3.0 * standard_error
 
     def test_unphysical_state_rejected(self):
-        bogus = GaussianState(np.zeros(2), 0.25 * np.eye(2), ("A",))
+        state, layout = build_three_mode_chain(1.0, 1.0)
+        bogus = GaussianState(state.mean, 0.25 * np.eye(6), state.labels)
         with pytest.raises(UnphysicalStateError):
-            sample_outcomes(bogus, 100)
+            run_protocol(bogus, layout, enumerate_structures(2, 2), rounds=100)
 
     def test_argument_validation(self):
-        state = product_vacuum(["A"])
+        state, layout = build_three_mode_chain(1.0, 1.0)
+        scheme = enumerate_structures(2, 2)
         with pytest.raises(ValueError):
-            sample_outcomes(state, 0)
+            run_protocol(state, layout, scheme, rounds=0)
         with pytest.raises(ValueError):
-            sample_outcomes(state, 10, basis_probability=1.0)
-
-    def test_basis_pattern_counts_are_multinomial(self):
-        # chi-square sanity on the 2^3 pattern counts at p(x) = 1/2
-        state, _ = build_three_mode_chain(0.5, 1.0)
-        batch = sample_outcomes(state, 80000, seed=5)
-        weights = 1 << np.arange(3)
-        ids = (~batch.x_chosen) @ weights
-        counts = np.bincount(ids, minlength=8)
-        result = stats.chisquare(counts)
-        assert result.pvalue > 0.001
+            run_protocol(state, layout, scheme, rounds=10, basis_probability=1.0)
 
 
 class TestEmpiricalConditioning:
     def test_product_state_shows_no_correlation(self):
-        batch = sample_outcomes(product_vacuum(["A", "B", "C"]), 200000, seed=6)
-        fit = empirical_conditional_variance(batch, "A", "x", ["B", "C"])
+        design = revealed_design(product_vacuum(["A", "B", "C"]),
+                                 {"A": "x", "B": "x", "C": "x"}, 200000, seed=6)
+        fit = fit_design(design, "x", ["B", "C"])
         assert fit.variance == pytest.approx(0.5, rel=0.02)
         for player, gain in fit.gains.gains.items():
             assert abs(gain) < 3.0 * fit.gain_standard_errors[player]
@@ -114,10 +107,9 @@ class TestEmpiricalConditioning:
     def test_chain_oracle_agreement_and_gain_errors(self):
         r, transmissivity = 1.0, 0.9
         state, layout = build_three_mode_chain(r, transmissivity)
-        batch = sample_outcomes(state, 1000000, seed=7)
-        estimators = {p: layout.announced_coordinate(p, "x")[1]
-                      for p in layout.player_modes}
-        fit = empirical_conditional_variance(batch, "A", "x", estimators)
+        report = run_protocol(state, layout, enumerate_structures(2, 2),
+                              rounds=1000000, seed=7, reveal_fraction=1.0)
+        fit = report.inference_x
         expected = chain_expected_variances(r, transmissivity)["v_x_given_all"]
         assert abs(fit.variance - expected) / expected < 0.01
 
@@ -126,30 +118,19 @@ class TestEmpiricalConditioning:
             assert (abs(fit.gains.gains[player] - analytic_gains[player])
                     < 3.0 * fit.gain_standard_errors[player])
 
-    def test_mapping_and_sequence_estimators_agree_for_same_basis(self):
-        batch = sample_outcomes(two_mode_squeezed(0.5), 50000, seed=8)
-        via_list = empirical_conditional_variance(batch, "A", "x", ["B"])
-        via_map = empirical_conditional_variance(batch, "A", "x", {"B": "x"})
-        assert via_list.variance == via_map.variance
-
     def test_undersampled_error_carries_the_count(self):
-        state, _ = build_three_mode_chain(0.5, 1.0)
-        batch = sample_outcomes(state, 400, seed=9)
+        state, layout = build_three_mode_chain(0.5, 1.0)
         with pytest.raises(UndersampledError) as excinfo:
-            empirical_conditional_variance(batch, "A", "x", {"B": "p", "C": "x"})
+            run_protocol(state, layout, enumerate_structures(2, 2), rounds=400,
+                         seed=9, reveal_fraction=1.0)
         assert excinfo.value.available < 100
         assert excinfo.value.required == 100
         assert excinfo.value.rounds_needed == 800  # 100 / (1/2)^3
 
     def test_standard_errors_are_positive(self):
-        batch = sample_outcomes(two_mode_squeezed(0.5), 20000, seed=10)
-        fit = empirical_conditional_variance(batch, "A", "x", ["B"])
-        assert fit.standard_error > 0.0
-
-    def test_target_cannot_estimate_itself(self):
-        batch = sample_outcomes(two_mode_squeezed(0.5), 1000, seed=11)
-        with pytest.raises(ValueError):
-            empirical_conditional_variance(batch, "A", "x", ["A", "B"])
+        design = revealed_design(two_mode_squeezed(0.5), {"A": "x", "B": "x"},
+                                 20000, seed=10)
+        assert fit_design(design, "x", ["B"]).standard_error > 0.0
 
 
 class TestRunProtocol:
@@ -354,17 +335,12 @@ class TestRegressionKernel:
                               rounds=rounds, seed=seed)
         patterns = [announced_pattern(layout, "x"), announced_pattern(layout, "p")]
         _, designs = simulation._revealed_designs(state, patterns, rounds, 0.5, 0.5, seed)
-        dealer, everyone = layout.dealer_mode, layout.player_modes
+        everyone = layout.player_modes
 
         def check(basis, fits):
-            pattern, design = (patterns[basis == "p"], designs[basis == "p"])
-            batch = SampleBatch(
-                tuple(pattern), np.tile([b == "x" for b in pattern.values()],
-                                        (len(design), 1)),
-                design[:, 1:], seed, 0.5)
+            design = designs[basis == "p"]
             for estimators, fit in fits:
-                reference = regression_loop(batch, dealer, basis,
-                                            {p: pattern[p] for p in estimators})
+                reference = regression_loop(design, everyone, estimators)
                 self.assert_matches(fit, reference, np.mean(design[:, 1] ** 2))
 
         check("x", [(everyone, report.inference_x)]
@@ -372,11 +348,3 @@ class TestRegressionKernel:
         check("p", [(everyone, report.inference_p)]
               + [([p for p in everyone if p not in colluders], fit)
                  for colluders, fit in report.adversarial_variance.items()])
-
-    def test_one_structure_call_matches_the_reference_loop(self):
-        state, _ = build_three_mode_chain(1.0, 0.9)
-        batch = sample_outcomes(state, 100000, seed=43)
-        for estimators in ({"B": "p", "C": "x"}, {"C": "p"}, {"B": "x"}):
-            fit = empirical_conditional_variance(batch, "A", "x", estimators)
-            reference = regression_loop(batch, "A", "x", estimators)
-            self.assert_matches(fit, reference, np.mean(batch.outcomes[:, 0] ** 2))
