@@ -152,11 +152,12 @@ def _apply_config(argv: list) -> list:
     return [argv[0]] + _load_config(path) + argv[1:]
 
 
-def _build_state(args):
+def _build_state(args, r, transmissivity: float):
+    """The resource of ``args``' scheme flags at squeezing ``r`` (a float or an array)."""
     topology = TOPOLOGIES[args.topology](args.n)
-    spec = ChannelSpec(args.transmissivity, args.excess_noise)
+    spec = ChannelSpec(transmissivity, args.excess_noise)
     labels = [f"B{i}" for i in range(1, args.n + 1)]
-    return build_kn_state(args.n, args.r, {lab: spec for lab in labels}, topology,
+    return build_kn_state(args.n, r, {lab: spec for lab in labels}, topology,
                           cz_weight=args.cz_weight)
 
 
@@ -192,9 +193,7 @@ def _json_key(key):
 
 def _sweep_rows(args, scheme, r: np.ndarray, transmissivity: float) -> list:
     """The sweep rows of one curve's points ``r``: one stacked state, one key_rates call."""
-    state, layout = _build_state(argparse.Namespace(
-        r=r, transmissivity=transmissivity, excess_noise=args.excess_noise,
-        cz_weight=args.cz_weight, n=args.n, topology=args.topology))
+    state, layout = _build_state(args, r, transmissivity)
     rates = key_rates(state, layout, scheme)
     v_x, v_p = rates.everyone_x[0][:, 0], rates.everyone_p[0][:, 0]
     columns = (r, np.full(len(r), transmissivity), rates.eavesdropping.rate,
@@ -234,7 +233,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_threshold(args) -> int:
     scheme = enumerate_structures(args.n, args.k)
-    state, layout = _build_state(args)
+    state, layout = _build_state(args, args.r, args.transmissivity)
     report = keyrate_qss(state, layout, scheme)
 
     if args.format == "json":
@@ -272,7 +271,7 @@ def _group(players) -> str:
 
 def cmd_simulate(args) -> int:
     scheme = enumerate_structures(args.n, args.k)
-    state, layout = _build_state(args)
+    state, layout = _build_state(args, args.r, args.transmissivity)
     report = run_protocol(state, layout, scheme, rounds=args.rounds,
                           reveal_fraction=args.reveal_fraction, seed=args.seed,
                           basis_probability=args.basis_probability)
@@ -334,7 +333,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    state, layout = _build_state(args)
+    state, layout = _build_state(args, args.r, args.transmissivity)
     diagnostics = validate(state)
     if args.format == "json":
         text = json.dumps(_jsonable(diagnostics), indent=2) + "\n"

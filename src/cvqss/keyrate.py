@@ -30,12 +30,15 @@ rates, for the empirical ones of :func:`~cvqss.simulation.run_protocol` too.
 For (2, 2) the combination reduces exactly to the minimum of the two
 single-dishonest-player bounds, which is asserted in the test suite.
 
+A :class:`ThresholdScheme` is its (k, n): it derives every structure, and
+it is the one place an unsupported (k, n) is refused.
+
 All joint variables are resolved through the :class:`~cvqss.states.PartyLayout`
 announcement map, and the dealer's quadratures are always literal.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple
 
@@ -68,30 +71,15 @@ def _complements(rows: np.ndarray, n: int) -> np.ndarray:
     return np.nonzero(is_outside)[1].reshape(len(rows), -1)
 
 
-def _structure_rows(structures: tuple, size: int, n: int, kind: str) -> np.ndarray:
-    """The C(n, size) structures as rows of ``size`` increasing indices in 1..n."""
-    count = math.comb(n, size)
-    if len(structures) != count:
-        raise ValueError(f"expected {count} {kind} structures")
-    if set(map(len, structures)) != {size}:
-        raise ValueError(f"every {kind} structure must list {size} players")
-    rows = np.array(structures)
-    if rows.size and rows.dtype.kind not in "iu":
-        raise ValueError(f"{kind} structures must list integer player indices")
-    bad = ((rows < 1) | (rows > n)).any(axis=1) | (np.diff(rows, axis=1) <= 0).any(axis=1)
-    if bad.any():
-        raise ValueError(f"structure {structures[bad.argmax()]} is not over indices "
-                         f"1..{n} in strictly increasing order")
-    return rows.astype(int)  # an empty structure's array is float
-
-
 @dataclass(frozen=True)
 class ThresholdScheme:
-    """A (k, n)-threshold scheme with its derived structures.
+    """A (k, n)-threshold scheme; its structures are derived from (k, n).
 
     ``access_structures`` holds every k-subset of the player indices 1..n
-    (groups entitled to decode); ``adversarial_structures`` every
-    (k-1)-subset (groups treated as colluding eavesdroppers).
+    (groups entitled to decode), ``adversarial_structures`` every
+    (k-1)-subset (groups treated as colluding eavesdroppers), both in
+    lexicographic order. A (k, n) the library cannot evaluate is refused
+    before any subset is built.
 
     ``_player_rows`` (not a field: unseen by equality, repr and JSON) holds
     (access, colluding, honest) arrays of 0-based positions: row s lists the
@@ -100,17 +88,32 @@ class ThresholdScheme:
 
     k: int
     n: int
-    access_structures: tuple
-    adversarial_structures: tuple
+    access_structures: tuple = field(init=False)
+    adversarial_structures: tuple = field(init=False)
 
     def __post_init__(self):
-        if not 1 <= self.k <= self.n:
-            raise ValueError(f"need 1 <= k <= n, got (k, n) = ({self.k}, {self.n})")
-        access = tuple(map(tuple, self.access_structures))
-        adversarial = tuple(map(tuple, self.adversarial_structures))
-        access_rows = _structure_rows(access, self.k, self.n, "access") - 1
-        colluding = _structure_rows(adversarial, self.k - 1, self.n, "adversarial") - 1
-        rows = (access_rows, colluding, _complements(colluding, self.n))
+        k, n = self.k, self.n
+        if k > n:
+            raise ValueError(f"threshold k = {k} exceeds the number of players n = {n}")
+        if k < 1:
+            raise ValueError(f"threshold k must be >= 1, got {k}")
+        if k == n == 1:
+            raise ValueError("(1, 1) is not a sharing scheme: one player holding "
+                             "everything needs no threshold")
+        if n > MAX_PLAYERS:
+            raise ValueError(
+                f"n = {n} players exceeds the supported maximum of {MAX_PLAYERS}; "
+                f"the structure count C(n, k) is beyond desk scale")
+        count = math.comb(n, k) + math.comb(n, k - 1)
+        if count > MAX_STRUCTURES:
+            raise ValueError(
+                f"(k, n) = ({k}, {n}) has {count} access and adversarial structures, "
+                f"over the budget of {MAX_STRUCTURES}")
+        players = range(1, n + 1)
+        access = tuple(combinations(players, k))
+        adversarial = tuple(combinations(players, k - 1))
+        colluding = np.array(adversarial, dtype=int) - 1
+        rows = (np.array(access, dtype=int) - 1, colluding, _complements(colluding, n))
         for array in rows:
             array.setflags(write=False)
         object.__setattr__(self, "access_structures", access)
@@ -119,30 +122,8 @@ class ThresholdScheme:
 
 
 def enumerate_structures(n: int, k: int) -> ThresholdScheme:
-    """All access and adversarial structures of a (k, n) scheme.
-
-    Subsets are enumerated in lexicographic order over player indices 1..n.
-    """
-    if k > n:
-        raise ValueError(f"threshold k = {k} exceeds the number of players n = {n}")
-    if k < 1:
-        raise ValueError(f"threshold k must be >= 1, got {k}")
-    if n > MAX_PLAYERS:
-        raise ValueError(
-            f"n = {n} players exceeds the supported maximum of {MAX_PLAYERS}; "
-            f"the structure count C(n, k) is beyond desk scale")
-    count = math.comb(n, k) + math.comb(n, k - 1)
-    if count > MAX_STRUCTURES:
-        raise ValueError(
-            f"(k, n) = ({k}, {n}) has {count} access and adversarial structures, "
-            f"over the budget of {MAX_STRUCTURES}")
-    players = range(1, n + 1)
-    return ThresholdScheme(
-        k=k,
-        n=n,
-        access_structures=tuple(combinations(players, k)),
-        adversarial_structures=tuple(combinations(players, k - 1)),
-    )
+    """``ThresholdScheme(k, n)``: its structures in lexicographic order over 1..n."""
+    return ThresholdScheme(k, n)
 
 
 @dataclass(frozen=True)
@@ -285,9 +266,6 @@ def key_rates(state: GaussianState, layout: PartyLayout, scheme: ThresholdScheme
     if scheme.n != layout.num_players:
         raise ValueError(f"scheme expects {scheme.n} players but the layout has "
                          f"{layout.num_players}")
-    if scheme.k == 1 and scheme.n == 1:
-        raise ValueError("(1, 1) is not a sharing scheme: one player holding "
-                         "everything needs no threshold")
     access, _, honest = scheme._player_rows
     access_side = _infer(state, layout, "x", access)
     adversarial_side = _infer(state, layout, "p", honest)
@@ -297,9 +275,10 @@ def key_rates(state: GaussianState, layout: PartyLayout, scheme: ThresholdScheme
                     eavesdropping)
 
 
-def _player_labels(layout: PartyLayout, rows: np.ndarray) -> list:
-    """The tuple of player labels of each row of 0-based player positions."""
-    return [tuple(map(layout.player_modes.__getitem__, row)) for row in rows.tolist()]
+def _structure_labels(layout: PartyLayout, scheme: ThresholdScheme) -> tuple:
+    """The player-label tuples of every access structure, collusion and its honest side."""
+    return tuple([tuple(map(layout.player_modes.__getitem__, row)) for row in rows.tolist()]
+                 for rows in scheme._player_rows)
 
 
 def keyrate_eavesdropping(state: GaussianState, layout: PartyLayout,
@@ -377,9 +356,7 @@ def keyrate_qss(state: GaussianState, layout: PartyLayout, scheme: ThresholdSche
     adversarial_v, adversarial_g, dealer_p = rates.adversarial
     bound = rates.combined
 
-    access, colluding, honest = scheme._player_rows
-    access_labels = _player_labels(layout, access)
-    adversarial_labels = _player_labels(layout, colluding)
+    access_labels, adversarial_labels, honest_labels = _structure_labels(layout, scheme)
     # Player j alone dishonest: the all-player x side against one p side per player,
     # which for k = 2 are the adversarial structures' honest sides already.
     single = adversarial_v if scheme.k == 2 else _infer(
@@ -402,7 +379,7 @@ def keyrate_qss(state: GaussianState, layout: PartyLayout, scheme: ThresholdSche
         adversarial_gains={
             colluders: JointVariable("p", dict(zip(honest_players, gains)))
             for colluders, honest_players, gains in zip(
-                adversarial_labels, _player_labels(layout, honest), adversarial_g)},
+                adversarial_labels, honest_labels, adversarial_g)},
         binding_access=access_labels[bound.binding_access],
         binding_adversarial=adversarial_labels[bound.binding_adversarial],
         dealer_x_variance=dealer_x,

@@ -37,7 +37,7 @@ import numpy as np
 
 from .estimation import JointVariable
 from .gaussian import GaussianState, Quadrature, UnphysicalStateError, validate
-from .keyrate import KeyRateReport, ThresholdScheme, _player_labels, combine, keyrate_qss
+from .keyrate import KeyRateReport, ThresholdScheme, _structure_labels, combine, keyrate_qss
 from .states import PartyLayout
 
 #: Eigenvalues of a covariance matrix in [-this, 0) are treated as rounding
@@ -49,6 +49,9 @@ MIN_SIFTED_ROUNDS = 100
 
 #: Groups of the delete-one-group jackknife on a residual variance.
 JACKKNIFE_GROUPS = 50
+
+#: Most cells (revealed rows x columns) of one pattern's design, each 8 bytes.
+MAX_DESIGN_CELLS = 5 * 10**7
 
 
 class UndersampledError(RuntimeError):
@@ -71,11 +74,6 @@ def _pattern_probability(required: Mapping, basis_probability: float) -> float:
     """Chance that every listed party measures its required basis in a round."""
     xs = sum(basis == "x" for basis in required.values())
     return basis_probability ** xs * (1.0 - basis_probability) ** (len(required) - xs)
-
-
-def _rounds_needed(probability: float) -> int:
-    """Rounds whose expected count at ``probability`` a round is the minimum."""
-    return math.ceil(MIN_SIFTED_ROUNDS / probability)
 
 
 def _check_sampling(state: GaussianState, rounds: int, basis_probability: float) -> None:
@@ -188,10 +186,6 @@ def _required_bases(layout: PartyLayout, dealer_basis: Quadrature) -> dict:
     return required
 
 
-def _pattern_string(labels: Sequence, required: Mapping) -> str:
-    return "".join(required[label] for label in labels)
-
-
 def _revealed_designs(state: GaussianState, patterns: Sequence, rounds: int,
                       reveal_fraction: float, basis_probability: float,
                       seed: int) -> tuple:
@@ -202,7 +196,8 @@ def _revealed_designs(state: GaussianState, patterns: Sequence, rounds: int,
     rounds on the first pattern, the second and any other; ``designs[i]``
     has a row (1, outcome of party 1, ...) per revealed round of pattern i,
     parties in the map's order. Raises UndersampledError before any
-    Gaussian draw when a pattern reveals fewer than MIN_SIFTED_ROUNDS.
+    Gaussian draw when a pattern reveals fewer than MIN_SIFTED_ROUNDS, and
+    ValueError when its design would exceed MAX_DESIGN_CELLS.
     """
     probabilities = [_pattern_probability(required, basis_probability)
                      for required in patterns]
@@ -211,8 +206,13 @@ def _revealed_designs(state: GaussianState, patterns: Sequence, rounds: int,
         rounds, probabilities + [max(0.0, 1.0 - sum(probabilities))]).tolist()
     revealed = [int(round(reveal_fraction * count)) for count in counts[:2]]
     if min(revealed) < MIN_SIFTED_ROUNDS:
-        raise UndersampledError(
-            min(revealed), _rounds_needed(reveal_fraction * min(probabilities)))
+        raise UndersampledError(min(revealed), math.ceil(
+            MIN_SIFTED_ROUNDS / (reveal_fraction * min(probabilities))))
+    for required, count in zip(patterns, revealed):
+        if count * (1 + len(required)) > MAX_DESIGN_CELLS:
+            raise ValueError(
+                f"{rounds} rounds reveal {count} rows of {1 + len(required)} columns on "
+                f"one pattern, over the budget of {MAX_DESIGN_CELLS} design cells")
 
     designs = []
     for required, count in zip(patterns, revealed):
@@ -253,8 +253,8 @@ def run_protocol(
 
     key_required = _required_bases(layout, "x")
     check_required = _required_bases(layout, "p")
-    key_pattern = _pattern_string(state.labels, key_required)
-    check_pattern = _pattern_string(state.labels, check_required)
+    key_pattern = "".join(key_required[label] for label in state.labels)
+    check_pattern = "".join(check_required[label] for label in state.labels)
     (key_count, check_count, other), (key_design, check_design) = _revealed_designs(
         state, (key_required, check_required), rounds, reveal_fraction,
         basis_probability, seed)
@@ -267,13 +267,11 @@ def run_protocol(
     inference_p = _fit(*check_grams, "p", column)
     dealer_x_var = float(np.var(key_design[:, 1], ddof=1))
 
-    access, colluding, honest = scheme._player_rows
-    access_labels = _player_labels(layout, access)
-    adversarial_labels = _player_labels(layout, colluding)
+    access_labels, adversarial_labels, honest_labels = _structure_labels(layout, scheme)
     access_fits = [_fit(*key_grams, "x", {p: column[p] for p in group})
                    for group in access_labels]
     adversarial_fits = [_fit(*check_grams, "p", {p: column[p] for p in group})
-                        for group in _player_labels(layout, honest)]
+                        for group in honest_labels]
     bound = combine(dealer_x_var, [fit.variance for fit in access_fits],
                     [fit.variance for fit in adversarial_fits], beta)
 

@@ -2,11 +2,12 @@
 
 import hashlib
 import json
+import re
 import warnings
 
 import pytest
 
-from cvqss import UnphysicalStateError
+from cvqss import UnphysicalStateError, simulation
 from cvqss.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -105,6 +106,15 @@ class TestThreshold:
         code, _, _ = run(["threshold", "--n", "30", "--k", "2"], capsys)
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("n, k, message", [
+        ("1", "1", r"\(1, 1\) is not a sharing scheme"),
+        ("2", "3", "exceeds the number of players"),
+    ])
+    def test_unsupported_scheme_is_config_error(self, n, k, message, capsys):
+        code, _, err = run(["threshold", "--n", n, "--k", k], capsys)
+        assert code == EXIT_CONFIG
+        assert re.search(message, err)
+
     def test_quiet_only_prints_the_verdict(self, capsys):
         code, out, _ = run(["threshold", "--n", "2", "--k", "2", "--quiet"], capsys)
         assert code == EXIT_OK
@@ -193,6 +203,12 @@ class TestSimulate:
         code, _, err = run(["simulate", "--rounds", "200", "--seed", "1"], capsys)
         assert code == EXIT_CONFIG
         assert "sifted" in err
+
+    def test_design_budget_is_config_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(simulation, "MAX_DESIGN_CELLS", 1000)
+        code, _, err = run(["simulate", "--rounds", "10000"], capsys)
+        assert code == EXIT_CONFIG
+        assert "10000 rounds reveal" in err and "budget of 1000 design cells" in err
 
     def test_json_report(self, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -1,6 +1,7 @@
 """Secret-key-rate bounds and threshold-structure enumeration."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -83,28 +84,33 @@ class TestEnumeration:
                                              f"{keyrate_module.MAX_STRUCTURES}"):
             enumerate_structures(24, 12)
 
-    def test_scheme_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            ThresholdScheme(2, 2, ((1, 2),), ((1,),))  # missing (2,)
-        with pytest.raises(ValueError):
-            ThresholdScheme(2, 2, ((1, 3),), ((1,), (2,)))  # index out of range
+    def test_k_below_one_rejected(self):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            ThresholdScheme(0, 3)
 
-    @pytest.mark.parametrize("access, message", [
-        (((1, 1), (1, 2), (2, 3)), r"structure \(1, 1\) .*strictly increasing"),
-        (((2, 1), (1, 3), (2, 3)), r"structure \(2, 1\) .*strictly increasing"),
-        (((1, 2, 3), (1, 2), (2, 3)), "every access structure must list 2 players"),
-        (((1, 2), (1.5, 3), (2, 3)), "access structures must list integer player indices"),
-    ], ids=["repeated-player", "unordered", "wrong-size", "non-integer"])
-    def test_malformed_structure_rejected(self, access, message):
-        with pytest.raises(ValueError, match=message):
-            ThresholdScheme(2, 3, access, ((1,), (2,), (3,)))
-
-    def test_lists_are_stored_as_tuples(self):
-        scheme = ThresholdScheme(2, 2, [[1, 2]], [[1], [2]])
-        assert scheme == enumerate_structures(2, 2)
+    @pytest.mark.parametrize("k, n", [(k, n) for n in range(2, 8) for k in range(1, n + 1)])
+    def test_structures_are_derived_from_k_and_n(self, k, n):
+        scheme = ThresholdScheme(k, n)
+        players = range(1, n + 1)
+        assert scheme.access_structures == tuple(combinations(players, k))
+        assert scheme.adversarial_structures == tuple(combinations(players, k - 1))
         access, colluding, honest = scheme._player_rows
-        assert access.tolist() == [[0, 1]]
-        assert colluding.tolist() == [[0], [1]] and honest.tolist() == [[1], [0]]
+        assert access.tolist() == (np.array(scheme.access_structures) - 1).tolist()
+        assert [sorted(set(range(n)) - set(c)) for c in colluding.tolist()] == honest.tolist()
+        assert scheme == enumerate_structures(n, k)
+        with pytest.raises(TypeError):
+            ThresholdScheme(k, n, scheme.access_structures, scheme.adversarial_structures)
+
+    def test_structure_lists_are_not_accepted(self):
+        # This list repeats {B1, B2} and drops {B2, B3}; on this chain it read
+        # K = 0.662 with a positive verdict, where the full reduction has no key.
+        with pytest.raises(TypeError):
+            ThresholdScheme(2, 3, ((1, 2), (1, 2), (1, 3)), ((1,), (2,), (3,)))
+        state, layout = build_kn_state(3, 1.0, {f"B{i}": ChannelSpec(0.9) for i in (1, 2, 3)},
+                                       chain_topology(3))
+        report = keyrate_qss(state, layout, ThresholdScheme(2, 3))
+        assert report.combined_rate == pytest.approx(-1.348224570168, abs=1e-9)
+        assert not report.positive
 
 
 class TestEavesdroppingBound:

@@ -31,6 +31,23 @@ from helpers import (
 )
 
 
+@pytest.fixture
+def no_normals(monkeypatch):
+    """Every generator the library seeds fails on a Gaussian draw."""
+    real_rng = np.random.default_rng
+
+    class NoNormals:
+        def __init__(self, seed):
+            self._rng = real_rng(seed)
+
+        def __getattr__(self, name):
+            if name == "standard_normal":
+                raise AssertionError("drew Gaussian outcomes")
+            return getattr(self._rng, name)
+
+    monkeypatch.setattr(np.random, "default_rng", NoNormals)
+
+
 def star_state(n, r=1.15, transmissivity=0.95):
     spec = ChannelSpec(transmissivity, 0.0)
     return build_kn_state(n, r, {f"B{i}": spec for i in range(1, n + 1)},
@@ -281,19 +298,7 @@ class TestRevealedSampling:
             mean_sigma = np.sqrt(diag / count)
             assert np.all(np.abs(design[:, 1:].mean(axis=0)) < 5 * mean_sigma)
 
-    def test_twenty_player_undersampling_fails_before_any_normal(self, monkeypatch):
-        real_rng = np.random.default_rng
-
-        class NoNormals:
-            def __init__(self, seed):
-                self._rng = real_rng(seed)
-
-            def __getattr__(self, name):
-                if name == "standard_normal":
-                    raise AssertionError("drew Gaussian outcomes")
-                return getattr(self._rng, name)
-
-        monkeypatch.setattr(np.random, "default_rng", NoNormals)
+    def test_twenty_player_undersampling_fails_before_any_normal(self, no_normals):
         state, layout = star_state(20)
         scheme = enumerate_structures(20, 2)
         start = time.perf_counter()
@@ -303,6 +308,13 @@ class TestRevealedSampling:
         # Both patterns have p = 2^-21; half their rounds are revealed.
         assert excinfo.value.rounds_needed == 100 * 2**22
         assert str(excinfo.value.rounds_needed) in str(excinfo.value)
+
+    def test_design_budget_refuses_before_any_normal(self, no_normals, monkeypatch):
+        monkeypatch.setattr(simulation, "MAX_DESIGN_CELLS", 1000)
+        state, layout = build_three_mode_chain(0.5, 1.0)
+        with pytest.raises(ValueError, match=r"10000 rounds reveal \d+ rows of 4 "
+                                             "columns .*budget of 1000 design cells"):
+            run_protocol(state, layout, enumerate_structures(2, 2), rounds=10000)
 
 
 class TestRegressionKernel:
