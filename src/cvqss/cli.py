@@ -12,18 +12,21 @@ Common flags (given after the subcommand): ``--seed``, ``--output``,
 flat ``key=value`` text (keys are the long flag names); command-line flags
 override it. Exit codes: 0 success, 1 configuration error, 2 I/O error,
 3 unphysical-state error.
+
+Every JSON report is written by ``jsontext.json_text`` in one pass over the
+report, with the bytes ``json.dumps(..., indent=2)`` gives for it; the sweep
+writes its JSON, like its CSV, one piece per chunk of grid points.
 """
 
 import argparse
 import functools
-import json
 import sys
-from dataclasses import fields, is_dataclass
 
 import numpy as np
 
 from .estimation import SCHUR_BLOCK_ROWS
 from .gaussian import UnphysicalStateError, validate
+from .jsontext import json_text
 from .keyrate import enumerate_structures, key_rates, keyrate_eavesdropping, keyrate_qss
 from .simulation import UndersampledError, run_protocol
 from .states import ChannelSpec, build_kn_state, chain_topology, star_topology
@@ -37,6 +40,10 @@ SWEEP_HEADER = ("r,T,K_eve,K_qss,V_xa_given_xbar,V_pa_given_pbar,"
                 "V_pa_given_honest_max,E_ABC")
 
 TOPOLOGIES = {"chain": chain_topology, "star": star_topology}
+
+#: Most grid points (r steps x transmissivities) one sweep evaluates; the
+#: output, about 300 bytes of JSON a point, is held until it is written.
+MAX_SWEEP_POINTS = 10**6
 
 
 def _fmt(value: float) -> str:
@@ -171,26 +178,6 @@ def _write_text(path, pieces: list, quiet: bool) -> None:
             print(f"wrote {path}", file=sys.stderr)
 
 
-def _jsonable(value):
-    if is_dataclass(value) and not isinstance(value, type):
-        return {f.name: _jsonable(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, dict):
-        return {_json_key(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer, np.bool_)):
-        return value.item()
-    return value
-
-
-def _json_key(key):
-    if isinstance(key, tuple):
-        return "+".join(str(k) for k in key) or "(none)"
-    return str(key)
-
-
 def _sweep_rows(args, scheme, r: np.ndarray, transmissivity: float) -> list:
     """The sweep rows of one curve's points ``r``: one stacked state, one key_rates call."""
     state, layout = _build_state(args, r, transmissivity)
@@ -209,6 +196,9 @@ def cmd_sweep(args) -> int:
         raise ValueError("need at least one transmissivity")
     if any(not 0.0 <= t <= 1.0 for t in transmissivities):
         raise ValueError("transmissivities must lie in [0, 1]")
+    if args.r_steps * len(transmissivities) > MAX_SWEEP_POINTS:
+        raise ValueError(f"{args.r_steps} r steps x {len(transmissivities)} transmissivities "
+                         f"exceed the budget of {MAX_SWEEP_POINTS} grid points")
     scheme = enumerate_structures(args.n, args.k)
     grid = np.linspace(args.r_min, args.r_max, args.r_steps)
 
@@ -221,9 +211,13 @@ def cmd_sweep(args) -> int:
               for transmissivity in transmissivities
               for start in range(0, len(grid), points))
     if args.format == "json":
+        # The text of {"rows": [...]}, written as json.dumps(..., indent=2) would.
         keys = SWEEP_HEADER.split(",")
-        payload = {"rows": [dict(zip(keys, row)) for rows in chunks for row in rows]}
-        pieces = [json.dumps(payload, indent=2) + "\n"]
+        pieces = ['{\n  "rows": [\n    ']
+        for rows in chunks:
+            pieces += (",\n    ".join(json_text(dict(zip(keys, row)), "\n    ")
+                                     for row in rows), ",\n    ")
+        pieces[-1] = "\n  ]\n}\n"
     else:
         pieces = [SWEEP_HEADER + "\n"] + [
             "".join(",".join(map(_fmt, row)) + "\n" for row in rows) for rows in chunks]
@@ -237,8 +231,7 @@ def cmd_threshold(args) -> int:
     report = keyrate_qss(state, layout, scheme)
 
     if args.format == "json":
-        text = json.dumps(_jsonable(report), indent=2) + "\n"
-        _write_text(args.output, [text], args.quiet)
+        _write_text(args.output, [json_text(report), "\n"], args.quiet)
         return EXIT_OK
 
     lines = []
@@ -314,7 +307,7 @@ def cmd_simulate(args) -> int:
 
     if args.output is not None:
         if args.format == "json":
-            text = json.dumps(_jsonable(report), indent=2) + "\n"
+            text = json_text(report) + "\n"
         else:
             out = ["quantity,structure,value,standard_error"]
             for name, count in report.sifted_counts.items():
@@ -336,7 +329,7 @@ def cmd_validate(args) -> int:
     state, layout = _build_state(args, args.r, args.transmissivity)
     diagnostics = validate(state)
     if args.format == "json":
-        text = json.dumps(_jsonable(diagnostics), indent=2) + "\n"
+        text = json_text(diagnostics) + "\n"
     else:
         lines = [
             f"modes: {','.join(str(lab) for lab in state.labels)}",

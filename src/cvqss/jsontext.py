@@ -1,0 +1,107 @@
+"""Reports as indented JSON text, written in one pass.
+
+``json_text`` gives the bytes ``json.dumps(..., indent=2)`` gives for a
+report once its dataclasses, numpy values and tuple keys are converted to
+plain JSON values, without building that converted copy and without the
+pure-Python encoder that ``indent`` selects. Every JSON output of the
+command line goes through it.
+"""
+
+from dataclasses import fields, is_dataclass
+from json.encoder import encode_basestring_ascii
+
+import numpy as np
+
+#: The ``float.__repr__`` texts that JSON spells as ``json`` does.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_FLOATS = {float, np.float64}
+
+
+def json_text(value, pad: str = "\n") -> str:
+    """``value`` as two-space indented JSON, the bytes of ``json.dumps(..., indent=2)``.
+
+    Before encoding, a dataclass becomes an object of its fields, numpy
+    scalars and arrays become Python numbers and lists, tuples become arrays,
+    and a dict key becomes ``str(key)``, or for a tuple its items joined by
+    "+" ("(none)" if empty); keys that then coincide keep the last value.
+    ``pad`` is a newline and the indentation of the line ``value`` starts on.
+    An unsupported type raises the ``TypeError`` that ``json.dumps`` raises.
+    """
+    encoders = {}  # type -> the encoder of its values
+    tuple_keys = {}  # id -> (tuple key, its text): the report's maps share their keys
+
+    def text(value, pad):
+        encode = encoders.get(type(value))
+        if encode is None:
+            encode = encoders[type(value)] = encoder(type(value))
+        return encode(value, pad)
+
+    def texts(values, pad):
+        kinds = set(map(type, values))
+        if kinds <= _FLOATS:
+            out = list(map(float.__repr__, values))
+            if _NON_FINITE.keys().isdisjoint(out):
+                return out
+            return [_NON_FINITE.get(spelled, spelled) for spelled in out]
+        if kinds == {int}:
+            return list(map(int.__repr__, values))
+        return [text(item, pad) for item in values]
+
+    def key_text(key):
+        if not isinstance(key, tuple):
+            return encode_basestring_ascii(str(key))
+        seen = tuple_keys.get(id(key))
+        if seen is None or seen[0] is not key:
+            seen = tuple_keys[id(key)] = (
+                key, encode_basestring_ascii("+".join(map(str, key)) or "(none)"))
+        return seen[1]
+
+    def pairs(keys, values, pad):
+        if not values:
+            return "{}"
+        inner = pad + "  "
+        return ("{" + inner + ("," + inner).join(map("{}: {}".format, keys, texts(values, inner)))
+                + pad + "}")
+
+    def mapping(value, pad):
+        if set(map(type, value)) == {str}:  # distinct already, and each its own str()
+            return pairs(map(encode_basestring_ascii, value), list(value.values()), pad)
+        merged = dict(zip(map(key_text, value), value.values()))
+        return pairs(merged, list(merged.values()), pad)
+
+    def array(value, pad):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join(texts(value, inner)) + pad + "]"
+
+    def encoder(kind):
+        # In the order the conversion, then json.dumps, test a value's type.
+        if is_dataclass(kind):
+            names = [f.name for f in fields(kind)]
+            keys = list(map(encode_basestring_ascii, names))
+            return lambda value, pad: pairs(keys, [getattr(value, name) for name in names], pad)
+        if issubclass(kind, dict):
+            return mapping
+        if issubclass(kind, (list, tuple)):
+            return array
+        if issubclass(kind, np.ndarray):
+            return lambda value, pad: text(value.tolist(), pad)
+        if issubclass(kind, (np.floating, np.integer, np.bool_)):
+            return lambda value, pad: text(value.item(), pad)
+        if issubclass(kind, str):
+            return lambda value, pad: encode_basestring_ascii(value)
+        if kind is type(None):
+            return lambda value, pad: "null"
+        if kind is bool:
+            return lambda value, pad: "true" if value else "false"
+        if issubclass(kind, int):
+            return lambda value, pad: int.__repr__(value)
+        if issubclass(kind, float):
+            return lambda value, pad: texts([value], pad)[0]
+
+        def unsupported(value, pad):
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        return unsupported
+
+    return text(value, pad)

@@ -277,8 +277,8 @@ def key_rates(state: GaussianState, layout: PartyLayout, scheme: ThresholdScheme
 
 def _structure_labels(layout: PartyLayout, scheme: ThresholdScheme) -> tuple:
     """The player-label tuples of every access structure, collusion and its honest side."""
-    return tuple([tuple(map(layout.player_modes.__getitem__, row)) for row in rows.tolist()]
-                 for rows in scheme._player_rows)
+    modes = np.array(layout.player_modes, dtype=object)
+    return tuple(list(map(tuple, modes[rows].tolist())) for rows in scheme._player_rows)
 
 
 def keyrate_eavesdropping(state: GaussianState, layout: PartyLayout,

@@ -4,9 +4,12 @@ The oracles and loop references are derived by hand from 2x2/4x4 moment
 propagation so the tests never trust the code path they are checking.
 ``revealed_design`` and ``fit_design`` are the exception: they run
 ``run_protocol``'s own sampler and fit, which the oracles then check.
+``jsonable`` is the conversion ``cvqss.jsontext.json_text`` must reproduce,
+as ``json.dumps(jsonable(value), indent=2)``.
 """
 
 import math
+from dataclasses import fields, is_dataclass
 from itertools import combinations
 
 import numpy as np
@@ -251,3 +254,31 @@ def sweep_loop(n, k, topology, grid, transmissivities, excess_noise=0.0, cz_weig
             rows.append((r, transmissivity, k_eve, k_qss, v_x, v_p,
                          float(honest.max()), v_x * v_p))
     return rows
+
+
+def jsonable(value):
+    """``value`` as plain JSON-ready Python: the reference for ``cvqss.jsontext.json_text``.
+
+    A copy of the tree: dataclasses become dicts of their fields, dict keys
+    become strings (:func:`json_key`), tuples become lists, numpy arrays and
+    scalars become Python lists and numbers; anything else is left for
+    ``json.dumps`` to encode or refuse.
+    """
+    if is_dataclass(value) and not isinstance(value, type):
+        return {f.name: jsonable(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {json_key(k): jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (np.floating, np.integer, np.bool_)):
+        return value.item()
+    return value
+
+
+def json_key(key):
+    """A report key as a JSON object key: a tuple's items joined by "+", "(none)" if empty."""
+    if isinstance(key, tuple):
+        return "+".join(str(k) for k in key) or "(none)"
+    return str(key)

@@ -7,7 +7,7 @@ import warnings
 
 import pytest
 
-from cvqss import UnphysicalStateError, simulation
+from cvqss import UnphysicalStateError, cli, simulation
 from cvqss.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -72,6 +72,18 @@ class TestSweep:
     def test_unknown_flag_is_config_error(self, capsys):
         code, _, _ = run(["sweep", "--does-not-exist", "1"], capsys)
         assert code == EXIT_CONFIG
+
+    def test_grid_budget_is_config_error(self, capsys, monkeypatch):
+        # 10^9 points would ask numpy for a 7.45 GiB grid.
+        code, out, err = run(["sweep", "--r-steps", "1000000000"], capsys)
+        assert code == EXIT_CONFIG and out == ""
+        assert "budget of 1000000 grid points" in err
+        monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", 100)
+        code, out, err = run(["sweep", "--r-steps", "26"], capsys)
+        assert code == EXIT_CONFIG and out == ""
+        assert err == ("cvqss: 26 r steps x 4 transmissivities exceed the budget "
+                       "of 100 grid points\n")
+        assert run(["sweep", "--r-steps", "25"], capsys)[0] == EXIT_OK
 
 
 class TestThreshold:
@@ -139,6 +151,34 @@ class TestThresholdBytes:
     ])
     def test_output_digest(self, capsys, extra, digest):
         code, out, _ = run(self.ARGV + extra, capsys)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestJsonBytes:
+    """JSON reports of every command that writes one, byte for byte.
+
+    Recorded from ``json.dumps(..., indent=2)`` output, so they pin the
+    report writer to the standard library's bytes: a (6, 12) star breakdown
+    (924 + 792 structures), the default sweep, a (4, 8) star sweep whose
+    curves span two chunks, and the default state diagnostics. Like
+    ``TestThresholdBytes`` they hold for numpy 2.4 with OpenBLAS on x86-64.
+    """
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["threshold", "--n", "12", "--k", "6", "--topology", "star", "--r", "1.0",
+          "-T", "0.9"],
+         "4877e95fb43ea51596a27dae8f4364f5a6edd0d033089413beaaeee7026411f0"),
+        (["validate"],
+         "7fad8bb821d84a149b953ef591d892d1d9e7f3ff60aa38d240aee751979089fb"),
+        (["sweep"],
+         "e262e1466ff3f0d4cd056d67116f226b37a99292e380abfd4b4ad45c66a104c8"),
+        (["sweep", "--n", "8", "--k", "4", "--topology", "star", "--r-min", "0.4",
+          "--r-max", "1.2", "--r-steps", "4", "--transmissivities", "1,0.5"],
+         "f148cc9e9a50d4d5817774d6cd27d1bd2989e0c17beb1e79e501e40fc4cfab8c"),
+    ], ids=["threshold-star-6-12", "validate", "sweep", "sweep-star-4-8"])
+    def test_output_digest(self, capsys, argv, digest):
+        code, out, _ = run(argv + ["--format", "json"], capsys)
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

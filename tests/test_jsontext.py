@@ -1,0 +1,65 @@
+"""The JSON writer against ``json.dumps`` of the reference conversion."""
+
+import json
+import re
+from dataclasses import dataclass
+
+import numpy as np
+import pytest
+from hypothesis import example, given, seed, settings, strategies as st
+
+from cvqss.jsontext import json_text
+
+from helpers import jsonable
+
+
+@dataclass
+class _Record:
+    name: str
+    value: object
+
+
+def _array(values, columns):
+    """A 1-D array of ``values``, or 2-D with ``columns`` columns (extra values dropped)."""
+    if columns == 1:
+        return np.array(values)
+    return np.array(values[:len(values) // columns * columns]).reshape(-1, columns)
+
+
+_FLOAT = st.floats() | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
+_INT = st.integers(-5, 5) | st.integers(-10**40, 10**40)
+_TEXT = st.text(st.sampled_from('a"\\/\n\t\x00\x1f\x7fé€😀+'), max_size=6)
+_LEAF = (_FLOAT | _INT | st.booleans() | st.none() | _TEXT
+         | _FLOAT.map(np.float64) | st.floats(width=32).map(np.float32)
+         | st.integers(-2**63, 2**63 - 1).map(np.int64) | st.booleans().map(np.bool_)
+         | st.builds(_array, st.lists(_FLOAT, max_size=6), st.integers(1, 3))
+         | st.builds(_array, st.lists(st.integers(-2**63, 2**63 - 1), max_size=4), st.just(2)))
+_KEY = _TEXT | st.integers(-3, 3) | st.tuples() | st.tuples(st.sampled_from(["B1", "B2", 1, True]))
+_VALUE = st.recursive(_LEAF, lambda children: (
+    st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(_KEY, children, max_size=4) | st.builds(_Record, _TEXT, children)),
+    max_leaves=10)
+
+
+class TestJsonWriter:
+    SHARED = ("B1", "B2")
+
+    @seed(20261018)
+    @settings(max_examples=30, deadline=None)
+    @given(_VALUE)
+    @example([{SHARED: 1.0, (1,): 2}, {SHARED: [], (True,): {}}, {(): (), "1": 0, 1: 1}])
+    @example({"rows": [_Record("", np.zeros((2, 0))), float("nan"), -0.0, 10**30]})
+    @example([[1, True, 0, False], (True,), [2**70, -1]])
+    def test_bytes_equal_json_dumps_of_the_reference(self, value):
+        assert json_text(value) == json.dumps(jsonable(value), indent=2)
+
+    @pytest.mark.parametrize("value", [
+        object(), {1, 2}, 1j, np.complex128(1j), b"bytes", _Record,
+        [1.0, {"a": (2, object())}], _Record("x", np.array([None, object()], dtype=object)),
+    ], ids=["object", "set", "complex", "numpy-complex", "bytes", "dataclass-type",
+            "nested", "object-array"])
+    def test_unsupported_type_raises_the_json_type_error(self, value):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(jsonable(value), indent=2)
+        with pytest.raises(TypeError, match=re.escape(str(expected.value))):
+            json_text(value)

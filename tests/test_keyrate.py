@@ -361,6 +361,18 @@ class TestBatchedStructures:
             assert set(gains.gains).isdisjoint(colluders) and gains.quadrature == "p"
             assert len(gains.gains) == n - len(colluders)
 
+    @pytest.mark.parametrize("n, k, topology", [
+        (5, 3, chain_topology), (4, 1, star_topology), (6, 6, star_topology)])
+    def test_structure_labels_are_the_combinations_of_the_player_modes(self, n, k, topology):
+        _, layout = _kn_state(n, topology)
+        modes = layout.player_modes
+        colluding = list(combinations(modes, k - 1))
+        expected = (list(combinations(modes, k)), colluding,
+                    [tuple(m for m in modes if m not in group) for group in colluding])
+        labels = keyrate_module._structure_labels(layout, enumerate_structures(n, k))
+        assert labels == expected
+        assert {type(label) for side in labels for label in side} == {tuple}
+
     @pytest.mark.parametrize("side, scale", [("x", 0.0), ("p", 1.5)])
     def test_out_of_range_variance_raises_conditioning_message(
             self, monkeypatch, side, scale):

@@ -179,15 +179,19 @@ def test_kernel_calls_per_sweep_do_not_grow_with_the_grid(monkeypatch):
     assert counts == [4 * len(DEFAULT_TRANSMISSIVITIES)] * 2
 
 
-@pytest.mark.parametrize("n, k, steps", [(4, 2, 200), (12, 6, 1)])
-def test_sweep_memory_stays_flat_in_the_grid_size(tmp_path, n, k, steps):
+@pytest.mark.parametrize("n, k, steps, fmt", [
+    pytest.param(4, 2, 200, "csv", id="4-2-200"),
+    pytest.param(12, 6, 1, "csv", id="12-6-1"),
+    pytest.param(4, 2, 50, "json", id="4-2-50-json"),
+])
+def test_sweep_memory_stays_flat_in_the_grid_size(tmp_path, n, k, steps, fmt):
     # 42 points of a (2, 4) star fill a chunk of 256 structure rows, while
     # one point of a (6, 12) star already has 924 access structures.
     def peak_beyond_output(steps):
-        out = tmp_path / f"sweep{steps}.csv"
+        out = tmp_path / f"sweep{steps}.{fmt}"
         argv = ["sweep", "--n", str(n), "--k", str(k), "--topology", "star",
                 "--r-steps", str(steps), "--transmissivities", "1", "--output", str(out),
-                "--quiet"]
+                "--format", fmt, "--quiet"]
         tracemalloc.start()
         try:
             assert main(argv) == EXIT_OK
