@@ -1,11 +1,7 @@
 """Key-rate bounds and protocol simulation for continuous-variable quantum
 secret sharing over Gaussian states."""
 
-from .estimation import (
-    DegenerateEstimatorError,
-    JointVariable,
-    conditional_variance_fixed,
-)
+from .estimation import JointVariable
 from .gaussian import (
     GaussianState,
     StateDiagnostics,
@@ -23,12 +19,10 @@ from .gaussian import (
 )
 from .keyrate import (
     EavesdroppingReport,
-    DishonestReport,
     KeyRateReport,
     SECURITY_THRESHOLD,
     ThresholdScheme,
     enumerate_structures,
-    keyrate_dishonest,
     keyrate_eavesdropping,
     keyrate_qss,
 )
@@ -52,8 +46,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChannelSpec",
-    "DegenerateEstimatorError",
-    "DishonestReport",
     "EavesdroppingReport",
     "EmpiricalConditioning",
     "GaussianState",
@@ -72,9 +64,7 @@ __all__ = [
     "build_three_mode_chain",
     "build_kn_state",
     "chain_topology",
-    "conditional_variance_fixed",
     "enumerate_structures",
-    "keyrate_dishonest",
     "keyrate_eavesdropping",
     "keyrate_qss",
     "partial_trace",

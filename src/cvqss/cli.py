@@ -268,6 +268,9 @@ def cmd_simulate(args) -> int:
     report = run_protocol(state, layout, scheme, rounds=args.rounds,
                           reveal_fraction=args.reveal_fraction, seed=args.seed,
                           basis_probability=args.basis_probability)
+    if args.format == "json" and args.output is None:
+        _write_text(None, [json_text(report), "\n"], args.quiet)
+        return EXIT_OK
 
     lines = []
     if not args.quiet:

@@ -17,8 +17,7 @@ C(n, k) access structures cost a few numpy calls instead of a Python loop;
 a stack of covariances, one per grid point, shares the same blocks. Every
 row gets the same arithmetic as a single-row call on one matrix, so results
 do not depend on how rows or points are batched; a single estimator set is a
-one-row index array. :func:`conditional_variance_fixed` is the separate
-fixed-gain formula, an independent check of the optimum.
+one-row index array.
 
 These formulas are exact for Gaussian states. If applied to second moments
 estimated from non-Gaussian data they yield a lower bound on the mutual
@@ -31,10 +30,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .gaussian import GaussianState, Quadrature
-
-#: Absolute variance below which an estimator is considered degenerate.
-DEGENERATE_VARIANCE_TOL = 1e-12
+from .gaussian import Quadrature
 
 #: Relative eigenvalue cutoff (times the trace) for the pseudo-inverse of a
 #: near-singular estimator covariance block. Perfectly correlated player
@@ -48,10 +44,6 @@ PINV_CUTOFF = 1e-10
 SCHUR_BLOCK_ROWS = 256
 
 
-class DegenerateEstimatorError(ValueError):
-    """Raised when a fixed estimator has (numerically) zero variance."""
-
-
 @dataclass(frozen=True)
 class JointVariable:
     """A collective degree of freedom: a gain per mode in one basis.
@@ -62,9 +54,7 @@ class JointVariable:
     layout's announcement map instead.
 
     The gains map must be nonempty. Optimal inference on an uncorrelated
-    estimator set legitimately returns all-zero gains ("nothing helps");
-    feeding such a variable back into :func:`conditional_variance_fixed`
-    raises :class:`DegenerateEstimatorError` because its variance vanishes.
+    estimator set legitimately returns all-zero gains ("nothing helps").
     """
 
     quadrature: Quadrature
@@ -142,25 +132,3 @@ def schur(cov: np.ndarray, target_idx: int, estimator_idx: np.ndarray) -> tuple:
     leading = cov.shape[:-2]
     return (variances[0].reshape(leading + (count,)), gains[0].reshape(leading + idx.shape),
             v_target.reshape(leading) if leading else float(v_target[0]))
-
-
-def conditional_variance_fixed(
-    state: GaussianState,
-    target: tuple,
-    estimator: JointVariable,
-) -> float:
-    """Inference variance of a target given a *fixed* joint variable.
-
-    Returns Var(target) - Cov(target, est)^2 / Var(est) for the scalar
-    estimator est = sum_j gains[j] * (quadrature of mode j).
-    """
-    cov = state._single_cov()
-    g = np.array(list(estimator.gains.values()), dtype=float)
-    t_idx = state.quad_index(*target)
-    e_idx = np.array([state.quad_index(mode, estimator.quadrature) for mode in estimator.gains])
-    var_est = float(g @ cov[np.ix_(e_idx, e_idx)] @ g)
-    if var_est <= DEGENERATE_VARIANCE_TOL:
-        raise DegenerateEstimatorError(
-            f"estimator variance {var_est:.3e} is degenerate")
-    cov_te = float(cov[t_idx, e_idx] @ g)
-    return float(cov[t_idx, t_idx] - cov_te**2 / var_est)

@@ -30,6 +30,10 @@ SYMMETRY_RTOL = 1e-12
 #: eigensolvers leave rounding at this scale).
 BONA_FIDE_TOL = 1e-9
 
+#: Eigenvalues of a covariance matrix in [-this, 0) are rounding debris, not
+#: a non-positive covariance.
+EIGENVALUE_CLIP = 1e-10
+
 #: Vacuum variance of a single quadrature under the conventions above.
 VACUUM_VARIANCE = 0.5
 
@@ -314,8 +318,10 @@ def validate(state: GaussianState) -> StateDiagnostics:
     """Diagnostics on a state: symmetry, symplectic spectrum, purity.
 
     Reports and never raises. ``physical`` is True iff every symplectic
-    eigenvalue is >= 1/2 - BONA_FIDE_TOL; purity is the product of
-    1/(2 nu_k) over the symplectic eigenvalues (1 for pure states).
+    eigenvalue is >= 1/2 - BONA_FIDE_TOL and every eigenvalue of the
+    covariance is >= -EIGENVALUE_CLIP (|eig(i Omega V)| is the same for -V,
+    so the first test alone passes a negative-definite V); purity is the
+    product of 1/(2 nu_k) over the symplectic eigenvalues (1 for pure states).
     """
     cov = state._single_cov()
     scale = max(np.abs(cov).max(), 1.0)
@@ -328,5 +334,6 @@ def validate(state: GaussianState) -> StateDiagnostics:
         symplectic_eigenvalues=tuple(float(n) for n in nus),
         min_symplectic_eigenvalue=min_nu,
         purity=purity,
-        physical=bool(min_nu >= VACUUM_VARIANCE - BONA_FIDE_TOL),
+        physical=bool(min_nu >= VACUUM_VARIANCE - BONA_FIDE_TOL
+                      and np.linalg.eigvalsh(cov)[0] >= -EIGENVALUE_CLIP),
     )

@@ -12,10 +12,12 @@ computed, all in bits per round:
   ``chi_E = log2(e * sqrt(V(X_A) * V(P_A|Pbar)))``, so the rate is
   positive exactly when the inference-variance product
   ``V(X_A|Xbar) * V(P_A|Pbar)`` drops below exp(-2).
-* Dishonest subset D: the colluders join the eavesdropper, and their
+* Dishonest players D: the colluders join the eavesdropper, and their
   announced data cannot be trusted. The check-side inference must then use
   only the honest complement, giving
   ``K = I(X_A : Xbar) - log2(e * sqrt(V(X_A) * V(P_A|Pbar_honest)))``.
+  The report gives it for each single player j
+  (``KeyRateReport.dishonest_rates``).
 * (k, n)-threshold combination: every k-subset (access structure) must be
   able to decode, so the reconciliation term is the *minimum* mutual
   information over access structures; every (k-1)-subset (adversarial
@@ -28,7 +30,8 @@ sweep curve), one kernel call per side; :func:`keyrate_qss` is its report.
 :func:`combine` is the one reduction from conditional variances to these
 rates, for the empirical ones of :func:`~cvqss.simulation.run_protocol` too.
 For (2, 2) the combination reduces exactly to the minimum of the two
-single-dishonest-player bounds, which is asserted in the test suite.
+single-dishonest-player bounds, which the test suite checks against hand
+closed forms.
 
 A :class:`ThresholdScheme` is its (k, n): it derives every structure, and
 it is the one place an unsupported (k, n) is refused.
@@ -40,7 +43,7 @@ announcement map, and the dealer's quadratures are always literal.
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -139,20 +142,6 @@ class EavesdroppingReport:
     v_p_unconditional: float
     inference_product: float
     threshold: float
-    x_gains: JointVariable
-    p_gains: JointVariable
-
-
-@dataclass(frozen=True)
-class DishonestReport:
-    """Bound against a specific colluding player subset."""
-
-    rate: float
-    dishonest_players: tuple
-    honest_players: tuple
-    v_x_conditional: float
-    v_p_honest_conditional: float
-    inference_product: float
     x_gains: JointVariable
     p_gains: JointVariable
 
@@ -304,43 +293,6 @@ def keyrate_eavesdropping(state: GaussianState, layout: PartyLayout,
         threshold=SECURITY_THRESHOLD,
         x_gains=JointVariable("x", dict(zip(layout.player_modes, x_gains[0]))),
         p_gains=JointVariable("p", dict(zip(layout.player_modes, p_gains[0]))),
-    )
-
-
-def keyrate_dishonest(state: GaussianState, layout: PartyLayout,
-                      dishonest_players: Iterable, beta: float = 1.0) -> DishonestReport:
-    """Bound secure against a given colluding subset of players.
-
-    The key-side variable stays optimal over all players (their announced
-    data is used for reconciliation either way); the check-side variable is
-    restricted to the honest complement, whose announcements alone bound
-    the colluders' knowledge.
-    """
-    layout.check_state(state)
-    chosen = set(dishonest_players)
-    unknown = chosen - set(layout.player_modes)
-    if unknown:
-        raise ValueError(f"unknown players: {sorted(unknown, key=str)}")
-    if not chosen:
-        raise ValueError("dishonest player set must be nonempty")
-    honest = [j for j, p in enumerate(layout.player_modes) if p not in chosen]
-    if not honest:
-        raise ValueError("cannot bound dishonesty of all players at once: "
-                         "no honest outcomes remain to anchor the check side")
-    v_x, x_gains, dealer_x = _infer(state, layout, "x", [range(layout.num_players)])
-    v_p, p_gains, _ = _infer(state, layout, "p", [honest])
-    bound = combine(dealer_x, v_x, v_p, beta)
-    (v_x,), (v_p,) = v_x.tolist(), v_p.tolist()
-    honest_players = tuple(layout.player_modes[j] for j in honest)
-    return DishonestReport(
-        rate=bound.rate,
-        dishonest_players=tuple(p for p in layout.player_modes if p in chosen),
-        honest_players=honest_players,
-        v_x_conditional=v_x,
-        v_p_honest_conditional=v_p,
-        inference_product=v_x * v_p,
-        x_gains=JointVariable("x", dict(zip(layout.player_modes, x_gains[0]))),
-        p_gains=JointVariable("p", dict(zip(honest_players, p_gains[0]))),
     )
 
 

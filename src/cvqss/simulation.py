@@ -36,13 +36,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .estimation import JointVariable
-from .gaussian import GaussianState, Quadrature, UnphysicalStateError, validate
+from .gaussian import (BONA_FIDE_TOL, EIGENVALUE_CLIP, VACUUM_VARIANCE, GaussianState,
+                       Quadrature, UnphysicalStateError, validate)
 from .keyrate import KeyRateReport, ThresholdScheme, _structure_labels, combine, keyrate_qss
 from .states import PartyLayout
-
-#: Eigenvalues of a covariance matrix in [-this, 0) are treated as rounding
-#: debris and clipped to zero before factorisation.
-EIGENVALUE_CLIP = 1e-10
 
 #: Minimum sifted rounds required for a regression.
 MIN_SIFTED_ROUNDS = 100
@@ -77,22 +74,19 @@ def _pattern_probability(required: Mapping, basis_probability: float) -> float:
 
 
 def _check_sampling(state: GaussianState, rounds: int, basis_probability: float) -> None:
-    """Reject a non-positive round count, a basis probability outside (0, 1),
-    a non-bona-fide state and a covariance with a negative eigenvalue beyond
-    EIGENVALUE_CLIP."""
+    """Reject a non-positive round count, a basis probability outside (0, 1)
+    and a state that :func:`~cvqss.gaussian.validate` calls unphysical."""
     if rounds < 1:
         raise ValueError("need at least one round")
     if not 0.0 < basis_probability < 1.0:
         raise ValueError("basis probability must lie strictly inside (0, 1)")
     diagnostics = validate(state)
     if not diagnostics.physical:
+        min_nu = diagnostics.min_symplectic_eigenvalue
         raise UnphysicalStateError(
-            f"cannot sample a non-bona-fide state (min symplectic eigenvalue "
-            f"{diagnostics.min_symplectic_eigenvalue:.6g})")
-    smallest = np.linalg.eigvalsh(state.cov)[0]
-    if smallest < -EIGENVALUE_CLIP:
-        raise UnphysicalStateError(
-            f"covariance matrix has a negative eigenvalue {smallest:.3e}")
+            f"cannot sample a non-bona-fide state (min symplectic eigenvalue {min_nu:.6g})"
+            if min_nu < VACUUM_VARIANCE - BONA_FIDE_TOL else
+            f"covariance matrix has a negative eigenvalue below -{EIGENVALUE_CLIP:g}")
 
 
 @dataclass(frozen=True)

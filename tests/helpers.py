@@ -4,6 +4,10 @@ The oracles and loop references are derived by hand from 2x2/4x4 moment
 propagation so the tests never trust the code path they are checking.
 ``revealed_design`` and ``fit_design`` are the exception: they run
 ``run_protocol``'s own sampler and fit, which the oracles then check.
+``dishonest_rate_loop`` reduces its loop inferences with the library's
+``combine``, so it checks the inference, not the reduction.
+``conditional_variance_fixed`` is the fixed-gain formula, an inference that
+takes its gains as given instead of optimising them.
 ``jsonable`` is the conversion ``cvqss.jsontext.json_text`` must reproduce,
 as ``json.dumps(jsonable(value), indent=2)``.
 """
@@ -26,6 +30,14 @@ from cvqss import (
     tensor,
 )
 from cvqss import simulation
+from cvqss.keyrate import combine
+
+#: Absolute variance below which a fixed estimator is considered degenerate.
+DEGENERATE_VARIANCE_TOL = 1e-12
+
+
+class DegenerateEstimatorError(ValueError):
+    """Raised when a fixed estimator has (numerically) zero variance."""
 
 
 def two_mode_squeezed(r: float, labels=("A", "B")) -> GaussianState:
@@ -132,6 +144,41 @@ def schur_loop(cov: np.ndarray, target_idx: int, estimator_idx) -> tuple:
         variances.append(float(cov[target_idx, target_idx] - float(c @ g)))
         gains.append(g)
     return np.array(variances), np.array(gains), float(cov[target_idx, target_idx])
+
+
+def dishonest_rate_loop(state, layout, player, beta=1.0) -> float:
+    """The bound with ``player`` alone dishonest, from :func:`schur_loop` inferences.
+
+    The dealer's x is inferred from every player's announced x outcome and
+    the dealer's p from the other players' announced p outcomes; ``combine``
+    reduces the two to the rate.
+    """
+    def infer(basis, players):
+        announced = [state.quad_index(*coord)
+                     for coord in layout.announced_coordinates(players, basis)]
+        return schur_loop(state.cov, state.quad_index(layout.dealer_mode, basis), [announced])
+
+    v_x, _, dealer_x = infer("x", layout.player_modes)
+    v_p, _, _ = infer("p", [p for p in layout.player_modes if p != player])
+    return combine(dealer_x, v_x, v_p, beta).rate
+
+
+def conditional_variance_fixed(state, target, estimator) -> float:
+    """Inference variance of a target given a *fixed* joint variable.
+
+    Returns Var(target) - Cov(target, est)^2 / Var(est) for the scalar
+    estimator est = sum_j gains[j] * (quadrature of mode j), with the
+    ``JointVariable`` ``estimator`` giving the gains and the quadrature.
+    """
+    cov = state.cov
+    g = np.array(list(estimator.gains.values()), dtype=float)
+    t_idx = state.quad_index(*target)
+    e_idx = np.array([state.quad_index(mode, estimator.quadrature) for mode in estimator.gains])
+    var_est = float(g @ cov[np.ix_(e_idx, e_idx)] @ g)
+    if var_est <= DEGENERATE_VARIANCE_TOL:
+        raise DegenerateEstimatorError(f"estimator variance {var_est:.3e} is degenerate")
+    cov_te = float(cov[t_idx, e_idx] @ g)
+    return float(cov[t_idx, t_idx] - cov_te**2 / var_est)
 
 
 def regression_loop(design, parties, estimators, jackknife_groups=50):

@@ -19,7 +19,6 @@ from cvqss import (
     build_kn_state,
     chain_topology,
     enumerate_structures,
-    keyrate_dishonest,
     keyrate_eavesdropping,
     keyrate_qss,
     pure_loss,
@@ -103,13 +102,10 @@ def test_criterion_1_symplectic_and_physicality():
 
 
 def test_criterion_2_closed_form_oracles():
-    from cvqss import JointVariable, conditional_variance_fixed
-
     for r in (0.0, 0.3, 1.0, 2.0):
-        state = two_mode_squeezed(r)
-        value = conditional_variance_fixed(state, ("A", "x"),
-                                           JointVariable("x", {"B": 1.0}))
-        assert value == pytest.approx(tmsv_conditional_variance(r), abs=1e-12)
+        report = keyrate_eavesdropping(two_mode_squeezed(r), PartyLayout("A", ("B",)))
+        assert report.v_x_conditional == pytest.approx(tmsv_conditional_variance(r),
+                                                       abs=1e-12)
 
     for r in (0.0, 0.6, 1.3):
         for transmissivity in (0.0, 0.3, 0.85, 1.0):
@@ -227,13 +223,17 @@ def test_criterion_5_bound_ordering(sweep_rows):
         for transmissivity in (1.0, 0.95, 0.9, 0.85):
             state, layout = build_three_mode_chain(r, transmissivity)
             combined = keyrate_qss(state, layout, scheme).combined_rate
-            worst_player = min(
-                keyrate_dishonest(state, layout, ["B"]).rate,
-                keyrate_dishonest(state, layout, ["C"]).rate)
+            # Hand closed forms: B dishonest leaves C's p to bound the leak, and vice versa.
+            expected = chain_expected_variances(r, transmissivity)
+            dealer = 0.5 * math.exp(2.0 * r)
+            bits = 0.5 * math.log2(dealer / expected["v_x_given_all"])
+            worst_player = min(bits - math.log2(math.e * math.sqrt(dealer * expected[honest]))
+                               for honest in ("v_p_given_c_only", "v_p_given_b_only"))
             assert combined == pytest.approx(worst_player, abs=1e-9)
 
     _report(5, "combined bound never exceeds the eavesdropping bound on the "
-               "244-point grid; (2,2) equals the worst dishonest player to 1e-9")
+               "244-point grid; (2,2) equals the closed-form worst dishonest player "
+               "to 1e-9")
 
 
 def test_criterion_6_threshold_identity():

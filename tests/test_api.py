@@ -11,18 +11,17 @@ PUBLIC_NAMES = {
     "ChannelSpec", "PartyLayout", "build_three_mode_chain", "build_kn_state",
     "chain_topology", "pure_loss", "star_topology",
     # estimation
-    "DegenerateEstimatorError", "JointVariable", "conditional_variance_fixed",
+    "JointVariable",
     # keyrate
-    "DishonestReport", "EavesdroppingReport", "KeyRateReport", "SECURITY_THRESHOLD",
-    "ThresholdScheme", "enumerate_structures", "keyrate_dishonest",
-    "keyrate_eavesdropping", "keyrate_qss",
+    "EavesdroppingReport", "KeyRateReport", "SECURITY_THRESHOLD", "ThresholdScheme",
+    "enumerate_structures", "keyrate_eavesdropping", "keyrate_qss",
     # simulation
     "EmpiricalConditioning", "ProtocolReport", "UndersampledError", "run_protocol",
 }
 
 
 def test_all_is_the_pinned_name_set():
-    assert len(PUBLIC_NAMES) == 36
+    assert len(PUBLIC_NAMES) == 32
     assert set(cvqss.__all__) == PUBLIC_NAMES
 
 

@@ -259,6 +259,15 @@ class TestSimulate:
         assert "combined_rate" in payload
         assert "analytic" in payload
 
+    def test_json_report_on_stdout_without_output(self, tmp_path, capsys):
+        argv = ["simulate", "--rounds", "50000", "--seed", "3", "--format", "json"]
+        code, out, _ = run(argv, capsys)
+        assert code == EXIT_OK
+        report = tmp_path / "report.json"
+        run(argv + ["--output", str(report)], capsys)
+        assert out == report.read_text()
+        assert "combined_rate" in json.loads(out)
+
 
 class TestValidate:
     def test_physical_state(self, capsys):

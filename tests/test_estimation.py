@@ -7,12 +7,10 @@ import pytest
 
 from cvqss import (
     ChannelSpec,
-    DegenerateEstimatorError,
     GaussianState,
     JointVariable,
     build_kn_state,
     build_three_mode_chain,
-    conditional_variance_fixed,
     squeezed_vacuum,
     star_topology,
     tensor,
@@ -24,6 +22,8 @@ from cvqss.estimation import (
 )
 from cvqss.keyrate import combine
 from helpers import (
+    DegenerateEstimatorError,
+    conditional_variance_fixed,
     product_vacuum,
     schur_loop,
     tmsv_conditional_variance,

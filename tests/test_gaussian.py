@@ -213,6 +213,15 @@ class TestValidate:
         assert not diag.physical
         assert diag.min_symplectic_eigenvalue == pytest.approx(0.25, abs=1e-12)
 
+    @pytest.mark.parametrize("cov", [-0.5 * np.eye(2), np.diag([1.0, -0.3, 1.0, 1.0])])
+    def test_non_positive_covariance_is_flagged(self, cov):
+        # |eig(i Omega V)| is the same for -V, so the symplectic test alone passes these.
+        state = GaussianState(np.zeros(len(cov)), cov, tuple(range(len(cov) // 2)))
+        diag = validate(state)
+        assert diag.min_symplectic_eigenvalue >= 0.5
+        assert not diag.physical
+        assert not diag.pure
+
     def test_never_raises_on_weird_input(self):
         weird = GaussianState(np.zeros(2), np.diag([1e6, 1e-9]), ("m0",))
         assert not validate(weird).physical

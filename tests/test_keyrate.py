@@ -16,7 +16,6 @@ from cvqss import (
     build_kn_state,
     chain_topology,
     enumerate_structures,
-    keyrate_dishonest,
     keyrate_eavesdropping,
     keyrate_qss,
     pure_loss,
@@ -29,6 +28,7 @@ from cvqss.estimation import check_conditional_variances
 from cvqss.keyrate import combine
 from helpers import (
     chain_expected_variances,
+    dishonest_rate_loop,
     product_vacuum,
     schur_loop,
     two_mode_squeezed,
@@ -147,40 +147,28 @@ class TestDishonestBound:
         state, _ = build_three_mode_chain(1.0, 1.0)
         state = tensor(state, vacuum(1, labels=("D",)))
         layout = PartyLayout("A", ("B", "D"), frozenset({"B"}))
-        report = keyrate_dishonest(state, layout, ["B"])
-        assert report.v_p_honest_conditional == pytest.approx(
+        report = keyrate_qss(state, layout, ThresholdScheme(2, 2))
+        assert report.adversarial_conditional_variance[("B",)] == pytest.approx(
             state.variance("A", "p"), rel=1e-12)
-        assert report.rate < -1.0
+        assert report.dishonest_rates["B"] < -1.0
 
     @pytest.mark.parametrize("r,transmissivity", chain_grid())
     def test_never_beats_eavesdropping_bound(self, r, transmissivity):
         state, layout = build_three_mode_chain(r, transmissivity)
         eav = keyrate_eavesdropping(state, layout).rate
+        report = keyrate_qss(state, layout, ThresholdScheme(2, 2))
         for player in ("B", "C"):
-            assert keyrate_dishonest(state, layout, [player]).rate <= eav + 1e-9
+            assert report.dishonest_rates[player] <= eav + 1e-9
 
     def test_chain_asymmetry_separates_the_players(self):
         state, layout = build_three_mode_chain(1.0, 1.0)
-        report_b = keyrate_dishonest(state, layout, ["B"])
-        report_c = keyrate_dishonest(state, layout, ["C"])
+        report = keyrate_qss(state, layout, ThresholdScheme(2, 2))
         expected = chain_expected_variances(1.0, 1.0)
-        assert report_b.v_p_honest_conditional == pytest.approx(
+        assert report.adversarial_conditional_variance[("B",)] == pytest.approx(
             expected["v_p_given_c_only"], rel=1e-12)
-        assert report_c.v_p_honest_conditional == pytest.approx(
+        assert report.adversarial_conditional_variance[("C",)] == pytest.approx(
             expected["v_p_given_b_only"], rel=1e-12)
-        assert report_b.rate < report_c.rate
-
-    def test_all_players_dishonest_rejected(self):
-        state, layout = build_three_mode_chain(1.0, 1.0)
-        with pytest.raises(ValueError, match="honest"):
-            keyrate_dishonest(state, layout, ["B", "C"])
-
-    def test_empty_and_unknown_sets_rejected(self):
-        state, layout = build_three_mode_chain(1.0, 1.0)
-        with pytest.raises(ValueError):
-            keyrate_dishonest(state, layout, [])
-        with pytest.raises(ValueError):
-            keyrate_dishonest(state, layout, ["Z"])
+        assert report.dishonest_rates["B"] < report.dishonest_rates["C"]
 
 
 class TestClosedFormOracle:
@@ -205,8 +193,8 @@ class TestCombinedBound:
     def test_two_two_equals_worst_dishonest_player(self, r, transmissivity):
         state, layout = build_three_mode_chain(r, transmissivity)
         report = keyrate_qss(state, layout, enumerate_structures(2, 2))
-        worst = min(keyrate_dishonest(state, layout, ["B"]).rate,
-                    keyrate_dishonest(state, layout, ["C"]).rate)
+        worst = min(dishonest_rate_loop(state, layout, "B"),
+                    dishonest_rate_loop(state, layout, "C"))
         assert report.combined_rate == pytest.approx(worst, abs=1e-9)
 
     @pytest.mark.parametrize("r,transmissivity", chain_grid())
@@ -421,6 +409,7 @@ class TestCombine:
     @pytest.mark.parametrize("n, k, topology, beta", [
         (10, 5, star_topology, 1.0),
         (6, 3, chain_topology, 0.9),
+        (4, 2, star_topology, 1.0),  # k = 2 reads the adversarial structures' variances
     ])
     def test_dishonest_rates_equal_the_single_player_bound_exactly(
             self, n, k, topology, beta):
@@ -428,7 +417,7 @@ class TestCombine:
         report = keyrate_qss(state, layout, enumerate_structures(n, k), beta=beta)
         assert list(report.dishonest_rates) == list(layout.player_modes)
         for player, rate in report.dishonest_rates.items():
-            assert rate == keyrate_dishonest(state, layout, [player], beta=beta).rate
+            assert rate == dishonest_rate_loop(state, layout, player, beta)
 
     def test_report_is_combine_of_its_own_variances(self):
         state, layout = _kn_state(6, star_topology)

@@ -100,7 +100,13 @@ class TestSampling:
     def test_unphysical_state_rejected(self):
         state, layout = build_three_mode_chain(1.0, 1.0)
         bogus = GaussianState(state.mean, 0.25 * np.eye(6), state.labels)
-        with pytest.raises(UnphysicalStateError):
+        with pytest.raises(UnphysicalStateError, match="min symplectic eigenvalue"):
+            run_protocol(bogus, layout, enumerate_structures(2, 2), rounds=100)
+
+    def test_negative_definite_state_rejected(self):
+        state, layout = build_three_mode_chain(1.0, 1.0)
+        bogus = GaussianState(state.mean, -0.5 * np.eye(6), state.labels)
+        with pytest.raises(UnphysicalStateError, match="negative eigenvalue"):
             run_protocol(bogus, layout, enumerate_structures(2, 2), rounds=100)
 
     def test_argument_validation(self):

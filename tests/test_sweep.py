@@ -14,10 +14,8 @@ from hypothesis import given, seed, settings, strategies as st
 import cvqss.keyrate as keyrate_module
 from cvqss import (
     ChannelSpec,
-    JointVariable,
     build_kn_state,
     chain_topology,
-    conditional_variance_fixed,
     enumerate_structures,
     keyrate_eavesdropping,
     keyrate_qss,
@@ -136,10 +134,8 @@ def test_one_state_readers_refuse_a_stack():
     assert state.cov.shape == (6, 6, 6)
     scheme = enumerate_structures(2, 2)
     assert keyrate_module.key_rates(state, layout, scheme).combined.rate.shape == (6,)
-    estimator = JointVariable("x", {"B1": 1.0})
     for read in (lambda: validate(state), lambda: state.variance("A", "x"),
                  lambda: state.covariance(("A", "x"), ("B1", "p")),
-                 lambda: conditional_variance_fixed(state, ("A", "x"), estimator),
                  lambda: keyrate_eavesdropping(state, layout),
                  lambda: keyrate_qss(state, layout, scheme)):
         with pytest.raises(ValueError, match=r"expected one state, got a \(6, 6, 6\)"):
