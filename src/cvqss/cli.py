@@ -240,13 +240,8 @@ def cmd_threshold(args) -> int:
                      f"r={_fmt(args.r)}  T={_fmt(args.transmissivity)}")
         lines.append("")
         lines.append(f"{'kind':<12} {'structure':<18} {'bits':>16}  binding")
-        for players, mi in report.access_mutual_information.items():
-            mark = "*" if players == report.binding_access else ""
-            lines.append(f"{'access':<12} {_group(players):<18} {_fmt(mi):>16}  {mark}")
-        for colluders, chi in report.adversarial_holevo.items():
-            mark = "*" if colluders == report.binding_adversarial else ""
-            lines.append(f"{'adversarial':<12} {_group(colluders):<18} "
-                         f"{_fmt(chi):>16}  {mark}")
+        lines += _table("access", report.access_mutual_information, report.binding_access)
+        lines += _table("adversarial", report.adversarial_holevo, report.binding_adversarial)
         lines.append("")
         lines.append(f"eavesdropping-only rate: {_fmt(report.eavesdropping_rate)}")
         for player, rate in report.dishonest_rates.items():
@@ -258,8 +253,17 @@ def cmd_threshold(args) -> int:
     return EXIT_OK
 
 
+def _table(kind: str, terms: dict, binding: tuple) -> list:
+    """One row per structure of ``terms``, in ``_fmt``'s digits; ``binding``'s is marked."""
+    structures = list(terms)
+    rows = list(map(f"{kind:<12} {{:<18}} {{:>16.12g}}  ".format,
+                    map(_group, structures), terms.values()))
+    rows[structures.index(binding)] += "*"
+    return rows
+
+
 def _group(players) -> str:
-    return "{" + ",".join(str(p) for p in players) + "}" if players else "{}"
+    return "{" + ",".join(map(str, players)) + "}"
 
 
 def cmd_simulate(args) -> int:
@@ -343,7 +347,7 @@ def cmd_validate(args) -> int:
             "symplectic eigenvalues: "
             + ",".join(_fmt(nu) for nu in diagnostics.symplectic_eigenvalues),
             f"min symplectic eigenvalue: {_fmt(diagnostics.min_symplectic_eigenvalue)}",
-            f"purity: {_fmt(diagnostics.purity)}",
+            f"purity: {'undefined' if diagnostics.purity is None else _fmt(diagnostics.purity)}",
             f"physical: {diagnostics.physical}",
         ]
         text = "\n".join(lines) + "\n"

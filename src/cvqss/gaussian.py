@@ -181,7 +181,7 @@ class StateDiagnostics:
     symmetry_residual: float
     symplectic_eigenvalues: tuple
     min_symplectic_eigenvalue: float
-    purity: float
+    purity: float | None
     physical: bool
 
     @property
@@ -321,19 +321,21 @@ def validate(state: GaussianState) -> StateDiagnostics:
     eigenvalue is >= 1/2 - BONA_FIDE_TOL and every eigenvalue of the
     covariance is >= -EIGENVALUE_CLIP (|eig(i Omega V)| is the same for -V,
     so the first test alone passes a negative-definite V); purity is the
-    product of 1/(2 nu_k) over the symplectic eigenvalues (1 for pure states).
+    product of 1/(2 nu_k) over the symplectic eigenvalues (1 for pure states),
+    or None where that is not finite, as only for an unphysical state.
     """
     cov = state._single_cov()
     scale = max(np.abs(cov).max(), 1.0)
     residual = float(np.abs(cov - cov.T).max() / scale)
     nus = symplectic_eigenvalues(cov)
     min_nu = float(nus.min())
-    purity = float(np.prod(1.0 / (2.0 * nus)))
+    with np.errstate(divide="ignore", over="ignore"):  # a nu of 0: unphysical
+        purity = float(np.prod(1.0 / (2.0 * nus)))
     return StateDiagnostics(
         symmetry_residual=residual,
         symplectic_eigenvalues=tuple(float(n) for n in nus),
         min_symplectic_eigenvalue=min_nu,
-        purity=purity,
+        purity=purity if math.isfinite(purity) else None,
         physical=bool(min_nu >= VACUUM_VARIANCE - BONA_FIDE_TOL
                       and np.linalg.eigvalsh(cov)[0] >= -EIGENVALUE_CLIP),
     )

@@ -7,6 +7,7 @@ pure-Python encoder that ``indent`` selects. Every JSON output of the
 command line goes through it.
 """
 
+from collections.abc import Mapping
 from dataclasses import fields, is_dataclass
 from json.encoder import encode_basestring_ascii
 
@@ -22,8 +23,9 @@ def json_text(value, pad: str = "\n") -> str:
 
     Before encoding, a dataclass becomes an object of its fields, numpy
     scalars and arrays become Python numbers and lists, tuples become arrays,
-    and a dict key becomes ``str(key)``, or for a tuple its items joined by
-    "+" ("(none)" if empty); keys that then coincide keep the last value.
+    any mapping becomes a dict, and a key becomes ``str(key)``, or for a tuple
+    its items joined by "+" ("(none)" if empty); keys that then coincide keep
+    the last value.
     ``pad`` is a newline and the indentation of the line ``value`` starts on.
     An unsupported type raises the ``TypeError`` that ``json.dumps`` raises.
     """
@@ -81,7 +83,7 @@ def json_text(value, pad: str = "\n") -> str:
             names = [f.name for f in fields(kind)]
             keys = list(map(encode_basestring_ascii, names))
             return lambda value, pad: pairs(keys, [getattr(value, name) for name in names], pad)
-        if issubclass(kind, dict):
+        if issubclass(kind, Mapping):
             return mapping
         if issubclass(kind, (list, tuple)):
             return array

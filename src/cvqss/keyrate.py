@@ -41,9 +41,11 @@ announcement map, and the dealer's quadratures are always literal.
 """
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -146,9 +148,47 @@ class EavesdroppingReport:
     p_gains: JointVariable
 
 
+class _GainMap(Mapping):
+    """Structure label -> :class:`JointVariable`: a dict built on first read, read as one."""
+
+    def __init__(self, quadrature: str, labels: list, players: list, gains: np.ndarray):
+        self._data = (quadrature, labels, players, gains)  # players: each row's estimators
+
+    @cached_property
+    def _dict(self) -> dict:
+        quadrature, labels, players, gains = self._data
+        return {label: JointVariable(quadrature, dict(zip(estimators, row)))
+                for label, estimators, row in zip(labels, players, gains)}
+
+    def __getitem__(self, key):
+        return self._dict[key]
+
+    def __iter__(self):
+        return iter(self._dict)
+
+    def __len__(self):
+        return len(self._data[1])
+
+    # Delegated, or Mapping's views would look every key up one at a time.
+    def keys(self):
+        return self._dict.keys()
+
+    def values(self):
+        return self._dict.values()
+
+    def items(self):
+        return self._dict.items()
+
+    def __repr__(self):
+        return repr(self._dict)
+
+
 @dataclass(frozen=True)
 class KeyRateReport:
-    """Full (k, n) evaluation: all intermediates plus the combined bound."""
+    """Full (k, n) evaluation: all intermediates plus the combined bound.
+
+    The two ``*_gains`` maps build their :class:`JointVariable` dicts on first read.
+    """
 
     scheme: ThresholdScheme
     combined_rate: float
@@ -323,15 +363,11 @@ def keyrate_qss(state: GaussianState, layout: PartyLayout, scheme: ThresholdSche
         dishonest_rates=dict(zip(layout.player_modes, dishonest.rate.tolist())),
         access_mutual_information=dict(zip(access_labels, bound.access_bits.tolist())),
         access_conditional_variance=dict(zip(access_labels, access_v.tolist())),
-        access_gains={players: JointVariable("x", dict(zip(players, gains)))
-                      for players, gains in zip(access_labels, access_g)},
+        access_gains=_GainMap("x", access_labels, access_labels, access_g),
         adversarial_holevo=dict(zip(adversarial_labels, bound.adversarial_holevo.tolist())),
         adversarial_conditional_variance=dict(zip(adversarial_labels,
                                                   adversarial_v.tolist())),
-        adversarial_gains={
-            colluders: JointVariable("p", dict(zip(honest_players, gains)))
-            for colluders, honest_players, gains in zip(
-                adversarial_labels, honest_labels, adversarial_g)},
+        adversarial_gains=_GainMap("p", adversarial_labels, honest_labels, adversarial_g),
         binding_access=access_labels[bound.binding_access],
         binding_adversarial=adversarial_labels[bound.binding_adversarial],
         dealer_x_variance=dealer_x,

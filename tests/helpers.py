@@ -13,6 +13,7 @@ as ``json.dumps(jsonable(value), indent=2)``.
 """
 
 import math
+from collections.abc import Mapping
 from dataclasses import fields, is_dataclass
 from itertools import combinations
 
@@ -306,14 +307,14 @@ def sweep_loop(n, k, topology, grid, transmissivities, excess_noise=0.0, cz_weig
 def jsonable(value):
     """``value`` as plain JSON-ready Python: the reference for ``cvqss.jsontext.json_text``.
 
-    A copy of the tree: dataclasses become dicts of their fields, dict keys
-    become strings (:func:`json_key`), tuples become lists, numpy arrays and
-    scalars become Python lists and numbers; anything else is left for
-    ``json.dumps`` to encode or refuse.
+    A copy of the tree: dataclasses become dicts of their fields, mappings
+    become dicts with string keys (:func:`json_key`), tuples become lists,
+    numpy arrays and scalars become Python lists and numbers; anything else
+    is left for ``json.dumps`` to encode or refuse.
     """
     if is_dataclass(value) and not isinstance(value, type):
         return {f.name: jsonable(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, dict):
+    if isinstance(value, Mapping):
         return {json_key(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]

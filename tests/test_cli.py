@@ -7,7 +7,7 @@ import warnings
 
 import pytest
 
-from cvqss import UnphysicalStateError, cli, simulation
+from cvqss import UnphysicalStateError, cli, keyrate, simulation
 from cvqss.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -17,6 +17,7 @@ from cvqss.cli import (
     build_parser,
     main,
 )
+from cvqss.estimation import JointVariable
 
 
 def run(argv, capsys):
@@ -139,7 +140,10 @@ class TestThresholdBytes:
     The digests were recorded before structures were batched into one Schur
     kernel, so any change to the evaluation that moves a printed digit shows
     here. They hold for numpy 2.4 with OpenBLAS on x86-64; another BLAS or
-    libm may move the last digit of a float.
+    libm may move the last digit of a float. The star's structures are all
+    tied, so its binding rows are the first ones; the text digests of a
+    (3, 6) chain, whose binding access row is the eleventh, and of a (1, 3)
+    chain, whose one collusion is empty, pin the rest of the table's layout.
     """
 
     ARGV = ["threshold", "--n", "8", "--k", "4", "--topology", "star"]
@@ -153,6 +157,31 @@ class TestThresholdBytes:
         code, out, _ = run(self.ARGV + extra, capsys)
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["threshold", "--n", "6", "--k", "3"],
+         "2895319befc45598694e5d05b894a2aea0e361b5f2d25cac469e9f9b3af40a3c"),
+        (["threshold", "--n", "3", "--k", "1"],
+         "e9db5c336ebddca3e4754a1c40e2dc4b3b07e593cfa36e49e686cea7a2c1be53"),
+    ], ids=["chain-3-6", "chain-1-3"])
+    def test_text_digest(self, capsys, argv, digest):
+        code, out, _ = run(argv, capsys)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_text_table_builds_no_joint_variable(self, capsys, monkeypatch):
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return JointVariable(*args, **kwargs)
+
+        monkeypatch.setattr(keyrate, "JointVariable", counting)
+        argv = ["threshold", "--n", "6", "--k", "3"]
+        assert run(argv, capsys)[0] == EXIT_OK
+        assert built == []
+        assert run(argv + ["--format", "json"], capsys)[0] == EXIT_OK
+        assert len(built) == 20 + 15  # C(6, 3) access and C(6, 2) adversarial gain maps
 
 
 class TestJsonBytes:
@@ -281,6 +310,19 @@ class TestValidate:
         assert code == EXIT_OK
         payload = json.loads(out)
         assert payload["physical"] is True
+
+    def test_undefined_purity_is_written_as_valid_json(self, capsys):
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        argv = ["validate", "--r", "10", "-T", "1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run(argv + ["--format", "json"], capsys)
+            text_code, text, _ = run(argv, capsys)
+        assert code == text_code == EXIT_UNPHYSICAL
+        assert json.loads(out, parse_constant=refuse)["purity"] is None
+        assert "\npurity: undefined\n" in text
 
     def test_unphysical_exit_code(self, capsys, monkeypatch):
         import cvqss.cli as cli

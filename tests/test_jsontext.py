@@ -2,6 +2,7 @@
 
 import json
 import re
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,3 +64,8 @@ class TestJsonWriter:
             json.dumps(jsonable(value), indent=2)
         with pytest.raises(TypeError, match=re.escape(str(expected.value))):
             json_text(value)
+
+    def test_any_mapping_is_written_as_a_dict(self):
+        value = types.MappingProxyType({("B1", "B2"): 1.0, (): [2], ("B3",): {"a": None}})
+        assert json_text(value) == json.dumps(jsonable(value), indent=2)
+        assert json_text(value) == json_text(dict(value))

@@ -1,6 +1,8 @@
 """Secret-key-rate bounds and threshold-structure enumeration."""
 
+import copy
 import math
+import pickle
 from itertools import combinations
 
 import numpy as np
@@ -25,6 +27,7 @@ from cvqss import (
 )
 from cvqss import keyrate as keyrate_module
 from cvqss.estimation import check_conditional_variances
+from cvqss.jsontext import json_text
 from cvqss.keyrate import combine
 from helpers import (
     chain_expected_variances,
@@ -381,6 +384,24 @@ class TestBatchedStructures:
         with pytest.raises(ValueError) as single:
             check_conditional_variances(np.array([bad]), state.variance("A", side))
         assert str(batched.value) == str(single.value)
+
+
+class TestReportValue:
+    """A report is a value, whether or not its gain maps have been read."""
+
+    def _report(self):
+        state, layout = _kn_state(6, chain_topology)
+        return keyrate_qss(state, layout, enumerate_structures(6, 3))
+
+    def test_pickles_and_deep_copies_to_an_equal_report(self):
+        report = self._report()
+        assert pickle.loads(pickle.dumps(report)) == report
+        assert copy.deepcopy(report) == report
+
+    def test_json_does_not_depend_on_reading_the_gains_first(self):
+        unread, read = self._report(), self._report()
+        assert read.access_gains[("B1", "B2", "B3")].quadrature == "x"
+        assert json_text(unread) == json_text(read)
 
 
 class TestCombine:
