@@ -5,13 +5,23 @@ report once its dataclasses, numpy values and tuple keys are converted to
 plain JSON values, without building that converted copy and without the
 pure-Python encoder that ``indent`` selects. Every JSON output of the
 command line goes through it.
+
+The per-structure parts of a key-rate report are written from arrays, one
+``str.format`` per structure, with the same bytes: a gain map
+(:class:`~cvqss.keyrate._GainMap`) from its label, player and gain arrays,
+with no :class:`~cvqss.estimation.JointVariable` built, and a list of
+equal-length tuples of exact ints (a scheme's structures) in one flattened
+``int.__repr__`` pass.
 """
 
 from collections.abc import Mapping
 from dataclasses import fields, is_dataclass
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
+
+from .keyrate import _GainMap
 
 #: The ``float.__repr__`` texts that JSON spells as ``json`` does.
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -28,6 +38,8 @@ def json_text(value, pad: str = "\n") -> str:
     the last value.
     ``pad`` is a newline and the indentation of the line ``value`` starts on.
     An unsupported type raises the ``TypeError`` that ``json.dumps`` raises.
+    A gain map is written as the dict of its items without building it, unless
+    two of its labels or player names have the same text.
     """
     encoders = {}  # type -> the encoder of its values
     tuple_keys = {}  # id -> (tuple key, its text): the report's maps share their keys
@@ -47,6 +59,17 @@ def json_text(value, pad: str = "\n") -> str:
             return [_NON_FINITE.get(spelled, spelled) for spelled in out]
         if kinds == {int}:
             return list(map(int.__repr__, values))
+        if kinds == {tuple}:
+            widths = set(map(len, values))
+            flat = list(chain.from_iterable(values))
+            if len(widths) == 1 and set(map(type, flat)) <= {int}:  # a scheme's structures
+                width = widths.pop()
+                if not width:
+                    return ["[]"] * len(values)
+                inner = pad + "  "
+                row = "[" + inner + ("," + inner).join(["{}"] * width) + pad + "]"
+                digits = list(map(int.__repr__, flat))
+                return list(map(row.format, *(digits[j::width] for j in range(width))))
         return [text(item, pad) for item in values]
 
     def key_text(key):
@@ -71,6 +94,26 @@ def json_text(value, pad: str = "\n") -> str:
         merged = dict(zip(map(key_text, value), value.values()))
         return pairs(merged, list(merged.values()), pad)
 
+    def gain_map(value, pad):
+        quadrature, labels, players, gains = value._data
+        keys = list(map(key_text, labels))
+        names = {player: key_text(player) for player in set(chain.from_iterable(players))}
+        if not keys or len(set(keys)) < len(keys) or len(set(names.values())) < len(names):
+            return mapping(value, pad)  # empty, or texts that coincide merge as in any map
+        inner = pad + "  "
+        field, cell = inner + "  ", inner + "    "
+        width = gains.shape[-1]
+        # A JointVariable's fields, with one player-name slot and one gain slot per
+        # estimator; the quadrature, "x" or "p", holds no brace to escape.
+        template = ("{}: {{" + field + '"quadrature": ' + text(quadrature, field) + "," + field
+                    + '"gains": {{' + cell + ("," + cell).join(["{}: {}"] * width) + field
+                    + "}}" + inner + "}}")
+        gain_texts = texts(gains.ravel().tolist(), cell)
+        cells = [list(map(names.__getitem__, column)) for column in zip(*players)]
+        cells = chain.from_iterable(zip(cells, (gain_texts[j::width] for j in range(width))))
+        return ("{" + inner + ("," + inner).join(map(template.format, keys, *cells))
+                + pad + "}")
+
     def array(value, pad):
         if not value:
             return "[]"
@@ -83,6 +126,8 @@ def json_text(value, pad: str = "\n") -> str:
             names = [f.name for f in fields(kind)]
             keys = list(map(encode_basestring_ascii, names))
             return lambda value, pad: pairs(keys, [getattr(value, name) for name in names], pad)
+        if issubclass(kind, _GainMap):
+            return gain_map
         if issubclass(kind, Mapping):
             return mapping
         if issubclass(kind, (list, tuple)):

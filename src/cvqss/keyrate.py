@@ -149,7 +149,12 @@ class EavesdroppingReport:
 
 
 class _GainMap(Mapping):
-    """Structure label -> :class:`JointVariable`: a dict built on first read, read as one."""
+    """Structure label -> :class:`JointVariable`: a dict built on first read, read as one.
+
+    It holds the quadrature, the structure labels, each row's estimator
+    players (distinct within a row) and the (S, g) gains. ``json_text``
+    writes it from these arrays with the bytes of the dict, without building it.
+    """
 
     def __init__(self, quadrature: str, labels: list, players: list, gains: np.ndarray):
         self._data = (quadrature, labels, players, gains)  # players: each row's estimators
@@ -187,7 +192,8 @@ class _GainMap(Mapping):
 class KeyRateReport:
     """Full (k, n) evaluation: all intermediates plus the combined bound.
 
-    The two ``*_gains`` maps build their :class:`JointVariable` dicts on first read.
+    The two ``*_gains`` maps build their :class:`JointVariable` dicts on first
+    read; ``json_text`` writes them from their gains arrays and builds none.
     """
 
     scheme: ThresholdScheme

@@ -169,7 +169,7 @@ class TestThresholdBytes:
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-    def test_text_table_builds_no_joint_variable(self, capsys, monkeypatch):
+    def test_text_and_json_build_no_joint_variable(self, capsys, monkeypatch):
         built = []
 
         def counting(*args, **kwargs):
@@ -179,9 +179,8 @@ class TestThresholdBytes:
         monkeypatch.setattr(keyrate, "JointVariable", counting)
         argv = ["threshold", "--n", "6", "--k", "3"]
         assert run(argv, capsys)[0] == EXIT_OK
-        assert built == []
         assert run(argv + ["--format", "json"], capsys)[0] == EXIT_OK
-        assert len(built) == 20 + 15  # C(6, 3) access and C(6, 2) adversarial gain maps
+        assert built == []
 
 
 class TestJsonBytes:
@@ -189,15 +188,19 @@ class TestJsonBytes:
 
     Recorded from ``json.dumps(..., indent=2)`` output, so they pin the
     report writer to the standard library's bytes: a (6, 12) star breakdown
-    (924 + 792 structures), the default sweep, a (4, 8) star sweep whose
-    curves span two chunks, and the default state diagnostics. Like
-    ``TestThresholdBytes`` they hold for numpy 2.4 with OpenBLAS on x86-64.
+    (924 + 792 structures), a (1, 3) chain breakdown (one empty collusion,
+    written "(none)", and width-1 access rows), the default sweep, a (4, 8)
+    star sweep whose curves span two chunks, and the default state
+    diagnostics. Like ``TestThresholdBytes`` they hold for numpy 2.4 with
+    OpenBLAS on x86-64.
     """
 
     @pytest.mark.parametrize("argv, digest", [
         (["threshold", "--n", "12", "--k", "6", "--topology", "star", "--r", "1.0",
           "-T", "0.9"],
          "4877e95fb43ea51596a27dae8f4364f5a6edd0d033089413beaaeee7026411f0"),
+        (["threshold", "--n", "3", "--k", "1"],
+         "1b1cb4a631fa071dd5342dab0bed76f5491b9e487ece9664976393b0a0adb9a6"),
         (["validate"],
          "7fad8bb821d84a149b953ef591d892d1d9e7f3ff60aa38d240aee751979089fb"),
         (["sweep"],
@@ -205,7 +208,8 @@ class TestJsonBytes:
         (["sweep", "--n", "8", "--k", "4", "--topology", "star", "--r-min", "0.4",
           "--r-max", "1.2", "--r-steps", "4", "--transmissivities", "1,0.5"],
          "f148cc9e9a50d4d5817774d6cd27d1bd2989e0c17beb1e79e501e40fc4cfab8c"),
-    ], ids=["threshold-star-6-12", "validate", "sweep", "sweep-star-4-8"])
+    ], ids=["threshold-star-6-12", "threshold-chain-1-3", "validate", "sweep",
+            "sweep-star-4-8"])
     def test_output_digest(self, capsys, argv, digest):
         code, out, _ = run(argv + ["--format", "json"], capsys)
         assert code == EXIT_OK

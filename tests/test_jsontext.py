@@ -4,12 +4,14 @@ import json
 import re
 import types
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
 from cvqss.jsontext import json_text
+from cvqss.keyrate import _GainMap
 
 from helpers import jsonable
 
@@ -51,6 +53,8 @@ class TestJsonWriter:
     @example([{SHARED: 1.0, (1,): 2}, {SHARED: [], (True,): {}}, {(): (), "1": 0, 1: 1}])
     @example({"rows": [_Record("", np.zeros((2, 0))), float("nan"), -0.0, 10**30]})
     @example([[1, True, 0, False], (True,), [2**70, -1]])
+    @example([[(1, 2), (3,)], ((),), [(), ()], [(2**64, -2**70), (0, 1)]])  # ragged, empty, big
+    @example([[(1, True), (2, 3)], [(np.int64(1), 2), (3, 4)]])  # not all exact ints
     def test_bytes_equal_json_dumps_of_the_reference(self, value):
         assert json_text(value) == json.dumps(jsonable(value), indent=2)
 
@@ -69,3 +73,39 @@ class TestJsonWriter:
         value = types.MappingProxyType({("B1", "B2"): 1.0, (): [2], ("B3",): {"a": None}})
         assert json_text(value) == json.dumps(jsonable(value), indent=2)
         assert json_text(value) == json_text(dict(value))
+
+
+@st.composite
+def _gain_maps(draw):
+    """A key-rate gain map: access rows (label = estimators) or collusions and their complements.
+
+    The last two player sets give player names or labels whose texts coincide.
+    """
+    players = draw(st.sampled_from([("B1", "B2", "B3"), ("B1", 1, "1"), ("a", "a+b", "b+c", "c")]))
+    width = draw(st.integers(1, len(players)))
+    rows = list(combinations(players, width))
+    if draw(st.booleans()):
+        labels = rows
+    else:
+        labels = [tuple(p for p in players if p not in row) for row in rows]
+    gains = np.array(draw(st.lists(_FLOAT, min_size=len(rows) * width,
+                                   max_size=len(rows) * width))).reshape(len(rows), width)
+    return _GainMap(draw(st.sampled_from("xp")), labels, rows, gains)
+
+
+class TestGainMapWriter:
+    """A gain map is written from its arrays, as the reference writes its items."""
+
+    @seed(20261019)
+    @settings(max_examples=12, deadline=None)
+    @given(gain_map=_gain_maps(), read=st.booleans(), nested=st.booleans())
+    @example(gain_map=_GainMap("p", [()], [("B1", "B2")], np.array([[float("nan"), -0.0]])),
+             read=False, nested=False)
+    @example(gain_map=_GainMap("x", [("B1",), ("B2",)], [("B1",), ("B2",)],
+                      np.array([[float("inf")], [float("-inf")]])), read=True, nested=True)
+    @example(gain_map=_GainMap("x", [], [], np.zeros((0, 2))), read=False, nested=True)
+    def test_bytes_equal_json_dumps_of_its_items(self, gain_map, read, nested):
+        if read:
+            dict(gain_map.items())
+        value = [gain_map] if nested else gain_map
+        assert json_text(value) == json.dumps(jsonable(value), indent=2)
