@@ -95,11 +95,13 @@ def test_stacked_sweep_equals_the_per_point_reference_bit_for_bit(case):
     assert json_rows(argv) == expected
 
 
-def test_curves_spanning_two_chunks_equal_the_per_point_reference():
-    # Three points of a (4, 8) star's 70 access structures fill a chunk.
-    argv = ["sweep", "--n", "8", "--k", "4", "--topology", "star", "--r-min", "0.4",
-            "--r-max", "1.2", "--r-steps", "4", "--transmissivities", "1,0.5"]
-    assert json_rows(argv) == sweep_loop(8, 4, "star", np.linspace(0.4, 1.2, 4), [1.0, 0.5])
+@pytest.mark.parametrize("n, k, steps", [(8, 4, 4), (10, 5, 2)], ids=["star-4-8", "star-5-10"])
+def test_curves_spanning_two_chunks_equal_the_per_point_reference(n, k, steps):
+    # Three points of a (4, 8) star's 70 access structures fill a chunk; a
+    # (5, 10) star's 252 fill one alone, so its tied rows are evaluated once.
+    argv = ["sweep", "--n", str(n), "--k", str(k), "--topology", "star", "--r-min", "0.4",
+            "--r-max", "1.2", "--r-steps", str(steps), "--transmissivities", "1,0.5"]
+    assert json_rows(argv) == sweep_loop(n, k, "star", np.linspace(0.4, 1.2, steps), [1.0, 0.5])
 
 
 def test_stacked_kernel_equals_one_matrix_calls_across_row_blocks():
