@@ -17,11 +17,7 @@ C(n, k) access structures cost a few numpy calls instead of a Python loop;
 a stack of covariances, one per grid point, shares the same blocks. Every
 row gets the same arithmetic as a single-row call on one matrix, so results
 do not depend on how rows or points are batched; a single estimator set is a
-one-row index array. By the same rule, rows of one covariance that tie
-(bit-identical estimator block and target-covariance row, as every
-structure of a star resource does) are evaluated once per block and their
-results copied back: a tied row gets the bits it would get alone, so no
-output moves. Blocks stacking several covariances are evaluated row by row.
+one-row index array.
 
 These formulas are exact for Gaussian states. If applied to second moments
 estimated from non-Gaussian data they yield a lower bound on the mutual
@@ -82,35 +78,14 @@ def check_conditional_variances(conditional: np.ndarray, unconditional) -> None:
                      f"(0, {float(np.broadcast_to(bound, inside.shape).flat[first])}]")
 
 
-def _distinct(gamma: np.ndarray, c: np.ndarray) -> tuple:
-    """The distinct rows of one covariance's (S, g, g) estimator blocks and (S, 1, g) c rows.
-
-    Returns (gamma, c, inverse): the distinct (block, c) pairs, row s's
-    pair at ``inverse[s]``, or the arguments and a full slice where no two
-    rows tie. Rows are grouped by a fixed weighted sum of their entries,
-    and the grouping is kept only if it reproduces every input byte, so
-    rows whose sums collide, or that differ only in the sign of a zero,
-    are never merged.
-    """
-    pairs = np.concatenate((gamma.reshape(len(gamma), -1), c.reshape(len(c), -1)), axis=1)
-    with np.errstate(all="ignore"):  # an overflowing fingerprint still groups exact ties
-        fingerprints = (pairs * np.sqrt(np.arange(2.0, pairs.shape[1] + 2.0))).sum(axis=1)
-    _, first, inverse = np.unique(fingerprints, return_index=True, return_inverse=True)
-    if len(first) == len(pairs) or pairs[first[inverse]].tobytes() != pairs.tobytes():
-        return gamma, c, slice(None)
-    return gamma[first], c[first], inverse
-
-
 def schur(cov: np.ndarray, target_idx: int, estimator_idx: np.ndarray) -> tuple:
     """Optimal linear inference of one coordinate from many estimator sets.
 
     Row s of ``estimator_idx`` lists the coordinates of estimator set s.
     Each set's block is pseudo-inverted with eigenvalues at or below
     PINV_CUTOFF times its trace cut, so singular blocks (duplicated or
-    perfectly correlated coordinates) give the limiting variance. Rows of
-    one covariance whose block and target-covariance row are bit-identical
-    are evaluated once per SCHUR_BLOCK_ROWS rows; a row's result never
-    depends on the other rows, so sharing it moves no bit.
+    perfectly correlated coordinates) give the limiting variance. A row's
+    result never depends on the other rows.
 
     Args:
         cov: Covariance matrix, or a (..., d, d) stack of them.
@@ -143,9 +118,6 @@ def schur(cov: np.ndarray, target_idx: int, estimator_idx: np.ndarray) -> tuple:
         gamma = np.ascontiguousarray(block[:, rows[:, :, None], rows[:, None, :]]).reshape(
             -1, width, width)
         c = np.ascontiguousarray(block[:, target_idx, rows]).reshape(-1, 1, width)
-        spread = slice(None)
-        if len(block) == 1 and len(rows) > 1:
-            gamma, c, spread = _distinct(gamma, c)
         eigval, eigvec = np.linalg.eigh(gamma)
         cutoff = PINV_CUTOFF * np.maximum(gamma.trace(axis1=1, axis2=2), 0.0)
         keep = eigval > cutoff[:, None]
@@ -154,8 +126,8 @@ def schur(cov: np.ndarray, target_idx: int, estimator_idx: np.ndarray) -> tuple:
         # einsum would sum in another order and move results by an ulp.
         g = ((eigvec * inv[:, None, :]) @ eigvec.transpose(0, 2, 1)) @ c.transpose(0, 2, 1)
         variances.append((v_target[first:first + points, None]
-                          - (c @ g)[:, 0, 0].reshape(len(block), -1)).ravel()[spread])
-        gains.append(g[spread, :, 0])
+                          - (c @ g)[:, 0, 0].reshape(len(block), -1)).ravel())
+        gains.append(g[:, :, 0])
     if len(variances) > 1:
         variances, gains = [np.concatenate(variances)], [np.concatenate(gains)]
     leading = cov.shape[:-2]

@@ -27,6 +27,10 @@ computed, all in bits per round:
 
 :func:`key_rates` evaluates every term as arrays over a state stack (a
 sweep curve), one kernel call per side; :func:`keyrate_qss` is its report.
+Where the layout marks all players conjugate or none and every player
+permutation leaves each covariance unchanged bit for bit, as on a star, a
+permutation takes any structure to any other of its size: all are one
+inference, bit for bit, so each side evaluates its first structure alone.
 :func:`combine` is the one reduction from conditional variances to these
 rates, for the empirical ones of :func:`~cvqss.simulation.run_protocol` too.
 For (2, 2) the combination reduces exactly to the minimum of the two
@@ -261,23 +265,43 @@ def combine(dealer_x_variance: float, access_variances, adversarial_variances,
         dealer_x_variance, access_variances, adversarial_variances, beta)))
 
 
-def _infer(state: GaussianState, layout: PartyLayout, basis: str, rows) -> tuple:
+def _interchangeable(state: GaussianState, layout: PartyLayout) -> bool:
+    """Whether the transposition (B1 B2) and the cycle (B1 ... Bn), and so every player
+    permutation, leave the announcement map and each covariance bit for bit unchanged."""
+    if 0 < len(layout.conjugate_players) < layout.num_players:
+        return False
+    players = np.array([state.quad_index(player, "x") for player in layout.player_modes])
+    n, bits = len(players), state.cov.view(np.int64)
+    for image in (players[[1, 0, *range(2, n)]], players[[*range(1, n), 0]]):
+        order = np.arange(bits.shape[-1])
+        order[players], order[players + 1] = image, image + 1  # a mode's p follows its x
+        if not np.array_equal(bits[..., order[:, None], order], bits):
+            return False
+    return True
+
+
+def _infer(state: GaussianState, layout: PartyLayout, basis: str, rows: np.ndarray) -> tuple:
     """:func:`~cvqss.estimation.schur` of the dealer's ``basis`` quadrature, checked.
 
-    Estimator set s is the announced ``basis`` outcomes of the players at
-    the 0-based positions in row s of ``rows``.
+    Estimator set s is the announced ``basis`` outcomes of the distinct players
+    at the 0-based positions in row s of ``rows``. On :func:`_interchangeable`
+    players only row 0 is evaluated, and its result stands for every row.
     """
     announced = np.array([state.quad_index(*coord) for coord in
                           layout.announced_coordinates(layout.player_modes, basis)])
+    tied = len(rows) > 1 and _interchangeable(state, layout)
     variances, gains, dealer = schur(state.cov, state.quad_index(layout.dealer_mode, basis),
-                                     announced[np.asarray(rows)])
+                                     announced[rows[:1] if tied else rows])
     check_conditional_variances(variances, dealer)
+    if tied:
+        variances = np.broadcast_to(variances, variances.shape[:-1] + (len(rows),))
+        gains = np.broadcast_to(gains, variances.shape + gains.shape[-1:])
     return variances, gains, dealer
 
 
 def _everyone(state: GaussianState, layout: PartyLayout, beta: float) -> tuple:
     """The all-player x and p inferences and the eavesdropping bound they give."""
-    everyone = [range(layout.num_players)]
+    everyone = np.arange(layout.num_players)[None]
     x = _infer(state, layout, "x", everyone)
     p = _infer(state, layout, "p", everyone)
     return x, p, _rate_bound(x[2], x[0], p[0], beta)
@@ -296,7 +320,10 @@ class KeyRates(NamedTuple):
 
 def key_rates(state: GaussianState, layout: PartyLayout, scheme: ThresholdScheme,
               beta: float = 1.0) -> KeyRates:
-    """Every key rate of a (k, n) scheme on one state or a stack of states."""
+    """Every key rate of a (k, n) scheme on one state or a stack of states.
+
+    On interchangeable players (module docstring) each side evaluates one row.
+    """
     layout.check_state(state, stacked=True)
     if scheme.n != layout.num_players:
         raise ValueError(f"scheme expects {scheme.n} players but the layout has "

@@ -8,6 +8,7 @@ propagation so the tests never trust the code path they are checking.
 ``combine``, so it checks the inference, not the reduction.
 ``conditional_variance_fixed`` is the fixed-gain formula, an inference that
 takes its gains as given instead of optimising them.
+``bisect_root`` locates the zero crossings the tests pin.
 ``jsonable`` is the conversion ``cvqss.jsontext.json_text`` must reproduce,
 as ``json.dumps(jsonable(value), indent=2)``.
 """
@@ -122,6 +123,20 @@ def chain_expected_variances(r: float, transmissivity: float) -> dict:
         "v_p_given_c_only": v_p_given_c,
         "v_p_given_b_only": v_p_given_b,
     }
+
+
+def bisect_root(f, lo: float, hi: float, xtol: float = 1e-13) -> float:
+    """A zero of ``f`` in [lo, hi], where f(lo) and f(hi) differ in sign, to within ``xtol``."""
+    lo_positive = f(lo) > 0.0
+    if lo_positive == (f(hi) > 0.0):
+        raise ValueError(f"f({lo}) and f({hi}) have the same sign")
+    while hi - lo > xtol:
+        mid = 0.5 * (lo + hi)
+        if (f(mid) > 0.0) == lo_positive:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def pinv_psd(matrix: np.ndarray, cutoff: float = 1e-10) -> np.ndarray:

@@ -9,7 +9,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from cvqss import (
     ChannelSpec,
@@ -32,6 +31,7 @@ from cvqss import (
 from cvqss.cli import SWEEP_HEADER, main as cli_main
 from cvqss.gaussian import beamsplitter_transform, cz_transform
 from helpers import (
+    bisect_root,
     chain_expected_variances,
     fit_design,
     product_vacuum,
@@ -251,7 +251,7 @@ def test_criterion_6_threshold_identity():
         return (keyrate_qss(resource, layout_r, scheme).inference_product
                 - SECURITY_THRESHOLD)
 
-    r_cross = brentq(gap, 0.05, 1.0, xtol=1e-13, rtol=1e-15)
+    r_cross = bisect_root(gap, 0.05, 1.0)
     resource, layout_r = build_three_mode_chain(r_cross, 1.0)
     assert abs(keyrate_qss(resource, layout_r, scheme).combined_rate) < 1e-10
 

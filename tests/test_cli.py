@@ -144,9 +144,10 @@ class TestThresholdBytes:
     tied, so its binding rows are the first ones; the text digests of a
     (3, 6) chain, whose binding access row is the eleventh, and of a (1, 3)
     chain, whose one collusion is empty, pin the rest of the table's layout.
-    The (7, 14) star and chain digests were recorded before tied estimator
-    blocks were evaluated once: every star block ties, and 1,824 of the
-    chain's 3,432 access blocks are distinct.
+    The (7, 14) star and chain digests were recorded before structures
+    shared any evaluation: the star's players are interchangeable, so each
+    side now evaluates one row for all its structures, and the chain, whose
+    players are not, evaluates every row.
     """
 
     ARGV = ["threshold", "--n", "8", "--k", "4", "--topology", "star"]

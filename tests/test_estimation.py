@@ -221,29 +221,6 @@ class TestSchurKernel:
         rows = announced[np.array(list(combinations(range(n), k)))]
         return state, state.quad_index("A", "x"), rows
 
-    @staticmethod
-    def counting_eigh(monkeypatch):
-        """Patch ``np.linalg.eigh`` to record how many matrices each call receives."""
-        eigh, counts = np.linalg.eigh, []
-
-        def counting(a, *args, **kwargs):
-            counts.append(math.prod(np.shape(a)[:-2]))
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting)
-        return counts
-
-    def test_tied_star_rows_take_one_eigh_per_block(self, monkeypatch):
-        # Every access block of a star is bit-identical: 924 rows, 4 blocks.
-        state, t, rows = self.access_rows(12, 6, star_topology)
-        assert len(rows) == 924
-        ref_variances, ref_gains, _ = schur_loop(state.cov, t, rows)
-        counts = self.counting_eigh(monkeypatch)
-        variances, gains, _ = schur(state.cov, t, rows)
-        assert sum(counts) <= -(-len(rows) // SCHUR_BLOCK_ROWS)
-        assert np.array_equal(variances, ref_variances)
-        assert np.array_equal(gains, ref_gains)
-
     def test_repeated_and_partially_tied_rows_match_loop(self):
         state = self.star_state()
         t = state.quad_index("A", "p")
@@ -258,29 +235,6 @@ class TestSchurKernel:
             ref_variances, ref_gains, _ = schur_loop(cov, target, rows)
             assert np.array_equal(variances, ref_variances)
             assert np.array_equal(gains, ref_gains)
-
-    def test_colliding_fingerprints_fall_back_to_every_row(self, monkeypatch):
-        # All rows get the same fingerprint, so no grouping reproduces the
-        # chain's partly tied rows and each row is evaluated on its own.
-        state, t, rows = self.access_rows(10, 5, chain_topology)
-        ref_variances, ref_gains, _ = schur_loop(state.cov, t, rows)
-        unique = np.unique
-        monkeypatch.setattr(np, "unique", lambda a, **kwargs: unique(np.zeros_like(a), **kwargs))
-        counts = self.counting_eigh(monkeypatch)
-        variances, gains, _ = schur(state.cov, t, rows)
-        assert sum(counts) == len(rows)
-        assert np.array_equal(variances, ref_variances)
-        assert np.array_equal(gains, ref_gains)
-
-    def test_signed_zeros_are_not_merged(self, monkeypatch):
-        # Rows (1, 3) and (2, 3) differ only in the sign of a zero covariance.
-        cov = np.diag([1.0, 0.7, 0.7, 0.6])
-        cov[0, 1] = cov[1, 0] = cov[0, 2] = cov[2, 0] = 0.3
-        cov[1, 3] = cov[3, 1] = -0.0
-        counts = self.counting_eigh(monkeypatch)
-        variances, gains, _ = schur(cov, 0, [[1, 3], [2, 3]])
-        assert counts == [2]
-        assert variances[0] == variances[1]
 
     def test_empty_or_target_rows_rejected(self):
         state = self.star_state()

@@ -11,6 +11,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from cvqss import (
     ChannelSpec,
+    GaussianState,
     PartyLayout,
     SECURITY_THRESHOLD,
     ThresholdScheme,
@@ -30,6 +31,7 @@ from cvqss.estimation import check_conditional_variances
 from cvqss.jsontext import json_text
 from cvqss.keyrate import combine
 from helpers import (
+    bisect_root,
     chain_expected_variances,
     dishonest_rate_loop,
     product_vacuum,
@@ -242,8 +244,6 @@ class TestCombinedBound:
     def test_threshold_squeezing_zeroes_the_combined_rate(self):
         # The (2, 2) chain rate crosses zero where the binding inference
         # product reaches exp(-2); locate the crossing and pin the identity.
-        from scipy.optimize import brentq
-
         scheme = enumerate_structures(2, 2)
 
         def product_gap(r):
@@ -251,7 +251,7 @@ class TestCombinedBound:
             report = keyrate_qss(state, layout, scheme)
             return report.inference_product - SECURITY_THRESHOLD
 
-        r_star = brentq(product_gap, 0.05, 1.0, xtol=1e-13, rtol=1e-15)
+        r_star = bisect_root(product_gap, 0.05, 1.0)
         state, layout = build_three_mode_chain(r_star, 1.0)
         report = keyrate_qss(state, layout, scheme)
         assert abs(report.combined_rate) < 1e-10
@@ -320,6 +320,23 @@ def _reference_sides(state, layout, scheme):
     return x_side, p_side
 
 
+def _assert_report_matches_loop(state, layout, scheme):
+    """keyrate_qss's per-structure variances and gains equal the loop reference bit for bit."""
+    report = keyrate_qss(state, layout, scheme)
+    (x_var, x_gains, _), (p_var, p_gains, _) = _reference_sides(state, layout, scheme)
+    assert np.array_equal(list(report.access_conditional_variance.values()), x_var)
+    assert np.array_equal(
+        [list(g.gains.values()) for g in report.access_gains.values()], x_gains)
+    assert np.array_equal(list(report.adversarial_conditional_variance.values()), p_var)
+    assert np.array_equal(
+        [list(g.gains.values()) for g in report.adversarial_gains.values()], p_gains)
+    for players, gains in report.access_gains.items():
+        assert tuple(gains.gains) == players and gains.quadrature == "x"
+    for colluders, gains in report.adversarial_gains.items():
+        assert set(gains.gains).isdisjoint(colluders) and gains.quadrature == "p"
+        assert len(gains.gains) == scheme.n - len(colluders)
+
+
 class TestBatchedStructures:
     """keyrate_qss's batched kernel against the per-structure loop, bit for bit."""
 
@@ -333,24 +350,7 @@ class TestBatchedStructures:
     ])
     def test_matches_structure_loop(self, n, k, topology):
         state, layout = _kn_state(n, topology)
-        scheme = enumerate_structures(n, k)
-        report = keyrate_qss(state, layout, scheme)
-        (x_var, x_gains, _), (p_var, p_gains, _) = _reference_sides(
-            state, layout, scheme)
-        assert np.array_equal(
-            list(report.access_conditional_variance.values()), x_var)
-        assert np.array_equal(
-            [list(g.gains.values()) for g in report.access_gains.values()], x_gains)
-        assert np.array_equal(
-            list(report.adversarial_conditional_variance.values()), p_var)
-        assert np.array_equal(
-            [list(g.gains.values()) for g in report.adversarial_gains.values()],
-            p_gains)
-        for players, gains in report.access_gains.items():
-            assert tuple(gains.gains) == players and gains.quadrature == "x"
-        for colluders, gains in report.adversarial_gains.items():
-            assert set(gains.gains).isdisjoint(colluders) and gains.quadrature == "p"
-            assert len(gains.gains) == n - len(colluders)
+        _assert_report_matches_loop(state, layout, enumerate_structures(n, k))
 
     @pytest.mark.parametrize("n, k, topology", [
         (5, 3, chain_topology), (4, 1, star_topology), (6, 6, star_topology)])
@@ -367,23 +367,83 @@ class TestBatchedStructures:
     @pytest.mark.parametrize("side, scale", [("x", 0.0), ("p", 1.5)])
     def test_out_of_range_variance_raises_conditioning_message(
             self, monkeypatch, side, scale):
-        state, layout = _kn_state(4, star_topology)
-        target = state.quad_index("A", side)
-        bad = scale * state.variance("A", side)
+        # The star's rows share one evaluated row; the chain's are each evaluated.
         real_schur = keyrate_module.schur
+        for topology in (star_topology, chain_topology):
+            state, layout = _kn_state(4, topology)
+            target = state.quad_index("A", side)
+            bad = scale * state.variance("A", side)
 
-        def corrupted(cov, target_idx, estimator_idx):
-            variances, gains, v_target = real_schur(cov, target_idx, estimator_idx)
-            if target_idx == target:
-                variances[1] = bad
-            return variances, gains, v_target
+            def corrupted(cov, target_idx, estimator_idx):
+                variances, gains, v_target = real_schur(cov, target_idx, estimator_idx)
+                if target_idx == target:
+                    variances[..., -1] = bad
+                return variances, gains, v_target
 
-        monkeypatch.setattr(keyrate_module, "schur", corrupted)
-        with pytest.raises(ValueError) as batched:
-            keyrate_qss(state, layout, enumerate_structures(4, 2))
-        with pytest.raises(ValueError) as single:
-            check_conditional_variances(np.array([bad]), state.variance("A", side))
-        assert str(batched.value) == str(single.value)
+            monkeypatch.setattr(keyrate_module, "schur", corrupted)
+            with pytest.raises(ValueError) as batched:
+                keyrate_qss(state, layout, enumerate_structures(4, 2))
+            with pytest.raises(ValueError) as single:
+                check_conditional_variances(np.array([bad]), state.variance("A", side))
+            assert str(batched.value) == str(single.value)
+
+
+class TestInterchangeablePlayers:
+    """The proof that lets every structure of a side share its first row's inference."""
+
+    def test_holds_on_a_star_and_on_each_point_of_a_star_stack(self):
+        assert keyrate_module._interchangeable(*_kn_state(6, star_topology))
+        # Points differ from each other; each is compared only with itself.
+        assert keyrate_module._interchangeable(
+            *_kn_state(6, star_topology, r=np.linspace(0.0, 2.0, 61)))
+
+    def test_fails_on_a_chain_a_ring_and_a_partial_conjugate_set(self):
+        assert not keyrate_module._interchangeable(*_kn_state(6, chain_topology))
+        # A star whose players also form a ring B1-B2-B3-B4-B1 is unchanged by
+        # the cycle (B1 B2 B3 B4) but not by the transposition (B1 B2).
+        ring = star_topology(4) + (("B1", "B2"), ("B2", "B3"), ("B3", "B4"), ("B4", "B1"))
+        assert not keyrate_module._interchangeable(*_kn_state(4, lambda n: ring))
+        state, layout = _kn_state(6, star_topology)
+        partial = PartyLayout("A", layout.player_modes, frozenset({"B1", "B2"}))
+        assert not keyrate_module._interchangeable(state, partial)
+
+    def test_fails_where_one_channel_differs_and_every_row_matches_the_loop(self):
+        specs = {f"B{i}": ChannelSpec(0.8 if i == 3 else 0.93) for i in range(1, 7)}
+        state, layout = build_kn_state(6, 1.15, specs, star_topology(6))
+        assert not keyrate_module._interchangeable(state, layout)
+        _assert_report_matches_loop(state, layout, enumerate_structures(6, 3))
+
+    def test_signed_zeros_are_not_interchangeable(self):
+        # B and C differ only in the sign of a zero x-p covariance.
+        cov = np.diag([1.0, 1.0, 0.7, 0.7, 0.7, 0.7])
+        cov[0, 2] = cov[2, 0] = cov[0, 4] = cov[4, 0] = 0.3
+        layout = PartyLayout("A", ("B", "C"))
+        for zero, interchangeable in ((0.0, True), (-0.0, False)):
+            cov[2, 3] = cov[3, 2] = zero
+            state = GaussianState(np.zeros(6), cov.copy(), ("A", "B", "C"))
+            assert keyrate_module._interchangeable(state, layout) == interchangeable
+
+    def test_each_inference_evaluates_one_row(self, monkeypatch):
+        # Access, adversarial, all-player x and p, and single dishonest players:
+        # five rows in all, against 1,730 (12 players) and 6,451 (14) structure rows.
+        real_schur, eigh, rows, matrices = keyrate_module.schur, np.linalg.eigh, [], []
+
+        def counting_schur(cov, target_idx, estimator_idx):
+            rows.append(len(estimator_idx))
+            return real_schur(cov, target_idx, estimator_idx)
+
+        def counting_eigh(a, *args, **kwargs):
+            matrices.append(math.prod(np.shape(a)[:-2]))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(keyrate_module, "schur", counting_schur)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        for n in (12, 14):
+            rows.clear()
+            matrices.clear()
+            keyrate_qss(*_kn_state(n, star_topology, transmissivity=0.9),
+                        enumerate_structures(n, n // 2))
+            assert sum(rows) == sum(matrices) == 5
 
 
 class TestReportValue:
