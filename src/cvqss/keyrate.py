@@ -27,10 +27,10 @@ computed, all in bits per round:
 
 :func:`key_rates` evaluates every term as arrays over a state stack (a
 sweep curve), one kernel call per side; :func:`keyrate_qss` is its report.
-Where the layout marks all players conjugate or none and every player
-permutation leaves each covariance unchanged bit for bit, as on a star, a
-permutation takes any structure to any other of its size: all are one
-inference, bit for bit, so each side evaluates its first structure alone.
+Players fall into classes (one on a star) within which every permutation
+leaves the announcement map and each covariance unchanged bit for bit, so
+structures whose players have the same classes position by position are one
+inference, bit for bit: each side evaluates one structure per class sequence.
 :func:`combine` is the one reduction from conditional variances to these
 rates, for the empirical ones of :func:`~cvqss.simulation.run_protocol` too.
 For (2, 2) the combination reduces exactly to the minimum of the two
@@ -265,37 +265,54 @@ def combine(dealer_x_variance: float, access_variances, adversarial_variances,
         dealer_x_variance, access_variances, adversarial_variances, beta)))
 
 
-def _interchangeable(state: GaussianState, layout: PartyLayout) -> bool:
-    """Whether the transposition (B1 B2) and the cycle (B1 ... Bn), and so every player
-    permutation, leave the announcement map and each covariance bit for bit unchanged."""
-    if 0 < len(layout.conjugate_players) < layout.num_players:
-        return False
-    players = np.array([state.quad_index(player, "x") for player in layout.player_modes])
-    n, bits = len(players), state.cov.view(np.int64)
-    for image in (players[[1, 0, *range(2, n)]], players[[*range(1, n), 0]]):
-        order = np.arange(bits.shape[-1])
-        order[players], order[players + 1] = image, image + 1  # a mode's p follows its x
-        if not np.array_equal(bits[..., order[:, None], order], bits):
-            return False
-    return True
+def _player_classes(state: GaussianState, layout: PartyLayout) -> np.ndarray:
+    """Class labels 0, 1, ... per player; every permutation within a class leaves the
+    announcement map and each covariance unchanged bit for bit.
+
+    A player joins the first class whose first player it can be swapped with, both
+    unchanged; those transpositions generate every permutation within the class.
+    """
+    players = [(player in layout.conjugate_players, state.quad_index(player, "x"))
+               for player in layout.player_modes]
+    bits, firsts, labels = state.cov.view(np.int64), [], []
+    for conjugate, j in players:
+        for label, (first_conjugate, i) in enumerate(firsts):
+            order = np.arange(bits.shape[-1])
+            order[[i, i + 1, j, j + 1]] = j, j + 1, i, i + 1  # a mode's p follows its x
+            if conjugate == first_conjugate and np.array_equal(
+                    bits[..., order[:, None], order], bits):
+                labels.append(label)
+                break
+        else:
+            labels.append(len(firsts))
+            firsts.append((conjugate, j))
+    return np.array(labels)
 
 
 def _infer(state: GaussianState, layout: PartyLayout, basis: str, rows: np.ndarray) -> tuple:
     """:func:`~cvqss.estimation.schur` of the dealer's ``basis`` quadrature, checked.
 
     Estimator set s is the announced ``basis`` outcomes of the distinct players
-    at the 0-based positions in row s of ``rows``. On :func:`_interchangeable`
-    players only row 0 is evaluated, and its result stands for every row.
+    at the 0-based positions in row s of ``rows``. Rows whose players have the
+    same :func:`_player_classes` position by position are one inference, bit for
+    bit: only the first of them is evaluated, and its result stands for all.
     """
     announced = np.array([state.quad_index(*coord) for coord in
                           layout.announced_coordinates(layout.player_modes, basis)])
-    tied = len(rows) > 1 and _interchangeable(state, layout)
+    evaluated, spread = rows, None
+    if len(rows) > 1:
+        classes = _player_classes(state, layout)
+        count = int(classes.max()) + 1
+        if count < len(classes) and count ** rows.shape[1] < 2 ** 63:
+            # Row s's class sequence, written in base ``count``, names its inference.
+            codes = classes[rows] @ count ** np.arange(rows.shape[1])
+            _, first, spread = np.unique(codes, return_index=True, return_inverse=True)
+            evaluated = rows[first]
     variances, gains, dealer = schur(state.cov, state.quad_index(layout.dealer_mode, basis),
-                                     announced[rows[:1] if tied else rows])
+                                     announced[evaluated])
+    if spread is not None:
+        variances, gains = variances[..., spread], gains[..., spread, :]
     check_conditional_variances(variances, dealer)
-    if tied:
-        variances = np.broadcast_to(variances, variances.shape[:-1] + (len(rows),))
-        gains = np.broadcast_to(gains, variances.shape + gains.shape[-1:])
     return variances, gains, dealer
 
 
@@ -322,7 +339,7 @@ def key_rates(state: GaussianState, layout: PartyLayout, scheme: ThresholdScheme
               beta: float = 1.0) -> KeyRates:
     """Every key rate of a (k, n) scheme on one state or a stack of states.
 
-    On interchangeable players (module docstring) each side evaluates one row.
+    Each side evaluates one row per class sequence of its structures (module docstring).
     """
     layout.check_state(state, stacked=True)
     if scheme.n != layout.num_players:

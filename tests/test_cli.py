@@ -145,9 +145,9 @@ class TestThresholdBytes:
     (3, 6) chain, whose binding access row is the eleventh, and of a (1, 3)
     chain, whose one collusion is empty, pin the rest of the table's layout.
     The (7, 14) star and chain digests were recorded before structures
-    shared any evaluation: the star's players are interchangeable, so each
-    side now evaluates one row for all its structures, and the chain, whose
-    players are not, evaluates every row.
+    shared any evaluation: the star's players form one class, so each side
+    now evaluates one row for all its structures, and the chain, whose
+    players are each alone, evaluates every row.
     """
 
     ARGV = ["threshold", "--n", "8", "--k", "4", "--topology", "star"]

@@ -301,6 +301,13 @@ def _kn_state(n, topology, r=1.15, transmissivity=0.93):
                           topology(n))
 
 
+def _ulp_apart(state, layout, player):
+    """The state with ``player``'s p variance one ulp lower."""
+    cov, i = np.array(state.cov), state.quad_index(player, "p")
+    cov[i, i] = np.nextafter(cov[i, i], 0.0)
+    return GaussianState(state.mean, cov, state.labels), layout
+
+
 def _reference_sides(state, layout, scheme):
     """Per-structure variances and gains from one 2-D Schur complement each."""
 
@@ -388,40 +395,95 @@ class TestBatchedStructures:
             assert str(batched.value) == str(single.value)
 
 
-class TestInterchangeablePlayers:
-    """The proof that lets every structure of a side share its first row's inference."""
+class TestPlayerClasses:
+    """The proof that lets structures of a side share one evaluated row's inference."""
 
-    def test_holds_on_a_star_and_on_each_point_of_a_star_stack(self):
-        assert keyrate_module._interchangeable(*_kn_state(6, star_topology))
+    def test_one_class_on_a_star_and_on_each_point_of_a_star_stack(self):
+        assert keyrate_module._player_classes(*_kn_state(6, star_topology)).tolist() == [0] * 6
         # Points differ from each other; each is compared only with itself.
-        assert keyrate_module._interchangeable(
-            *_kn_state(6, star_topology, r=np.linspace(0.0, 2.0, 61)))
+        stack = _kn_state(6, star_topology, r=np.linspace(0.0, 2.0, 61))
+        assert keyrate_module._player_classes(*stack).tolist() == [0] * 6
 
-    def test_fails_on_a_chain_a_ring_and_a_partial_conjugate_set(self):
-        assert not keyrate_module._interchangeable(*_kn_state(6, chain_topology))
+    def test_a_chain_has_no_class_of_two_and_a_ring_pairs_opposite_players(self):
+        classes = keyrate_module._player_classes(*_kn_state(6, chain_topology))
+        assert classes.tolist() == list(range(6))
         # A star whose players also form a ring B1-B2-B3-B4-B1 is unchanged by
-        # the cycle (B1 B2 B3 B4) but not by the transposition (B1 B2).
+        # swapping opposite players, (B1 B3) or (B2 B4), and by no other swap.
         ring = star_topology(4) + (("B1", "B2"), ("B2", "B3"), ("B3", "B4"), ("B4", "B1"))
-        assert not keyrate_module._interchangeable(*_kn_state(4, lambda n: ring))
+        state, layout = _kn_state(4, lambda n: ring)
+        assert keyrate_module._player_classes(state, layout).tolist() == [0, 1, 0, 1]
+        _assert_report_matches_loop(state, layout, enumerate_structures(4, 2))
+
+    def test_a_partial_conjugate_set_is_a_class_and_every_row_matches_the_loop(self):
         state, layout = _kn_state(6, star_topology)
         partial = PartyLayout("A", layout.player_modes, frozenset({"B1", "B2"}))
-        assert not keyrate_module._interchangeable(state, partial)
+        assert keyrate_module._player_classes(state, partial).tolist() == [0, 0, 1, 1, 1, 1]
+        _assert_report_matches_loop(state, partial, enumerate_structures(6, 3))
 
-    def test_fails_where_one_channel_differs_and_every_row_matches_the_loop(self):
+    def test_an_ulp_apart_player_is_its_own_class_and_every_row_matches_the_loop(
+            self, monkeypatch):
+        # As gate-by-gate rounding leaves B3, B7 and B11 of some (7, 14) stars.
+        state, layout = _ulp_apart(*_kn_state(6, star_topology), "B3")
+        assert keyrate_module._player_classes(state, layout).tolist() == [0, 0, 1, 0, 0, 0]
+        real_schur, rows = keyrate_module.schur, []
+
+        def counting_schur(cov, target_idx, estimator_idx):
+            rows.append(len(estimator_idx))
+            return real_schur(cov, target_idx, estimator_idx)
+
+        monkeypatch.setattr(keyrate_module, "schur", counting_schur)
+        _assert_report_matches_loop(state, layout, enumerate_structures(6, 3))
+        # One row per class sequence: B3 absent or at each position it can take.
+        assert rows == [4, 4, 1, 1, 3]
+
+    def test_a_range_error_names_the_row_it_names_without_the_fold(self, monkeypatch):
+        state, layout = _ulp_apart(*_kn_state(6, star_topology), "B3")
+        b3, real_schur = [state.quad_index("B3", q) for q in "xp"], keyrate_module.schur
+
+        def corrupted(cov, target_idx, estimator_idx):
+            # Rows holding B3 fail with a value naming its position; (B1, B2, B3) comes first.
+            variances, gains, v_target = real_schur(cov, target_idx, estimator_idx)
+            hit = np.isin(estimator_idx, b3)
+            return (np.where(hit.any(axis=1), -1.0 - hit.argmax(axis=1), variances),
+                    gains, v_target)
+
+        monkeypatch.setattr(keyrate_module, "schur", corrupted)
+        messages = []
+        for classes in (keyrate_module._player_classes, lambda *_: np.arange(6)):
+            monkeypatch.setattr(keyrate_module, "_player_classes", classes)
+            with pytest.raises(ValueError) as error:
+                keyrate_qss(state, layout, enumerate_structures(6, 3))
+            messages.append(str(error.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("conditional variance -3.0 ")
+
+    def test_a_class_broken_at_one_point_is_split_for_the_whole_stack(self):
+        even, layout = _kn_state(6, star_topology)
+        uneven, _ = _ulp_apart(even, layout, "B3")
+        stack = GaussianState(even.mean, np.stack([even.cov, uneven.cov]), even.labels)
+        assert keyrate_module._player_classes(stack, layout).tolist() == [0, 0, 1, 0, 0, 0]
+        scheme = enumerate_structures(6, 3)
+        stacked = keyrate_module.key_rates(stack, layout, scheme)
+        for point, state in enumerate((even, uneven)):
+            alone = keyrate_module.key_rates(state, layout, scheme)
+            for side in ("access", "adversarial"):
+                for got, want in zip(getattr(stacked, side)[:2], getattr(alone, side)[:2]):
+                    assert np.array_equal(got[point], want)
+
+    def test_every_row_matches_the_loop_where_one_channel_differs(self):
         specs = {f"B{i}": ChannelSpec(0.8 if i == 3 else 0.93) for i in range(1, 7)}
         state, layout = build_kn_state(6, 1.15, specs, star_topology(6))
-        assert not keyrate_module._interchangeable(state, layout)
         _assert_report_matches_loop(state, layout, enumerate_structures(6, 3))
 
-    def test_signed_zeros_are_not_interchangeable(self):
+    def test_signed_zeros_are_not_one_class(self):
         # B and C differ only in the sign of a zero x-p covariance.
         cov = np.diag([1.0, 1.0, 0.7, 0.7, 0.7, 0.7])
         cov[0, 2] = cov[2, 0] = cov[0, 4] = cov[4, 0] = 0.3
         layout = PartyLayout("A", ("B", "C"))
-        for zero, interchangeable in ((0.0, True), (-0.0, False)):
+        for zero, classes in ((0.0, [0, 0]), (-0.0, [0, 1])):
             cov[2, 3] = cov[3, 2] = zero
             state = GaussianState(np.zeros(6), cov.copy(), ("A", "B", "C"))
-            assert keyrate_module._interchangeable(state, layout) == interchangeable
+            assert keyrate_module._player_classes(state, layout).tolist() == classes
 
     def test_each_inference_evaluates_one_row(self, monkeypatch):
         # Access, adversarial, all-player x and p, and single dishonest players:

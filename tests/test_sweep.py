@@ -99,7 +99,7 @@ def test_stacked_sweep_equals_the_per_point_reference_bit_for_bit(case):
 def test_curves_spanning_two_chunks_equal_the_per_point_reference(n, k, steps):
     # Three points of a (4, 8) star's 70 access structures fill a chunk; a
     # (5, 10) star's 252 fill one alone. On both, the players of every point
-    # are interchangeable, so each side evaluates one row per point.
+    # form one class, so each side evaluates one row per point.
     argv = ["sweep", "--n", str(n), "--k", str(k), "--topology", "star", "--r-min", "0.4",
             "--r-max", "1.2", "--r-steps", str(steps), "--transmissivities", "1,0.5"]
     assert json_rows(argv) == sweep_loop(n, k, "star", np.linspace(0.4, 1.2, steps), [1.0, 0.5])
