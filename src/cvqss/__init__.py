@@ -5,15 +5,10 @@ from .estimation import JointVariable
 from .gaussian import (
     GaussianState,
     StateDiagnostics,
-    SymplecticTransform,
     UnphysicalStateError,
-    apply_beamsplitter,
-    apply_cz,
-    partial_trace,
     squeezed_vacuum,
     symplectic_eigenvalues,
     symplectic_form,
-    tensor,
     vacuum,
     validate,
 )
@@ -38,7 +33,6 @@ from .states import (
     build_three_mode_chain,
     build_kn_state,
     chain_topology,
-    pure_loss,
     star_topology,
 )
 
@@ -55,26 +49,20 @@ __all__ = [
     "ProtocolReport",
     "SECURITY_THRESHOLD",
     "StateDiagnostics",
-    "SymplecticTransform",
     "ThresholdScheme",
     "UndersampledError",
     "UnphysicalStateError",
-    "apply_beamsplitter",
-    "apply_cz",
     "build_three_mode_chain",
     "build_kn_state",
     "chain_topology",
     "enumerate_structures",
     "keyrate_eavesdropping",
     "keyrate_qss",
-    "partial_trace",
-    "pure_loss",
     "run_protocol",
     "squeezed_vacuum",
     "star_topology",
     "symplectic_eigenvalues",
     "symplectic_form",
-    "tensor",
     "vacuum",
     "validate",
 ]

@@ -1,4 +1,4 @@
-"""Multimode Gaussian states as first and second moments, plus symplectic maps.
+"""Multimode Gaussian states as first and second moments, their builders and diagnostics.
 
 Conventions used throughout the package (fixed here, asserted everywhere):
 
@@ -10,8 +10,9 @@ Conventions used throughout the package (fixed here, asserted everywhere):
 * A covariance matrix is physical (bona fide) iff all of its symplectic
   eigenvalues are >= 1/2; it describes a pure state iff they all equal 1/2.
 
-All operations are pure: they take immutable states and return new ones,
-so values can be shared freely across threads.
+States are immutable, so values can be shared freely across threads. The
+resource itself is built in :mod:`cvqss.states`; the gate-by-gate symplectic
+maps it must reproduce are the test oracle in ``tests/helpers.py``.
 """
 
 import math
@@ -19,9 +20,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-#: Tolerance for the symplectic-invariance check S Omega S^T = Omega.
-SYMPLECTIC_TOL = 1e-12
 
 #: Relative tolerance for covariance-matrix symmetry.
 SYMMETRY_RTOL = 1e-12
@@ -77,8 +75,9 @@ class GaussianState:
     Attributes:
         mean: Length-2m vector of quadrature means, ordering x1,p1,...,xm,pm.
         cov: Symmetric 2m x 2m covariance matrix in the same ordering, or a
-            (..., 2m, 2m) stack of them sharing mean and labels, which the
-            builders and maps below map as one matrix.
+            (..., 2m, 2m) stack of them sharing mean and labels, which
+            ``squeezed_vacuum`` and ``cvqss.states.build_kn_state`` build
+            as one array.
         labels: Unique identifier per mode.
 
     The constructor enforces shape consistency, label uniqueness and
@@ -147,34 +146,6 @@ class GaussianState:
 
 
 @dataclass(frozen=True)
-class SymplecticTransform:
-    """A linear map on quadratures: mean -> S mean, cov -> S cov S^T.
-
-    The constructor rejects matrices that fail the symplectic invariant
-    ``S Omega S^T = Omega`` beyond :data:`SYMPLECTIC_TOL`.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] % 2:
-            raise ValueError(f"symplectic matrix must be 2m x 2m, got {matrix.shape}")
-        omega = symplectic_form(matrix.shape[0] // 2)
-        residual = np.abs(matrix @ omega @ matrix.T - omega).max()
-        if not residual <= SYMPLECTIC_TOL:  # a NaN residual fails too
-            raise ValueError(f"matrix is not symplectic (residual {residual:.3e})")
-        matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
-
-    def apply(self, state: GaussianState) -> GaussianState:
-        if self.matrix.shape[0] != 2 * state.num_modes:
-            raise ValueError("transform dimension does not match the state")
-        s = self.matrix
-        return GaussianState(s @ state.mean, s @ state.cov @ s.T, state.labels)
-
-
-@dataclass(frozen=True)
 class StateDiagnostics:
     """Physicality report for a covariance matrix; see :func:`validate`."""
 
@@ -224,94 +195,6 @@ def squeezed_vacuum(r: float, squeezed_quadrature: Quadrature = "p",
                     else [anti, 0.0, 0.0, squeezed])
     _check_quadrature(squeezed_quadrature)
     return GaussianState(np.zeros(2), np.reshape(covs, values.shape + (2, 2)), (label,))
-
-
-def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
-    """Product state of two Gaussian states with disjoint mode labels."""
-    overlap = set(a.labels) & set(b.labels)
-    if overlap:
-        raise ValueError(f"mode labels collide: {sorted(overlap, key=str)}")
-    dim_a, dim_b = 2 * a.num_modes, 2 * b.num_modes
-    stack = max(a.cov.shape[:-2], b.cov.shape[:-2], key=len)  # one may be a single state
-    cov = np.zeros(stack + (dim_a + dim_b, dim_a + dim_b))
-    cov[..., :dim_a, :dim_a] = a.cov
-    cov[..., dim_a:, dim_a:] = b.cov
-    return GaussianState(np.concatenate([a.mean, b.mean]), cov, a.labels + b.labels)
-
-
-def _embed_pair(state: GaussianState, i, j, block: np.ndarray) -> SymplecticTransform:
-    """Lift a 4x4 two-mode symplectic block acting on modes (i, j)."""
-    idx = [state.quad_index(i, "x"), state.quad_index(i, "p"),
-           state.quad_index(j, "x"), state.quad_index(j, "p")]
-    full = np.eye(2 * state.num_modes)
-    for a, ia in enumerate(idx):
-        for b, ib in enumerate(idx):
-            full[ia, ib] = block[a, b]
-    return SymplecticTransform(full)
-
-
-def cz_transform(state: GaussianState, i, j, weight: float) -> SymplecticTransform:
-    """Symplectic matrix of the x-x coupling gate between modes i and j.
-
-    Heisenberg action: p_i -> p_i + weight * x_j, p_j -> p_j + weight * x_i,
-    positions unchanged.
-    """
-    if i == j:
-        raise ValueError("coupling gate needs two distinct modes")
-    if not math.isfinite(weight):
-        raise ValueError(f"coupling weight must be finite, got {weight}")
-    block = np.eye(4)
-    block[1, 2] = weight
-    block[3, 0] = weight
-    return _embed_pair(state, i, j, block)
-
-
-def apply_cz(state: GaussianState, i, j, weight: float) -> GaussianState:
-    return cz_transform(state, i, j, weight).apply(state)
-
-
-def beamsplitter_transform(state: GaussianState, i, j,
-                           transmissivity: float) -> SymplecticTransform:
-    """Symplectic matrix of a beam splitter with cos(theta) = sqrt(T).
-
-    Sign convention: the reflected port carries the minus sign on mode j,
-    i.e. x_i -> sqrt(T) x_i + sqrt(1-T) x_j and
-    x_j -> -sqrt(1-T) x_i + sqrt(T) x_j (same for p), so T = 0 swaps the
-    modes up to a sign on mode j.
-    """
-    if i == j:
-        raise ValueError("beam splitter needs two distinct modes")
-    if not 0.0 <= transmissivity <= 1.0:
-        raise ValueError(f"transmissivity must lie in [0, 1], got {transmissivity}")
-    c = math.sqrt(transmissivity)
-    s = math.sqrt(1.0 - transmissivity)
-    block = np.array([
-        [c, 0.0, s, 0.0],
-        [0.0, c, 0.0, s],
-        [-s, 0.0, c, 0.0],
-        [0.0, -s, 0.0, c],
-    ])
-    return _embed_pair(state, i, j, block)
-
-
-def apply_beamsplitter(state: GaussianState, i, j, transmissivity: float) -> GaussianState:
-    return beamsplitter_transform(state, i, j, transmissivity).apply(state)
-
-
-def partial_trace(state: GaussianState, keep: Sequence) -> GaussianState:
-    """Reduced state on ``keep``, preserving the original mode order."""
-    keep_set = set(keep)
-    if not keep_set:
-        raise ValueError("keep-set must be nonempty")
-    unknown = keep_set - set(state.labels)
-    if unknown:
-        raise ValueError(f"unknown modes in keep-set: {sorted(unknown, key=str)}")
-    kept_labels = tuple(lab for lab in state.labels if lab in keep_set)
-    idx = []
-    for lab in kept_labels:
-        idx.extend([state.quad_index(lab, "x"), state.quad_index(lab, "p")])
-    idx = np.array(idx)
-    return GaussianState(state.mean[idx], state.cov[..., idx[:, None], idx], kept_labels)
 
 
 def validate(state: GaussianState) -> StateDiagnostics:

@@ -3,7 +3,10 @@
 The reference resource is a cluster-type state: squeezed vacua coupled by
 x-x gates along a graph, with each player's mode sent through an
 individual attenuating channel. The dealer keeps one mode ("A"); players
-hold the rest.
+hold the rest. :func:`build_kn_state` builds its covariance as one array in
+three passes (squeezers, one gate per edge, one loss dilation per player)
+that repeat the matmuls of the gate-by-gate oracle in ``tests/helpers.py``,
+so the two agree bit for bit; no state object is made per gate or channel.
 
 A crucial bookkeeping detail lives in :class:`PartyLayout`. The players'
 devices are treated as black boxes: each player announces two outcome
@@ -18,23 +21,14 @@ coordinates through it. Given an array of squeezings, :func:`build_kn_state`
 builds the stack of their resources, one covariance per value.
 """
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .gaussian import (
-    GaussianState,
-    Quadrature,
-    VACUUM_VARIANCE,
-    apply_beamsplitter,
-    apply_cz,
-    partial_trace,
-    squeezed_vacuum,
-    tensor,
-    vacuum,
-)
+from .gaussian import GaussianState, Quadrature, VACUUM_VARIANCE, squeezed_vacuum
 
 _CONJUGATE = {"x": "p", "p": "x"}
 
@@ -114,30 +108,6 @@ class PartyLayout:
         return [self.announced_coordinate(p, basis) for p in players]
 
 
-def pure_loss(state: GaussianState, mode, spec: ChannelSpec) -> GaussianState:
-    """Send one mode through an attenuating channel.
-
-    Implemented by dilation: couple the mode to a vacuum ancilla on a beam
-    splitter of transmissivity T, discard the ancilla, then add the excess
-    noise to the mode's covariance block. The mode's mean scales by
-    sqrt(T); its diagonal variances map to T*V + (1-T)/2 + excess_noise.
-    """
-    state.mode_index(mode)  # raises on unknown mode
-    ancilla = "_loss_ancilla"
-    while ancilla in state.labels:
-        ancilla += "_"
-    dilated = tensor(state, vacuum(1, labels=(ancilla,)))
-    mixed = apply_beamsplitter(dilated, mode, ancilla, spec.transmissivity)
-    out = partial_trace(mixed, state.labels)
-    if spec.excess_noise > 0.0:
-        i = out.quad_index(mode, "x")
-        cov = np.array(out.cov)
-        cov[..., i, i] += spec.excess_noise
-        cov[..., i + 1, i + 1] += spec.excess_noise
-        out = GaussianState(out.mean, cov, out.labels)
-    return out
-
-
 def chain_topology(n: int) -> tuple:
     """Edges of the linear graph A - B1 - B2 - ... - Bn."""
     nodes = ["A"] + [f"B{i}" for i in range(1, n + 1)]
@@ -169,23 +139,37 @@ def _bfs_distances(nodes: Sequence, edges: Sequence, root) -> dict:
     return dist
 
 
+def _congruence(s: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """``s cov s^T`` for one covariance or a stack, symmetrised as in :class:`GaussianState`."""
+    cov = s @ cov @ s.T
+    return 0.5 * (cov + cov.swapaxes(-1, -2))
+
+
 def build_kn_state(
     n: int,
     r: float,
     specs: Mapping,
     topology: Sequence,
     cz_weight: float = 1.0,
-    squeezed_quadrature: Quadrature = "p",
     player_labels: Sequence | None = None,
 ) -> tuple:
     """Build an (n+1)-mode cluster resource with per-player channels.
 
-    Squeezed vacua sit on the nodes {A, B1..Bn} (or the given player
+    p-squeezed vacua sit on the nodes {A, B1..Bn} (or the given player
     labels), x-x gates of weight ``cz_weight`` act along each topology
     edge, and each player's mode passes through its :class:`ChannelSpec`.
     Players at odd graph distance from the dealer are marked conjugate in
     the returned layout (BFS level parity; exact for trees and bipartite
     graphs, a heuristic labelling on graphs with odd cycles).
+
+    Each gate maps p_a -> p_a + g x_b and p_b -> p_b + g x_a. Each channel
+    is a dilation: the mode meets a vacuum ancilla on a beam splitter of
+    transmissivity T (x -> sqrt(T) x + sqrt(1-T) x_anc, the ancilla taking
+    the minus sign; p alike), the ancilla is discarded and the excess noise
+    added, so the mode's variances map to T*V + (1-T)/2 + excess_noise.
+    Each ``S cov S^T`` is symmetrised as :class:`GaussianState` does.
+    Folding the gates into one matrix, or the channels into one dilation,
+    moves ulps (a 16-player star; mixed channels).
 
     Args:
         n: Number of players (>= 2).
@@ -194,9 +178,7 @@ def build_kn_state(
         specs: Mapping from player label to its ChannelSpec.
         topology: Iterable of undirected edges over {"A"} | player labels;
             must form a connected graph.
-        cz_weight: Gate weight on every edge.
-        squeezed_quadrature: Orientation of the input squeezers; "p" is the
-            cluster convention that maximises the usable correlations.
+        cz_weight: Gate weight on every edge; must be finite.
         player_labels: Optional custom player labels (default B1..Bn).
 
     Returns:
@@ -220,25 +202,43 @@ def build_kn_state(
         raise ValueError(f"topology is disconnected from the dealer: "
                          f"{sorted(disconnected, key=str)}")
 
-    state = squeezed_vacuum(r, squeezed_quadrature, label="A")
-    for label in player_labels:
-        state = tensor(state, squeezed_vacuum(r, squeezed_quadrature, label=label))
-    for a, b in edges:
-        state = apply_cz(state, a, b, cz_weight)
+    block = squeezed_vacuum(r, label="A").cov
+    if not math.isfinite(cz_weight):
+        raise ValueError(f"coupling weight must be finite, got {cz_weight}")
     missing_specs = set(player_labels) - set(specs)
     if missing_specs:
         raise ValueError(f"missing channel specs for players: "
                          f"{sorted(missing_specs, key=str)}")
+
+    dim = 2 * len(nodes)
+    x_row = {label: 2 * k for k, label in enumerate(nodes)}  # p is the next row
+    cov = np.zeros(block.shape[:-2] + (dim, dim))
+    for k in range(0, dim, 2):
+        cov[..., k:k + 2, k:k + 2] = block
+    for a, b in edges:
+        gate = np.eye(dim)
+        gate[x_row[a] + 1, x_row[b]] = gate[x_row[b] + 1, x_row[a]] = cz_weight
+        cov = _congruence(gate, cov)
+    dilated = np.zeros(cov.shape[:-2] + (dim + 2, dim + 2))
+    dilated[..., dim:, dim:] = VACUUM_VARIANCE * np.eye(2)
     for label in player_labels:
-        state = pure_loss(state, label, specs[label])
+        spec = specs[label]
+        c, s = math.sqrt(spec.transmissivity), math.sqrt(1.0 - spec.transmissivity)
+        splitter = np.eye(dim + 2)
+        for row, ancilla in ((x_row[label], dim), (x_row[label] + 1, dim + 1)):
+            splitter[row, row] = splitter[ancilla, ancilla] = c
+            splitter[row, ancilla], splitter[ancilla, row] = s, -s
+        dilated[..., :dim, :dim] = cov
+        cov = _congruence(splitter, dilated)[..., :dim, :dim]
+        for row in (x_row[label], x_row[label] + 1):
+            cov[..., row, row] += spec.excess_noise
 
     conjugate = frozenset(lab for lab in player_labels if dist[lab] % 2 == 1)
     layout = PartyLayout("A", tuple(player_labels), conjugate)
-    return state, layout
+    return GaussianState(np.zeros(dim), cov, nodes), layout
 
 
-def build_three_mode_chain(r: float, transmissivity: float, cz_weight: float = 1.0,
-                     squeezed_quadrature: Quadrature = "p") -> tuple:
+def build_three_mode_chain(r: float, transmissivity: float, cz_weight: float = 1.0) -> tuple:
     """The three-mode linear cluster with symmetric loss on both players.
 
     Three squeezed vacua A, B, C; gates on A-B and B-C; quantum-limited
@@ -250,6 +250,5 @@ def build_three_mode_chain(r: float, transmissivity: float, cz_weight: float = 1
         specs={"B": spec, "C": spec},
         topology=(("A", "B"), ("B", "C")),
         cz_weight=cz_weight,
-        squeezed_quadrature=squeezed_quadrature,
         player_labels=("B", "C"),
     )

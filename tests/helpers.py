@@ -11,11 +11,18 @@ takes its gains as given instead of optimising them.
 ``bisect_root`` locates the zero crossings the tests pin.
 ``jsonable`` is the conversion ``cvqss.jsontext.json_text`` must reproduce,
 as ``json.dumps(jsonable(value), indent=2)``.
+
+The gate-by-gate oracle for ``cvqss.build_kn_state`` lives here too: one
+checked ``SymplecticTransform`` per gate (``cz_transform``, ``apply_cz``),
+and ``pure_loss``'s dilation through ``tensor``, ``apply_beamsplitter`` and
+``partial_trace``, each making a new ``GaussianState``. ``kn_state_loop``
+chains them; the library builds the same covariance in array passes and
+must match it bit for bit.
 """
 
 import math
-from collections.abc import Mapping
-from dataclasses import fields, is_dataclass
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass, fields, is_dataclass
 from itertools import combinations
 
 import numpy as np
@@ -23,13 +30,11 @@ import numpy as np
 from cvqss import (
     ChannelSpec,
     GaussianState,
-    apply_beamsplitter,
-    apply_cz,
     chain_topology,
-    pure_loss,
     squeezed_vacuum,
     star_topology,
-    tensor,
+    symplectic_form,
+    vacuum,
 )
 from cvqss import simulation
 from cvqss.keyrate import combine
@@ -40,6 +45,150 @@ DEGENERATE_VARIANCE_TOL = 1e-12
 
 class DegenerateEstimatorError(ValueError):
     """Raised when a fixed estimator has (numerically) zero variance."""
+
+
+#: Tolerance for the symplectic-invariance check S Omega S^T = Omega.
+SYMPLECTIC_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class SymplecticTransform:
+    """A linear map on quadratures: mean -> S mean, cov -> S cov S^T.
+
+    The constructor rejects matrices that fail the symplectic invariant
+    ``S Omega S^T = Omega`` beyond :data:`SYMPLECTIC_TOL`.
+    """
+
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        matrix = np.asarray(self.matrix, dtype=float)
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] % 2:
+            raise ValueError(f"symplectic matrix must be 2m x 2m, got {matrix.shape}")
+        omega = symplectic_form(matrix.shape[0] // 2)
+        residual = np.abs(matrix @ omega @ matrix.T - omega).max()
+        if not residual <= SYMPLECTIC_TOL:  # a NaN residual fails too
+            raise ValueError(f"matrix is not symplectic (residual {residual:.3e})")
+        matrix.setflags(write=False)
+        object.__setattr__(self, "matrix", matrix)
+
+    def apply(self, state: GaussianState) -> GaussianState:
+        if self.matrix.shape[0] != 2 * state.num_modes:
+            raise ValueError("transform dimension does not match the state")
+        s = self.matrix
+        return GaussianState(s @ state.mean, s @ state.cov @ s.T, state.labels)
+
+
+def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
+    """Product state of two Gaussian states with disjoint mode labels."""
+    overlap = set(a.labels) & set(b.labels)
+    if overlap:
+        raise ValueError(f"mode labels collide: {sorted(overlap, key=str)}")
+    dim_a, dim_b = 2 * a.num_modes, 2 * b.num_modes
+    stack = max(a.cov.shape[:-2], b.cov.shape[:-2], key=len)  # one may be a single state
+    cov = np.zeros(stack + (dim_a + dim_b, dim_a + dim_b))
+    cov[..., :dim_a, :dim_a] = a.cov
+    cov[..., dim_a:, dim_a:] = b.cov
+    return GaussianState(np.concatenate([a.mean, b.mean]), cov, a.labels + b.labels)
+
+
+def _embed_pair(state: GaussianState, i, j, block: np.ndarray) -> SymplecticTransform:
+    """Lift a 4x4 two-mode symplectic block acting on modes (i, j)."""
+    idx = [state.quad_index(i, "x"), state.quad_index(i, "p"),
+           state.quad_index(j, "x"), state.quad_index(j, "p")]
+    full = np.eye(2 * state.num_modes)
+    for a, ia in enumerate(idx):
+        for b, ib in enumerate(idx):
+            full[ia, ib] = block[a, b]
+    return SymplecticTransform(full)
+
+
+def cz_transform(state: GaussianState, i, j, weight: float) -> SymplecticTransform:
+    """Symplectic matrix of the x-x coupling gate between modes i and j.
+
+    Heisenberg action: p_i -> p_i + weight * x_j, p_j -> p_j + weight * x_i,
+    positions unchanged.
+    """
+    if i == j:
+        raise ValueError("coupling gate needs two distinct modes")
+    if not math.isfinite(weight):
+        raise ValueError(f"coupling weight must be finite, got {weight}")
+    block = np.eye(4)
+    block[1, 2] = weight
+    block[3, 0] = weight
+    return _embed_pair(state, i, j, block)
+
+
+def apply_cz(state: GaussianState, i, j, weight: float) -> GaussianState:
+    return cz_transform(state, i, j, weight).apply(state)
+
+
+def beamsplitter_transform(state: GaussianState, i, j,
+                           transmissivity: float) -> SymplecticTransform:
+    """Symplectic matrix of a beam splitter with cos(theta) = sqrt(T).
+
+    Sign convention: the reflected port carries the minus sign on mode j,
+    i.e. x_i -> sqrt(T) x_i + sqrt(1-T) x_j and
+    x_j -> -sqrt(1-T) x_i + sqrt(T) x_j (same for p), so T = 0 swaps the
+    modes up to a sign on mode j.
+    """
+    if i == j:
+        raise ValueError("beam splitter needs two distinct modes")
+    if not 0.0 <= transmissivity <= 1.0:
+        raise ValueError(f"transmissivity must lie in [0, 1], got {transmissivity}")
+    c = math.sqrt(transmissivity)
+    s = math.sqrt(1.0 - transmissivity)
+    block = np.array([
+        [c, 0.0, s, 0.0],
+        [0.0, c, 0.0, s],
+        [-s, 0.0, c, 0.0],
+        [0.0, -s, 0.0, c],
+    ])
+    return _embed_pair(state, i, j, block)
+
+
+def apply_beamsplitter(state: GaussianState, i, j, transmissivity: float) -> GaussianState:
+    return beamsplitter_transform(state, i, j, transmissivity).apply(state)
+
+
+def partial_trace(state: GaussianState, keep: Sequence) -> GaussianState:
+    """Reduced state on ``keep``, preserving the original mode order."""
+    keep_set = set(keep)
+    if not keep_set:
+        raise ValueError("keep-set must be nonempty")
+    unknown = keep_set - set(state.labels)
+    if unknown:
+        raise ValueError(f"unknown modes in keep-set: {sorted(unknown, key=str)}")
+    kept_labels = tuple(lab for lab in state.labels if lab in keep_set)
+    idx = []
+    for lab in kept_labels:
+        idx.extend([state.quad_index(lab, "x"), state.quad_index(lab, "p")])
+    idx = np.array(idx)
+    return GaussianState(state.mean[idx], state.cov[..., idx[:, None], idx], kept_labels)
+
+
+def pure_loss(state: GaussianState, mode, spec: ChannelSpec) -> GaussianState:
+    """Send one mode through an attenuating channel.
+
+    Implemented by dilation: couple the mode to a vacuum ancilla on a beam
+    splitter of transmissivity T, discard the ancilla, then add the excess
+    noise to the mode's covariance block. The mode's mean scales by
+    sqrt(T); its diagonal variances map to T*V + (1-T)/2 + excess_noise.
+    """
+    state.mode_index(mode)  # raises on unknown mode
+    ancilla = "_loss_ancilla"
+    while ancilla in state.labels:
+        ancilla += "_"
+    dilated = tensor(state, vacuum(1, labels=(ancilla,)))
+    mixed = apply_beamsplitter(dilated, mode, ancilla, spec.transmissivity)
+    out = partial_trace(mixed, state.labels)
+    if spec.excess_noise > 0.0:
+        i = out.quad_index(mode, "x")
+        cov = np.array(out.cov)
+        cov[..., i, i] += spec.excess_noise
+        cov[..., i + 1, i + 1] += spec.excess_noise
+        out = GaussianState(out.mean, cov, out.labels)
+    return out
 
 
 def two_mode_squeezed(r: float, labels=("A", "B")) -> GaussianState:
@@ -255,7 +404,7 @@ def fit_design(design, target_basis, estimators):
 
 
 def kn_state_loop(r: float, specs: dict, edges, cz_weight: float = 1.0) -> GaussianState:
-    """The cluster resource built one public state operation at a time.
+    """The cluster resource built one gate-by-gate oracle operation at a time.
 
     p-squeezed vacua on "A" and on each player of ``specs`` (in its order),
     an x-x gate on each edge, then each player's channel.

@@ -20,7 +20,6 @@ from cvqss import (
     enumerate_structures,
     keyrate_eavesdropping,
     keyrate_qss,
-    pure_loss,
     squeezed_vacuum,
     star_topology,
     symplectic_eigenvalues,
@@ -29,12 +28,14 @@ from cvqss import (
     vacuum,
 )
 from cvqss.cli import SWEEP_HEADER, main as cli_main
-from cvqss.gaussian import beamsplitter_transform, cz_transform
 from helpers import (
+    beamsplitter_transform,
     bisect_root,
     chain_expected_variances,
+    cz_transform,
     fit_design,
     product_vacuum,
+    pure_loss,
     revealed_design,
     tmsv_conditional_variance,
     two_mode_squeezed,

@@ -15,7 +15,6 @@ from cvqss import (
     chain_topology,
     squeezed_vacuum,
     star_topology,
-    tensor,
 )
 from cvqss.estimation import (
     SCHUR_BLOCK_ROWS,
@@ -28,6 +27,7 @@ from helpers import (
     conditional_variance_fixed,
     product_vacuum,
     schur_loop,
+    tensor,
     tmsv_conditional_variance,
     two_mode_squeezed,
 )

@@ -8,18 +8,23 @@ import pytest
 from cvqss import (
     ChannelSpec,
     GaussianState,
-    SymplecticTransform,
-    apply_beamsplitter,
-    apply_cz,
-    partial_trace,
+    build_kn_state,
+    chain_topology,
     squeezed_vacuum,
     symplectic_eigenvalues,
     symplectic_form,
-    tensor,
     vacuum,
     validate,
 )
-from cvqss.gaussian import beamsplitter_transform, cz_transform
+from helpers import (
+    SymplecticTransform,
+    apply_beamsplitter,
+    apply_cz,
+    beamsplitter_transform,
+    cz_transform,
+    partial_trace,
+    tensor,
+)
 
 
 def symplectic_residual(matrix):
@@ -274,8 +279,10 @@ class TestSymplecticTransform:
     (lambda: squeezed_vacuum(400.0), "squeezing parameter r"),
     (lambda: ChannelSpec(0.9, math.nan), "excess noise"),
     (lambda: ChannelSpec(0.9, math.inf), "excess noise"),
-    (lambda: cz_transform(vacuum(2), "m0", "m1", math.nan), "coupling weight"),
-    (lambda: cz_transform(vacuum(2), "m0", "m1", -math.inf), "coupling weight"),
+    (lambda: build_kn_state(2, 0.5, dict.fromkeys(["B1", "B2"], ChannelSpec(0.9)),
+                            chain_topology(2), cz_weight=math.nan), "coupling weight"),
+    (lambda: build_kn_state(2, 0.5, dict.fromkeys(["B1", "B2"], ChannelSpec(0.9)),
+                            chain_topology(2), cz_weight=-math.inf), "coupling weight"),
     (lambda: SymplecticTransform(np.full((2, 2), math.nan)), "not symplectic"),
 ], ids=["r-nan", "r-inf", "r-overflow", "noise-nan", "noise-inf", "weight-nan",
         "weight-inf", "matrix-nan"])

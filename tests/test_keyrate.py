@@ -21,9 +21,7 @@ from cvqss import (
     enumerate_structures,
     keyrate_eavesdropping,
     keyrate_qss,
-    pure_loss,
     star_topology,
-    tensor,
     vacuum,
 )
 from cvqss import keyrate as keyrate_module
@@ -35,7 +33,9 @@ from helpers import (
     chain_expected_variances,
     dishonest_rate_loop,
     product_vacuum,
+    pure_loss,
     schur_loop,
+    tensor,
     two_mode_squeezed,
 )
 

@@ -7,17 +7,14 @@ from cvqss import (
     ChannelSpec,
     GaussianState,
     PartyLayout,
-    apply_cz,
     build_three_mode_chain,
     build_kn_state,
     chain_topology,
-    pure_loss,
     squeezed_vacuum,
     star_topology,
-    tensor,
     validate,
 )
-from helpers import chain_expected_cov
+from helpers import apply_cz, chain_expected_cov, pure_loss, tensor
 
 
 class TestChannelSpec:

@@ -24,6 +24,7 @@ from cvqss import (
 )
 from cvqss.cli import EXIT_CONFIG, EXIT_OK, SWEEP_HEADER, main
 from cvqss.estimation import schur
+from cvqss.keyrate import MAX_PLAYERS
 
 from helpers import kn_state_loop, sweep_loop
 
@@ -145,17 +146,35 @@ def test_one_state_readers_refuse_a_stack():
             read()
 
 
-@pytest.mark.parametrize("topology", [chain_topology, star_topology])
-def test_stacked_state_equals_the_per_point_build_bit_for_bit(topology):
-    specs = {"B1": ChannelSpec(0.6), "B2": ChannelSpec(0.9, 0.05), "B3": ChannelSpec(1.0)}
-    r = np.array([0.0, 0.35, 1.1, 2.0])
-    state, _ = build_kn_state(3, r, specs, topology(3), cz_weight=0.8)
-    assert state.cov.shape == (4, 8, 8) and state.mean.shape == (8,)
+MIXED_CHANNELS = [ChannelSpec(0.6), ChannelSpec(0.9, 0.05), ChannelSpec(1.0)]
+EDGE_CHANNELS = [ChannelSpec(0.0), ChannelSpec(1.0), ChannelSpec(0.0, 0.05),
+                 ChannelSpec(1.0, 0.02), ChannelSpec(0.5, 0.05)]
+
+
+@pytest.mark.parametrize("topology, channels, cz_weight, r", [
+    pytest.param(chain_topology, MIXED_CHANNELS, 0.8, [0.0, 0.35, 1.1, 2.0], id="chain_topology"),
+    pytest.param(star_topology, MIXED_CHANNELS, 0.8, [0.0, 0.35, 1.1, 2.0], id="star_topology"),
+    pytest.param(star_topology, [ChannelSpec(0.8588)] * 14, 1.0, [0.4, 1.15, 1.376],
+                 id="star-14"),
+    # One matrix for all 16 gates puts p_A's variance an ulp off from r = 0.943 up.
+    pytest.param(star_topology, [ChannelSpec(0.9)] * 16, 1.0, np.linspace(0.2, 1.5, 8),
+                 id="star-16"),
+    pytest.param(chain_topology, [ChannelSpec(0.95, 0.01)] * MAX_PLAYERS, 1.0, [0.3, 1.2],
+                 id="chain-24"),
+    pytest.param(star_topology, EDGE_CHANNELS, 1.0, [0.0, 0.7, 1.5], id="star-T0-T1-noise"),
+    pytest.param(chain_topology, EDGE_CHANNELS, 0.8, [0.0, 0.7, 1.5], id="chain-T0-T1-noise"),
+])
+def test_stacked_state_equals_the_per_point_build_bit_for_bit(topology, channels, cz_weight, r):
+    n, r = len(channels), np.array(r)
+    specs = {f"B{i}": spec for i, spec in enumerate(channels, start=1)}
+    state, _ = build_kn_state(n, r, specs, topology(n), cz_weight=cz_weight)
+    dim = 2 * n + 2
+    assert state.cov.shape == (len(r), dim, dim) and state.mean.shape == (dim,)
     for point, r_point in enumerate(r.tolist()):
-        alone = kn_state_loop(r_point, specs, topology(3), 0.8)
+        alone = kn_state_loop(r_point, specs, topology(n), cz_weight)
         assert np.array_equal(state.cov[point], alone.cov)
         assert np.array_equal(state.cov[point], build_kn_state(
-            3, r_point, specs, topology(3), cz_weight=0.8)[0].cov)
+            n, r_point, specs, topology(n), cz_weight=cz_weight)[0].cov)
 
 
 def test_kernel_calls_per_sweep_do_not_grow_with_the_grid(monkeypatch):
