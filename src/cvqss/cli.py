@@ -253,17 +253,18 @@ def cmd_threshold(args) -> int:
     return EXIT_OK
 
 
-def _table(kind: str, terms: dict, binding: tuple) -> list:
-    """One row per structure of ``terms``, in ``_fmt``'s digits; ``binding``'s is marked."""
-    structures = list(terms)
+def _table(kind: str, terms, binding: tuple) -> list:
+    """One row per structure of the per-structure map ``terms``, in ``_fmt``'s digits,
+    written from its labels and value array; ``binding``'s row is marked."""
     rows = list(map(f"{kind:<12} {{:<18}} {{:>16.12g}}  ".format,
-                    map(_group, structures), terms.values()))
-    rows[structures.index(binding)] += "*"
+                    _label_texts(terms.labels), terms.array.tolist()))
+    rows[terms.labels.index(binding)] += "*"
     return rows
 
 
-def _group(players) -> str:
-    return "{" + ",".join(map(str, players)) + "}"
+def _label_texts(labels) -> list:
+    """Each tuple of player labels (str) in ``labels`` as "{B1,B2,...}"."""
+    return ["{" + ",".join(players) + "}" for players in labels]
 
 
 def cmd_simulate(args) -> int:
@@ -276,6 +277,8 @@ def cmd_simulate(args) -> int:
         _write_text(None, [json_text(report), "\n"], args.quiet)
         return EXIT_OK
 
+    access_texts = _label_texts(report.access_variance)
+    collusion_texts = _label_texts(report.adversarial_variance)
     lines = []
     if not args.quiet:
         analytic = report.analytic
@@ -295,11 +298,12 @@ def cmd_simulate(args) -> int:
                  eav.v_x_conditional),
                 ("V(P_A | all players)", report.inference_p.variance,
                  eav.v_p_conditional)]
-        for players, fit in report.access_variance.items():
-            rows.append((f"V(X_A | access {_group(players)})", fit.variance,
+        for text, (players, fit) in zip(access_texts, report.access_variance.items()):
+            rows.append((f"V(X_A | access {text})", fit.variance,
                          analytic.access_conditional_variance[players]))
-        for colluders, fit in report.adversarial_variance.items():
-            rows.append((f"V(P_A | honest vs {_group(colluders)})", fit.variance,
+        for text, (colluders, fit) in zip(collusion_texts,
+                                          report.adversarial_variance.items()):
+            rows.append((f"V(P_A | honest vs {text})", fit.variance,
                          analytic.adversarial_conditional_variance[colluders]))
         for name, emp, ana in rows:
             lines.append(f"{name:<36} {_fmt(emp):>16} {_fmt(ana):>16}")
@@ -319,11 +323,11 @@ def cmd_simulate(args) -> int:
             out = ["quantity,structure,value,standard_error"]
             for name, count in report.sifted_counts.items():
                 out.append(f"sifted_count,{name},{count},")
-            for players, fit in report.access_variance.items():
-                out.append(f"V_x_conditional,{_group(players)},"
+            for text, fit in zip(access_texts, report.access_variance.values()):
+                out.append(f"V_x_conditional,{text},"
                            f"{_fmt(fit.variance)},{_fmt(fit.standard_error)}")
-            for colluders, fit in report.adversarial_variance.items():
-                out.append(f"V_p_conditional,honest_of_{_group(colluders)},"
+            for text, fit in zip(collusion_texts, report.adversarial_variance.values()):
+                out.append(f"V_p_conditional,honest_of_{text},"
                            f"{_fmt(fit.variance)},{_fmt(fit.standard_error)}")
             out.append(f"combined_rate,,{_fmt(report.combined_rate)},"
                        f"{_fmt(report.combined_rate_standard_error)}")

@@ -7,11 +7,14 @@ pure-Python encoder that ``indent`` selects. Every JSON output of the
 command line goes through it.
 
 The per-structure parts of a key-rate report are written from arrays, one
-``str.format`` per structure, with the same bytes: a gain map
-(:class:`~cvqss.keyrate._GainMap`) from its label, player and gain arrays,
-with no :class:`~cvqss.estimation.JointVariable` built, and a list of
-equal-length tuples of exact ints (a scheme's structures) in one flattened
-``int.__repr__`` pass.
+``str.format`` per structure, with the same bytes. Its per-structure maps
+(:class:`~cvqss.keyrate._StructureMap`) are read-only ``Mapping`` views that
+build their dict only when first read; they are written from their label
+lists and value arrays with no dict and no
+:class:`~cvqss.estimation.JointVariable` built, and the key texts of a label
+list are computed once and shared by the maps of one side. A list of
+equal-length tuples of exact ints (a scheme's structures) is written in one
+flattened ``int.__repr__`` pass.
 """
 
 from collections.abc import Mapping
@@ -21,7 +24,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .keyrate import _GainMap
+from .keyrate import _StructureMap
 
 #: The ``float.__repr__`` texts that JSON spells as ``json`` does.
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -38,11 +41,12 @@ def json_text(value, pad: str = "\n") -> str:
     the last value.
     ``pad`` is a newline and the indentation of the line ``value`` starts on.
     An unsupported type raises the ``TypeError`` that ``json.dumps`` raises.
-    A gain map is written as the dict of its items without building it, unless
-    two of its labels or player names have the same text.
+    A per-structure map is written as the dict of its items without building
+    it, unless two of its labels, or of a gain map's player names, have the
+    same text.
     """
     encoders = {}  # type -> the encoder of its values
-    tuple_keys = {}  # id -> (tuple key, its text): the report's maps share their keys
+    label_lists = {}  # id -> (label list, its key texts or None): a side's maps share one
 
     def text(value, pad):
         encode = encoders.get(type(value))
@@ -73,12 +77,17 @@ def json_text(value, pad: str = "\n") -> str:
         return [text(item, pad) for item in values]
 
     def key_text(key):
-        if not isinstance(key, tuple):
-            return encode_basestring_ascii(str(key))
-        seen = tuple_keys.get(id(key))
-        if seen is None or seen[0] is not key:
-            seen = tuple_keys[id(key)] = (
-                key, encode_basestring_ascii("+".join(map(str, key)) or "(none)"))
+        if isinstance(key, tuple):
+            key = "+".join(map(str, key)) or "(none)"
+        return encode_basestring_ascii(str(key))
+
+    def label_keys(labels):
+        """``labels``' key texts, or None if two coincide: computed once per list."""
+        seen = label_lists.get(id(labels))
+        if seen is None or seen[0] is not labels:
+            keys = list(map(key_text, labels))
+            seen = label_lists[id(labels)] = (
+                labels, keys if len(set(keys)) == len(keys) else None)
         return seen[1]
 
     def pairs(keys, values, pad):
@@ -94,12 +103,16 @@ def json_text(value, pad: str = "\n") -> str:
         merged = dict(zip(map(key_text, value), value.values()))
         return pairs(merged, list(merged.values()), pad)
 
-    def gain_map(value, pad):
-        quadrature, labels, players, gains = value._data
-        keys = list(map(key_text, labels))
+    def structure_map(value, pad):
+        keys = label_keys(value.labels)
+        if keys is None:
+            return mapping(value, pad)  # texts that coincide merge as in any map
+        if value.quadrature is None:
+            return pairs(keys, value.array.tolist(), pad)
+        quadrature, players, gains = value.quadrature, value.players, value.array
         names = {player: key_text(player) for player in set(chain.from_iterable(players))}
-        if not keys or len(set(keys)) < len(keys) or len(set(names.values())) < len(names):
-            return mapping(value, pad)  # empty, or texts that coincide merge as in any map
+        if not keys or len(set(names.values())) < len(names):
+            return mapping(value, pad)
         inner = pad + "  "
         field, cell = inner + "  ", inner + "    "
         width = gains.shape[-1]
@@ -126,8 +139,8 @@ def json_text(value, pad: str = "\n") -> str:
             names = [f.name for f in fields(kind)]
             keys = list(map(encode_basestring_ascii, names))
             return lambda value, pad: pairs(keys, [getattr(value, name) for name in names], pad)
-        if issubclass(kind, _GainMap):
-            return gain_map
+        if issubclass(kind, _StructureMap):
+            return structure_map
         if issubclass(kind, Mapping):
             return mapping
         if issubclass(kind, (list, tuple)):

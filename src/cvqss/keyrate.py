@@ -73,6 +73,26 @@ MAX_STRUCTURES = 10**6
 _LOG2_E = math.log2(math.e)
 
 
+def _subset_rows(n: int, k: int) -> tuple:
+    """The (k-1)- and the k-subsets of 0..n-1 as rows of two arrays, each lexicographic.
+
+    Each row is extended by every larger index, rows in order, which keeps
+    lexicographic order; widths 0 to k come out of one loop. Below width k-1
+    an index that leaves too few larger ones to reach width k-1 is skipped, so
+    no width holds more rows than the (k-1)- or the k-subsets.
+    """
+    rows = np.zeros((1, 0), dtype=int)
+    for width in range(k):
+        shorter = rows
+        top = min(n - k + 1 + width, n - 1)  # the largest index column ``width`` holds
+        counts = top - shorter[:, -1] if width else np.array([top + 1])
+        rows = np.empty((counts.sum(), width + 1), dtype=int)
+        rows[:, :-1] = shorter.repeat(counts, axis=0)
+        # Row i's children sit at positions cumsum_i - counts_i on, the last holding top.
+        rows[:, -1] = (top + 1 - counts.cumsum()).repeat(counts) + np.arange(len(rows))
+    return shorter, rows
+
+
 def _complements(rows: np.ndarray, n: int) -> np.ndarray:
     """Row s: the positions 0..n-1 missing from row s of ``rows``, in order."""
     is_outside = np.ones((len(rows), n), dtype=bool)
@@ -119,14 +139,12 @@ class ThresholdScheme:
                 f"(k, n) = ({k}, {n}) has {count} access and adversarial structures, "
                 f"over the budget of {MAX_STRUCTURES}")
         players = range(1, n + 1)
-        access = tuple(combinations(players, k))
-        adversarial = tuple(combinations(players, k - 1))
-        colluding = np.array(adversarial, dtype=int) - 1
-        rows = (np.array(access, dtype=int) - 1, colluding, _complements(colluding, n))
+        colluding, access = _subset_rows(n, k)
+        rows = (access, colluding, _complements(colluding, n))
         for array in rows:
             array.setflags(write=False)
-        object.__setattr__(self, "access_structures", access)
-        object.__setattr__(self, "adversarial_structures", adversarial)
+        object.__setattr__(self, "access_structures", tuple(combinations(players, k)))
+        object.__setattr__(self, "adversarial_structures", tuple(combinations(players, k - 1)))
         object.__setattr__(self, "_player_rows", rows)
 
 
@@ -152,22 +170,28 @@ class EavesdroppingReport:
     p_gains: JointVariable
 
 
-class _GainMap(Mapping):
-    """Structure label -> :class:`JointVariable`: a dict built on first read, read as one.
+class _StructureMap(Mapping):
+    """Structure label -> value, read-only: a view over arrays, its dict built on first read.
 
-    It holds the quadrature, the structure labels, each row's estimator
-    players (distinct within a row) and the (S, g) gains. ``json_text``
-    writes it from these arrays with the bytes of the dict, without building it.
+    ``array`` holds one value per label, as an (S,) array, or for a gain map
+    one gains row per label, as an (S, g) array, which with the map's
+    quadrature and each row's estimator players (distinct within a row) reads
+    as a :class:`JointVariable`. ``json_text`` writes it from these arrays
+    with the bytes of the dict, without building it.
     """
 
-    def __init__(self, quadrature: str, labels: list, players: list, gains: np.ndarray):
-        self._data = (quadrature, labels, players, gains)  # players: each row's estimators
+    def __init__(self, labels: list, array: np.ndarray, quadrature: str = None,
+                 players: list = None):
+        array.setflags(write=False)  # the dict, once built, must keep reading as the array
+        self.labels, self.array = labels, array
+        self.quadrature, self.players = quadrature, players  # a gain map's; None otherwise
 
     @cached_property
     def _dict(self) -> dict:
-        quadrature, labels, players, gains = self._data
-        return {label: JointVariable(quadrature, dict(zip(estimators, row)))
-                for label, estimators, row in zip(labels, players, gains)}
+        if self.quadrature is None:
+            return dict(zip(self.labels, self.array.tolist()))
+        return {label: JointVariable(self.quadrature, dict(zip(estimators, row)))
+                for label, estimators, row in zip(self.labels, self.players, self.array)}
 
     def __getitem__(self, key):
         return self._dict[key]
@@ -176,7 +200,7 @@ class _GainMap(Mapping):
         return iter(self._dict)
 
     def __len__(self):
-        return len(self._data[1])
+        return len(self.labels)
 
     # Delegated, or Mapping's views would look every key up one at a time.
     def keys(self):
@@ -196,8 +220,12 @@ class _GainMap(Mapping):
 class KeyRateReport:
     """Full (k, n) evaluation: all intermediates plus the combined bound.
 
-    The two ``*_gains`` maps build their :class:`JointVariable` dicts on first
-    read; ``json_text`` writes them from their gains arrays and builds none.
+    The six per-structure maps (mutual information, Holevo terms, conditional
+    variances and gains, by access structure or collusion) are read-only
+    ``Mapping`` views over the :func:`key_rates` arrays. Each builds its dict,
+    the two ``*_gains`` maps their :class:`JointVariable` s, only when first
+    read; the command line's text table and ``json_text`` write them from
+    their arrays and build none.
     """
 
     scheme: ThresholdScheme
@@ -355,9 +383,14 @@ def key_rates(state: GaussianState, layout: PartyLayout, scheme: ThresholdScheme
 
 
 def _structure_labels(layout: PartyLayout, scheme: ThresholdScheme) -> tuple:
-    """The player-label tuples of every access structure, collusion and its honest side."""
-    modes = np.array(layout.player_modes, dtype=object)
-    return tuple(list(map(tuple, modes[rows].tolist())) for rows in scheme._player_rows)
+    """The player-label tuples of every access structure, collusion and its honest side.
+
+    The complements of the (k-1)-subsets in lexicographic order are the
+    (n-k+1)-subsets in reverse lexicographic order.
+    """
+    modes, k = layout.player_modes, scheme.k
+    return (list(combinations(modes, k)), list(combinations(modes, k - 1)),
+            list(combinations(modes, scheme.n - k + 1))[::-1])
 
 
 def keyrate_eavesdropping(state: GaussianState, layout: PartyLayout,
@@ -411,13 +444,12 @@ def keyrate_qss(state: GaussianState, layout: PartyLayout, scheme: ThresholdSche
         positive=bool(bound.rate > 0.0),
         eavesdropping_rate=float(rates.eavesdropping.rate),
         dishonest_rates=dict(zip(layout.player_modes, dishonest.rate.tolist())),
-        access_mutual_information=dict(zip(access_labels, bound.access_bits.tolist())),
-        access_conditional_variance=dict(zip(access_labels, access_v.tolist())),
-        access_gains=_GainMap("x", access_labels, access_labels, access_g),
-        adversarial_holevo=dict(zip(adversarial_labels, bound.adversarial_holevo.tolist())),
-        adversarial_conditional_variance=dict(zip(adversarial_labels,
-                                                  adversarial_v.tolist())),
-        adversarial_gains=_GainMap("p", adversarial_labels, honest_labels, adversarial_g),
+        access_mutual_information=_StructureMap(access_labels, bound.access_bits),
+        access_conditional_variance=_StructureMap(access_labels, access_v),
+        access_gains=_StructureMap(access_labels, access_g, "x", access_labels),
+        adversarial_holevo=_StructureMap(adversarial_labels, bound.adversarial_holevo),
+        adversarial_conditional_variance=_StructureMap(adversarial_labels, adversarial_v),
+        adversarial_gains=_StructureMap(adversarial_labels, adversarial_g, "p", honest_labels),
         binding_access=access_labels[bound.binding_access],
         binding_adversarial=adversarial_labels[bound.binding_adversarial],
         dealer_x_variance=dealer_x,

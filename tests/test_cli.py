@@ -178,17 +178,23 @@ class TestThresholdBytes:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_text_and_json_build_no_joint_variable(self, capsys, monkeypatch):
-        built = []
+        built, dicts = [], []
 
         def counting(*args, **kwargs):
             built.append(args)
             return JointVariable(*args, **kwargs)
 
+        def counted_dict(view):
+            dicts.append(view)
+            return build_dict(view)
+
         monkeypatch.setattr(keyrate, "JointVariable", counting)
+        build_dict = keyrate._StructureMap._dict.func  # a per-structure map's dict
+        monkeypatch.setattr(keyrate._StructureMap, "_dict", property(counted_dict))
         argv = ["threshold", "--n", "6", "--k", "3"]
         assert run(argv, capsys)[0] == EXIT_OK
         assert run(argv + ["--format", "json"], capsys)[0] == EXIT_OK
-        assert built == []
+        assert built == [] and dicts == []
 
 
 class TestJsonBytes:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
 from cvqss.jsontext import json_text
-from cvqss.keyrate import _GainMap
+from cvqss.keyrate import _StructureMap
 
 from helpers import jsonable
 
@@ -76,8 +76,9 @@ class TestJsonWriter:
 
 
 @st.composite
-def _gain_maps(draw):
-    """A key-rate gain map: access rows (label = estimators) or collusions and their complements.
+def _structure_maps(draw):
+    """A key-rate per-structure map: scalars, or gains over access rows (label = estimators)
+    or over collusions' complements (label = the collusion).
 
     The last two player sets give player names or labels whose texts coincide.
     """
@@ -88,24 +89,44 @@ def _gain_maps(draw):
         labels = rows
     else:
         labels = [tuple(p for p in players if p not in row) for row in rows]
+    if draw(st.booleans()):
+        return _StructureMap(labels, np.array(draw(st.lists(_FLOAT, min_size=len(rows),
+                                                             max_size=len(rows)))))
     gains = np.array(draw(st.lists(_FLOAT, min_size=len(rows) * width,
                                    max_size=len(rows) * width))).reshape(len(rows), width)
-    return _GainMap(draw(st.sampled_from("xp")), labels, rows, gains)
+    return _StructureMap(labels, gains, draw(st.sampled_from("xp")), rows)
 
 
 class TestGainMapWriter:
-    """A gain map is written from its arrays, as the reference writes its items."""
+    """A per-structure map, of gains or of scalars, is written from its arrays as the
+    reference writes its items."""
 
     @seed(20261019)
     @settings(max_examples=12, deadline=None)
-    @given(gain_map=_gain_maps(), read=st.booleans(), nested=st.booleans())
-    @example(gain_map=_GainMap("p", [()], [("B1", "B2")], np.array([[float("nan"), -0.0]])),
-             read=False, nested=False)
-    @example(gain_map=_GainMap("x", [("B1",), ("B2",)], [("B1",), ("B2",)],
-                      np.array([[float("inf")], [float("-inf")]])), read=True, nested=True)
-    @example(gain_map=_GainMap("x", [], [], np.zeros((0, 2))), read=False, nested=True)
+    @given(gain_map=_structure_maps(), read=st.booleans(), nested=st.booleans())
+    @example(gain_map=_StructureMap([()], np.array([[float("nan"), -0.0]]), "p",
+                                    [("B1", "B2")]), read=False, nested=False)
+    @example(gain_map=_StructureMap([("B1",), ("B2",)], np.array([[float("inf")], [float("-inf")]]),
+                                    "x", [("B1",), ("B2",)]), read=True, nested=True)
+    @example(gain_map=_StructureMap([], np.zeros((0, 2)), "x", []), read=False, nested=True)
+    @example(gain_map=_StructureMap([], np.zeros(0)), read=False, nested=False)
+    @example(gain_map=_StructureMap([("B1", "B2"), ("B1+B2",), ()], np.array([1.0, 2.0, 3.0])),
+             read=False, nested=True)  # "B1+B2" twice: the last value, at the first place
+    @example(gain_map=_StructureMap([("B1", "B2"), ("B1+B2",)], np.array([[1.0], [2.0]]), "x",
+                                    [("B1",), ("B2",)]), read=False, nested=False)
     def test_bytes_equal_json_dumps_of_its_items(self, gain_map, read, nested):
         if read:
             dict(gain_map.items())
         value = [gain_map] if nested else gain_map
+        assert json_text(value) == json.dumps(jsonable(value), indent=2)
+
+    @seed(20261020)
+    @settings(max_examples=12, deadline=None)
+    @given(maps=st.lists(_structure_maps(), min_size=2, max_size=3))
+    @example(maps=[_StructureMap([("B1",)], np.array([1.0])),
+                   _StructureMap([("B2",)], np.array([2.0]))])
+    def test_label_lists_never_share_key_texts(self, maps):
+        # The last map shares the first one's label list, as a report side's maps do.
+        maps.append(_StructureMap(maps[0].labels, np.arange(len(maps[0].labels), dtype=float)))
+        value = {"maps": maps, "again": maps[::-1]}
         assert json_text(value) == json.dumps(jsonable(value), indent=2)

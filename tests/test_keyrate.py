@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -93,7 +94,8 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="must be >= 1"):
             ThresholdScheme(0, 3)
 
-    @pytest.mark.parametrize("k, n", [(k, n) for n in range(2, 8) for k in range(1, n + 1)])
+    @pytest.mark.parametrize("k, n", [(k, n) for n in range(2, 15) for k in range(1, n + 1)]
+                             + [(k, 24) for k in (1, 2, 23, 24)])
     def test_structures_are_derived_from_k_and_n(self, k, n):
         scheme = ThresholdScheme(k, n)
         players = range(1, n + 1)
@@ -102,9 +104,28 @@ class TestEnumeration:
         access, colluding, honest = scheme._player_rows
         assert access.tolist() == (np.array(scheme.access_structures) - 1).tolist()
         assert [sorted(set(range(n)) - set(c)) for c in colluding.tolist()] == honest.tolist()
+        groups = list(combinations(range(n), k - 1))
+        expected = (np.array(list(combinations(range(n), k)), dtype=int),
+                    np.array(groups, dtype=int).reshape(len(groups), k - 1),  # k = 1: one ()
+                    np.array([[i for i in range(n) if i not in group] for group in groups]))
+        for rows, want in zip(scheme._player_rows, expected):
+            assert rows.dtype == want.dtype and rows.shape == want.shape
+            assert np.array_equal(rows, want) and not rows.flags.writeable
         assert scheme == enumerate_structures(n, k)
         with pytest.raises(TypeError):
             ThresholdScheme(k, n, scheme.access_structures, scheme.adversarial_structures)
+
+    @pytest.mark.parametrize("k", [23, 24])
+    def test_rows_never_outgrow_the_structures(self, k):
+        # Widths below k - 1 keep only rows that can still reach it; extended by
+        # every larger index, the rows of width 12 would be C(24, 12) = 2.7 million.
+        tracemalloc.start()
+        try:
+            ThresholdScheme(k, 24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_structure_lists_are_not_accepted(self):
         # This list repeats {B1, B2} and drops {B2, B3}; on this chain it read
@@ -519,6 +540,30 @@ class TestReportValue:
         report = self._report()
         assert pickle.loads(pickle.dumps(report)) == report
         assert copy.deepcopy(report) == report
+
+    def test_per_structure_maps_read_as_dicts_of_the_key_rate_arrays(self):
+        state, layout = _kn_state(6, chain_topology)
+        scheme = enumerate_structures(6, 3)
+        report = keyrate_qss(state, layout, scheme)
+        rates = keyrate_module.key_rates(state, layout, scheme)
+        access = list(combinations(layout.player_modes, 3))
+        adversarial = list(combinations(layout.player_modes, 2))
+        for view, labels, values in (
+                (report.access_mutual_information, access, rates.combined.access_bits),
+                (report.access_conditional_variance, access, rates.access[0]),
+                (report.adversarial_holevo, adversarial, rates.combined.adversarial_holevo),
+                (report.adversarial_conditional_variance, adversarial, rates.adversarial[0])):
+            expected = dict(zip(labels, values.tolist()))
+            assert len(view) == len(expected) and "_dict" not in vars(view)  # nothing built
+            assert labels[-1] in view and ("B1",) not in view
+            assert list(view) == list(expected) and list(view.items()) == list(expected.items())
+            assert view == expected and expected == view and repr(view) == repr(expected)
+            with pytest.raises(TypeError):
+                view[labels[0]] = 0.0
+            with pytest.raises(ValueError):
+                view.array[0] = 0.0
+        assert report == keyrate_qss(state, layout, scheme)
+        assert report != keyrate_qss(*_kn_state(6, chain_topology, r=1.0), scheme)
 
     def test_json_does_not_depend_on_reading_the_gains_first(self):
         unread, read = self._report(), self._report()
