@@ -26,7 +26,7 @@ import numpy as np
 
 from .estimation import SCHUR_BLOCK_ROWS
 from .gaussian import UnphysicalStateError, validate
-from .jsontext import json_text
+from .jsontext import float_texts, json_text
 from .keyrate import enumerate_structures, key_rates, keyrate_eavesdropping, keyrate_qss
 from .simulation import UndersampledError, run_protocol
 from .states import ChannelSpec, build_kn_state, chain_topology, star_topology
@@ -256,8 +256,8 @@ def cmd_threshold(args) -> int:
 def _table(kind: str, terms, binding: tuple) -> list:
     """One row per structure of the per-structure map ``terms``, in ``_fmt``'s digits,
     written from its labels and value array; ``binding``'s row is marked."""
-    rows = list(map(f"{kind:<12} {{:<18}} {{:>16.12g}}  ".format,
-                    _label_texts(terms.labels), terms.array.tolist()))
+    rows = list(map(f"{kind:<12} {{:<18}} {{:>16}}  ".format,
+                    _label_texts(terms.labels), float_texts(terms.array, _fmt)))
     rows[terms.labels.index(binding)] += "*"
     return rows
 

@@ -7,7 +7,9 @@ pure-Python encoder that ``indent`` selects. Every JSON output of the
 command line goes through it.
 
 The per-structure parts of a key-rate report are written from arrays, one
-``str.format`` per structure, with the same bytes. Its per-structure maps
+``str.format`` per structure, with the same bytes. Each distinct double of a
+per-structure array is spelled once (:func:`float_texts`): a report's values
+are massively tied, bit for bit. Its per-structure maps
 (:class:`~cvqss.keyrate._StructureMap`) are read-only ``Mapping`` views that
 build their dict only when first read; they are written from their label
 lists and value arrays with no dict and no
@@ -29,6 +31,24 @@ from .keyrate import _StructureMap
 #: The ``float.__repr__`` texts that JSON spells as ``json`` does.
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _FLOATS = {float, np.float64}
+
+
+def _json_float(value: float) -> str:
+    spelled = float.__repr__(value)
+    return _NON_FINITE.get(spelled, spelled)
+
+
+def float_texts(array: np.ndarray, spell=_json_float) -> list:
+    """``spell`` of each value of the float64 ``array``, in row-major order; by default
+    a value's JSON text.
+
+    ``spell`` is called once per distinct bit pattern, so ``0.0`` and ``-0.0`` stay
+    apart, as do NaNs with different payloads.
+    """
+    bits = np.ascontiguousarray(array, dtype=np.float64).view(np.int64).ravel()
+    patterns, where = np.unique(bits, return_inverse=True)
+    spelled = np.array(list(map(spell, patterns.view(np.float64).tolist())), dtype=object)
+    return spelled[where].tolist()
 
 
 def json_text(value, pad: str = "\n") -> str:
@@ -91,10 +111,13 @@ def json_text(value, pad: str = "\n") -> str:
         return seen[1]
 
     def pairs(keys, values, pad):
-        if not values:
+        return members(keys, texts(values, pad + "  "), pad)
+
+    def members(keys, value_texts, pad):
+        if not value_texts:
             return "{}"
         inner = pad + "  "
-        return ("{" + inner + ("," + inner).join(map("{}: {}".format, keys, texts(values, inner)))
+        return ("{" + inner + ("," + inner).join(map("{}: {}".format, keys, value_texts))
                 + pad + "}")
 
     def mapping(value, pad):
@@ -108,7 +131,7 @@ def json_text(value, pad: str = "\n") -> str:
         if keys is None:
             return mapping(value, pad)  # texts that coincide merge as in any map
         if value.quadrature is None:
-            return pairs(keys, value.array.tolist(), pad)
+            return members(keys, float_texts(value.array), pad)
         quadrature, players, gains = value.quadrature, value.players, value.array
         names = {player: key_text(player) for player in set(chain.from_iterable(players))}
         if not keys or len(set(names.values())) < len(names):
@@ -121,7 +144,7 @@ def json_text(value, pad: str = "\n") -> str:
         template = ("{}: {{" + field + '"quadrature": ' + text(quadrature, field) + "," + field
                     + '"gains": {{' + cell + ("," + cell).join(["{}: {}"] * width) + field
                     + "}}" + inner + "}}")
-        gain_texts = texts(gains.ravel().tolist(), cell)
+        gain_texts = float_texts(gains)
         cells = [list(map(names.__getitem__, column)) for column in zip(*players)]
         cells = chain.from_iterable(zip(cells, (gain_texts[j::width] for j in range(width))))
         return ("{" + inner + ("," + inner).join(map(template.format, keys, *cells))

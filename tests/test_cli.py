@@ -5,6 +5,7 @@ import json
 import re
 import warnings
 
+import numpy as np
 import pytest
 
 from cvqss import UnphysicalStateError, cli, keyrate, simulation
@@ -132,6 +133,15 @@ class TestThreshold:
         code, out, _ = run(["threshold", "--n", "2", "--k", "2", "--quiet"], capsys)
         assert code == EXIT_OK
         assert out.startswith("K = ")
+
+    def test_table_rows_are_the_per_row_template(self):
+        values = [0.5, -0.0, 0.0, 0.5, float("inf"), float("-inf"), float("nan"), 1e-300,
+                  123456789012345.0, -0.0, float("nan"), 0.5]
+        labels = [(f"B{i}", f"B{i + 1}") for i in range(1, len(values) + 1)]
+        terms = keyrate._StructureMap(labels, np.array(values))
+        rows = cli._table("access", terms, labels[3])
+        assert rows == [f"{'access':<12} {'{' + ','.join(label) + '}':<18} {value:>16.12g}  "
+                        + "*" * (label == labels[3]) for label, value in zip(labels, values)]
 
 
 class TestThresholdBytes:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
-from cvqss.jsontext import json_text
+from cvqss.jsontext import float_texts, json_text
 from cvqss.keyrate import _StructureMap
 
 from helpers import jsonable
@@ -75,12 +75,54 @@ class TestJsonWriter:
         assert json_text(value) == json_text(dict(value))
 
 
+class TestFloatTexts:
+    """Each value's text, spelled once per distinct bit pattern."""
+
+    @staticmethod
+    def counting(calls):
+        def spell(value):
+            calls.append(value)
+            return float.__repr__(value)
+        return spell
+
+    def test_spells_each_distinct_bit_pattern_once(self):
+        calls = []
+        patterns = np.array([0.5, -1e-300, 2.0 / 3.0, float("inf"), 0.0, -0.0])
+        array = patterns[np.arange(24_024) * 7 % 6].reshape(-1, 6)
+        out = float_texts(array, self.counting(calls))
+        assert len(calls) == 6
+        assert out == list(map(float.__repr__, array.ravel().tolist()))
+
+    @pytest.mark.parametrize("array", [
+        np.array([1.5, -2.0, 1.5, 1e-300, 1.5]),
+        np.arange(12.0).reshape(3, 4) % 5 - 2,
+        np.zeros(0),
+        np.zeros((3, 0)),
+        (np.arange(12.0).reshape(3, 4) % 3).T,
+    ], ids=["1d", "2d", "empty", "empty-rows", "transposed"])
+    def test_texts_are_the_spelled_values_in_row_major_order(self, array):
+        calls = []
+        out = float_texts(array, self.counting(calls))
+        assert out == [float.__repr__(value) for value in array.ravel().tolist()]
+        assert len(calls) == len(set(array.ravel().tolist()))
+
+    def test_signed_zeros_stay_apart(self):
+        assert float_texts(np.array([0.0, -0.0, -0.0, 0.0])) == ["0.0", "-0.0", "-0.0", "0.0"]
+
+    def test_json_spells_every_nan_payload_and_infinity(self):
+        payloads = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000,
+                             0x7FF0000000000001], dtype=np.uint64).view(np.float64)
+        array = np.concatenate([payloads, [float("inf"), float("-inf"), 1.0]])
+        assert float_texts(array) == ["NaN"] * 4 + ["Infinity", "-Infinity", "1.0"]
+
+
 @st.composite
 def _structure_maps(draw):
     """A key-rate per-structure map: scalars, or gains over access rows (label = estimators)
     or over collusions' complements (label = the collusion).
 
-    The last two player sets give player names or labels whose texts coincide.
+    The last two player sets give player names or labels whose texts coincide. Values
+    come from a small pool, so that they tie as a report's do.
     """
     players = draw(st.sampled_from([("B1", "B2", "B3"), ("B1", 1, "1"), ("a", "a+b", "b+c", "c")]))
     width = draw(st.integers(1, len(players)))
@@ -89,10 +131,11 @@ def _structure_maps(draw):
         labels = rows
     else:
         labels = [tuple(p for p in players if p not in row) for row in rows]
+    value = st.sampled_from(draw(st.lists(_FLOAT, min_size=1, max_size=3)))
     if draw(st.booleans()):
-        return _StructureMap(labels, np.array(draw(st.lists(_FLOAT, min_size=len(rows),
+        return _StructureMap(labels, np.array(draw(st.lists(value, min_size=len(rows),
                                                              max_size=len(rows)))))
-    gains = np.array(draw(st.lists(_FLOAT, min_size=len(rows) * width,
+    gains = np.array(draw(st.lists(value, min_size=len(rows) * width,
                                    max_size=len(rows) * width))).reshape(len(rows), width)
     return _StructureMap(labels, gains, draw(st.sampled_from("xp")), rows)
 
@@ -108,6 +151,13 @@ class TestGainMapWriter:
                                     [("B1", "B2")]), read=False, nested=False)
     @example(gain_map=_StructureMap([("B1",), ("B2",)], np.array([[float("inf")], [float("-inf")]]),
                                     "x", [("B1",), ("B2",)]), read=True, nested=True)
+    @example(gain_map=_StructureMap([("B1",), ("B2",), ("B3",), ("B4",)],
+                                    np.array([0.0, -0.0, 0.0, -0.0])), read=False, nested=False)
+    @example(gain_map=_StructureMap([("B1", "B2"), ("B1", "B3"), ("B2", "B3")],
+                                    np.array([[-0.0, 0.0], [float("nan"), -0.0],
+                                              [float("inf"), float("nan")]]),
+                                    "p", [("B1", "B2"), ("B1", "B3"), ("B2", "B3")]),
+             read=False, nested=True)
     @example(gain_map=_StructureMap([], np.zeros((0, 2)), "x", []), read=False, nested=True)
     @example(gain_map=_StructureMap([], np.zeros(0)), read=False, nested=False)
     @example(gain_map=_StructureMap([("B1", "B2"), ("B1+B2",), ()], np.array([1.0, 2.0, 3.0])),
