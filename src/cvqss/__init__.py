@@ -17,7 +17,6 @@ from .keyrate import (
     KeyRateReport,
     SECURITY_THRESHOLD,
     ThresholdScheme,
-    enumerate_structures,
     keyrate_eavesdropping,
     keyrate_qss,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "build_three_mode_chain",
     "build_kn_state",
     "chain_topology",
-    "enumerate_structures",
     "keyrate_eavesdropping",
     "keyrate_qss",
     "run_protocol",

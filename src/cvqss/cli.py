@@ -9,9 +9,10 @@ Subcommands::
 
 Common flags (given after the subcommand): ``--seed``, ``--output``,
 ``--format csv|json``, ``--quiet``, ``--config FILE``. The config file is
-flat ``key=value`` text (keys are the long flag names); command-line flags
-override it. Exit codes: 0 success, 1 configuration error, 2 I/O error,
-3 unphysical-state error.
+flat ``key=value`` text (keys are the long flag names) whose flags are parsed
+before those on the command line, which override them; ``--config`` may be
+abbreviated like any flag. Exit codes: 0 success, 1 configuration error,
+2 I/O error, 3 unphysical-state error.
 
 Every JSON report is written by ``jsontext.json_text`` in one pass over the
 report, with the bytes ``json.dumps(..., indent=2)`` gives for it; the sweep
@@ -27,7 +28,7 @@ import numpy as np
 from .estimation import SCHUR_BLOCK_ROWS
 from .gaussian import UnphysicalStateError, validate
 from .jsontext import float_texts, json_text
-from .keyrate import enumerate_structures, key_rates, keyrate_eavesdropping, keyrate_qss
+from .keyrate import ThresholdScheme, key_rates, keyrate_eavesdropping, keyrate_qss
 from .simulation import UndersampledError, run_protocol
 from .states import ChannelSpec, build_kn_state, chain_topology, star_topology
 
@@ -144,21 +145,6 @@ def _load_config(path: str) -> list:
     return flags
 
 
-def _apply_config(argv: list) -> list:
-    """Splice config-file flags in right after the subcommand token."""
-    path = None
-    for position, token in enumerate(argv):
-        if token == "--config":
-            if position + 1 == len(argv):
-                raise ValueError("--config needs a file path")
-            path = argv[position + 1]
-        elif token.startswith("--config="):
-            path = token.split("=", 1)[1]
-    if path is None:
-        return argv
-    return [argv[0]] + _load_config(path) + argv[1:]
-
-
 def _build_state(args, r, transmissivity: float):
     """The resource of ``args``' scheme flags at squeezing ``r`` (a float or an array)."""
     topology = TOPOLOGIES[args.topology](args.n)
@@ -199,7 +185,7 @@ def cmd_sweep(args) -> int:
     if args.r_steps * len(transmissivities) > MAX_SWEEP_POINTS:
         raise ValueError(f"{args.r_steps} r steps x {len(transmissivities)} transmissivities "
                          f"exceed the budget of {MAX_SWEEP_POINTS} grid points")
-    scheme = enumerate_structures(args.n, args.k)
+    scheme = ThresholdScheme(args.k, args.n)
     grid = np.linspace(args.r_min, args.r_max, args.r_steps)
 
     # Chunks of at most SCHUR_BLOCK_ROWS structure rows per side (one point at
@@ -226,7 +212,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_threshold(args) -> int:
-    scheme = enumerate_structures(args.n, args.k)
+    scheme = ThresholdScheme(args.k, args.n)
     state, layout = _build_state(args, args.r, args.transmissivity)
     report = keyrate_qss(state, layout, scheme)
 
@@ -268,7 +254,7 @@ def _label_texts(labels) -> list:
 
 
 def cmd_simulate(args) -> int:
-    scheme = enumerate_structures(args.n, args.k)
+    scheme = ThresholdScheme(args.k, args.n)
     state, layout = _build_state(args, args.r, args.transmissivity)
     report = run_protocol(state, layout, scheme, rounds=args.rounds,
                           reveal_fraction=args.reveal_fraction, seed=args.seed,
@@ -371,17 +357,18 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config(argv)
+        args = parser.parse_args(argv)
+        if args.config is not None:
+            # The file's flags go right after the subcommand, so argv's override them.
+            args = parser.parse_args(argv[:1] + _load_config(args.config) + argv[1:])
+    except SystemExit as exc:
+        return int(exc.code or 0)
     except OSError as exc:
         print(f"cvqss: cannot read config file: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:
         print(f"cvqss: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
     except UnphysicalStateError as exc:

@@ -77,10 +77,7 @@ def json_text(value, pad: str = "\n") -> str:
     def texts(values, pad):
         kinds = set(map(type, values))
         if kinds <= _FLOATS:
-            out = list(map(float.__repr__, values))
-            if _NON_FINITE.keys().isdisjoint(out):
-                return out
-            return [_NON_FINITE.get(spelled, spelled) for spelled in out]
+            return list(map(_json_float, values))
         if kinds == {int}:
             return list(map(int.__repr__, values))
         if kinds == {tuple}:
@@ -181,7 +178,7 @@ def json_text(value, pad: str = "\n") -> str:
         if issubclass(kind, int):
             return lambda value, pad: int.__repr__(value)
         if issubclass(kind, float):
-            return lambda value, pad: texts([value], pad)[0]
+            return lambda value, pad: _json_float(value)
 
         def unsupported(value, pad):
             raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")

@@ -32,7 +32,8 @@ leaves the announcement map and each covariance unchanged bit for bit, so
 structures whose players have the same classes position by position are one
 inference, bit for bit: each side evaluates one structure per class sequence.
 :func:`combine` is the one reduction from conditional variances to these
-rates, for the empirical ones of :func:`~cvqss.simulation.run_protocol` too.
+rates, over any leading axes, for the empirical ones of
+:func:`~cvqss.simulation.run_protocol` too.
 For (2, 2) the combination reduces exactly to the minimum of the two
 single-dishonest-player bounds, which the test suite checks against hand
 closed forms.
@@ -55,15 +56,11 @@ import numpy as np
 
 from .estimation import JointVariable, check_conditional_variances, schur
 from .gaussian import GaussianState
-from .states import PartyLayout
+from .states import MAX_PLAYERS, PartyLayout
 
 #: The inference-variance product below which the eavesdropping bound turns
 #: positive: V(X_A|Xbar) * V(P_A|Pbar) < exp(-2).
 SECURITY_THRESHOLD = math.exp(-2.0)
-
-#: Structure enumeration is capped here; C(n, k) growth makes larger
-#: schemes useless at desk scale.
-MAX_PLAYERS = 24
 
 #: Most access plus adversarial structures a scheme may have. Each one is
 #: evaluated and kept in the report, so larger schemes are refused before
@@ -146,11 +143,6 @@ class ThresholdScheme:
         object.__setattr__(self, "access_structures", tuple(combinations(players, k)))
         object.__setattr__(self, "adversarial_structures", tuple(combinations(players, k - 1)))
         object.__setattr__(self, "_player_rows", rows)
-
-
-def enumerate_structures(n: int, k: int) -> ThresholdScheme:
-    """``ThresholdScheme(k, n)``: its structures in lexicographic order over 1..n."""
-    return ThresholdScheme(k, n)
 
 
 @dataclass(frozen=True)
@@ -248,18 +240,26 @@ class KeyRateReport:
 
 
 class RateBound(NamedTuple):
-    """A combined bound and the per-structure terms it was reduced from."""
+    """A combined bound and the per-structure terms it was reduced from, as arrays."""
 
-    access_bits: list
-    adversarial_holevo: list
-    binding_access: int
-    binding_adversarial: int
-    rate: float
+    access_bits: np.ndarray
+    adversarial_holevo: np.ndarray
+    binding_access: np.ndarray
+    binding_adversarial: np.ndarray
+    rate: np.ndarray
 
 
-def _rate_bound(dealer_x_variance, access_variances, adversarial_variances,
-                beta: float) -> RateBound:
-    """:func:`combine` over leading axes, as (..., S) and (...) arrays."""
+def combine(dealer_x_variance, access_variances, adversarial_variances,
+            beta: float = 1.0) -> RateBound:
+    """The one rate reduction: ``beta * min_i I_i - max_j chi_j``, ties to the first.
+
+    ``I_i = log2(V / v_i) / 2`` with v_i access structure i's conditional x
+    variance, ``chi_j = log2(e) + log2(V u_j) / 2`` with u_j adversarial
+    structure j's honest-side conditional p variance, as (..., S) arrays and V
+    as a (...) array; the fields are arrays over those leading axes. Nothing
+    is range-checked, since a fitted v_i may exceed V, but a term that is not
+    finite raises ValueError.
+    """
     dealer = np.asarray(dealer_x_variance, dtype=float)[..., None]
     with np.errstate(over="ignore"):  # an infinite term is refused below
         bits = 0.5 * np.log2(dealer / np.asarray(access_variances, dtype=float))
@@ -277,20 +277,6 @@ def _rate_bound(dealer_x_variance, access_variances, adversarial_variances,
                              "the squeezing r is too large for double precision")
     return RateBound(bits, holevo, bits.argmin(axis=-1), holevo.argmax(axis=-1),
                      beta * bits.min(axis=-1) - holevo.max(axis=-1))
-
-
-def combine(dealer_x_variance: float, access_variances, adversarial_variances,
-            beta: float = 1.0) -> RateBound:
-    """The one rate reduction: ``beta * min_i I_i - max_j chi_j``, ties to the first.
-
-    ``I_i = log2(V / v_i) / 2`` with v_i access structure i's conditional x
-    variance, ``chi_j = log2(e) + log2(V u_j) / 2`` with u_j adversarial
-    structure j's honest-side conditional p variance. Nothing is
-    range-checked, since a fitted v_i may exceed V, but a term that is not
-    finite raises ValueError.
-    """
-    return RateBound(*(np.asarray(term).tolist() for term in _rate_bound(
-        dealer_x_variance, access_variances, adversarial_variances, beta)))
 
 
 def _player_classes(state: GaussianState, layout: PartyLayout) -> np.ndarray:
@@ -349,7 +335,7 @@ def _everyone(state: GaussianState, layout: PartyLayout, beta: float) -> tuple:
     everyone = np.arange(layout.num_players)[None]
     x = _infer(state, layout, "x", everyone)
     p = _infer(state, layout, "p", everyone)
-    return x, p, _rate_bound(x[2], x[0], p[0], beta)
+    return x, p, combine(x[2], x[0], p[0], beta)
 
 
 class KeyRates(NamedTuple):
@@ -378,7 +364,7 @@ def key_rates(state: GaussianState, layout: PartyLayout, scheme: ThresholdScheme
     adversarial_side = _infer(state, layout, "p", honest)
     everyone_x, everyone_p, eavesdropping = _everyone(state, layout, beta)
     return KeyRates(access_side, adversarial_side, everyone_x, everyone_p,
-                    _rate_bound(access_side[2], access_side[0], adversarial_side[0], beta),
+                    combine(access_side[2], access_side[0], adversarial_side[0], beta),
                     eavesdropping)
 
 
@@ -437,7 +423,7 @@ def keyrate_qss(state: GaussianState, layout: PartyLayout, scheme: ThresholdSche
     single = adversarial_v if scheme.k == 2 else _infer(
         state, layout, "p", _complements(np.arange(scheme.n)[:, None], scheme.n))[0]
     v_x = np.broadcast_to(rates.everyone_x[0], (scheme.n, 1))
-    dishonest = _rate_bound(np.full(scheme.n, dealer_x), v_x, single[:, None], beta)
+    dishonest = combine(np.full(scheme.n, dealer_x), v_x, single[:, None], beta)
     return KeyRateReport(
         scheme=scheme,
         combined_rate=float(bound.rate),

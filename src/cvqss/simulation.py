@@ -6,10 +6,10 @@ measures x, players measure their announced-x quadratures) or check
 pattern (the conjugate choices) are kept; a seeded random subset of each
 is publicly revealed and drives the parameter-estimation regressions whose
 residual variances feed :func:`cvqss.keyrate.combine`, the one rate
-reduction, which the analytic bounds also use. The remaining sifted key
-rounds are counted as raw key material (reconciliation and privacy
-amplification are out of scope; the report exposes everything such a stage
-would need).
+reduction (an array reduction, which the analytic bounds also use). The
+remaining sifted key rounds are counted as raw key material (reconciliation
+and privacy amplification are out of scope; the report exposes everything
+such a stage would need).
 
 Simulation device, not physics: :func:`run_protocol` draws the key,
 check and other round counts from one multinomial law, then outcomes only
@@ -280,8 +280,8 @@ def run_protocol(
         + (scale * vp.standard_error / vp.variance) ** 2
         + ((beta - 1.0) * scale * dealer_var_se / dealer_x_var) ** 2)
 
-    eavesdropping = combine(dealer_x_var, [inference_x.variance],
-                            [inference_p.variance], beta).rate
+    eavesdropping = float(combine(dealer_x_var, [inference_x.variance],
+                                  [inference_p.variance], beta).rate)
     analytic = keyrate_qss(state, layout, scheme, beta=beta)
 
     return ProtocolReport(
@@ -301,9 +301,9 @@ def run_protocol(
         inference_p=inference_p,
         access_variance=dict(zip(access_labels, access_fits)),
         adversarial_variance=dict(zip(adversarial_labels, adversarial_fits)),
-        access_mutual_information=dict(zip(access_labels, bound.access_bits)),
-        adversarial_holevo=dict(zip(adversarial_labels, bound.adversarial_holevo)),
-        combined_rate=bound.rate,
+        access_mutual_information=dict(zip(access_labels, bound.access_bits.tolist())),
+        adversarial_holevo=dict(zip(adversarial_labels, bound.adversarial_holevo.tolist())),
+        combined_rate=float(bound.rate),
         combined_rate_standard_error=combined_se,
         eavesdropping_rate=eavesdropping,
         analytic=analytic,

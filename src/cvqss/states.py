@@ -32,6 +32,10 @@ from .gaussian import GaussianState, Quadrature, VACUUM_VARIANCE, squeezed_vacuu
 
 _CONJUGATE = {"x": "p", "p": "x"}
 
+#: Most players a resource or a scheme may have; C(n, k) growth makes larger
+#: schemes useless at desk scale.
+MAX_PLAYERS = 24
+
 
 @dataclass(frozen=True)
 class ChannelSpec:
@@ -172,7 +176,7 @@ def build_kn_state(
     moves ulps (a 16-player star; mixed channels).
 
     Args:
-        n: Number of players (>= 2).
+        n: Number of players, from 2 to MAX_PLAYERS.
         r: Input squeezing parameter, shared by all modes; an array of
             them builds the stack of their resources.
         specs: Mapping from player label to its ChannelSpec.
@@ -186,6 +190,8 @@ def build_kn_state(
     """
     if n < 2:
         raise ValueError("need at least two players")
+    if n > MAX_PLAYERS:
+        raise ValueError(f"n = {n} players exceeds the supported maximum of {MAX_PLAYERS}")
     if player_labels is None:
         player_labels = [f"B{i}" for i in range(1, n + 1)]
     player_labels = list(player_labels)

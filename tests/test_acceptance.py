@@ -14,10 +14,10 @@ from cvqss import (
     ChannelSpec,
     PartyLayout,
     SECURITY_THRESHOLD,
+    ThresholdScheme,
     build_three_mode_chain,
     build_kn_state,
     chain_topology,
-    enumerate_structures,
     keyrate_eavesdropping,
     keyrate_qss,
     squeezed_vacuum,
@@ -219,7 +219,7 @@ def test_criterion_5_bound_ordering(sweep_rows):
     for row in sweep_rows:
         assert row["K_qss"] <= row["K_eve"] + 1e-9
 
-    scheme = enumerate_structures(2, 2)
+    scheme = ThresholdScheme(2, 2)
     for r in (0.0, 0.3, 0.8, 1.15, 1.5):
         for transmissivity in (1.0, 0.95, 0.9, 0.85):
             state, layout = build_three_mode_chain(r, transmissivity)
@@ -245,7 +245,7 @@ def test_criterion_6_threshold_identity():
     assert report.inference_product == pytest.approx(SECURITY_THRESHOLD, rel=1e-12)
     assert abs(report.rate) < 1e-10
 
-    scheme = enumerate_structures(2, 2)
+    scheme = ThresholdScheme(2, 2)
 
     def gap(r):
         resource, layout_r = build_three_mode_chain(r, 1.0)
@@ -261,7 +261,7 @@ def test_criterion_6_threshold_identity():
 
 
 def test_criterion_7_structure_enumeration():
-    scheme = enumerate_structures(5, 3)
+    scheme = ThresholdScheme(3, 5)
     assert len(scheme.access_structures) == 10
     assert len(scheme.adversarial_structures) == 10
 
@@ -269,14 +269,14 @@ def test_criterion_7_structure_enumeration():
         labels = [f"B{i}" for i in range(1, players + 1)]
         state = product_vacuum(["A"] + labels)
         layout = PartyLayout("A", tuple(labels))
-        report = keyrate_qss(state, layout, enumerate_structures(players, 1))
+        report = keyrate_qss(state, layout, ThresholdScheme(1, players))
         eavesdropping = keyrate_eavesdropping(state, layout)
         assert report.combined_rate == pytest.approx(eavesdropping.rate, abs=1e-12)
 
     # The empty collusion's information term is structurally the plain
     # eavesdropping one, also on correlated resources.
     state, layout = build_three_mode_chain(1.0, 0.9)
-    report = keyrate_qss(state, layout, enumerate_structures(2, 1))
+    report = keyrate_qss(state, layout, ThresholdScheme(1, 2))
     eavesdropping = keyrate_eavesdropping(state, layout)
     assert report.adversarial_holevo[()] == pytest.approx(
         eavesdropping.holevo_bound, abs=1e-12)

@@ -19,6 +19,7 @@ from cvqss.cli import (
     main,
 )
 from cvqss.estimation import JointVariable
+from cvqss.states import MAX_PLAYERS
 
 
 def run(argv, capsys):
@@ -352,6 +353,15 @@ class TestValidate:
         assert json.loads(out, parse_constant=refuse)["purity"] is None
         assert "\npurity: undefined\n" in text
 
+    def test_player_cap_is_config_error(self, capsys):
+        code, out, err = run(["validate", "--n", str(MAX_PLAYERS + 1)], capsys)
+        assert code == EXIT_CONFIG and out == ""
+        assert err == (f"cvqss: n = {MAX_PLAYERS + 1} players exceeds the supported "
+                       f"maximum of {MAX_PLAYERS}\n")
+        code, out, _ = run(["validate", "--n", str(MAX_PLAYERS)], capsys)
+        assert code == EXIT_OK
+        assert "physical: True" in out
+
     def test_unphysical_exit_code(self, capsys, monkeypatch):
         import cvqss.cli as cli
 
@@ -403,7 +413,18 @@ class TestConfigFile:
     def test_trailing_flag_without_path_is_config_error(self, capsys):
         code, _, err = run(["threshold", "--config"], capsys)
         assert code == EXIT_CONFIG
-        assert err == "cvqss: --config needs a file path\n"
+        assert err == "cvqss threshold: error: argument --config: expected one argument\n"
+
+    @pytest.mark.parametrize("spelling", [
+        ["--config", "{}"], ["--config={}"], ["--conf", "{}"], ["--conf={}"],
+    ], ids=["separate", "equals", "abbreviated", "abbreviated-equals"])
+    def test_every_spelling_of_the_flag_reads_the_file(self, spelling, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("n=4\nk=2\ntopology=star\n")
+        expected = run(["threshold", "--n", "4", "--k", "2", "--topology", "star"], capsys)
+        assert expected[0] == EXIT_OK and expected != run(["threshold"], capsys)
+        argv = ["threshold"] + [token.format(config) for token in spelling]
+        assert run(argv, capsys) == expected
 
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         code, _, _ = run(["sweep", "--config", str(tmp_path / "absent.cfg")],

@@ -44,6 +44,10 @@ _VALUE = st.recursive(_LEAF, lambda children: (
     max_leaves=10)
 
 
+class _Float(float):
+    """A float subclass: ``json.dumps`` spells it as the float it is."""
+
+
 class TestJsonWriter:
     SHARED = ("B1", "B2")
 
@@ -68,6 +72,13 @@ class TestJsonWriter:
             json.dumps(jsonable(value), indent=2)
         with pytest.raises(TypeError, match=re.escape(str(expected.value))):
             json_text(value)
+
+    @pytest.mark.parametrize("value", [
+        _Float(1.5), [2.0, _Float(-0.0), _Float(1e300)], {"a": _Float(0.1), "b": 1.0},
+        _Float("nan"), [_Float("inf"), _Float("-inf")],
+    ], ids=["scalar", "list-item", "map-value", "nan", "infinities"])
+    def test_float_subclass_is_spelled_as_a_float(self, value):
+        assert json_text(value) == json.dumps(jsonable(value), indent=2)
 
     def test_any_mapping_is_written_as_a_dict(self):
         value = types.MappingProxyType({("B1", "B2"): 1.0, (): [2], ("B3",): {"a": None}})

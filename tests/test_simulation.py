@@ -10,11 +10,11 @@ from cvqss import (
     ChannelSpec,
     GaussianState,
     PartyLayout,
+    ThresholdScheme,
     UndersampledError,
     UnphysicalStateError,
     build_kn_state,
     build_three_mode_chain,
-    enumerate_structures,
     keyrate_eavesdropping,
     run_protocol,
     star_topology,
@@ -101,17 +101,17 @@ class TestSampling:
         state, layout = build_three_mode_chain(1.0, 1.0)
         bogus = GaussianState(state.mean, 0.25 * np.eye(6), state.labels)
         with pytest.raises(UnphysicalStateError, match="min symplectic eigenvalue"):
-            run_protocol(bogus, layout, enumerate_structures(2, 2), rounds=100)
+            run_protocol(bogus, layout, ThresholdScheme(2, 2), rounds=100)
 
     def test_negative_definite_state_rejected(self):
         state, layout = build_three_mode_chain(1.0, 1.0)
         bogus = GaussianState(state.mean, -0.5 * np.eye(6), state.labels)
         with pytest.raises(UnphysicalStateError, match="negative eigenvalue"):
-            run_protocol(bogus, layout, enumerate_structures(2, 2), rounds=100)
+            run_protocol(bogus, layout, ThresholdScheme(2, 2), rounds=100)
 
     def test_argument_validation(self):
         state, layout = build_three_mode_chain(1.0, 1.0)
-        scheme = enumerate_structures(2, 2)
+        scheme = ThresholdScheme(2, 2)
         with pytest.raises(ValueError):
             run_protocol(state, layout, scheme, rounds=0)
         with pytest.raises(ValueError):
@@ -130,7 +130,7 @@ class TestEmpiricalConditioning:
     def test_chain_oracle_agreement_and_gain_errors(self):
         r, transmissivity = 1.0, 0.9
         state, layout = build_three_mode_chain(r, transmissivity)
-        report = run_protocol(state, layout, enumerate_structures(2, 2),
+        report = run_protocol(state, layout, ThresholdScheme(2, 2),
                               rounds=1000000, seed=7, reveal_fraction=1.0)
         fit = report.inference_x
         expected = chain_expected_variances(r, transmissivity)["v_x_given_all"]
@@ -144,7 +144,7 @@ class TestEmpiricalConditioning:
     def test_undersampled_error_carries_the_count(self):
         state, layout = build_three_mode_chain(0.5, 1.0)
         with pytest.raises(UndersampledError) as excinfo:
-            run_protocol(state, layout, enumerate_structures(2, 2), rounds=400,
+            run_protocol(state, layout, ThresholdScheme(2, 2), rounds=400,
                          seed=9, reveal_fraction=1.0)
         assert excinfo.value.available < 100
         assert excinfo.value.required == 100
@@ -159,7 +159,7 @@ class TestEmpiricalConditioning:
 class TestRunProtocol:
     def test_report_is_reproducible(self):
         state, layout = build_three_mode_chain(1.0, 0.9)
-        scheme = enumerate_structures(2, 2)
+        scheme = ThresholdScheme(2, 2)
         first = run_protocol(state, layout, scheme, rounds=30000, seed=21,
                              reveal_fraction=0.5)
         second = run_protocol(state, layout, scheme, rounds=30000, seed=21,
@@ -170,7 +170,7 @@ class TestRunProtocol:
 
     def test_converges_to_analytic_rate(self):
         state, layout = build_three_mode_chain(1.15, 1.0)
-        scheme = enumerate_structures(2, 2)
+        scheme = ThresholdScheme(2, 2)
         report = run_protocol(state, layout, scheme, rounds=1000000, seed=7,
                               reveal_fraction=1.0)
         assert report.combined_rate > 0.0
@@ -180,7 +180,7 @@ class TestRunProtocol:
 
     def test_sifting_accounting(self):
         state, layout = build_three_mode_chain(0.8, 1.0)
-        scheme = enumerate_structures(2, 2)
+        scheme = ThresholdScheme(2, 2)
         report = run_protocol(state, layout, scheme, rounds=50000, seed=13,
                               reveal_fraction=0.25)
         assert sum(report.sifted_counts.values()) == 50000
@@ -192,7 +192,7 @@ class TestRunProtocol:
 
     def test_small_run_reports_larger_uncertainty(self):
         state, layout = build_three_mode_chain(1.0, 0.9)
-        scheme = enumerate_structures(2, 2)
+        scheme = ThresholdScheme(2, 2)
         small = run_protocol(state, layout, scheme, rounds=2000, seed=17,
                              reveal_fraction=1.0)
         large = run_protocol(state, layout, scheme, rounds=200000, seed=17,
@@ -202,7 +202,7 @@ class TestRunProtocol:
 
     def test_insecure_verdict_deep_in_the_negative_region(self):
         state, layout = build_three_mode_chain(0.1, 0.85)
-        scheme = enumerate_structures(2, 2)
+        scheme = ThresholdScheme(2, 2)
         report = run_protocol(state, layout, scheme, rounds=200000, seed=7,
                               reveal_fraction=1.0)
         assert report.analytic.combined_rate < 0.0
@@ -210,7 +210,7 @@ class TestRunProtocol:
 
     def test_reveal_fraction_validation(self):
         state, layout = build_three_mode_chain(1.0, 1.0)
-        scheme = enumerate_structures(2, 2)
+        scheme = ThresholdScheme(2, 2)
         with pytest.raises(ValueError):
             run_protocol(state, layout, scheme, rounds=1000, reveal_fraction=0.0)
         with pytest.raises(ValueError):
@@ -219,18 +219,18 @@ class TestRunProtocol:
     def test_scheme_layout_mismatch_rejected(self):
         state, layout = build_three_mode_chain(1.0, 1.0)
         with pytest.raises(ValueError):
-            run_protocol(state, layout, enumerate_structures(3, 2), rounds=1000)
+            run_protocol(state, layout, ThresholdScheme(2, 3), rounds=1000)
 
     def test_degenerate_threshold_runs(self):
         state, layout = build_three_mode_chain(1.0, 1.0)
-        report = run_protocol(state, layout, enumerate_structures(2, 1),
+        report = run_protocol(state, layout, ThresholdScheme(1, 2),
                               rounds=20000, seed=23, reveal_fraction=1.0)
         assert set(report.adversarial_variance) == {()}
         assert len(report.access_variance) == 2
 
     def test_star_scheme_runs_per_structure_regressions(self):
         state, layout = star_state(3, r=1.0, transmissivity=1.0)
-        report = run_protocol(state, layout, enumerate_structures(3, 2),
+        report = run_protocol(state, layout, ThresholdScheme(2, 3),
                               rounds=100000, seed=29, reveal_fraction=1.0)
         assert len(report.access_variance) == 3
         assert len(report.adversarial_variance) == 3
@@ -243,15 +243,15 @@ class TestSharedReduction:
     @pytest.mark.parametrize("beta", [1.0, 0.9])
     def test_rates_are_combine_of_the_fitted_variances(self, beta):
         state, layout = star_state(4)
-        report = run_protocol(state, layout, enumerate_structures(4, 2),
+        report = run_protocol(state, layout, ThresholdScheme(2, 4),
                               rounds=100000, seed=31, beta=beta)
         access = list(report.access_variance.values())
         adversarial = list(report.adversarial_variance.values())
         bound = combine(report.dealer_x_variance, [fit.variance for fit in access],
                         [fit.variance for fit in adversarial], beta)
         assert report.combined_rate == bound.rate
-        assert list(report.access_mutual_information.values()) == bound.access_bits
-        assert list(report.adversarial_holevo.values()) == bound.adversarial_holevo
+        assert list(report.access_mutual_information.values()) == bound.access_bits.tolist()
+        assert list(report.adversarial_holevo.values()) == bound.adversarial_holevo.tolist()
         assert report.eavesdropping_rate == combine(
             report.dealer_x_variance, [report.inference_x.variance],
             [report.inference_p.variance], beta).rate
@@ -274,7 +274,7 @@ class TestRevealedSampling:
         else:
             state, layout = star_state(players)
         rounds = 100000
-        report = run_protocol(state, layout, enumerate_structures(players, 2),
+        report = run_protocol(state, layout, ThresholdScheme(2, players),
                               rounds=rounds, seed=31,
                               basis_probability=basis_probability)
         assert set(report.sifted_counts) == {report.key_pattern,
@@ -306,7 +306,7 @@ class TestRevealedSampling:
 
     def test_twenty_player_undersampling_fails_before_any_normal(self, no_normals):
         state, layout = star_state(20)
-        scheme = enumerate_structures(20, 2)
+        scheme = ThresholdScheme(2, 20)
         start = time.perf_counter()
         with pytest.raises(UndersampledError, match="sifted") as excinfo:
             run_protocol(state, layout, scheme, rounds=1000, seed=1)
@@ -320,7 +320,7 @@ class TestRevealedSampling:
         state, layout = build_three_mode_chain(0.5, 1.0)
         with pytest.raises(ValueError, match=r"10000 rounds reveal \d+ rows of 4 "
                                              "columns .*budget of 1000 design cells"):
-            run_protocol(state, layout, enumerate_structures(2, 2), rounds=10000)
+            run_protocol(state, layout, ThresholdScheme(2, 2), rounds=10000)
 
 
 class TestRegressionKernel:
@@ -349,7 +349,7 @@ class TestRegressionKernel:
         else:
             state, layout = star_state(players)
         rounds, seed = 200000, 41
-        report = run_protocol(state, layout, enumerate_structures(players, 2),
+        report = run_protocol(state, layout, ThresholdScheme(2, players),
                               rounds=rounds, seed=seed)
         patterns = [announced_pattern(layout, "x"), announced_pattern(layout, "p")]
         _, designs = simulation._revealed_designs(state, patterns, rounds, 0.5, 0.5, seed)

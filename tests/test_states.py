@@ -14,6 +14,8 @@ from cvqss import (
     star_topology,
     validate,
 )
+from cvqss import keyrate, states
+from cvqss.states import MAX_PLAYERS
 from helpers import apply_cz, chain_expected_cov, pure_loss, tensor
 
 
@@ -175,6 +177,17 @@ class TestKnState:
     def test_single_player_rejected(self):
         with pytest.raises(ValueError):
             build_kn_state(1, 0.5, {"B1": ChannelSpec(1.0)}, chain_topology(1))
+
+    def test_player_cap_rejected_before_any_matrix(self, monkeypatch):
+        def no_squeezer(*args, **kwargs):
+            raise AssertionError("a matrix was built before the player cap")
+
+        monkeypatch.setattr(states, "squeezed_vacuum", no_squeezer)
+        n = MAX_PLAYERS + 1
+        with pytest.raises(ValueError, match=f"n = {n} players exceeds the supported "
+                                             f"maximum of {MAX_PLAYERS}"):
+            build_kn_state(n, 0.5, {}, star_topology(n))
+        assert keyrate.MAX_PLAYERS is MAX_PLAYERS
 
     def test_excess_noise_reduces_purity(self):
         clean = ChannelSpec(0.9, 0.0)

@@ -14,9 +14,9 @@ from hypothesis import given, seed, settings, strategies as st
 import cvqss.keyrate as keyrate_module
 from cvqss import (
     ChannelSpec,
+    ThresholdScheme,
     build_kn_state,
     chain_topology,
-    enumerate_structures,
     keyrate_eavesdropping,
     keyrate_qss,
     star_topology,
@@ -136,7 +136,7 @@ def test_one_state_readers_refuse_a_stack():
     state, layout = build_kn_state(2, np.linspace(0.0, 1.0, 6), {"B1": ChannelSpec(0.9),
                                    "B2": ChannelSpec(0.9)}, chain_topology(2))
     assert state.cov.shape == (6, 6, 6)
-    scheme = enumerate_structures(2, 2)
+    scheme = ThresholdScheme(2, 2)
     assert keyrate_module.key_rates(state, layout, scheme).combined.rate.shape == (6,)
     for read in (lambda: validate(state), lambda: state.variance("A", "x"),
                  lambda: state.covariance(("A", "x"), ("B1", "p")),
