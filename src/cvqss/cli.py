@@ -16,7 +16,7 @@ abbreviated like any flag. Exit codes: 0 success, 1 configuration error,
 
 Every JSON report is written by ``jsontext.json_text`` in one pass over the
 report, with the bytes ``json.dumps(..., indent=2)`` gives for it; the sweep
-writes its JSON, like its CSV, one piece per chunk of grid points.
+writes its JSON, like its CSV, one piece per chunk of grid points across curves.
 """
 
 import argparse
@@ -138,15 +138,19 @@ def _load_config(path: str) -> list:
                 raise ValueError(f"bad config file {path}:{lineno}: "
                                  f"expected key=value, got {line!r}")
             key, value = line.split("=", 1)
-            flags.append(f"--{key.strip().replace('_', '-')}")
+            name = key.strip().replace("_", "-")
+            if len(name) > 1 and "config".startswith(name):  # argparse expands "co" too
+                raise ValueError(f"bad config file {path}:{lineno}: "
+                                 f"a config file cannot name another, got {line!r}")
+            flags.append(f"--{name}")
             value = value.strip()
             if value:
                 flags.append(value)
     return flags
 
 
-def _build_state(args, r, transmissivity: float):
-    """The resource of ``args``' scheme flags at squeezing ``r`` (a float or an array)."""
+def _build_state(args, r, transmissivity):
+    """The resource of ``args``' scheme flags at ``r`` and ``transmissivity`` (floats or arrays)."""
     topology = TOPOLOGIES[args.topology](args.n)
     spec = ChannelSpec(transmissivity, args.excess_noise)
     labels = [f"B{i}" for i in range(1, args.n + 1)]
@@ -164,49 +168,51 @@ def _write_text(path, pieces: list, quiet: bool) -> None:
             print(f"wrote {path}", file=sys.stderr)
 
 
-def _sweep_rows(args, scheme, r: np.ndarray, transmissivity: float) -> list:
-    """The sweep rows of one curve's points ``r``: one stacked state, one key_rates call."""
+def _sweep_rows(args, scheme, r: np.ndarray, transmissivity: np.ndarray) -> np.ndarray:
+    """The (points, 8) sweep rows at (``r``, ``transmissivity``): one state, one key_rates call."""
     state, layout = _build_state(args, r, transmissivity)
     rates = key_rates(state, layout, scheme)
     v_x, v_p = rates.everyone_x[0][:, 0], rates.everyone_p[0][:, 0]
-    columns = (r, np.full(len(r), transmissivity), rates.eavesdropping.rate,
-               rates.combined.rate, v_x, v_p, rates.adversarial[0].max(axis=-1), v_x * v_p)
-    return list(zip(*(column.tolist() for column in columns)))
+    return np.stack((r, transmissivity, rates.eavesdropping.rate, rates.combined.rate,
+                     v_x, v_p, rates.adversarial[0].max(axis=-1), v_x * v_p), axis=-1)
 
 
 def cmd_sweep(args) -> int:
     if args.r_min > args.r_max or args.r_steps < 1:
         raise ValueError("need r_min <= r_max and r_steps >= 1")
-    transmissivities = [float(t) for t in args.transmissivities.split(",") if t]
-    if not transmissivities:
+    transmissivities = np.array([float(t) for t in args.transmissivities.split(",") if t])
+    if not len(transmissivities):
         raise ValueError("need at least one transmissivity")
-    if any(not 0.0 <= t <= 1.0 for t in transmissivities):
-        raise ValueError("transmissivities must lie in [0, 1]")
+    ChannelSpec(transmissivities, args.excess_noise)  # every T range-checked up front
     if args.r_steps * len(transmissivities) > MAX_SWEEP_POINTS:
         raise ValueError(f"{args.r_steps} r steps x {len(transmissivities)} transmissivities "
                          f"exceed the budget of {MAX_SWEEP_POINTS} grid points")
     scheme = ThresholdScheme(args.k, args.n)
     grid = np.linspace(args.r_min, args.r_max, args.r_steps)
 
-    # Chunks of at most SCHUR_BLOCK_ROWS structure rows per side (one point at
-    # least), and the CSV text one piece per chunk, never joined: memory is
-    # the output plus one chunk, whatever the grid size and the scheme.
+    # The T-major (T, r) grid in chunks across curves of at most SCHUR_BLOCK_ROWS
+    # structure rows per side (one point at least), and the text one piece per
+    # chunk, never joined: memory is the output plus one chunk, whatever the grid and scheme.
     structures = max(len(scheme.access_structures), len(scheme.adversarial_structures))
     points = max(1, SCHUR_BLOCK_ROWS // structures)
-    chunks = (_sweep_rows(args, scheme, grid[start:start + points], transmissivity)
-              for transmissivity in transmissivities
-              for start in range(0, len(grid), points))
+    total = len(grid) * len(transmissivities)
+    chunks = (_sweep_rows(args, scheme, grid[flat % len(grid)],
+                          transmissivities[flat // len(grid)])
+              for flat in (np.arange(start, min(start + points, total))
+                           for start in range(0, total, points)))
+    keys = SWEEP_HEADER.split(",")
     if args.format == "json":
         # The text of {"rows": [...]}, written as json.dumps(..., indent=2) would.
-        keys = SWEEP_HEADER.split(",")
         pieces = ['{\n  "rows": [\n    ']
         for rows in chunks:
             pieces += (",\n    ".join(json_text(dict(zip(keys, row)), "\n    ")
-                                     for row in rows), ",\n    ")
+                                     for row in rows.tolist()), ",\n    ")
         pieces[-1] = "\n  ]\n}\n"
     else:
+        # One template per chunk, in _fmt's digits.
+        row_text = ",".join(["{:.12g}"] * len(keys)) + "\n"
         pieces = [SWEEP_HEADER + "\n"] + [
-            "".join(",".join(map(_fmt, row)) + "\n" for row in rows) for rows in chunks]
+            (row_text * len(rows)).format(*rows.ravel().tolist()) for rows in chunks]
     _write_text(args.output, pieces, args.quiet)
     return EXIT_OK
 

@@ -42,7 +42,8 @@ class ChannelSpec:
     """A one-mode attenuating channel.
 
     Attributes:
-        transmissivity: Power transmissivity T in [0, 1]; 1 is the identity.
+        transmissivity: Power transmissivity T in [0, 1]; 1 is the identity. An
+            array of them, each checked, gives each point of a stacked build its own T.
         excess_noise: Symmetric added variance in vacuum units on top of the
             quantum-limited loss; 0 is the pure-loss channel.
     """
@@ -51,8 +52,9 @@ class ChannelSpec:
     excess_noise: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.transmissivity <= 1.0:
-            raise ValueError(f"transmissivity must lie in [0, 1], got {self.transmissivity}")
+        bad = [t for t in np.ravel(self.transmissivity).tolist() if not 0.0 <= t <= 1.0]
+        if bad:
+            raise ValueError(f"transmissivity must lie in [0, 1], got {bad[0]}")
         if not 0.0 <= self.excess_noise < np.inf:
             raise ValueError(f"excess noise must be finite and >= 0, got {self.excess_noise}")
 
@@ -144,8 +146,8 @@ def _bfs_distances(nodes: Sequence, edges: Sequence, root) -> dict:
 
 
 def _congruence(s: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """``s cov s^T`` for one covariance or a stack, symmetrised as in :class:`GaussianState`."""
-    cov = s @ cov @ s.T
+    """``s cov s^T``, each one matrix or a stack, symmetrised as in :class:`GaussianState`."""
+    cov = s @ cov @ s.swapaxes(-1, -2)
     return 0.5 * (cov + cov.swapaxes(-1, -2))
 
 
@@ -179,7 +181,8 @@ def build_kn_state(
         n: Number of players, from 2 to MAX_PLAYERS.
         r: Input squeezing parameter, shared by all modes; an array of
             them builds the stack of their resources.
-        specs: Mapping from player label to its ChannelSpec.
+        specs: Mapping from player label to its ChannelSpec; an array of T
+            gives each point its own T, broadcast against ``r`` (a float is 0-d).
         topology: Iterable of undirected edges over {"A"} | player labels;
             must form a connected graph.
         cz_weight: Gate weight on every edge; must be finite.
@@ -218,7 +221,9 @@ def build_kn_state(
 
     dim = 2 * len(nodes)
     x_row = {label: 2 * k for k, label in enumerate(nodes)}  # p is the next row
-    cov = np.zeros(block.shape[:-2] + (dim, dim))
+    points = np.broadcast_shapes(block.shape[:-2], *(
+        np.shape(specs[label].transmissivity) for label in player_labels))
+    cov = np.zeros(points + (dim, dim))
     for k in range(0, dim, 2):
         cov[..., k:k + 2, k:k + 2] = block
     for a, b in edges:
@@ -227,13 +232,15 @@ def build_kn_state(
         cov = _congruence(gate, cov)
     dilated = np.zeros(cov.shape[:-2] + (dim + 2, dim + 2))
     dilated[..., dim:, dim:] = VACUUM_VARIANCE * np.eye(2)
+    eye = np.eye(dim + 2)
     for label in player_labels:
         spec = specs[label]
-        c, s = math.sqrt(spec.transmissivity), math.sqrt(1.0 - spec.transmissivity)
-        splitter = np.eye(dim + 2)
+        c, s = np.sqrt(spec.transmissivity), np.sqrt(1.0 - spec.transmissivity)
+        splitter = np.empty(c.shape + eye.shape)
+        splitter[...] = eye
         for row, ancilla in ((x_row[label], dim), (x_row[label] + 1, dim + 1)):
-            splitter[row, row] = splitter[ancilla, ancilla] = c
-            splitter[row, ancilla], splitter[ancilla, row] = s, -s
+            splitter[..., row, row] = splitter[..., ancilla, ancilla] = c
+            splitter[..., row, ancilla], splitter[..., ancilla, row] = s, -s
         dilated[..., :dim, :dim] = cov
         cov = _congruence(splitter, dilated)[..., :dim, :dim]
         for row in (x_row[label], x_row[label] + 1):

@@ -9,6 +9,8 @@ propagation so the tests never trust the code path they are checking.
 ``conditional_variance_fixed`` is the fixed-gain formula, an inference that
 takes its gains as given instead of optimising them.
 ``bisect_root`` locates the zero crossings the tests pin.
+``star_closed_forms`` gives a uniform star's conditional variances exactly,
+at 50 digits, from Sherman-Morrison.
 ``jsonable`` is the conversion ``cvqss.jsontext.json_text`` must reproduce,
 as ``json.dumps(jsonable(value), indent=2)``.
 
@@ -25,6 +27,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, fields, is_dataclass
 from itertools import combinations
 
+import mpmath
 import numpy as np
 
 from cvqss import (
@@ -272,6 +275,50 @@ def chain_expected_variances(r: float, transmissivity: float) -> dict:
         "v_p_given_c_only": v_p_given_c,
         "v_p_given_b_only": v_p_given_b,
     }
+
+
+@dataclass(frozen=True)
+class StarForms:
+    """A uniform star's dealer variances (mpmath numbers; m, h index 0..n).
+
+    ``x[m]`` is V(x_A | m players' announced x), ``p[h]`` is V(p_A | h honest
+    players' announced p), ``v_x`` and ``v_p`` are the unconditional
+    variances, and ``kappa_x[m]`` is the condition number of the m-player
+    x estimator block.
+    """
+
+    x: list
+    p: list
+    v_x: object
+    v_p: object
+    kappa_x: list
+
+
+def star_closed_forms(n: int, r: float, transmissivity: float, excess_noise: float = 0.0,
+                      cz_weight: float = 1.0, digits: int = 50) -> StarForms:
+    """Exact conditional variances of the dealer on an n-player star with one channel.
+
+    With X = e^{2r}/2, P = e^{-2r}/2, e = (1-T)/2 + xi, d = T P + e and
+    b = T g^2 X, every player is conjugate, and m players' announced x
+    (physical p) have the block d I + b J and covariance sqrt(T) g X with x_A.
+    Sherman-Morrison gives V(x_A | m) = X d / (d + m b). Each honest player's
+    announced p (physical x) sees its g x term through the channel alone, so
+    V(p_A | h) = P + g^2 (n - h) X + g^2 h X e / (T X + e). Positive terms
+    only, so nothing cancels; the inputs are read as exact binary values.
+    """
+    with mpmath.workdps(digits):
+        r, t, xi, g = map(mpmath.mpf, (r, transmissivity, excess_noise, cz_weight))
+        big_x, big_p = mpmath.exp(2 * r) / 2, mpmath.exp(-2 * r) / 2
+        e = (1 - t) / 2 + xi
+        d, b = t * big_p + e, t * g ** 2 * big_x
+        return StarForms(
+            x=[big_x * d / (d + m * b) for m in range(n + 1)],
+            p=[big_p + g ** 2 * (n - h) * big_x + g ** 2 * h * big_x * e / (t * big_x + e)
+               for h in range(n + 1)],
+            v_x=big_x,
+            v_p=big_p + n * g ** 2 * big_x,
+            kappa_x=[(d + m * b) / d for m in range(n + 1)],
+        )
 
 
 def bisect_root(f, lo: float, hi: float, xtol: float = 1e-13) -> float:

@@ -426,6 +426,16 @@ class TestConfigFile:
         argv = ["threshold"] + [token.format(config) for token in spelling]
         assert run(argv, capsys) == expected
 
+    @pytest.mark.parametrize("key", ["config", "conf", "co"])
+    def test_nested_config_key_is_config_error(self, key, tmp_path, capsys):
+        inner, outer = tmp_path / "inner.cfg", tmp_path / "outer.cfg"
+        inner.write_text("n=5\n")
+        outer.write_text(f"# defaults\n{key}={inner}\nk=1\n")
+        code, out, err = run(["threshold", "--config", str(outer), "--quiet"], capsys)
+        assert code == EXIT_CONFIG and out == ""
+        assert err == (f"cvqss: bad config file {outer}:2: a config file cannot name "
+                       f"another, got '{key}={inner}'\n")
+
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         code, _, _ = run(["sweep", "--config", str(tmp_path / "absent.cfg")],
                          capsys)

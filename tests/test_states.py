@@ -25,6 +25,13 @@ class TestChannelSpec:
         with pytest.raises(ValueError):
             ChannelSpec(transmissivity)
 
+    @pytest.mark.parametrize("transmissivity, bad", [
+        (np.array([0.5, 1.5, -0.1]), "1.5"), (np.array([0.2, np.nan]), "nan"), (-0.01, "-0.01"),
+    ], ids=["array", "array-nan", "scalar"])
+    def test_each_value_is_checked_with_the_first_outside_named(self, transmissivity, bad):
+        with pytest.raises(ValueError, match=rf"^transmissivity must lie in \[0, 1\], got {bad}$"):
+            ChannelSpec(transmissivity)
+
     def test_negative_excess_noise_rejected(self):
         with pytest.raises(ValueError):
             ChannelSpec(0.5, -1e-3)

@@ -24,9 +24,9 @@ from cvqss import (
 )
 from cvqss.cli import EXIT_CONFIG, EXIT_OK, SWEEP_HEADER, main
 from cvqss.estimation import schur
-from cvqss.keyrate import MAX_PLAYERS
+from cvqss.keyrate import MAX_PLAYERS, key_rates
 
-from helpers import kn_state_loop, sweep_loop
+from helpers import kn_state_loop, star_closed_forms, sweep_loop
 
 GOLDEN = Path(__file__).parent / "data" / "default_sweep_golden.csv"
 DEFAULT_TRANSMISSIVITIES = [1.0, 0.95, 0.9, 0.85]
@@ -119,6 +119,19 @@ def test_stacked_kernel_equals_one_matrix_calls_across_row_blocks():
         assert dealer[point] == alone[2]
 
 
+def test_rows_at_curve_and_chunk_edges_equal_one_point_sweeps():
+    # The default grid's 244 points run as chunks of 128 and 116 across its
+    # four 61-point curves: curve edges at 60/61, 121/122 and 182/183, and the
+    # chunk edge at 127/128, inside the third curve.
+    rows = json_rows(["sweep"])
+    assert len(rows) == 244
+    for index in (60, 61, 121, 122, 127, 128, 243):
+        r, transmissivity = map(repr, rows[index][:2])
+        alone = json_rows(["sweep", "--r-min", r, "--r-max", r, "--r-steps", "1",
+                           "--transmissivities", transmissivity])
+        assert alone == [rows[index]]
+
+
 def test_rows_at_chunk_edges_equal_one_point_sweeps():
     # At most 2 structures per side, so a 257-point curve is evaluated as
     # chunks of 128, 128 and 1 points.
@@ -149,6 +162,10 @@ def test_one_state_readers_refuse_a_stack():
 MIXED_CHANNELS = [ChannelSpec(0.6), ChannelSpec(0.9, 0.05), ChannelSpec(1.0)]
 EDGE_CHANNELS = [ChannelSpec(0.0), ChannelSpec(1.0), ChannelSpec(0.0, 0.05),
                  ChannelSpec(1.0, 0.02), ChannelSpec(0.5, 0.05)]
+PER_POINT_CHANNELS = [ChannelSpec(np.array([0.0, 1.0, 0.5, 0.93]), 0.05),
+                      ChannelSpec(np.array([1.0, 0.0, 0.93, 0.5])),
+                      ChannelSpec(np.array([0.6, 0.9, 0.0, 1.0]), 0.02), ChannelSpec(0.9, 0.01)]
+EPS = np.finfo(float).eps
 
 
 @pytest.mark.parametrize("topology, channels, cz_weight, r", [
@@ -163,18 +180,62 @@ EDGE_CHANNELS = [ChannelSpec(0.0), ChannelSpec(1.0), ChannelSpec(0.0, 0.05),
                  id="chain-24"),
     pytest.param(star_topology, EDGE_CHANNELS, 1.0, [0.0, 0.7, 1.5], id="star-T0-T1-noise"),
     pytest.param(chain_topology, EDGE_CHANNELS, 0.8, [0.0, 0.7, 1.5], id="chain-T0-T1-noise"),
+    # One T per point, as the sweep builds its chunks; players may differ.
+    pytest.param(star_topology, PER_POINT_CHANNELS, 1.0, [0.0, 0.35, 1.1, 2.0],
+                 id="star-per-point-T"),
+    pytest.param(chain_topology, PER_POINT_CHANNELS, 0.8, [0.0, 0.35, 1.1, 2.0],
+                 id="chain-per-point-T"),
+    pytest.param(star_topology, [ChannelSpec(np.array([1.0, 0.95, 0.0, 0.5]), 0.03)] * 5,
+                 1.3, [1.15], id="star-one-r-per-point-T"),
 ])
 def test_stacked_state_equals_the_per_point_build_bit_for_bit(topology, channels, cz_weight, r):
-    n, r = len(channels), np.array(r)
+    n = len(channels)
     specs = {f"B{i}": spec for i, spec in enumerate(channels, start=1)}
-    state, _ = build_kn_state(n, r, specs, topology(n), cz_weight=cz_weight)
+    state, _ = build_kn_state(n, np.array(r), specs, topology(n), cz_weight=cz_weight)
+    points = np.broadcast_shapes(np.shape(r), *(np.shape(spec.transmissivity)
+                                                for spec in channels))
     dim = 2 * n + 2
-    assert state.cov.shape == (len(r), dim, dim) and state.mean.shape == (dim,)
-    for point, r_point in enumerate(r.tolist()):
-        alone = kn_state_loop(r_point, specs, topology(n), cz_weight)
+    assert state.cov.shape == points + (dim, dim) and state.mean.shape == (dim,)
+    for point, r_point in enumerate(np.broadcast_to(r, points).tolist()):
+        alone_specs = {label: ChannelSpec(float(np.broadcast_to(spec.transmissivity,
+                                                                points)[point]),
+                                          spec.excess_noise)
+                       for label, spec in specs.items()}
+        alone = kn_state_loop(r_point, alone_specs, topology(n), cz_weight)
         assert np.array_equal(state.cov[point], alone.cov)
         assert np.array_equal(state.cov[point], build_kn_state(
-            n, r_point, specs, topology(n), cz_weight=cz_weight)[0].cov)
+            n, r_point, alone_specs, topology(n), cz_weight=cz_weight)[0].cov)
+
+
+def test_star_variances_equal_the_closed_form_within_the_kernel_bound():
+    # V_xa_given_xbar, V_pa_given_pbar and every honest side behind
+    # V_pa_given_honest_max (h = n - k + 1), with the access sides (m = k),
+    # against Sherman-Morrison at 50 digits. The kernel's relative error is
+    # bounded by a multiple of eps * kappa * V / v: kappa is the x block's
+    # condition number (d + m b) / d, and 1 on the p side, whose honest
+    # players are independent.
+    transmissivity = np.array([0.0, 0.5, 0.93, 1.0])
+    rng = np.random.default_rng(20261019)
+    worst = 0.0
+    for n in range(2, 9):
+        r, g = rng.uniform(0.0, 2.0, len(transmissivity)), rng.uniform(0.5, 1.5)
+        noise = rng.choice([0.0, rng.uniform(0.0, 0.05)])
+        spec = ChannelSpec(transmissivity, noise)
+        state, layout = build_kn_state(n, r, dict.fromkeys([f"B{i}" for i in range(1, n + 1)],
+                                                           spec), star_topology(n), cz_weight=g)
+        forms = [star_closed_forms(n, *point, noise, g)
+                 for point in zip(r.tolist(), transmissivity.tolist())]
+        for k in range(1, n + 1):
+            rates = key_rates(state, layout, ThresholdScheme(k, n))
+            for point, exact in enumerate(forms):
+                sides = ((rates.everyone_x[0], exact.x[n], exact.v_x, exact.kappa_x[n]),
+                         (rates.access[0], exact.x[k], exact.v_x, exact.kappa_x[k]),
+                         (rates.everyone_p[0], exact.p[n], exact.v_p, 1),
+                         (rates.adversarial[0], exact.p[n - k + 1], exact.v_p, 1))
+                for values, v, big_v, kappa in sides:
+                    error = max(abs(values[point].min() - v), abs(values[point].max() - v)) / v
+                    worst = max(worst, float(error / (EPS * kappa * big_v / v)))
+    assert 0.0 < worst <= 8.0, worst
 
 
 def test_kernel_calls_per_sweep_do_not_grow_with_the_grid(monkeypatch):
@@ -186,15 +247,12 @@ def test_kernel_calls_per_sweep_do_not_grow_with_the_grid(monkeypatch):
         return real_schur(*args)
 
     monkeypatch.setattr(keyrate_module, "schur", counted)
-    counts = []
-    for steps in (16, 61):
+    # Four kernel calls per chunk (access, honest complements, and all players
+    # in x and in p); a chunk holds up to 128 points of any curves.
+    for steps, chunks in ((16, [64]), (61, [128, 116])):
         calls.clear()
         assert cli(["sweep", "--r-steps", str(steps)])[0] == EXIT_OK
-        assert all(shape == (steps, 6, 6) for shape in calls)
-        counts.append(len(calls))
-    # Four kernel calls per curve: access, honest complements, and all
-    # players in x and in p.
-    assert counts == [4 * len(DEFAULT_TRANSMISSIVITIES)] * 2
+        assert calls == [(points, 6, 6) for points in chunks for _ in range(4)]
 
 
 @pytest.mark.parametrize("n, k, steps, fmt", [
