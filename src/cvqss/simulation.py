@@ -12,21 +12,22 @@ and privacy amplification are out of scope; the report exposes everything
 such a stage would need).
 
 Simulation device, not physics: :func:`run_protocol` draws the key,
-check and other round counts from one multinomial law, then outcomes only
-for the revealed key and check rounds. Each such row is a joint sample of
-the m quadratures its pattern measures, from their marginal of the state's
-multivariate normal; rounds are independent, so the rows have the law of a
-uniformly chosen revealed subset. Nothing reads the outcomes of other
-rounds, so they stay counts (unrevealed key rounds are the raw key).
-
-A pattern's regressions share the Gram matrix of its revealed design
-(intercept, dealer, players) and its delete-one-group jackknife versions:
-each structure is one batched solve on sub-blocks of them (:func:`_fit`).
+check and other round counts from one multinomial law, then only what the
+regressions read of the revealed key and check rounds: the Gram matrices of
+their design rows (1, outcomes of the m measured quadratures) over
+delete-one-group jackknife groups. A group of n iid N(mu, F F^T) rows has
+sum n mu + sqrt(n) F z and, independently, scatter F B B^T F^T about its
+mean, B the Bartlett factor of a Wishart(n - 1, I) matrix (Odell and
+Feiveson, JASA 61, 199 (1966)). Drawing those gives each group's Gram
+matrix its rows' law in O(m^2) draws whatever the round count; the fits
+batch one side's structures on sub-blocks, SCHUR_BLOCK_ROWS at a time.
 
 Determinism contract: a protocol run is a pure function of (state,
 layout, scheme, rounds, reveal fraction, basis probability, seed, beta).
 One PCG64 stream seeded with ``seed`` draws, in this order, the pattern
-counts, the revealed key rows and the revealed check rows.
+counts, then for the key and then the check pattern: the group sums'
+normals, the Bartlett diagonals' chi-squares and the normals below them,
+each in row-major (group, row, column) order.
 """
 
 import math
@@ -35,7 +36,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .estimation import JointVariable
+from .estimation import SCHUR_BLOCK_ROWS, JointVariable
 from .gaussian import (BONA_FIDE_TOL, EIGENVALUE_CLIP, VACUUM_VARIANCE, GaussianState,
                        Quadrature, UnphysicalStateError, validate)
 from .keyrate import KeyRateReport, ThresholdScheme, _structure_labels, combine, keyrate_qss
@@ -46,9 +47,6 @@ MIN_SIFTED_ROUNDS = 100
 
 #: Groups of the delete-one-group jackknife on a residual variance.
 JACKKNIFE_GROUPS = 50
-
-#: Most cells (revealed rows x columns) of one pattern's design, each 8 bytes.
-MAX_DESIGN_CELLS = 5 * 10**7
 
 
 class UndersampledError(RuntimeError):
@@ -74,10 +72,12 @@ def _pattern_probability(required: Mapping, basis_probability: float) -> float:
 
 
 def _check_sampling(state: GaussianState, rounds: int, basis_probability: float) -> None:
-    """Reject a non-positive round count, a basis probability outside (0, 1)
+    """Reject rounds outside [1, int64 max], a basis probability outside (0, 1)
     and a state that :func:`~cvqss.gaussian.validate` calls unphysical."""
     if rounds < 1:
         raise ValueError("need at least one round")
+    if rounds > np.iinfo(np.int64).max:
+        raise ValueError(f"at most {np.iinfo(np.int64).max} rounds, got {rounds}")
     if not 0.0 < basis_probability < 1.0:
         raise ValueError("basis probability must lie strictly inside (0, 1)")
     diagnostics = validate(state)
@@ -100,49 +100,39 @@ class EmpiricalConditioning:
     rounds_used: int
 
 
-def _jackknife_grams(design: np.ndarray) -> tuple:
-    """Gram matrices of a design over all rows and with each group left out.
-
-    The groups are min(JACKKNIFE_GROUPS, N // 2) contiguous, near-equal
-    blocks of the N rows. Returns ``(grams, rows)``: ``grams[0]`` is
-    ``design.T @ design``, ``grams[1 + g]`` the same without group g, and
-    ``rows`` the matching row counts.
-    """
-    blocks = np.array_split(design, min(JACKKNIFE_GROUPS, len(design) // 2))
-    gram = design.T @ design
-    grams = np.stack([gram] + [gram - block.T @ block for block in blocks])
-    rows = np.array([len(design)] + [len(design) - len(block) for block in blocks])
-    return grams, rows
-
-
 def _fit(grams: np.ndarray, rows: np.ndarray, target_basis: Quadrature,
-         columns: Mapping) -> EmpiricalConditioning:
-    """Least-squares fit of design column 1 on the intercept and ``columns``.
+         structures: Sequence, parties: Sequence) -> list:
+    """Least-squares fits of the target on each estimator group of ``structures``.
 
-    ``columns`` maps each estimator party to its design column; column 0 is
-    the intercept. The full-sample fit and every delete-one-group refit are
-    one batched solve on sub-blocks of ``grams`` (see
-    :func:`_jackknife_grams`). The residual variance uses 1/(N - d) with d
-    fitted parameters; its standard error is the grouped jackknife, and the
-    gains' errors are the usual OLS coefficient errors.
+    The design's columns are the intercept, the target, then ``parties``.
+    ``grams[0]`` is its Gram matrix and ``grams[1 + g]`` the one without
+    jackknife group g, of ``rows`` rows. All structures have the same size,
+    so each chunk of SCHUR_BLOCK_ROWS of them is one batched solve. The
+    residual variance uses 1/(N - d) with d fitted parameters; its standard
+    error is the grouped jackknife, and the gains' errors the usual OLS ones.
     """
-    c = np.array([0, *columns.values()])
-    d = len(c)
-    gram = grams[:, c[:, None], c]
-    moment = grams[:, c, 1]
-    coeffs = np.linalg.solve(gram, moment[..., None])[..., 0]
-    estimates = (grams[:, 1, 1] - (coeffs * moment).sum(axis=1)) / (rows - d)
-    variance, jackknife = float(estimates[0]), estimates[1:]
-    groups = len(jackknife)
-    se = math.sqrt((groups - 1) / groups * float(np.sum((jackknife - jackknife.mean()) ** 2)))
-    gain_se = np.sqrt(variance * np.diag(np.linalg.inv(gram[0])))[1:]
-    return EmpiricalConditioning(
-        variance=variance,
-        gains=JointVariable(target_basis, dict(zip(columns, coeffs[0, 1:]))),
-        standard_error=se,
-        gain_standard_errors=dict(zip(columns, gain_se)),
-        rounds_used=int(rows[0]),
-    )
+    fits = []
+    for start in range(0, len(structures), SCHUR_BLOCK_ROWS):
+        chunk = structures[start:start + SCHUR_BLOCK_ROWS]
+        c = np.array([[0, *(2 + parties.index(party) for party in group)] for group in chunk])
+        gram = grams[:, c[:, :, None], c[:, None, :]]
+        moment = grams[:, c, 1]
+        coeffs = np.linalg.solve(gram, moment[..., None])[..., 0]
+        estimates = ((grams[:, 1, 1, None] - (coeffs * moment).sum(axis=-1))
+                     / (rows[:, None] - c.shape[1]))
+        # One contiguous row per structure, so each jackknife sum adds in one fixed order.
+        jackknife = np.ascontiguousarray(estimates[1:].T)
+        spread = np.sum((jackknife - jackknife.mean(axis=1, keepdims=True)) ** 2, axis=1)
+        se = np.sqrt((len(rows) - 2) / (len(rows) - 1) * spread)
+        gain_se = np.sqrt(estimates[0, :, None] * np.linalg.inv(gram[0]).diagonal(0, 1, 2))
+        fits += [EmpiricalConditioning(
+            variance=float(estimates[0, s]),
+            gains=JointVariable(target_basis, dict(zip(group, coeffs[0, s, 1:]))),
+            standard_error=float(se[s]),
+            gain_standard_errors=dict(zip(group, gain_se[s, 1:])),
+            rounds_used=int(rows[0]),
+        ) for s, group in enumerate(chunk)]
+    return fits
 
 
 @dataclass(frozen=True)
@@ -180,21 +170,50 @@ def _required_bases(layout: PartyLayout, dealer_basis: Quadrature) -> dict:
     return required
 
 
-def _revealed_designs(state: GaussianState, patterns: Sequence, rounds: int,
-                      reveal_fraction: float, basis_probability: float,
-                      seed: int) -> tuple:
-    """Pattern counts, then outcomes of the revealed rounds of each pattern.
+# A string annotation: importing this module must not load numpy.random (~15 ms).
+def _pattern_grams(rng: "np.random.Generator", cov: np.ndarray, mean: np.ndarray,
+                   count: int) -> tuple:
+    """:func:`_fit`'s ``(grams, rows)`` for ``count`` iid N(``mean``, ``cov``) rows.
 
-    ``patterns`` holds two party -> basis maps, the key and the check
-    pattern. Returns ``(counts, designs)``: ``counts`` is the number of
-    rounds on the first pattern, the second and any other; ``designs[i]``
-    has a row (1, outcome of party 1, ...) per revealed round of pattern i,
-    parties in the map's order. Raises UndersampledError before any
-    Gaussian draw when a pattern reveals fewer than MIN_SIFTED_ROUNDS, and
-    ValueError when its design would exceed MAX_DESIGN_CELLS.
+    The groups are min(JACKKNIFE_GROUPS, count // 2) contiguous blocks, sized
+    as ``np.array_split`` sizes them. A group of n rows has a lower-trapezoidal
+    Bartlett factor: min(n - 1, m) live columns, sqrt(chi-squared(n - 1 - j))
+    on column j's diagonal and standard normals below it.
     """
-    probabilities = [_pattern_probability(required, basis_probability)
-                     for required in patterns]
+    groups = min(JACKKNIFE_GROUPS, count // 2)
+    sizes = count // groups + (np.arange(groups) < count % groups)
+    eigval, eigvec = np.linalg.eigh(cov)
+    # F @ F.T is the marginal covariance, rounding debris clipped to zero.
+    factor = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
+    m = len(mean)
+    sums = (sizes[:, None] * mean
+            + np.sqrt(sizes)[:, None] * (rng.standard_normal((groups, m)) @ factor.T))
+    dof = sizes[:, None] - 1 - np.arange(m)
+    live = dof > 0
+    bartlett = np.zeros((groups, m, m))
+    np.einsum("gjj->gj", bartlett)[live] = np.sqrt(rng.chisquare(dof[live]))  # a view
+    below = np.tril(np.ones((m, m), dtype=bool), -1) & live[:, None, :]
+    bartlett[below] = rng.standard_normal(np.count_nonzero(below))
+    root = factor @ bartlett
+    blocks = np.empty((groups, m + 1, m + 1))
+    blocks[:, 0, 0] = sizes
+    blocks[:, 0, 1:] = blocks[:, 1:, 0] = sums
+    blocks[:, 1:, 1:] = (root @ root.transpose(0, 2, 1)
+                         + sums[:, :, None] * sums[:, None, :] / sizes[:, None, None])
+    total = blocks.sum(axis=0)
+    return np.concatenate([total[None], total - blocks]), np.concatenate([[count], count - sizes])
+
+
+def _revealed_grams(state: GaussianState, patterns: Sequence, rounds: int,
+                    reveal_fraction: float, basis_probability: float, seed: int) -> tuple:
+    """Rounds on each of the two ``patterns`` and on any other, then each
+    pattern's revealed :func:`_pattern_grams`.
+
+    ``patterns`` are the key and the check pattern, party -> basis maps in
+    design-column order. Raises UndersampledError before any outcome draw
+    when a pattern reveals fewer than MIN_SIFTED_ROUNDS.
+    """
+    probabilities = [_pattern_probability(required, basis_probability) for required in patterns]
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(
         rounds, probabilities + [max(0.0, 1.0 - sum(probabilities))]).tolist()
@@ -202,22 +221,10 @@ def _revealed_designs(state: GaussianState, patterns: Sequence, rounds: int,
     if min(revealed) < MIN_SIFTED_ROUNDS:
         raise UndersampledError(min(revealed), math.ceil(
             MIN_SIFTED_ROUNDS / (reveal_fraction * min(probabilities))))
-    for required, count in zip(patterns, revealed):
-        if count * (1 + len(required)) > MAX_DESIGN_CELLS:
-            raise ValueError(
-                f"{rounds} rounds reveal {count} rows of {1 + len(required)} columns on "
-                f"one pattern, over the budget of {MAX_DESIGN_CELLS} design cells")
-
-    designs = []
-    for required, count in zip(patterns, revealed):
-        idx = [state.quad_index(party, basis) for party, basis in required.items()]
-        eigval, eigvec = np.linalg.eigh(state.cov[np.ix_(idx, idx)])
-        # F @ F.T is the marginal covariance, rounding debris clipped to zero.
-        factor = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
-        design = np.ones((count, 1 + len(idx)))
-        design[:, 1:] = rng.standard_normal((count, len(idx))) @ factor.T + state.mean[idx]
-        designs.append(design)
-    return counts, designs
+    indices = [[state.quad_index(party, basis) for party, basis in required.items()]
+               for required in patterns]
+    return counts, [_pattern_grams(rng, state.cov[np.ix_(idx, idx)], state.mean[idx], count)
+                    for idx, count in zip(indices, revealed)]
 
 
 def run_protocol(
@@ -249,23 +256,19 @@ def run_protocol(
     check_required = _required_bases(layout, "p")
     key_pattern = "".join(key_required[label] for label in state.labels)
     check_pattern = "".join(check_required[label] for label in state.labels)
-    (key_count, check_count, other), (key_design, check_design) = _revealed_designs(
+    (key_count, check_count, other), (key_grams, check_grams) = _revealed_grams(
         state, (key_required, check_required), rounds, reveal_fraction,
         basis_probability, seed)
 
-    # Design column of each player: 0 is the intercept, 1 the dealer.
-    column = {player: j for j, player in enumerate(layout.player_modes, start=2)}
-    key_grams = _jackknife_grams(key_design)
-    check_grams = _jackknife_grams(check_design)
-    inference_x = _fit(*key_grams, "x", column)
-    inference_p = _fit(*check_grams, "p", column)
-    dealer_x_var = float(np.var(key_design[:, 1], ddof=1))
+    players = layout.player_modes
+    (inference_x,) = _fit(*key_grams, "x", [players], players)
+    (inference_p,) = _fit(*check_grams, "p", [players], players)
+    total = key_grams[0][0]
+    dealer_x_var = float((total[1, 1] - total[0, 1] ** 2 / total[0, 0]) / (total[0, 0] - 1))
 
     access_labels, adversarial_labels, honest_labels = _structure_labels(layout, scheme)
-    access_fits = [_fit(*key_grams, "x", {p: column[p] for p in group})
-                   for group in access_labels]
-    adversarial_fits = [_fit(*check_grams, "p", {p: column[p] for p in group})
-                        for group in honest_labels]
+    access_fits = _fit(*key_grams, "x", access_labels, players)
+    adversarial_fits = _fit(*check_grams, "p", honest_labels, players)
     bound = combine(dealer_x_var, [fit.variance for fit in access_fits],
                     [fit.variance for fit in adversarial_fits], beta)
 
@@ -293,9 +296,9 @@ def run_protocol(
                        "other": other},
         key_pattern=key_pattern,
         check_pattern=check_pattern,
-        revealed_key_rounds=len(key_design),
-        revealed_check_rounds=len(check_design),
-        raw_key_length=key_count - len(key_design),
+        revealed_key_rounds=inference_x.rounds_used,
+        revealed_check_rounds=inference_p.rounds_used,
+        raw_key_length=key_count - inference_x.rounds_used,
         dealer_x_variance=dealer_x_var,
         inference_x=inference_x,
         inference_p=inference_p,

@@ -2,8 +2,12 @@
 
 The oracles and loop references are derived by hand from 2x2/4x4 moment
 propagation so the tests never trust the code path they are checking.
-``revealed_design`` and ``fit_design`` are the exception: they run
-``run_protocol``'s own sampler and fit, which the oracles then check.
+``revealed_designs`` is the row sampler: it draws every revealed design
+row, the oracle for the library's sufficient-statistics sampler, with
+``jackknife_grams`` the Gram matrices ``run_protocol`` reads from them and
+``structure_fit`` the per-structure reference for its batched fit.
+``revealed_design`` draws from it, and ``fit_design`` runs the library's own
+fit on the result, which the closed-form oracles then check.
 ``dishonest_rate_loop`` reduces its loop inferences with the library's
 ``combine``, so it checks the inference, not the reduction.
 ``conditional_variance_fixed`` is the fixed-gain formula, an inference that
@@ -33,6 +37,7 @@ import numpy as np
 from cvqss import (
     ChannelSpec,
     GaussianState,
+    JointVariable,
     chain_topology,
     squeezed_vacuum,
     star_topology,
@@ -429,25 +434,100 @@ def regression_loop(design, parties, estimators, jackknife_groups=50):
     return (variance, dict(zip(order, coeffs[1:])), se, dict(zip(order, gain_se)), n)
 
 
+def revealed_designs(state, patterns, rounds, reveal_fraction, basis_probability, seed):
+    """Pattern counts, then outcomes of the revealed rounds of each pattern.
+
+    Draws every revealed row, after the same multinomial count draw as
+    ``cvqss.simulation``: the oracle its sufficient-statistics sampler is
+    checked against.
+    ``patterns`` holds two party -> basis maps, the key and the check
+    pattern. Returns ``(counts, designs)``: ``counts`` is the number of
+    rounds on the first pattern, the second and any other; ``designs[i]``
+    has a row (1, outcome of party 1, ...) per revealed round of pattern i,
+    parties in the map's order. Raises UndersampledError before any
+    Gaussian draw when a pattern reveals fewer than MIN_SIFTED_ROUNDS.
+    """
+    probabilities = [simulation._pattern_probability(required, basis_probability)
+                     for required in patterns]
+    rng = np.random.default_rng(seed)
+    counts = rng.multinomial(
+        rounds, probabilities + [max(0.0, 1.0 - sum(probabilities))]).tolist()
+    revealed = [int(round(reveal_fraction * count)) for count in counts[:2]]
+    if min(revealed) < simulation.MIN_SIFTED_ROUNDS:
+        raise simulation.UndersampledError(min(revealed), math.ceil(
+            simulation.MIN_SIFTED_ROUNDS / (reveal_fraction * min(probabilities))))
+
+    designs = []
+    for required, count in zip(patterns, revealed):
+        idx = [state.quad_index(party, basis) for party, basis in required.items()]
+        eigval, eigvec = np.linalg.eigh(state.cov[np.ix_(idx, idx)])
+        # F @ F.T is the marginal covariance, rounding debris clipped to zero.
+        factor = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
+        design = np.ones((count, 1 + len(idx)))
+        design[:, 1:] = rng.standard_normal((count, len(idx))) @ factor.T + state.mean[idx]
+        designs.append(design)
+    return counts, designs
+
+
+def jackknife_grams(design):
+    """Gram matrices of a design over all rows and with each group left out.
+
+    The groups are min(JACKKNIFE_GROUPS, N // 2) contiguous, near-equal
+    blocks of the N rows. Returns ``(grams, rows)``: ``grams[0]`` is
+    ``design.T @ design``, ``grams[1 + g]`` the same without group g, and
+    ``rows`` the matching row counts.
+    """
+    blocks = np.array_split(design, min(simulation.JACKKNIFE_GROUPS, len(design) // 2))
+    gram = design.T @ design
+    grams = np.stack([gram] + [gram - block.T @ block for block in blocks])
+    rows = np.array([len(design)] + [len(design) - len(block) for block in blocks])
+    return grams, rows
+
+
+def structure_fit(grams, rows, target_basis, columns):
+    """One structure's fit on shared Grams, the per-structure reference for
+    ``cvqss.simulation._fit``, which batches every structure of a side.
+
+    ``columns`` maps each estimator party to its design column; column 0 is
+    the intercept. Returns an ``EmpiricalConditioning``.
+    """
+    c = np.array([0, *columns.values()])
+    d = len(c)
+    gram = grams[:, c[:, None], c]
+    moment = grams[:, c, 1]
+    coeffs = np.linalg.solve(gram, moment[..., None])[..., 0]
+    estimates = (grams[:, 1, 1] - (coeffs * moment).sum(axis=1)) / (rows - d)
+    variance, jackknife = float(estimates[0]), estimates[1:]
+    groups = len(jackknife)
+    se = math.sqrt((groups - 1) / groups * float(np.sum((jackknife - jackknife.mean()) ** 2)))
+    gain_se = np.sqrt(variance * np.diag(np.linalg.inv(gram[0])))[1:]
+    return simulation.EmpiricalConditioning(
+        variance=variance,
+        gains=JointVariable(target_basis, dict(zip(columns, coeffs[0, 1:]))),
+        standard_error=se,
+        gain_standard_errors=dict(zip(columns, gain_se)),
+        rounds_used=int(rows[0]),
+    )
+
+
 def revealed_design(state, pattern, rounds, seed):
     """The design of every round that matches ``pattern`` (party -> basis).
 
-    Drawn the way ``run_protocol`` draws its revealed key rows: ``pattern``
-    is paired with its conjugate as the check pattern, and every matched
-    round is revealed. Columns are (intercept, then parties in ``pattern``
-    order).
+    Drawn by the row oracle ``revealed_designs``: ``pattern`` is paired
+    with its conjugate as the check pattern, and every matched round is
+    revealed. Columns are (intercept, then parties in ``pattern`` order).
     """
     conjugate = {party: "p" if basis == "x" else "x" for party, basis in pattern.items()}
-    _, (design, _) = simulation._revealed_designs(
-        state, (pattern, conjugate), rounds, 1.0, 0.5, seed)
+    _, (design, _) = revealed_designs(state, (pattern, conjugate), rounds, 1.0, 0.5, seed)
     return design
 
 
 def fit_design(design, target_basis, estimators):
     """``run_protocol``'s shared-Gram fit of design column 1 on ``estimators``,
     the parties of columns 2, 3, ... in order."""
-    return simulation._fit(*simulation._jackknife_grams(design), target_basis,
-                           {party: j for j, party in enumerate(estimators, start=2)})
+    (fit,) = simulation._fit(*jackknife_grams(design), target_basis, [list(estimators)],
+                             list(estimators))
+    return fit
 
 
 def kn_state_loop(r: float, specs: dict, edges, cz_weight: float = 1.0) -> GaussianState:

@@ -27,16 +27,15 @@ from cvqss import (
     validate,
     vacuum,
 )
+from cvqss import simulation
 from cvqss.cli import SWEEP_HEADER, main as cli_main
 from helpers import (
     beamsplitter_transform,
     bisect_root,
     chain_expected_variances,
     cz_transform,
-    fit_design,
     product_vacuum,
     pure_loss,
-    revealed_design,
     tmsv_conditional_variance,
     two_mode_squeezed,
 )
@@ -124,11 +123,15 @@ def test_criterion_2_closed_form_oracles():
 
 
 def _oracle_fit(state, target_basis, estimators):
-    """The dealer's ``target_basis`` fitted on ``estimators`` (party -> basis),
-    from the rounds of ORACLE_ROUNDS that match that pattern."""
-    design = revealed_design(state, {"A": target_basis, **estimators},
-                             ORACLE_ROUNDS, ORACLE_SEED)
-    return fit_design(design, target_basis, estimators)
+    """The dealer's ``target_basis`` fitted on ``estimators`` (party -> basis)
+    by ``run_protocol``'s sampler and fit, from the rounds of ORACLE_ROUNDS
+    that match that pattern (all revealed, the conjugate as check pattern)."""
+    pattern = {"A": target_basis, **estimators}
+    conjugate = {party: "p" if basis == "x" else "x" for party, basis in pattern.items()}
+    _, (grams, _) = simulation._revealed_grams(state, (pattern, conjugate), ORACLE_ROUNDS,
+                                               1.0, 0.5, ORACLE_SEED)
+    (fit,) = simulation._fit(*grams, target_basis, [list(estimators)], list(estimators))
+    return fit
 
 
 def test_criterion_3_statistical_oracle():

@@ -2,13 +2,17 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cvqss import UnphysicalStateError, cli, keyrate, simulation
+from cvqss import UnphysicalStateError, cli, keyrate
 from cvqss.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -252,12 +256,12 @@ class TestSimulateBytes:
     @pytest.mark.parametrize("argv, stdout_digest, json_digest", [
         (["simulate", "--rounds", "100000", "--seed", "5", "--r", "1.0",
           "--transmissivity", "0.9"],
-         "f6a17bde4648c2f26e8eb33fc630cd5afb6a5562415ef741abb90d347921e62d",
-         "d9fd10be856739df38e6a6ff2db1694b8933ba5a966788bb9149f04071b3f408"),
+         "5eb6a9bed7ce7dec57c44895d468c446578e6c7c636fad47789f3b6def2a0629",
+         "88a25e6577c70e7385e050a82f252523e4e801f79d162242f6bcb70e31772f62"),
         (["simulate", "--n", "4", "--k", "2", "--topology", "star",
           "--rounds", "200000", "--seed", "9", "--transmissivity", "0.95"],
-         "f85ecf2edaed95435672672a21ead6644295f4a1680a7831a00c2f723f12d68e",
-         "e4245757f87bf97fd772197979e3004cf1feb44d98683deaae853a0fd66592d3"),
+         "ea62e8d934c0be5617ab56f123cb87f5d6b16177dfe98890f219a3a4d51b2774",
+         "99fe58acfa353c088c13da81d634153eead5b1f87946b46581026d285065c87f"),
     ])
     def test_output_digest(self, tmp_path, capsys, argv, stdout_digest, json_digest):
         report = tmp_path / "report.json"
@@ -302,11 +306,13 @@ class TestSimulate:
         assert code == EXIT_CONFIG
         assert "sifted" in err
 
-    def test_design_budget_is_config_error(self, capsys, monkeypatch):
-        monkeypatch.setattr(simulation, "MAX_DESIGN_CELLS", 1000)
-        code, _, err = run(["simulate", "--rounds", "10000"], capsys)
+    def test_rounds_beyond_int64_is_config_error(self, capsys):
+        code, _, _ = run(["simulate", "--rounds", "10000000000", "--quiet"], capsys)
+        assert code == EXIT_OK
+        code, out, err = run(["simulate", "--rounds", "100000000000000000000"], capsys)
         assert code == EXIT_CONFIG
-        assert "10000 rounds reveal" in err and "budget of 1000 design cells" in err
+        assert out == ""
+        assert err == "cvqss: at most 9223372036854775807 rounds, got 100000000000000000000\n"
 
     def test_json_report(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -501,3 +507,13 @@ def test_threshold_names_the_overflowing_holevo_term(capsys):
     _, _, err = run(["threshold", "--r", "300"], capsys)
     assert err.startswith("cvqss: Holevo term inf is not finite")
     assert "the squeezing r is too large" in err
+
+
+def test_import_does_not_load_numpy_random():
+    # numpy.random takes ~15 ms to import and only a simulate run draws from it,
+    # so loading it with the package would slow every command's start-up.
+    code = "import sys, cvqss.cli; print('numpy.random' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert done.stdout == "False\n"

@@ -2,6 +2,8 @@
 
 import math
 import time
+from itertools import combinations
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,25 +17,30 @@ from cvqss import (
     UnphysicalStateError,
     build_kn_state,
     build_three_mode_chain,
+    chain_topology,
     keyrate_eavesdropping,
     run_protocol,
     star_topology,
 )
 from cvqss import simulation
-from cvqss.keyrate import combine
+from cvqss.estimation import SCHUR_BLOCK_ROWS
+from cvqss.keyrate import _structure_labels, combine
 from helpers import (
     chain_expected_variances,
     fit_design,
+    jackknife_grams,
     product_vacuum,
     regression_loop,
     revealed_design,
+    revealed_designs,
+    structure_fit,
     two_mode_squeezed,
 )
 
 
 @pytest.fixture
 def no_normals(monkeypatch):
-    """Every generator the library seeds fails on a Gaussian draw."""
+    """Every generator the library seeds fails on a draw of an outcome statistic."""
     real_rng = np.random.default_rng
 
     class NoNormals:
@@ -41,8 +48,8 @@ def no_normals(monkeypatch):
             self._rng = real_rng(seed)
 
         def __getattr__(self, name):
-            if name == "standard_normal":
-                raise AssertionError("drew Gaussian outcomes")
+            if name in ("standard_normal", "gamma", "chisquare"):
+                raise AssertionError(f"drew outcome statistics ({name})")
             return getattr(self._rng, name)
 
     monkeypatch.setattr(np.random, "default_rng", NoNormals)
@@ -61,21 +68,39 @@ def announced_pattern(layout, dealer_basis):
     return dict(coords)
 
 
+def all_player_fit_z(state, layout, rounds, seed, references):
+    """z of the all-player fits of one sampler draw, key then check pattern.
+
+    ``references`` holds (variance, party -> gain) per pattern; each fit
+    gives the z of its residual variance against its jackknife error, then
+    of each gain against its OLS error.
+    """
+    patterns = [announced_pattern(layout, "x"), announced_pattern(layout, "p")]
+    _, grams = simulation._revealed_grams(state, patterns, rounds, 1.0, 0.5, seed)
+    players = layout.player_modes
+    z = []
+    for (pattern_grams, rows), basis, (variance, gains) in zip(grams, "xp", references):
+        (fit,) = simulation._fit(pattern_grams, rows, basis, [players], players)
+        z.append((fit.variance - variance) / fit.standard_error)
+        z += [(fit.gains.gains[p] - gains[p]) / fit.gain_standard_errors[p] for p in gains]
+    return z
+
+
 class TestSampling:
     def test_same_seed_is_bit_identical(self):
         state, layout = build_three_mode_chain(0.7, 0.9)
         patterns = [announced_pattern(layout, "x"), announced_pattern(layout, "p")]
-        first = simulation._revealed_designs(state, patterns, 5000, 0.5, 0.5, seed=11)
-        second = simulation._revealed_designs(state, patterns, 5000, 0.5, 0.5, seed=11)
+        first = simulation._revealed_grams(state, patterns, 5000, 0.5, 0.5, seed=11)
+        second = simulation._revealed_grams(state, patterns, 5000, 0.5, 0.5, seed=11)
         assert first[0] == second[0]
-        for a, b in zip(first[1], second[1]):
-            assert np.array_equal(a, b)
+        for (grams_a, rows_a), (grams_b, rows_b) in zip(first[1], second[1]):
+            assert np.array_equal(grams_a, grams_b) and np.array_equal(rows_a, rows_b)
 
     def test_different_seeds_differ(self):
         state, layout = build_three_mode_chain(0.7, 0.9)
         patterns = [announced_pattern(layout, "x"), announced_pattern(layout, "p")]
-        _, (first, _) = simulation._revealed_designs(state, patterns, 5000, 0.5, 0.5, seed=1)
-        _, (second, _) = simulation._revealed_designs(state, patterns, 5000, 0.5, 0.5, seed=2)
+        _, ((first, _), _) = simulation._revealed_grams(state, patterns, 5000, 0.5, 0.5, seed=1)
+        _, ((second, _), _) = simulation._revealed_grams(state, patterns, 5000, 0.5, 0.5, seed=2)
         assert not np.array_equal(first, second)
 
     def test_vacuum_variances(self):
@@ -132,14 +157,21 @@ class TestEmpiricalConditioning:
         state, layout = build_three_mode_chain(r, transmissivity)
         report = run_protocol(state, layout, ThresholdScheme(2, 2),
                               rounds=1000000, seed=7, reveal_fraction=1.0)
-        fit = report.inference_x
-        expected = chain_expected_variances(r, transmissivity)["v_x_given_all"]
-        assert abs(fit.variance - expected) / expected < 0.01
+        expected = chain_expected_variances(r, transmissivity)
+        assert (abs(report.inference_x.variance - expected["v_x_given_all"])
+                / expected["v_x_given_all"] < 0.01)
 
-        analytic_gains = keyrate_eavesdropping(state, layout).x_gains.gains
-        for player in layout.player_modes:
-            assert (abs(fit.gains.gains[player] - analytic_gains[player])
-                    < 3.0 * fit.gain_standard_errors[player])
+        # The reported errors are calibrated on this chain: over many seeds,
+        # the z of each gain and residual variance has mean 0 and sd 1, each
+        # within 4 standard errors of that statistic for the seed count.
+        seeds = 200
+        analytic = keyrate_eavesdropping(state, layout)
+        references = [(expected["v_x_given_all"], analytic.x_gains.gains),
+                      (expected["v_p_given_all"], analytic.p_gains.gains)]
+        z = np.array([all_player_fit_z(state, layout, 20000, seed, references)
+                      for seed in range(seeds)])
+        assert np.all(np.abs(z.mean(axis=0)) < 4 / math.sqrt(seeds))
+        assert np.all(np.abs(z.std(axis=0, ddof=1) - 1) < 4 / math.sqrt(2 * (seeds - 1)))
 
     def test_undersampled_error_carries_the_count(self):
         state, layout = build_three_mode_chain(0.5, 1.0)
@@ -290,8 +322,7 @@ class TestRevealedSampling:
         state, layout = star_state(4, transmissivity=0.9)
         patterns = [announced_pattern(layout, "x"), announced_pattern(layout, "p")]
         # p = 1/32 per pattern, so about 2e5 rows each.
-        counts, designs = simulation._revealed_designs(
-            state, patterns, 6_400_000, 1.0, 0.5, seed=37)
+        counts, designs = revealed_designs(state, patterns, 6_400_000, 1.0, 0.5, seed=37)
         for required, count, design in zip(patterns, counts, designs):
             assert len(design) == count
             assert np.all(design[:, 0] == 1.0)
@@ -315,12 +346,66 @@ class TestRevealedSampling:
         assert excinfo.value.rounds_needed == 100 * 2**22
         assert str(excinfo.value.rounds_needed) in str(excinfo.value)
 
-    def test_design_budget_refuses_before_any_normal(self, no_normals, monkeypatch):
-        monkeypatch.setattr(simulation, "MAX_DESIGN_CELLS", 1000)
-        state, layout = build_three_mode_chain(0.5, 1.0)
-        with pytest.raises(ValueError, match=r"10000 rounds reveal \d+ rows of 4 "
-                                             "columns .*budget of 1000 design cells"):
-            run_protocol(state, layout, ThresholdScheme(2, 2), rounds=10000)
+    def test_memory_is_flat_in_rounds(self):
+        state, layout = star_state(4)
+        scheme = ThresholdScheme(2, 4)
+        run_protocol(state, layout, scheme, rounds=10**6)  # lazy imports and caches
+        peaks = []
+        for rounds in (10**6, 10**12):
+            tracemalloc.start()
+            try:
+                run_protocol(state, layout, scheme, rounds=rounds, seed=3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
+
+
+class TestSufficientStatistics:
+    """Each jackknife group's drawn Gram matrix has its rows' law.
+
+    A group of n rows (1, x) with x ~ N(mu, Sigma) has E[Gram] =
+    n [[1, mu^T], [mu, Sigma + mu mu^T]]; at mu = 0 its sum has variance
+    n Sigma_ii and its moment entries Q_ij = sum x_i x_j have variance
+    n (Sigma_ij^2 + Sigma_ii Sigma_jj). Bounds are 5 standard errors of the
+    sample statistics, estimated from the same draws.
+    """
+
+    @staticmethod
+    def group_grams(count, calls, mean):
+        state, layout = star_state(4, transmissivity=0.9)
+        idx = [state.quad_index(party, basis)
+               for party, basis in announced_pattern(layout, "x").items()]
+        cov = state.cov[np.ix_(idx, idx)]
+        rng = np.random.default_rng(53)
+        blocks = []
+        for _ in range(calls):
+            grams, rows = simulation._pattern_grams(rng, cov, mean, count)
+            assert np.array_equal(rows[0] - rows[1:], [len(block) for block in np.array_split(
+                np.empty(count), min(simulation.JACKKNIFE_GROUPS, count // 2))])
+            blocks.append(grams[0] - grams[1:])
+        return cov, (rows[0] - rows[1]).item(), np.concatenate(blocks)
+
+    # 2-row groups (one live Bartlett column of five) and 1000-row groups.
+    @pytest.mark.parametrize("count, calls", [(100, 200), (50000, 40)])
+    def test_group_gram_moments(self, count, calls):
+        mean = np.array([0.3, -0.2, 0.1, 0.5, -0.4])
+        cov, n, blocks = self.group_grams(count, calls, mean)
+        outer = np.outer(np.r_[1.0, mean], np.r_[1.0, mean])
+        expected = n * outer
+        expected[1:, 1:] += n * cov
+        assert np.all(blocks[:, 0, 0] == n)
+        sem = blocks.std(axis=0, ddof=1) / math.sqrt(len(blocks))
+        assert np.all(np.abs(blocks.mean(axis=0) - expected) <= 5 * sem)
+
+        _, _, blocks = self.group_grams(count, calls, np.zeros(5))
+        diag = np.diag(cov)
+        expected = np.zeros((6, 6))
+        expected[0, 1:] = expected[1:, 0] = n * diag
+        expected[1:, 1:] = n * (cov**2 + np.outer(diag, diag))
+        squares = (blocks - blocks.mean(axis=0)) ** 2
+        sem = squares.std(axis=0, ddof=1) / math.sqrt(len(blocks))
+        assert np.all(np.abs(blocks.var(axis=0, ddof=1) - expected) <= 5 * sem)
 
 
 class TestRegressionKernel:
@@ -349,20 +434,82 @@ class TestRegressionKernel:
         else:
             state, layout = star_state(players)
         rounds, seed = 200000, 41
-        report = run_protocol(state, layout, ThresholdScheme(2, players),
-                              rounds=rounds, seed=seed)
         patterns = [announced_pattern(layout, "x"), announced_pattern(layout, "p")]
-        _, designs = simulation._revealed_designs(state, patterns, rounds, 0.5, 0.5, seed)
+        _, designs = revealed_designs(state, patterns, rounds, 0.5, 0.5, seed)
         everyone = layout.player_modes
+        column = {player: j for j, player in enumerate(everyone, start=2)}
+        access, _, honest = _structure_labels(layout, ThresholdScheme(2, players))
 
-        def check(basis, fits):
-            design = designs[basis == "p"]
-            for estimators, fit in fits:
-                reference = regression_loop(design, everyone, estimators)
-                self.assert_matches(fit, reference, np.mean(design[:, 1] ** 2))
+        for design, basis, structures in zip(designs, "xp", (access, honest)):
+            grams = jackknife_grams(design)
+            for batch in ([everyone], structures):
+                for estimators, fit in zip(batch, simulation._fit(*grams, basis, batch, everyone),
+                                           strict=True):
+                    reference = regression_loop(design, everyone, estimators)
+                    self.assert_matches(fit, reference, np.mean(design[:, 1] ** 2))
+                    # Batching the structures moves no bit of any fit.
+                    self.assert_same_bits(
+                        fit, structure_fit(*grams, basis, {p: column[p] for p in estimators}))
 
-        check("x", [(everyone, report.inference_x)]
-              + list(report.access_variance.items()))
-        check("p", [(everyone, report.inference_p)]
-              + [([p for p in everyone if p not in colluders], fit)
-                 for colluders, fit in report.adversarial_variance.items()])
+    @staticmethod
+    def assert_same_bits(fit, single):
+        assert fit.rounds_used == single.rounds_used
+        assert list(fit.gains.gains) == list(single.gains.gains)
+        assert np.array_equal(
+            [fit.variance, fit.standard_error, *fit.gains.gains.values(),
+             *fit.gain_standard_errors.values()],
+            [single.variance, single.standard_error, *single.gains.gains.values(),
+             *single.gain_standard_errors.values()])
+
+    def test_structures_are_fitted_in_bounded_chunks(self, monkeypatch):
+        # 330 structures of 4 estimators: chunks of 256 and 74, so the (groups + 1,
+        # S, d, d) sub-blocks never hold more than SCHUR_BLOCK_ROWS structures.
+        rng = np.random.default_rng(3)
+        root = rng.standard_normal((12, 12))
+        grams = simulation._pattern_grams(rng, root @ root.T + np.eye(12),
+                                          rng.standard_normal(12), 10000)
+        parties = [f"B{i}" for i in range(1, 12)]
+        structures = list(combinations(parties, 4))
+        real_solve, shapes = np.linalg.solve, []
+
+        def solve(a, b):
+            shapes.append(a.shape)
+            return real_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        fits = simulation._fit(*grams, "x", structures, parties)
+        monkeypatch.undo()
+        groups = simulation.JACKKNIFE_GROUPS + 1
+        assert shapes == [(groups, SCHUR_BLOCK_ROWS, 5, 5), (groups, 74, 5, 5)]
+        assert len(fits) == len(structures)
+        for group, fit in zip(structures, fits):
+            self.assert_same_bits(fit, structure_fit(
+                *grams, "x", {party: 2 + parties.index(party) for party in group}))
+
+    def test_report_keys_carry_their_structures_fits(self):
+        # An asymmetric (2, 4) chain: every structure's fit differs, so a fit
+        # under the wrong access structure or colluder key shows.
+        specs = {"B1": ChannelSpec(0.95, 0.0), "B2": ChannelSpec(0.8, 0.02),
+                 "B3": ChannelSpec(0.9, 0.0), "B4": ChannelSpec(0.7, 0.01)}
+        state, layout = build_kn_state(4, 1.0, specs, chain_topology(4))
+        rounds, seed = 10**6, 11
+        report = run_protocol(state, layout, ThresholdScheme(2, 4), rounds=rounds, seed=seed)
+        patterns = [announced_pattern(layout, "x"), announced_pattern(layout, "p")]
+        _, (key, check) = simulation._revealed_grams(state, patterns, rounds, 0.5, 0.5, seed)
+        players = layout.player_modes
+        column = {player: j for j, player in enumerate(players, start=2)}
+
+        def single(grams, basis, estimators):
+            return structure_fit(*grams, basis, {p: column[p] for p in estimators})
+
+        assert list(report.access_variance) == list(combinations(players, 2))
+        assert list(report.adversarial_variance) == list(combinations(players, 1))
+        assert len({fit.variance for fit in report.access_variance.values()}) == 6
+        assert len({fit.variance for fit in report.adversarial_variance.values()}) == 4
+        self.assert_same_bits(report.inference_x, single(key, "x", players))
+        self.assert_same_bits(report.inference_p, single(check, "p", players))
+        for structure, fit in report.access_variance.items():
+            self.assert_same_bits(fit, single(key, "x", structure))
+        for colluders, fit in report.adversarial_variance.items():
+            honest = [p for p in players if p not in colluders]
+            self.assert_same_bits(fit, single(check, "p", honest))
