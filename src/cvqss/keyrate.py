@@ -3,7 +3,7 @@
 The dealer's key is carried by the dealer-side x outcomes; any qualified
 group of players decodes it through a collective linear variable built
 from their announced outcomes. Three asymptotic direct-reconciliation bounds are
-computed, all in bits per round:
+computed, all in bits per round with ideal reconciliation:
 
 * Plain eavesdropping: ``K = I(X_A : Xbar) - chi_E`` where the adversary
   holds a purification of everything outside the parties. Combining the
@@ -249,9 +249,8 @@ class RateBound(NamedTuple):
     rate: np.ndarray
 
 
-def combine(dealer_x_variance, access_variances, adversarial_variances,
-            beta: float = 1.0) -> RateBound:
-    """The one rate reduction: ``beta * min_i I_i - max_j chi_j``, ties to the first.
+def combine(dealer_x_variance, access_variances, adversarial_variances) -> RateBound:
+    """The one rate reduction: ``min_i I_i - max_j chi_j``, ties to the first.
 
     ``I_i = log2(V / v_i) / 2`` with v_i access structure i's conditional x
     variance, ``chi_j = log2(e) + log2(V u_j) / 2`` with u_j adversarial
@@ -276,7 +275,7 @@ def combine(dealer_x_variance, access_variances, adversarial_variances,
                              f"{np.broadcast_to(dealer, terms.shape).flat[first]:.6g}: "
                              "the squeezing r is too large for double precision")
     return RateBound(bits, holevo, bits.argmin(axis=-1), holevo.argmax(axis=-1),
-                     beta * bits.min(axis=-1) - holevo.max(axis=-1))
+                     bits.min(axis=-1) - holevo.max(axis=-1))
 
 
 def _player_classes(state: GaussianState, layout: PartyLayout) -> np.ndarray:
@@ -330,12 +329,12 @@ def _infer(state: GaussianState, layout: PartyLayout, basis: str, rows: np.ndarr
     return variances, gains, dealer
 
 
-def _everyone(state: GaussianState, layout: PartyLayout, beta: float) -> tuple:
+def _everyone(state: GaussianState, layout: PartyLayout) -> tuple:
     """The all-player x and p inferences and the eavesdropping bound they give."""
     everyone = np.arange(layout.num_players)[None]
     x = _infer(state, layout, "x", everyone)
     p = _infer(state, layout, "p", everyone)
-    return x, p, combine(x[2], x[0], p[0], beta)
+    return x, p, combine(x[2], x[0], p[0])
 
 
 class KeyRates(NamedTuple):
@@ -349,8 +348,7 @@ class KeyRates(NamedTuple):
     eavesdropping: RateBound
 
 
-def key_rates(state: GaussianState, layout: PartyLayout, scheme: ThresholdScheme,
-              beta: float = 1.0) -> KeyRates:
+def key_rates(state: GaussianState, layout: PartyLayout, scheme: ThresholdScheme) -> KeyRates:
     """Every key rate of a (k, n) scheme on one state or a stack of states.
 
     Each side evaluates one row per class sequence of its structures (module docstring).
@@ -362,9 +360,9 @@ def key_rates(state: GaussianState, layout: PartyLayout, scheme: ThresholdScheme
     access, _, honest = scheme._player_rows
     access_side = _infer(state, layout, "x", access)
     adversarial_side = _infer(state, layout, "p", honest)
-    everyone_x, everyone_p, eavesdropping = _everyone(state, layout, beta)
+    everyone_x, everyone_p, eavesdropping = _everyone(state, layout)
     return KeyRates(access_side, adversarial_side, everyone_x, everyone_p,
-                    combine(access_side[2], access_side[0], adversarial_side[0], beta),
+                    combine(access_side[2], access_side[0], adversarial_side[0]),
                     eavesdropping)
 
 
@@ -379,16 +377,13 @@ def _structure_labels(layout: PartyLayout, scheme: ThresholdScheme) -> tuple:
             list(combinations(modes, scheme.n - k + 1))[::-1])
 
 
-def keyrate_eavesdropping(state: GaussianState, layout: PartyLayout,
-                          beta: float = 1.0) -> EavesdroppingReport:
+def keyrate_eavesdropping(state: GaussianState, layout: PartyLayout) -> EavesdroppingReport:
     """Bound secure against external eavesdropping only.
 
-    Both joint variables are optimal over *all* players. ``beta`` is a
-    reconciliation-efficiency scalar multiplying the mutual-information
-    term (1 = the ideal value assumed by the closed form).
+    Both joint variables are optimal over *all* players.
     """
     layout.check_state(state)
-    (v_x, x_gains, dealer_x), (v_p, p_gains, dealer_p), bound = _everyone(state, layout, beta)
+    (v_x, x_gains, dealer_x), (v_p, p_gains, dealer_p), bound = _everyone(state, layout)
     (v_x,), (v_p,) = v_x.tolist(), v_p.tolist()
     return EavesdroppingReport(
         rate=float(bound.rate),
@@ -405,14 +400,14 @@ def keyrate_eavesdropping(state: GaussianState, layout: PartyLayout,
     )
 
 
-def keyrate_qss(state: GaussianState, layout: PartyLayout, scheme: ThresholdScheme,
-                beta: float = 1.0) -> KeyRateReport:
+def keyrate_qss(state: GaussianState, layout: PartyLayout,
+                scheme: ThresholdScheme) -> KeyRateReport:
     """Combined (k, n) bound: min access mutual information minus max Holevo.
 
     The per-structure report of :func:`key_rates` on one state.
     """
     layout.check_state(state)
-    rates = key_rates(state, layout, scheme, beta)
+    rates = key_rates(state, layout, scheme)
     access_v, access_g, dealer_x = rates.access
     adversarial_v, adversarial_g, dealer_p = rates.adversarial
     bound = rates.combined
@@ -423,7 +418,7 @@ def keyrate_qss(state: GaussianState, layout: PartyLayout, scheme: ThresholdSche
     single = adversarial_v if scheme.k == 2 else _infer(
         state, layout, "p", _complements(np.arange(scheme.n)[:, None], scheme.n))[0]
     v_x = np.broadcast_to(rates.everyone_x[0], (scheme.n, 1))
-    dishonest = combine(np.full(scheme.n, dealer_x), v_x, single[:, None], beta)
+    dishonest = combine(np.full(scheme.n, dealer_x), v_x, single[:, None])
     return KeyRateReport(
         scheme=scheme,
         combined_rate=float(bound.rate),

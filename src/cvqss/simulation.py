@@ -23,7 +23,7 @@ matrix its rows' law in O(m^2) draws whatever the round count; the fits
 batch one side's structures on sub-blocks, SCHUR_BLOCK_ROWS at a time.
 
 Determinism contract: a protocol run is a pure function of (state,
-layout, scheme, rounds, reveal fraction, basis probability, seed, beta).
+layout, scheme, rounds, reveal fraction, basis probability, seed).
 One PCG64 stream seeded with ``seed`` draws, in this order, the pattern
 counts, then for the key and then the check pattern: the group sums'
 normals, the Bartlett diagonals' chi-squares and the normals below them,
@@ -53,16 +53,18 @@ class UndersampledError(RuntimeError):
     """Too few sifted rounds for a requested regression.
 
     ``rounds_needed`` is the number of protocol rounds at which the
-    expected count of such rounds reaches ``required``.
+    expected count of such rounds reaches ``required``, or None when that
+    number is beyond double precision.
     """
 
-    def __init__(self, available: int, rounds_needed: int):
+    def __init__(self, available: int, rounds_needed: int | None):
         self.available = available
         self.rounds_needed = rounds_needed
         self.required = MIN_SIFTED_ROUNDS
-        super().__init__(
-            f"only {available} sifted rounds match the required bases "
-            f"(need >= {MIN_SIFTED_ROUNDS}, expected from about {rounds_needed} rounds)")
+        expected = ("from more rounds than a double can count" if rounds_needed is None
+                    else f"from about {rounds_needed} rounds")
+        super().__init__(f"only {available} sifted rounds match the required bases "
+                         f"(need >= {MIN_SIFTED_ROUNDS}, expected {expected})")
 
 
 def _pattern_probability(required: Mapping, basis_probability: float) -> float:
@@ -219,8 +221,10 @@ def _revealed_grams(state: GaussianState, patterns: Sequence, rounds: int,
         rounds, probabilities + [max(0.0, 1.0 - sum(probabilities))]).tolist()
     revealed = [int(round(reveal_fraction * count)) for count in counts[:2]]
     if min(revealed) < MIN_SIFTED_ROUNDS:
-        raise UndersampledError(min(revealed), math.ceil(
-            MIN_SIFTED_ROUNDS / (reveal_fraction * min(probabilities))))
+        # The revealed share of rounds can underflow to 0, and 100 / share overflow.
+        share = reveal_fraction * min(probabilities)
+        needed = MIN_SIFTED_ROUNDS / share if share else math.inf
+        raise UndersampledError(min(revealed), math.ceil(needed) if needed < math.inf else None)
     indices = [[state.quad_index(party, basis) for party, basis in required.items()]
                for required in patterns]
     return counts, [_pattern_grams(rng, state.cov[np.ix_(idx, idx)], state.mean[idx], count)
@@ -235,7 +239,6 @@ def run_protocol(
     reveal_fraction: float = 0.5,
     seed: int = 0,
     basis_probability: float = 0.5,
-    beta: float = 1.0,
 ) -> ProtocolReport:
     """Simulate sampling, sifting and parameter estimation end to end.
 
@@ -270,22 +273,19 @@ def run_protocol(
     access_fits = _fit(*key_grams, "x", access_labels, players)
     adversarial_fits = _fit(*check_grams, "p", honest_labels, players)
     bound = combine(dealer_x_var, [fit.variance for fit in access_fits],
-                    [fit.variance for fit in adversarial_fits], beta)
+                    [fit.variance for fit in adversarial_fits])
 
     # Delta-method error on the combined rate at the binding structures; the
     # x- and p-pattern rounds are disjoint, so the two terms are independent.
     vx = access_fits[bound.binding_access]
     vp = adversarial_fits[bound.binding_adversarial]
-    dealer_var_se = dealer_x_var * math.sqrt(2.0 / (vx.rounds_used - 1))
     scale = 1.0 / (2.0 * math.log(2.0))
-    combined_se = math.sqrt(
-        (beta * scale * vx.standard_error / vx.variance) ** 2
-        + (scale * vp.standard_error / vp.variance) ** 2
-        + ((beta - 1.0) * scale * dealer_var_se / dealer_x_var) ** 2)
+    combined_se = math.sqrt((scale * vx.standard_error / vx.variance) ** 2
+                            + (scale * vp.standard_error / vp.variance) ** 2)
 
     eavesdropping = float(combine(dealer_x_var, [inference_x.variance],
-                                  [inference_p.variance], beta).rate)
-    analytic = keyrate_qss(state, layout, scheme, beta=beta)
+                                  [inference_p.variance]).rate)
+    analytic = keyrate_qss(state, layout, scheme)
 
     return ProtocolReport(
         rounds=rounds,

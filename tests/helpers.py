@@ -14,7 +14,8 @@ fit on the result, which the closed-form oracles then check.
 takes its gains as given instead of optimising them.
 ``bisect_root`` locates the zero crossings the tests pin.
 ``star_closed_forms`` gives a uniform star's conditional variances exactly,
-at 50 digits, from Sherman-Morrison.
+at 50 digits, from Sherman-Morrison. ``chain_sweep_row`` gives the (2, 2)
+chain's sweep columns exactly, from ``chain_expected_variances`` in mpmath.
 ``jsonable`` is the conversion ``cvqss.jsontext.json_text`` must reproduce,
 as ``json.dumps(jsonable(value), indent=2)``.
 
@@ -255,17 +256,19 @@ def _solve22(g11, g12, g22, c1, c2) -> float:
     return (c1 * (g22 * c1 - g12 * c2) + c2 * (g11 * c2 - g12 * c1)) / det
 
 
-def chain_expected_variances(r: float, transmissivity: float) -> dict:
+def chain_expected_variances(r, transmissivity) -> dict:
     """Closed forms for the four inference variances on the chain resource.
 
     The dealer's x is inferred from (p_B, x_C) announced in key rounds; the
     dealer's p from (x_B, p_C) announced in check rounds; the dishonest
-    bounds restrict to the single honest coordinate.
+    bounds restrict to the single honest coordinate. Floats give floats;
+    mpmath numbers give mpmath numbers at the working precision.
     """
-    a = 0.5 * math.exp(2.0 * r)
-    b = 0.5 * math.exp(-2.0 * r)
+    exp, sqrt = (mpmath.exp, mpmath.sqrt) if isinstance(r, mpmath.mpf) else (math.exp, math.sqrt)
+    a = 0.5 * exp(2.0 * r)
+    b = 0.5 * exp(-2.0 * r)
     big_t = transmissivity
-    t = math.sqrt(big_t)
+    t = sqrt(big_t)
     vac = 0.5 * (1.0 - big_t)
 
     v_x = a - _solve22(big_t * (b + 2 * a) + vac, big_t * a, big_t * a + vac,
@@ -280,6 +283,27 @@ def chain_expected_variances(r: float, transmissivity: float) -> dict:
         "v_p_given_c_only": v_p_given_c,
         "v_p_given_b_only": v_p_given_b,
     }
+
+
+def chain_sweep_row(r: float, transmissivity: float, digits: int = 60) -> dict:
+    """The (2, 2) chain's computed sweep columns at (r, T), exact to ``digits``.
+
+    ``chain_expected_variances`` evaluated in mpmath from the exact binary
+    inputs, and reduced as ``combine`` reduces them: I = log2(V / v) / 2 and
+    chi = log2(e) + log2(V u) / 2 with V = e^{2r}/2, u the all-player p
+    variance for K_eve and the larger single-honest-player one for K_qss.
+    """
+    with mpmath.workdps(digits):
+        r, transmissivity = mpmath.mpf(r), mpmath.mpf(transmissivity)
+        forms = chain_expected_variances(r, transmissivity)
+        v_x, v_p = forms["v_x_given_all"], forms["v_p_given_all"]
+        honest_max = max(forms["v_p_given_c_only"], forms["v_p_given_b_only"])
+        dealer = mpmath.exp(2 * r) / 2
+        info = mpmath.log(dealer / v_x, 2) / 2
+        holevo = [mpmath.log(mpmath.e, 2) + mpmath.log(dealer * u, 2) / 2
+                  for u in (v_p, honest_max)]
+        return {"K_eve": info - holevo[0], "K_qss": info - holevo[1], "V_xa_given_xbar": v_x,
+                "V_pa_given_pbar": v_p, "V_pa_given_honest_max": honest_max, "E_ABC": v_x * v_p}
 
 
 @dataclass(frozen=True)
@@ -363,7 +387,7 @@ def schur_loop(cov: np.ndarray, target_idx: int, estimator_idx) -> tuple:
     return np.array(variances), np.array(gains), float(cov[target_idx, target_idx])
 
 
-def dishonest_rate_loop(state, layout, player, beta=1.0) -> float:
+def dishonest_rate_loop(state, layout, player) -> float:
     """The bound with ``player`` alone dishonest, from :func:`schur_loop` inferences.
 
     The dealer's x is inferred from every player's announced x outcome and
@@ -377,7 +401,7 @@ def dishonest_rate_loop(state, layout, player, beta=1.0) -> float:
 
     v_x, _, dealer_x = infer("x", layout.player_modes)
     v_p, _, _ = infer("p", [p for p in layout.player_modes if p != player])
-    return combine(dealer_x, v_x, v_p, beta).rate
+    return combine(dealer_x, v_x, v_p).rate
 
 
 def conditional_variance_fixed(state, target, estimator) -> float:

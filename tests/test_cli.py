@@ -306,6 +306,19 @@ class TestSimulate:
         assert code == EXIT_CONFIG
         assert "sifted" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--basis-probability", "1e-200"],  # the pattern probability underflows to 0
+        ["--reveal-fraction", "1e-320"],  # 100 / (revealed share) overflows
+        ["--reveal-fraction", "1e-300", "--basis-probability", "1e-5"],
+    ])
+    def test_uncountable_undersampling_is_config_error(self, argv, capsys):
+        code, out, err = run(["simulate", *argv], capsys)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.startswith("cvqss: only 0 sifted rounds") and err.count("\n") == 1
+        assert "more rounds than a double can count" in err
+        assert "Traceback" not in err
+
     def test_rounds_beyond_int64_is_config_error(self, capsys):
         code, _, _ = run(["simulate", "--rounds", "10000000000", "--quiet"], capsys)
         assert code == EXIT_OK

@@ -6,6 +6,7 @@ import pickle
 import tracemalloc
 from itertools import combinations
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -35,6 +36,7 @@ from helpers import (
     product_vacuum,
     pure_loss,
     schur_loop,
+    star_closed_forms,
     tensor,
     two_mode_squeezed,
 )
@@ -158,13 +160,6 @@ class TestEavesdroppingBound:
     def test_feasible_squeezing_keeps_positive_rate(self):
         state, layout = build_three_mode_chain(1.15, 1.0)
         assert keyrate_eavesdropping(state, layout).rate > 0.0
-
-    def test_reconciliation_efficiency_scales_information(self):
-        state, layout = build_three_mode_chain(1.0, 0.9)
-        ideal = keyrate_eavesdropping(state, layout)
-        lossy = keyrate_eavesdropping(state, layout, beta=0.9)
-        assert lossy.rate == pytest.approx(
-            ideal.rate - 0.1 * ideal.mutual_information, abs=1e-12)
 
 
 class TestDishonestBound:
@@ -575,12 +570,12 @@ class TestCombine:
 
     def test_hand_values_with_first_index_ties(self):
         # I = log2(2 / v) / 2 and chi = log2(e) + log2(2 u) / 2, both tied twice.
-        bound = combine(2.0, [1.0, 0.5, 1.0], np.array([0.25, 1.0, 1.0]), beta=0.8)
+        bound = combine(2.0, [1.0, 0.5, 1.0], np.array([0.25, 1.0, 1.0]))
         log2_e = math.log2(math.e)
         assert bound.access_bits.tolist() == [0.5, 1.0, 0.5]
         assert bound.adversarial_holevo.tolist() == [log2_e - 0.5, log2_e + 0.5, log2_e + 0.5]
         assert (bound.binding_access, bound.binding_adversarial) == (0, 1)
-        assert bound.rate == 0.8 * 0.5 - (log2_e + 0.5)
+        assert bound.rate == 0.5 - (log2_e + 0.5)
 
     def test_information_is_gaussian_mutual_information_bit_for_bit(self):
         # np.log2 and math.log2 differ in the last bit for about 1 in 10^4 doubles.
@@ -593,31 +588,67 @@ class TestCombine:
         assert bound.access_bits == [-0.5]
         assert bound.rate == -0.5 - (math.log2(math.e) - 0.5)
 
-    @pytest.mark.parametrize("n, k, topology, beta", [
-        (10, 5, star_topology, 1.0),
-        (6, 3, chain_topology, 0.9),
-        (4, 2, star_topology, 1.0),  # k = 2 reads the adversarial structures' variances
+    @pytest.mark.parametrize("n, k, topology", [
+        (10, 5, star_topology),
+        (6, 3, chain_topology),  # the chain's k != 2 path: one p inference per player
+        (4, 2, star_topology),  # k = 2 reads the adversarial structures' variances
     ])
-    def test_dishonest_rates_equal_the_single_player_bound_exactly(
-            self, n, k, topology, beta):
+    def test_dishonest_rates_equal_the_single_player_bound_exactly(self, n, k, topology):
         state, layout = _kn_state(n, topology)
-        report = keyrate_qss(state, layout, ThresholdScheme(k, n), beta=beta)
+        report = keyrate_qss(state, layout, ThresholdScheme(k, n))
         assert list(report.dishonest_rates) == list(layout.player_modes)
         for player, rate in report.dishonest_rates.items():
-            assert rate == dishonest_rate_loop(state, layout, player, beta)
+            assert rate == dishonest_rate_loop(state, layout, player)
 
     def test_report_is_combine_of_its_own_variances(self):
         state, layout = _kn_state(6, star_topology)
-        report = keyrate_qss(state, layout, ThresholdScheme(3, 6), beta=0.95)
+        report = keyrate_qss(state, layout, ThresholdScheme(3, 6))
         bound = combine(report.dealer_x_variance,
                         list(report.access_conditional_variance.values()),
-                        list(report.adversarial_conditional_variance.values()), beta=0.95)
+                        list(report.adversarial_conditional_variance.values()))
         assert report.combined_rate == bound.rate
         assert list(report.access_mutual_information.values()) == bound.access_bits.tolist()
         assert list(report.adversarial_holevo.values()) == bound.adversarial_holevo.tolist()
         assert report.binding_access == list(report.access_gains)[bound.binding_access]
         assert report.binding_adversarial == list(
             report.adversarial_gains)[bound.binding_adversarial]
+
+
+def test_star_rates_equal_the_closed_form_within_the_kernel_bound():
+    # Every reported rate of a star against Sherman-Morrison at 50 digits, with
+    # I = log2(V / x[m]) / 2 and chi = log2(e) + log2(V p[h]) / 2: the
+    # eavesdropping rate (m = h = n), each dishonest rate (m = n, h = n - 1) and
+    # the combined rate (m = k, h = n - k + 1). The kernel's relative error on a
+    # variance v is at most 8 eps kappa V / v (tests/test_sweep.py; kappa = 1 on
+    # the p side), which moves its term by that over 2 ln 2; the logarithms add
+    # eps |I| and eps |chi|.
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(2026_1019)
+    worst = 0.0
+    schemes = [(n, range(1, n + 1)) for n in range(2, 9)] + [(16, (1, 16)), (24, (1, 24))]
+    for n, ks in schemes:
+        r, transmissivity, g = rng.uniform(0.0, 2.0), rng.uniform(0.0, 1.0), rng.uniform(0.5, 1.5)
+        noise = rng.choice([0.0, rng.uniform(0.0, 0.05)])
+        spec = ChannelSpec(transmissivity, noise)
+        state, layout = build_kn_state(n, r, {f"B{i}": spec for i in range(1, n + 1)},
+                                       star_topology(n), cz_weight=g)
+        exact = star_closed_forms(n, r, transmissivity, noise, g)
+
+        def ratio(rate, m, h):
+            with mpmath.workdps(50):
+                info = mpmath.log(exact.v_x / exact.x[m], 2) / 2
+                holevo = mpmath.log(mpmath.e, 2) + mpmath.log(exact.v_x * exact.p[h], 2) / 2
+                variances = (8 * exact.kappa_x[m] * exact.v_x / exact.x[m]
+                             + 8 * exact.v_p / exact.p[h])
+                bound = eps * (variances / (2 * mpmath.log(2)) + abs(info) + abs(holevo))
+                return float(abs(rate - (info - holevo)) / bound)
+
+        for k in ks:
+            report = keyrate_qss(state, layout, ThresholdScheme(k, n))
+            checks = [(report.eavesdropping_rate, n, n), (report.combined_rate, k, n - k + 1)]
+            checks += [(rate, n, n - 1) for rate in report.dishonest_rates.values()]
+            worst = max(worst, *(ratio(*check) for check in checks))
+    assert 0.0 < worst <= 1.0, worst
 
 
 @seed(1603_03224)

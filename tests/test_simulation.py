@@ -272,29 +272,26 @@ class TestRunProtocol:
 
 
 class TestSharedReduction:
-    @pytest.mark.parametrize("beta", [1.0, 0.9])
-    def test_rates_are_combine_of_the_fitted_variances(self, beta):
+    def test_rates_are_combine_of_the_fitted_variances(self):
         state, layout = star_state(4)
         report = run_protocol(state, layout, ThresholdScheme(2, 4),
-                              rounds=100000, seed=31, beta=beta)
+                              rounds=100000, seed=31)
         access = list(report.access_variance.values())
         adversarial = list(report.adversarial_variance.values())
         bound = combine(report.dealer_x_variance, [fit.variance for fit in access],
-                        [fit.variance for fit in adversarial], beta)
+                        [fit.variance for fit in adversarial])
         assert report.combined_rate == bound.rate
         assert list(report.access_mutual_information.values()) == bound.access_bits.tolist()
         assert list(report.adversarial_holevo.values()) == bound.adversarial_holevo.tolist()
         assert report.eavesdropping_rate == combine(
             report.dealer_x_variance, [report.inference_x.variance],
-            [report.inference_p.variance], beta).rate
+            [report.inference_p.variance]).rate
         # The delta-method error is taken at combine's binding structures.
         vx = access[bound.binding_access]
         vp = adversarial[bound.binding_adversarial]
         scale = 1.0 / (2.0 * math.log(2.0))
-        dealer_se = math.sqrt(2.0 / (vx.rounds_used - 1))
-        expected = math.sqrt((beta * scale * vx.standard_error / vx.variance) ** 2
-                             + (scale * vp.standard_error / vp.variance) ** 2
-                             + ((beta - 1.0) * scale * dealer_se) ** 2)
+        expected = math.sqrt((scale * vx.standard_error / vx.variance) ** 2
+                             + (scale * vp.standard_error / vp.variance) ** 2)
         assert report.combined_rate_standard_error == pytest.approx(expected, rel=1e-12)
 
 

@@ -5,8 +5,10 @@ import io
 import itertools
 import json
 import tracemalloc
+from decimal import ROUND_HALF_EVEN, Decimal
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -26,7 +28,7 @@ from cvqss.cli import EXIT_CONFIG, EXIT_OK, SWEEP_HEADER, main
 from cvqss.estimation import schur
 from cvqss.keyrate import MAX_PLAYERS, key_rates
 
-from helpers import kn_state_loop, star_closed_forms, sweep_loop
+from helpers import chain_sweep_row, kn_state_loop, star_closed_forms, sweep_loop
 
 GOLDEN = Path(__file__).parent / "data" / "default_sweep_golden.csv"
 DEFAULT_TRANSMISSIVITIES = [1.0, 0.95, 0.9, 0.85]
@@ -51,6 +53,41 @@ def test_default_sweep_is_the_golden_file_byte_for_byte():
     code, out = cli(["sweep"])
     assert code == EXIT_OK
     assert out.encode("utf-8") == GOLDEN.read_bytes()
+
+
+#: Golden lines (1 is the header) whose cell in each column is not the exact
+#: value correctly rounded to 12 significant digits: the doubles' rounding shows.
+GOLDEN_CELLS_OFF_THE_ORACLE = {
+    "K_eve": [58, 59, 61, 191],
+    "V_pa_given_pbar": [44, 46, 48, 49, 51, 52, 53, 54, 56, 57, 58, 59, 60, 61, 62, 112, 114,
+                        115, 119, 121, 123, 170, 173, 176, 178, 179, 181, 183, 184, 227, 237,
+                        241, 242, 244, 245],
+    "V_pa_given_honest_max": [238],
+    "E_ABC": [46, 48, 49, 51, 52, 56, 58, 59, 60, 61, 62, 110, 111, 113, 114, 115, 116, 119,
+              123, 178, 184],
+}
+
+
+def test_golden_cells_off_the_chain_closed_form_are_pinned():
+    # Every computed golden cell against the (2, 2) chain's closed forms at 60
+    # digits, correctly rounded to {:.12g}'s 12 significant digits. The cells
+    # that differ are pinned where they stand: one that moves, or one that
+    # becomes exact, changes the set.
+    lines = GOLDEN.read_text().splitlines()
+    header = lines[0].split(",")
+    grid = np.linspace(0.0, 1.5, 61).tolist()
+    off = set()
+    for number, line in enumerate(lines[1:], start=2):
+        r, transmissivity = grid[(number - 2) % 61], DEFAULT_TRANSMISSIVITIES[(number - 2) // 61]
+        cells = dict(zip(header, line.split(",")))
+        assert (cells["r"], cells["T"]) == (f"{r:.12g}", f"{transmissivity:.12g}")
+        for column, exact in chain_sweep_row(r, transmissivity).items():
+            value = Decimal(mpmath.nstr(exact, 40))
+            rounded = value.quantize(Decimal(1).scaleb(value.adjusted() - 11), ROUND_HALF_EVEN)
+            if Decimal(cells[column]) != rounded:
+                off.add((number, column))
+    assert off == {(number, column) for column, numbers in GOLDEN_CELLS_OFF_THE_ORACLE.items()
+                   for number in numbers}
 
 
 def test_default_sweep_json_rows_equal_the_per_point_reference():
