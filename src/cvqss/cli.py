@@ -27,7 +27,7 @@ import numpy as np
 
 from .estimation import SCHUR_BLOCK_ROWS
 from .gaussian import UnphysicalStateError, validate
-from .jsontext import float_texts, json_text
+from .jsontext import _rows, float_texts, json_text
 from .keyrate import ThresholdScheme, key_rates, keyrate_eavesdropping, keyrate_qss
 from .simulation import UndersampledError, run_protocol
 from .states import ChannelSpec, build_kn_state, chain_topology, star_topology
@@ -202,11 +202,17 @@ def cmd_sweep(args) -> int:
                            for start in range(0, total, points)))
     keys = SWEEP_HEADER.split(",")
     if args.format == "json":
-        # The text of {"rows": [...]}, written as json.dumps(..., indent=2) would.
+        # The text of {"rows": [...]}, written as json.dumps(..., indent=2) would: a
+        # chunk's rows through the row kernel, a column of values per key.
+        fields = [json_text(key) + ": " for key in keys]
+        betweens = [",\n      " + field for field in fields[1:]]
+        betweens.append("\n    },\n    {\n      " + fields[0])
         pieces = ['{\n  "rows": [\n    ']
         for rows in chunks:
-            pieces += (",\n    ".join(json_text(dict(zip(keys, row)), "\n    ")
-                                     for row in rows.tolist()), ",\n    ")
+            values, columns = float_texts(rows), []
+            for j, between in enumerate(betweens):
+                columns += [values[j::len(keys)], between]
+            pieces += (_rows("{\n      " + fields[0], columns, "\n    }"), ",\n    ")
         pieces[-1] = "\n  ]\n}\n"
     else:
         # One template per chunk, in _fmt's digits.
@@ -232,8 +238,9 @@ def cmd_threshold(args) -> int:
                      f"r={_fmt(args.r)}  T={_fmt(args.transmissivity)}")
         lines.append("")
         lines.append(f"{'kind':<12} {'structure':<18} {'bits':>16}  binding")
-        lines += _table("access", report.access_mutual_information, report.binding_access)
-        lines += _table("adversarial", report.adversarial_holevo, report.binding_adversarial)
+        lines.append(_table("access", report.access_mutual_information, report.binding_access))
+        lines.append(_table("adversarial", report.adversarial_holevo,
+                            report.binding_adversarial))
         lines.append("")
         lines.append(f"eavesdropping-only rate: {_fmt(report.eavesdropping_rate)}")
         for player, rate in report.dishonest_rates.items():
@@ -245,13 +252,15 @@ def cmd_threshold(args) -> int:
     return EXIT_OK
 
 
-def _table(kind: str, terms, binding: tuple) -> list:
-    """One row per structure of the per-structure map ``terms``, in ``_fmt``'s digits,
-    written from its labels and value array; ``binding``'s row is marked."""
-    rows = list(map(f"{kind:<12} {{:<18}} {{:>16}}  ".format,
-                    _label_texts(terms.labels), float_texts(terms.array, _fmt)))
-    rows[terms.labels.index(binding)] += "*"
-    return rows
+def _table(kind: str, terms, binding: tuple) -> str:
+    """One line per structure of the per-structure map ``terms``, in ``_fmt``'s digits,
+    written from its labels and value array, with no newline after the last;
+    ``binding``'s line is marked."""
+    ends = ["  \n"] * len(terms.labels)
+    ends[terms.labels.index(binding)] = "  *\n"
+    labels = [text.ljust(18) for text in _label_texts(terms.labels)]
+    values = float_texts(terms.array, lambda value: format(value, ">16.12g"))
+    return _rows("", [f"{kind:<12} ", labels, " ", values, ends], ends[-1][:-1])
 
 
 def _label_texts(labels) -> list:

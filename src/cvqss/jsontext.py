@@ -6,17 +6,18 @@ plain JSON values, without building that converted copy and without the
 pure-Python encoder that ``indent`` selects. Every JSON output of the
 command line goes through it.
 
-The per-structure parts of a key-rate report are written from arrays, one
-``str.format`` per structure, with the same bytes. Each distinct double of a
-per-structure array is spelled once (:func:`float_texts`): a report's values
-are massively tied, bit for bit. Its per-structure maps
-(:class:`~cvqss.keyrate._StructureMap`) are read-only ``Mapping`` views that
-build their dict only when first read; they are written from their label
-lists and value arrays with no dict and no
-:class:`~cvqss.estimation.JointVariable` built, and the key texts of a label
-list are computed once and shared by the maps of one side. A list of
-equal-length tuples of exact ints (a scheme's structures) is written in one
-flattened ``int.__repr__`` pass.
+The per-structure parts of a key-rate report are written as columns, with
+the same bytes: one list of texts per field (or one text for every row),
+interleaved into one list by slice assignment and joined once
+(:func:`_rows`). Each distinct double of a per-structure array is spelled
+once (:func:`float_texts`): a report's values are massively tied, bit for
+bit. Its per-structure maps (:class:`~cvqss.keyrate._StructureMap`) are
+read-only ``Mapping`` views that build their dict only when first read;
+they are written from their label lists and value arrays with no dict and
+no :class:`~cvqss.estimation.JointVariable` built, and the key texts of a
+label list are computed once and shared by the maps of one side. A list of
+equal-length tuples of exact ints (a scheme's structures) is written with
+each distinct int spelled once.
 """
 
 from collections.abc import Mapping
@@ -51,6 +52,22 @@ def float_texts(array: np.ndarray, spell=_json_float) -> list:
     return spelled[where].tolist()
 
 
+def _rows(head: str, columns: list, tail: str) -> str:
+    """``head``, then row by row the text of each of ``columns`` in order, with ``tail``
+    in place of the last row's last text, as one ``str.join``.
+
+    A column is one text for every row, or one text per row: a list, or any
+    iterable of as many texts, with at least one column a list.
+    """
+    count = len(next(column for column in columns if isinstance(column, list)))
+    width = len(columns)
+    pieces = [head] * (1 + width * count)
+    for offset, column in enumerate(columns, 1):
+        pieces[offset::width] = [column] * count if isinstance(column, str) else column
+    pieces[-1] = tail
+    return "".join(pieces)
+
+
 def json_text(value, pad: str = "\n") -> str:
     """``value`` as two-space indented JSON, the bytes of ``json.dumps(..., indent=2)``.
 
@@ -80,17 +97,6 @@ def json_text(value, pad: str = "\n") -> str:
             return list(map(_json_float, values))
         if kinds == {int}:
             return list(map(int.__repr__, values))
-        if kinds == {tuple}:
-            widths = set(map(len, values))
-            flat = list(chain.from_iterable(values))
-            if len(widths) == 1 and set(map(type, flat)) <= {int}:  # a scheme's structures
-                width = widths.pop()
-                if not width:
-                    return ["[]"] * len(values)
-                inner = pad + "  "
-                row = "[" + inner + ("," + inner).join(["{}"] * width) + pad + "]"
-                digits = list(map(int.__repr__, flat))
-                return list(map(row.format, *(digits[j::width] for j in range(width))))
         return [text(item, pad) for item in values]
 
     def key_text(key):
@@ -102,7 +108,12 @@ def json_text(value, pad: str = "\n") -> str:
         """``labels``' key texts, or None if two coincide: computed once per list."""
         seen = label_lists.get(id(labels))
         if seen is None or seen[0] is not labels:
-            keys = list(map(key_text, labels))
+            if (set(map(type, labels)) <= {tuple}
+                    and set(map(type, chain.from_iterable(labels))) <= {str}):  # key_text in C
+                keys = list(map(encode_basestring_ascii,
+                                [text or "(none)" for text in map("+".join, labels)]))
+            else:
+                keys = list(map(key_text, labels))
             seen = label_lists[id(labels)] = (
                 labels, keys if len(set(keys)) == len(keys) else None)
         return seen[1]
@@ -114,8 +125,7 @@ def json_text(value, pad: str = "\n") -> str:
         if not value_texts:
             return "{}"
         inner = pad + "  "
-        return ("{" + inner + ("," + inner).join(map("{}: {}".format, keys, value_texts))
-                + pad + "}")
+        return _rows("{" + inner, [keys, ": ", value_texts, "," + inner], pad + "}")
 
     def mapping(value, pad):
         if set(map(type, value)) == {str}:  # distinct already, and each its own str()
@@ -129,28 +139,42 @@ def json_text(value, pad: str = "\n") -> str:
             return mapping(value, pad)  # texts that coincide merge as in any map
         if value.quadrature is None:
             return members(keys, float_texts(value.array), pad)
-        quadrature, players, gains = value.quadrature, value.players, value.array
-        names = {player: key_text(player) for player in set(chain.from_iterable(players))}
-        if not keys or len(set(names.values())) < len(names):
+        players, gains = value.players, value.array
+        width = gains.shape[-1]
+        names = {player: key_text(player) + ": "
+                 for player in set(chain.from_iterable(players))}
+        if not keys or not width or len(set(names.values())) < len(names):
             return mapping(value, pad)
         inner = pad + "  "
         field, cell = inner + "  ", inner + "    "
-        width = gains.shape[-1]
-        # A JointVariable's fields, with one player-name slot and one gain slot per
-        # estimator; the quadrature, "x" or "p", holds no brace to escape.
-        template = ("{}: {{" + field + '"quadrature": ' + text(quadrature, field) + "," + field
-                    + '"gains": {{' + cell + ("," + cell).join(["{}: {}"] * width) + field
-                    + "}}" + inner + "}}")
         gain_texts = float_texts(gains)
-        cells = [list(map(names.__getitem__, column)) for column in zip(*players)]
-        cells = chain.from_iterable(zip(cells, (gain_texts[j::width] for j in range(width))))
-        return ("{" + inner + ("," + inner).join(map(template.format, keys, *cells))
-                + pad + "}")
+        # Row s: its key, then a JointVariable's fields, with one player name and one
+        # gain per estimator.
+        columns = [keys, ": {" + field + '"quadrature": ' + text(value.quadrature, field)
+                   + "," + field + '"gains": {' + cell]
+        for j, estimators in enumerate(zip(*players)):
+            columns += [list(map(names.__getitem__, estimators)), gain_texts[j::width],
+                        "," + cell]
+        columns[-1] = field + "}" + inner + "}," + inner
+        return _rows("{" + inner, columns, field + "}" + inner + "}" + pad + "}")
 
     def array(value, pad):
         if not value:
             return "[]"
         inner = pad + "  "
+        if set(map(type, value)) == {tuple}:
+            widths = set(map(len, value))
+            flat = list(chain.from_iterable(value))
+            if flat and len(widths) == 1 and set(map(type, flat)) <= {int}:
+                # A scheme's structures: a column per position, each distinct int spelled once.
+                width, cell = widths.pop(), inner + "  "
+                spelled = {number: int.__repr__(number) for number in set(flat)}
+                digits = list(map(spelled.__getitem__, flat))
+                columns = []
+                for j in range(width):
+                    columns += [digits[j::width], "," + cell]
+                columns[-1] = inner + "]," + inner + "[" + cell
+                return _rows("[" + inner + "[" + cell, columns, inner + "]" + pad + "]")
         return "[" + inner + ("," + inner).join(texts(value, inner)) + pad + "]"
 
     def encoder(kind):

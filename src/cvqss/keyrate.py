@@ -302,19 +302,20 @@ def _player_classes(state: GaussianState, layout: PartyLayout) -> np.ndarray:
     return np.array(labels)
 
 
-def _infer(state: GaussianState, layout: PartyLayout, basis: str, rows: np.ndarray) -> tuple:
+def _infer(state: GaussianState, layout: PartyLayout, basis: str, rows: np.ndarray,
+           classes: np.ndarray = None) -> tuple:
     """:func:`~cvqss.estimation.schur` of the dealer's ``basis`` quadrature, checked.
 
     Estimator set s is the announced ``basis`` outcomes of the distinct players
     at the 0-based positions in row s of ``rows``. Rows whose players have the
-    same :func:`_player_classes` position by position are one inference, bit for
-    bit: only the first of them is evaluated, and its result stands for all.
+    same ``classes`` (the state's :func:`_player_classes`) position by position
+    are one inference, bit for bit: only the first of them is evaluated, and
+    its result stands for all. Without ``classes`` every row is evaluated.
     """
     announced = np.array([state.quad_index(*coord) for coord in
                           layout.announced_coordinates(layout.player_modes, basis)])
     evaluated, spread = rows, None
-    if len(rows) > 1:
-        classes = _player_classes(state, layout)
+    if classes is not None and len(rows) > 1:
         count = int(classes.max()) + 1
         if count < len(classes) and count ** rows.shape[1] < 2 ** 63:
             # Row s's class sequence, written in base ``count``, names its inference.
@@ -346,6 +347,7 @@ class KeyRates(NamedTuple):
     everyone_p: tuple
     combined: RateBound
     eavesdropping: RateBound
+    classes: np.ndarray  # the players' _player_classes, found once per call
 
 
 def key_rates(state: GaussianState, layout: PartyLayout, scheme: ThresholdScheme) -> KeyRates:
@@ -358,12 +360,13 @@ def key_rates(state: GaussianState, layout: PartyLayout, scheme: ThresholdScheme
         raise ValueError(f"scheme expects {scheme.n} players but the layout has "
                          f"{layout.num_players}")
     access, _, honest = scheme._player_rows
-    access_side = _infer(state, layout, "x", access)
-    adversarial_side = _infer(state, layout, "p", honest)
+    classes = _player_classes(state, layout)
+    access_side = _infer(state, layout, "x", access, classes)
+    adversarial_side = _infer(state, layout, "p", honest, classes)
     everyone_x, everyone_p, eavesdropping = _everyone(state, layout)
     return KeyRates(access_side, adversarial_side, everyone_x, everyone_p,
                     combine(access_side[2], access_side[0], adversarial_side[0]),
-                    eavesdropping)
+                    eavesdropping, classes)
 
 
 def _structure_labels(layout: PartyLayout, scheme: ThresholdScheme) -> tuple:
@@ -416,7 +419,8 @@ def keyrate_qss(state: GaussianState, layout: PartyLayout,
     # Player j alone dishonest: the all-player x side against one p side per player,
     # which for k = 2 are the adversarial structures' honest sides already.
     single = adversarial_v if scheme.k == 2 else _infer(
-        state, layout, "p", _complements(np.arange(scheme.n)[:, None], scheme.n))[0]
+        state, layout, "p", _complements(np.arange(scheme.n)[:, None], scheme.n),
+        rates.classes)[0]
     v_x = np.broadcast_to(rates.everyone_x[0], (scheme.n, 1))
     dishonest = combine(np.full(scheme.n, dealer_x), v_x, single[:, None])
     return KeyRateReport(

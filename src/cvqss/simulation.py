@@ -48,13 +48,17 @@ MIN_SIFTED_ROUNDS = 100
 #: Groups of the delete-one-group jackknife on a residual variance.
 JACKKNIFE_GROUPS = 50
 
+#: Most protocol rounds a run accepts: counts are int64.
+_MAX_ROUNDS = int(np.iinfo(np.int64).max)
+
 
 class UndersampledError(RuntimeError):
     """Too few sifted rounds for a requested regression.
 
     ``rounds_needed`` is the number of protocol rounds at which the
     expected count of such rounds reaches ``required``, or None when that
-    number is beyond double precision.
+    number is beyond double precision. The message names it only up to the
+    int64 cap on rounds that a run accepts.
     """
 
     def __init__(self, available: int, rounds_needed: int | None):
@@ -62,6 +66,7 @@ class UndersampledError(RuntimeError):
         self.rounds_needed = rounds_needed
         self.required = MIN_SIFTED_ROUNDS
         expected = ("from more rounds than a double can count" if rounds_needed is None
+                    else f"from more than {_MAX_ROUNDS} rounds" if rounds_needed > _MAX_ROUNDS
                     else f"from about {rounds_needed} rounds")
         super().__init__(f"only {available} sifted rounds match the required bases "
                          f"(need >= {MIN_SIFTED_ROUNDS}, expected {expected})")
@@ -78,8 +83,8 @@ def _check_sampling(state: GaussianState, rounds: int, basis_probability: float)
     and a state that :func:`~cvqss.gaussian.validate` calls unphysical."""
     if rounds < 1:
         raise ValueError("need at least one round")
-    if rounds > np.iinfo(np.int64).max:
-        raise ValueError(f"at most {np.iinfo(np.int64).max} rounds, got {rounds}")
+    if rounds > _MAX_ROUNDS:
+        raise ValueError(f"at most {_MAX_ROUNDS} rounds, got {rounds}")
     if not 0.0 < basis_probability < 1.0:
         raise ValueError("basis probability must lie strictly inside (0, 1)")
     diagnostics = validate(state)

@@ -144,7 +144,7 @@ class TestThreshold:
                   123456789012345.0, -0.0, float("nan"), 0.5]
         labels = [(f"B{i}", f"B{i + 1}") for i in range(1, len(values) + 1)]
         terms = keyrate._StructureMap(labels, np.array(values))
-        rows = cli._table("access", terms, labels[3])
+        rows = cli._table("access", terms, labels[3]).split("\n")
         assert rows == [f"{'access':<12} {'{' + ','.join(label) + '}':<18} {value:>16.12g}  "
                         + "*" * (label == labels[3]) for label, value in zip(labels, values)]
 
@@ -318,6 +318,15 @@ class TestSimulate:
         assert err.startswith("cvqss: only 0 sifted rounds") and err.count("\n") == 1
         assert "more rounds than a double can count" in err
         assert "Traceback" not in err
+
+    def test_round_estimate_beyond_the_int64_cap_is_not_spelled_out(self, capsys):
+        # About 2e200 rounds expected: finite, but no run may have that many.
+        code, out, err = run(["simulate", "--basis-probability", "1e-100"], capsys)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.startswith("cvqss: only 0 sifted rounds") and err.count("\n") == 1
+        assert "expected from more than 9223372036854775807 rounds" in err
+        assert max(map(int, re.findall(r"\d+", err))) <= 2**63 - 1
 
     def test_rounds_beyond_int64_is_config_error(self, capsys):
         code, _, _ = run(["simulate", "--rounds", "10000000000", "--quiet"], capsys)

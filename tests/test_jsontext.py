@@ -132,10 +132,12 @@ def _structure_maps(draw):
     """A key-rate per-structure map: scalars, or gains over access rows (label = estimators)
     or over collusions' complements (label = the collusion).
 
-    The last two player sets give player names or labels whose texts coincide. Values
-    come from a small pool, so that they tie as a report's do.
+    The second and third player sets give player names or labels whose texts coincide;
+    the last holds names with format braces, quotes, backslashes, "+" and non-ASCII
+    text. Values come from a small pool, so that they tie as a report's do.
     """
-    players = draw(st.sampled_from([("B1", "B2", "B3"), ("B1", 1, "1"), ("a", "a+b", "b+c", "c")]))
+    players = draw(st.sampled_from([("B1", "B2", "B3"), ("B1", 1, "1"), ("a", "a+b", "b+c", "c"),
+                                    ("{0}", "}{", '%s"', "\\+é", "😀€")]))
     width = draw(st.integers(1, len(players)))
     rows = list(combinations(players, width))
     if draw(st.booleans()):
@@ -169,6 +171,10 @@ class TestGainMapWriter:
                                               [float("inf"), float("nan")]]),
                                     "p", [("B1", "B2"), ("B1", "B3"), ("B2", "B3")]),
              read=False, nested=True)
+    @example(gain_map=_StructureMap([("{0}", "}{"), ('%s"', "\\+é"), ("😀€", "{0}")],
+                                    np.array([[0.5, -0.0], [1e-300, 0.5], [0.5, float("nan")]]),
+                                    "p", [("{0}", "}{"), ('%s"', "\\+é"), ("😀€", "{0}")]),
+             read=False, nested=True)  # names a str.format template would misread
     @example(gain_map=_StructureMap([], np.zeros((0, 2)), "x", []), read=False, nested=True)
     @example(gain_map=_StructureMap([], np.zeros(0)), read=False, nested=False)
     @example(gain_map=_StructureMap([("B1", "B2"), ("B1+B2",), ()], np.array([1.0, 2.0, 3.0])),

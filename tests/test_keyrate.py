@@ -522,6 +522,22 @@ class TestPlayerClasses:
                         ThresholdScheme(n // 2, n))
             assert sum(rows) == sum(matrices) == 5
 
+    @pytest.mark.parametrize("n, k, topology", [
+        (4, 2, star_topology), (6, 3, star_topology),
+        (6, 3, chain_topology), (5, 1, chain_topology),
+    ])
+    def test_player_classes_are_found_once_per_report(self, n, k, topology, monkeypatch):
+        # Access side, honest side and, for k != 2, the single-dishonest side share one.
+        calls, real = [], keyrate_module._player_classes
+
+        def counting(state, layout):
+            calls.append(layout)
+            return real(state, layout)
+
+        monkeypatch.setattr(keyrate_module, "_player_classes", counting)
+        keyrate_qss(*_kn_state(n, topology, transmissivity=0.9), ThresholdScheme(k, n))
+        assert len(calls) == 1
+
 
 class TestReportValue:
     """A report is a value, whether or not its gain maps have been read."""
