@@ -178,6 +178,9 @@ def _sweep_rows(args, scheme, r: np.ndarray, transmissivity: np.ndarray) -> np.n
 
 
 def cmd_sweep(args) -> int:
+    for flag, r in (("--r-min", args.r_min), ("--r-max", args.r_max)):
+        if not np.isfinite(r):
+            raise ValueError(f"{flag} must be finite, got {r}")
     if args.r_min > args.r_max or args.r_steps < 1:
         raise ValueError("need r_min <= r_max and r_steps >= 1")
     transmissivities = np.array([float(t) for t in args.transmissivities.split(",") if t])
@@ -254,17 +257,18 @@ def cmd_threshold(args) -> int:
 
 def _table(kind: str, terms, binding: tuple) -> str:
     """One line per structure of the per-structure map ``terms``, in ``_fmt``'s digits,
-    written from its labels and value array, with no newline after the last;
+    written from its player rows and value array, with no newline after the last;
     ``binding``'s line is marked."""
-    ends = ["  \n"] * len(terms.labels)
-    ends[terms.labels.index(binding)] = "  *\n"
-    labels = [text.ljust(18) for text in _label_texts(terms.labels)]
+    texts = _label_texts(np.array(terms.names, dtype=object)[terms.rows].tolist())
+    ends = ["  \n"] * len(texts)
+    ends[texts.index(*_label_texts([binding]))] = "  *\n"
+    labels = [text.ljust(18) for text in texts]
     values = float_texts(terms.array, lambda value: format(value, ">16.12g"))
     return _rows("", [f"{kind:<12} ", labels, " ", values, ends], ends[-1][:-1])
 
 
 def _label_texts(labels) -> list:
-    """Each tuple of player labels (str) in ``labels`` as "{B1,B2,...}"."""
+    """Each sequence of player names (str) in ``labels`` as "{B1,B2,...}"."""
     return ["{" + ",".join(players) + "}" for players in labels]
 
 

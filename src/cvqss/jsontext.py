@@ -12,12 +12,11 @@ interleaved into one list by slice assignment and joined once
 (:func:`_rows`). Each distinct double of a per-structure array is spelled
 once (:func:`float_texts`): a report's values are massively tied, bit for
 bit. Its per-structure maps (:class:`~cvqss.keyrate._StructureMap`) are
-read-only ``Mapping`` views that build their dict only when first read;
-they are written from their label lists and value arrays with no dict and
-no :class:`~cvqss.estimation.JointVariable` built, and the key texts of a
-label list are computed once and shared by the maps of one side. A list of
-equal-length tuples of exact ints (a scheme's structures) is written with
-each distinct int spelled once.
+read-only ``Mapping`` views over player names and rows of player positions,
+written with no label tuple, dict or :class:`~cvqss.estimation.JointVariable`
+built: a key is one column of name texts per position, indexed by the
+rows and joined by "+". A list of equal-length tuples of exact ints (a
+scheme's structures) is written with each distinct int spelled once.
 """
 
 from collections.abc import Mapping
@@ -79,11 +78,9 @@ def json_text(value, pad: str = "\n") -> str:
     ``pad`` is a newline and the indentation of the line ``value`` starts on.
     An unsupported type raises the ``TypeError`` that ``json.dumps`` raises.
     A per-structure map is written as the dict of its items without building
-    it, unless two of its labels, or of a gain map's player names, have the
-    same text.
+    it, unless its player names could give two of its keys, or of a gain's, one text.
     """
     encoders = {}  # type -> the encoder of its values
-    label_lists = {}  # id -> (label list, its key texts or None): a side's maps share one
 
     def text(value, pad):
         encode = encoders.get(type(value))
@@ -104,20 +101,6 @@ def json_text(value, pad: str = "\n") -> str:
             key = "+".join(map(str, key)) or "(none)"
         return encode_basestring_ascii(str(key))
 
-    def label_keys(labels):
-        """``labels``' key texts, or None if two coincide: computed once per list."""
-        seen = label_lists.get(id(labels))
-        if seen is None or seen[0] is not labels:
-            if (set(map(type, labels)) <= {tuple}
-                    and set(map(type, chain.from_iterable(labels))) <= {str}):  # key_text in C
-                keys = list(map(encode_basestring_ascii,
-                                [text or "(none)" for text in map("+".join, labels)]))
-            else:
-                keys = list(map(key_text, labels))
-            seen = label_lists[id(labels)] = (
-                labels, keys if len(set(keys)) == len(keys) else None)
-        return seen[1]
-
     def pairs(keys, values, pad):
         return members(keys, texts(values, pad + "  "), pad)
 
@@ -134,29 +117,35 @@ def json_text(value, pad: str = "\n") -> str:
         return pairs(merged, list(merged.values()), pad)
 
     def structure_map(value, pad):
-        keys = label_keys(value.labels)
-        if keys is None:
-            return mapping(value, pad)  # texts that coincide merge as in any map
-        if value.quadrature is None:
-            return members(keys, float_texts(value.array), pad)
-        players, gains = value.players, value.array
-        width = gains.shape[-1]
-        names = {player: key_text(player) + ": "
-                 for player in set(chain.from_iterable(players))}
-        if not keys or not width or len(set(names.values())) < len(names):
-            return mapping(value, pad)
+        names, rows, values = value.names, value.rows, value.array
+        plain = [str(name) for name in names]
+        gain_keys = [key_text(name) + ": " for name in names]  # as a gains dict keys them
+        # Distinct rows have distinct keys, their names' texts joined by "+", unless two
+        # names or texts coincide, or a text is empty ("(none)" alone) or holds "+".
+        if (not len(rows) or not len(names) == len(set(names)) == len(set(plain))
+                or not all(plain) or "+" in "".join(plain) or value.quadrature is not None
+                and (not values.shape[1] or len(set(gain_keys)) < len(gain_keys))):
+            return mapping(value, pad)  # merged and written as the reference writes a map
         inner = pad + "  "
-        field, cell = inner + "  ", inner + "    "
-        gain_texts = float_texts(gains)
-        # Row s: its key, then a JointVariable's fields, with one player name and one
-        # gain per estimator.
-        columns = [keys, ": {" + field + '"quadrature": ' + text(value.quadrature, field)
-                   + "," + field + '"gains": {' + cell]
-        for j, estimators in enumerate(zip(*players)):
-            columns += [list(map(names.__getitem__, estimators)), gain_texts[j::width],
+        # Row s: its key, one column of name texts per position, then its value.
+        spelled = np.array([encode_basestring_ascii(name)[1:-1] for name in plain], dtype=object)
+        columns = []
+        for j in range(rows.shape[1]):
+            columns += [spelled[rows[:, j]].tolist(), "+"]
+        columns[-1:] = ['": '] if columns else ['(none)": ']
+        if value.quadrature is None:
+            columns += [float_texts(values), "," + inner + '"']
+            return _rows("{" + inner + '"', columns, pad + "}")
+        # A JointVariable's fields, with one player name and one gain per estimator.
+        width, field, cell = values.shape[1], inner + "  ", inner + "    "
+        gain_keys, gain_texts = np.array(gain_keys, dtype=object), float_texts(values)
+        columns[-1] += ("{" + field + '"quadrature": ' + text(value.quadrature, field)
+                        + "," + field + '"gains": {' + cell)
+        for j in range(width):
+            columns += [gain_keys[value.estimators[:, j]].tolist(), gain_texts[j::width],
                         "," + cell]
-        columns[-1] = field + "}" + inner + "}," + inner
-        return _rows("{" + inner, columns, field + "}" + inner + "}" + pad + "}")
+        columns[-1] = field + "}" + inner + "}," + inner + '"'
+        return _rows("{" + inner + '"', columns, field + "}" + inner + "}" + pad + "}")
 
     def array(value, pad):
         if not value:

@@ -77,6 +77,9 @@ def _subset_rows(n: int, k: int) -> tuple:
     lexicographic order; widths 0 to k come out of one loop. Below width k-1
     an index that leaves too few larger ones to reach width k-1 is skipped, so
     no width holds more rows than the (k-1)- or the k-subsets.
+
+    The complements of the (k-1)-subsets, in order, are the (n-k+1)-subsets in
+    reverse order: ``_subset_rows(n, n - k + 1)[1][::-1]``.
     """
     rows = np.zeros((1, 0), dtype=int)
     for width in range(k):
@@ -90,11 +93,9 @@ def _subset_rows(n: int, k: int) -> tuple:
     return shorter, rows
 
 
-def _complements(rows: np.ndarray, n: int) -> np.ndarray:
-    """Row s: the positions 0..n-1 missing from row s of ``rows``, in order."""
-    is_outside = np.ones((len(rows), n), dtype=bool)
-    is_outside[np.arange(len(rows))[:, None], rows] = False
-    return np.nonzero(is_outside)[1].reshape(len(rows), -1)
+def _labels(names, rows: np.ndarray) -> list:
+    """Row s of the 0-based positions ``rows`` as the tuple of the ``names`` at them."""
+    return [tuple(map(names.__getitem__, row)) for row in rows.tolist()]
 
 
 @dataclass(frozen=True)
@@ -137,7 +138,7 @@ class ThresholdScheme:
                 f"over the budget of {MAX_STRUCTURES}")
         players = range(1, n + 1)
         colluding, access = _subset_rows(n, k)
-        rows = (access, colluding, _complements(colluding, n))
+        rows = (access, colluding, _subset_rows(n, n - k + 1)[1][::-1])
         for array in rows:
             array.setflags(write=False)
         object.__setattr__(self, "access_structures", tuple(combinations(players, k)))
@@ -165,25 +166,28 @@ class EavesdroppingReport:
 class _StructureMap(Mapping):
     """Structure label -> value, read-only: a view over arrays, its dict built on first read.
 
-    ``array`` holds one value per label, as an (S,) array, or for a gain map
-    one gains row per label, as an (S, g) array, which with the map's
-    quadrature and each row's estimator players (distinct within a row) reads
-    as a :class:`JointVariable`. ``json_text`` writes it from these arrays
-    with the bytes of the dict, without building it.
+    Row s of ``rows`` holds structure s's 0-based player positions (rows distinct, as
+    a scheme's); its label, the tuple of the ``names`` there (:func:`_labels`), is built
+    with the dict. ``array`` holds one value per row, as an (S,) array, or for a gain
+    map one gains row per structure, as an (S, g) array, which with the map's quadrature
+    and the players at row s of ``estimators`` (distinct within a row) reads as a
+    :class:`JointVariable`. ``json_text`` and the text table write it from these arrays.
     """
 
-    def __init__(self, labels: list, array: np.ndarray, quadrature: str = None,
-                 players: list = None):
+    def __init__(self, names, rows: np.ndarray, array: np.ndarray, quadrature: str = None,
+                 estimators: np.ndarray = None):
         array.setflags(write=False)  # the dict, once built, must keep reading as the array
-        self.labels, self.array = labels, array
-        self.quadrature, self.players = quadrature, players  # a gain map's; None otherwise
+        self.names, self.rows, self.array = names, rows, array
+        self.quadrature, self.estimators = quadrature, estimators  # a gain map's; else None
 
     @cached_property
     def _dict(self) -> dict:
+        labels = _labels(self.names, self.rows)
         if self.quadrature is None:
-            return dict(zip(self.labels, self.array.tolist()))
+            return dict(zip(labels, self.array.tolist()))
         return {label: JointVariable(self.quadrature, dict(zip(estimators, row)))
-                for label, estimators, row in zip(self.labels, self.players, self.array)}
+                for label, estimators, row in zip(labels, _labels(self.names, self.estimators),
+                                                  self.array)}
 
     def __getitem__(self, key):
         return self._dict[key]
@@ -192,7 +196,7 @@ class _StructureMap(Mapping):
         return iter(self._dict)
 
     def __len__(self):
-        return len(self.labels)
+        return len(self.rows)
 
     # Delegated, or Mapping's views would look every key up one at a time.
     def keys(self):
@@ -369,17 +373,6 @@ def key_rates(state: GaussianState, layout: PartyLayout, scheme: ThresholdScheme
                     eavesdropping, classes)
 
 
-def _structure_labels(layout: PartyLayout, scheme: ThresholdScheme) -> tuple:
-    """The player-label tuples of every access structure, collusion and its honest side.
-
-    The complements of the (k-1)-subsets in lexicographic order are the
-    (n-k+1)-subsets in reverse lexicographic order.
-    """
-    modes, k = layout.player_modes, scheme.k
-    return (list(combinations(modes, k)), list(combinations(modes, k - 1)),
-            list(combinations(modes, scheme.n - k + 1))[::-1])
-
-
 def keyrate_eavesdropping(state: GaussianState, layout: PartyLayout) -> EavesdroppingReport:
     """Bound secure against external eavesdropping only.
 
@@ -415,12 +408,11 @@ def keyrate_qss(state: GaussianState, layout: PartyLayout,
     adversarial_v, adversarial_g, dealer_p = rates.adversarial
     bound = rates.combined
 
-    access_labels, adversarial_labels, honest_labels = _structure_labels(layout, scheme)
-    # Player j alone dishonest: the all-player x side against one p side per player,
-    # which for k = 2 are the adversarial structures' honest sides already.
+    names, (access, colluding, honest) = layout.player_modes, scheme._player_rows
+    # Player j alone dishonest: the all-player x side against the p side of row j of the
+    # (n-1)-subsets reversed, for k = 2 the adversarial structures' honest sides already.
     single = adversarial_v if scheme.k == 2 else _infer(
-        state, layout, "p", _complements(np.arange(scheme.n)[:, None], scheme.n),
-        rates.classes)[0]
+        state, layout, "p", _subset_rows(scheme.n, scheme.n - 1)[1][::-1], rates.classes)[0]
     v_x = np.broadcast_to(rates.everyone_x[0], (scheme.n, 1))
     dishonest = combine(np.full(scheme.n, dealer_x), v_x, single[:, None])
     return KeyRateReport(
@@ -428,15 +420,15 @@ def keyrate_qss(state: GaussianState, layout: PartyLayout,
         combined_rate=float(bound.rate),
         positive=bool(bound.rate > 0.0),
         eavesdropping_rate=float(rates.eavesdropping.rate),
-        dishonest_rates=dict(zip(layout.player_modes, dishonest.rate.tolist())),
-        access_mutual_information=_StructureMap(access_labels, bound.access_bits),
-        access_conditional_variance=_StructureMap(access_labels, access_v),
-        access_gains=_StructureMap(access_labels, access_g, "x", access_labels),
-        adversarial_holevo=_StructureMap(adversarial_labels, bound.adversarial_holevo),
-        adversarial_conditional_variance=_StructureMap(adversarial_labels, adversarial_v),
-        adversarial_gains=_StructureMap(adversarial_labels, adversarial_g, "p", honest_labels),
-        binding_access=access_labels[bound.binding_access],
-        binding_adversarial=adversarial_labels[bound.binding_adversarial],
+        dishonest_rates=dict(zip(names, dishonest.rate.tolist())),
+        access_mutual_information=_StructureMap(names, access, bound.access_bits),
+        access_conditional_variance=_StructureMap(names, access, access_v),
+        access_gains=_StructureMap(names, access, access_g, "x", access),
+        adversarial_holevo=_StructureMap(names, colluding, bound.adversarial_holevo),
+        adversarial_conditional_variance=_StructureMap(names, colluding, adversarial_v),
+        adversarial_gains=_StructureMap(names, colluding, adversarial_g, "p", honest),
+        binding_access=_labels(names, access[[bound.binding_access]])[0],
+        binding_adversarial=_labels(names, colluding[[bound.binding_adversarial]])[0],
         dealer_x_variance=dealer_x,
         dealer_p_variance=dealer_p,
         inference_product=float(access_v[bound.binding_access]

@@ -39,7 +39,7 @@ import numpy as np
 from .estimation import SCHUR_BLOCK_ROWS, JointVariable
 from .gaussian import (BONA_FIDE_TOL, EIGENVALUE_CLIP, VACUUM_VARIANCE, GaussianState,
                        Quadrature, UnphysicalStateError, validate)
-from .keyrate import KeyRateReport, ThresholdScheme, _structure_labels, combine, keyrate_qss
+from .keyrate import KeyRateReport, ThresholdScheme, _labels, combine, keyrate_qss
 from .states import PartyLayout
 
 #: Minimum sifted rounds required for a regression.
@@ -91,7 +91,7 @@ def _check_sampling(state: GaussianState, rounds: int, basis_probability: float)
     if not diagnostics.physical:
         min_nu = diagnostics.min_symplectic_eigenvalue
         raise UnphysicalStateError(
-            f"cannot sample a non-bona-fide state (min symplectic eigenvalue {min_nu:.6g})"
+            f"cannot sample a non-bona-fide state (min symplectic eigenvalue {min_nu:.12g})"
             if min_nu < VACUUM_VARIANCE - BONA_FIDE_TOL else
             f"covariance matrix has a negative eigenvalue below -{EIGENVALUE_CLIP:g}")
 
@@ -274,7 +274,8 @@ def run_protocol(
     total = key_grams[0][0]
     dealer_x_var = float((total[1, 1] - total[0, 1] ** 2 / total[0, 0]) / (total[0, 0] - 1))
 
-    access_labels, adversarial_labels, honest_labels = _structure_labels(layout, scheme)
+    access_labels, adversarial_labels, honest_labels = (
+        _labels(players, rows) for rows in scheme._player_rows)
     access_fits = _fit(*key_grams, "x", access_labels, players)
     adversarial_fits = _fit(*check_grams, "p", honest_labels, players)
     bound = combine(dealer_x_var, [fit.variance for fit in access_fits],

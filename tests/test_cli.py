@@ -142,8 +142,10 @@ class TestThreshold:
     def test_table_rows_are_the_per_row_template(self):
         values = [0.5, -0.0, 0.0, 0.5, float("inf"), float("-inf"), float("nan"), 1e-300,
                   123456789012345.0, -0.0, float("nan"), 0.5]
+        names = tuple(f"B{i}" for i in range(1, len(values) + 2))
+        rows = np.arange(len(values))[:, None] + [0, 1]
         labels = [(f"B{i}", f"B{i + 1}") for i in range(1, len(values) + 1)]
-        terms = keyrate._StructureMap(labels, np.array(values))
+        terms = keyrate._StructureMap(names, rows, np.array(values))
         rows = cli._table("access", terms, labels[3]).split("\n")
         assert rows == [f"{'access':<12} {'{' + ','.join(label) + '}':<18} {value:>16.12g}  "
                         + "*" * (label == labels[3]) for label, value in zip(labels, values)]
@@ -193,7 +195,7 @@ class TestThresholdBytes:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_text_and_json_build_no_joint_variable(self, capsys, monkeypatch):
-        built, dicts = [], []
+        built, dicts, labelled = [], [], []
 
         def counting(*args, **kwargs):
             built.append(args)
@@ -203,13 +205,20 @@ class TestThresholdBytes:
             dicts.append(view)
             return build_dict(view)
 
+        def counted_labels(names, rows):
+            labelled.append(len(rows))
+            return labels(names, rows)
+
         monkeypatch.setattr(keyrate, "JointVariable", counting)
         build_dict = keyrate._StructureMap._dict.func  # a per-structure map's dict
         monkeypatch.setattr(keyrate._StructureMap, "_dict", property(counted_dict))
+        labels = keyrate._labels  # the one label-tuple builder
+        monkeypatch.setattr(keyrate, "_labels", counted_labels)
         argv = ["threshold", "--n", "6", "--k", "3"]
         assert run(argv, capsys)[0] == EXIT_OK
         assert run(argv + ["--format", "json"], capsys)[0] == EXIT_OK
-        assert built == [] and dicts == []
+        # Each run builds the two binding labels, one row each, and no other.
+        assert built == [] and dicts == [] and labelled == [1, 1, 1, 1]
 
 
 class TestJsonBytes:
@@ -283,6 +292,14 @@ class TestSimulate:
                             "--r", "0.1", "--transmissivity", "0.85"], capsys)
         assert code == EXIT_OK
         assert out.strip().endswith("INSECURE")
+
+    def test_unphysical_state_message_spells_the_refused_eigenvalue(self, capsys):
+        # At r = 6 the smallest symplectic eigenvalue is 0.499999939576, refused as
+        # below the bound 0.5; six digits would round it up to the bound itself.
+        code, out, err = run(["simulate", "--r", "6"], capsys)
+        assert code == EXIT_UNPHYSICAL and out == ""
+        assert err.startswith("cvqss: ") and err.count("\n") == 1
+        assert float(re.search(r"eigenvalue ([^)]+)\)", err).group(1)) < 0.5
 
     def test_runs_are_byte_identical(self, capsys):
         argv = ["simulate", "--rounds", "50000", "--seed", "3", "--r", "1.0"]
@@ -480,6 +497,9 @@ class TestConfigFile:
     (["threshold", "--cz-weight", "inf"], "coupling weight must be finite"),
     (["sweep", "--excess-noise", "nan"], "excess noise must be finite"),
     (["validate", "--excess-noise", "nan"], "excess noise must be finite"),
+    (["sweep", "--r-max", "inf"], "--r-max must be finite, got inf"),  # before np.linspace
+    (["sweep", "--r-min=-inf"], "--r-min must be finite, got -inf"),
+    (["sweep", "--r-max", "nan"], "--r-max must be finite, got nan"),
 ])
 def test_non_finite_parameter_is_config_error(argv, message, capsys):
     with warnings.catch_warnings():
@@ -487,7 +507,7 @@ def test_non_finite_parameter_is_config_error(argv, message, capsys):
         code, out, err = run(argv, capsys)
     assert code == EXIT_CONFIG
     assert out == ""
-    assert err.startswith("cvqss: ") and message in err
+    assert err.startswith("cvqss: ") and message in err and err.count("\n") == 1
     assert "Traceback" not in err
 
 

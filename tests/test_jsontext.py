@@ -127,30 +127,44 @@ class TestFloatTexts:
         assert float_texts(array) == ["NaN"] * 4 + ["Infinity", "-Infinity", "1.0"]
 
 
+def _positions(rows, width):
+    """``rows`` of player positions as an int array with ``width`` columns."""
+    return np.array(rows, dtype=int).reshape(len(rows), width)
+
+
 @st.composite
 def _structure_maps(draw):
     """A key-rate per-structure map: scalars, or gains over access rows (label = estimators)
-    or over collusions' complements (label = the collusion).
+    or over collusions' complements (label = the collusion), as player names and rows of
+    their positions.
 
     The second and third player sets give player names or labels whose texts coincide;
-    the last holds names with format braces, quotes, backslashes, "+" and non-ASCII
-    text. Values come from a small pool, so that they tie as a report's do.
+    the fourth holds names with format braces, quotes, backslashes, "+" and non-ASCII
+    text; the last a tuple-named player, whose key column spells ``str(name)`` and whose
+    gain key spells the name's items joined by "+". Values come from a small pool, so
+    that they tie as a report's do.
     """
-    players = draw(st.sampled_from([("B1", "B2", "B3"), ("B1", 1, "1"), ("a", "a+b", "b+c", "c"),
-                                    ("{0}", "}{", '%s"', "\\+é", "😀€")]))
-    width = draw(st.integers(1, len(players)))
-    rows = list(combinations(players, width))
+    names = draw(st.sampled_from([("B1", "B2", "B3"), ("B1", 1, "1"), ("a", "a+b", "b+c", "c"),
+                                  ("{0}", "}{", '%s"', "\\+é", "😀€"), (("B",), "C", "D")]))
+    width = draw(st.integers(1, len(names)))
+    estimators = _positions(list(combinations(range(len(names)), width)), width)
     if draw(st.booleans()):
-        labels = rows
+        rows = estimators
     else:
-        labels = [tuple(p for p in players if p not in row) for row in rows]
+        rows = _positions([[p for p in range(len(names)) if p not in row]
+                           for row in estimators.tolist()], len(names) - width)
     value = st.sampled_from(draw(st.lists(_FLOAT, min_size=1, max_size=3)))
     if draw(st.booleans()):
-        return _StructureMap(labels, np.array(draw(st.lists(value, min_size=len(rows),
-                                                             max_size=len(rows)))))
+        return _StructureMap(names, rows, np.array(draw(st.lists(value, min_size=len(rows),
+                                                                  max_size=len(rows)))))
     gains = np.array(draw(st.lists(value, min_size=len(rows) * width,
                                    max_size=len(rows) * width))).reshape(len(rows), width)
-    return _StructureMap(labels, gains, draw(st.sampled_from("xp")), rows)
+    return _StructureMap(names, rows, gains, draw(st.sampled_from("xp")), estimators)
+
+
+_PAIRS = _positions([[0, 1], [0, 2], [1, 2]], 2)
+_SINGLES = _positions([[0], [1], [2], [3]], 1)
+_COLLIDING = ("B1", "B2+B3", "B1+B2", "B3")  # rows [0, 1] and [2, 3] both key "B1+B2+B3"
 
 
 class TestGainMapWriter:
@@ -160,27 +174,40 @@ class TestGainMapWriter:
     @seed(20261019)
     @settings(max_examples=12, deadline=None)
     @given(gain_map=_structure_maps(), read=st.booleans(), nested=st.booleans())
-    @example(gain_map=_StructureMap([()], np.array([[float("nan"), -0.0]]), "p",
-                                    [("B1", "B2")]), read=False, nested=False)
-    @example(gain_map=_StructureMap([("B1",), ("B2",)], np.array([[float("inf")], [float("-inf")]]),
-                                    "x", [("B1",), ("B2",)]), read=True, nested=True)
-    @example(gain_map=_StructureMap([("B1",), ("B2",), ("B3",), ("B4",)],
+    @example(gain_map=_StructureMap(("B1", "B2"), _positions([[]], 0),
+                                    np.array([[float("nan"), -0.0]]), "p", _PAIRS[:1]),
+             read=False, nested=False)  # the empty collusion, "(none)"
+    @example(gain_map=_StructureMap(("B1", "B2"), _SINGLES[:2],
+                                    np.array([[float("inf")], [float("-inf")]]), "x",
+                                    _SINGLES[:2]), read=True, nested=True)
+    @example(gain_map=_StructureMap(("B1", "B2", "B3", "B4"), _SINGLES,
                                     np.array([0.0, -0.0, 0.0, -0.0])), read=False, nested=False)
-    @example(gain_map=_StructureMap([("B1", "B2"), ("B1", "B3"), ("B2", "B3")],
+    @example(gain_map=_StructureMap(("B1", "B2", "B3"), _PAIRS,
                                     np.array([[-0.0, 0.0], [float("nan"), -0.0],
-                                              [float("inf"), float("nan")]]),
-                                    "p", [("B1", "B2"), ("B1", "B3"), ("B2", "B3")]),
+                                              [float("inf"), float("nan")]]), "p", _PAIRS),
              read=False, nested=True)
-    @example(gain_map=_StructureMap([("{0}", "}{"), ('%s"', "\\+é"), ("😀€", "{0}")],
+    @example(gain_map=_StructureMap(("{0}", "}{", '%s"', "\\+é", "😀€"),
+                                    _positions([[0, 1], [2, 3], [4, 0]], 2),
                                     np.array([[0.5, -0.0], [1e-300, 0.5], [0.5, float("nan")]]),
-                                    "p", [("{0}", "}{"), ('%s"', "\\+é"), ("😀€", "{0}")]),
+                                    "p", _positions([[0, 1], [2, 3], [4, 0]], 2)),
              read=False, nested=True)  # names a str.format template would misread
-    @example(gain_map=_StructureMap([], np.zeros((0, 2)), "x", []), read=False, nested=True)
-    @example(gain_map=_StructureMap([], np.zeros(0)), read=False, nested=False)
-    @example(gain_map=_StructureMap([("B1", "B2"), ("B1+B2",), ()], np.array([1.0, 2.0, 3.0])),
-             read=False, nested=True)  # "B1+B2" twice: the last value, at the first place
-    @example(gain_map=_StructureMap([("B1", "B2"), ("B1+B2",)], np.array([[1.0], [2.0]]), "x",
-                                    [("B1",), ("B2",)]), read=False, nested=False)
+    @example(gain_map=_StructureMap(("{0}", "}{", '%s"', "\\é", "😀€"),
+                                    _positions([[0, 1], [2, 3], [4, 0]], 2),
+                                    np.array([[0.5, -0.0], [1e-300, 0.5], [0.5, float("nan")]]),
+                                    "x", _positions([[1, 0], [3, 2], [0, 4]], 2)),
+             read=False, nested=False)  # the same without "+", written as columns
+    @example(gain_map=_StructureMap((("B",), "C", "D"), _PAIRS, np.array([[1.0, 2.0]] * 3), "x",
+                                    _PAIRS), read=False, nested=True)  # "('B',)+C", gain "B"
+    @example(gain_map=_StructureMap(("B1", "B2"), _positions([], 2), np.zeros((0, 2)), "x",
+                                    _positions([], 2)), read=False, nested=True)
+    @example(gain_map=_StructureMap(("B1",), _positions([], 1), np.zeros(0)),
+             read=False, nested=False)
+    @example(gain_map=_StructureMap(_COLLIDING, _positions([[0, 1], [2, 3]], 2),
+                                    np.array([1.0, 2.0])),
+             read=False, nested=True)  # "B1+B2+B3" twice: the last value, at the first place
+    @example(gain_map=_StructureMap(_COLLIDING, _positions([[0, 1], [2, 3]], 2),
+                                    np.array([[1.0], [2.0]]), "x", _positions([[0], [2]], 1)),
+             read=False, nested=False)
     def test_bytes_equal_json_dumps_of_its_items(self, gain_map, read, nested):
         if read:
             dict(gain_map.items())
@@ -190,10 +217,11 @@ class TestGainMapWriter:
     @seed(20261020)
     @settings(max_examples=12, deadline=None)
     @given(maps=st.lists(_structure_maps(), min_size=2, max_size=3))
-    @example(maps=[_StructureMap([("B1",)], np.array([1.0])),
-                   _StructureMap([("B2",)], np.array([2.0]))])
+    @example(maps=[_StructureMap(("B1",), _SINGLES[:1], np.array([1.0])),
+                   _StructureMap(("B2",), _SINGLES[:1], np.array([2.0]))])
     def test_label_lists_never_share_key_texts(self, maps):
-        # The last map shares the first one's label list, as a report side's maps do.
-        maps.append(_StructureMap(maps[0].labels, np.arange(len(maps[0].labels), dtype=float)))
+        # The last map shares the first one's names and rows, as a report side's maps do.
+        first = maps[0]
+        maps.append(_StructureMap(first.names, first.rows, np.arange(len(first), dtype=float)))
         value = {"maps": maps, "again": maps[::-1]}
         assert json_text(value) == json.dumps(jsonable(value), indent=2)

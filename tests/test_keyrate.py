@@ -382,7 +382,8 @@ class TestBatchedStructures:
         colluding = list(combinations(modes, k - 1))
         expected = (list(combinations(modes, k)), colluding,
                     [tuple(m for m in modes if m not in group) for group in colluding])
-        labels = keyrate_module._structure_labels(layout, ThresholdScheme(k, n))
+        labels = tuple(keyrate_module._labels(modes, rows)
+                       for rows in ThresholdScheme(k, n)._player_rows)
         assert labels == expected
         assert {type(label) for side in labels for label in side} == {tuple}
 

@@ -24,7 +24,7 @@ from cvqss import (
 )
 from cvqss import simulation
 from cvqss.estimation import SCHUR_BLOCK_ROWS
-from cvqss.keyrate import _structure_labels, combine
+from cvqss.keyrate import _labels, combine
 from helpers import (
     chain_expected_variances,
     fit_design,
@@ -435,7 +435,8 @@ class TestRegressionKernel:
         _, designs = revealed_designs(state, patterns, rounds, 0.5, 0.5, seed)
         everyone = layout.player_modes
         column = {player: j for j, player in enumerate(everyone, start=2)}
-        access, _, honest = _structure_labels(layout, ThresholdScheme(2, players))
+        access, _, honest = (_labels(everyone, rows)
+                             for rows in ThresholdScheme(2, players)._player_rows)
 
         for design, basis, structures in zip(designs, "xp", (access, honest)):
             grams = jackknife_grams(design)
