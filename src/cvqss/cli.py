@@ -20,7 +20,9 @@ writes its JSON, like its CSV, one piece per chunk of grid points across curves.
 """
 
 import argparse
+import csv
 import functools
+import io
 import sys
 
 import numpy as np
@@ -325,18 +327,20 @@ def cmd_simulate(args) -> int:
         if args.format == "json":
             text = json_text(report) + "\n"
         else:
-            out = ["quantity,structure,value,standard_error"]
-            for name, count in report.sifted_counts.items():
-                out.append(f"sifted_count,{name},{count},")
-            for text, fit in zip(access_texts, report.access_variance.values()):
-                out.append(f"V_x_conditional,{text},"
-                           f"{_fmt(fit.variance)},{_fmt(fit.standard_error)}")
-            for text, fit in zip(collusion_texts, report.adversarial_variance.values()):
-                out.append(f"V_p_conditional,honest_of_{text},"
-                           f"{_fmt(fit.variance)},{_fmt(fit.standard_error)}")
-            out.append(f"combined_rate,,{_fmt(report.combined_rate)},"
-                       f"{_fmt(report.combined_rate_standard_error)}")
-            text = "\n".join(out) + "\n"
+            rows = [["quantity", "structure", "value", "standard_error"]]
+            rows += [["sifted_count", name, count, ""]
+                     for name, count in report.sifted_counts.items()]
+            rows += [["V_x_conditional", text, _fmt(fit.variance), _fmt(fit.standard_error)]
+                     for text, fit in zip(access_texts, report.access_variance.values())]
+            rows += [["V_p_conditional", f"honest_of_{text}", _fmt(fit.variance),
+                      _fmt(fit.standard_error)]
+                     for text, fit in zip(collusion_texts, report.adversarial_variance.values())]
+            rows.append(["combined_rate", "", _fmt(report.combined_rate),
+                         _fmt(report.combined_rate_standard_error)])
+            # The writer quotes the structure labels, whose commas would split them.
+            out = io.StringIO()
+            csv.writer(out, lineterminator="\n").writerows(rows)
+            text = out.getvalue()
         _write_text(args.output, [text], quiet=True)
     return EXIT_OK
 

@@ -13,21 +13,22 @@ such a stage would need).
 
 Simulation device, not physics: :func:`run_protocol` draws the key,
 check and other round counts from one multinomial law, then only what the
-regressions read of the revealed key and check rounds: the Gram matrices of
-their design rows (1, outcomes of the m measured quadratures) over
-delete-one-group jackknife groups. A group of n iid N(mu, F F^T) rows has
-sum n mu + sqrt(n) F z and, independently, scatter F B B^T F^T about its
-mean, B the Bartlett factor of a Wishart(n - 1, I) matrix (Odell and
-Feiveson, JASA 61, 199 (1966)). Drawing those gives each group's Gram
-matrix its rows' law in O(m^2) draws whatever the round count; the fits
-batch one side's structures on sub-blocks, SCHUR_BLOCK_ROWS at a time.
+regressions read of the revealed key and check rounds: the Gram matrix of
+each pattern's design rows (1, outcomes of the m measured quadratures).
+N iid N(mu, F F^T) rows have sum N mu + sqrt(N) F z and, independently,
+scatter F B B^T F^T about their mean, B the Bartlett factor of a
+Wishart(N - 1, I) matrix (Odell and Feiveson, JASA 61, 199 (1966)). Drawing
+those gives the Gram matrix its rows' law in O(m^2) draws whatever the
+round count; the fits batch one side's structures on sub-blocks,
+SCHUR_BLOCK_ROWS at a time. The rows are Gaussian, so each residual
+variance's error is its exact chi-squared law's, not a resampling estimate.
 
 Determinism contract: a protocol run is a pure function of (state,
 layout, scheme, rounds, reveal fraction, basis probability, seed).
 One PCG64 stream seeded with ``seed`` draws, in this order, the pattern
-counts, then for the key and then the check pattern: the group sums'
-normals, the Bartlett diagonals' chi-squares and the normals below them,
-each in row-major (group, row, column) order.
+counts, then for the key and then the check pattern: the sum's m normals,
+the m Bartlett chi-squares on the diagonal, then the m(m - 1)/2 normals
+below it in row-major order.
 """
 
 import math
@@ -44,9 +45,6 @@ from .states import PartyLayout
 
 #: Minimum sifted rounds required for a regression.
 MIN_SIFTED_ROUNDS = 100
-
-#: Groups of the delete-one-group jackknife on a residual variance.
-JACKKNIFE_GROUPS = 50
 
 #: Most protocol rounds a run accepts: counts are int64.
 _MAX_ROUNDS = int(np.iinfo(np.int64).max)
@@ -107,37 +105,36 @@ class EmpiricalConditioning:
     rounds_used: int
 
 
-def _fit(grams: np.ndarray, rows: np.ndarray, target_basis: Quadrature,
+def _fit(gram: np.ndarray, rows: int, target_basis: Quadrature,
          structures: Sequence, parties: Sequence) -> list:
     """Least-squares fits of the target on each estimator group of ``structures``.
 
-    The design's columns are the intercept, the target, then ``parties``.
-    ``grams[0]`` is its Gram matrix and ``grams[1 + g]`` the one without
-    jackknife group g, of ``rows`` rows. All structures have the same size,
-    so each chunk of SCHUR_BLOCK_ROWS of them is one batched solve. The
-    residual variance uses 1/(N - d) with d fitted parameters; its standard
-    error is the grouped jackknife, and the gains' errors the usual OLS ones.
+    The design's columns are the intercept, the target, then ``parties``;
+    ``gram`` is its Gram matrix over N = ``rows`` rows. All structures have the
+    same size, so each chunk of SCHUR_BLOCK_ROWS of them is one batched
+    solve. The residual variance v uses 1/(N - d) with d fitted parameters.
+    The rows are Gaussian, so (N - d) v / V(target | group) is chi-squared
+    with N - d degrees of freedom and v's standard error is v sqrt(2 / (N - d))
+    (Leverrier, Grosshans and Grangier, PRA 81, 062343 (2010)); the gains'
+    errors are the usual OLS ones.
     """
     fits = []
     for start in range(0, len(structures), SCHUR_BLOCK_ROWS):
         chunk = structures[start:start + SCHUR_BLOCK_ROWS]
         c = np.array([[0, *(2 + parties.index(party) for party in group)] for group in chunk])
-        gram = grams[:, c[:, :, None], c[:, None, :]]
-        moment = grams[:, c, 1]
-        coeffs = np.linalg.solve(gram, moment[..., None])[..., 0]
-        estimates = ((grams[:, 1, 1, None] - (coeffs * moment).sum(axis=-1))
-                     / (rows[:, None] - c.shape[1]))
-        # One contiguous row per structure, so each jackknife sum adds in one fixed order.
-        jackknife = np.ascontiguousarray(estimates[1:].T)
-        spread = np.sum((jackknife - jackknife.mean(axis=1, keepdims=True)) ** 2, axis=1)
-        se = np.sqrt((len(rows) - 2) / (len(rows) - 1) * spread)
-        gain_se = np.sqrt(estimates[0, :, None] * np.linalg.inv(gram[0]).diagonal(0, 1, 2))
+        block = gram[c[:, :, None], c[:, None, :]]
+        moment = gram[c, 1]
+        coeffs = np.linalg.solve(block, moment[..., None])[..., 0]
+        dof = rows - c.shape[1]
+        variances = (gram[1, 1] - (coeffs * moment).sum(axis=-1)) / dof
+        se = variances * math.sqrt(2.0 / dof)
+        gain_se = np.sqrt(variances[:, None] * np.linalg.inv(block).diagonal(0, 1, 2))
         fits += [EmpiricalConditioning(
-            variance=float(estimates[0, s]),
-            gains=JointVariable(target_basis, dict(zip(group, coeffs[0, s, 1:]))),
+            variance=float(variances[s]),
+            gains=JointVariable(target_basis, dict(zip(group, coeffs[s, 1:]))),
             standard_error=float(se[s]),
             gain_standard_errors=dict(zip(group, gain_se[s, 1:])),
-            rounds_used=int(rows[0]),
+            rounds_used=int(rows),
         ) for s, group in enumerate(chunk)]
     return fits
 
@@ -180,35 +177,25 @@ def _required_bases(layout: PartyLayout, dealer_basis: Quadrature) -> dict:
 # A string annotation: importing this module must not load numpy.random (~15 ms).
 def _pattern_grams(rng: "np.random.Generator", cov: np.ndarray, mean: np.ndarray,
                    count: int) -> tuple:
-    """:func:`_fit`'s ``(grams, rows)`` for ``count`` iid N(``mean``, ``cov``) rows.
+    """:func:`_fit`'s ``(gram, rows)`` for ``count`` iid N(``mean``, ``cov``) rows.
 
-    The groups are min(JACKKNIFE_GROUPS, count // 2) contiguous blocks, sized
-    as ``np.array_split`` sizes them. A group of n rows has a lower-trapezoidal
-    Bartlett factor: min(n - 1, m) live columns, sqrt(chi-squared(n - 1 - j))
-    on column j's diagonal and standard normals below it.
+    The scatter's Bartlett factor is lower triangular, with
+    sqrt(chi-squared(count - 1 - j)) on column j's diagonal and standard
+    normals below it; ``count`` >= MIN_SIFTED_ROUNDS exceeds the m columns.
     """
-    groups = min(JACKKNIFE_GROUPS, count // 2)
-    sizes = count // groups + (np.arange(groups) < count % groups)
     eigval, eigvec = np.linalg.eigh(cov)
     # F @ F.T is the marginal covariance, rounding debris clipped to zero.
     factor = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
     m = len(mean)
-    sums = (sizes[:, None] * mean
-            + np.sqrt(sizes)[:, None] * (rng.standard_normal((groups, m)) @ factor.T))
-    dof = sizes[:, None] - 1 - np.arange(m)
-    live = dof > 0
-    bartlett = np.zeros((groups, m, m))
-    np.einsum("gjj->gj", bartlett)[live] = np.sqrt(rng.chisquare(dof[live]))  # a view
-    below = np.tril(np.ones((m, m), dtype=bool), -1) & live[:, None, :]
-    bartlett[below] = rng.standard_normal(np.count_nonzero(below))
+    total = count * mean + math.sqrt(count) * (factor @ rng.standard_normal(m))
+    bartlett = np.diag(np.sqrt(rng.chisquare(count - 1 - np.arange(m))))
+    bartlett[np.tril_indices(m, -1)] = rng.standard_normal(m * (m - 1) // 2)
     root = factor @ bartlett
-    blocks = np.empty((groups, m + 1, m + 1))
-    blocks[:, 0, 0] = sizes
-    blocks[:, 0, 1:] = blocks[:, 1:, 0] = sums
-    blocks[:, 1:, 1:] = (root @ root.transpose(0, 2, 1)
-                         + sums[:, :, None] * sums[:, None, :] / sizes[:, None, None])
-    total = blocks.sum(axis=0)
-    return np.concatenate([total[None], total - blocks]), np.concatenate([[count], count - sizes])
+    gram = np.empty((m + 1, m + 1))
+    gram[0, 0] = count
+    gram[0, 1:] = gram[1:, 0] = total
+    gram[1:, 1:] = root @ root.T + np.outer(total, total) / count
+    return gram, count
 
 
 def _revealed_grams(state: GaussianState, patterns: Sequence, rounds: int,
@@ -271,7 +258,7 @@ def run_protocol(
     players = layout.player_modes
     (inference_x,) = _fit(*key_grams, "x", [players], players)
     (inference_p,) = _fit(*check_grams, "p", [players], players)
-    total = key_grams[0][0]
+    total = key_grams[0]
     dealer_x_var = float((total[1, 1] - total[0, 1] ** 2 / total[0, 0]) / (total[0, 0] - 1))
 
     access_labels, adversarial_labels, honest_labels = (

@@ -4,7 +4,7 @@ The oracles and loop references are derived by hand from 2x2/4x4 moment
 propagation so the tests never trust the code path they are checking.
 ``revealed_designs`` is the row sampler: it draws every revealed design
 row, the oracle for the library's sufficient-statistics sampler, with
-``jackknife_grams`` the Gram matrices ``run_protocol`` reads from them and
+``design_gram`` the Gram matrix ``run_protocol`` reads from them and
 ``structure_fit`` the per-structure reference for its batched fit.
 ``revealed_design`` draws from it, and ``fit_design`` runs the library's own
 fit on the result, which the closed-form oracles then check.
@@ -422,13 +422,14 @@ def conditional_variance_fixed(state, target, estimator) -> float:
     return float(cov[t_idx, t_idx] - cov_te**2 / var_est)
 
 
-def regression_loop(design, parties, estimators, jackknife_groups=50):
-    """One least-squares fit with its grouped jackknife, refitting in a loop.
+def regression_loop(design, parties, estimators):
+    """One least-squares fit on the design's rows.
 
     The per-structure reference for the shared-Gram regression kernel in
     ``cvqss.simulation``. ``design`` has columns (intercept, target, then
     ``parties`` in order); the target is fitted on the intercept and the
-    ``estimators`` columns, then refitted once per left-out jackknife group.
+    ``estimators`` columns. The residual variance's standard error is its
+    chi-squared law's, v sqrt(2 / (N - d)) for N rows and d parameters.
     Returns (variance, gains, standard_error, gain_standard_errors,
     rounds_used), gains and their errors as party -> value dicts.
     """
@@ -443,18 +444,7 @@ def regression_loop(design, parties, estimators, jackknife_groups=50):
     coeffs = np.linalg.solve(gram, moment)
     variance = float(y @ y - coeffs @ moment) / (n - d)
     gain_se = np.sqrt(variance * np.diag(np.linalg.inv(gram)))[1:]
-
-    groups = min(jackknife_groups, n // 2)
-    estimates = np.empty(groups)
-    yy = float(y @ y)
-    for g, rows in enumerate(np.array_split(np.arange(n), groups)):
-        block = design[rows]
-        gram_g = gram - block.T @ block
-        moment_g = moment - block.T @ y[rows]
-        coeffs_g = np.linalg.solve(gram_g, moment_g)
-        rss_g = (yy - float(y[rows] @ y[rows])) - float(coeffs_g @ moment_g)
-        estimates[g] = rss_g / (n - len(rows) - d)
-    se = math.sqrt((groups - 1) / groups * float(np.sum((estimates - estimates.mean()) ** 2)))
+    se = variance * math.sqrt(2.0 / (n - d))
     return (variance, dict(zip(order, coeffs[1:])), se, dict(zip(order, gain_se)), n)
 
 
@@ -493,44 +483,32 @@ def revealed_designs(state, patterns, rounds, reveal_fraction, basis_probability
     return counts, designs
 
 
-def jackknife_grams(design):
-    """Gram matrices of a design over all rows and with each group left out.
-
-    The groups are min(JACKKNIFE_GROUPS, N // 2) contiguous, near-equal
-    blocks of the N rows. Returns ``(grams, rows)``: ``grams[0]`` is
-    ``design.T @ design``, ``grams[1 + g]`` the same without group g, and
-    ``rows`` the matching row counts.
-    """
-    blocks = np.array_split(design, min(simulation.JACKKNIFE_GROUPS, len(design) // 2))
-    gram = design.T @ design
-    grams = np.stack([gram] + [gram - block.T @ block for block in blocks])
-    rows = np.array([len(design)] + [len(design) - len(block) for block in blocks])
-    return grams, rows
+def design_gram(design):
+    """``(design.T @ design, N)`` for a design of N rows: ``cvqss.simulation._fit``'s
+    ``(gram, rows)``."""
+    return design.T @ design, len(design)
 
 
-def structure_fit(grams, rows, target_basis, columns):
-    """One structure's fit on shared Grams, the per-structure reference for
+def structure_fit(gram, rows, target_basis, columns):
+    """One structure's fit on a shared Gram, the per-structure reference for
     ``cvqss.simulation._fit``, which batches every structure of a side.
 
     ``columns`` maps each estimator party to its design column; column 0 is
     the intercept. Returns an ``EmpiricalConditioning``.
     """
     c = np.array([0, *columns.values()])
-    d = len(c)
-    gram = grams[:, c[:, None], c]
-    moment = grams[:, c, 1]
-    coeffs = np.linalg.solve(gram, moment[..., None])[..., 0]
-    estimates = (grams[:, 1, 1] - (coeffs * moment).sum(axis=1)) / (rows - d)
-    variance, jackknife = float(estimates[0]), estimates[1:]
-    groups = len(jackknife)
-    se = math.sqrt((groups - 1) / groups * float(np.sum((jackknife - jackknife.mean()) ** 2)))
-    gain_se = np.sqrt(variance * np.diag(np.linalg.inv(gram[0])))[1:]
+    dof = rows - len(c)
+    block = gram[c[:, None], c]
+    moment = gram[c, 1]
+    coeffs = np.linalg.solve(block, moment)
+    variance = float((gram[1, 1] - (coeffs * moment).sum()) / dof)
+    gain_se = np.sqrt(variance * np.diag(np.linalg.inv(block)))[1:]
     return simulation.EmpiricalConditioning(
         variance=variance,
-        gains=JointVariable(target_basis, dict(zip(columns, coeffs[0, 1:]))),
-        standard_error=se,
+        gains=JointVariable(target_basis, dict(zip(columns, coeffs[1:]))),
+        standard_error=variance * math.sqrt(2.0 / dof),
         gain_standard_errors=dict(zip(columns, gain_se)),
-        rounds_used=int(rows[0]),
+        rounds_used=int(rows),
     )
 
 
@@ -549,7 +527,7 @@ def revealed_design(state, pattern, rounds, seed):
 def fit_design(design, target_basis, estimators):
     """``run_protocol``'s shared-Gram fit of design column 1 on ``estimators``,
     the parties of columns 2, 3, ... in order."""
-    (fit,) = simulation._fit(*jackknife_grams(design), target_basis, [list(estimators)],
+    (fit,) = simulation._fit(*design_gram(design), target_basis, [list(estimators)],
                              list(estimators))
     return fit
 

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import csv
 import hashlib
 import json
 import os
@@ -265,12 +266,12 @@ class TestSimulateBytes:
     @pytest.mark.parametrize("argv, stdout_digest, json_digest", [
         (["simulate", "--rounds", "100000", "--seed", "5", "--r", "1.0",
           "--transmissivity", "0.9"],
-         "5eb6a9bed7ce7dec57c44895d468c446578e6c7c636fad47789f3b6def2a0629",
-         "88a25e6577c70e7385e050a82f252523e4e801f79d162242f6bcb70e31772f62"),
+         "4a631e0baa6ac967a46fb8f6944eaeff184627431a96f95e017f202c05ce5076",
+         "61f3b1fdaca2ce0a0654ed8f28d1c1fbd2e22c2484c33bf23719b669164e9db2"),
         (["simulate", "--n", "4", "--k", "2", "--topology", "star",
           "--rounds", "200000", "--seed", "9", "--transmissivity", "0.95"],
-         "ea62e8d934c0be5617ab56f123cb87f5d6b16177dfe98890f219a3a4d51b2774",
-         "99fe58acfa353c088c13da81d634153eead5b1f87946b46581026d285065c87f"),
+         "20e3fe0e229937b9105d1da6f8f6b1c78bb786c17e90840bc9b7a560ba383c15",
+         "628c5f63dffeef1831dc26a568ed09f7ede9fb4981bd0c10dcb5034fafc8f1c6"),
     ])
     def test_output_digest(self, tmp_path, capsys, argv, stdout_digest, json_digest):
         report = tmp_path / "report.json"
@@ -317,6 +318,17 @@ class TestSimulate:
         assert [line.split(",")[1] for line in lines
                 if line.startswith("sifted_count,")] == ["xpx", "pxp", "other"]
         assert any(line.startswith("combined_rate") for line in lines)
+
+    @pytest.mark.parametrize("k, column", [(2, "{B1,B2}"), (3, "honest_of_{B1,B2}")])
+    def test_summary_csv_keeps_structure_labels_whole(self, tmp_path, capsys, k, column):
+        out = tmp_path / "summary.csv"
+        code, _, _ = run(["simulate", "--n", "3", "--k", str(k), "--topology", "star",
+                          "--output", str(out)], capsys)
+        assert code == EXIT_OK
+        with out.open(newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert {len(row) for row in rows} == {4}
+        assert column in [row[1] for row in rows]
 
     def test_undersampled_run_is_config_error(self, capsys):
         code, _, err = run(["simulate", "--rounds", "200", "--seed", "1"], capsys)

@@ -19,6 +19,7 @@ from cvqss import (
     build_three_mode_chain,
     chain_topology,
     keyrate_eavesdropping,
+    keyrate_qss,
     run_protocol,
     star_topology,
 )
@@ -27,8 +28,8 @@ from cvqss.estimation import SCHUR_BLOCK_ROWS
 from cvqss.keyrate import _labels, combine
 from helpers import (
     chain_expected_variances,
+    design_gram,
     fit_design,
-    jackknife_grams,
     product_vacuum,
     regression_loop,
     revealed_design,
@@ -72,18 +73,40 @@ def all_player_fit_z(state, layout, rounds, seed, references):
     """z of the all-player fits of one sampler draw, key then check pattern.
 
     ``references`` holds (variance, party -> gain) per pattern; each fit
-    gives the z of its residual variance against its jackknife error, then
+    gives the z of its residual variance against its standard error, then
     of each gain against its OLS error.
     """
     patterns = [announced_pattern(layout, "x"), announced_pattern(layout, "p")]
     _, grams = simulation._revealed_grams(state, patterns, rounds, 1.0, 0.5, seed)
     players = layout.player_modes
     z = []
-    for (pattern_grams, rows), basis, (variance, gains) in zip(grams, "xp", references):
-        (fit,) = simulation._fit(pattern_grams, rows, basis, [players], players)
+    for (gram, rows), basis, (variance, gains) in zip(grams, "xp", references):
+        (fit,) = simulation._fit(gram, rows, basis, [players], players)
         z.append((fit.variance - variance) / fit.standard_error)
         z += [(fit.gains.gains[p] - gains[p]) / fit.gain_standard_errors[p] for p in gains]
     return z
+
+
+def structure_fit_z(state, layout, scheme, analytic, rounds, seed):
+    """z of every access and honest-side fit of one sampler draw, every round
+    revealed, against ``analytic``'s per-structure conditional variances."""
+    patterns = [announced_pattern(layout, "x"), announced_pattern(layout, "p")]
+    _, (key, check) = simulation._revealed_grams(state, patterns, rounds, 1.0, 0.5, seed)
+    players = layout.player_modes
+    access, adversarial, honest = (_labels(players, rows) for rows in scheme._player_rows)
+    pairs = [*zip(simulation._fit(*key, "x", access, players),
+                  (analytic.access_conditional_variance[s] for s in access)),
+             *zip(simulation._fit(*check, "p", honest, players),
+                  (analytic.adversarial_conditional_variance[s] for s in adversarial))]
+    return [(fit.variance - variance) / fit.standard_error for fit, variance in pairs]
+
+
+def assert_calibrated(z):
+    """Each column of ``z`` (one row per seed) has mean 0 and sd 1, each within
+    4 standard errors of that statistic for the seed count."""
+    seeds = len(z)
+    assert np.all(np.abs(z.mean(axis=0)) < 4 / math.sqrt(seeds))
+    assert np.all(np.abs(z.std(axis=0, ddof=1) - 1) < 4 / math.sqrt(2 * (seeds - 1)))
 
 
 class TestSampling:
@@ -162,16 +185,22 @@ class TestEmpiricalConditioning:
                 / expected["v_x_given_all"] < 0.01)
 
         # The reported errors are calibrated on this chain: over many seeds,
-        # the z of each gain and residual variance has mean 0 and sd 1, each
-        # within 4 standard errors of that statistic for the seed count.
-        seeds = 200
+        # the z of each gain and residual variance has mean 0 and sd 1.
         analytic = keyrate_eavesdropping(state, layout)
         references = [(expected["v_x_given_all"], analytic.x_gains.gains),
                       (expected["v_p_given_all"], analytic.p_gains.gains)]
-        z = np.array([all_player_fit_z(state, layout, 20000, seed, references)
-                      for seed in range(seeds)])
-        assert np.all(np.abs(z.mean(axis=0)) < 4 / math.sqrt(seeds))
-        assert np.all(np.abs(z.std(axis=0, ddof=1) - 1) < 4 / math.sqrt(2 * (seeds - 1)))
+        assert_calibrated(np.array([all_player_fit_z(state, layout, 20000, seed, references)
+                                    for seed in range(200)]))
+
+    def test_star_structure_errors_are_calibrated(self):
+        # The (2, 4) star's structures are tied, so its verdict rests on every
+        # per-structure error: each of the 6 access and 4 honest-side fits
+        # must be calibrated against the analytic variance on its own.
+        state, layout = star_state(4)
+        scheme = ThresholdScheme(2, 4)
+        analytic = keyrate_qss(state, layout, scheme)
+        assert_calibrated(np.array([structure_fit_z(state, layout, scheme, analytic, 20000, seed)
+                                    for seed in range(200)]))
 
     def test_undersampled_error_carries_the_count(self):
         state, layout = build_three_mode_chain(0.5, 1.0)
@@ -359,65 +388,61 @@ class TestRevealedSampling:
 
 
 class TestSufficientStatistics:
-    """Each jackknife group's drawn Gram matrix has its rows' law.
+    """Each pattern's drawn Gram matrix has its rows' law.
 
-    A group of n rows (1, x) with x ~ N(mu, Sigma) has E[Gram] =
-    n [[1, mu^T], [mu, Sigma + mu mu^T]]; at mu = 0 its sum has variance
-    n Sigma_ii and its moment entries Q_ij = sum x_i x_j have variance
+    n rows (1, x) with x ~ N(mu, Sigma) have E[Gram] =
+    n [[1, mu^T], [mu, Sigma + mu mu^T]]; at mu = 0 their sum has variance
+    n Sigma_ii and the moment entries Q_ij = sum x_i x_j have variance
     n (Sigma_ij^2 + Sigma_ii Sigma_jj). Bounds are 5 standard errors of the
     sample statistics, estimated from the same draws.
     """
 
     @staticmethod
-    def group_grams(count, calls, mean):
+    def pattern_grams(count, calls, mean):
         state, layout = star_state(4, transmissivity=0.9)
         idx = [state.quad_index(party, basis)
                for party, basis in announced_pattern(layout, "x").items()]
         cov = state.cov[np.ix_(idx, idx)]
         rng = np.random.default_rng(53)
-        blocks = []
+        grams = []
         for _ in range(calls):
-            grams, rows = simulation._pattern_grams(rng, cov, mean, count)
-            assert np.array_equal(rows[0] - rows[1:], [len(block) for block in np.array_split(
-                np.empty(count), min(simulation.JACKKNIFE_GROUPS, count // 2))])
-            blocks.append(grams[0] - grams[1:])
-        return cov, (rows[0] - rows[1]).item(), np.concatenate(blocks)
+            gram, rows = simulation._pattern_grams(rng, cov, mean, count)
+            assert rows == count
+            grams.append(gram)
+        return cov, np.array(grams)
 
-    # 2-row groups (one live Bartlett column of five) and 1000-row groups.
-    @pytest.mark.parametrize("count, calls", [(100, 200), (50000, 40)])
+    # The fewest rows a fit accepts (MIN_SIFTED_ROUNDS) and 50000 rows; and 6,
+    # the fewest rows with all five Bartlett columns live, where a Wishart
+    # degree of freedom off by one moves the scatter's mean by a sixth.
+    @pytest.mark.parametrize("count, calls", [(100, 200), (50000, 40), (6, 600)])
     def test_group_gram_moments(self, count, calls):
         mean = np.array([0.3, -0.2, 0.1, 0.5, -0.4])
-        cov, n, blocks = self.group_grams(count, calls, mean)
+        cov, grams = self.pattern_grams(count, calls, mean)
         outer = np.outer(np.r_[1.0, mean], np.r_[1.0, mean])
-        expected = n * outer
-        expected[1:, 1:] += n * cov
-        assert np.all(blocks[:, 0, 0] == n)
-        sem = blocks.std(axis=0, ddof=1) / math.sqrt(len(blocks))
-        assert np.all(np.abs(blocks.mean(axis=0) - expected) <= 5 * sem)
+        expected = count * outer
+        expected[1:, 1:] += count * cov
+        assert np.all(grams[:, 0, 0] == count)
+        sem = grams.std(axis=0, ddof=1) / math.sqrt(len(grams))
+        assert np.all(np.abs(grams.mean(axis=0) - expected) <= 5 * sem)
 
-        _, _, blocks = self.group_grams(count, calls, np.zeros(5))
+        _, grams = self.pattern_grams(count, calls, np.zeros(5))
         diag = np.diag(cov)
         expected = np.zeros((6, 6))
-        expected[0, 1:] = expected[1:, 0] = n * diag
-        expected[1:, 1:] = n * (cov**2 + np.outer(diag, diag))
-        squares = (blocks - blocks.mean(axis=0)) ** 2
-        sem = squares.std(axis=0, ddof=1) / math.sqrt(len(blocks))
-        assert np.all(np.abs(blocks.var(axis=0, ddof=1) - expected) <= 5 * sem)
+        expected[0, 1:] = expected[1:, 0] = count * diag
+        expected[1:, 1:] = count * (cov**2 + np.outer(diag, diag))
+        squares = (grams - grams.mean(axis=0)) ** 2
+        sem = squares.std(axis=0, ddof=1) / math.sqrt(len(grams))
+        assert np.all(np.abs(grams.var(axis=0, ddof=1) - expected) <= 5 * sem)
 
 
 class TestRegressionKernel:
     RTOL = 1e-12
 
-    def assert_matches(self, fit, reference, target_square_mean):
+    def assert_matches(self, fit, reference):
         variance, gains, se, gain_se, rounds = reference
         assert fit.rounds_used == rounds
         np.testing.assert_allclose(fit.variance, variance, rtol=self.RTOL)
-        # A jackknife refit (YY_g - c_g . m_g) / (n_g - d) cancels sums of
-        # size YY_g ~ n * E[y^2], so summing in another order moves it by a
-        # few eps * E[y^2]; the standard error combines 50 such refits.
-        # Relative to the standard error that is up to ~2e-12 here.
-        se_atol = 4 * math.sqrt(50) * np.finfo(float).eps * target_square_mean
-        np.testing.assert_allclose(fit.standard_error, se, rtol=0, atol=se_atol)
+        np.testing.assert_allclose(fit.standard_error, se, rtol=self.RTOL)
         assert list(fit.gains.gains) == list(gains)
         for party in gains:
             np.testing.assert_allclose(fit.gains.gains[party], gains[party], rtol=self.RTOL)
@@ -439,15 +464,14 @@ class TestRegressionKernel:
                              for rows in ThresholdScheme(2, players)._player_rows)
 
         for design, basis, structures in zip(designs, "xp", (access, honest)):
-            grams = jackknife_grams(design)
+            gram = design_gram(design)
             for batch in ([everyone], structures):
-                for estimators, fit in zip(batch, simulation._fit(*grams, basis, batch, everyone),
+                for estimators, fit in zip(batch, simulation._fit(*gram, basis, batch, everyone),
                                            strict=True):
-                    reference = regression_loop(design, everyone, estimators)
-                    self.assert_matches(fit, reference, np.mean(design[:, 1] ** 2))
+                    self.assert_matches(fit, regression_loop(design, everyone, estimators))
                     # Batching the structures moves no bit of any fit.
                     self.assert_same_bits(
-                        fit, structure_fit(*grams, basis, {p: column[p] for p in estimators}))
+                        fit, structure_fit(*gram, basis, {p: column[p] for p in estimators}))
 
     @staticmethod
     def assert_same_bits(fit, single):
@@ -460,11 +484,11 @@ class TestRegressionKernel:
              *single.gain_standard_errors.values()])
 
     def test_structures_are_fitted_in_bounded_chunks(self, monkeypatch):
-        # 330 structures of 4 estimators: chunks of 256 and 74, so the (groups + 1,
-        # S, d, d) sub-blocks never hold more than SCHUR_BLOCK_ROWS structures.
+        # 330 structures of 4 estimators: chunks of 256 and 74, so the (S, d, d)
+        # sub-blocks never hold more than SCHUR_BLOCK_ROWS structures.
         rng = np.random.default_rng(3)
         root = rng.standard_normal((12, 12))
-        grams = simulation._pattern_grams(rng, root @ root.T + np.eye(12),
+        gram = simulation._pattern_grams(rng, root @ root.T + np.eye(12),
                                           rng.standard_normal(12), 10000)
         parties = [f"B{i}" for i in range(1, 12)]
         structures = list(combinations(parties, 4))
@@ -475,14 +499,13 @@ class TestRegressionKernel:
             return real_solve(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", solve)
-        fits = simulation._fit(*grams, "x", structures, parties)
+        fits = simulation._fit(*gram, "x", structures, parties)
         monkeypatch.undo()
-        groups = simulation.JACKKNIFE_GROUPS + 1
-        assert shapes == [(groups, SCHUR_BLOCK_ROWS, 5, 5), (groups, 74, 5, 5)]
+        assert shapes == [(SCHUR_BLOCK_ROWS, 5, 5), (74, 5, 5)]
         assert len(fits) == len(structures)
         for group, fit in zip(structures, fits):
             self.assert_same_bits(fit, structure_fit(
-                *grams, "x", {party: 2 + parties.index(party) for party in group}))
+                *gram, "x", {party: 2 + parties.index(party) for party in group}))
 
     def test_report_keys_carry_their_structures_fits(self):
         # An asymmetric (2, 4) chain: every structure's fit differs, so a fit
@@ -497,8 +520,8 @@ class TestRegressionKernel:
         players = layout.player_modes
         column = {player: j for j, player in enumerate(players, start=2)}
 
-        def single(grams, basis, estimators):
-            return structure_fit(*grams, basis, {p: column[p] for p in estimators})
+        def single(gram, basis, estimators):
+            return structure_fit(*gram, basis, {p: column[p] for p in estimators})
 
         assert list(report.access_variance) == list(combinations(players, 2))
         assert list(report.adversarial_variance) == list(combinations(players, 1))
