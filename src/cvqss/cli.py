@@ -29,7 +29,7 @@ import numpy as np
 
 from .estimation import SCHUR_BLOCK_ROWS
 from .gaussian import UnphysicalStateError, validate
-from .jsontext import _rows, float_texts, json_text
+from .jsontext import _position_columns, _rows, float_texts, json_text
 from .keyrate import ThresholdScheme, key_rates, keyrate_eavesdropping, keyrate_qss
 from .simulation import UndersampledError, run_protocol
 from .states import ChannelSpec, build_kn_state, chain_topology, star_topology
@@ -198,7 +198,7 @@ def cmd_sweep(args) -> int:
     # The T-major (T, r) grid in chunks across curves of at most SCHUR_BLOCK_ROWS
     # structure rows per side (one point at least), and the text one piece per
     # chunk, never joined: memory is the output plus one chunk, whatever the grid and scheme.
-    structures = max(len(scheme.access_structures), len(scheme.adversarial_structures))
+    structures = max(map(len, scheme._player_rows))
     points = max(1, SCHUR_BLOCK_ROWS // structures)
     total = len(grid) * len(transmissivities)
     chunks = (_sweep_rows(args, scheme, grid[flat % len(grid)],
@@ -260,13 +260,21 @@ def cmd_threshold(args) -> int:
 def _table(kind: str, terms, binding: tuple) -> str:
     """One line per structure of the per-structure map ``terms``, in ``_fmt``'s digits,
     written from its player rows and value array, with no newline after the last;
-    ``binding``'s line is marked."""
-    texts = _label_texts(np.array(terms.names, dtype=object)[terms.rows].tolist())
-    ends = ["  \n"] * len(texts)
-    ends[texts.index(*_label_texts([binding]))] = "  *\n"
-    labels = [text.ljust(18) for text in texts]
+    ``binding``'s line is marked.
+
+    A label, "{B1,B2,...}" left-justified to 18 characters, is one column of names per
+    position, then "}" and the padding its length leaves.
+    """
+    names, rows = terms.names, terms.rows
+    ends = ["  \n"] * len(rows)
+    ends[(rows == [names.index(name) for name in binding]).all(axis=1).argmax()] = "  *\n"
+    lengths = (2 + max(rows.shape[1] - 1, 0)
+               + np.array([len(name) for name in names])[rows].sum(axis=1))
+    closers = np.array(["}" + " " * pad for pad in range(17)], dtype=object)
     values = float_texts(terms.array, lambda value: format(value, ">16.12g"))
-    return _rows("", [f"{kind:<12} ", labels, " ", values, ends], ends[-1][:-1])
+    return _rows("", [f"{kind:<12} {{", *_position_columns(names, rows, ","),
+                      closers[np.maximum(18 - lengths, 0)].tolist(), " ", values, ends],
+                 ends[-1][:-1])
 
 
 def _label_texts(labels) -> list:

@@ -11,22 +11,23 @@ the same bytes: one list of texts per field (or one text for every row),
 interleaved into one list by slice assignment and joined once
 (:func:`_rows`). Each distinct double of a per-structure array is spelled
 once (:func:`float_texts`): a report's values are massively tied, bit for
-bit. Its per-structure maps (:class:`~cvqss.keyrate._StructureMap`) are
-read-only ``Mapping`` views over player names and rows of player positions,
-written with no label tuple, dict or :class:`~cvqss.estimation.JointVariable`
-built: a key is one column of name texts per position, indexed by the
-rows and joined by "+". A list of equal-length tuples of exact ints (a
-scheme's structures) is written with each distinct int spelled once.
+bit. Structures are written from their rows of player positions, one column
+of texts per position (:func:`_position_columns`), with no tuple built: a
+:class:`~cvqss.keyrate.ThresholdScheme` as its (k, n) and the lists of its
+1-based structures, and a per-structure map
+(:class:`~cvqss.keyrate._StructureMap`, a read-only ``Mapping`` view over
+player names and rows) with no label tuple, dict or
+:class:`~cvqss.estimation.JointVariable` built: a key is the name texts at a
+row's positions joined by "+".
 """
 
 from collections.abc import Mapping
 from dataclasses import fields, is_dataclass
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .keyrate import _StructureMap
+from .keyrate import ThresholdScheme, _StructureMap
 
 #: The ``float.__repr__`` texts that JSON spells as ``json`` does.
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -67,14 +68,24 @@ def _rows(head: str, columns: list, tail: str) -> str:
     return "".join(pieces)
 
 
+def _position_columns(texts, rows: np.ndarray, between: str) -> list:
+    """:func:`_rows` columns of the 0-based position ``rows``: for each position j, the
+    column of ``texts`` at ``rows[:, j]``, with ``between`` after every one but the last."""
+    texts, columns = np.array(texts, dtype=object), []
+    for j in range(rows.shape[1]):
+        columns += [texts[rows[:, j]].tolist(), between]
+    return columns[:-1]
+
+
 def json_text(value, pad: str = "\n") -> str:
     """``value`` as two-space indented JSON, the bytes of ``json.dumps(..., indent=2)``.
 
-    Before encoding, a dataclass becomes an object of its fields, numpy
-    scalars and arrays become Python numbers and lists, tuples become arrays,
-    any mapping becomes a dict, and a key becomes ``str(key)``, or for a tuple
-    its items joined by "+" ("(none)" if empty); keys that then coincide keep
-    the last value.
+    Before encoding, a :class:`~cvqss.keyrate.ThresholdScheme` becomes an
+    object of its k, n and both structure lists, any other dataclass an
+    object of its fields, numpy scalars and arrays become Python numbers and
+    lists, tuples become arrays, any mapping becomes a dict, and a key becomes
+    ``str(key)``, or for a tuple its items joined by "+" ("(none)" if empty);
+    keys that then coincide keep the last value.
     ``pad`` is a newline and the indentation of the line ``value`` starts on.
     An unsupported type raises the ``TypeError`` that ``json.dumps`` raises.
     A per-structure map is written as the dict of its items without building
@@ -128,11 +139,9 @@ def json_text(value, pad: str = "\n") -> str:
             return mapping(value, pad)  # merged and written as the reference writes a map
         inner = pad + "  "
         # Row s: its key, one column of name texts per position, then its value.
-        spelled = np.array([encode_basestring_ascii(name)[1:-1] for name in plain], dtype=object)
-        columns = []
-        for j in range(rows.shape[1]):
-            columns += [spelled[rows[:, j]].tolist(), "+"]
-        columns[-1:] = ['": '] if columns else ['(none)": ']
+        columns = _position_columns([encode_basestring_ascii(name)[1:-1] for name in plain],
+                                    rows, "+")
+        columns.append('": ' if columns else '(none)": ')
         if value.quadrature is None:
             columns += [float_texts(values), "," + inner + '"']
             return _rows("{" + inner + '"', columns, pad + "}")
@@ -151,23 +160,30 @@ def json_text(value, pad: str = "\n") -> str:
         if not value:
             return "[]"
         inner = pad + "  "
-        if set(map(type, value)) == {tuple}:
-            widths = set(map(len, value))
-            flat = list(chain.from_iterable(value))
-            if flat and len(widths) == 1 and set(map(type, flat)) <= {int}:
-                # A scheme's structures: a column per position, each distinct int spelled once.
-                width, cell = widths.pop(), inner + "  "
-                spelled = {number: int.__repr__(number) for number in set(flat)}
-                digits = list(map(spelled.__getitem__, flat))
-                columns = []
-                for j in range(width):
-                    columns += [digits[j::width], "," + cell]
-                columns[-1] = inner + "]," + inner + "[" + cell
-                return _rows("[" + inner + "[" + cell, columns, inner + "]" + pad + "]")
         return "[" + inner + ("," + inner).join(texts(value, inner)) + pad + "]"
+
+    def structures(rows, n, pad):
+        # Row s of 0-based positions as the list of its 1-based indices, a column a position.
+        inner, cell = pad + "  ", pad + "    "
+        if not rows.shape[1]:
+            return "[" + inner + ("," + inner).join(["[]"] * len(rows)) + pad + "]"
+        columns = _position_columns([int.__repr__(index) for index in range(1, n + 1)], rows,
+                                    "," + cell)
+        columns.append(inner + "]," + inner + "[" + cell)
+        return _rows("[" + inner + "[" + cell, columns, inner + "]" + pad + "]")
+
+    def scheme(value, pad):
+        access, colluding, _ = value._player_rows
+        inner = pad + "  "
+        return ("{" + inner + '"k": ' + text(value.k, inner) + "," + inner + '"n": '
+                + text(value.n, inner) + "," + inner + '"access_structures": '
+                + structures(access, value.n, inner) + "," + inner + '"adversarial_structures": '
+                + structures(colluding, value.n, inner) + pad + "}")
 
     def encoder(kind):
         # In the order the conversion, then json.dumps, test a value's type.
+        if issubclass(kind, ThresholdScheme):  # its structures are no fields
+            return scheme
         if is_dataclass(kind):
             names = [f.name for f in fields(kind)]
             keys = list(map(encode_basestring_ascii, names))

@@ -47,7 +47,7 @@ announcement map, and the dealer's quadratures are always literal.
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import NamedTuple
@@ -105,18 +105,17 @@ class ThresholdScheme:
     ``access_structures`` holds every k-subset of the player indices 1..n
     (groups entitled to decode), ``adversarial_structures`` every
     (k-1)-subset (groups treated as colluding eavesdroppers), both in
-    lexicographic order. A (k, n) the library cannot evaluate is refused
-    before any subset is built.
+    lexicographic order, as tuples built on first read. A (k, n) the library
+    cannot evaluate is refused before any subset is built.
 
-    ``_player_rows`` (not a field: unseen by equality, repr and JSON) holds
+    ``_player_rows`` (not a field: unseen by equality, repr and hash) holds
     (access, colluding, honest) arrays of 0-based positions: row s lists the
     players in access structure s, in adversarial structure s and outside it.
+    The evaluator and every writer read these rows, never the tuples.
     """
 
     k: int
     n: int
-    access_structures: tuple = field(init=False)
-    adversarial_structures: tuple = field(init=False)
 
     def __post_init__(self):
         k, n = self.k, self.n
@@ -136,14 +135,19 @@ class ThresholdScheme:
             raise ValueError(
                 f"(k, n) = ({k}, {n}) has {count} access and adversarial structures, "
                 f"over the budget of {MAX_STRUCTURES}")
-        players = range(1, n + 1)
         colluding, access = _subset_rows(n, k)
         rows = (access, colluding, _subset_rows(n, n - k + 1)[1][::-1])
         for array in rows:
             array.setflags(write=False)
-        object.__setattr__(self, "access_structures", tuple(combinations(players, k)))
-        object.__setattr__(self, "adversarial_structures", tuple(combinations(players, k - 1)))
         object.__setattr__(self, "_player_rows", rows)
+
+    @cached_property
+    def access_structures(self) -> tuple:
+        return tuple(combinations(range(1, self.n + 1), self.k))
+
+    @cached_property
+    def adversarial_structures(self) -> tuple:
+        return tuple(combinations(range(1, self.n + 1), self.k - 1))
 
 
 @dataclass(frozen=True)

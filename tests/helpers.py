@@ -17,7 +17,9 @@ takes its gains as given instead of optimising them.
 at 50 digits, from Sherman-Morrison. ``chain_sweep_row`` gives the (2, 2)
 chain's sweep columns exactly, from ``chain_expected_variances`` in mpmath.
 ``jsonable`` is the conversion ``cvqss.jsontext.json_text`` must reproduce,
-as ``json.dumps(jsonable(value), indent=2)``.
+as ``json.dumps(jsonable(value), indent=2)``. ``label_table`` is the
+threshold table written one label text at a time, the reference for
+``cvqss.cli._table``.
 
 The gate-by-gate oracle for ``cvqss.build_kn_state`` lives here too: one
 checked ``SymplecticTransform`` per gate (``cz_transform``, ``apply_cz``),
@@ -46,7 +48,7 @@ from cvqss import (
     vacuum,
 )
 from cvqss import simulation
-from cvqss.keyrate import combine
+from cvqss.keyrate import ThresholdScheme, combine
 
 #: Absolute variance below which a fixed estimator is considered degenerate.
 DEGENERATE_VARIANCE_TOL = 1e-12
@@ -600,11 +602,15 @@ def sweep_loop(n, k, topology, grid, transmissivities, excess_noise=0.0, cz_weig
 def jsonable(value):
     """``value`` as plain JSON-ready Python: the reference for ``cvqss.jsontext.json_text``.
 
-    A copy of the tree: dataclasses become dicts of their fields, mappings
-    become dicts with string keys (:func:`json_key`), tuples become lists,
-    numpy arrays and scalars become Python lists and numbers; anything else
-    is left for ``json.dumps`` to encode or refuse.
+    A copy of the tree: a ``ThresholdScheme`` becomes a dict of its k, n and
+    the structure tuples it derives, other dataclasses dicts of their fields,
+    mappings become dicts with string keys (:func:`json_key`), tuples become
+    lists, numpy arrays and scalars become Python lists and numbers; anything
+    else is left for ``json.dumps`` to encode or refuse.
     """
+    if isinstance(value, ThresholdScheme):
+        return {name: jsonable(getattr(value, name)) for name in
+                ("k", "n", "access_structures", "adversarial_structures")}
     if is_dataclass(value) and not isinstance(value, type):
         return {f.name: jsonable(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, Mapping):
@@ -623,3 +629,16 @@ def json_key(key):
     if isinstance(key, tuple):
         return "+".join(str(k) for k in key) or "(none)"
     return str(key)
+
+
+def label_table(kind, terms, binding):
+    """The threshold table's lines, one per structure of the per-structure map ``terms``,
+    each label's "{B1,B2,...}" text left-justified to 18 characters on its own: the
+    reference for ``cvqss.cli._table``, which writes the labels as position columns."""
+    texts = ["{" + ",".join(players) + "}" for players in
+             np.array(terms.names, dtype=object)[terms.rows].tolist()]
+    ends = ["  \n"] * len(texts)
+    ends[texts.index("{" + ",".join(binding) + "}")] = "  *\n"
+    lines = [f"{kind:<12} {text.ljust(18)} {value:>16.12g}{end}"
+             for text, value, end in zip(texts, terms.array.tolist(), ends)]
+    return "".join(lines)[:-1]

@@ -26,6 +26,8 @@ from cvqss.cli import (
 from cvqss.estimation import JointVariable
 from cvqss.states import MAX_PLAYERS
 
+from helpers import label_table
+
 
 def run(argv, capsys):
     code = main(argv)
@@ -150,6 +152,58 @@ class TestThreshold:
         rows = cli._table("access", terms, labels[3]).split("\n")
         assert rows == [f"{'access':<12} {'{' + ','.join(label) + '}':<18} {value:>16.12g}  "
                         + "*" * (label == labels[3]) for label, value in zip(labels, values)]
+
+
+class TestTableWriter:
+    """The threshold table writes each label as columns of player names per position;
+    its bytes are those of one left-justified label text per line."""
+
+    @pytest.mark.parametrize("k, n", [(7, 14), (1, 3), (4, 4), (1, 24)],
+                             ids=["labels-over-18", "k-1", "k-n", "1-24"])
+    @pytest.mark.parametrize("side", [0, 1], ids=["access", "adversarial"])
+    def test_bytes_equal_the_label_text_writer(self, k, n, side):
+        names = tuple(f"B{i}" for i in range(1, n + 1))
+        rows = keyrate.ThresholdScheme(k, n)._player_rows[side]
+        values = np.random.default_rng(n).choice([0.5, -0.0, 1e-300, float("nan")], len(rows))
+        terms, kind = keyrate._StructureMap(names, rows, values), ("access", "adversarial")[side]
+        for binding in {0, len(rows) // 2, len(rows) - 1}:
+            label = tuple(names[p] for p in rows[binding])
+            assert cli._table(kind, terms, label) == label_table(kind, terms, label)
+
+    def test_names_of_any_length_pad_as_their_text(self):
+        names = ("A", "Bob", "Carolina-Longname", "D")
+        rows = keyrate.ThresholdScheme(2, 4)._player_rows[0]
+        terms = keyrate._StructureMap(names, rows, np.arange(len(rows), dtype=float))
+        assert cli._table("access", terms, ("Bob", "D")) == label_table("access", terms,
+                                                                      ("Bob", "D"))
+
+
+class TestNoStructureTuples:
+    """No command builds the scheme's structure tuples: the writers and the sweep's
+    chunk sizing read the position rows. The (7, 14) star text and the (2, 4) star
+    simulate JSON digests are those ``TestThresholdBytes`` and ``TestSimulateBytes``
+    pin; the other two were recorded before the tuples became derived on read."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["threshold", "--n", "14", "--k", "7", "--topology", "star"],
+         "9d28f0f6e4028732de172c325bfe9181da3c74a1530760bdbe2f5c8cf0077c20"),
+        (["threshold", "--n", "14", "--k", "7", "--topology", "star", "--format", "json"],
+         "201b541f198c1d65640ae5f053c0d19ca1afd88a83189f7882bf816ae2bcd479"),
+        (["sweep", "--n", "6", "--k", "3", "--topology", "star"],
+         "f1c1ea1aee49580318e5c0dbc31b10554472c3463819542fb8bff9c0c234f629"),
+        (["simulate", "--n", "4", "--k", "2", "--topology", "star", "--rounds", "200000",
+          "--seed", "9", "--transmissivity", "0.95", "--format", "json"],
+         "628c5f63dffeef1831dc26a568ed09f7ede9fb4981bd0c10dcb5034fafc8f1c6"),
+    ], ids=["threshold-star-7-14", "threshold-star-7-14-json", "sweep-star-3-6",
+            "simulate-star-2-4-json"])
+    def test_commands_never_call_combinations(self, capsys, monkeypatch, argv, digest):
+        def no_tuples(*args):
+            raise AssertionError("structure tuples built")
+
+        monkeypatch.setattr(keyrate, "combinations", no_tuples)
+        code, out, _ = run(argv, capsys)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestThresholdBytes:

@@ -11,6 +11,15 @@ import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
 from cvqss.jsontext import float_texts, json_text
+from cvqss import (
+    ChannelSpec,
+    ThresholdScheme,
+    build_kn_state,
+    chain_topology,
+    keyrate_qss,
+    run_protocol,
+    star_topology,
+)
 from cvqss.keyrate import _StructureMap
 
 from helpers import jsonable
@@ -225,3 +234,19 @@ class TestGainMapWriter:
         maps.append(_StructureMap(first.names, first.rows, np.arange(len(first), dtype=float)))
         value = {"maps": maps, "again": maps[::-1]}
         assert json_text(value) == json.dumps(jsonable(value), indent=2)
+
+
+class TestReportWriter:
+    """Whole reports, scheme included, against ``json.dumps`` of the reference conversion,
+    which reads the scheme's structure tuples where the writer reads its position rows."""
+
+    @pytest.mark.parametrize("k, n", [(2, 2), (1, 3), (3, 3), (3, 5)])
+    @pytest.mark.parametrize("topology", [chain_topology, star_topology],
+                             ids=["chain", "star"])
+    def test_bytes_equal_json_dumps_of_the_reference(self, k, n, topology):
+        specs = {f"B{i}": ChannelSpec(0.9) for i in range(1, n + 1)}
+        state, layout = build_kn_state(n, 1.0, specs, topology(n))
+        scheme = ThresholdScheme(k, n)
+        for report in (keyrate_qss(state, layout, scheme),
+                       run_protocol(state, layout, scheme, rounds=20_000, seed=3)):
+            assert json_text(report) == json.dumps(jsonable(report), indent=2)

@@ -85,6 +85,7 @@ class TestEnumeration:
             raise AssertionError("subsets built before the budget check")
 
         monkeypatch.setattr(keyrate_module, "combinations", no_subsets)
+        monkeypatch.setattr(keyrate_module, "_subset_rows", no_subsets)
         count = math.comb(24, 12) + math.comb(24, 11)
         assert count > keyrate_module.MAX_STRUCTURES
         with pytest.raises(ValueError, match=f"{count} .*budget of "
@@ -115,6 +116,23 @@ class TestEnumeration:
         assert scheme == ThresholdScheme(k, n)
         with pytest.raises(TypeError):
             ThresholdScheme(k, n, scheme.access_structures, scheme.adversarial_structures)
+
+    def test_scheme_is_its_k_and_n_and_derives_the_tuples_on_first_read(self, monkeypatch):
+        def no_tuples(*args):
+            raise AssertionError("structure tuples built")
+
+        monkeypatch.setattr(keyrate_module, "combinations", no_tuples)
+        scheme = ThresholdScheme(7, 14)
+        assert repr(scheme) == "ThresholdScheme(k=7, n=14)"
+        copied = pickle.loads(pickle.dumps(scheme))
+        assert copied == scheme and hash(copied) == hash(ThresholdScheme(7, 14))
+        assert scheme != ThresholdScheme(6, 14)
+        assert all(np.array_equal(a, b) for a, b in zip(copied._player_rows,
+                                                        scheme._player_rows))
+        monkeypatch.undo()
+        assert copied.access_structures == tuple(combinations(range(1, 15), 7))
+        assert scheme.access_structures is scheme.access_structures  # built once
+        assert pickle.loads(pickle.dumps(scheme)) == scheme
 
     @pytest.mark.parametrize("k", [23, 24])
     def test_rows_never_outgrow_the_structures(self, k):
