@@ -30,7 +30,7 @@ import numpy as np
 from .estimation import SCHUR_BLOCK_ROWS
 from .gaussian import UnphysicalStateError, validate
 from .jsontext import _position_columns, _rows, float_texts, json_text
-from .keyrate import ThresholdScheme, key_rates, keyrate_eavesdropping, keyrate_qss
+from .keyrate import ThresholdScheme, key_rates, keyrate_qss
 from .simulation import UndersampledError, run_protocol
 from .states import ChannelSpec, build_kn_state, chain_topology, star_topology
 
@@ -297,7 +297,7 @@ def cmd_simulate(args) -> int:
     lines = []
     if not args.quiet:
         analytic = report.analytic
-        eav = keyrate_eavesdropping(state, layout)
+        v_x, v_p = analytic._everyone_variances
         lines.append(f"rounds={report.rounds} seed={report.seed} "
                      f"reveal_fraction={_fmt(report.reveal_fraction)}")
         lines.append(f"key pattern {report.key_pattern}: "
@@ -309,10 +309,8 @@ def cmd_simulate(args) -> int:
                      f"{report.revealed_check_rounds} revealed")
         lines.append("")
         lines.append(f"{'quantity':<36} {'empirical':>16} {'analytic':>16}")
-        rows = [("V(X_A | all players)", report.inference_x.variance,
-                 eav.v_x_conditional),
-                ("V(P_A | all players)", report.inference_p.variance,
-                 eav.v_p_conditional)]
+        rows = [("V(X_A | all players)", report.inference_x.variance, v_x),
+                ("V(P_A | all players)", report.inference_p.variance, v_p)]
         for text, (players, fit) in zip(access_texts, report.access_variance.items()):
             rows.append((f"V(X_A | access {text})", fit.variance,
                          analytic.access_conditional_variance[players]))

@@ -178,23 +178,39 @@ def squeezed_vacuum(r: float, squeezed_quadrature: Quadrature = "p",
     exp(+2r)/2; flip ``squeezed_quadrature`` rather than passing r < 0.
     An array of r values gives the stack of their states.
     """
+    return GaussianState(np.zeros(2), _squeezed_covariance(r, squeezed_quadrature), (label,))
+
+
+def _squeezed_covariance(r, squeezed_quadrature: Quadrature = "p") -> np.ndarray:
+    """The covariance of :func:`squeezed_vacuum`, a (..., 2, 2) stack for an array of r.
+
+    The exponentials are ``math.exp``'s, which ``np.exp`` differs from in the last bit
+    on some inputs. The error raised names the first value, in row-major order, that
+    is not finite, is negative or overflows exp(2r).
+    """
     values = np.asarray(r, dtype=float)
-    covs = []
-    for value in values.ravel().tolist():
+    flat, anti = values.ravel(), []
+    try:
+        anti.extend(map(math.exp, (2.0 * flat).tolist()))  # kept up to the first overflow
+    except OverflowError:
+        pass
+    offending = ~(np.isfinite(flat) & (flat >= 0.0))
+    offending[len(anti):] = True  # the value exp(2r) overflowed at, and all after it
+    if offending.any():
+        value = float(flat[offending.argmax()])
         if not math.isfinite(value):
             raise ValueError(f"squeezing parameter r must be finite, got {value}")
         if value < 0:
             raise ValueError("squeezing parameter must be >= 0; "
                              "choose squeezed_quadrature to flip the orientation")
-        try:
-            squeezed, anti = 0.5 * math.exp(-2.0 * value), 0.5 * math.exp(2.0 * value)
-        except OverflowError:
-            raise ValueError(f"squeezing parameter r = {value} overflows the anti-squeezed "
-                             "variance exp(2r)/2") from None
-        covs.append([squeezed, 0.0, 0.0, anti] if squeezed_quadrature == "x"
-                    else [anti, 0.0, 0.0, squeezed])
+        raise ValueError(f"squeezing parameter r = {value} overflows the anti-squeezed "
+                         "variance exp(2r)/2")
     _check_quadrature(squeezed_quadrature)
-    return GaussianState(np.zeros(2), np.reshape(covs, values.shape + (2, 2)), (label,))
+    squeezed = list(map(math.exp, (-2.0 * flat).tolist()))
+    diagonal = 0.5 * np.array([squeezed, anti])  # rows: the squeezed, the anti-squeezed
+    cov = np.zeros((len(flat), 4))
+    cov[:, 0], cov[:, 3] = diagonal if squeezed_quadrature == "x" else diagonal[::-1]
+    return cov.reshape(values.shape + (2, 2))
 
 
 def validate(state: GaussianState) -> StateDiagnostics:

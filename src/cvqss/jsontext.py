@@ -18,7 +18,8 @@ of texts per position (:func:`_position_columns`), with no tuple built: a
 (:class:`~cvqss.keyrate._StructureMap`, a read-only ``Mapping`` view over
 player names and rows) with no label tuple, dict or
 :class:`~cvqss.estimation.JointVariable` built: a key is the name texts at a
-row's positions joined by "+".
+row's positions joined by "+", written once per row array and call, as a
+side's maps share their rows.
 """
 
 from collections.abc import Mapping
@@ -112,6 +113,22 @@ def json_text(value, pad: str = "\n") -> str:
             key = "+".join(map(str, key)) or "(none)"
         return encode_basestring_ascii(str(key))
 
+    row_keys = {}  # (id(names), id(rows)) -> (names, rows, the rows' key texts)
+
+    def keys_of(names, rows):
+        # Row s's key: its names' texts joined by "+". The maps of one side share their
+        # names and rows, so each row array's keys are written once per call; the cache
+        # holds the arrays, so no id is reused while it lives.
+        cached = row_keys.get((id(names), id(rows)))
+        if cached is None:
+            columns = _position_columns(
+                [encode_basestring_ascii(str(name))[1:-1] for name in names], rows, "+")
+            # Escaped texts hold no newline, so the rows joined by one split back apart.
+            keys = (_rows("", [*columns, "\n"], "").split("\n") if columns
+                    else ["(none)"] * len(rows))
+            cached = row_keys[id(names), id(rows)] = names, rows, keys
+        return cached[2]
+
     def pairs(keys, values, pad):
         return members(keys, texts(values, pad + "  "), pad)
 
@@ -138,10 +155,8 @@ def json_text(value, pad: str = "\n") -> str:
                 and (not values.shape[1] or len(set(gain_keys)) < len(gain_keys))):
             return mapping(value, pad)  # merged and written as the reference writes a map
         inner = pad + "  "
-        # Row s: its key, one column of name texts per position, then its value.
-        columns = _position_columns([encode_basestring_ascii(name)[1:-1] for name in plain],
-                                    rows, "+")
-        columns.append('": ' if columns else '(none)": ')
+        # Row s: its key, then its value.
+        columns = [keys_of(names, rows), '": ']
         if value.quadrature is None:
             columns += [float_texts(values), "," + inner + '"']
             return _rows("{" + inner + '"', columns, pad + "}")

@@ -27,6 +27,9 @@ computed, all in bits per round with ideal reconciliation:
 
 :func:`key_rates` evaluates every term as arrays over a state stack (a
 sweep curve), one kernel call per side; :func:`keyrate_qss` is its report.
+A side whose one structure is every player stands in for the all-player
+inference of the eavesdropping bound, which is then not repeated: the access
+side at k = n, and the honest side of the one (empty) collusion at k = 1.
 Players fall into classes (one on a star) within which every permutation
 leaves the announcement map and each covariance unchanged bit for bit, so
 structures whose players have the same classes position by position are one
@@ -226,6 +229,9 @@ class KeyRateReport:
     the two ``*_gains`` maps their :class:`JointVariable` s, only when first
     read; the command line's text table and ``json_text`` write them from
     their arrays and build none.
+
+    ``_everyone_variances`` (not a field: unseen by equality, repr and JSON)
+    holds the dealer's all-player conditional x and p variances as floats.
     """
 
     scheme: ThresholdScheme
@@ -371,10 +377,14 @@ def key_rates(state: GaussianState, layout: PartyLayout, scheme: ThresholdScheme
     classes = _player_classes(state, layout)
     access_side = _infer(state, layout, "x", access, classes)
     adversarial_side = _infer(state, layout, "p", honest, classes)
-    everyone_x, everyone_p, eavesdropping = _everyone(state, layout)
+    # A side whose one row is every player is the all-player inference, bit for bit:
+    # a one-row _infer folds no classes.
+    everyone = np.arange(layout.num_players)[None]
+    everyone_x = access_side if scheme.k == scheme.n else _infer(state, layout, "x", everyone)
+    everyone_p = adversarial_side if scheme.k == 1 else _infer(state, layout, "p", everyone)
     return KeyRates(access_side, adversarial_side, everyone_x, everyone_p,
                     combine(access_side[2], access_side[0], adversarial_side[0]),
-                    eavesdropping, classes)
+                    combine(everyone_x[2], everyone_x[0], everyone_p[0]), classes)
 
 
 def keyrate_eavesdropping(state: GaussianState, layout: PartyLayout) -> EavesdroppingReport:
@@ -419,7 +429,7 @@ def keyrate_qss(state: GaussianState, layout: PartyLayout,
         state, layout, "p", _subset_rows(scheme.n, scheme.n - 1)[1][::-1], rates.classes)[0]
     v_x = np.broadcast_to(rates.everyone_x[0], (scheme.n, 1))
     dishonest = combine(np.full(scheme.n, dealer_x), v_x, single[:, None])
-    return KeyRateReport(
+    report = KeyRateReport(
         scheme=scheme,
         combined_rate=float(bound.rate),
         positive=bool(bound.rate > 0.0),
@@ -439,3 +449,6 @@ def keyrate_qss(state: GaussianState, layout: PartyLayout,
                                 * adversarial_v[bound.binding_adversarial]),
         threshold=SECURITY_THRESHOLD,
     )
+    object.__setattr__(report, "_everyone_variances",
+                       (*rates.everyone_x[0].tolist(), *rates.everyone_p[0].tolist()))
+    return report

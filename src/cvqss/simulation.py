@@ -105,12 +105,13 @@ class EmpiricalConditioning:
     rounds_used: int
 
 
-def _fit(gram: np.ndarray, rows: int, target_basis: Quadrature,
-         structures: Sequence, parties: Sequence) -> list:
-    """Least-squares fits of the target on each estimator group of ``structures``.
+def _fit(gram: np.ndarray, rows: int, target_basis: Quadrature, positions: np.ndarray,
+         groups: Sequence) -> list:
+    """Least-squares fits of the target on each estimator group of ``groups``.
 
-    The design's columns are the intercept, the target, then ``parties``;
-    ``gram`` is its Gram matrix over N = ``rows`` rows. All structures have the
+    The design's columns are the intercept, the target, then the parties;
+    group s is the parties at the 0-based positions in row s of ``positions``.
+    ``gram`` is the design's Gram matrix over N = ``rows`` rows. All groups have the
     same size, so each chunk of SCHUR_BLOCK_ROWS of them is one batched
     solve. The residual variance v uses 1/(N - d) with d fitted parameters.
     The rows are Gaussian, so (N - d) v / V(target | group) is chi-squared
@@ -118,10 +119,12 @@ def _fit(gram: np.ndarray, rows: int, target_basis: Quadrature,
     (Leverrier, Grosshans and Grangier, PRA 81, 062343 (2010)); the gains'
     errors are the usual OLS ones.
     """
+    columns = np.zeros((len(positions), positions.shape[1] + 1), dtype=int)
+    columns[:, 1:] = 2 + positions  # after the intercept and the target
     fits = []
-    for start in range(0, len(structures), SCHUR_BLOCK_ROWS):
-        chunk = structures[start:start + SCHUR_BLOCK_ROWS]
-        c = np.array([[0, *(2 + parties.index(party) for party in group)] for group in chunk])
+    for start in range(0, len(groups), SCHUR_BLOCK_ROWS):
+        chunk = groups[start:start + SCHUR_BLOCK_ROWS]
+        c = columns[start:start + SCHUR_BLOCK_ROWS]
         block = gram[c[:, :, None], c[:, None, :]]
         moment = gram[c, 1]
         coeffs = np.linalg.solve(block, moment[..., None])[..., 0]
@@ -256,15 +259,17 @@ def run_protocol(
         basis_probability, seed)
 
     players = layout.player_modes
-    (inference_x,) = _fit(*key_grams, "x", [players], players)
-    (inference_p,) = _fit(*check_grams, "p", [players], players)
+    everyone = np.arange(len(players))[None]
+    (inference_x,) = _fit(*key_grams, "x", everyone, [players])
+    (inference_p,) = _fit(*check_grams, "p", everyone, [players])
     total = key_grams[0]
     dealer_x_var = float((total[1, 1] - total[0, 1] ** 2 / total[0, 0]) / (total[0, 0] - 1))
 
+    access, _, honest = scheme._player_rows
     access_labels, adversarial_labels, honest_labels = (
         _labels(players, rows) for rows in scheme._player_rows)
-    access_fits = _fit(*key_grams, "x", access_labels, players)
-    adversarial_fits = _fit(*check_grams, "p", honest_labels, players)
+    access_fits = _fit(*key_grams, "x", access, access_labels)
+    adversarial_fits = _fit(*check_grams, "p", honest, honest_labels)
     bound = combine(dealer_x_var, [fit.variance for fit in access_fits],
                     [fit.variance for fit in adversarial_fits])
 

@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .gaussian import GaussianState, Quadrature, VACUUM_VARIANCE, squeezed_vacuum
+from .gaussian import GaussianState, Quadrature, VACUUM_VARIANCE, _squeezed_covariance
 
 _CONJUGATE = {"x": "p", "p": "x"}
 
@@ -211,7 +211,7 @@ def build_kn_state(
         raise ValueError(f"topology is disconnected from the dealer: "
                          f"{sorted(disconnected, key=str)}")
 
-    block = squeezed_vacuum(r, label="A").cov
+    block = _squeezed_covariance(r)
     if not math.isfinite(cz_weight):
         raise ValueError(f"coupling weight must be finite, got {cz_weight}")
     missing_specs = set(player_labels) - set(specs)

@@ -529,8 +529,9 @@ def revealed_design(state, pattern, rounds, seed):
 def fit_design(design, target_basis, estimators):
     """``run_protocol``'s shared-Gram fit of design column 1 on ``estimators``,
     the parties of columns 2, 3, ... in order."""
-    (fit,) = simulation._fit(*design_gram(design), target_basis, [list(estimators)],
-                             list(estimators))
+    estimators = list(estimators)
+    (fit,) = simulation._fit(*design_gram(design), target_basis,
+                             np.arange(len(estimators))[None], [estimators])
     return fit
 
 

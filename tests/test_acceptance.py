@@ -130,7 +130,8 @@ def _oracle_fit(state, target_basis, estimators):
     conjugate = {party: "p" if basis == "x" else "x" for party, basis in pattern.items()}
     _, (grams, _) = simulation._revealed_grams(state, (pattern, conjugate), ORACLE_ROUNDS,
                                                1.0, 0.5, ORACLE_SEED)
-    (fit,) = simulation._fit(*grams, target_basis, [list(estimators)], list(estimators))
+    (fit,) = simulation._fit(*grams, target_basis, np.arange(len(estimators))[None],
+                             [list(estimators)])
     return fit
 
 

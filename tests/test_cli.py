@@ -335,6 +335,41 @@ class TestSimulateBytes:
         assert hashlib.sha256(report.read_bytes()).hexdigest() == json_digest
 
 
+class TestKernelCalls:
+    """Each distinct inference is evaluated once per op, counted at ``keyrate.schur``:
+    a side whose one row is every player is the all-player inference, and
+    ``simulate`` reads that inference from its analytic report."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls, real_schur = [], keyrate.schur
+
+        def counted(*args):
+            calls.append(args)
+            return real_schur(*args)
+
+        monkeypatch.setattr(keyrate, "schur", counted)
+        return calls
+
+    def test_simulate_text_makes_one_call_per_inference(self, calls, capsys):
+        # Access, honest complements, and all players in x and in p.
+        code, out, _ = run(["simulate", "--n", "4", "--k", "2", "--topology", "star",
+                            "-T", "0.95", "--rounds", "1000000"], capsys)
+        assert code == EXIT_OK
+        assert "V(X_A | all players)" in out and "V(P_A | all players)" in out
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("k, count", [(1, 4), (3, 5), (5, 4)])
+    def test_threshold_at_k_one_and_n_skips_the_all_player_call(self, calls, capsys, k,
+                                                                 count):
+        # Access, honest complements, all players in x and in p, and the single
+        # dishonest players' honest sides; k = 1 has no colluder and k = n one access row.
+        code, _, _ = run(["threshold", "--n", "5", "--k", str(k), "--topology", "star"],
+                         capsys)
+        assert code == EXIT_OK
+        assert len(calls) == count
+
+
 class TestSimulate:
     def test_secure_verdict(self, capsys):
         code, out, _ = run(["simulate", "--rounds", "200000", "--seed", "7",

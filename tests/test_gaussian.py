@@ -79,6 +79,29 @@ class TestSqueezedVacuum:
         with pytest.raises(ValueError):
             squeezed_vacuum(0.5, "q")
 
+    @pytest.mark.parametrize("r, message", [
+        ([-1.0, math.inf], "must be >= 0"),
+        ([math.inf, -1.0], "must be finite, got inf"),
+        ([400.0, -1.0], r"r = 400\.0 overflows"),
+        ([-1.0, 400.0], "must be >= 0"),
+        ([1.0, math.nan, 400.0], "must be finite, got nan"),
+        ([[1.0, 400.0], [-1.0, 2.0]], r"r = 400\.0 overflows"),  # row-major order
+    ])
+    def test_stack_error_names_the_first_offending_value(self, r, message):
+        with pytest.raises(ValueError, match=message):
+            squeezed_vacuum(np.array(r))
+
+    @pytest.mark.parametrize("quad", ["x", "p"])
+    def test_stack_holds_math_exp_bit_for_bit(self, quad):
+        # np.exp differs from math.exp in the last bit on some of these values.
+        r = np.concatenate([np.linspace(0.0, 1.5, 61), [354.0, 0.0]]).reshape(3, 21)
+        cov = squeezed_vacuum(r, quad).cov
+        assert cov.shape == (3, 21, 2, 2)
+        for index, value in np.ndenumerate(r):
+            squeezed, anti = 0.5 * math.exp(-2.0 * value), 0.5 * math.exp(2.0 * value)
+            diagonal = [squeezed, anti] if quad == "x" else [anti, squeezed]
+            assert np.array_equal(cov[index], np.diag(diagonal))
+
 
 class TestTensor:
     def test_vacua_compose(self):

@@ -328,6 +328,35 @@ class TestDegenerateThreshold:
         assert report.combined_rate <= report.eavesdropping_rate + 1e-12
 
 
+class TestAllPlayerInference:
+    """A side whose one row is every player stands in for the all-player inference."""
+
+    @pytest.mark.parametrize("topology", [star_topology, chain_topology])
+    @pytest.mark.parametrize("n, k", [(2, 1), (2, 2), (5, 1), (5, 5)])
+    def test_one_row_sides_equal_the_all_player_inference_bit_for_bit(self, n, k, topology):
+        spec = ChannelSpec(np.array([1.0, 0.9]), 0.01)  # a stack of two points
+        state, layout = build_kn_state(n, np.array([0.4, 1.2]),
+                                       {f"B{i}": spec for i in range(1, n + 1)}, topology(n))
+        rates = keyrate_module.key_rates(state, layout, ThresholdScheme(k, n))
+        x, p, bound = keyrate_module._everyone(state, layout)
+        for side, reference in ((rates.everyone_x, x), (rates.everyone_p, p)):
+            for ours, theirs in zip(side, reference, strict=True):
+                assert np.array_equal(ours, theirs)
+        for ours, theirs in zip(rates.eavesdropping, bound, strict=True):
+            assert np.array_equal(ours, theirs)
+        if k == n:
+            assert rates.everyone_x is rates.access
+        if k == 1:
+            assert rates.everyone_p is rates.adversarial
+
+    def test_report_carries_the_all_player_variances(self):
+        state, layout = _kn_state(4, star_topology)
+        report = keyrate_qss(state, layout, ThresholdScheme(2, 4))
+        eav = keyrate_eavesdropping(state, layout)
+        assert report._everyone_variances == (eav.v_x_conditional, eav.v_p_conditional)
+        assert "_everyone_variances" not in json_text(report)
+
+
 def _kn_state(n, topology, r=1.15, transmissivity=0.93):
     spec = ChannelSpec(transmissivity, 0.0)
     return build_kn_state(n, r, {f"B{i}": spec for i in range(1, n + 1)},

@@ -81,7 +81,7 @@ def all_player_fit_z(state, layout, rounds, seed, references):
     players = layout.player_modes
     z = []
     for (gram, rows), basis, (variance, gains) in zip(grams, "xp", references):
-        (fit,) = simulation._fit(gram, rows, basis, [players], players)
+        (fit,) = simulation._fit(gram, rows, basis, np.arange(len(players))[None], [players])
         z.append((fit.variance - variance) / fit.standard_error)
         z += [(fit.gains.gains[p] - gains[p]) / fit.gain_standard_errors[p] for p in gains]
     return z
@@ -94,9 +94,9 @@ def structure_fit_z(state, layout, scheme, analytic, rounds, seed):
     _, (key, check) = simulation._revealed_grams(state, patterns, rounds, 1.0, 0.5, seed)
     players = layout.player_modes
     access, adversarial, honest = (_labels(players, rows) for rows in scheme._player_rows)
-    pairs = [*zip(simulation._fit(*key, "x", access, players),
+    pairs = [*zip(simulation._fit(*key, "x", scheme._player_rows[0], access),
                   (analytic.access_conditional_variance[s] for s in access)),
-             *zip(simulation._fit(*check, "p", honest, players),
+             *zip(simulation._fit(*check, "p", scheme._player_rows[2], honest),
                   (analytic.adversarial_conditional_variance[s] for s in adversarial))]
     return [(fit.variance - variance) / fit.standard_error for fit, variance in pairs]
 
@@ -460,13 +460,13 @@ class TestRegressionKernel:
         _, designs = revealed_designs(state, patterns, rounds, 0.5, 0.5, seed)
         everyone = layout.player_modes
         column = {player: j for j, player in enumerate(everyone, start=2)}
-        access, _, honest = (_labels(everyone, rows)
-                             for rows in ThresholdScheme(2, players)._player_rows)
+        access_rows, _, honest_rows = ThresholdScheme(2, players)._player_rows
 
-        for design, basis, structures in zip(designs, "xp", (access, honest)):
+        for design, basis, rows in zip(designs, "xp", (access_rows, honest_rows)):
             gram = design_gram(design)
-            for batch in ([everyone], structures):
-                for estimators, fit in zip(batch, simulation._fit(*gram, basis, batch, everyone),
+            for positions in (np.arange(players)[None], rows):
+                batch = _labels(everyone, positions)
+                for estimators, fit in zip(batch, simulation._fit(*gram, basis, positions, batch),
                                            strict=True):
                     self.assert_matches(fit, regression_loop(design, everyone, estimators))
                     # Batching the structures moves no bit of any fit.
@@ -499,7 +499,8 @@ class TestRegressionKernel:
             return real_solve(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", solve)
-        fits = simulation._fit(*gram, "x", structures, parties)
+        fits = simulation._fit(*gram, "x", np.array(list(combinations(range(11), 4))),
+                               structures)
         monkeypatch.undo()
         assert shapes == [(SCHUR_BLOCK_ROWS, 5, 5), (74, 5, 5)]
         assert len(fits) == len(structures)

@@ -189,7 +189,7 @@ class TestKnState:
         def no_squeezer(*args, **kwargs):
             raise AssertionError("a matrix was built before the player cap")
 
-        monkeypatch.setattr(states, "squeezed_vacuum", no_squeezer)
+        monkeypatch.setattr(states, "_squeezed_covariance", no_squeezer)
         n = MAX_PLAYERS + 1
         with pytest.raises(ValueError, match=f"n = {n} players exceeds the supported "
                                              f"maximum of {MAX_PLAYERS}"):

@@ -284,12 +284,13 @@ def test_kernel_calls_per_sweep_do_not_grow_with_the_grid(monkeypatch):
         return real_schur(*args)
 
     monkeypatch.setattr(keyrate_module, "schur", counted)
-    # Four kernel calls per chunk (access, honest complements, and all players
-    # in x and in p); a chunk holds up to 128 points of any curves.
+    # Three kernel calls per chunk (access, honest complements, and all players
+    # in p): at k = n the one access row is every player, so the access side is
+    # the all-player x inference. A chunk holds up to 128 points of any curves.
     for steps, chunks in ((16, [64]), (61, [128, 116])):
         calls.clear()
         assert cli(["sweep", "--r-steps", str(steps)])[0] == EXIT_OK
-        assert calls == [(points, 6, 6) for points in chunks for _ in range(4)]
+        assert calls == [(points, 6, 6) for points in chunks for _ in range(3)]
 
 
 @pytest.mark.parametrize("n, k, steps, fmt", [
