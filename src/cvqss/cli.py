@@ -262,19 +262,22 @@ def _table(kind: str, terms, binding: tuple) -> str:
     written from its player rows and value array, with no newline after the last;
     ``binding``'s line is marked.
 
-    A label, "{B1,B2,...}" left-justified to 18 characters, is one column of names per
-    position, then "}" and the padding its length leaves.
+    A label, "{B1,B2,...}" left-justified to 18 characters, is the player names two
+    positions a column (``jsontext._position_columns``), then "}", the padding its
+    length leaves and the space before the value. Each distinct value is spelled once
+    with its line end and the next line's head; the binding line's "*" is patched in.
     """
     names, rows = terms.names, terms.rows
-    ends = ["  \n"] * len(rows)
-    ends[(rows == [names.index(name) for name in binding]).all(axis=1).argmax()] = "  *\n"
+    head = f"{kind:<12} {{"
+    values = float_texts(terms.array, lambda value: format(value, ">16.12g") + "  \n" + head)
+    mark = (rows == [names.index(name) for name in binding]).all(axis=1).argmax()
+    values[mark] = values[mark].replace("\n", "*\n")
     lengths = (2 + max(rows.shape[1] - 1, 0)
                + np.array([len(name) for name in names])[rows].sum(axis=1))
-    closers = np.array(["}" + " " * pad for pad in range(17)], dtype=object)
-    values = float_texts(terms.array, lambda value: format(value, ">16.12g"))
-    return _rows("", [f"{kind:<12} {{", *_position_columns(names, rows, ","),
-                      closers[np.maximum(18 - lengths, 0)].tolist(), " ", values, ends],
-                 ends[-1][:-1])
+    closers = np.array(["}" + " " * pad + " " for pad in range(17)], dtype=object)
+    return _rows(head, [*_position_columns(names, rows, ","),
+                        closers[np.maximum(18 - lengths, 0)].tolist(), values],
+                 values[-1][:-1 - len(head)])
 
 
 def _label_texts(labels) -> list:

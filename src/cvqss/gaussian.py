@@ -101,6 +101,9 @@ class GaussianState:
             raise ValueError(f"mean must have length {dim}, got {mean.shape}")
         if cov.shape[-2:] != (dim, dim):
             raise ValueError(f"cov must be {dim}x{dim}, got {cov.shape}")
+        if not cov.size:
+            raise ValueError(f"cov is an empty stack of shape {cov.shape}: a stack needs "
+                             "at least one state, and a state at least one mode")
         transposed = cov.swapaxes(-1, -2)
         scale = np.abs(cov).max(axis=(-2, -1), keepdims=True, initial=1.0)
         asym = (np.abs(cov - transposed) / scale).max()

@@ -9,10 +9,12 @@ command line goes through it.
 The per-structure parts of a key-rate report are written as columns, with
 the same bytes: one list of texts per field (or one text for every row),
 interleaved into one list by slice assignment and joined once
-(:func:`_rows`). Each distinct double of a per-structure array is spelled
-once (:func:`float_texts`): a report's values are massively tied, bit for
-bit. Structures are written from their rows of player positions, one column
-of texts per position (:func:`_position_columns`), with no tuple built: a
+(:func:`_rows`). A row costs a few list slots: each writer folds its constant
+separators into the distinct texts beside them before they are gathered, and
+each distinct double of a per-structure array is spelled once, separator
+included (:func:`float_texts`): a report's values are massively tied, bit for
+bit. Structures are written from their rows of player positions, two positions
+a column (:func:`_position_columns`), with no tuple built: a
 :class:`~cvqss.keyrate.ThresholdScheme` as its (k, n) and the lists of its
 1-based structures, and a per-structure map
 (:class:`~cvqss.keyrate._StructureMap`, a read-only ``Mapping`` view over
@@ -69,13 +71,30 @@ def _rows(head: str, columns: list, tail: str) -> str:
     return "".join(pieces)
 
 
-def _position_columns(texts, rows: np.ndarray, between: str) -> list:
-    """:func:`_rows` columns of the 0-based position ``rows``: for each position j, the
-    column of ``texts`` at ``rows[:, j]``, with ``between`` after every one but the last."""
-    texts, columns = np.array(texts, dtype=object), []
-    for j in range(rows.shape[1]):
-        columns += [texts[rows[:, j]].tolist(), between]
-    return columns[:-1]
+def _position_columns(texts, rows: np.ndarray, between: str, end: str = "") -> list:
+    """:func:`_rows` columns of the 0-based position ``rows``, two positions a column.
+
+    Row s reads as the ``texts`` at ``rows[s]``, each followed by ``between`` but the
+    last, which is followed by ``end``. Column j holds positions 2j and 2j + 1 of every
+    row, separators included, gathered by index from a table of the n x n pair texts
+    (n = len(texts), at most 576 pairs for a scheme); the last column, a pair or one
+    position, comes from a table that ends in ``end`` instead of ``between``. A row of
+    width w takes ceil(w / 2) columns, and width 0 none.
+    """
+    width, n = rows.shape[1], len(texts)
+    if not width:
+        return []
+    pairs = ([first + between + second for first in texts for second in texts]
+             if width > 1 else [])
+    lasts = [text + end for text in texts] if width % 2 else [pair + end for pair in pairs]
+    table = np.array([pair + between for pair in pairs] + lasts, dtype=object)
+    codes = np.empty((len(rows), (width + 1) // 2), dtype=np.intp)
+    codes[:, :width // 2] = rows[:, 0:width - 1:2] * n + rows[:, 1::2]
+    if width % 2:
+        codes[:, -1] = len(pairs) + rows[:, -1]
+    else:
+        codes[:, -1] += len(pairs)
+    return table[codes.T].tolist()
 
 
 def json_text(value, pad: str = "\n") -> str:
@@ -116,16 +135,17 @@ def json_text(value, pad: str = "\n") -> str:
     row_keys = {}  # (id(names), id(rows)) -> (names, rows, the rows' key texts)
 
     def keys_of(names, rows):
-        # Row s's key: its names' texts joined by "+". The maps of one side share their
-        # names and rows, so each row array's keys are written once per call; the cache
-        # holds the arrays, so no id is reused while it lives.
+        # Row s's key: its names' texts joined by "+", then the '": ' that follows it. The
+        # maps of one side share their names and rows, so each row array's keys are written
+        # once per call; the cache holds the arrays, so no id is reused while it lives.
         cached = row_keys.get((id(names), id(rows)))
         if cached is None:
             columns = _position_columns(
-                [encode_basestring_ascii(str(name))[1:-1] for name in names], rows, "+")
+                [encode_basestring_ascii(str(name))[1:-1] for name in names], rows, "+",
+                '": \n')
             # Escaped texts hold no newline, so the rows joined by one split back apart.
-            keys = (_rows("", [*columns, "\n"], "").split("\n") if columns
-                    else ["(none)"] * len(rows))
+            keys = (_rows("", columns, columns[-1][-1][:-1]).split("\n") if columns
+                    else ['(none)": '] * len(rows))
             cached = row_keys[id(names), id(rows)] = names, rows, keys
         return cached[2]
 
@@ -155,20 +175,26 @@ def json_text(value, pad: str = "\n") -> str:
                 and (not values.shape[1] or len(set(gain_keys)) < len(gain_keys))):
             return mapping(value, pad)  # merged and written as the reference writes a map
         inner = pad + "  "
-        # Row s: its key, then its value.
-        columns = [keys_of(names, rows), '": ']
+        keys = keys_of(names, rows)
         if value.quadrature is None:
-            columns += [float_texts(values), "," + inner + '"']
-            return _rows("{" + inner + '"', columns, pad + "}")
-        # A JointVariable's fields, with one player name and one gain per estimator.
+            # Row s: its key, then its value and the separator before the next key.
+            separator = "," + inner + '"'
+            texts = float_texts(values, lambda value: _json_float(value) + separator)
+            return _rows("{" + inner + '"', [keys, texts],
+                         texts[-1][:-len(separator)] + pad + "}")
+        # A JointVariable's fields, with one player name and one gain per estimator: the
+        # first name carries the fields before it, each other the cell separator.
         width, field, cell = values.shape[1], inner + "  ", inner + "    "
-        gain_keys, gain_texts = np.array(gain_keys, dtype=object), float_texts(values)
-        columns[-1] += ("{" + field + '"quadrature": ' + text(value.quadrature, field)
-                        + "," + field + '"gains": {' + cell)
-        for j in range(width):
-            columns += [gain_keys[value.estimators[:, j]].tolist(), gain_texts[j::width],
-                        "," + cell]
-        columns[-1] = field + "}" + inner + "}," + inner + '"'
+        opener = ("{" + field + '"quadrature": ' + text(value.quadrature, field) + ","
+                  + field + '"gains": {' + cell)
+        table = np.array([opener + key for key in gain_keys]
+                         + ["," + cell + key for key in gain_keys], dtype=object)
+        index = value.estimators.T + len(names)
+        index[0] -= len(names)
+        gain_texts, columns = float_texts(values), [keys]
+        for j, named in enumerate(table[index].tolist()):
+            columns += [named, gain_texts[j::width]]
+        columns.append(field + "}" + inner + "}," + inner + '"')
         return _rows("{" + inner + '"', columns, field + "}" + inner + "}" + pad + "}")
 
     def array(value, pad):
@@ -178,14 +204,15 @@ def json_text(value, pad: str = "\n") -> str:
         return "[" + inner + ("," + inner).join(texts(value, inner)) + pad + "]"
 
     def structures(rows, n, pad):
-        # Row s of 0-based positions as the list of its 1-based indices, a column a position.
+        # Row s of 0-based positions as the list of its 1-based indices.
         inner, cell = pad + "  ", pad + "    "
         if not rows.shape[1]:
             return "[" + inner + ("," + inner).join(["[]"] * len(rows)) + pad + "]"
+        end = inner + "]," + inner + "[" + cell
         columns = _position_columns([int.__repr__(index) for index in range(1, n + 1)], rows,
-                                    "," + cell)
-        columns.append(inner + "]," + inner + "[" + cell)
-        return _rows("[" + inner + "[" + cell, columns, inner + "]" + pad + "]")
+                                    "," + cell, end)
+        return _rows("[" + inner + "[" + cell, columns,
+                     columns[-1][-1][:-len(end)] + inner + "]" + pad + "]")
 
     def scheme(value, pad):
         access, colluding, _ = value._player_rows

@@ -33,7 +33,8 @@ side at k = n, and the honest side of the one (empty) collusion at k = 1.
 Players fall into classes (one on a star) within which every permutation
 leaves the announcement map and each covariance unchanged bit for bit, so
 structures whose players have the same classes position by position are one
-inference, bit for bit: each side evaluates one structure per class sequence.
+inference, bit for bit: each side evaluates one structure per class sequence,
+and :func:`combine` computes its terms once per class sequence.
 :func:`combine` is the one reduction from conditional variances to these
 rates, over any leading axes, for the empirical ones of
 :func:`~cvqss.simulation.run_protocol` too.
@@ -263,7 +264,8 @@ class RateBound(NamedTuple):
     rate: np.ndarray
 
 
-def combine(dealer_x_variance, access_variances, adversarial_variances) -> RateBound:
+def combine(dealer_x_variance, access_variances, adversarial_variances,
+            folds: tuple = (None, None)) -> RateBound:
     """The one rate reduction: ``min_i I_i - max_j chi_j``, ties to the first.
 
     ``I_i = log2(V / v_i) / 2`` with v_i access structure i's conditional x
@@ -272,16 +274,25 @@ def combine(dealer_x_variance, access_variances, adversarial_variances) -> RateB
     as a (...) array; the fields are arrays over those leading axes. Nothing
     is range-checked, since a fitted v_i may exceed V, but a term that is not
     finite raises ValueError.
+
+    ``folds`` holds, for the access then the adversarial side, None or the
+    :func:`_class_sequences` of its structures: a side's terms are then computed
+    once per class sequence and spread to its structures, the same bits.
     """
+    everything = slice(None), slice(None)
+    (access_first, access_spread), (adversarial_first, adversarial_spread) = (
+        everything if fold is None else fold for fold in folds)
     dealer = np.asarray(dealer_x_variance, dtype=float)[..., None]
     with np.errstate(over="ignore"):  # an infinite term is refused below
-        bits = 0.5 * np.log2(dealer / np.asarray(access_variances, dtype=float))
-        products = dealer * np.asarray(adversarial_variances, dtype=float)
+        bits = 0.5 * np.log2(dealer / np.asarray(access_variances, dtype=float)[
+            ..., access_first])[..., access_spread]
+        products = dealer * np.asarray(adversarial_variances, dtype=float)[
+            ..., adversarial_first]
     # chi = H_G(X_A) - log2(2 pi) + log2 sqrt(2 pi e V(P_A|.)) collapses to
     # log2(e) + log2(V u) / 2. math.log2, as np.log2 differs in the last bit
     # on about 1 in 10^4 doubles.
     holevo = _LOG2_E + 0.5 * np.reshape(list(map(math.log2, products.ravel().tolist())),
-                                        products.shape)
+                                        products.shape)[..., adversarial_spread]
     for name, terms in (("mutual information", bits), ("Holevo term", holevo)):
         if not np.isfinite(terms).all():  # V / v or V u overflows at extreme squeezing
             first = np.argmin(np.isfinite(terms))
@@ -316,32 +327,46 @@ def _player_classes(state: GaussianState, layout: PartyLayout) -> np.ndarray:
     return np.array(labels)
 
 
+def _class_sequences(rows: np.ndarray, classes: np.ndarray):
+    """(first, spread) of the structures at ``rows`` whose players' ``classes`` (the
+    state's :func:`_player_classes`) fold, else None.
+
+    Rows whose players have the same classes position by position are one inference,
+    bit for bit: ``rows[first]`` holds one row per class sequence, and row s's
+    sequence is number ``spread[s]`` of them.
+    """
+    count = int(classes.max()) + 1
+    if len(rows) < 2 or count == len(classes) or count ** rows.shape[1] >= 2 ** 63:
+        return None
+    # Row s's class sequence, written in base ``count``, names its inference.
+    codes = classes[rows] @ count ** np.arange(rows.shape[1])
+    _, first, spread = np.unique(codes, return_index=True, return_inverse=True)
+    return first, spread
+
+
 def _infer(state: GaussianState, layout: PartyLayout, basis: str, rows: np.ndarray,
-           classes: np.ndarray = None) -> tuple:
+           fold: tuple = None) -> tuple:
     """:func:`~cvqss.estimation.schur` of the dealer's ``basis`` quadrature, checked.
 
     Estimator set s is the announced ``basis`` outcomes of the distinct players
-    at the 0-based positions in row s of ``rows``. Rows whose players have the
-    same ``classes`` (the state's :func:`_player_classes`) position by position
-    are one inference, bit for bit: only the first of them is evaluated, and
-    its result stands for all. Without ``classes`` every row is evaluated.
+    at the 0-based positions in row s of ``rows``. With the rows'
+    :func:`_class_sequences` as ``fold``, only the first row of each class
+    sequence is evaluated, and its result stands for all; without, every row is.
     """
     announced = np.array([state.quad_index(*coord) for coord in
                           layout.announced_coordinates(layout.player_modes, basis)])
-    evaluated, spread = rows, None
-    if classes is not None and len(rows) > 1:
-        count = int(classes.max()) + 1
-        if count < len(classes) and count ** rows.shape[1] < 2 ** 63:
-            # Row s's class sequence, written in base ``count``, names its inference.
-            codes = classes[rows] @ count ** np.arange(rows.shape[1])
-            _, first, spread = np.unique(codes, return_index=True, return_inverse=True)
-            evaluated = rows[first]
+    evaluated = rows if fold is None else rows[fold[0]]
     variances, gains, dealer = schur(state.cov, state.quad_index(layout.dealer_mode, basis),
                                      announced[evaluated])
-    if spread is not None:
-        variances, gains = variances[..., spread], gains[..., spread, :]
+    if fold is not None:
+        variances, gains = variances[..., fold[1]], gains[..., fold[1], :]
     check_conditional_variances(variances, dealer)
     return variances, gains, dealer
+
+
+def _all_but_one(n: int) -> np.ndarray:
+    """Row j holds the positions 0..n-1 but j: the (n-1)-subsets in reverse order."""
+    return np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)
 
 
 def _everyone(state: GaussianState, layout: PartyLayout) -> tuple:
@@ -367,7 +392,8 @@ class KeyRates(NamedTuple):
 def key_rates(state: GaussianState, layout: PartyLayout, scheme: ThresholdScheme) -> KeyRates:
     """Every key rate of a (k, n) scheme on one state or a stack of states.
 
-    Each side evaluates one row per class sequence of its structures (module docstring).
+    Each side evaluates one row, and computes its terms once, per class sequence of its
+    structures (module docstring).
     """
     layout.check_state(state, stacked=True)
     if scheme.n != layout.num_players:
@@ -375,15 +401,16 @@ def key_rates(state: GaussianState, layout: PartyLayout, scheme: ThresholdScheme
                          f"{layout.num_players}")
     access, _, honest = scheme._player_rows
     classes = _player_classes(state, layout)
-    access_side = _infer(state, layout, "x", access, classes)
-    adversarial_side = _infer(state, layout, "p", honest, classes)
+    folds = _class_sequences(access, classes), _class_sequences(honest, classes)
+    access_side = _infer(state, layout, "x", access, folds[0])
+    adversarial_side = _infer(state, layout, "p", honest, folds[1])
     # A side whose one row is every player is the all-player inference, bit for bit:
-    # a one-row _infer folds no classes.
+    # a one-row side folds no classes.
     everyone = np.arange(layout.num_players)[None]
     everyone_x = access_side if scheme.k == scheme.n else _infer(state, layout, "x", everyone)
     everyone_p = adversarial_side if scheme.k == 1 else _infer(state, layout, "p", everyone)
     return KeyRates(access_side, adversarial_side, everyone_x, everyone_p,
-                    combine(access_side[2], access_side[0], adversarial_side[0]),
+                    combine(access_side[2], access_side[0], adversarial_side[0], folds),
                     combine(everyone_x[2], everyone_x[0], everyone_p[0]), classes)
 
 
@@ -423,10 +450,11 @@ def keyrate_qss(state: GaussianState, layout: PartyLayout,
     bound = rates.combined
 
     names, (access, colluding, honest) = layout.player_modes, scheme._player_rows
-    # Player j alone dishonest: the all-player x side against the p side of row j of the
-    # (n-1)-subsets reversed, for k = 2 the adversarial structures' honest sides already.
+    # Player j alone dishonest: the all-player x side against the p side of every player
+    # but j, for k = 2 the adversarial structures' honest sides already.
+    others = _all_but_one(scheme.n)
     single = adversarial_v if scheme.k == 2 else _infer(
-        state, layout, "p", _subset_rows(scheme.n, scheme.n - 1)[1][::-1], rates.classes)[0]
+        state, layout, "p", others, _class_sequences(others, rates.classes))[0]
     v_x = np.broadcast_to(rates.everyone_x[0], (scheme.n, 1))
     dishonest = combine(np.full(scheme.n, dealer_x), v_x, single[:, None])
     report = KeyRateReport(

@@ -155,11 +155,13 @@ class TestThreshold:
 
 
 class TestTableWriter:
-    """The threshold table writes each label as columns of player names per position;
-    its bytes are those of one left-justified label text per line."""
+    """The threshold table writes each label as columns of player names, two positions a
+    column; its bytes are those of one left-justified label text per line."""
 
-    @pytest.mark.parametrize("k, n", [(7, 14), (1, 3), (4, 4), (1, 24)],
-                             ids=["labels-over-18", "k-1", "k-n", "1-24"])
+    # Labels are written two positions a column: (6, 12) and (2, 3) end their access
+    # labels in a pair and their collusion labels in a single position.
+    @pytest.mark.parametrize("k, n", [(7, 14), (1, 3), (4, 4), (1, 24), (6, 12), (2, 3)],
+                             ids=["labels-over-18", "k-1", "k-n", "1-24", "6-12", "2-3"])
     @pytest.mark.parametrize("side", [0, 1], ids=["access", "adversarial"])
     def test_bytes_equal_the_label_text_writer(self, k, n, side):
         names = tuple(f"B{i}" for i in range(1, n + 1))

@@ -1,6 +1,7 @@
 """Moment representation, builders and symplectic transformations."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -90,6 +91,17 @@ class TestSqueezedVacuum:
     def test_stack_error_names_the_first_offending_value(self, r, message):
         with pytest.raises(ValueError, match=message):
             squeezed_vacuum(np.array(r))
+
+    @pytest.mark.parametrize("r", [np.zeros(0), np.zeros((2, 0))], ids=["0", "2x0"])
+    def test_empty_stack_is_refused_by_name(self, r):
+        # Not numpy's "zero-size array to reduction operation" from the symmetry check.
+        shape = re.escape(str(r.shape + (2, 2)))
+        with pytest.raises(ValueError, match=f"^cov is an empty stack of shape {shape}: "):
+            squeezed_vacuum(r)
+        spec = ChannelSpec(0.9)
+        shape = re.escape(str(r.shape + (6, 6)))
+        with pytest.raises(ValueError, match=f"^cov is an empty stack of shape {shape}: "):
+            build_kn_state(2, r, {"B1": spec, "B2": spec}, chain_topology(2))
 
     @pytest.mark.parametrize("quad", ["x", "p"])
     def test_stack_holds_math_exp_bit_for_bit(self, quad):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
-from cvqss.jsontext import float_texts, json_text
+from cvqss.jsontext import _position_columns, _rows, float_texts, json_text
 from cvqss import (
     ChannelSpec,
     ThresholdScheme,
@@ -234,6 +234,35 @@ class TestGainMapWriter:
         maps.append(_StructureMap(first.names, first.rows, np.arange(len(first), dtype=float)))
         value = {"maps": maps, "again": maps[::-1]}
         assert json_text(value) == json.dumps(jsonable(value), indent=2)
+
+
+def _one_column_per_position(texts, rows, between, end):
+    """The position columns as written before pairing: one column of ``texts`` per
+    position, with ``between`` and ``end`` as constant columns."""
+    texts, columns = np.array(texts, dtype=object), []
+    for j in range(rows.shape[1]):
+        columns += [texts[rows[:, j]].tolist(), between]
+    return columns[:-1] + [end] if columns else []
+
+
+class TestPositionColumns:
+    """Two positions a column, separators folded in, read as one column a position."""
+
+    # Mixed lengths, a name holding each separator, and an empty name.
+    NAMES = ["B1", "Carolina-Longname", "", "a+b", "x,y", "é😀", "B10", '"q"\\']
+
+    @pytest.mark.parametrize("width", range(8))
+    def test_rows_equal_the_one_column_per_position_writer(self, width):
+        rng = np.random.default_rng(20261019 + width)
+        for between, end in (("+", '": \n'), (",", ""), (",\n    ", "\n  ],\n  [")):
+            for count in (1, 2, 37):
+                rows = rng.integers(0, len(self.NAMES), size=(count, width))
+                paired = _position_columns(self.NAMES, rows, between, end)
+                assert len(paired) == (width + 1) // 2
+                heads = [f"<{s}>" for s in range(count)]  # one list column at any width
+                texts = [_rows("{", [heads, *columns, "|"], "}") for columns in (
+                    paired, _one_column_per_position(self.NAMES, rows, between, end))]
+                assert texts[0] == texts[1]
 
 
 class TestReportWriter:

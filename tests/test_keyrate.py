@@ -653,6 +653,48 @@ class TestCombine:
         assert bound.rate == -0.5 - (math.log2(math.e) - 0.5)
 
     @pytest.mark.parametrize("n, k, topology", [
+        *[(5, k, star_topology) for k in range(1, 6)], (5, 3, chain_topology)])
+    def test_folded_terms_equal_combine_of_the_spread_arrays_bit_for_bit(self, n, k, topology):
+        # A two-point stack; on a star every structure of a side ties, binding row 0.
+        state, layout = _kn_state(n, topology, r=np.array([0.9, 1.2]))
+        scheme = ThresholdScheme(k, n)
+        rates = keyrate_module.key_rates(state, layout, scheme)
+        access, _, honest = scheme._player_rows
+        folds = [keyrate_module._class_sequences(rows, rates.classes) for rows in (access, honest)]
+        star = topology is star_topology
+        assert [fold is not None for fold in folds] == [star and len(access) > 1,
+                                                         star and len(honest) > 1]
+        spread = combine(rates.access[2], rates.access[0], rates.adversarial[0])
+        for folded, reference in zip(rates.combined, spread):
+            assert folded.dtype == reference.dtype
+            assert folded.tobytes() == reference.tobytes()
+        if star:
+            assert rates.combined.binding_access.tolist() == [0, 0]
+            assert rates.combined.binding_adversarial.tolist() == [0, 0]
+
+    def test_a_folded_side_names_the_first_non_finite_structure(self):
+        # Sequence 0 is structures 1 and 3, sequence 1 structures 0 and 2: the first
+        # non-finite term in structure order is a NaN, in sequence order an infinity.
+        fold = np.array([1, 0]), np.array([1, 0, 1, 0])
+        dealer, finite, nan = np.array([1.0, 1e300]), np.ones((2, 4)), math.nan
+        small = np.array([[1.0] * 4, [nan, 1e-320, nan, 1e-320]])  # V / v overflows
+        large = np.array([[1.0] * 4, [nan, 1e10, nan, 1e10]])  # V u overflows
+        for folds, sides, name in (((fold, None), (small, finite), "mutual information"),
+                                   ((None, fold), (finite, large), "Holevo term")):
+            messages = []
+            for given in (folds, (None, None)):
+                with pytest.raises(ValueError, match=f"^{name} nan is not finite at dealer x "
+                                                     "variance 1e[+]300: ") as error:
+                    combine(dealer, *sides, given)
+                messages.append(str(error.value))
+            assert messages[0] == messages[1]
+
+    def test_single_dishonest_rows_are_the_largest_subsets_reversed(self):
+        for n in range(2, 25):
+            assert np.array_equal(keyrate_module._all_but_one(n),
+                                  keyrate_module._subset_rows(n, n - 1)[1][::-1])
+
+    @pytest.mark.parametrize("n, k, topology", [
         (10, 5, star_topology),
         (6, 3, chain_topology),  # the chain's k != 2 path: one p inference per player
         (4, 2, star_topology),  # k = 2 reads the adversarial structures' variances
