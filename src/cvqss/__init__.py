@@ -6,10 +6,8 @@ from .gaussian import (
     GaussianState,
     StateDiagnostics,
     UnphysicalStateError,
-    squeezed_vacuum,
     symplectic_eigenvalues,
     symplectic_form,
-    vacuum,
     validate,
 )
 from .keyrate import (
@@ -57,10 +55,8 @@ __all__ = [
     "keyrate_eavesdropping",
     "keyrate_qss",
     "run_protocol",
-    "squeezed_vacuum",
     "star_topology",
     "symplectic_eigenvalues",
     "symplectic_form",
-    "vacuum",
     "validate",
 ]

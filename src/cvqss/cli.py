@@ -100,8 +100,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="cvqss", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sweep = sub.add_parser("sweep", help="key rates over an (r, T) grid",
-                             parents=[], add_help=True)
+    p_sweep = sub.add_parser("sweep", help="key rates over an (r, T) grid")
     p_sweep.add_argument("--r-min", type=float, default=0.0)
     p_sweep.add_argument("--r-max", type=float, default=1.5)
     p_sweep.add_argument("--r-steps", type=int, default=61)
@@ -295,8 +294,6 @@ def cmd_simulate(args) -> int:
         _write_text(None, [json_text(report), "\n"], args.quiet)
         return EXIT_OK
 
-    access_texts = _label_texts(report.access_variance)
-    collusion_texts = _label_texts(report.adversarial_variance)
     lines = []
     if not args.quiet:
         analytic = report.analytic
@@ -314,10 +311,11 @@ def cmd_simulate(args) -> int:
         lines.append(f"{'quantity':<36} {'empirical':>16} {'analytic':>16}")
         rows = [("V(X_A | all players)", report.inference_x.variance, v_x),
                 ("V(P_A | all players)", report.inference_p.variance, v_p)]
-        for text, (players, fit) in zip(access_texts, report.access_variance.items()):
+        for text, (players, fit) in zip(_label_texts(report.access_variance),
+                                        report.access_variance.items()):
             rows.append((f"V(X_A | access {text})", fit.variance,
                          analytic.access_conditional_variance[players]))
-        for text, (colluders, fit) in zip(collusion_texts,
+        for text, (colluders, fit) in zip(_label_texts(report.adversarial_variance),
                                           report.adversarial_variance.items()):
             rows.append((f"V(P_A | honest vs {text})", fit.variance,
                          analytic.adversarial_conditional_variance[colluders]))
@@ -340,10 +338,12 @@ def cmd_simulate(args) -> int:
             rows += [["sifted_count", name, count, ""]
                      for name, count in report.sifted_counts.items()]
             rows += [["V_x_conditional", text, _fmt(fit.variance), _fmt(fit.standard_error)]
-                     for text, fit in zip(access_texts, report.access_variance.values())]
+                     for text, fit in zip(_label_texts(report.access_variance),
+                                          report.access_variance.values())]
             rows += [["V_p_conditional", f"honest_of_{text}", _fmt(fit.variance),
                       _fmt(fit.standard_error)]
-                     for text, fit in zip(collusion_texts, report.adversarial_variance.values())]
+                     for text, fit in zip(_label_texts(report.adversarial_variance),
+                                          report.adversarial_variance.values())]
             rows.append(["combined_rate", "", _fmt(report.combined_rate),
                          _fmt(report.combined_rate_standard_error)])
             # The writer quotes the structure labels, whose commas would split them.

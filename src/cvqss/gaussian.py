@@ -1,4 +1,4 @@
-"""Multimode Gaussian states as first and second moments, their builders and diagnostics.
+"""Multimode Gaussian states as first and second moments, the squeezer and diagnostics.
 
 Conventions used throughout the package (fixed here, asserted everywhere):
 
@@ -11,13 +11,13 @@ Conventions used throughout the package (fixed here, asserted everywhere):
   eigenvalues are >= 1/2; it describes a pure state iff they all equal 1/2.
 
 States are immutable, so values can be shared freely across threads. The
-resource itself is built in :mod:`cvqss.states`; the gate-by-gate symplectic
-maps it must reproduce are the test oracle in ``tests/helpers.py``.
+resource itself is built in :mod:`cvqss.states` from the p-squeezed covariance
+here; the gate-by-gate symplectic maps it must reproduce, and the vacuum and
+squeezed-vacuum states they start from, are the test oracle in ``tests/helpers.py``.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -76,12 +76,11 @@ class GaussianState:
         mean: Length-2m vector of quadrature means, ordering x1,p1,...,xm,pm.
         cov: Symmetric 2m x 2m covariance matrix in the same ordering, or a
             (..., 2m, 2m) stack of them sharing mean and labels, which
-            ``squeezed_vacuum`` and ``cvqss.states.build_kn_state`` build
-            as one array.
+            ``cvqss.states.build_kn_state`` builds as one array.
         labels: Unique identifier per mode.
 
-    The constructor enforces shape consistency, label uniqueness and
-    symmetry of ``cov``; physicality (the bona-fide condition) is *not*
+    The constructor enforces shape consistency, label uniqueness and a
+    finite, symmetric ``cov``; physicality (the bona-fide condition) is *not*
     enforced, so that diagnostics can be run on deliberately broken
     matrices; see :func:`validate`.
     """
@@ -104,6 +103,9 @@ class GaussianState:
         if not cov.size:
             raise ValueError(f"cov is an empty stack of shape {cov.shape}: a stack needs "
                              "at least one state, and a state at least one mode")
+        finite = np.isfinite(cov)
+        if not finite.all():  # else a NaN symmetry residual would pass the check below
+            raise ValueError(f"cov must be finite, got an entry of {cov.flat[finite.argmin()]}")
         transposed = cov.swapaxes(-1, -2)
         scale = np.abs(cov).max(axis=(-2, -1), keepdims=True, initial=1.0)
         asym = (np.abs(cov - transposed) / scale).max()
@@ -116,10 +118,6 @@ class GaussianState:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "labels", labels)
-
-    @property
-    def num_modes(self) -> int:
-        return len(self.labels)
 
     def mode_index(self, label) -> int:
         try:
@@ -137,16 +135,6 @@ class GaussianState:
             raise ValueError(f"expected one state, got a {self.cov.shape} covariance stack")
         return self.cov
 
-    def variance(self, label, quadrature: Quadrature) -> float:
-        i = self.quad_index(label, quadrature)
-        return float(self._single_cov()[i, i])
-
-    def covariance(self, coord_a: tuple, coord_b: tuple) -> float:
-        """Covariance between two (mode, quadrature) coordinates."""
-        i = self.quad_index(*coord_a)
-        j = self.quad_index(*coord_b)
-        return float(self._single_cov()[i, j])
-
 
 @dataclass(frozen=True)
 class StateDiagnostics:
@@ -158,61 +146,35 @@ class StateDiagnostics:
     purity: float | None
     physical: bool
 
-    @property
-    def pure(self) -> bool:
-        return self.physical and self.purity >= 1.0 - 1e-9
 
+def _squeezed_covariance(r) -> np.ndarray:
+    """The covariance of a p-squeezed vacuum, a (..., 2, 2) stack for an array of r.
 
-def vacuum(num_modes: int, labels: Sequence | None = None) -> GaussianState:
-    """The ``num_modes``-mode vacuum: zero mean, cov = (1/2) identity."""
-    if num_modes < 1:
-        raise ValueError("need at least one mode")
-    if labels is None:
-        labels = tuple(f"m{i}" for i in range(num_modes))
-    dim = 2 * num_modes
-    return GaussianState(np.zeros(dim), VACUUM_VARIANCE * np.eye(dim), labels)
-
-
-def squeezed_vacuum(r: float, squeezed_quadrature: Quadrature = "p",
-                    label="m0") -> GaussianState:
-    """Single-mode squeezed vacuum with squeezing parameter ``r >= 0``.
-
-    The squeezed quadrature has variance exp(-2r)/2, its conjugate
-    exp(+2r)/2; flip ``squeezed_quadrature`` rather than passing r < 0.
-    An array of r values gives the stack of their states.
-    """
-    return GaussianState(np.zeros(2), _squeezed_covariance(r, squeezed_quadrature), (label,))
-
-
-def _squeezed_covariance(r, squeezed_quadrature: Quadrature = "p") -> np.ndarray:
-    """The covariance of :func:`squeezed_vacuum`, a (..., 2, 2) stack for an array of r.
-
-    The exponentials are ``math.exp``'s, which ``np.exp`` differs from in the last bit
-    on some inputs. The error raised names the first value, in row-major order, that
-    is not finite, is negative or overflows exp(2r).
+    x has variance exp(2r)/2 and p exp(-2r)/2, the exponentials ``math.exp``'s, which
+    ``np.exp`` differs from in the last bit on some inputs. The error raised names the
+    first value, in row-major order, that is not finite, is negative or overflows
+    exp(2r), 2r included.
     """
     values = np.asarray(r, dtype=float)
     flat, anti = values.ravel(), []
+    with np.errstate(over="ignore"):  # 2r is inf from r = 2^1023 on: refused below
+        doubled = 2.0 * flat
     try:
-        anti.extend(map(math.exp, (2.0 * flat).tolist()))  # kept up to the first overflow
+        anti.extend(map(math.exp, doubled.tolist()))  # kept up to the first overflow
     except OverflowError:
         pass
-    offending = ~(np.isfinite(flat) & (flat >= 0.0))
+    offending = ~(np.isfinite(doubled) & (flat >= 0.0))
     offending[len(anti):] = True  # the value exp(2r) overflowed at, and all after it
     if offending.any():
         value = float(flat[offending.argmax()])
         if not math.isfinite(value):
             raise ValueError(f"squeezing parameter r must be finite, got {value}")
         if value < 0:
-            raise ValueError("squeezing parameter must be >= 0; "
-                             "choose squeezed_quadrature to flip the orientation")
+            raise ValueError(f"squeezing parameter r must be >= 0, got {value}")
         raise ValueError(f"squeezing parameter r = {value} overflows the anti-squeezed "
                          "variance exp(2r)/2")
-    _check_quadrature(squeezed_quadrature)
-    squeezed = list(map(math.exp, (-2.0 * flat).tolist()))
-    diagonal = 0.5 * np.array([squeezed, anti])  # rows: the squeezed, the anti-squeezed
     cov = np.zeros((len(flat), 4))
-    cov[:, 0], cov[:, 3] = diagonal if squeezed_quadrature == "x" else diagonal[::-1]
+    cov[:, 0], cov[:, 3] = 0.5 * np.array([anti, list(map(math.exp, (-doubled).tolist()))])
     return cov.reshape(values.shape + (2, 2))
 
 

@@ -81,9 +81,6 @@ def _subset_rows(n: int, k: int) -> tuple:
     lexicographic order; widths 0 to k come out of one loop. Below width k-1
     an index that leaves too few larger ones to reach width k-1 is skipped, so
     no width holds more rows than the (k-1)- or the k-subsets.
-
-    The complements of the (k-1)-subsets, in order, are the (n-k+1)-subsets in
-    reverse order: ``_subset_rows(n, n - k + 1)[1][::-1]``.
     """
     rows = np.zeros((1, 0), dtype=int)
     for width in range(k):
@@ -95,6 +92,14 @@ def _subset_rows(n: int, k: int) -> tuple:
         # Row i's children sit at positions cumsum_i - counts_i on, the last holding top.
         rows[:, -1] = (top + 1 - counts.cumsum()).repeat(counts) + np.arange(len(rows))
     return shorter, rows
+
+
+def _complements(rows: np.ndarray, n: int) -> np.ndarray:
+    """Row s holds the positions 0..n-1 not in row s of ``rows``, in order; a row's
+    positions are distinct."""
+    outside = np.ones((len(rows), n), dtype=bool)
+    outside[np.arange(len(rows))[:, None], rows] = False
+    return (np.flatnonzero(outside) % n).reshape(len(rows), n - rows.shape[1])
 
 
 def _labels(names, rows: np.ndarray) -> list:
@@ -140,7 +145,7 @@ class ThresholdScheme:
                 f"(k, n) = ({k}, {n}) has {count} access and adversarial structures, "
                 f"over the budget of {MAX_STRUCTURES}")
         colluding, access = _subset_rows(n, k)
-        rows = (access, colluding, _subset_rows(n, n - k + 1)[1][::-1])
+        rows = (access, colluding, _complements(colluding, n))
         for array in rows:
             array.setflags(write=False)
         object.__setattr__(self, "_player_rows", rows)
@@ -364,11 +369,6 @@ def _infer(state: GaussianState, layout: PartyLayout, basis: str, rows: np.ndarr
     return variances, gains, dealer
 
 
-def _all_but_one(n: int) -> np.ndarray:
-    """Row j holds the positions 0..n-1 but j: the (n-1)-subsets in reverse order."""
-    return np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)
-
-
 def _everyone(state: GaussianState, layout: PartyLayout) -> tuple:
     """The all-player x and p inferences and the eavesdropping bound they give."""
     everyone = np.arange(layout.num_players)[None]
@@ -452,7 +452,7 @@ def keyrate_qss(state: GaussianState, layout: PartyLayout,
     names, (access, colluding, honest) = layout.player_modes, scheme._player_rows
     # Player j alone dishonest: the all-player x side against the p side of every player
     # but j, for k = 2 the adversarial structures' honest sides already.
-    others = _all_but_one(scheme.n)
+    others = _complements(np.arange(scheme.n)[:, None], scheme.n)
     single = adversarial_v if scheme.k == 2 else _infer(
         state, layout, "p", others, _class_sequences(others, rates.classes))[0]
     v_x = np.broadcast_to(rates.everyone_x[0], (scheme.n, 1))

@@ -242,6 +242,8 @@ def run_protocol(
     reduction, :func:`~cvqss.keyrate.combine`, and both are reported. The
     run is reproducible bit for bit from (state, configuration, seed).
     """
+    if seed < 0:  # numpy's own refusal names no parameter
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if not 0.0 < reveal_fraction <= 1.0:
         raise ValueError("reveal fraction must lie in (0, 1]")
     layout.check_state(state)

@@ -21,12 +21,14 @@ as ``json.dumps(jsonable(value), indent=2)``. ``label_table`` is the
 threshold table written one label text at a time, the reference for
 ``cvqss.cli._table``.
 
-The gate-by-gate oracle for ``cvqss.build_kn_state`` lives here too: one
-checked ``SymplecticTransform`` per gate (``cz_transform``, ``apply_cz``),
-and ``pure_loss``'s dilation through ``tensor``, ``apply_beamsplitter`` and
-``partial_trace``, each making a new ``GaussianState``. ``kn_state_loop``
-chains them; the library builds the same covariance in array passes and
-must match it bit for bit.
+The gate-by-gate oracle for ``cvqss.build_kn_state`` lives here too: the
+``vacuum`` and ``squeezed_vacuum`` states, one checked ``SymplecticTransform``
+per gate (``cz_transform``, ``apply_cz``), and ``pure_loss``'s dilation
+through ``tensor``, ``apply_beamsplitter`` and ``partial_trace``, each making
+a new ``GaussianState``. ``kn_state_loop`` chains them; the library builds the
+same covariance in array passes and must match it bit for bit. ``variance``
+and ``covariance`` read one state's moments by (mode, quadrature), and
+``pure`` reads a ``cvqss.validate`` report.
 """
 
 import math
@@ -41,13 +43,13 @@ from cvqss import (
     ChannelSpec,
     GaussianState,
     JointVariable,
+    StateDiagnostics,
     chain_topology,
-    squeezed_vacuum,
     star_topology,
     symplectic_form,
-    vacuum,
 )
 from cvqss import simulation
+from cvqss.gaussian import VACUUM_VARIANCE, _check_quadrature, _squeezed_covariance
 from cvqss.keyrate import ThresholdScheme, combine
 
 #: Absolute variance below which a fixed estimator is considered degenerate.
@@ -60,6 +62,43 @@ class DegenerateEstimatorError(ValueError):
 
 #: Tolerance for the symplectic-invariance check S Omega S^T = Omega.
 SYMPLECTIC_TOL = 1e-12
+
+
+def vacuum(num_modes: int, labels: Sequence | None = None) -> GaussianState:
+    """The ``num_modes``-mode vacuum: zero mean, cov = (1/2) identity."""
+    if num_modes < 1:
+        raise ValueError("need at least one mode")
+    if labels is None:
+        labels = tuple(f"m{i}" for i in range(num_modes))
+    dim = 2 * num_modes
+    return GaussianState(np.zeros(dim), VACUUM_VARIANCE * np.eye(dim), labels)
+
+
+def squeezed_vacuum(r, squeezed_quadrature: str = "p", label="m0") -> GaussianState:
+    """Single-mode squeezed vacuum with squeezing parameter ``r >= 0``: the squeezed
+    quadrature has variance exp(-2r)/2, its conjugate exp(+2r)/2. An array of r values
+    gives the stack of their states. r is checked by the library's squeezer.
+    """
+    cov = _squeezed_covariance(r)  # p-squeezed
+    if _check_quadrature(squeezed_quadrature) == "x":
+        cov = cov[..., ::-1, ::-1]  # the diagonal swapped
+    return GaussianState(np.zeros(2), cov, (label,))
+
+
+def variance(state: GaussianState, label, quadrature: str) -> float:
+    """One state's variance of a (mode, quadrature) coordinate."""
+    i = state.quad_index(label, quadrature)
+    return float(state._single_cov()[i, i])
+
+
+def covariance(state: GaussianState, coord_a: tuple, coord_b: tuple) -> float:
+    """One state's covariance between two (mode, quadrature) coordinates."""
+    return float(state._single_cov()[state.quad_index(*coord_a), state.quad_index(*coord_b)])
+
+
+def pure(diagnostics: StateDiagnostics) -> bool:
+    """Whether a ``cvqss.validate`` report describes a physical pure state."""
+    return diagnostics.physical and diagnostics.purity >= 1.0 - 1e-9
 
 
 @dataclass(frozen=True)
@@ -84,7 +123,7 @@ class SymplecticTransform:
         object.__setattr__(self, "matrix", matrix)
 
     def apply(self, state: GaussianState) -> GaussianState:
-        if self.matrix.shape[0] != 2 * state.num_modes:
+        if self.matrix.shape[0] != 2 * len(state.labels):
             raise ValueError("transform dimension does not match the state")
         s = self.matrix
         return GaussianState(s @ state.mean, s @ state.cov @ s.T, state.labels)
@@ -95,7 +134,7 @@ def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
     overlap = set(a.labels) & set(b.labels)
     if overlap:
         raise ValueError(f"mode labels collide: {sorted(overlap, key=str)}")
-    dim_a, dim_b = 2 * a.num_modes, 2 * b.num_modes
+    dim_a, dim_b = 2 * len(a.labels), 2 * len(b.labels)
     stack = max(a.cov.shape[:-2], b.cov.shape[:-2], key=len)  # one may be a single state
     cov = np.zeros(stack + (dim_a + dim_b, dim_a + dim_b))
     cov[..., :dim_a, :dim_a] = a.cov
@@ -107,7 +146,7 @@ def _embed_pair(state: GaussianState, i, j, block: np.ndarray) -> SymplecticTran
     """Lift a 4x4 two-mode symplectic block acting on modes (i, j)."""
     idx = [state.quad_index(i, "x"), state.quad_index(i, "p"),
            state.quad_index(j, "x"), state.quad_index(j, "p")]
-    full = np.eye(2 * state.num_modes)
+    full = np.eye(2 * len(state.labels))
     for a, ia in enumerate(idx):
         for b, ib in enumerate(idx):
             full[ia, ib] = block[a, b]
@@ -580,7 +619,7 @@ def sweep_loop(n, k, topology, grid, transmissivities, excess_noise=0.0, cz_weig
                 sets = [[announced[j] for j in group] for group in groups]
                 return schur_loop(state.cov, state.quad_index("A", basis), sets)[0]
 
-            dealer = state.variance("A", "x")
+            dealer = variance(state, "A", "x")
             v_x = infer("x", [range(n)])[0]
             v_p = infer("p", [range(n)])[0]
             access = infer("x", combinations(range(n), k))

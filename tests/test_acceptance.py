@@ -20,12 +20,10 @@ from cvqss import (
     chain_topology,
     keyrate_eavesdropping,
     keyrate_qss,
-    squeezed_vacuum,
     star_topology,
     symplectic_eigenvalues,
     symplectic_form,
     validate,
-    vacuum,
 )
 from cvqss import simulation
 from cvqss.cli import SWEEP_HEADER, main as cli_main
@@ -36,8 +34,11 @@ from helpers import (
     cz_transform,
     product_vacuum,
     pure_loss,
+    squeezed_vacuum,
     tmsv_conditional_variance,
     two_mode_squeezed,
+    vacuum,
+    variance,
 )
 
 GOLDEN = Path(__file__).parent / "data" / "default_sweep_golden.csv"
@@ -113,9 +114,9 @@ def test_criterion_2_closed_form_oracles():
                 state = squeezed_vacuum(r, "p", label="a")
                 out = pure_loss(state, "a", ChannelSpec(transmissivity, excess))
                 for quad in ("x", "p"):
-                    closed_form = (transmissivity * state.variance("a", quad)
+                    closed_form = (transmissivity * variance(state, "a", quad)
                                    + 0.5 * (1.0 - transmissivity) + excess)
-                    assert out.variance("a", quad) == pytest.approx(
+                    assert variance(out, "a", quad) == pytest.approx(
                         closed_form, abs=1e-12)
 
     _report(2, "two-mode squeezed inference variance and attenuation closed "

@@ -603,6 +603,13 @@ class TestConfigFile:
     (["sweep", "--r-max", "inf"], "--r-max must be finite, got inf"),  # before np.linspace
     (["sweep", "--r-min=-inf"], "--r-min must be finite, got -inf"),
     (["sweep", "--r-max", "nan"], "--r-max must be finite, got nan"),
+    # From r = 2^1023 on 2r is inf, which math.exp returns without raising.
+    (["threshold", "--r", "1e308"], "squeezing parameter r = 1e+308 overflows"),
+    (["validate", "--r", "1e308"], "squeezing parameter r = 1e+308 overflows"),
+    (["simulate", "--r", "1e308"], "squeezing parameter r = 1e+308 overflows"),
+    # Out of range, named by the flag's own parameter.
+    (["threshold", "--r", "-1"], "squeezing parameter r must be >= 0, got -1.0"),
+    (["simulate", "--seed", "-1"], "seed must be >= 0, got -1"),
 ])
 def test_non_finite_parameter_is_config_error(argv, message, capsys):
     with warnings.catch_warnings():

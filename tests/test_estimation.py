@@ -5,6 +5,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from cvqss import (
     ChannelSpec,
@@ -13,7 +14,6 @@ from cvqss import (
     build_kn_state,
     build_three_mode_chain,
     chain_topology,
-    squeezed_vacuum,
     star_topology,
 )
 from cvqss.estimation import (
@@ -25,11 +25,15 @@ from cvqss.keyrate import combine
 from helpers import (
     DegenerateEstimatorError,
     conditional_variance_fixed,
+    covariance,
     product_vacuum,
     schur_loop,
+    squeezed_vacuum,
+    star_closed_forms,
     tensor,
     tmsv_conditional_variance,
     two_mode_squeezed,
+    variance,
 )
 
 
@@ -56,7 +60,7 @@ class TestFixedEstimator:
         state = tensor(squeezed_vacuum(0.9, "p", label="A"), product_vacuum(["B", "C"]))
         estimator = JointVariable("x", {"B": 1.0, "C": -2.0})
         value = conditional_variance_fixed(state, ("A", "x"), estimator)
-        assert value == pytest.approx(state.variance("A", "x"), rel=1e-12)
+        assert value == pytest.approx(variance(state, "A", "x"), rel=1e-12)
 
     def test_nearly_perfect_copy_gives_vanishing_variance(self):
         # At r = 10 the correlation is perfect to machine precision; the
@@ -82,8 +86,8 @@ class TestOptimalEstimator:
         v, gains, _ = schur(state.cov, state.quad_index("A", "x"), rows(state, ("B", "x")))
         fixed = conditional_variance_fixed(state, ("A", "x"), JointVariable("x", {"B": gains[0, 0]}))
         assert v[0] == pytest.approx(fixed, abs=1e-12)
-        expected_gain = (state.covariance(("A", "x"), ("B", "x"))
-                         / state.variance("B", "x"))
+        expected_gain = (covariance(state, ("A", "x"), ("B", "x"))
+                         / variance(state, "B", "x"))
         assert gains[0, 0] == pytest.approx(expected_gain, rel=1e-12)
 
     @pytest.mark.parametrize("r,transmissivity", [(0.5, 1.0), (1.0, 0.9), (1.15, 0.85)])
@@ -140,29 +144,29 @@ class TestMixedCoordinates:
         state, _ = build_three_mode_chain(1.0, 1.0)
         v, _, _ = schur(state.cov, state.quad_index("A", "x"),
                         rows(state, ("B", "x"), ("C", "x")))
-        assert v[0] == pytest.approx(state.variance("A", "x"), rel=1e-12)
+        assert v[0] == pytest.approx(variance(state, "A", "x"), rel=1e-12)
 
     def test_optimal_beats_unit_gain_choice_under_loss(self):
         state, _ = build_three_mode_chain(1.0, 0.9)
         v_opt, _, _ = schur(state.cov, state.quad_index("A", "x"),
                             rows(state, ("B", "p"), ("C", "x")))
         # Fixed unit-gain combination, evaluated from raw covariances.
-        var_est = (state.variance("B", "p") + state.variance("C", "x")
-                   - 2.0 * state.covariance(("B", "p"), ("C", "x")))
-        cov_te = (state.covariance(("A", "x"), ("B", "p"))
-                  - state.covariance(("A", "x"), ("C", "x")))
-        v_fixed = state.variance("A", "x") - cov_te**2 / var_est
+        var_est = (variance(state, "B", "p") + variance(state, "C", "x")
+                   - 2.0 * covariance(state, ("B", "p"), ("C", "x")))
+        cov_te = (covariance(state, ("A", "x"), ("B", "p"))
+                  - covariance(state, ("A", "x"), ("C", "x")))
+        v_fixed = variance(state, "A", "x") - cov_te**2 / var_est
         assert v_opt[0] < v_fixed - 1e-9
 
     def test_unit_gain_choice_is_optimal_without_loss(self):
         state, _ = build_three_mode_chain(1.0, 1.0)
         v_opt, _, _ = schur(state.cov, state.quad_index("A", "x"),
                             rows(state, ("B", "p"), ("C", "x")))
-        var_est = (state.variance("B", "p") + state.variance("C", "x")
-                   - 2.0 * state.covariance(("B", "p"), ("C", "x")))
-        cov_te = (state.covariance(("A", "x"), ("B", "p"))
-                  - state.covariance(("A", "x"), ("C", "x")))
-        v_fixed = state.variance("A", "x") - cov_te**2 / var_est
+        var_est = (variance(state, "B", "p") + variance(state, "C", "x")
+                   - 2.0 * covariance(state, ("B", "p"), ("C", "x")))
+        cov_te = (covariance(state, ("A", "x"), ("B", "p"))
+                  - covariance(state, ("A", "x"), ("C", "x")))
+        v_fixed = variance(state, "A", "x") - cov_te**2 / var_est
         assert v_opt[0] == pytest.approx(v_fixed, rel=1e-12)
 
     def test_duplicated_coordinate_handled_by_pseudoinverse(self):
@@ -286,3 +290,31 @@ class TestDataTypes:
         with pytest.raises(DegenerateEstimatorError):
             conditional_variance_fixed(state, ("A", "x"),
                                        JointVariable("x", {"B": 0.0}))
+
+
+@seed(2026_1020)
+@settings(max_examples=20, deadline=None, database=None)
+@given(data=st.data(), n=st.integers(2, 24), r=st.floats(0.0, 2.0),
+       transmissivity=st.floats(0.0, 1.0), g=st.floats(0.5, 1.5), noise=st.floats(0.0, 0.05))
+def test_star_rows_of_every_width_equal_the_closed_form_within_the_kernel_bound(
+        data, n, r, transmissivity, g, noise):
+    # One announced-x row and one announced-p row of each width, the players in a drawn
+    # order, against Sherman-Morrison at 50 digits. The kernel's error on a variance v
+    # is within a multiple of eps * kappa * V, kappa the estimator block's condition
+    # number: (d + m b) / d for m players' announced x, and 1 for announced p, whose
+    # players are independent.
+    order = data.draw(st.permutations(range(n)), label="order")
+    spec = ChannelSpec(transmissivity, noise)
+    state, layout = build_kn_state(n, r, dict.fromkeys([f"B{i}" for i in range(1, n + 1)], spec),
+                                   star_topology(n), cz_weight=g)
+    exact = star_closed_forms(n, r, transmissivity, noise, g)
+    eps = np.finfo(float).eps
+    for basis, forms, big_v, kappa in (("x", exact.x, exact.v_x, exact.kappa_x),
+                                        ("p", exact.p, exact.v_p, [1] * (n + 1))):
+        announced = np.array([state.quad_index(*coord) for coord in
+                              layout.announced_coordinates(layout.player_modes, basis)])
+        for width in range(1, n + 1):
+            (v,), _, _ = schur(state.cov, state.quad_index("A", basis),
+                               announced[order[:width]][None])
+            ratio = float(abs(v - forms[width]) / (eps * kappa[width] * big_v))
+            assert ratio <= 8.0, (basis, width, ratio)

@@ -23,7 +23,6 @@ from cvqss import (
     keyrate_eavesdropping,
     keyrate_qss,
     star_topology,
-    vacuum,
 )
 from cvqss import keyrate as keyrate_module
 from cvqss.estimation import check_conditional_variances
@@ -39,6 +38,8 @@ from helpers import (
     star_closed_forms,
     tensor,
     two_mode_squeezed,
+    vacuum,
+    variance,
 )
 
 #: Squeezing at which the two-mode inference product sits exactly on the
@@ -187,7 +188,7 @@ class TestDishonestBound:
         layout = PartyLayout("A", ("B", "D"), frozenset({"B"}))
         report = keyrate_qss(state, layout, ThresholdScheme(2, 2))
         assert report.adversarial_conditional_variance[("B",)] == pytest.approx(
-            state.variance("A", "p"), rel=1e-12)
+            variance(state, "A", "p"), rel=1e-12)
         assert report.dishonest_rates["B"] < -1.0
 
     @pytest.mark.parametrize("r,transmissivity", chain_grid())
@@ -442,7 +443,7 @@ class TestBatchedStructures:
         for topology in (star_topology, chain_topology):
             state, layout = _kn_state(4, topology)
             target = state.quad_index("A", side)
-            bad = scale * state.variance("A", side)
+            bad = scale * variance(state, "A", side)
 
             def corrupted(cov, target_idx, estimator_idx):
                 variances, gains, v_target = real_schur(cov, target_idx, estimator_idx)
@@ -454,7 +455,7 @@ class TestBatchedStructures:
             with pytest.raises(ValueError) as batched:
                 keyrate_qss(state, layout, ThresholdScheme(2, 4))
             with pytest.raises(ValueError) as single:
-                check_conditional_variances(np.array([bad]), state.variance("A", side))
+                check_conditional_variances(np.array([bad]), variance(state, "A", side))
             assert str(batched.value) == str(single.value)
 
 
@@ -691,8 +692,18 @@ class TestCombine:
 
     def test_single_dishonest_rows_are_the_largest_subsets_reversed(self):
         for n in range(2, 25):
-            assert np.array_equal(keyrate_module._all_but_one(n),
+            assert np.array_equal(keyrate_module._complements(np.arange(n)[:, None], n),
                                   keyrate_module._subset_rows(n, n - 1)[1][::-1])
+
+    def test_honest_rows_are_the_complement_width_subsets_reversed(self):
+        # The complements of the (k-1)-subsets, in order, are the (n-k+1)-subsets in
+        # reverse order. Every k up to n = 16; from n = 17 on the reference enumeration
+        # takes seconds (7 s for every (k, n) in the structure budget), so the corners.
+        cases = [(k, n) for n in range(2, 17) for k in range(1, n + 1)]
+        cases += [(k, n) for n in range(17, 25) for k in (1, 2, n - 1, n)]
+        for k, n in cases:
+            honest = ThresholdScheme(k, n)._player_rows[2]
+            assert np.array_equal(honest, keyrate_module._subset_rows(n, n - k + 1)[1][::-1])
 
     @pytest.mark.parametrize("n, k, topology", [
         (10, 5, star_topology),

@@ -10,13 +10,12 @@ from cvqss import (
     build_three_mode_chain,
     build_kn_state,
     chain_topology,
-    squeezed_vacuum,
     star_topology,
     validate,
 )
 from cvqss import keyrate, states
 from cvqss.states import MAX_PLAYERS
-from helpers import apply_cz, chain_expected_cov, pure_loss, tensor
+from helpers import apply_cz, chain_expected_cov, pure_loss, squeezed_vacuum, tensor, variance
 
 
 class TestChannelSpec:
@@ -83,9 +82,9 @@ class TestPureLoss:
         state = squeezed_vacuum(r, "p", label="a")
         out = pure_loss(state, "a", ChannelSpec(transmissivity, excess))
         for quad in ("x", "p"):
-            expected = (transmissivity * state.variance("a", quad)
+            expected = (transmissivity * variance(state, "a", quad)
                         + 0.5 * (1.0 - transmissivity) + excess)
-            assert out.variance("a", quad) == pytest.approx(expected, abs=1e-12)
+            assert variance(out, "a", quad) == pytest.approx(expected, abs=1e-12)
 
     def test_mean_scales_by_root_transmissivity(self):
         state = GaussianState(np.array([2.0, -1.0, 0.5, 0.0]),

@@ -28,7 +28,14 @@ from cvqss.cli import EXIT_CONFIG, EXIT_OK, SWEEP_HEADER, main
 from cvqss.estimation import schur
 from cvqss.keyrate import MAX_PLAYERS, key_rates
 
-from helpers import chain_sweep_row, kn_state_loop, star_closed_forms, sweep_loop
+from helpers import (
+    chain_sweep_row,
+    covariance,
+    kn_state_loop,
+    star_closed_forms,
+    sweep_loop,
+    variance,
+)
 
 GOLDEN = Path(__file__).parent / "data" / "default_sweep_golden.csv"
 DEFAULT_TRANSMISSIVITIES = [1.0, 0.95, 0.9, 0.85]
@@ -188,8 +195,8 @@ def test_one_state_readers_refuse_a_stack():
     assert state.cov.shape == (6, 6, 6)
     scheme = ThresholdScheme(2, 2)
     assert keyrate_module.key_rates(state, layout, scheme).combined.rate.shape == (6,)
-    for read in (lambda: validate(state), lambda: state.variance("A", "x"),
-                 lambda: state.covariance(("A", "x"), ("B1", "p")),
+    for read in (lambda: validate(state), lambda: variance(state, "A", "x"),
+                 lambda: covariance(state, ("A", "x"), ("B1", "p")),
                  lambda: keyrate_eavesdropping(state, layout),
                  lambda: keyrate_qss(state, layout, scheme)):
         with pytest.raises(ValueError, match=r"expected one state, got a \(6, 6, 6\)"):
