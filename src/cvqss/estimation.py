@@ -4,20 +4,28 @@ For jointly Gaussian outcomes, the best estimator of a target quadrature
 from a set of measured coordinates is linear, and the residual variance is
 the Schur complement
 
-    V(target | est) = V(target) - c^T Gamma^+ c,
+    V(target | est) = V(target) - c^T Gamma^-1 c,
 
 where c is the covariance vector between target and estimators and Gamma
-the estimators' covariance block. The optimal gains are g = Gamma^+ c.
+the estimators' covariance block. The optimal gains are g = Gamma^-1 c.
 
 :func:`schur` is the one inference kernel. It evaluates many estimator sets
-of equal size against the same target at once: the (S, g, g) estimator
-blocks are gathered by fancy indexing and pseudo-inverted by one batched
-eigendecomposition per block of SCHUR_BLOCK_ROWS rows, so a (k, n) scheme's
+of equal size against the same target at once: each set's block bordered by
+the target, ``[[Gamma, c], [c^T, V]]`` (the estimators first, the target
+last), is gathered by fancy indexing and factored by one batched Cholesky
+decomposition per block of SCHUR_BLOCK_ROWS rows, so a (k, n) scheme's
 C(n, k) access structures cost a few numpy calls instead of a Python loop;
-a stack of covariances, one per grid point, shares the same blocks. Every
-row gets the same arithmetic as a single-row call on one matrix, so results
-do not depend on how rows or points are batched; a single estimator set is a
-one-row index array.
+a stack of covariances, one per grid point, shares the same blocks. The
+factor's last row holds l = L^-1 c, so the conditional variance is
+V - l.l, and the gains, which :func:`schur_gains` solves for only where a
+report prints them, are L^-T l. Cholesky is backward stable on positive
+definite blocks (Higham, Accuracy and Stability of Numerical Algorithms,
+2nd ed., ch. 10), so each variance is accurate to about eps * V, relative
+to v that is eps * V / v. A block that does not factorise, as duplicated
+coordinates or squeezing beyond what double precision resolves make it, is
+refused. Every row gets the same arithmetic as a single-row call on one
+matrix, so results do not depend on how rows or points are batched; a
+single estimator set is a one-row index array.
 
 These formulas are exact for Gaussian states. If applied to second moments
 estimated from non-Gaussian data they yield a lower bound on the mutual
@@ -32,15 +40,9 @@ import numpy as np
 
 from .gaussian import Quadrature
 
-#: Relative eigenvalue cutoff (times the trace) for the pseudo-inverse of a
-#: near-singular estimator covariance block. Perfectly correlated player
-#: modes make the block singular; the inference variance is still
-#: well-defined as a limit and the pseudo-inverse realises it.
-PINV_CUTOFF = 1e-10
-
-#: Estimator sets per batched eigendecomposition in :func:`schur`. It bounds
-#: the temporary (rows, g, g) arrays, so memory stays flat in the number of
-#: structures.
+#: Estimator sets per batched Cholesky decomposition in :func:`schur`. It
+#: bounds the temporary (rows, g + 1, g + 1) arrays, so memory stays flat in
+#: the number of structures.
 SCHUR_BLOCK_ROWS = 256
 
 
@@ -78,25 +80,18 @@ def check_conditional_variances(conditional: np.ndarray, unconditional) -> None:
                      f"(0, {float(np.broadcast_to(bound, inside.shape).flat[first])}]")
 
 
-def schur(cov: np.ndarray, target_idx: int, estimator_idx: np.ndarray) -> tuple:
-    """Optimal linear inference of one coordinate from many estimator sets.
+def _coordinate(labels, index: int) -> str:
+    """Coordinate ``index`` as ``x_A`` or ``p_A`` (x1, p1, ..., xm, pm), or its index."""
+    return f"{'xp'[index % 2]}_{labels[index // 2]}" if labels else str(index)
 
-    Row s of ``estimator_idx`` lists the coordinates of estimator set s.
-    Each set's block is pseudo-inverted with eigenvalues at or below
-    PINV_CUTOFF times its trace cut, so singular blocks (duplicated or
-    perfectly correlated coordinates) give the limiting variance. A row's
-    result never depends on the other rows.
 
-    Args:
-        cov: Covariance matrix, or a (..., d, d) stack of them.
-        target_idx: Index of the target coordinate in ``cov``.
-        estimator_idx: (S, g) integer array of estimator indices, g >= 1,
-            none equal to ``target_idx``.
+def _factored(cov, target_idx: int, estimator_idx, labels, per_factor) -> tuple:
+    """``per_factor`` of every estimator set's bordered Cholesky factor, and V(target).
 
-    Returns:
-        (conditional_variances, gains, unconditional_variance): a (..., S)
-        array, a (..., S, g) array aligned with ``estimator_idx``, and the
-        target's variance, a (...) array for a stack or a float.
+    ``per_factor`` maps a chunk's (m, g + 1, g + 1) lower factors, m its points
+    times its rows, to an (m, ...) array; the chunks' results come back as one
+    (..., S, ...) array aligned with ``estimator_idx``. A block that does not
+    factorise is refused, named by ``labels`` (:func:`schur`).
     """
     idx = np.asarray(estimator_idx, dtype=int)
     if idx.ndim != 2:
@@ -109,27 +104,81 @@ def schur(cov: np.ndarray, target_idx: int, estimator_idx: np.ndarray) -> tuple:
     stack = cov.reshape((-1,) + cov.shape[-2:])
     count, width = idx.shape
     v_target = stack[:, target_idx, target_idx]
-    # Whole covariances per block where their rows fit. The gathers are made C-ordered,
-    # as for one matrix, so the matmuls below take the same kernels.
+    bordered = np.concatenate((idx, np.full((count, 1), target_idx)), axis=1)
+    # Whole covariances per block where their rows fit.
     points = max(1, SCHUR_BLOCK_ROWS // count)
-    variances, gains = [], []
+    results = []
     for first, start in product(range(0, len(stack), points), range(0, count, SCHUR_BLOCK_ROWS)):
-        block, rows = stack[first:first + points], idx[start:start + SCHUR_BLOCK_ROWS]
-        gamma = np.ascontiguousarray(block[:, rows[:, :, None], rows[:, None, :]]).reshape(
-            -1, width, width)
-        c = np.ascontiguousarray(block[:, target_idx, rows]).reshape(-1, 1, width)
-        eigval, eigvec = np.linalg.eigh(gamma)
-        cutoff = PINV_CUTOFF * np.maximum(gamma.trace(axis1=1, axis2=2), 0.0)
-        keep = eigval > cutoff[:, None]
-        inv = keep / np.where(keep, eigval, 1.0)  # 1/eigval where kept, else 0
-        # Matrix-vector and row-column matmuls, as for a single 1-D block:
-        # einsum would sum in another order and move results by an ulp.
-        g = ((eigvec * inv[:, None, :]) @ eigvec.transpose(0, 2, 1)) @ c.transpose(0, 2, 1)
-        variances.append((v_target[first:first + points, None]
-                          - (c @ g)[:, 0, 0].reshape(len(block), -1)).ravel())
-        gains.append(g[:, :, 0])
-    if len(variances) > 1:
-        variances, gains = [np.concatenate(variances)], [np.concatenate(gains)]
+        block, rows = stack[first:first + points], bordered[start:start + SCHUR_BLOCK_ROWS]
+        blocks = block[:, rows[:, :, None], rows[:, None, :]].reshape(-1, width + 1, width + 1)
+        try:
+            factors = np.linalg.cholesky(blocks)
+        except np.linalg.LinAlgError:
+            for bad, one in enumerate(blocks):  # the first, as one block at a time fails
+                try:
+                    np.linalg.cholesky(one)
+                except np.linalg.LinAlgError:
+                    break
+            point, row = divmod(bad, len(rows))
+            names = ", ".join(_coordinate(labels, i) for i in rows[row, :-1])
+            raise ValueError(
+                f"V({_coordinate(labels, target_idx)} | {names}) at target variance "
+                f"{v_target[first + point]:.6g} has no Cholesky factor: duplicated estimators, "
+                "or squeezing beyond what double precision resolves") from None
+        results.append(per_factor(factors))
+    result = results[0] if len(results) == 1 else np.concatenate(results)
     leading = cov.shape[:-2]
-    return (variances[0].reshape(leading + (count,)), gains[0].reshape(leading + idx.shape),
+    return (result.reshape(leading + (count,) + result.shape[1:]),
             v_target.reshape(leading) if leading else float(v_target[0]))
+
+
+def _squared_lengths(factors: np.ndarray) -> np.ndarray:
+    """l.l of each factor's last row l = L^-1 c, summed along the row as numpy sums."""
+    last = factors[:, -1, :-1]
+    return (last * last).sum(axis=-1)
+
+
+def _gains(factors: np.ndarray) -> np.ndarray:
+    """g = L^-T l of each factor, one triangular solve per block."""
+    return np.linalg.solve(factors[:, :-1, :-1].transpose(0, 2, 1),
+                           factors[:, -1, :-1, None])[..., 0]
+
+
+def schur(cov: np.ndarray, target_idx: int, estimator_idx: np.ndarray, labels=()) -> tuple:
+    """Optimal linear inference of one coordinate from many estimator sets.
+
+    Row s of ``estimator_idx`` lists the coordinates of estimator set s. Its
+    conditional variance is V - l.l, l the last row of the Cholesky factor of
+    the set's block bordered by the target; V - l.l is at most V bit for bit,
+    which the squared last pivot is not where c = 0. A row's result never
+    depends on the other rows.
+
+    Args:
+        cov: Covariance matrix, or a (..., d, d) stack of them.
+        target_idx: Index of the target coordinate in ``cov``.
+        estimator_idx: (S, g) integer array of estimator indices, g >= 1,
+            none equal to ``target_idx``.
+        labels: The mode labels of ``cov`` (coordinates x1, p1, ..., xm, pm),
+            which name a refused inference; without them it is named by indices.
+
+    Returns:
+        (conditional_variances, unconditional_variance): a (..., S) array and
+        the target's variance, a (...) array for a stack or a float.
+
+    Raises:
+        ValueError: for a block that is not positive definite to double
+            precision: duplicated estimators, or squeezing too large.
+    """
+    lengths, v_target = _factored(cov, target_idx, estimator_idx, labels, _squared_lengths)
+    return np.asarray(v_target)[..., None] - lengths, v_target
+
+
+def schur_gains(cov: np.ndarray, target_idx: int, estimator_idx: np.ndarray,
+                labels=()) -> np.ndarray:
+    """The optimal gains of :func:`schur`'s inferences, from the same factors.
+
+    A (..., S, g) array aligned with ``estimator_idx``: row s holds
+    Gamma_s^-1 c_s, solved with the transposed factor. Only the reports that
+    print gains call it.
+    """
+    return _factored(cov, target_idx, estimator_idx, labels, _gains)[0]

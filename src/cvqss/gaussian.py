@@ -98,6 +98,9 @@ class GaussianState:
         dim = 2 * len(labels)
         if mean.shape != (dim,):
             raise ValueError(f"mean must have length {dim}, got {mean.shape}")
+        if not np.isfinite(mean).all():
+            raise ValueError(f"mean must be finite, got an entry of "
+                             f"{mean[np.isfinite(mean).argmin()]}")
         if cov.shape[-2:] != (dim, dim):
             raise ValueError(f"cov must be {dim}x{dim}, got {cov.shape}")
         if not cov.size:

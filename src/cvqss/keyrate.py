@@ -58,7 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimation import JointVariable, check_conditional_variances, schur
+from .estimation import JointVariable, check_conditional_variances, schur, schur_gains
 from .gaussian import GaussianState
 from .states import MAX_PLAYERS, PartyLayout
 
@@ -128,13 +128,15 @@ class ThresholdScheme:
 
     def __post_init__(self):
         k, n = self.k, self.n
+        if k == n == 1:
+            raise ValueError("(1, 1) is not a sharing scheme: one player holding "
+                             "everything needs no threshold")
+        if n < 2:
+            raise ValueError(f"need at least two players, got n = {n}")
         if k > n:
             raise ValueError(f"threshold k = {k} exceeds the number of players n = {n}")
         if k < 1:
             raise ValueError(f"threshold k must be >= 1, got {k}")
-        if k == n == 1:
-            raise ValueError("(1, 1) is not a sharing scheme: one player holding "
-                             "everything needs no threshold")
         if n > MAX_PLAYERS:
             raise ValueError(
                 f"n = {n} players exceeds the supported maximum of {MAX_PLAYERS}; "
@@ -349,9 +351,9 @@ def _class_sequences(rows: np.ndarray, classes: np.ndarray):
     return first, spread
 
 
-def _infer(state: GaussianState, layout: PartyLayout, basis: str, rows: np.ndarray,
-           fold: tuple = None) -> tuple:
-    """:func:`~cvqss.estimation.schur` of the dealer's ``basis`` quadrature, checked.
+def _evaluated(state: GaussianState, layout: PartyLayout, basis: str, rows: np.ndarray,
+               fold: tuple) -> tuple:
+    """The kernel's arguments for the dealer's ``basis`` quadrature and ``rows``.
 
     Estimator set s is the announced ``basis`` outcomes of the distinct players
     at the 0-based positions in row s of ``rows``. With the rows'
@@ -360,13 +362,27 @@ def _infer(state: GaussianState, layout: PartyLayout, basis: str, rows: np.ndarr
     """
     announced = np.array([state.quad_index(*coord) for coord in
                           layout.announced_coordinates(layout.player_modes, basis)])
-    evaluated = rows if fold is None else rows[fold[0]]
-    variances, gains, dealer = schur(state.cov, state.quad_index(layout.dealer_mode, basis),
-                                     announced[evaluated])
+    return (state.cov, state.quad_index(layout.dealer_mode, basis),
+            announced[rows if fold is None else rows[fold[0]]], state.labels)
+
+
+def _infer(state: GaussianState, layout: PartyLayout, basis: str, rows: np.ndarray,
+           fold: tuple = None) -> tuple:
+    """(variances, dealer variance): :func:`~cvqss.estimation.schur` of the
+    :func:`_evaluated` rows, spread by ``fold`` and checked."""
+    variances, dealer = schur(*_evaluated(state, layout, basis, rows, fold))
     if fold is not None:
-        variances, gains = variances[..., fold[1]], gains[..., fold[1], :]
+        variances = variances[..., fold[1]]
     check_conditional_variances(variances, dealer)
-    return variances, gains, dealer
+    return variances, dealer
+
+
+def _gains(state: GaussianState, layout: PartyLayout, basis: str, rows: np.ndarray,
+           fold: tuple = None) -> np.ndarray:
+    """:func:`~cvqss.estimation.schur_gains` of the :func:`_evaluated` rows, spread by
+    ``fold``: only the reports, which print gains, solve for them."""
+    gains = schur_gains(*_evaluated(state, layout, basis, rows, fold))
+    return gains if fold is None else gains[..., fold[1], :]
 
 
 def _everyone(state: GaussianState, layout: PartyLayout) -> tuple:
@@ -374,7 +390,7 @@ def _everyone(state: GaussianState, layout: PartyLayout) -> tuple:
     everyone = np.arange(layout.num_players)[None]
     x = _infer(state, layout, "x", everyone)
     p = _infer(state, layout, "p", everyone)
-    return x, p, combine(x[2], x[0], p[0])
+    return x, p, combine(x[1], x[0], p[0])
 
 
 class KeyRates(NamedTuple):
@@ -387,6 +403,7 @@ class KeyRates(NamedTuple):
     combined: RateBound
     eavesdropping: RateBound
     classes: np.ndarray  # the players' _player_classes, found once per call
+    folds: tuple  # the access and honest rows' _class_sequences
 
 
 def key_rates(state: GaussianState, layout: PartyLayout, scheme: ThresholdScheme) -> KeyRates:
@@ -410,8 +427,8 @@ def key_rates(state: GaussianState, layout: PartyLayout, scheme: ThresholdScheme
     everyone_x = access_side if scheme.k == scheme.n else _infer(state, layout, "x", everyone)
     everyone_p = adversarial_side if scheme.k == 1 else _infer(state, layout, "p", everyone)
     return KeyRates(access_side, adversarial_side, everyone_x, everyone_p,
-                    combine(access_side[2], access_side[0], adversarial_side[0], folds),
-                    combine(everyone_x[2], everyone_x[0], everyone_p[0]), classes)
+                    combine(access_side[1], access_side[0], adversarial_side[0], folds),
+                    combine(everyone_x[1], everyone_x[0], everyone_p[0]), classes, folds)
 
 
 def keyrate_eavesdropping(state: GaussianState, layout: PartyLayout) -> EavesdroppingReport:
@@ -420,8 +437,10 @@ def keyrate_eavesdropping(state: GaussianState, layout: PartyLayout) -> Eavesdro
     Both joint variables are optimal over *all* players.
     """
     layout.check_state(state)
-    (v_x, x_gains, dealer_x), (v_p, p_gains, dealer_p), bound = _everyone(state, layout)
+    (v_x, dealer_x), (v_p, dealer_p), bound = _everyone(state, layout)
     (v_x,), (v_p,) = v_x.tolist(), v_p.tolist()
+    everyone = np.arange(layout.num_players)[None]
+    (x_gains,), (p_gains,) = (_gains(state, layout, basis, everyone) for basis in "xp")
     return EavesdroppingReport(
         rate=float(bound.rate),
         mutual_information=float(bound.access_bits[0]),
@@ -432,8 +451,8 @@ def keyrate_eavesdropping(state: GaussianState, layout: PartyLayout) -> Eavesdro
         v_p_unconditional=dealer_p,
         inference_product=v_x * v_p,
         threshold=SECURITY_THRESHOLD,
-        x_gains=JointVariable("x", dict(zip(layout.player_modes, x_gains[0]))),
-        p_gains=JointVariable("p", dict(zip(layout.player_modes, p_gains[0]))),
+        x_gains=JointVariable("x", dict(zip(layout.player_modes, x_gains))),
+        p_gains=JointVariable("p", dict(zip(layout.player_modes, p_gains))),
     )
 
 
@@ -445,11 +464,12 @@ def keyrate_qss(state: GaussianState, layout: PartyLayout,
     """
     layout.check_state(state)
     rates = key_rates(state, layout, scheme)
-    access_v, access_g, dealer_x = rates.access
-    adversarial_v, adversarial_g, dealer_p = rates.adversarial
+    (access_v, dealer_x), (adversarial_v, dealer_p) = rates.access, rates.adversarial
     bound = rates.combined
 
     names, (access, colluding, honest) = layout.player_modes, scheme._player_rows
+    access_g = _gains(state, layout, "x", access, rates.folds[0])
+    adversarial_g = _gains(state, layout, "p", honest, rates.folds[1])
     # Player j alone dishonest: the all-player x side against the p side of every player
     # but j, for k = 2 the adversarial structures' honest sides already.
     others = _complements(np.arange(scheme.n)[:, None], scheme.n)

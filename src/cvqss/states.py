@@ -192,7 +192,7 @@ def build_kn_state(
         (state, layout) pair.
     """
     if n < 2:
-        raise ValueError("need at least two players")
+        raise ValueError(f"need at least two players, got n = {n}")
     if n > MAX_PLAYERS:
         raise ValueError(f"n = {n} players exceeds the supported maximum of {MAX_PLAYERS}")
     if player_labels is None:

@@ -1,7 +1,9 @@
 """Shared state builders and independent closed-form oracles for the tests.
 
-The oracles and loop references are derived by hand from 2x2/4x4 moment
-propagation so the tests never trust the code path they are checking.
+The oracles are derived by hand from 2x2/4x4 moment propagation so the
+tests never trust the code path they are checking. ``schur_loop`` is the
+exception: it calls the inference kernel one row at a time, so it checks
+batching, and ``dishonest_rate_loop`` and ``sweep_loop`` infer through it.
 ``revealed_designs`` is the row sampler: it draws every revealed design
 row, the oracle for the library's sufficient-statistics sampler, with
 ``design_gram`` the Gram matrix ``run_protocol`` reads from them and
@@ -49,6 +51,7 @@ from cvqss import (
     symplectic_form,
 )
 from cvqss import simulation
+from cvqss.estimation import schur, schur_gains
 from cvqss.gaussian import VACUUM_VARIANCE, _check_quadrature, _squeezed_covariance
 from cvqss.keyrate import ThresholdScheme, combine
 
@@ -405,27 +408,20 @@ def bisect_root(f, lo: float, hi: float, xtol: float = 1e-13) -> float:
     return 0.5 * (lo + hi)
 
 
-def pinv_psd(matrix: np.ndarray, cutoff: float = 1e-10) -> np.ndarray:
-    """Pseudo-inverse of a PSD matrix, eigenvalues <= cutoff * trace cut."""
-    eigval, eigvec = np.linalg.eigh(matrix)
-    cut = cutoff * max(np.trace(matrix), 0.0)
-    inv = np.where(eigval > cut, 1.0 / np.where(eigval > cut, eigval, 1.0), 0.0)
-    return (eigvec * inv) @ eigvec.T
-
-
 def schur_loop(cov: np.ndarray, target_idx: int, estimator_idx) -> tuple:
-    """One 2-D Schur complement per estimator set, in a Python loop.
+    """One one-row ``schur`` and ``schur_gains`` call per estimator set, in a Python loop.
 
-    The unbatched reference for ``cvqss.estimation.schur``: same return
-    values, computed one (g, g) block at a time.
+    The unbatched reference for ``cvqss.estimation.schur``: same return values
+    as the two kernels together, (variances, gains, target variance), each row
+    from a lone one-row call on one matrix. It checks that batching moves no
+    bit; the closed forms and the 50-digit solves check the arithmetic.
     """
     variances, gains = [], []
     for row in np.asarray(estimator_idx):
-        c = cov[target_idx, row]
-        g = pinv_psd(cov[np.ix_(row, row)]) @ c
-        variances.append(float(cov[target_idx, target_idx] - float(c @ g)))
-        gains.append(g)
-    return np.array(variances), np.array(gains), float(cov[target_idx, target_idx])
+        (v,), v_target = schur(cov, target_idx, [row])
+        variances.append(v)
+        gains.append(schur_gains(cov, target_idx, [row])[0])
+    return np.array(variances), np.array(gains), v_target
 
 
 def dishonest_rate_loop(state, layout, player) -> float:

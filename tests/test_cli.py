@@ -184,18 +184,18 @@ class TestNoStructureTuples:
     """No command builds the scheme's structure tuples: the writers and the sweep's
     chunk sizing read the position rows. The (7, 14) star text and the (2, 4) star
     simulate JSON digests are those ``TestThresholdBytes`` and ``TestSimulateBytes``
-    pin; the other two were recorded before the tuples became derived on read."""
+    pin."""
 
     @pytest.mark.parametrize("argv, digest", [
         (["threshold", "--n", "14", "--k", "7", "--topology", "star"],
-         "9d28f0f6e4028732de172c325bfe9181da3c74a1530760bdbe2f5c8cf0077c20"),
+         "e613ddad52fb81af4d688ed4e8283a5a7fe23dce50fcee3f1ea871a0e43c0f65"),
         (["threshold", "--n", "14", "--k", "7", "--topology", "star", "--format", "json"],
-         "201b541f198c1d65640ae5f053c0d19ca1afd88a83189f7882bf816ae2bcd479"),
+         "97fd3a7ddb69a54bd900103fb0cd373f70bbe4d1182ea0de281cca6600879b89"),
         (["sweep", "--n", "6", "--k", "3", "--topology", "star"],
-         "f1c1ea1aee49580318e5c0dbc31b10554472c3463819542fb8bff9c0c234f629"),
+         "cd48f19aa95e29f60da47ae9d3d8ac3061c372c5d1a74f7e3d3cc612b59aba07"),
         (["simulate", "--n", "4", "--k", "2", "--topology", "star", "--rounds", "200000",
           "--seed", "9", "--transmissivity", "0.95", "--format", "json"],
-         "628c5f63dffeef1831dc26a568ed09f7ede9fb4981bd0c10dcb5034fafc8f1c6"),
+         "6f071f8b094642fda603683f52649b44c56d3bce33c676a9429a4fd89876fa43"),
     ], ids=["threshold-star-7-14", "threshold-star-7-14-json", "sweep-star-3-6",
             "simulate-star-2-4-json"])
     def test_commands_never_call_combinations(self, capsys, monkeypatch, argv, digest):
@@ -211,26 +211,24 @@ class TestNoStructureTuples:
 class TestThresholdBytes:
     """The (4, 8) star breakdown, byte for byte.
 
-    The digests were recorded before structures were batched into one Schur
-    kernel, so any change to the evaluation that moves a printed digit shows
-    here. They hold for numpy 2.4 with OpenBLAS on x86-64; another BLAS or
+    The digests were recorded with the bordered-Cholesky inference kernel,
+    so any change to the evaluation that moves a printed digit shows here. They hold for numpy 2.4 with OpenBLAS on x86-64; another BLAS or
     libm may move the last digit of a float. The star's structures are all
     tied, so its binding rows are the first ones; the text digests of a
     (3, 6) chain, whose binding access row is the eleventh, and of a (1, 3)
     chain, whose one collusion is empty, pin the rest of the table's layout.
-    The (7, 14) star and chain digests were recorded before structures
-    shared any evaluation: the star's players form one class, so each side
-    now evaluates one row for all its structures, and the chain, whose
-    players are each alone, evaluates every row.
+    At (7, 14) the star's players form one class, so each side evaluates
+    one row for all its structures, and the chain, whose players are each
+    alone, evaluates every row.
     """
 
     ARGV = ["threshold", "--n", "8", "--k", "4", "--topology", "star"]
 
     @pytest.mark.parametrize("extra, digest", [
-        ([], "54d55af5efccf63d406d941fb9fe17f2085abfa2f06458b435d0e2316aed4cde"),
+        ([], "2680d32e3d5335d06f006dd8790bd732f38694d4742077d578a48a6985bff296"),
         (["--format", "json"],
-         "ec919a82ad08d604feb7b04dbea96ba95c1349129a5c260ca13d66da2bde2ab6"),
-    ])
+         "def5c6541cfab4adc59deb2a77cd5af4271986ec54d902f11bd645836bc715cd"),
+    ], ids=["text", "json"])
     def test_output_digest(self, capsys, extra, digest):
         code, out, _ = run(self.ARGV + extra, capsys)
         assert code == EXIT_OK
@@ -238,13 +236,13 @@ class TestThresholdBytes:
 
     @pytest.mark.parametrize("argv, digest", [
         (["threshold", "--n", "6", "--k", "3"],
-         "2895319befc45598694e5d05b894a2aea0e361b5f2d25cac469e9f9b3af40a3c"),
+         "52a306f6b514cb6bbe67c50e499bb1e318cbd13dabd7cbea2c99374c669407f7"),
         (["threshold", "--n", "3", "--k", "1"],
-         "e9db5c336ebddca3e4754a1c40e2dc4b3b07e593cfa36e49e686cea7a2c1be53"),
+         "57a779c1476a4f50255ff8b0aa40732571de4b0dda69d96e97b7c0f303c10c6e"),
         (["threshold", "--n", "14", "--k", "7", "--topology", "star"],
-         "9d28f0f6e4028732de172c325bfe9181da3c74a1530760bdbe2f5c8cf0077c20"),
+         "e613ddad52fb81af4d688ed4e8283a5a7fe23dce50fcee3f1ea871a0e43c0f65"),
         (["threshold", "--n", "14", "--k", "7", "--topology", "chain"],
-         "d85ccbdb5f4772673dca8b37289a8137b406054c5ca1502c4e27d3222a378d79"),
+         "7fa3caa80d1576a1e83d66493a93b6354891adc39492bd390f12684a669f3543"),
     ], ids=["chain-3-6", "chain-1-3", "star-7-14", "chain-7-14"])
     def test_text_digest(self, capsys, argv, digest):
         code, out, _ = run(argv, capsys)
@@ -293,16 +291,16 @@ class TestJsonBytes:
     @pytest.mark.parametrize("argv, digest", [
         (["threshold", "--n", "12", "--k", "6", "--topology", "star", "--r", "1.0",
           "-T", "0.9"],
-         "4877e95fb43ea51596a27dae8f4364f5a6edd0d033089413beaaeee7026411f0"),
+         "023ff027e1792e3920a0e54b6d6a4b3bf9e2a53b282d026005ca79a9fee7e66f"),
         (["threshold", "--n", "3", "--k", "1"],
-         "1b1cb4a631fa071dd5342dab0bed76f5491b9e487ece9664976393b0a0adb9a6"),
+         "2536032db7f703eeea4c71f4a353855bbcc5b68b8c49e855f27e8b3e6fa708da"),
         (["validate"],
          "7fad8bb821d84a149b953ef591d892d1d9e7f3ff60aa38d240aee751979089fb"),
         (["sweep"],
-         "e262e1466ff3f0d4cd056d67116f226b37a99292e380abfd4b4ad45c66a104c8"),
+         "916ff094af86a6273c72b687d59117e01344f94981b4978cbe10d28f91f002e8"),
         (["sweep", "--n", "8", "--k", "4", "--topology", "star", "--r-min", "0.4",
           "--r-max", "1.2", "--r-steps", "4", "--transmissivities", "1,0.5"],
-         "f148cc9e9a50d4d5817774d6cd27d1bd2989e0c17beb1e79e501e40fc4cfab8c"),
+         "328fc05175a54f12a897201cc68d6f78144e459f9b37897ac92450f66200397c"),
     ], ids=["threshold-star-6-12", "threshold-chain-1-3", "validate", "sweep",
             "sweep-star-4-8"])
     def test_output_digest(self, capsys, argv, digest):
@@ -323,12 +321,12 @@ class TestSimulateBytes:
         (["simulate", "--rounds", "100000", "--seed", "5", "--r", "1.0",
           "--transmissivity", "0.9"],
          "4a631e0baa6ac967a46fb8f6944eaeff184627431a96f95e017f202c05ce5076",
-         "61f3b1fdaca2ce0a0654ed8f28d1c1fbd2e22c2484c33bf23719b669164e9db2"),
+         "81d642b38b49f9e5c32826b59c089ae7b1e0e42ece2ff7a448a9438e7a6f051d"),
         (["simulate", "--n", "4", "--k", "2", "--topology", "star",
           "--rounds", "200000", "--seed", "9", "--transmissivity", "0.95"],
-         "20e3fe0e229937b9105d1da6f8f6b1c78bb786c17e90840bc9b7a560ba383c15",
-         "628c5f63dffeef1831dc26a568ed09f7ede9fb4981bd0c10dcb5034fafc8f1c6"),
-    ])
+         "81ba7de186986d4d9ec3bc7eab51a2392231f307f69e4a8faf36e79e36d0dafb",
+         "6f071f8b094642fda603683f52649b44c56d3bce33c676a9429a4fd89876fa43"),
+    ], ids=["chain-2-2", "star-2-4"])
     def test_output_digest(self, tmp_path, capsys, argv, stdout_digest, json_digest):
         report = tmp_path / "report.json"
         code, out, _ = run(argv + ["--format", "json", "--output", str(report)], capsys)
@@ -370,6 +368,26 @@ class TestKernelCalls:
                          capsys)
         assert code == EXIT_OK
         assert len(calls) == count
+
+    def test_only_a_report_solves_for_gains(self, monkeypatch, capsys):
+        # The sweep prints no gains, so its key_rates solves for none; the threshold
+        # report solves once a side, one batched triangular solve each.
+        solves, real_gains, real_solve = [], keyrate.schur_gains, np.linalg.solve
+
+        def counted_gains(*args):
+            solves.append("schur_gains")
+            return real_gains(*args)
+
+        def counted_solve(*args, **kwargs):
+            solves.append("solve")
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(keyrate, "schur_gains", counted_gains)
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        assert run(["sweep"], capsys)[0] == EXIT_OK
+        assert solves == []
+        assert run(["threshold"], capsys)[0] == EXIT_OK
+        assert solves == ["schur_gains", "solve"] * 2
 
 
 class TestSimulate:
@@ -610,6 +628,11 @@ class TestConfigFile:
     # Out of range, named by the flag's own parameter.
     (["threshold", "--r", "-1"], "squeezing parameter r must be >= 0, got -1.0"),
     (["simulate", "--seed", "-1"], "seed must be >= 0, got -1"),
+    # A player count below 2 is named before the threshold is compared with it.
+    (["threshold", "--n", "0"], "need at least two players, got n = 0"),
+    (["simulate", "--n", "1"], "need at least two players, got n = 1"),
+    (["sweep", "--n", "0"], "need at least two players, got n = 0"),
+    (["validate", "--n", "1"], "need at least two players, got n = 1"),
 ])
 def test_non_finite_parameter_is_config_error(argv, message, capsys):
     with warnings.catch_warnings():
@@ -643,22 +666,19 @@ class TestParser:
         assert "resource graph family (default chain)" in out
 
 
-@pytest.mark.parametrize("argv", [
-    ["threshold", "--r", "300"],
-    ["sweep", "--r-min", "299", "--r-max", "300", "--r-steps", "2"],
-], ids=["threshold", "sweep"])
-def test_squeezing_beyond_double_precision_is_config_error(argv, capsys):
+@pytest.mark.parametrize("argv, inference", [
+    (["threshold", "--r", "300"], "V(x_A | p_B1, x_B2) at target variance 1.88651e+260"),
+    (["threshold", "--r", "100"], "V(p_A | p_B2) at target variance 3.61299e+86"),
+    (["sweep", "--r-min", "299", "--r-max", "300", "--r-steps", "2"],
+     "V(x_A | p_B1, x_B2) at target variance 1.88651e+260"),
+], ids=["threshold", "threshold-100", "sweep"])
+def test_squeezing_beyond_double_precision_is_config_error(argv, inference, capsys):
+    # The first inference whose bordered block has no Cholesky factor is named.
     code, out, err = run(argv, capsys)
     assert code == EXIT_CONFIG
     assert out == ""
-    assert err.startswith("cvqss: ") and err.count("\n") == 1
-    assert "Traceback" not in err
-
-
-def test_threshold_names_the_overflowing_holevo_term(capsys):
-    _, _, err = run(["threshold", "--r", "300"], capsys)
-    assert err.startswith("cvqss: Holevo term inf is not finite")
-    assert "the squeezing r is too large" in err
+    assert err == (f"cvqss: {inference} has no Cholesky factor: duplicated estimators, "
+                   "or squeezing beyond what double precision resolves\n")
 
 
 def test_import_does_not_load_numpy_random():

@@ -20,6 +20,7 @@ from cvqss.estimation import (
     SCHUR_BLOCK_ROWS,
     check_conditional_variances,
     schur,
+    schur_gains,
 )
 from cvqss.keyrate import combine
 from helpers import (
@@ -83,7 +84,8 @@ def rows(state, *coords):
 class TestOptimalEstimator:
     def test_single_mode_matches_fixed(self):
         state = two_mode_squeezed(0.8)
-        v, gains, _ = schur(state.cov, state.quad_index("A", "x"), rows(state, ("B", "x")))
+        v, _ = schur(state.cov, state.quad_index("A", "x"), rows(state, ("B", "x")))
+        gains = schur_gains(state.cov, state.quad_index("A", "x"), rows(state, ("B", "x")))
         fixed = conditional_variance_fixed(state, ("A", "x"), JointVariable("x", {"B": gains[0, 0]}))
         assert v[0] == pytest.approx(fixed, abs=1e-12)
         expected_gain = (covariance(state, ("A", "x"), ("B", "x"))
@@ -93,8 +95,9 @@ class TestOptimalEstimator:
     @pytest.mark.parametrize("r,transmissivity", [(0.5, 1.0), (1.0, 0.9), (1.15, 0.85)])
     def test_fixed_with_optimal_gains_matches_optimal(self, r, transmissivity):
         state, _ = build_three_mode_chain(r, transmissivity)
-        v, gains, _ = schur(state.cov, state.quad_index("A", "p"),
-                            rows(state, ("B", "p"), ("C", "p")))
+        estimators = rows(state, ("B", "p"), ("C", "p"))
+        v, _ = schur(state.cov, state.quad_index("A", "p"), estimators)
+        gains = schur_gains(state.cov, state.quad_index("A", "p"), estimators)
         optimal = JointVariable("p", dict(zip(["B", "C"], gains[0])))
         fixed = conditional_variance_fixed(state, ("A", "p"), optimal)
         assert fixed == pytest.approx(v[0], abs=1e-12)
@@ -103,14 +106,14 @@ class TestOptimalEstimator:
     def test_monotone_in_estimator_set(self, r, transmissivity):
         state, _ = build_three_mode_chain(r, transmissivity)
         target = state.quad_index("A", "p")
-        both, _, _ = schur(state.cov, target, rows(state, ("B", "p"), ("C", "p")))
-        one, _, _ = schur(state.cov, target, rows(state, ("C", "p")))
+        both, _ = schur(state.cov, target, rows(state, ("B", "p"), ("C", "p")))
+        one, _ = schur(state.cov, target, rows(state, ("C", "p")))
         assert both[0] <= one[0] + 1e-12
 
     def test_result_invariant_holds(self):
         state, _ = build_three_mode_chain(1.0, 0.9)
-        v, _, v_unc = schur(state.cov, state.quad_index("A", "x"),
-                            rows(state, ("B", "x"), ("C", "x")))
+        v, v_unc = schur(state.cov, state.quad_index("A", "x"),
+                         rows(state, ("B", "x"), ("C", "x")))
         assert 0.0 < v[0] <= v_unc
 
     def test_empty_estimator_set_rejected(self):
@@ -132,8 +135,9 @@ class TestMixedCoordinates:
         # residue 1/(4 cosh 2r); the optimal gains are proportional to (1, -1).
         r = 1.0
         state, _ = build_three_mode_chain(r, 1.0)
-        v_cond, gains, v_unc = schur(state.cov, state.quad_index("A", "x"),
-                                     rows(state, ("B", "p"), ("C", "x")))
+        estimators = rows(state, ("B", "p"), ("C", "x"))
+        v_cond, v_unc = schur(state.cov, state.quad_index("A", "x"), estimators)
+        gains = schur_gains(state.cov, state.quad_index("A", "x"), estimators)
         assert v_cond[0] == pytest.approx(1.0 / (4.0 * math.cosh(2 * r)), rel=1e-12)
         assert v_unc == pytest.approx(0.5 * math.exp(2 * r), rel=1e-12)
         assert gains[0, 0] == pytest.approx(-gains[0, 1], rel=1e-12)
@@ -142,14 +146,14 @@ class TestMixedCoordinates:
         # The literal x-x covariances vanish on the chain, so an x-only
         # estimator learns nothing; the announced labels fix this.
         state, _ = build_three_mode_chain(1.0, 1.0)
-        v, _, _ = schur(state.cov, state.quad_index("A", "x"),
-                        rows(state, ("B", "x"), ("C", "x")))
+        v, _ = schur(state.cov, state.quad_index("A", "x"),
+                     rows(state, ("B", "x"), ("C", "x")))
         assert v[0] == pytest.approx(variance(state, "A", "x"), rel=1e-12)
 
     def test_optimal_beats_unit_gain_choice_under_loss(self):
         state, _ = build_three_mode_chain(1.0, 0.9)
-        v_opt, _, _ = schur(state.cov, state.quad_index("A", "x"),
-                            rows(state, ("B", "p"), ("C", "x")))
+        v_opt, _ = schur(state.cov, state.quad_index("A", "x"),
+                         rows(state, ("B", "p"), ("C", "x")))
         # Fixed unit-gain combination, evaluated from raw covariances.
         var_est = (variance(state, "B", "p") + variance(state, "C", "x")
                    - 2.0 * covariance(state, ("B", "p"), ("C", "x")))
@@ -160,8 +164,8 @@ class TestMixedCoordinates:
 
     def test_unit_gain_choice_is_optimal_without_loss(self):
         state, _ = build_three_mode_chain(1.0, 1.0)
-        v_opt, _, _ = schur(state.cov, state.quad_index("A", "x"),
-                            rows(state, ("B", "p"), ("C", "x")))
+        v_opt, _ = schur(state.cov, state.quad_index("A", "x"),
+                         rows(state, ("B", "p"), ("C", "x")))
         var_est = (variance(state, "B", "p") + variance(state, "C", "x")
                    - 2.0 * covariance(state, ("B", "p"), ("C", "x")))
         cov_te = (covariance(state, ("A", "x"), ("B", "p"))
@@ -169,12 +173,16 @@ class TestMixedCoordinates:
         v_fixed = variance(state, "A", "x") - cov_te**2 / var_est
         assert v_opt[0] == pytest.approx(v_fixed, rel=1e-12)
 
-    def test_duplicated_coordinate_handled_by_pseudoinverse(self):
+    def test_duplicated_coordinate_is_refused(self):
+        # A duplicated estimator makes the bordered block singular: no Cholesky factor.
         state = two_mode_squeezed(0.8)
         target = state.quad_index("A", "x")
-        v_dup, _, _ = schur(state.cov, target, rows(state, ("B", "x"), ("B", "x")))
-        v_single, _, _ = schur(state.cov, target, rows(state, ("B", "x")))
-        assert v_dup[0] == pytest.approx(v_single[0], rel=1e-10)
+        for kernel in (schur, schur_gains):
+            with pytest.raises(ValueError, match=r"^V\(x_A \| x_B, x_B\) at target variance "
+                                                 r"1\.28873 has no Cholesky factor: duplicated"):
+                kernel(state.cov, target, rows(state, ("B", "x"), ("B", "x")), state.labels)
+        with pytest.raises(ValueError, match=r"^V\(0 \| 2, 2\) .* beyond what double precision"):
+            schur(state.cov, target, rows(state, ("B", "x"), ("B", "x")))
 
 
 class TestSchurKernel:
@@ -188,19 +196,19 @@ class TestSchurKernel:
         return state
 
     def test_singular_blocks_match_loop(self):
-        # Duplicated coordinates make the block singular; the eigenvalue cut
-        # must treat each row exactly as a lone 2-D block would.
+        # Duplicated coordinates make a block singular. The batch is refused with the
+        # message of the first row a loop of one-row calls refuses, at the first point.
         state = self.star_state()
+        stack = np.stack([state.cov, state.cov])
         t, b1, b2 = (state.quad_index("A", "x"), state.quad_index("B1", "p"),
                      state.quad_index("B2", "p"))
-        rows = np.array([[b1, b1, b2], [b1, b2, b2], [b2, b2, b2], [b1, b2, b1]])
-        variances, gains, v_target = schur(state.cov, t, rows)
-        ref_variances, ref_gains, ref_target = schur_loop(state.cov, t, rows)
-        assert np.array_equal(variances, ref_variances)
-        assert np.array_equal(gains, ref_gains)
-        assert v_target == ref_target
-        lone, _, _ = schur(state.cov, t, [[b2]])
-        assert variances[2] == pytest.approx(lone[0], rel=1e-10)
+        rows = np.array([[b1, b2, b2], [b2, b1, b2], [b2, b2, b2]])
+        with pytest.raises(ValueError) as batched:
+            schur(stack, t, np.vstack([[[b2, b1, b1 + 2]], rows]))
+        with pytest.raises(ValueError) as lone:
+            schur_loop(state.cov, t, rows)
+        assert str(batched.value) == str(lone.value)
+        assert str(lone.value).startswith(f"V({t} | {b1}, {b2}, {b2}) at target variance ")
 
     def test_rows_across_blocks_match_loop(self):
         state = self.star_state()
@@ -209,7 +217,8 @@ class TestSchurKernel:
         rng = np.random.default_rng(7)
         rows = np.array([rng.choice(candidates, 4, replace=False)
                          for _ in range(2 * SCHUR_BLOCK_ROWS + 3)])
-        variances, gains, _ = schur(state.cov, t, rows)
+        variances, _ = schur(state.cov, t, rows)
+        gains = schur_gains(state.cov, t, rows)
         ref_variances, ref_gains, _ = schur_loop(state.cov, t, rows)
         assert np.array_equal(variances, ref_variances)
         assert np.array_equal(gains, ref_gains)
@@ -235,7 +244,8 @@ class TestSchurKernel:
         chain_state, chain_t, chain_rows = self.access_rows(12, 6, chain_topology)
         for cov, target, rows in ((state.cov, t, repeated),
                                   (chain_state.cov, chain_t, chain_rows)):
-            variances, gains, _ = schur(cov, target, rows)
+            variances, _ = schur(cov, target, rows)
+            gains = schur_gains(cov, target, rows)
             ref_variances, ref_gains, _ = schur_loop(cov, target, rows)
             assert np.array_equal(variances, ref_variances)
             assert np.array_equal(gains, ref_gains)
@@ -267,7 +277,7 @@ class TestMutualInformation:
     @pytest.mark.parametrize("r", [0.3, 1.0, 2.0])
     def test_tmsv_information(self, r):
         state = two_mode_squeezed(r)
-        v, _, v_unc = schur(state.cov, state.quad_index("A", "x"), rows(state, ("B", "x")))
+        v, v_unc = schur(state.cov, state.quad_index("A", "x"), rows(state, ("B", "x")))
         info = combine(v_unc, v, [v_unc]).access_bits[0]
         assert info == pytest.approx(math.log2(math.cosh(2 * r)), rel=1e-12)
 
@@ -314,7 +324,35 @@ def test_star_rows_of_every_width_equal_the_closed_form_within_the_kernel_bound(
         announced = np.array([state.quad_index(*coord) for coord in
                               layout.announced_coordinates(layout.player_modes, basis)])
         for width in range(1, n + 1):
-            (v,), _, _ = schur(state.cov, state.quad_index("A", basis),
-                               announced[order[:width]][None])
+            (v,), _ = schur(state.cov, state.quad_index("A", basis),
+                            announced[order[:width]][None])
             ratio = float(abs(v - forms[width]) / (eps * kappa[width] * big_v))
             assert ratio <= 8.0, (basis, width, ratio)
+
+
+@seed(2026_1031)
+@settings(max_examples=12, deadline=None, database=None)
+@given(n=st.integers(2, 8), topology=st.sampled_from([chain_topology, star_topology]),
+       r=st.floats(0.0, 2.0), transmissivity=st.just(1.0) | st.floats(0.5, 1.0),
+       noise=st.floats(0.0, 0.05))
+def test_conditioning_never_hurts_beyond_one_eps(n, topology, r, transmissivity, noise):
+    # V(t | E + {j}) <= V(t | E) + eps * V for every estimator set of announced
+    # outcomes against each parent that drops one player, the empty set's V(t | {})
+    # being V itself. A kernel whose error on v exceeds eps * V breaks it.
+    spec = ChannelSpec(transmissivity, noise)
+    state, layout = build_kn_state(n, r, dict.fromkeys([f"B{i}" for i in range(1, n + 1)], spec),
+                                   topology(n))
+    eps = np.finfo(float).eps
+    for basis in "xp":
+        announced = np.array([state.quad_index(*coord) for coord in
+                              layout.announced_coordinates(layout.player_modes, basis)])
+        target = state.quad_index("A", basis)
+        big_v = state.cov[target, target]
+        conditional = {(): big_v}
+        for width in range(1, n + 1):
+            rows = list(combinations(range(n), width))
+            variances, _ = schur(state.cov, target, announced[np.array(rows)])
+            for row, v in zip(rows, variances.tolist()):
+                worst = max(v - conditional[row[:i] + row[i + 1:]] for i in range(width))
+                assert worst <= eps * big_v, (basis, row, worst / (eps * big_v))
+                conditional[row] = v

@@ -297,6 +297,11 @@ class TestStateConstruction:
         with pytest.raises(ValueError, match="^cov must be finite"):
             GaussianState(np.zeros(4), np.stack([0.5 * np.eye(4), cov]), ("a", "b"))
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_mean_rejected(self, value):
+        with pytest.raises(ValueError, match=f"^mean must be finite, got an entry of {value}$"):
+            GaussianState(np.array([0.0, value]), 0.5 * np.eye(2), ("a",))
+
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError):
             GaussianState(np.zeros(4), 0.5 * np.eye(4), ("a", "a"))

@@ -25,7 +25,7 @@ from cvqss import (
     validate,
 )
 from cvqss.cli import EXIT_CONFIG, EXIT_OK, SWEEP_HEADER, main
-from cvqss.estimation import schur
+from cvqss.estimation import schur, schur_gains
 from cvqss.keyrate import MAX_PLAYERS, key_rates
 
 from helpers import (
@@ -64,14 +64,12 @@ def test_default_sweep_is_the_golden_file_byte_for_byte():
 
 #: Golden lines (1 is the header) whose cell in each column is not the exact
 #: value correctly rounded to 12 significant digits: the doubles' rounding shows.
+#: Both exact values lie within ~2e-15 relative of a rounding boundary, inside
+#: the kernel's error: line 118's is 0.0898125973728516544 (printed ...728), and
+#: line 191's 0.0252853282325499364 (printed ...326).
 GOLDEN_CELLS_OFF_THE_ORACLE = {
-    "K_eve": [58, 59, 61, 191],
-    "V_pa_given_pbar": [44, 46, 48, 49, 51, 52, 53, 54, 56, 57, 58, 59, 60, 61, 62, 112, 114,
-                        115, 119, 121, 123, 170, 173, 176, 178, 179, 181, 183, 184, 227, 237,
-                        241, 242, 244, 245],
-    "V_pa_given_honest_max": [238],
-    "E_ABC": [46, 48, 49, 51, 52, 56, 58, 59, 60, 61, 62, 110, 111, 113, 114, 115, 116, 119,
-              123, 178, 184],
+    "K_eve": [191],
+    "V_pa_given_honest_max": [118],
 }
 
 
@@ -155,12 +153,12 @@ def test_stacked_kernel_equals_one_matrix_calls_across_row_blocks():
     factors = np.random.default_rng(7).standard_normal((3, 12, 12))
     stack = factors @ factors.transpose(0, 2, 1)
     idx = np.array(list(itertools.combinations(range(1, 12), 4)))
-    variances, gains, dealer = schur(stack, 0, idx)
+    (variances, dealer), gains = schur(stack, 0, idx), schur_gains(stack, 0, idx)
     for point, cov in enumerate(stack):
         alone = schur(cov, 0, idx)
         assert np.array_equal(variances[point], alone[0])
-        assert np.array_equal(gains[point], alone[1])
-        assert dealer[point] == alone[2]
+        assert np.array_equal(gains[point], schur_gains(cov, 0, idx))
+        assert dealer[point] == alone[1]
 
 
 def test_rows_at_curve_and_chunk_edges_equal_one_point_sweeps():
