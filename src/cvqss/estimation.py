@@ -133,7 +133,8 @@ def _factored(cov, target_idx: int, estimator_idx, labels, per_factor) -> tuple:
 
 
 def _squared_lengths(factors: np.ndarray) -> np.ndarray:
-    """l.l of each factor's last row l = L^-1 c, summed along the row as numpy sums."""
+    """l.l of each factor's last row l = L^-1 c. numpy sums each row along its
+    contiguous axis in one fixed order, whatever the batch, and without BLAS."""
     last = factors[:, -1, :-1]
     return (last * last).sum(axis=-1)
 

@@ -26,7 +26,8 @@ computed, all in bits per round with ideal reconciliation:
   reported rate is ``min_i I_i - max_S chi_S``.
 
 :func:`key_rates` evaluates every term as arrays over a state stack (a
-sweep curve), one kernel call per side; :func:`keyrate_qss` is its report.
+sweep curve), one kernel call per side, and solves for no gains;
+:func:`keyrate_qss` is its report, and the reports alone solve for gains.
 A side whose one structure is every player stands in for the all-player
 inference of the eavesdropping bound, which is then not repeated: the access
 side at k = n, and the honest side of the one (empty) collusion at k = 1.
