@@ -21,11 +21,12 @@ V - l.l, and the gains, which :func:`schur_gains` solves for only where a
 report prints them, are L^-T l. Cholesky is backward stable on positive
 definite blocks (Higham, Accuracy and Stability of Numerical Algorithms,
 2nd ed., ch. 10), so each variance is accurate to about eps * V, relative
-to v that is eps * V / v. A block that does not factorise, as duplicated
-coordinates or squeezing beyond what double precision resolves make it, is
-refused. Every row gets the same arithmetic as a single-row call on one
-matrix, so results do not depend on how rows or points are batched; a
-single estimator set is a one-row index array.
+to v that is eps * V / v. A block that does not factorise, as squeezing
+beyond what double precision resolves or linearly dependent estimators make
+it, is refused, as is a row that repeats a coordinate. Every row gets the
+same arithmetic as a single-row call on one matrix, so results do not depend
+on how rows or points are batched; a single estimator set is a one-row index
+array.
 
 These formulas are exact for Gaussian states. If applied to second moments
 estimated from non-Gaussian data they yield a lower bound on the mutual
@@ -100,6 +101,9 @@ def _factored(cov, target_idx: int, estimator_idx, labels, per_factor) -> tuple:
         raise ValueError("estimator coordinate set must be nonempty")
     if (idx == target_idx).any():
         raise ValueError("estimator coordinates must exclude the target")
+    # A duplicate makes the block singular, yet rounding can leave it a factor.
+    if (np.diff(np.sort(idx, axis=1), axis=1) == 0).any():
+        raise ValueError("estimator coordinates must be distinct within a row")
     cov = np.asarray(cov)
     stack = cov.reshape((-1,) + cov.shape[-2:])
     count, width = idx.shape
@@ -123,8 +127,9 @@ def _factored(cov, target_idx: int, estimator_idx, labels, per_factor) -> tuple:
             names = ", ".join(_coordinate(labels, i) for i in rows[row, :-1])
             raise ValueError(
                 f"V({_coordinate(labels, target_idx)} | {names}) at target variance "
-                f"{v_target[first + point]:.6g} has no Cholesky factor: duplicated estimators, "
-                "or squeezing beyond what double precision resolves") from None
+                f"{v_target[first + point]:.6g} has no Cholesky factor: the squeezing is "
+                "beyond what double precision resolves, or the estimators are linearly "
+                "dependent") from None
         results.append(per_factor(factors))
     result = results[0] if len(results) == 1 else np.concatenate(results)
     leading = cov.shape[:-2]
@@ -158,7 +163,7 @@ def schur(cov: np.ndarray, target_idx: int, estimator_idx: np.ndarray, labels=()
         cov: Covariance matrix, or a (..., d, d) stack of them.
         target_idx: Index of the target coordinate in ``cov``.
         estimator_idx: (S, g) integer array of estimator indices, g >= 1,
-            none equal to ``target_idx``.
+            distinct within a row and none equal to ``target_idx``.
         labels: The mode labels of ``cov`` (coordinates x1, p1, ..., xm, pm),
             which name a refused inference; without them it is named by indices.
 
@@ -168,7 +173,7 @@ def schur(cov: np.ndarray, target_idx: int, estimator_idx: np.ndarray, labels=()
 
     Raises:
         ValueError: for a block that is not positive definite to double
-            precision: duplicated estimators, or squeezing too large.
+            precision, as squeezing too large makes it.
     """
     lengths, v_target = _factored(cov, target_idx, estimator_idx, labels, _squared_lengths)
     return np.asarray(v_target)[..., None] - lengths, v_target

@@ -212,8 +212,9 @@ class TestThresholdBytes:
     """The (4, 8) star breakdown, byte for byte.
 
     The digests were recorded with the bordered-Cholesky inference kernel,
-    so any change to the evaluation that moves a printed digit shows here. They hold for numpy 2.4 with OpenBLAS on x86-64; another BLAS or
-    libm may move the last digit of a float. The star's structures are all
+    so any change to the evaluation that moves a printed digit shows here.
+    They hold for numpy 2.4 with OpenBLAS on x86-64; another BLAS or libm
+    may move the last digit of a float. The star's structures are all
     tied, so its binding rows are the first ones; the text digests of a
     (3, 6) chain, whose binding access row is the eleventh, and of a (1, 3)
     chain, whose one collusion is empty, pin the rest of the table's layout.
@@ -677,8 +678,8 @@ def test_squeezing_beyond_double_precision_is_config_error(argv, inference, caps
     code, out, err = run(argv, capsys)
     assert code == EXIT_CONFIG
     assert out == ""
-    assert err == (f"cvqss: {inference} has no Cholesky factor: duplicated estimators, "
-                   "or squeezing beyond what double precision resolves\n")
+    assert err == (f"cvqss: {inference} has no Cholesky factor: the squeezing is beyond what "
+                   "double precision resolves, or the estimators are linearly dependent\n")
 
 
 def test_import_does_not_load_numpy_random():

@@ -174,15 +174,22 @@ class TestMixedCoordinates:
         assert v_opt[0] == pytest.approx(v_fixed, rel=1e-12)
 
     def test_duplicated_coordinate_is_refused(self):
-        # A duplicated estimator makes the bordered block singular: no Cholesky factor.
+        # A duplicate makes the bordered block singular, but rounding can still leave
+        # it a Cholesky factor: (B2 p, B1 p, B2 p) on a star factors, so it is refused
+        # by name, in any position and whatever the other rows.
         state = two_mode_squeezed(0.8)
-        target = state.quad_index("A", "x")
-        for kernel in (schur, schur_gains):
-            with pytest.raises(ValueError, match=r"^V\(x_A \| x_B, x_B\) at target variance "
-                                                 r"1\.28873 has no Cholesky factor: duplicated"):
-                kernel(state.cov, target, rows(state, ("B", "x"), ("B", "x")), state.labels)
-        with pytest.raises(ValueError, match=r"^V\(0 \| 2, 2\) .* beyond what double precision"):
-            schur(state.cov, target, rows(state, ("B", "x"), ("B", "x")))
+        star, _ = build_kn_state(6, 1.15, dict.fromkeys([f"B{i}" for i in range(1, 7)],
+                                                        ChannelSpec(0.9, 0.01)), star_topology(6))
+        b1, b2 = star.quad_index("B1", "p"), star.quad_index("B2", "p")
+        for cov, target, bad in (
+                (state.cov, state.quad_index("A", "x"), rows(state, ("B", "x"), ("B", "x"))),
+                (state.cov, state.quad_index("A", "x"),
+                 rows(state, ("B", "p"), ("B", "x")) + rows(state, ("B", "x"), ("B", "x"))),
+                (star.cov, star.quad_index("A", "x"), [[b2, b1, b2]])):
+            for kernel in (schur, schur_gains):
+                with pytest.raises(ValueError, match="^estimator coordinates must be distinct "
+                                                     "within a row$"):
+                    kernel(cov, target, bad)
 
 
 class TestSchurKernel:
@@ -196,19 +203,23 @@ class TestSchurKernel:
         return state
 
     def test_singular_blocks_match_loop(self):
-        # Duplicated coordinates make a block singular. The batch is refused with the
-        # message of the first row a loop of one-row calls refuses, at the first point.
-        state = self.star_state()
-        stack = np.stack([state.cov, state.cov])
-        t, b1, b2 = (state.quad_index("A", "x"), state.quad_index("B1", "p"),
-                     state.quad_index("B2", "p"))
-        rows = np.array([[b1, b2, b2], [b2, b1, b2], [b2, b2, b2]])
-        with pytest.raises(ValueError) as batched:
-            schur(stack, t, np.vstack([[[b2, b1, b1 + 2]], rows]))
+        # At r = 300 the blocks are singular to double precision. A stack is refused
+        # with the message of the first row a loop of one-row calls refuses, at the
+        # first point that has one, whichever kernel is asked.
+        spec = ChannelSpec(0.9, 0.01)
+        stack, layout = build_kn_state(6, np.array([1.15, 300.0]),
+                                       {f"B{i}": spec for i in range(1, 7)}, star_topology(6))
+        announced = np.array([stack.quad_index(*coord) for coord in
+                              layout.announced_coordinates(layout.player_modes, "x")])
+        t, rows = stack.quad_index("A", "x"), announced[np.array(list(combinations(range(6), 3)))]
         with pytest.raises(ValueError) as lone:
-            schur_loop(state.cov, t, rows)
-        assert str(batched.value) == str(lone.value)
-        assert str(lone.value).startswith(f"V({t} | {b1}, {b2}, {b2}) at target variance ")
+            schur_loop(stack.cov[1], t, rows)
+        assert str(lone.value).startswith(f"V({t} | ")
+        assert "at target variance 1.88651e+260 has no Cholesky factor" in str(lone.value)
+        for kernel in (schur, schur_gains):
+            with pytest.raises(ValueError) as batched:
+                kernel(stack.cov, t, rows)
+            assert str(batched.value) == str(lone.value)
 
     def test_rows_across_blocks_match_loop(self):
         state = self.star_state()
