@@ -101,8 +101,8 @@ def _factored(cov, target_idx: int, estimator_idx, labels, per_factor) -> tuple:
         raise ValueError("estimator coordinate set must be nonempty")
     if (idx == target_idx).any():
         raise ValueError("estimator coordinates must exclude the target")
-    # A duplicate makes the block singular, yet rounding can leave it a factor.
-    if (np.diff(np.sort(idx, axis=1), axis=1) == 0).any():
+    # A repeat makes the block singular, yet rounding can leave it a factor.
+    if any((idx[:, :j] == idx[:, j:j + 1]).any() for j in range(1, idx.shape[1])):
         raise ValueError("estimator coordinates must be distinct within a row")
     cov = np.asarray(cov)
     stack = cov.reshape((-1,) + cov.shape[-2:])
