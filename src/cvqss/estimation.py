@@ -101,10 +101,12 @@ def _factored(cov, target_idx: int, estimator_idx, labels, per_factor) -> tuple:
         raise ValueError("estimator coordinate set must be nonempty")
     if (idx == target_idx).any():
         raise ValueError("estimator coordinates must exclude the target")
-    # A repeat makes the block singular, yet rounding can leave it a factor.
-    if any((idx[:, :j] == idx[:, j:j + 1]).any() for j in range(1, idx.shape[1])):
-        raise ValueError("estimator coordinates must be distinct within a row")
     cov = np.asarray(cov)
+    # A repeat makes the block singular, yet rounding can leave it a factor.
+    seen = np.zeros((len(idx), cov.shape[-1]), dtype=bool)
+    seen[np.arange(len(idx))[:, None], idx] = True
+    if np.count_nonzero(seen) != idx.size:
+        raise ValueError("estimator coordinates must be distinct within a row")
     stack = cov.reshape((-1,) + cov.shape[-2:])
     count, width = idx.shape
     v_target = stack[:, target_idx, target_idx]
