@@ -682,6 +682,16 @@ def test_squeezing_beyond_double_precision_is_config_error(argv, inference, caps
                    "double precision resolves, or the estimators are linearly dependent\n")
 
 
+def test_threshold_names_the_overflowing_holevo_term(capsys):
+    # With every player's mode lost (T = 0) no estimator block is near-singular,
+    # so at r = 180 the first refusal is the Holevo term overflowing.
+    code, out, err = run(["threshold", "--r", "180", "-T", "0"], capsys)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("cvqss: Holevo term inf is not finite")
+    assert "the squeezing r is too large" in err
+
+
 def test_import_does_not_load_numpy_random():
     # numpy.random takes ~15 ms to import and only a simulate run draws from it,
     # so loading it with the package would slow every command's start-up.
