@@ -12,8 +12,8 @@ Conventions used throughout the package (fixed here, asserted everywhere):
 
 States are immutable, so values can be shared freely across threads. The
 resource itself is built in :mod:`cvqss.states` from the p-squeezed covariance
-here; the gate-by-gate symplectic maps it must reproduce, and the vacuum and
-squeezed-vacuum states they start from, are the test oracle in ``tests/helpers.py``.
+here; the gate-by-gate symplectic maps it is checked against, and the vacuum and
+squeezed-vacuum states they start from, are a test oracle in ``tests/helpers.py``.
 """
 
 import math

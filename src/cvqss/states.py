@@ -3,10 +3,10 @@
 The reference resource is a cluster-type state: squeezed vacua coupled by
 x-x gates along a graph, with each player's mode sent through an
 individual attenuating channel. The dealer keeps one mode ("A"); players
-hold the rest. :func:`build_kn_state` builds its covariance as one array in
-three passes (squeezers, one gate per edge, one loss dilation per player)
-that repeat the matmuls of the gate-by-gate oracle in ``tests/helpers.py``,
-so the two agree bit for bit; no state object is made per gate or channel.
+hold the rest. :func:`build_kn_state` writes its covariance in closed form,
+elementwise on the whole stack: no matrix is made per gate or channel, and
+the only product, of the integer edge counts, is exact, so the bits depend on
+no BLAS kernel and equal players get equal bits.
 
 A crucial bookkeeping detail lives in :class:`PartyLayout`. The players'
 devices are treated as black boxes: each player announces two outcome
@@ -145,12 +145,6 @@ def _bfs_distances(nodes: Sequence, edges: Sequence, root) -> dict:
     return dist
 
 
-def _congruence(s: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """``s cov s^T``, each one matrix or a stack, symmetrised as in :class:`GaussianState`."""
-    cov = s @ cov @ s.swapaxes(-1, -2)
-    return 0.5 * (cov + cov.swapaxes(-1, -2))
-
-
 def build_kn_state(
     n: int,
     r: float,
@@ -168,14 +162,14 @@ def build_kn_state(
     the returned layout (BFS level parity; exact for trees and bipartite
     graphs, a heuristic labelling on graphs with odd cycles).
 
-    Each gate maps p_a -> p_a + g x_b and p_b -> p_b + g x_a. Each channel
-    is a dilation: the mode meets a vacuum ancilla on a beam splitter of
-    transmissivity T (x -> sqrt(T) x + sqrt(1-T) x_anc, the ancilla taking
-    the minus sign; p alike), the ancilla is discarded and the excess noise
-    added, so the mode's variances map to T*V + (1-T)/2 + excess_noise.
-    Each ``S cov S^T`` is symmetrised as :class:`GaussianState` does.
-    Folding the gates into one matrix, or the channels into one dilation,
-    moves ulps (a 16-player star; mixed channels).
+    Each gate maps p_a -> p_a + g x_b and p_b -> p_b + g x_a. The gates form
+    S = I + g E with E^2 = 0, so they commute and two on one pair are one of
+    weight 2g: with A the edge counts, S diag(V_x, V_p) S^T has xx = V_x I,
+    px = g V_x A and pp = V_p I + g^2 V_x A^2. Each channel, what a vacuum
+    ancilla on a beam splitter of transmissivity T leaves once discarded,
+    scales its player's rows and columns by sqrt(T) and adds (1-T)/2 +
+    excess_noise to its variances. Each entry is within 12 roundings of its
+    exact value, and a point of a stack has the bits of its one-point build.
 
     Args:
         n: Number of players, from 2 to MAX_PLAYERS.
@@ -185,7 +179,8 @@ def build_kn_state(
             gives each point its own T, broadcast against ``r`` (a float is 0-d).
         topology: Iterable of undirected edges over {"A"} | player labels;
             must form a connected graph.
-        cz_weight: Gate weight on every edge; must be finite.
+        cz_weight: Gate weight on every edge; must be finite and leave the
+            covariance finite.
         player_labels: Optional custom player labels (default B1..Bn).
 
     Returns:
@@ -220,31 +215,31 @@ def build_kn_state(
                          f"{sorted(missing_specs, key=str)}")
 
     dim = 2 * len(nodes)
-    x_row = {label: 2 * k for k, label in enumerate(nodes)}  # p is the next row
+    counts = np.zeros((len(nodes), len(nodes)), dtype=np.int64)  # A: edges per pair
+    for a, b in edges:
+        i, j = nodes.index(a), nodes.index(b)
+        counts[i, j] += 1
+        counts[j, i] += 1
     points = np.broadcast_shapes(block.shape[:-2], *(
         np.shape(specs[label].transmissivity) for label in player_labels))
-    cov = np.zeros(points + (dim, dim))
-    for k in range(0, dim, 2):
-        cov[..., k:k + 2, k:k + 2] = block
-    for a, b in edges:
-        gate = np.eye(dim)
-        gate[x_row[a] + 1, x_row[b]] = gate[x_row[b] + 1, x_row[a]] = cz_weight
-        cov = _congruence(gate, cov)
-    dilated = np.zeros(cov.shape[:-2] + (dim + 2, dim + 2))
-    dilated[..., dim:, dim:] = VACUUM_VARIANCE * np.eye(2)
-    eye = np.eye(dim + 2)
-    for label in player_labels:
+    scale, noise = np.ones(points + (dim,)), np.zeros(points + (dim,))
+    for k, label in enumerate(player_labels, start=1):
         spec = specs[label]
-        c, s = np.sqrt(spec.transmissivity), np.sqrt(1.0 - spec.transmissivity)
-        splitter = np.empty(c.shape + eye.shape)
-        splitter[...] = eye
-        for row, ancilla in ((x_row[label], dim), (x_row[label] + 1, dim + 1)):
-            splitter[..., row, row] = splitter[..., ancilla, ancilla] = c
-            splitter[..., row, ancilla], splitter[..., ancilla, row] = s, -s
-        dilated[..., :dim, :dim] = cov
-        cov = _congruence(splitter, dilated)[..., :dim, :dim]
-        for row in (x_row[label], x_row[label] + 1):
-            cov[..., row, row] += spec.excess_noise
+        transmissivity = np.asarray(spec.transmissivity)[..., None]
+        scale[..., 2 * k:2 * k + 2] = np.sqrt(transmissivity)
+        noise[..., 2 * k:2 * k + 2] = (1.0 - transmissivity) * VACUUM_VARIANCE + spec.excess_noise
+    v_x, v_p, eye = block[..., :1, :1], block[..., 1:, 1:], np.eye(len(nodes))
+    cov = np.empty(points + (dim, dim))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        cov[..., ::2, ::2] = v_x * eye
+        cov[..., 1::2, ::2] = cov[..., ::2, 1::2] = (cz_weight * v_x) * counts
+        cov[..., 1::2, 1::2] = v_p * eye + (cz_weight * cz_weight * v_x) * (counts @ counts)
+        # (sqrt(T_i) C_ij) sqrt(T_j), then + noise: the golden file's rounding order.
+        cov = (scale[..., :, None] * cov) * scale[..., None, :]
+        cov[..., range(dim), range(dim)] += noise
+    if not np.isfinite(cov).all():
+        raise ValueError(f"coupling weight {cz_weight} overflows the resource covariance "
+                         "(g^2 exp(2r)/2 times a node's gate count)")
 
     conjugate = frozenset(lab for lab in player_labels if dist[lab] % 2 == 1)
     layout = PartyLayout("A", tuple(player_labels), conjugate)

@@ -28,7 +28,8 @@ The gate-by-gate oracle for ``cvqss.build_kn_state`` lives here too: the
 per gate (``cz_transform``, ``apply_cz``), and ``pure_loss``'s dilation
 through ``tensor``, ``apply_beamsplitter`` and ``partial_trace``, each making
 a new ``GaussianState``. ``kn_state_loop`` chains them; the library builds the
-same covariance in array passes and must match it bit for bit. ``variance``
+same covariance in closed form, and both must lie within a few roundings of
+the 50-digit ``kn_state_exact``. ``variance``
 and ``covariance`` read one state's moments by (mode, quadrature), and
 ``pure`` reads a ``cvqss.validate`` report.
 """
@@ -46,6 +47,7 @@ from cvqss import (
     GaussianState,
     JointVariable,
     StateDiagnostics,
+    build_kn_state,
     chain_topology,
     star_topology,
     symplectic_form,
@@ -590,8 +592,8 @@ def sweep_loop(n, k, topology, grid, transmissivities, excess_noise=0.0, cz_weig
     """The ``cvqss sweep`` rows, one grid point and one Schur complement at a time.
 
     The per-point reference for the stacked sweep: every point's resource is
-    built from ``squeezed_vacuum``, ``tensor``, ``apply_cz`` and
-    ``pure_loss``, every estimator set is inferred by :func:`schur_loop`, and
+    a one-point ``build_kn_state`` (the build's exact oracle checks its
+    arithmetic), every estimator set is inferred by :func:`schur_loop`, and
     the bounds are the closed forms ``log2(V / v) / 2`` and
     ``log2(e) + log2(V u) / 2``. ``topology`` is "chain" or "star". Rows
     follow ``SWEEP_HEADER``: (r, T, K_eve, K_qss, V(X_A | all x),
@@ -607,7 +609,7 @@ def sweep_loop(n, k, topology, grid, transmissivities, excess_noise=0.0, cz_weig
     for transmissivity in transmissivities:
         spec = ChannelSpec(transmissivity, excess_noise)
         for r in map(float, grid):
-            state = kn_state_loop(r, dict.fromkeys(players, spec), edges, cz_weight)
+            state, _ = build_kn_state(n, r, dict.fromkeys(players, spec), edges, cz_weight)
 
             def infer(basis, groups):
                 announced = [state.quad_index(p, swap[basis] if c else basis)
@@ -678,3 +680,36 @@ def label_table(kind, terms, binding):
     lines = [f"{kind:<12} {text.ljust(18)} {value:>16.12g}{end}"
              for text, value, end in zip(texts, terms.array.tolist(), ends)]
     return "".join(lines)[:-1]
+
+
+def kn_state_exact(r: float, specs: dict, edges, cz_weight: float = 1.0,
+                   digits: int = 50) -> list:
+    """The cluster resource's covariance at ``digits`` digits, as rows of mpf.
+
+    Modes "A" then the players of ``specs``, in order. The gates' product S,
+    which is I + g E, is formed one gate at a time (p_a gains g x_b's row and
+    p_b g x_a's), then cov = S diag(V_x, V_p, ...) S^T, each player's rows
+    and columns scale by sqrt(T) and its diagonal gains (1 - T)/2 + xi. The
+    inputs are read as exact binary values.
+    """
+    labels = ["A", *specs]
+    dim = 2 * len(labels)
+    with mpmath.workdps(digits):
+        r, g = mpmath.mpf(r), mpmath.mpf(cz_weight)
+        squeezed = [mpmath.exp(2 * r) / 2, mpmath.exp(-2 * r) / 2] * len(labels)
+        rows = [{k: mpmath.mpf(1)} for k in range(dim)]  # S's nonzero entries per row
+        for a, b in edges:
+            i, j = 2 * labels.index(a), 2 * labels.index(b)
+            for p_row, x_row in ((rows[i + 1], rows[j]), (rows[j + 1], rows[i])):
+                for k, value in x_row.items():
+                    p_row[k] = p_row.get(k, 0) + g * value
+        scale = [mpmath.mpf(1)] * 2 + [mpmath.sqrt(specs[label].transmissivity)
+                                       for label in specs for _ in "xp"]
+        cov = [[scale[i] * scale[j] * sum(value * squeezed[k] * rows[j].get(k, 0)
+                                          for k, value in rows[i].items())
+                for j in range(dim)] for i in range(dim)]
+        for m, label in enumerate(specs, start=1):
+            spec = specs[label]
+            for i in (2 * m, 2 * m + 1):
+                cov[i][i] += (1 - mpmath.mpf(spec.transmissivity)) / 2 + spec.excess_noise
+        return cov

@@ -190,12 +190,12 @@ class TestNoStructureTuples:
         (["threshold", "--n", "14", "--k", "7", "--topology", "star"],
          "e613ddad52fb81af4d688ed4e8283a5a7fe23dce50fcee3f1ea871a0e43c0f65"),
         (["threshold", "--n", "14", "--k", "7", "--topology", "star", "--format", "json"],
-         "97fd3a7ddb69a54bd900103fb0cd373f70bbe4d1182ea0de281cca6600879b89"),
+         "4a3daf6edfe8556f542967b8727b0ccaec49e41378d481e7314b469cecfe8ea8"),
         (["sweep", "--n", "6", "--k", "3", "--topology", "star"],
-         "cd48f19aa95e29f60da47ae9d3d8ac3061c372c5d1a74f7e3d3cc612b59aba07"),
+         "98831d86c10b261dc8283bae21ccb02ee85e92a7dde2c8ce8f65b33bf1bdc746"),
         (["simulate", "--n", "4", "--k", "2", "--topology", "star", "--rounds", "200000",
           "--seed", "9", "--transmissivity", "0.95", "--format", "json"],
-         "6f071f8b094642fda603683f52649b44c56d3bce33c676a9429a4fd89876fa43"),
+         "1b435d1d090f0b1c5efbc9a3a5548b739758da5218ba7acaa0a87252cdfa5613"),
     ], ids=["threshold-star-7-14", "threshold-star-7-14-json", "sweep-star-3-6",
             "simulate-star-2-4-json"])
     def test_commands_never_call_combinations(self, capsys, monkeypatch, argv, digest):
@@ -292,16 +292,16 @@ class TestJsonBytes:
     @pytest.mark.parametrize("argv, digest", [
         (["threshold", "--n", "12", "--k", "6", "--topology", "star", "--r", "1.0",
           "-T", "0.9"],
-         "023ff027e1792e3920a0e54b6d6a4b3bf9e2a53b282d026005ca79a9fee7e66f"),
+         "6c2ec84af7299b6902c760909e9717f5e8d80d0a764b81db9c905dd207f72c9f"),
         (["threshold", "--n", "3", "--k", "1"],
          "2536032db7f703eeea4c71f4a353855bbcc5b68b8c49e855f27e8b3e6fa708da"),
         (["validate"],
          "7fad8bb821d84a149b953ef591d892d1d9e7f3ff60aa38d240aee751979089fb"),
         (["sweep"],
-         "916ff094af86a6273c72b687d59117e01344f94981b4978cbe10d28f91f002e8"),
+         "665b4dcdd0f8eea7e436464cb99ff23852263e341df1f0994093648f70b402e9"),
         (["sweep", "--n", "8", "--k", "4", "--topology", "star", "--r-min", "0.4",
           "--r-max", "1.2", "--r-steps", "4", "--transmissivities", "1,0.5"],
-         "328fc05175a54f12a897201cc68d6f78144e459f9b37897ac92450f66200397c"),
+         "5fd1278cffbb0a0546709b737dda728fa0dac9f6b302be971e7a8a3cf33d3b15"),
     ], ids=["threshold-star-6-12", "threshold-chain-1-3", "validate", "sweep",
             "sweep-star-4-8"])
     def test_output_digest(self, capsys, argv, digest):
@@ -326,7 +326,7 @@ class TestSimulateBytes:
         (["simulate", "--n", "4", "--k", "2", "--topology", "star",
           "--rounds", "200000", "--seed", "9", "--transmissivity", "0.95"],
          "81ba7de186986d4d9ec3bc7eab51a2392231f307f69e4a8faf36e79e36d0dafb",
-         "6f071f8b094642fda603683f52649b44c56d3bce33c676a9429a4fd89876fa43"),
+         "1b435d1d090f0b1c5efbc9a3a5548b739758da5218ba7acaa0a87252cdfa5613"),
     ], ids=["chain-2-2", "star-2-4"])
     def test_output_digest(self, tmp_path, capsys, argv, stdout_digest, json_digest):
         report = tmp_path / "report.json"
@@ -626,6 +626,10 @@ class TestConfigFile:
     (["threshold", "--r", "1e308"], "squeezing parameter r = 1e+308 overflows"),
     (["validate", "--r", "1e308"], "squeezing parameter r = 1e+308 overflows"),
     (["simulate", "--r", "1e308"], "squeezing parameter r = 1e+308 overflows"),
+    # g^2 exp(2r)/2 beyond double precision, refused before numpy warns of it.
+    (["threshold", "--cz-weight", "1e200"], "coupling weight 1e+200 overflows"),
+    (["validate", "--cz-weight", "1e200"], "coupling weight 1e+200 overflows"),
+    (["simulate", "--cz-weight", "1e200"], "coupling weight 1e+200 overflows"),
     # Out of range, named by the flag's own parameter.
     (["threshold", "--r", "-1"], "squeezing parameter r must be >= 0, got -1.0"),
     (["simulate", "--seed", "-1"], "seed must be >= 0, got -1"),

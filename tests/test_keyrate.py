@@ -468,6 +468,14 @@ class TestPlayerClasses:
         stack = _kn_state(6, star_topology, r=np.linspace(0.0, 2.0, 61))
         assert keyrate_module._player_classes(*stack).tolist() == [0] * 6
 
+    def test_a_7_14_star_is_one_class_at_every_point_of_the_default_grid(self):
+        # The default sweep's T-major (T, r) grid, built as one stack; a
+        # gate-by-gate build left 22 of these points an ulp off player symmetry.
+        grid = np.linspace(0.0, 1.5, 61)
+        transmissivity = np.repeat([1.0, 0.95, 0.9, 0.85], len(grid))
+        stack = _kn_state(14, star_topology, r=np.tile(grid, 4), transmissivity=transmissivity)
+        assert keyrate_module._player_classes(*stack).tolist() == [0] * 14
+
     def test_a_chain_has_no_class_of_two_and_a_ring_pairs_opposite_players(self):
         classes = keyrate_module._player_classes(*_kn_state(6, chain_topology))
         assert classes.tolist() == list(range(6))
@@ -486,7 +494,7 @@ class TestPlayerClasses:
 
     def test_an_ulp_apart_player_is_its_own_class_and_every_row_matches_the_loop(
             self, monkeypatch):
-        # As gate-by-gate rounding leaves B3, B7 and B11 of some (7, 14) stars.
+        # As a gate-by-gate build left B3, B7 and B11 of some (7, 14) stars.
         state, layout = _ulp_apart(*_kn_state(6, star_topology), "B3")
         assert keyrate_module._player_classes(state, layout).tolist() == [0, 0, 1, 0, 0, 0]
         real_schur, rows = keyrate_module.schur, []

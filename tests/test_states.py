@@ -1,5 +1,6 @@
 """Resource-state builders, loss channels and the party layout."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,7 +16,33 @@ from cvqss import (
 )
 from cvqss import keyrate, states
 from cvqss.states import MAX_PLAYERS
-from helpers import apply_cz, chain_expected_cov, pure_loss, squeezed_vacuum, tensor, variance
+from helpers import (
+    apply_cz,
+    chain_expected_cov,
+    kn_state_exact,
+    kn_state_loop,
+    pure_loss,
+    squeezed_vacuum,
+    tensor,
+    variance,
+)
+
+#: Roundings of relative size u = eps/2 that bound any entry of the build. The
+#: longest path is a player's p variance: exp (under 1 ulp, counted as 2), then
+#: g*g, * V_x, * the gate count and + V_p, two sqrt(T) and two scalings, and
+#: + the noise, 11 in all; one more covers the second-order terms.
+BUILD_ROUNDINGS = 12
+ORACLE_CHANNELS = {f"B{i}": spec for i, spec in enumerate([
+    ChannelSpec(0.0), ChannelSpec(1.0), ChannelSpec(0.0, 0.05), ChannelSpec(1.0, 0.02),
+    ChannelSpec(0.5, 0.05), ChannelSpec(0.93, 0.01)], start=1)}
+ORACLE_R = [0.0, 0.35, 1.1, 2.0]
+
+
+def assert_within_roundings(cov, exact):
+    """Each entry of ``cov`` within BUILD_ROUNDINGS u of ``exact``'s (an exact 0 is 0)."""
+    bound = BUILD_ROUNDINGS * np.finfo(float).eps / 2
+    for (i, j), value in np.ndenumerate(cov):
+        assert abs(mpmath.mpf(value) - exact[i][j]) <= bound * abs(exact[i][j]), (i, j)
 
 
 class TestChannelSpec:
@@ -204,3 +231,25 @@ class TestKnState:
                                         chain_topology(2))
         assert validate(state_noisy).physical
         assert validate(state_noisy).purity < validate(state_clean).purity
+
+
+class TestKnStateOracle:
+    """The closed-form build against a 50-digit evaluation of the model."""
+
+    @pytest.mark.parametrize("cz_weight", [0.8, 1.0, 1.3])
+    @pytest.mark.parametrize("topology", [chain_topology, star_topology])
+    def test_every_entry_is_within_the_build_roundings(self, topology, cz_weight):
+        state, _ = build_kn_state(6, np.array(ORACLE_R), ORACLE_CHANNELS, topology(6),
+                                  cz_weight=cz_weight)
+        for cov, r in zip(state.cov, ORACLE_R):
+            assert_within_roundings(cov, kn_state_exact(r, ORACLE_CHANNELS, topology(6),
+                                                         cz_weight))
+
+    def test_a_repeated_edge_is_two_gates_and_the_gate_by_gate_oracle_agrees(self):
+        specs = {f"B{i}": ORACLE_CHANNELS[f"B{i}"] for i in range(1, 5)}
+        edges = chain_topology(4) + (("B2", "B1"),)
+        state, _ = build_kn_state(4, np.array(ORACLE_R), specs, edges, cz_weight=1.3)
+        for cov, r in zip(state.cov, ORACLE_R):
+            exact = kn_state_exact(r, specs, edges, 1.3)
+            assert_within_roundings(cov, exact)
+            assert_within_roundings(kn_state_loop(r, specs, edges, 1.3).cov, exact)

