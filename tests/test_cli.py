@@ -626,10 +626,6 @@ class TestConfigFile:
     (["threshold", "--r", "1e308"], "squeezing parameter r = 1e+308 overflows"),
     (["validate", "--r", "1e308"], "squeezing parameter r = 1e+308 overflows"),
     (["simulate", "--r", "1e308"], "squeezing parameter r = 1e+308 overflows"),
-    # g^2 exp(2r)/2 beyond double precision, refused before numpy warns of it.
-    (["threshold", "--cz-weight", "1e200"], "coupling weight 1e+200 overflows"),
-    (["validate", "--cz-weight", "1e200"], "coupling weight 1e+200 overflows"),
-    (["simulate", "--cz-weight", "1e200"], "coupling weight 1e+200 overflows"),
     # Out of range, named by the flag's own parameter.
     (["threshold", "--r", "-1"], "squeezing parameter r must be >= 0, got -1.0"),
     (["simulate", "--seed", "-1"], "seed must be >= 0, got -1"),
@@ -638,6 +634,10 @@ class TestConfigFile:
     (["simulate", "--n", "1"], "need at least two players, got n = 1"),
     (["sweep", "--n", "0"], "need at least two players, got n = 0"),
     (["validate", "--n", "1"], "need at least two players, got n = 1"),
+    # g^2 exp(2r)/2 beyond double precision, refused before numpy warns of it.
+    (["threshold", "--cz-weight", "1e200"], "coupling weight 1e+200 overflows"),
+    (["validate", "--cz-weight", "1e200"], "coupling weight 1e+200 overflows"),
+    (["simulate", "--cz-weight", "1e200"], "coupling weight 1e+200 overflows"),
 ])
 def test_non_finite_parameter_is_config_error(argv, message, capsys):
     with warnings.catch_warnings():
