@@ -27,7 +27,6 @@ import sys
 
 import numpy as np
 
-from .estimation import SCHUR_BLOCK_ROWS
 from .gaussian import UnphysicalStateError, validate
 from .jsontext import _position_columns, _rows, float_texts, json_text
 from .keyrate import ThresholdScheme, key_rates, keyrate_qss
@@ -47,6 +46,12 @@ TOPOLOGIES = {"chain": chain_topology, "star": star_topology}
 #: Most grid points (r steps x transmissivities) one sweep evaluates; the
 #: output, about 300 bytes of JSON a point, is held until it is written.
 MAX_SWEEP_POINTS = 10**6
+
+#: Doubles charged to the points of one sweep chunk: each point its (2n + 2)-square
+#: covariance and one variance per access and per honest-side structure, which
+#: key_rates spreads to every structure whether it folds or not. With the rate
+#: terms and the rows' text, a chunk's peak is about three times its charge.
+SWEEP_CHUNK_DOUBLES = 2**18
 
 
 def _fmt(value: float) -> str:
@@ -184,7 +189,10 @@ def cmd_sweep(args) -> int:
             raise ValueError(f"{flag} must be finite, got {r}")
     if args.r_min > args.r_max or args.r_steps < 1:
         raise ValueError("need r_min <= r_max and r_steps >= 1")
-    transmissivities = np.array([float(t) for t in args.transmissivities.split(",") if t])
+    try:
+        transmissivities = np.array([float(t) for t in args.transmissivities.split(",") if t])
+    except ValueError as exc:  # float's message names the entry but not the flag
+        raise ValueError(f"--transmissivities: {exc}") from None
     if not len(transmissivities):
         raise ValueError("need at least one transmissivity")
     ChannelSpec(transmissivities, args.excess_noise)  # every T range-checked up front
@@ -194,11 +202,12 @@ def cmd_sweep(args) -> int:
     scheme = ThresholdScheme(args.k, args.n)
     grid = np.linspace(args.r_min, args.r_max, args.r_steps)
 
-    # The T-major (T, r) grid in chunks across curves of at most SCHUR_BLOCK_ROWS
-    # structure rows per side (one point at least), and the text one piece per
-    # chunk, never joined: memory is the output plus one chunk, whatever the grid and scheme.
-    structures = max(map(len, scheme._player_rows))
-    points = max(1, SCHUR_BLOCK_ROWS // structures)
+    # The T-major (T, r) grid in chunks across curves of at most SWEEP_CHUNK_DOUBLES
+    # doubles (one point at least), and the text one piece per chunk, never joined:
+    # memory is the output plus one chunk, whatever the grid and scheme. The kernel
+    # blocks its own gathers, so a chunk's size is set by what its points hold.
+    access, _, honest = scheme._player_rows
+    points = max(1, SWEEP_CHUNK_DOUBLES // ((2 * args.n + 2) ** 2 + len(access) + len(honest)))
     total = len(grid) * len(transmissivities)
     chunks = (_sweep_rows(args, scheme, grid[flat % len(grid)],
                           transmissivities[flat // len(grid)])

@@ -78,6 +78,10 @@ class TestSweep:
         assert code == EXIT_CONFIG
         code, _, _ = run(["sweep", "--transmissivities", "1,1.5"], capsys)
         assert code == EXIT_CONFIG
+        code, out, err = run(["sweep", "--transmissivities", "1,abc"], capsys)
+        assert code == EXIT_CONFIG and out == ""
+        assert err == ("cvqss: --transmissivities: could not convert string to float: "
+                       "'abc'\n")
 
     def test_unknown_flag_is_config_error(self, capsys):
         code, _, _ = run(["sweep", "--does-not-exist", "1"], capsys)

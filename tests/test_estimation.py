@@ -367,3 +367,37 @@ def test_conditioning_never_hurts_beyond_one_eps(n, topology, r, transmissivity,
                 worst = max(v - conditional[row[:i] + row[i + 1:]] for i in range(width))
                 assert worst <= eps * big_v, (basis, row, worst / (eps * big_v))
                 conditional[row] = v
+
+
+@seed(2026_1101)
+@settings(max_examples=12, deadline=None, database=None)
+@given(data=st.data(), n=st.integers(2, 8), topology=st.sampled_from([chain_topology, star_topology]),
+       r=st.floats(0.0, 2.0))
+def test_degrading_one_player_never_helps_beyond_one_eps(data, n, topology, r):
+    # Lowering player j's T, or raising its excess noise, follows its channel with
+    # another, independent of everything else: V(t | E) may only grow, within
+    # eps * V, for every estimator set E holding j. A set without j keeps its bits,
+    # as the build scales and adds noise to j's rows and columns alone.
+    specs = {f"B{i}": ChannelSpec(data.draw(st.just(1.0) | st.floats(0.5, 1.0)),
+                                  data.draw(st.floats(0.0, 0.05))) for i in range(1, n + 1)}
+    j = data.draw(st.integers(0, n - 1), label="player")
+    spec = specs[f"B{j + 1}"]
+    degraded = ChannelSpec(data.draw(st.just(spec.transmissivity)
+                                     | st.floats(0.0, spec.transmissivity), label="T"),
+                           spec.excess_noise + data.draw(st.just(0.0) | st.floats(0.0, 0.05),
+                                                         label="added noise"))
+    state, layout = build_kn_state(n, r, specs, topology(n))
+    worse, _ = build_kn_state(n, r, specs | {f"B{j + 1}": degraded}, topology(n))
+    eps = np.finfo(float).eps
+    for basis in "xp":
+        announced = np.array([state.quad_index(*coord) for coord in
+                              layout.announced_coordinates(layout.player_modes, basis)])
+        target = state.quad_index("A", basis)
+        big_v = state.cov[target, target]
+        for width in range(1, n + 1):
+            rows = np.array(list(combinations(range(n), width)))
+            (before, _), (after, _) = (schur(s.cov, target, announced[rows]) for s in (state, worse))
+            holds = (rows == j).any(axis=1)
+            assert np.array_equal(after[~holds], before[~holds]), (basis, width)
+            worst = float((before - after)[holds].max())
+            assert worst <= eps * big_v, (basis, width, worst / (eps * big_v))

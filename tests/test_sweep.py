@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+import cvqss.cli as cli_module
 import cvqss.keyrate as keyrate_module
 from cvqss import (
     ChannelSpec,
@@ -138,10 +139,12 @@ def test_stacked_sweep_equals_the_per_point_reference_bit_for_bit(case):
 
 
 @pytest.mark.parametrize("n, k, steps", [(8, 4, 4), (10, 5, 2)], ids=["star-4-8", "star-5-10"])
-def test_curves_spanning_two_chunks_equal_the_per_point_reference(n, k, steps):
-    # Three points of a (4, 8) star's 70 access structures fill a chunk; a
-    # (5, 10) star's 252 fill one alone. On both, the players of every point
-    # form one class, so each side evaluates one row per point.
+def test_curves_spanning_two_chunks_equal_the_per_point_reference(n, k, steps, monkeypatch):
+    # A (4, 8) star point holds 18^2 + 70 + 56 = 450 doubles and a (5, 10) star
+    # point 22^2 + 252 + 210 = 946: a chunk of 1,350 holds three of the first and
+    # one of the second. On both, the players of every point form one class, so
+    # each side evaluates one row per point.
+    monkeypatch.setattr(cli_module, "SWEEP_CHUNK_DOUBLES", 1350)
     argv = ["sweep", "--n", str(n), "--k", str(k), "--topology", "star", "--r-min", "0.4",
             "--r-max", "1.2", "--r-steps", str(steps), "--transmissivities", "1,0.5"]
     assert json_rows(argv) == sweep_loop(n, k, "star", np.linspace(0.4, 1.2, steps), [1.0, 0.5])
@@ -160,10 +163,12 @@ def test_stacked_kernel_equals_one_matrix_calls_across_row_blocks():
         assert dealer[point] == alone[1]
 
 
-def test_rows_at_curve_and_chunk_edges_equal_one_point_sweeps():
-    # The default grid's 244 points run as chunks of 128 and 116 across its
-    # four 61-point curves: curve edges at 60/61, 121/122 and 182/183, and the
-    # chunk edge at 127/128, inside the third curve.
+def test_rows_at_curve_and_chunk_edges_equal_one_point_sweeps(monkeypatch):
+    # A (2, 2) chain point holds 6^2 + 1 + 2 = 39 doubles, so chunks of 128 points
+    # split the default grid's 244 as 128 and 116 across its four 61-point curves:
+    # curve edges at 60/61, 121/122 and 182/183, and the chunk edge at 127/128,
+    # inside the third curve.
+    monkeypatch.setattr(cli_module, "SWEEP_CHUNK_DOUBLES", 128 * 39)
     rows = json_rows(["sweep"])
     assert len(rows) == 244
     for index in (60, 61, 121, 122, 127, 128, 243):
@@ -173,9 +178,10 @@ def test_rows_at_curve_and_chunk_edges_equal_one_point_sweeps():
         assert alone == [rows[index]]
 
 
-def test_rows_at_chunk_edges_equal_one_point_sweeps():
-    # At most 2 structures per side, so a 257-point curve is evaluated as
-    # chunks of 128, 128 and 1 points.
+def test_rows_at_chunk_edges_equal_one_point_sweeps(monkeypatch):
+    # With chunks of 128 (2, 2) chain points, as above, a 257-point curve is
+    # evaluated as chunks of 128, 128 and 1 points.
+    monkeypatch.setattr(cli_module, "SWEEP_CHUNK_DOUBLES", 128 * 39)
     rows = json_rows(["sweep", "--r-steps", "257", "--transmissivities", "0.9"])
     assert len(rows) == 257
     for row in (rows[0], rows[127], rows[128], rows[256]):
@@ -287,21 +293,32 @@ def test_kernel_calls_per_sweep_do_not_grow_with_the_grid(monkeypatch):
     monkeypatch.setattr(keyrate_module, "schur", counted)
     # Three kernel calls per chunk (access, honest complements, and all players
     # in p): at k = n the one access row is every player, so the access side is
-    # the all-player x inference. A chunk holds up to 128 points of any curves.
-    for steps, chunks in ((16, [64]), (61, [128, 116])):
+    # the all-player x inference. A (2, 2) chain point holds 6^2 + 1 + 2 = 39
+    # doubles, so a chunk holds up to 2^18 // 39 = 6,721 points of any curves.
+    for steps, chunks in ((16, [64]), (61, [244]), (1700, [6721, 79])):
         calls.clear()
         assert cli(["sweep", "--r-steps", str(steps)])[0] == EXIT_OK
         assert calls == [(points, 6, 6) for points in chunks for _ in range(3)]
 
 
-@pytest.mark.parametrize("n, k, steps, fmt", [
-    pytest.param(4, 2, 200, "csv", id="4-2-200"),
-    pytest.param(12, 6, 1, "csv", id="12-6-1"),
-    pytest.param(4, 2, 50, "json", id="4-2-50-json"),
+@pytest.mark.parametrize("n, k, steps, fmt, budget", [
+    pytest.param(4, 2, 200, "csv", 42 * 110, id="4-2-200"),
+    pytest.param(12, 6, 1, "csv", 2392, id="12-6-1"),
+    pytest.param(4, 2, 50, "json", 42 * 110, id="4-2-50-json"),
+    pytest.param(14, 7, 35, "csv", None, id="14-7-35"),
+    pytest.param(12, 6, 109, "json", None, id="12-6-109-json"),
 ])
-def test_sweep_memory_stays_flat_in_the_grid_size(tmp_path, n, k, steps, fmt):
-    # 42 points of a (2, 4) star fill a chunk of 256 structure rows, while
-    # one point of a (6, 12) star already has 924 access structures.
+def test_sweep_memory_stays_flat_in_the_grid_size(tmp_path, monkeypatch, n, k, steps, fmt,
+                                                  budget):
+    # The smaller grid fills at least one chunk. A (2, 4) star point holds
+    # 10^2 + 6 + 4 = 110 doubles, a (6, 12) star point 26^2 + 924 + 792 = 2,392
+    # and a (7, 14) star point 30^2 + 3,432 + 3,003 = 7,335, so the default
+    # budget's chunks hold 109 and 35 points of the last two. The first three
+    # cases shrink the budget to 42 and 1 points a chunk, where the output
+    # outweighs a chunk and text held beyond its chunk would show.
+    if budget is not None:
+        monkeypatch.setattr(cli_module, "SWEEP_CHUNK_DOUBLES", budget)
+
     def peak_beyond_output(steps):
         out = tmp_path / f"sweep{steps}.{fmt}"
         argv = ["sweep", "--n", str(n), "--k", str(k), "--topology", "star",
@@ -318,3 +335,28 @@ def test_sweep_memory_stays_flat_in_the_grid_size(tmp_path, n, k, steps, fmt):
     cli(["sweep", "--r-steps", "2"])  # parser and import caches
     small, large = peak_beyond_output(steps), peak_beyond_output(10 * steps)
     assert large <= 1.5 * small, (small, large)
+
+
+def test_a_7_14_star_sweep_takes_7_chunks_under_8_mib(tmp_path, monkeypatch):
+    # 35 points of 7,335 doubles fill a chunk (above), so the default grid's 244
+    # points take 7 key_rates calls. The peak beyond the output is about 5.2 MB.
+    calls = []
+    real_key_rates = cli_module.key_rates
+
+    def counted(state, *args):
+        calls.append(len(state.cov))
+        return real_key_rates(state, *args)
+
+    monkeypatch.setattr(cli_module, "key_rates", counted)
+    cli(["sweep", "--r-steps", "2"])  # parser and import caches
+    calls.clear()
+    out = tmp_path / "sweep.csv"
+    tracemalloc.start()
+    try:
+        assert main(["sweep", "--n", "14", "--k", "7", "--topology", "star",
+                     "--output", str(out), "--quiet"]) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == [35] * 6 + [34]
+    assert peak - out.stat().st_size < 8 * 2**20, peak
