@@ -54,9 +54,9 @@ MAX_SWEEP_POINTS = 10**6
 SWEEP_CHUNK_DOUBLES = 2**18
 
 
-def _fmt(value: float) -> str:
-    """Floating-point rendering used in all text output: 12 significant digits."""
-    return format(float(value), ".12g")
+def _fmt(value: float | None) -> str:
+    """Floating-point rendering used in all text output: 12 significant digits (None: undefined)."""
+    return "undefined" if value is None else format(float(value), ".12g")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -187,6 +187,8 @@ def cmd_sweep(args) -> int:
     for flag, r in (("--r-min", args.r_min), ("--r-max", args.r_max)):
         if not np.isfinite(r):
             raise ValueError(f"{flag} must be finite, got {r}")
+        if r < 0:
+            raise ValueError(f"{flag} must be >= 0, got {r}")
     if args.r_min > args.r_max or args.r_steps < 1:
         raise ValueError("need r_min <= r_max and r_steps >= 1")
     try:
@@ -376,9 +378,9 @@ def cmd_validate(args) -> int:
             f"conjugate: {','.join(sorted(str(p) for p in layout.conjugate_players)) or '-'}",
             f"symmetry residual: {_fmt(diagnostics.symmetry_residual)}",
             "symplectic eigenvalues: "
-            + ",".join(_fmt(nu) for nu in diagnostics.symplectic_eigenvalues),
+            + (",".join(map(_fmt, diagnostics.symplectic_eigenvalues)) or _fmt(None)),
             f"min symplectic eigenvalue: {_fmt(diagnostics.min_symplectic_eigenvalue)}",
-            f"purity: {'undefined' if diagnostics.purity is None else _fmt(diagnostics.purity)}",
+            f"purity: {_fmt(diagnostics.purity)}",
             f"physical: {diagnostics.physical}",
         ]
         text = "\n".join(lines) + "\n"

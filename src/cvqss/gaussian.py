@@ -7,8 +7,8 @@ Conventions used throughout the package (fixed here, asserted everywhere):
 * Natural units with hbar = 1 and ``x = (a + a^dag)/sqrt(2)``,
   ``p = (a - a^dag)/(i sqrt(2))``, hence ``[x, p] = i`` and the vacuum
   variance of each quadrature is 1/2.
-* A covariance matrix is physical (bona fide) iff all of its symplectic
-  eigenvalues are >= 1/2; it describes a pure state iff they all equal 1/2.
+* A covariance matrix is physical (bona fide) iff it has a Cholesky factor and
+  all of its symplectic eigenvalues are >= 1/2; it is pure iff they all equal 1/2.
 
 States are immutable, so values can be shared freely across threads. The
 resource itself is built in :mod:`cvqss.states` from the p-squeezed covariance
@@ -27,10 +27,6 @@ SYMMETRY_RTOL = 1e-12
 #: Slack on the bona-fide condition min(nu) >= 1/2 (loss channels and
 #: eigensolvers leave rounding at this scale).
 BONA_FIDE_TOL = 1e-9
-
-#: Eigenvalues of a covariance matrix in [-this, 0) are rounding debris, not
-#: a non-positive covariance.
-EIGENVALUE_CLIP = 1e-10
 
 #: Vacuum variance of a single quadrature under the conventions above.
 VACUUM_VARIANCE = 0.5
@@ -59,13 +55,18 @@ def symplectic_form(num_modes: int) -> np.ndarray:
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     """Symplectic eigenvalues of a covariance matrix, sorted ascending.
 
-    Computed as the moduli of the eigenvalues of ``i Omega cov``, which come
-    in +/- pairs; one representative per pair is returned.
+    With cov = L L^T (Cholesky), the Hermitian i L^T Omega L has eigenvalues +/-nu
+    (Williamson, Am. J. Math. 58, 141 (1936)); the upper half is returned. L^T Omega L
+    is X^T P - P^T X, X and P the rows of L at x and at p, summed elementwise, not by
+    BLAS, so its bits are L's on any kernel. A cov with no Cholesky factor is not
+    positive definite, so it has no spectrum and is unphysical: UnphysicalStateError.
     """
-    cov = np.asarray(cov, dtype=float)
-    num_modes = cov.shape[0] // 2
-    spectrum = np.linalg.eigvals(1j * symplectic_form(num_modes) @ cov)
-    return np.sort(np.abs(spectrum))[::2]
+    try:
+        factor = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise UnphysicalStateError("covariance matrix is not positive definite") from None
+    xp = (factor[::2, :, None] * factor[1::2, None, :]).sum(axis=0)
+    return np.linalg.eigvalsh(1j * (xp - xp.T))[len(factor) // 2:]
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,13 @@ class GaussianState:
         if asym > SYMMETRY_RTOL:
             raise ValueError(f"cov is not symmetric (relative residual {asym:.3e})")
         # Symmetrise exactly so chained transforms cannot accumulate skew.
-        cov = 0.5 * (cov + transposed)
+        with np.errstate(over="ignore"):  # refused below
+            symmetric = 0.5 * (cov + transposed)
+        finite = np.isfinite(symmetric)
+        if not finite.all():
+            raise ValueError(f"cov entry {cov.flat[finite.argmin()]:g} overflows double "
+                             "precision when symmetrised")
+        cov = symmetric
         mean.setflags(write=False)
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
@@ -145,7 +152,7 @@ class StateDiagnostics:
 
     symmetry_residual: float
     symplectic_eigenvalues: tuple
-    min_symplectic_eigenvalue: float
+    min_symplectic_eigenvalue: float | None
     purity: float | None
     physical: bool
 
@@ -184,25 +191,26 @@ def _squeezed_covariance(r) -> np.ndarray:
 def validate(state: GaussianState) -> StateDiagnostics:
     """Diagnostics on a state: symmetry, symplectic spectrum, purity.
 
-    Reports and never raises. ``physical`` is True iff every symplectic
-    eigenvalue is >= 1/2 - BONA_FIDE_TOL and every eigenvalue of the
-    covariance is >= -EIGENVALUE_CLIP (|eig(i Omega V)| is the same for -V,
-    so the first test alone passes a negative-definite V); purity is the
-    product of 1/(2 nu_k) over the symplectic eigenvalues (1 for pure states),
-    or None where that is not finite, as only for an unphysical state.
+    Reports and never raises. ``physical`` is True iff the covariance has a
+    Cholesky factor and every symplectic eigenvalue is >= 1/2 - BONA_FIDE_TOL;
+    without one the spectrum is undefined: (), and no smallest eigenvalue or
+    purity (None). Purity is the product of 1/(2 nu_k) over the spectrum (1 for
+    pure states), or None where that is not finite, as only for an unphysical state.
     """
     cov = state._single_cov()
     scale = max(np.abs(cov).max(), 1.0)
     residual = float(np.abs(cov - cov.T).max() / scale)
-    nus = symplectic_eigenvalues(cov)
-    min_nu = float(nus.min())
-    with np.errstate(divide="ignore", over="ignore"):  # a nu of 0: unphysical
+    try:
+        nus = symplectic_eigenvalues(cov)
+    except UnphysicalStateError:
+        return StateDiagnostics(residual, (), None, None, False)
+    min_nu = float(nus[0])
+    with np.errstate(divide="ignore", over="ignore"):  # a positive definite V can have a tiny nu
         purity = float(np.prod(1.0 / (2.0 * nus)))
     return StateDiagnostics(
         symmetry_residual=residual,
         symplectic_eigenvalues=tuple(float(n) for n in nus),
         min_symplectic_eigenvalue=min_nu,
         purity=purity if math.isfinite(purity) else None,
-        physical=bool(min_nu >= VACUUM_VARIANCE - BONA_FIDE_TOL
-                      and np.linalg.eigvalsh(cov)[0] >= -EIGENVALUE_CLIP),
+        physical=min_nu >= VACUUM_VARIANCE - BONA_FIDE_TOL,
     )

@@ -38,8 +38,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .estimation import SCHUR_BLOCK_ROWS, JointVariable
-from .gaussian import (BONA_FIDE_TOL, EIGENVALUE_CLIP, VACUUM_VARIANCE, GaussianState,
-                       Quadrature, UnphysicalStateError, validate)
+from .gaussian import GaussianState, Quadrature, UnphysicalStateError, validate
 from .keyrate import KeyRateReport, ThresholdScheme, _labels, combine, keyrate_qss
 from .states import PartyLayout
 
@@ -89,9 +88,8 @@ def _check_sampling(state: GaussianState, rounds: int, basis_probability: float)
     if not diagnostics.physical:
         min_nu = diagnostics.min_symplectic_eigenvalue
         raise UnphysicalStateError(
-            f"cannot sample a non-bona-fide state (min symplectic eigenvalue {min_nu:.12g})"
-            if min_nu < VACUUM_VARIANCE - BONA_FIDE_TOL else
-            f"covariance matrix has a negative eigenvalue below -{EIGENVALUE_CLIP:g}")
+            "covariance matrix is not positive definite" if min_nu is None else
+            f"cannot sample a non-bona-fide state (min symplectic eigenvalue {min_nu:.12g})")
 
 
 @dataclass(frozen=True)
@@ -182,13 +180,11 @@ def _pattern_grams(rng: "np.random.Generator", cov: np.ndarray, mean: np.ndarray
                    count: int) -> tuple:
     """:func:`_fit`'s ``(gram, rows)`` for ``count`` iid N(``mean``, ``cov``) rows.
 
-    The scatter's Bartlett factor is lower triangular, with
-    sqrt(chi-squared(count - 1 - j)) on column j's diagonal and standard
-    normals below it; ``count`` >= MIN_SIFTED_ROUNDS exceeds the m columns.
+    F is ``cov``'s Cholesky factor. The scatter's Bartlett factor is lower
+    triangular, with sqrt(chi-squared(count - 1 - j)) on column j's diagonal and
+    standard normals below it; ``count`` >= MIN_SIFTED_ROUNDS exceeds the m columns.
     """
-    eigval, eigvec = np.linalg.eigh(cov)
-    # F @ F.T is the marginal covariance, rounding debris clipped to zero.
-    factor = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
+    factor = np.linalg.cholesky(cov)
     m = len(mean)
     total = count * mean + math.sqrt(count) * (factor @ rng.standard_normal(m))
     bartlett = np.diag(np.sqrt(rng.chisquare(count - 1 - np.arange(m))))
@@ -197,7 +193,10 @@ def _pattern_grams(rng: "np.random.Generator", cov: np.ndarray, mean: np.ndarray
     gram = np.empty((m + 1, m + 1))
     gram[0, 0] = count
     gram[0, 1:] = gram[1:, 0] = total
-    gram[1:, 1:] = root @ root.T + np.outer(total, total) / count
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        gram[1:, 1:] = root @ root.T + np.outer(total, total) / count
+    if not np.isfinite(gram).all():
+        raise ValueError(f"the Gram matrix of {count} revealed rounds overflows double precision")
     return gram, count
 
 

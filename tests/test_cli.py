@@ -199,7 +199,7 @@ class TestNoStructureTuples:
          "98831d86c10b261dc8283bae21ccb02ee85e92a7dde2c8ce8f65b33bf1bdc746"),
         (["simulate", "--n", "4", "--k", "2", "--topology", "star", "--rounds", "200000",
           "--seed", "9", "--transmissivity", "0.95", "--format", "json"],
-         "1b435d1d090f0b1c5efbc9a3a5548b739758da5218ba7acaa0a87252cdfa5613"),
+         "b60498d931108d93c7ae14862c3740e4e95b761018eb59051af1cf34784b5adb"),
     ], ids=["threshold-star-7-14", "threshold-star-7-14-json", "sweep-star-3-6",
             "simulate-star-2-4-json"])
     def test_commands_never_call_combinations(self, capsys, monkeypatch, argv, digest):
@@ -300,7 +300,7 @@ class TestJsonBytes:
         (["threshold", "--n", "3", "--k", "1"],
          "2536032db7f703eeea4c71f4a353855bbcc5b68b8c49e855f27e8b3e6fa708da"),
         (["validate"],
-         "7fad8bb821d84a149b953ef591d892d1d9e7f3ff60aa38d240aee751979089fb"),
+         "dd02c7ff358454249d16faeb2465aa6988dcf1380dcbff2b52535303aca0305e"),
         (["sweep"],
          "665b4dcdd0f8eea7e436464cb99ff23852263e341df1f0994093648f70b402e9"),
         (["sweep", "--n", "8", "--k", "4", "--topology", "star", "--r-min", "0.4",
@@ -325,12 +325,12 @@ class TestSimulateBytes:
     @pytest.mark.parametrize("argv, stdout_digest, json_digest", [
         (["simulate", "--rounds", "100000", "--seed", "5", "--r", "1.0",
           "--transmissivity", "0.9"],
-         "4a631e0baa6ac967a46fb8f6944eaeff184627431a96f95e017f202c05ce5076",
-         "81d642b38b49f9e5c32826b59c089ae7b1e0e42ece2ff7a448a9438e7a6f051d"),
+         "b10030580ab0c99da6bee53fb24dcc0581339e7557e603eb0535f8a1491b446d",
+         "6a58d0584ec3f51c8124b02fd2d9ff2255c80eec86ee5e456d611645ed687b11"),
         (["simulate", "--n", "4", "--k", "2", "--topology", "star",
           "--rounds", "200000", "--seed", "9", "--transmissivity", "0.95"],
-         "81ba7de186986d4d9ec3bc7eab51a2392231f307f69e4a8faf36e79e36d0dafb",
-         "1b435d1d090f0b1c5efbc9a3a5548b739758da5218ba7acaa0a87252cdfa5613"),
+         "7da78dcc5f0b3fbc4f8d7024b7f10034c4065a279ba2721ec184302b2725f274",
+         "b60498d931108d93c7ae14862c3740e4e95b761018eb59051af1cf34784b5adb"),
     ], ids=["chain-2-2", "star-2-4"])
     def test_output_digest(self, tmp_path, capsys, argv, stdout_digest, json_digest):
         report = tmp_path / "report.json"
@@ -409,9 +409,10 @@ class TestSimulate:
         assert out.strip().endswith("INSECURE")
 
     def test_unphysical_state_message_spells_the_refused_eigenvalue(self, capsys):
-        # At r = 6 the smallest symplectic eigenvalue is 0.499999939576, refused as
-        # below the bound 0.5; six digits would round it up to the bound itself.
-        code, out, err = run(["simulate", "--r", "6"], capsys)
+        # At r = 7 the stored covariance's smallest symplectic eigenvalue is
+        # 0.499972793159 (0.499972793159289 at 60 digits), refused as below the
+        # bound 0.5; four digits would round it up to the bound itself.
+        code, out, err = run(["simulate", "--r", "7"], capsys)
         assert code == EXIT_UNPHYSICAL and out == ""
         assert err.startswith("cvqss: ") and err.count("\n") == 1
         assert float(re.search(r"eigenvalue ([^)]+)\)", err).group(1)) < 0.5
@@ -626,6 +627,7 @@ class TestConfigFile:
     (["sweep", "--r-max", "inf"], "--r-max must be finite, got inf"),  # before np.linspace
     (["sweep", "--r-min=-inf"], "--r-min must be finite, got -inf"),
     (["sweep", "--r-max", "nan"], "--r-max must be finite, got nan"),
+    (["sweep", "--r-min", "-1"], "--r-min must be >= 0, got -1.0"),
     # From r = 2^1023 on 2r is inf, which math.exp returns without raising.
     (["threshold", "--r", "1e308"], "squeezing parameter r = 1e+308 overflows"),
     (["validate", "--r", "1e308"], "squeezing parameter r = 1e+308 overflows"),
@@ -642,6 +644,12 @@ class TestConfigFile:
     (["threshold", "--cz-weight", "1e200"], "coupling weight 1e+200 overflows"),
     (["validate", "--cz-weight", "1e200"], "coupling weight 1e+200 overflows"),
     (["simulate", "--cz-weight", "1e200"], "coupling weight 1e+200 overflows"),
+    # A finite covariance whose symmetrisation (V + V^T)/2 overflows, and a physical
+    # one whose revealed rounds' Gram matrix does.
+    (["validate", "--excess-noise", "1e308"], "cov entry 1e+308 overflows double precision"),
+    (["simulate", "--excess-noise", "1e308"], "cov entry 1e+308 overflows double precision"),
+    (["simulate", "--excess-noise", "1e300", "--rounds", "10000000000"],
+     "revealed rounds overflows double precision"),
 ])
 def test_non_finite_parameter_is_config_error(argv, message, capsys):
     with warnings.catch_warnings():

@@ -4,12 +4,14 @@ import math
 import re
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 from cvqss import (
     ChannelSpec,
     GaussianState,
+    UnphysicalStateError,
     build_kn_state,
     chain_topology,
     symplectic_eigenvalues,
@@ -262,16 +264,54 @@ class TestValidate:
 
     @pytest.mark.parametrize("cov", [-0.5 * np.eye(2), np.diag([1.0, -0.3, 1.0, 1.0])])
     def test_non_positive_covariance_is_flagged(self, cov):
-        # |eig(i Omega V)| is the same for -V, so the symplectic test alone passes these.
+        # No Cholesky factor: the symplectic spectrum is undefined, not that of -V.
         state = GaussianState(np.zeros(len(cov)), cov, tuple(range(len(cov) // 2)))
         diag = validate(state)
-        assert diag.min_symplectic_eigenvalue >= 0.5
+        assert diag.symplectic_eigenvalues == ()
+        assert diag.min_symplectic_eigenvalue is None and diag.purity is None
         assert not diag.physical
         assert not pure(diag)
+        with pytest.raises(UnphysicalStateError, match="not positive definite"):
+            symplectic_eigenvalues(cov)
 
     def test_never_raises_on_weird_input(self):
         weird = GaussianState(np.zeros(2), np.diag([1e6, 1e-9]), ("m0",))
         assert not validate(weird).physical
+
+
+class TestSymplecticSpectrumOracle:
+    """The default (2, 2) chain's smallest symplectic eigenvalue against a 50-digit
+    evaluation on the same stored covariance: mpmath's Cholesky factor L, then the
+    eigenvalues +/-nu of the Hermitian i L^T Omega L."""
+
+    @staticmethod
+    def chain(r, excess_noise):
+        specs = dict.fromkeys(["B1", "B2"], ChannelSpec(1.0, excess_noise))
+        return build_kn_state(2, r, specs, chain_topology(2))[0]
+
+    @staticmethod
+    def exact_min_nu(cov):
+        with mpmath.workdps(50):
+            factor = mpmath.cholesky(mpmath.matrix(cov.tolist()))
+            omega = mpmath.matrix(symplectic_form(len(cov) // 2).tolist())
+            form = (factor.T * omega * factor) * mpmath.mpc(0, 1)
+            return min(nu for nu in mpmath.eigh(form, eigvals_only=True) if nu > 0)
+
+    # r = 6 is physical (exact 0.500000557830127) and r = 7 not (0.499972793159289).
+    @pytest.mark.parametrize("r, excess_noise, rtol", [
+        (1.15, 0.0, 1e-12), (3.0, 0.0, 1e-12), (6.0, 0.0, 1e-12), (7.0, 0.0, 1e-12),
+        (1.15, 1e6, 1e-12), (1.15, 1e12, 1e-9),
+    ])
+    def test_smallest_eigenvalue_and_verdict_match_50_digits(self, r, excess_noise, rtol):
+        state = self.chain(r, excess_noise)
+        exact = self.exact_min_nu(state.cov)
+        diag = validate(state)
+        assert abs(diag.min_symplectic_eigenvalue - exact) <= rtol * exact
+        assert diag.physical == (exact >= 0.5 - 1e-9)
+
+    def test_added_noise_keeps_the_state_physical(self):
+        # The state of `cvqss validate --excess-noise 1e18`, exact min nu 5.01209326634.
+        assert validate(self.chain(1.15, 1e18)).physical
 
 
 class TestStateConstruction:

@@ -154,7 +154,7 @@ class TestSampling:
     def test_negative_definite_state_rejected(self):
         state, layout = build_three_mode_chain(1.0, 1.0)
         bogus = GaussianState(state.mean, -0.5 * np.eye(6), state.labels)
-        with pytest.raises(UnphysicalStateError, match="negative eigenvalue"):
+        with pytest.raises(UnphysicalStateError, match="not positive definite"):
             run_protocol(bogus, layout, ThresholdScheme(2, 2), rounds=100)
 
     def test_argument_validation(self):
