@@ -7,7 +7,6 @@ from .gaussian import (
     StateDiagnostics,
     UnphysicalStateError,
     symplectic_eigenvalues,
-    symplectic_form,
     validate,
 )
 from .keyrate import (
@@ -57,6 +56,5 @@ __all__ = [
     "run_protocol",
     "star_topology",
     "symplectic_eigenvalues",
-    "symplectic_form",
     "validate",
 ]

@@ -48,9 +48,8 @@ TOPOLOGIES = {"chain": chain_topology, "star": star_topology}
 MAX_SWEEP_POINTS = 10**6
 
 #: Doubles charged to the points of one sweep chunk: each point its (2n + 2)-square
-#: covariance and one variance per access and per honest-side structure, which
-#: key_rates spreads to every structure whether it folds or not. With the rate
-#: terms and the rows' text, a chunk's peak is about three times its charge.
+#: covariance and one variance per access and honest-side structure. Only sides whose
+#: players are not interchangeable hold all those, so the charge is an upper bound.
 SWEEP_CHUNK_DOUBLES = 2**18
 
 
@@ -192,11 +191,9 @@ def cmd_sweep(args) -> int:
     if args.r_min > args.r_max or args.r_steps < 1:
         raise ValueError("need r_min <= r_max and r_steps >= 1")
     try:
-        transmissivities = np.array([float(t) for t in args.transmissivities.split(",") if t])
+        transmissivities = np.array([float(t) for t in args.transmissivities.split(",")])
     except ValueError as exc:  # float's message names the entry but not the flag
         raise ValueError(f"--transmissivities: {exc}") from None
-    if not len(transmissivities):
-        raise ValueError("need at least one transmissivity")
     ChannelSpec(transmissivities, args.excess_noise)  # every T range-checked up front
     if args.r_steps * len(transmissivities) > MAX_SWEEP_POINTS:
         raise ValueError(f"{args.r_steps} r steps x {len(transmissivities)} transmissivities "

@@ -46,12 +46,6 @@ def _check_quadrature(quadrature: str) -> str:
     return quadrature
 
 
-def symplectic_form(num_modes: int) -> np.ndarray:
-    """Block-diagonal symplectic form with 2x2 blocks [[0, 1], [-1, 0]]."""
-    block = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return np.kron(np.eye(num_modes), block)
-
-
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     """Symplectic eigenvalues of a covariance matrix, sorted ascending.
 

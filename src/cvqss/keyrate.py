@@ -31,11 +31,9 @@ sweep curve), one kernel call per side, and solves for no gains;
 A side whose one structure is every player stands in for the all-player
 inference of the eavesdropping bound, which is then not repeated: the access
 side at k = n, and the honest side of the one (empty) collusion at k = 1.
-Players fall into classes (one on a star) within which every permutation
-leaves the announcement map and each covariance unchanged bit for bit, so
-structures whose players have the same classes position by position are one
-inference, bit for bit: each side evaluates one structure per class sequence,
-and :func:`combine` computes its terms once per class sequence.
+Where every player permutation leaves the announcement map and each
+covariance unchanged bit for bit, as on a star, a side's structures are one
+inference: each side evaluates its first structure only.
 :func:`combine` is the one reduction from conditional variances to these
 rates, over any leading axes, for the empirical ones of
 :func:`~cvqss.simulation.run_protocol` too.
@@ -272,8 +270,7 @@ class RateBound(NamedTuple):
     rate: np.ndarray
 
 
-def combine(dealer_x_variance, access_variances, adversarial_variances,
-            folds: tuple = (None, None)) -> RateBound:
+def combine(dealer_x_variance, access_variances, adversarial_variances) -> RateBound:
     """The one rate reduction: ``min_i I_i - max_j chi_j``, ties to the first.
 
     ``I_i = log2(V / v_i) / 2`` with v_i access structure i's conditional x
@@ -282,25 +279,16 @@ def combine(dealer_x_variance, access_variances, adversarial_variances,
     as a (...) array; the fields are arrays over those leading axes. Nothing
     is range-checked, since a fitted v_i may exceed V, but a term that is not
     finite raises ValueError.
-
-    ``folds`` holds, for the access then the adversarial side, None or the
-    :func:`_class_sequences` of its structures: a side's terms are then computed
-    once per class sequence and spread to its structures, the same bits.
     """
-    everything = slice(None), slice(None)
-    (access_first, access_spread), (adversarial_first, adversarial_spread) = (
-        everything if fold is None else fold for fold in folds)
     dealer = np.asarray(dealer_x_variance, dtype=float)[..., None]
     with np.errstate(over="ignore"):  # an infinite term is refused below
-        bits = 0.5 * np.log2(dealer / np.asarray(access_variances, dtype=float)[
-            ..., access_first])[..., access_spread]
-        products = dealer * np.asarray(adversarial_variances, dtype=float)[
-            ..., adversarial_first]
+        bits = 0.5 * np.log2(dealer / np.asarray(access_variances, dtype=float))
+        products = dealer * np.asarray(adversarial_variances, dtype=float)
     # chi = H_G(X_A) - log2(2 pi) + log2 sqrt(2 pi e V(P_A|.)) collapses to
     # log2(e) + log2(V u) / 2. math.log2, as np.log2 differs in the last bit
     # on about 1 in 10^4 doubles.
     holevo = _LOG2_E + 0.5 * np.reshape(list(map(math.log2, products.ravel().tolist())),
-                                        products.shape)[..., adversarial_spread]
+                                        products.shape)
     for name, terms in (("mutual information", bits), ("Holevo term", holevo)):
         if not np.isfinite(terms).all():  # V / v or V u overflows at extreme squeezing
             first = np.argmin(np.isfinite(terms))
@@ -311,79 +299,49 @@ def combine(dealer_x_variance, access_variances, adversarial_variances,
                      bits.min(axis=-1) - holevo.max(axis=-1))
 
 
-def _player_classes(state: GaussianState, layout: PartyLayout) -> np.ndarray:
-    """Class labels 0, 1, ... per player; every permutation within a class leaves the
-    announcement map and each covariance unchanged bit for bit.
-
-    A player joins the first class whose first player it can be swapped with, both
-    unchanged; those transpositions generate every permutation within the class.
-    """
-    players = [(player in layout.conjugate_players, state.quad_index(player, "x"))
-               for player in layout.player_modes]
-    bits, firsts, labels = state.cov.view(np.int64), [], []
-    for conjugate, j in players:
-        for label, (first_conjugate, i) in enumerate(firsts):
-            order = np.arange(bits.shape[-1])
-            order[[i, i + 1, j, j + 1]] = j, j + 1, i, i + 1  # a mode's p follows its x
-            if conjugate == first_conjugate and np.array_equal(
-                    bits[..., order[:, None], order], bits):
-                labels.append(label)
-                break
-        else:
-            labels.append(len(firsts))
-            firsts.append((conjugate, j))
-    return np.array(labels)
+def _interchangeable(state: GaussianState, layout: PartyLayout) -> bool:
+    """Whether every player permutation leaves the announcement map and each covariance
+    unchanged bit for bit: all players conjugate or none, and neither the transposition
+    (B1 B2) nor the cycle (B1 ... Bn), which generate every permutation, changes the
+    covariances' int64 view."""
+    if 0 < len(layout.conjugate_players) < layout.num_players:
+        return False
+    players = np.array([state.quad_index(player, "x") for player in layout.player_modes])
+    n, bits = len(players), state.cov.view(np.int64)
+    for image in (players[[1, 0, *range(2, n)]], players[[*range(1, n), 0]]):
+        order = np.arange(bits.shape[-1])
+        order[players], order[players + 1] = image, image + 1  # a mode's p follows its x
+        if not np.array_equal(bits[..., order[:, None], order], bits):
+            return False
+    return True
 
 
-def _class_sequences(rows: np.ndarray, classes: np.ndarray):
-    """(first, spread) of the structures at ``rows`` whose players' ``classes`` (the
-    state's :func:`_player_classes`) fold, else None.
-
-    Rows whose players have the same classes position by position are one inference,
-    bit for bit: ``rows[first]`` holds one row per class sequence, and row s's
-    sequence is number ``spread[s]`` of them.
-    """
-    count = int(classes.max()) + 1
-    if len(rows) < 2 or count == len(classes) or count ** rows.shape[1] >= 2 ** 63:
-        return None
-    # Row s's class sequence, written in base ``count``, names its inference.
-    codes = classes[rows] @ count ** np.arange(rows.shape[1])
-    _, first, spread = np.unique(codes, return_index=True, return_inverse=True)
-    return first, spread
-
-
-def _evaluated(state: GaussianState, layout: PartyLayout, basis: str, rows: np.ndarray,
-               fold: tuple) -> tuple:
+def _evaluated(state: GaussianState, layout: PartyLayout, basis: str,
+               rows: np.ndarray) -> tuple:
     """The kernel's arguments for the dealer's ``basis`` quadrature and ``rows``.
 
     Estimator set s is the announced ``basis`` outcomes of the distinct players
-    at the 0-based positions in row s of ``rows``. With the rows'
-    :func:`_class_sequences` as ``fold``, only the first row of each class
-    sequence is evaluated, and its result stands for all; without, every row is.
+    at the 0-based positions in row s of ``rows``.
     """
     announced = np.array([state.quad_index(*coord) for coord in
                           layout.announced_coordinates(layout.player_modes, basis)])
-    return (state.cov, state.quad_index(layout.dealer_mode, basis),
-            announced[rows if fold is None else rows[fold[0]]], state.labels)
+    return (state.cov, state.quad_index(layout.dealer_mode, basis), announced[rows],
+            state.labels)
 
 
-def _infer(state: GaussianState, layout: PartyLayout, basis: str, rows: np.ndarray,
-           fold: tuple = None) -> tuple:
+def _infer(state: GaussianState, layout: PartyLayout, basis: str, rows: np.ndarray) -> tuple:
     """(variances, dealer variance): :func:`~cvqss.estimation.schur` of the
-    :func:`_evaluated` rows, spread by ``fold`` and checked."""
-    variances, dealer = schur(*_evaluated(state, layout, basis, rows, fold))
-    if fold is not None:
-        variances = variances[..., fold[1]]
+    :func:`_evaluated` rows, checked."""
+    variances, dealer = schur(*_evaluated(state, layout, basis, rows))
     check_conditional_variances(variances, dealer)
     return variances, dealer
 
 
-def _gains(state: GaussianState, layout: PartyLayout, basis: str, rows: np.ndarray,
-           fold: tuple = None) -> np.ndarray:
-    """:func:`~cvqss.estimation.schur_gains` of the :func:`_evaluated` rows, spread by
-    ``fold``: only the reports, which print gains, solve for them."""
-    gains = schur_gains(*_evaluated(state, layout, basis, rows, fold))
-    return gains if fold is None else gains[..., fold[1], :]
+def _gains(state: GaussianState, layout: PartyLayout, basis: str,
+           rows: np.ndarray) -> np.ndarray:
+    """:func:`~cvqss.estimation.schur_gains` of the :func:`_evaluated` rows: only the
+    reports, which print gains, solve for them."""
+    return schur_gains(*_evaluated(state, layout, basis, rows))
 
 
 def _everyone(state: GaussianState, layout: PartyLayout) -> tuple:
@@ -395,7 +353,11 @@ def _everyone(state: GaussianState, layout: PartyLayout) -> tuple:
 
 
 class KeyRates(NamedTuple):
-    """The :func:`_infer` results and bounds of a (k, n) scheme, over a stack's axes."""
+    """The :func:`_infer` results and bounds of a (k, n) scheme, over a stack's axes.
+
+    Each side holds its ``evaluated`` rows only: the first on :func:`_interchangeable`
+    players, which stands for every structure of the side, else all of them.
+    """
 
     access: tuple
     adversarial: tuple
@@ -403,33 +365,32 @@ class KeyRates(NamedTuple):
     everyone_p: tuple
     combined: RateBound
     eavesdropping: RateBound
-    classes: np.ndarray  # the players' _player_classes, found once per call
-    folds: tuple  # the access and honest rows' _class_sequences
+    evaluated: slice
 
 
 def key_rates(state: GaussianState, layout: PartyLayout, scheme: ThresholdScheme) -> KeyRates:
-    """Every key rate of a (k, n) scheme on one state or a stack of states.
-
-    Each side evaluates one row, and computes its terms once, per class sequence of its
-    structures (module docstring).
-    """
+    """Every key rate of a (k, n) scheme on one state or a stack of states."""
     layout.check_state(state, stacked=True)
     if scheme.n != layout.num_players:
         raise ValueError(f"scheme expects {scheme.n} players but the layout has "
                          f"{layout.num_players}")
     access, _, honest = scheme._player_rows
-    classes = _player_classes(state, layout)
-    folds = _class_sequences(access, classes), _class_sequences(honest, classes)
-    access_side = _infer(state, layout, "x", access, folds[0])
-    adversarial_side = _infer(state, layout, "p", honest, folds[1])
-    # A side whose one row is every player is the all-player inference, bit for bit:
-    # a one-row side folds no classes.
+    evaluated = slice(1) if _interchangeable(state, layout) else slice(None)
+    access_side = _infer(state, layout, "x", access[evaluated])
+    adversarial_side = _infer(state, layout, "p", honest[evaluated])
+    # A side whose one row is every player is the all-player inference, bit for bit.
     everyone = np.arange(layout.num_players)[None]
     everyone_x = access_side if scheme.k == scheme.n else _infer(state, layout, "x", everyone)
     everyone_p = adversarial_side if scheme.k == 1 else _infer(state, layout, "p", everyone)
     return KeyRates(access_side, adversarial_side, everyone_x, everyone_p,
-                    combine(access_side[1], access_side[0], adversarial_side[0], folds),
-                    combine(everyone_x[1], everyone_x[0], everyone_p[0]), classes, folds)
+                    combine(access_side[1], access_side[0], adversarial_side[0]),
+                    combine(everyone_x[1], everyone_x[0], everyone_p[0]), evaluated)
+
+
+def _spread(terms: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """A side's terms at its :class:`KeyRates` ``evaluated`` rows, one per row of ``rows``,
+    as a read-only view: a lone evaluated row, the first structure, stands for every row."""
+    return np.broadcast_to(terms, (len(rows), *terms.shape[1:]))
 
 
 def keyrate_eavesdropping(state: GaussianState, layout: PartyLayout) -> EavesdroppingReport:
@@ -466,28 +427,32 @@ def keyrate_qss(state: GaussianState, layout: PartyLayout,
     layout.check_state(state)
     rates = key_rates(state, layout, scheme)
     (access_v, dealer_x), (adversarial_v, dealer_p) = rates.access, rates.adversarial
-    bound = rates.combined
+    bound, evaluated = rates.combined, rates.evaluated
 
     names, (access, colluding, honest) = layout.player_modes, scheme._player_rows
-    access_g = _gains(state, layout, "x", access, rates.folds[0])
-    adversarial_g = _gains(state, layout, "p", honest, rates.folds[1])
+    access_g = _gains(state, layout, "x", access[evaluated])
+    adversarial_g = _gains(state, layout, "p", honest[evaluated])
     # Player j alone dishonest: the all-player x side against the p side of every player
     # but j, for k = 2 the adversarial structures' honest sides already.
     others = _complements(np.arange(scheme.n)[:, None], scheme.n)
     single = adversarial_v if scheme.k == 2 else _infer(
-        state, layout, "p", others, _class_sequences(others, rates.classes))[0]
+        state, layout, "p", others[evaluated])[0]
     v_x = np.broadcast_to(rates.everyone_x[0], (scheme.n, 1))
-    dishonest = combine(np.full(scheme.n, dealer_x), v_x, single[:, None])
+    dishonest = combine(np.full(scheme.n, dealer_x), v_x, _spread(single, others)[:, None])
+    access_v, access_bits, access_g = (_spread(terms, access) for terms in (
+        access_v, bound.access_bits, access_g))
+    adversarial_v, holevo, adversarial_g = (_spread(terms, honest) for terms in (
+        adversarial_v, bound.adversarial_holevo, adversarial_g))
     report = KeyRateReport(
         scheme=scheme,
         combined_rate=float(bound.rate),
         positive=bool(bound.rate > 0.0),
         eavesdropping_rate=float(rates.eavesdropping.rate),
         dishonest_rates=dict(zip(names, dishonest.rate.tolist())),
-        access_mutual_information=_StructureMap(names, access, bound.access_bits),
+        access_mutual_information=_StructureMap(names, access, access_bits),
         access_conditional_variance=_StructureMap(names, access, access_v),
         access_gains=_StructureMap(names, access, access_g, "x", access),
-        adversarial_holevo=_StructureMap(names, colluding, bound.adversarial_holevo),
+        adversarial_holevo=_StructureMap(names, colluding, holevo),
         adversarial_conditional_variance=_StructureMap(names, colluding, adversarial_v),
         adversarial_gains=_StructureMap(names, colluding, adversarial_g, "p", honest),
         binding_access=_labels(names, access[[bound.binding_access]])[0],

@@ -24,10 +24,10 @@ threshold table written one label text at a time, the reference for
 ``cvqss.cli._table``.
 
 The gate-by-gate oracle for ``cvqss.build_kn_state`` lives here too: the
-``vacuum`` and ``squeezed_vacuum`` states, one checked ``SymplecticTransform``
-per gate (``cz_transform``, ``apply_cz``), and ``pure_loss``'s dilation
-through ``tensor``, ``apply_beamsplitter`` and ``partial_trace``, each making
-a new ``GaussianState``. ``kn_state_loop`` chains them; the library builds the
+``vacuum`` and ``squeezed_vacuum`` states, one ``SymplecticTransform`` per
+gate (``cz_transform``, ``apply_cz``), checked against ``symplectic_form``,
+and ``pure_loss``'s dilation through ``tensor``, ``apply_beamsplitter`` and
+``partial_trace``, each making a new ``GaussianState``. ``kn_state_loop`` chains them; the library builds the
 same covariance in closed form, and both must lie within a few roundings of
 the 50-digit ``kn_state_exact``. ``variance``
 and ``covariance`` read one state's moments by (mode, quadrature), and
@@ -50,7 +50,6 @@ from cvqss import (
     build_kn_state,
     chain_topology,
     star_topology,
-    symplectic_form,
 )
 from cvqss import simulation
 from cvqss.estimation import schur, schur_gains
@@ -67,6 +66,12 @@ class DegenerateEstimatorError(ValueError):
 
 #: Tolerance for the symplectic-invariance check S Omega S^T = Omega.
 SYMPLECTIC_TOL = 1e-12
+
+
+def symplectic_form(num_modes: int) -> np.ndarray:
+    """Block-diagonal symplectic form with 2x2 blocks [[0, 1], [-1, 0]]."""
+    block = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    return np.kron(np.eye(num_modes), block)
 
 
 def vacuum(num_modes: int, labels: Sequence | None = None) -> GaussianState:

@@ -22,7 +22,6 @@ from cvqss import (
     keyrate_qss,
     star_topology,
     symplectic_eigenvalues,
-    symplectic_form,
     validate,
 )
 from cvqss import simulation
@@ -35,6 +34,7 @@ from helpers import (
     product_vacuum,
     pure_loss,
     squeezed_vacuum,
+    symplectic_form,
     tmsv_conditional_variance,
     two_mode_squeezed,
     vacuum,

@@ -628,6 +628,10 @@ class TestConfigFile:
     (["sweep", "--r-min=-inf"], "--r-min must be finite, got -inf"),
     (["sweep", "--r-max", "nan"], "--r-max must be finite, got nan"),
     (["sweep", "--r-min", "-1"], "--r-min must be >= 0, got -1.0"),
+    # An empty transmissivity is refused as float() refuses it, not dropped.
+    *[(["sweep", "--transmissivities", listed],
+       "--transmissivities: could not convert string to float: ''")
+      for listed in ("1,,0.9", "0.9,", ",")],
     # From r = 2^1023 on 2r is inf, which math.exp returns without raising.
     (["threshold", "--r", "1e308"], "squeezing parameter r = 1e+308 overflows"),
     (["validate", "--r", "1e308"], "squeezing parameter r = 1e+308 overflows"),

@@ -15,7 +15,6 @@ from cvqss import (
     build_kn_state,
     chain_topology,
     symplectic_eigenvalues,
-    symplectic_form,
     validate,
 )
 from helpers import (
@@ -27,6 +26,7 @@ from helpers import (
     partial_trace,
     pure,
     squeezed_vacuum,
+    symplectic_form,
     tensor,
     vacuum,
     variance,

@@ -459,44 +459,42 @@ class TestBatchedStructures:
             assert str(batched.value) == str(single.value)
 
 
-class TestPlayerClasses:
-    """The proof that lets structures of a side share one evaluated row's inference."""
+class TestInterchangeable:
+    """The proof that lets every structure of a side share its first row's inference."""
 
-    def test_one_class_on_a_star_and_on_each_point_of_a_star_stack(self):
-        assert keyrate_module._player_classes(*_kn_state(6, star_topology)).tolist() == [0] * 6
+    def test_a_star_and_a_star_stack_are_interchangeable(self):
+        assert keyrate_module._interchangeable(*_kn_state(6, star_topology))
         # Points differ from each other; each is compared only with itself.
-        stack = _kn_state(6, star_topology, r=np.linspace(0.0, 2.0, 61))
-        assert keyrate_module._player_classes(*stack).tolist() == [0] * 6
+        assert keyrate_module._interchangeable(
+            *_kn_state(6, star_topology, r=np.linspace(0.0, 2.0, 61)))
 
-    def test_a_7_14_star_is_one_class_at_every_point_of_the_default_grid(self):
+    def test_a_7_14_star_is_interchangeable_at_every_point_of_the_default_grid(self):
         # The default sweep's T-major (T, r) grid, built as one stack; a
         # gate-by-gate build left 22 of these points an ulp off player symmetry.
         grid = np.linspace(0.0, 1.5, 61)
         transmissivity = np.repeat([1.0, 0.95, 0.9, 0.85], len(grid))
         stack = _kn_state(14, star_topology, r=np.tile(grid, 4), transmissivity=transmissivity)
-        assert keyrate_module._player_classes(*stack).tolist() == [0] * 14
+        assert keyrate_module._interchangeable(*stack)
 
-    def test_a_chain_has_no_class_of_two_and_a_ring_pairs_opposite_players(self):
-        classes = keyrate_module._player_classes(*_kn_state(6, chain_topology))
-        assert classes.tolist() == list(range(6))
+    def test_a_chain_and_a_ring_are_not_and_every_row_matches_the_loop(self):
+        assert not keyrate_module._interchangeable(*_kn_state(6, chain_topology))
         # A star whose players also form a ring B1-B2-B3-B4-B1 is unchanged by
-        # swapping opposite players, (B1 B3) or (B2 B4), and by no other swap.
+        # swapping opposite players, (B1 B3) or (B2 B4), but not by (B1 B2).
         ring = star_topology(4) + (("B1", "B2"), ("B2", "B3"), ("B3", "B4"), ("B4", "B1"))
         state, layout = _kn_state(4, lambda n: ring)
-        assert keyrate_module._player_classes(state, layout).tolist() == [0, 1, 0, 1]
+        assert not keyrate_module._interchangeable(state, layout)
         _assert_report_matches_loop(state, layout, ThresholdScheme(2, 4))
 
-    def test_a_partial_conjugate_set_is_a_class_and_every_row_matches_the_loop(self):
+    def test_a_partial_conjugate_set_is_not_and_every_row_matches_the_loop(self):
         state, layout = _kn_state(6, star_topology)
         partial = PartyLayout("A", layout.player_modes, frozenset({"B1", "B2"}))
-        assert keyrate_module._player_classes(state, partial).tolist() == [0, 0, 1, 1, 1, 1]
+        assert not keyrate_module._interchangeable(state, partial)
         _assert_report_matches_loop(state, partial, ThresholdScheme(3, 6))
 
-    def test_an_ulp_apart_player_is_its_own_class_and_every_row_matches_the_loop(
-            self, monkeypatch):
+    def test_an_ulp_apart_player_is_not_and_every_row_is_evaluated(self, monkeypatch):
         # As a gate-by-gate build left B3, B7 and B11 of some (7, 14) stars.
         state, layout = _ulp_apart(*_kn_state(6, star_topology), "B3")
-        assert keyrate_module._player_classes(state, layout).tolist() == [0, 0, 1, 0, 0, 0]
+        assert not keyrate_module._interchangeable(state, layout)
         real_schur, rows = keyrate_module.schur, []
 
         def counting_schur(cov, target_idx, estimator_idx, labels):
@@ -505,11 +503,13 @@ class TestPlayerClasses:
 
         monkeypatch.setattr(keyrate_module, "schur", counting_schur)
         _assert_report_matches_loop(state, layout, ThresholdScheme(3, 6))
-        # One row per class sequence: B3 absent or at each position it can take.
-        assert rows == [4, 4, 1, 1, 3]
+        # C(6, 3) access rows, C(6, 2) honest sides, all players in x and in p, and
+        # the six single dishonest players.
+        assert rows == [20, 15, 1, 1, 6]
 
     def test_a_range_error_names_the_row_it_names_without_the_fold(self, monkeypatch):
-        state, layout = _ulp_apart(*_kn_state(6, star_topology), "B3")
+        state, layout = _kn_state(6, star_topology)
+        assert keyrate_module._interchangeable(state, layout)
         b3, real_schur = [state.quad_index("B3", q) for q in "xp"], keyrate_module.schur
 
         def corrupted(cov, target_idx, estimator_idx, labels):
@@ -520,41 +520,43 @@ class TestPlayerClasses:
 
         monkeypatch.setattr(keyrate_module, "schur", corrupted)
         messages = []
-        for classes in (keyrate_module._player_classes, lambda *_: np.arange(6)):
-            monkeypatch.setattr(keyrate_module, "_player_classes", classes)
+        for interchangeable in (keyrate_module._interchangeable, lambda *_: False):
+            monkeypatch.setattr(keyrate_module, "_interchangeable", interchangeable)
             with pytest.raises(ValueError) as error:
                 keyrate_qss(state, layout, ThresholdScheme(3, 6))
             messages.append(str(error.value))
         assert messages[0] == messages[1]
         assert messages[0].startswith("conditional variance -3.0 ")
 
-    def test_a_class_broken_at_one_point_is_split_for_the_whole_stack(self):
+    def test_one_asymmetric_point_unfolds_the_whole_stack_and_no_bit_moves(self):
         even, layout = _kn_state(6, star_topology)
         uneven, _ = _ulp_apart(even, layout, "B3")
         stack = GaussianState(even.mean, np.stack([even.cov, uneven.cov]), even.labels)
-        assert keyrate_module._player_classes(stack, layout).tolist() == [0, 0, 1, 0, 0, 0]
+        assert not keyrate_module._interchangeable(stack, layout)
         scheme = ThresholdScheme(3, 6)
         stacked = keyrate_module.key_rates(stack, layout, scheme)
         for point, state in enumerate((even, uneven)):
             alone = keyrate_module.key_rates(state, layout, scheme)
             for side in ("access", "adversarial"):
                 for got, want in zip(getattr(stacked, side)[:2], getattr(alone, side)[:2]):
-                    assert np.array_equal(got[point], want)
+                    # The even point alone evaluates its first row, which stands for all.
+                    assert np.array_equal(got[point], np.broadcast_to(want, got[point].shape))
 
     def test_every_row_matches_the_loop_where_one_channel_differs(self):
         specs = {f"B{i}": ChannelSpec(0.8 if i == 3 else 0.93) for i in range(1, 7)}
         state, layout = build_kn_state(6, 1.15, specs, star_topology(6))
+        assert not keyrate_module._interchangeable(state, layout)
         _assert_report_matches_loop(state, layout, ThresholdScheme(3, 6))
 
-    def test_signed_zeros_are_not_one_class(self):
+    def test_signed_zeros_are_not_interchangeable(self):
         # B and C differ only in the sign of a zero x-p covariance.
         cov = np.diag([1.0, 1.0, 0.7, 0.7, 0.7, 0.7])
         cov[0, 2] = cov[2, 0] = cov[0, 4] = cov[4, 0] = 0.3
         layout = PartyLayout("A", ("B", "C"))
-        for zero, classes in ((0.0, [0, 0]), (-0.0, [0, 1])):
+        for zero, interchangeable in ((0.0, True), (-0.0, False)):
             cov[2, 3] = cov[3, 2] = zero
             state = GaussianState(np.zeros(6), cov.copy(), ("A", "B", "C"))
-            assert keyrate_module._player_classes(state, layout).tolist() == classes
+            assert keyrate_module._interchangeable(state, layout) is interchangeable
 
     def test_each_inference_evaluates_one_row(self, monkeypatch):
         # Access, adversarial, all-player x and p, and single dishonest players:
@@ -583,15 +585,15 @@ class TestPlayerClasses:
         (4, 2, star_topology), (6, 3, star_topology),
         (6, 3, chain_topology), (5, 1, chain_topology),
     ])
-    def test_player_classes_are_found_once_per_report(self, n, k, topology, monkeypatch):
+    def test_interchangeability_is_checked_once_per_report(self, n, k, topology, monkeypatch):
         # Access side, honest side and, for k != 2, the single-dishonest side share one.
-        calls, real = [], keyrate_module._player_classes
+        calls, real = [], keyrate_module._interchangeable
 
         def counting(state, layout):
             calls.append(layout)
             return real(state, layout)
 
-        monkeypatch.setattr(keyrate_module, "_player_classes", counting)
+        monkeypatch.setattr(keyrate_module, "_interchangeable", counting)
         keyrate_qss(*_kn_state(n, topology, transmissivity=0.9), ThresholdScheme(k, n))
         assert len(calls) == 1
 
@@ -663,40 +665,43 @@ class TestCombine:
 
     @pytest.mark.parametrize("n, k, topology", [
         *[(5, k, star_topology) for k in range(1, 6)], (5, 3, chain_topology)])
-    def test_folded_terms_equal_combine_of_the_spread_arrays_bit_for_bit(self, n, k, topology):
-        # A two-point stack; on a star every structure of a side ties, binding row 0.
-        state, layout = _kn_state(n, topology, r=np.array([0.9, 1.2]))
+    def test_a_folded_report_equals_the_unfolded_report_bit_for_bit(
+            self, n, k, topology, monkeypatch):
+        state, layout = _kn_state(n, topology)
         scheme = ThresholdScheme(k, n)
-        rates = keyrate_module.key_rates(state, layout, scheme)
-        access, _, honest = scheme._player_rows
-        folds = [keyrate_module._class_sequences(rows, rates.classes) for rows in (access, honest)]
-        star = topology is star_topology
-        assert [fold is not None for fold in folds] == [star and len(access) > 1,
-                                                         star and len(honest) > 1]
-        spread = combine(rates.access[1], rates.access[0], rates.adversarial[0])
-        for folded, reference in zip(rates.combined, spread):
-            assert folded.dtype == reference.dtype
-            assert folded.tobytes() == reference.tobytes()
-        if star:
-            assert rates.combined.binding_access.tolist() == [0, 0]
-            assert rates.combined.binding_adversarial.tolist() == [0, 0]
+        assert keyrate_module._interchangeable(state, layout) == (topology is star_topology)
+        folded = keyrate_qss(state, layout, scheme)
+        monkeypatch.setattr(keyrate_module, "_interchangeable", lambda *_: False)
+        unfolded = keyrate_qss(state, layout, scheme)
 
-    def test_a_folded_side_names_the_first_non_finite_structure(self):
-        # Sequence 0 is structures 1 and 3, sequence 1 structures 0 and 2: the first
-        # non-finite term in structure order is a NaN, in sequence order an infinity.
-        fold = np.array([1, 0]), np.array([1, 0, 1, 0])
+        def bits(value):
+            if isinstance(value, keyrate_module._StructureMap):
+                return value.array.dtype, value.array.shape, value.array.tobytes()
+            if isinstance(value, float):
+                return np.float64(value).tobytes()
+            if isinstance(value, dict):
+                return bits(tuple(value.items()))
+            if isinstance(value, tuple):
+                return [bits(item) for item in value]
+            return value
+
+        # Every field, the all-player variances outside the fields too.
+        for name, value in vars(folded).items():
+            assert bits(value) == bits(getattr(unfolded, name)), name
+        if topology is star_topology:  # every structure of a side ties: the first binds
+            assert folded.binding_access == tuple(f"B{i}" for i in range(1, k + 1))
+            assert folded.binding_adversarial == tuple(f"B{i}" for i in range(1, k))
+
+    def test_the_first_non_finite_term_is_named(self):
+        # The first non-finite term, in structure order, is a NaN; an infinity follows.
         dealer, finite, nan = np.array([1.0, 1e300]), np.ones((2, 4)), math.nan
         small = np.array([[1.0] * 4, [nan, 1e-320, nan, 1e-320]])  # V / v overflows
         large = np.array([[1.0] * 4, [nan, 1e10, nan, 1e10]])  # V u overflows
-        for folds, sides, name in (((fold, None), (small, finite), "mutual information"),
-                                   ((None, fold), (finite, large), "Holevo term")):
-            messages = []
-            for given in (folds, (None, None)):
-                with pytest.raises(ValueError, match=f"^{name} nan is not finite at dealer x "
-                                                     "variance 1e[+]300: ") as error:
-                    combine(dealer, *sides, given)
-                messages.append(str(error.value))
-            assert messages[0] == messages[1]
+        for sides, name in (((small, finite), "mutual information"),
+                            ((finite, large), "Holevo term")):
+            with pytest.raises(ValueError, match=f"^{name} nan is not finite at dealer x "
+                                                 "variance 1e[+]300: "):
+                combine(dealer, *sides)
 
     def test_single_dishonest_rows_are_the_largest_subsets_reversed(self):
         for n in range(2, 25):
@@ -786,3 +791,22 @@ def test_combined_rate_never_beats_eavesdropping(data, n, star, r, transmissivit
                               r=r, transmissivity=transmissivity)
     report = keyrate_qss(state, layout, ThresholdScheme(k, n))
     assert report.combined_rate <= report.eavesdropping_rate + 1e-9
+
+
+@seed(2026_1020)
+@settings(max_examples=20, deadline=None, database=None)
+@given(n=st.integers(2, 24), noise=st.floats(0.0, 0.05),
+       cz_weight=st.floats(0.5, 2.0),
+       points=st.lists(st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 1.0)),
+                       min_size=1, max_size=4))
+def test_stars_with_one_shared_channel_are_interchangeable(n, noise, cz_weight, points):
+    # The fold rests on this: a build that broke player symmetry would fail here, not
+    # leave every star op evaluating each structure of a side.
+    def star(r, transmissivity):
+        spec = ChannelSpec(transmissivity, noise)
+        return build_kn_state(n, r, dict.fromkeys([f"B{i}" for i in range(1, n + 1)], spec),
+                              star_topology(n), cz_weight=cz_weight)
+
+    assert keyrate_module._interchangeable(*star(*map(np.array, zip(*points))))
+    for r, transmissivity in points:
+        assert keyrate_module._interchangeable(*star(r, transmissivity))
