@@ -17,16 +17,14 @@ decomposition per block of SCHUR_BLOCK_ROWS rows, so a (k, n) scheme's
 C(n, k) access structures cost a few numpy calls instead of a Python loop;
 a stack of covariances, one per grid point, shares the same blocks. The
 factor's last row holds l = L^-1 c, so the conditional variance is
-V - l.l, and the gains, which :func:`schur_gains` solves for only where a
-report prints them, are L^-T l. Cholesky is backward stable on positive
-definite blocks (Higham, Accuracy and Stability of Numerical Algorithms,
-2nd ed., ch. 10), so each variance is accurate to about eps * V, relative
-to v that is eps * V / v. A block that does not factorise, as squeezing
-beyond what double precision resolves or linearly dependent estimators make
-it, is refused, as is a row that repeats a coordinate. Every row gets the
-same arithmetic as a single-row call on one matrix, so results do not depend
-on how rows or points are batched; a single estimator set is a one-row index
-array.
+V - l.l and the gains, for one covariance but not a stack, are L^-T l.
+Cholesky is backward stable on positive definite blocks (Higham, Accuracy
+and Stability of Numerical Algorithms, 2nd ed., ch. 10), so each variance is
+accurate to about eps * V, relative to v that is eps * V / v. A block that
+does not factorise, as squeezing beyond what double precision resolves or
+linearly dependent estimators make it, is refused, as is a row that repeats
+a coordinate. Every row gets the same arithmetic as a single-row call on one
+matrix, so results do not depend on how rows or points are batched.
 
 These formulas are exact for Gaussian states. If applied to second moments
 estimated from non-Gaussian data they yield a lower bound on the mutual
@@ -86,13 +84,33 @@ def _coordinate(labels, index: int) -> str:
     return f"{'xp'[index % 2]}_{labels[index // 2]}" if labels else str(index)
 
 
-def _factored(cov, target_idx: int, estimator_idx, labels, per_factor) -> tuple:
-    """``per_factor`` of every estimator set's bordered Cholesky factor, and V(target).
+def schur(cov: np.ndarray, target_idx: int, estimator_idx: np.ndarray, labels=()) -> tuple:
+    """Optimal linear inference of one coordinate from many estimator sets.
 
-    ``per_factor`` maps a chunk's (m, g + 1, g + 1) lower factors, m its points
-    times its rows, to an (m, ...) array; the chunks' results come back as one
-    (..., S, ...) array aligned with ``estimator_idx``. A block that does not
-    factorise is refused, named by ``labels`` (:func:`schur`).
+    Row s of ``estimator_idx`` lists the coordinates of estimator set s. Its
+    conditional variance is V - l.l, l the last row of the Cholesky factor of
+    the set's block bordered by the target; V - l.l is at most V bit for bit,
+    which the squared last pivot is not where c = 0. Its gains L^-T l come from
+    the same factor, for one covariance only: a stack is a sweep grid, which
+    prints no gains, and its gains would hold g doubles per row and point, g
+    times its variances. A row's result never depends on the other rows.
+
+    Args:
+        cov: Covariance matrix, or a (..., d, d) stack of them.
+        target_idx: Index of the target coordinate in ``cov``.
+        estimator_idx: (S, g) integer array of estimator indices, g >= 1,
+            distinct within a row and none equal to ``target_idx``.
+        labels: The mode labels of ``cov`` (coordinates x1, p1, ..., xm, pm),
+            which name a refused inference; without them it is named by indices.
+
+    Returns:
+        (conditional_variances, unconditional_variance, gains): a (..., S)
+        array; the target's variance, a (...) array for a stack or a float;
+        and an (S, g) array aligned with ``estimator_idx``, None for a stack.
+
+    Raises:
+        ValueError: for a block that is not positive definite to double
+            precision, as squeezing too large makes it.
     """
     idx = np.asarray(estimator_idx, dtype=int)
     if idx.ndim != 2:
@@ -113,7 +131,7 @@ def _factored(cov, target_idx: int, estimator_idx, labels, per_factor) -> tuple:
     bordered = np.concatenate((idx, np.full((count, 1), target_idx)), axis=1)
     # Whole covariances per block where their rows fit.
     points = max(1, SCHUR_BLOCK_ROWS // count)
-    results = []
+    lengths, gains = [], []
     for first, start in product(range(0, len(stack), points), range(0, count, SCHUR_BLOCK_ROWS)):
         block, rows = stack[first:first + points], bordered[start:start + SCHUR_BLOCK_ROWS]
         blocks = block[:, rows[:, :, None], rows[:, None, :]].reshape(-1, width + 1, width + 1)
@@ -132,61 +150,15 @@ def _factored(cov, target_idx: int, estimator_idx, labels, per_factor) -> tuple:
                 f"{v_target[first + point]:.6g} has no Cholesky factor: the squeezing is "
                 "beyond what double precision resolves, or the estimators are linearly "
                 "dependent") from None
-        results.append(per_factor(factors))
-    result = results[0] if len(results) == 1 else np.concatenate(results)
+        # l = L^-1 c, the last row. numpy sums each l.l along its contiguous axis in
+        # one fixed order, whatever the batch, and without BLAS.
+        last = factors[:, -1, :-1]
+        lengths.append((last * last).sum(axis=-1))
+        if cov.ndim == 2:
+            gains.append(np.linalg.solve(factors[:, :-1, :-1].transpose(0, 2, 1),
+                                         last[..., None])[..., 0])
     leading = cov.shape[:-2]
-    return (result.reshape(leading + (count,) + result.shape[1:]),
-            v_target.reshape(leading) if leading else float(v_target[0]))
-
-
-def _squared_lengths(factors: np.ndarray) -> np.ndarray:
-    """l.l of each factor's last row l = L^-1 c. numpy sums each row along its
-    contiguous axis in one fixed order, whatever the batch, and without BLAS."""
-    last = factors[:, -1, :-1]
-    return (last * last).sum(axis=-1)
-
-
-def _gains(factors: np.ndarray) -> np.ndarray:
-    """g = L^-T l of each factor, one triangular solve per block."""
-    return np.linalg.solve(factors[:, :-1, :-1].transpose(0, 2, 1),
-                           factors[:, -1, :-1, None])[..., 0]
-
-
-def schur(cov: np.ndarray, target_idx: int, estimator_idx: np.ndarray, labels=()) -> tuple:
-    """Optimal linear inference of one coordinate from many estimator sets.
-
-    Row s of ``estimator_idx`` lists the coordinates of estimator set s. Its
-    conditional variance is V - l.l, l the last row of the Cholesky factor of
-    the set's block bordered by the target; V - l.l is at most V bit for bit,
-    which the squared last pivot is not where c = 0. A row's result never
-    depends on the other rows.
-
-    Args:
-        cov: Covariance matrix, or a (..., d, d) stack of them.
-        target_idx: Index of the target coordinate in ``cov``.
-        estimator_idx: (S, g) integer array of estimator indices, g >= 1,
-            distinct within a row and none equal to ``target_idx``.
-        labels: The mode labels of ``cov`` (coordinates x1, p1, ..., xm, pm),
-            which name a refused inference; without them it is named by indices.
-
-    Returns:
-        (conditional_variances, unconditional_variance): a (..., S) array and
-        the target's variance, a (...) array for a stack or a float.
-
-    Raises:
-        ValueError: for a block that is not positive definite to double
-            precision, as squeezing too large makes it.
-    """
-    lengths, v_target = _factored(cov, target_idx, estimator_idx, labels, _squared_lengths)
-    return np.asarray(v_target)[..., None] - lengths, v_target
-
-
-def schur_gains(cov: np.ndarray, target_idx: int, estimator_idx: np.ndarray,
-                labels=()) -> np.ndarray:
-    """The optimal gains of :func:`schur`'s inferences, from the same factors.
-
-    A (..., S, g) array aligned with ``estimator_idx``: row s holds
-    Gamma_s^-1 c_s, solved with the transposed factor. Only the reports that
-    print gains call it.
-    """
-    return _factored(cov, target_idx, estimator_idx, labels, _gains)[0]
+    v_target = v_target.reshape(leading) if leading else float(v_target[0])
+    lengths = np.concatenate(lengths).reshape(leading + (count,))
+    return (np.asarray(v_target)[..., None] - lengths, v_target,
+            np.concatenate(gains) if gains else None)

@@ -26,8 +26,8 @@ computed, all in bits per round with ideal reconciliation:
   reported rate is ``min_i I_i - max_S chi_S``.
 
 :func:`key_rates` evaluates every term as arrays over a state stack (a
-sweep curve), one kernel call per side, and solves for no gains;
-:func:`keyrate_qss` is its report, and the reports alone solve for gains.
+sweep curve), one kernel call per side; :func:`keyrate_qss` is its report
+on one state, gains included.
 A side whose one structure is every player stands in for the all-player
 inference of the eavesdropping bound, which is then not repeated: the access
 side at k = n, and the honest side of the one (empty) collusion at k = 1.
@@ -57,7 +57,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimation import JointVariable, check_conditional_variances, schur, schur_gains
+from .estimation import JointVariable, check_conditional_variances, schur
 from .gaussian import GaussianState
 from .states import MAX_PLAYERS, PartyLayout
 
@@ -316,32 +316,18 @@ def _interchangeable(state: GaussianState, layout: PartyLayout) -> bool:
     return True
 
 
-def _evaluated(state: GaussianState, layout: PartyLayout, basis: str,
-               rows: np.ndarray) -> tuple:
-    """The kernel's arguments for the dealer's ``basis`` quadrature and ``rows``.
+def _infer(state: GaussianState, layout: PartyLayout, basis: str, rows: np.ndarray) -> tuple:
+    """:func:`~cvqss.estimation.schur` of the dealer's ``basis`` quadrature, checked.
 
     Estimator set s is the announced ``basis`` outcomes of the distinct players
     at the 0-based positions in row s of ``rows``.
     """
     announced = np.array([state.quad_index(*coord) for coord in
                           layout.announced_coordinates(layout.player_modes, basis)])
-    return (state.cov, state.quad_index(layout.dealer_mode, basis), announced[rows],
-            state.labels)
-
-
-def _infer(state: GaussianState, layout: PartyLayout, basis: str, rows: np.ndarray) -> tuple:
-    """(variances, dealer variance): :func:`~cvqss.estimation.schur` of the
-    :func:`_evaluated` rows, checked."""
-    variances, dealer = schur(*_evaluated(state, layout, basis, rows))
-    check_conditional_variances(variances, dealer)
-    return variances, dealer
-
-
-def _gains(state: GaussianState, layout: PartyLayout, basis: str,
-           rows: np.ndarray) -> np.ndarray:
-    """:func:`~cvqss.estimation.schur_gains` of the :func:`_evaluated` rows: only the
-    reports, which print gains, solve for them."""
-    return schur_gains(*_evaluated(state, layout, basis, rows))
+    inference = schur(state.cov, state.quad_index(layout.dealer_mode, basis), announced[rows],
+                      state.labels)
+    check_conditional_variances(*inference[:2])
+    return inference
 
 
 def _everyone(state: GaussianState, layout: PartyLayout) -> tuple:
@@ -399,10 +385,8 @@ def keyrate_eavesdropping(state: GaussianState, layout: PartyLayout) -> Eavesdro
     Both joint variables are optimal over *all* players.
     """
     layout.check_state(state)
-    (v_x, dealer_x), (v_p, dealer_p), bound = _everyone(state, layout)
+    (v_x, dealer_x, (x_gains,)), (v_p, dealer_p, (p_gains,)), bound = _everyone(state, layout)
     (v_x,), (v_p,) = v_x.tolist(), v_p.tolist()
-    everyone = np.arange(layout.num_players)[None]
-    (x_gains,), (p_gains,) = (_gains(state, layout, basis, everyone) for basis in "xp")
     return EavesdroppingReport(
         rate=float(bound.rate),
         mutual_information=float(bound.access_bits[0]),
@@ -426,12 +410,11 @@ def keyrate_qss(state: GaussianState, layout: PartyLayout,
     """
     layout.check_state(state)
     rates = key_rates(state, layout, scheme)
-    (access_v, dealer_x), (adversarial_v, dealer_p) = rates.access, rates.adversarial
+    (access_v, dealer_x, access_g), (adversarial_v, dealer_p, adversarial_g) = (
+        rates.access, rates.adversarial)
     bound, evaluated = rates.combined, rates.evaluated
 
     names, (access, colluding, honest) = layout.player_modes, scheme._player_rows
-    access_g = _gains(state, layout, "x", access[evaluated])
-    adversarial_g = _gains(state, layout, "p", honest[evaluated])
     # Player j alone dishonest: the all-player x side against the p side of every player
     # but j, for k = 2 the adversarial structures' honest sides already.
     others = _complements(np.arange(scheme.n)[:, None], scheme.n)

@@ -52,7 +52,7 @@ from cvqss import (
     star_topology,
 )
 from cvqss import simulation
-from cvqss.estimation import schur, schur_gains
+from cvqss.estimation import schur
 from cvqss.gaussian import VACUUM_VARIANCE, _check_quadrature, _squeezed_covariance
 from cvqss.keyrate import ThresholdScheme, combine
 
@@ -416,18 +416,18 @@ def bisect_root(f, lo: float, hi: float, xtol: float = 1e-13) -> float:
 
 
 def schur_loop(cov: np.ndarray, target_idx: int, estimator_idx) -> tuple:
-    """One one-row ``schur`` and ``schur_gains`` call per estimator set, in a Python loop.
+    """One one-row ``schur`` call per estimator set, in a Python loop.
 
-    The unbatched reference for ``cvqss.estimation.schur``: same return values
-    as the two kernels together, (variances, gains, target variance), each row
-    from a lone one-row call on one matrix. It checks that batching moves no
-    bit; the closed forms and the 50-digit solves check the arithmetic.
+    The unbatched reference for ``cvqss.estimation.schur`` on one matrix: its
+    return values as (variances, gains, target variance), each row from a lone
+    one-row call. It checks that batching moves no bit; the closed forms and
+    the 50-digit solves check the arithmetic.
     """
     variances, gains = [], []
     for row in np.asarray(estimator_idx):
-        (v,), v_target = schur(cov, target_idx, [row])
+        (v,), v_target, (g,) = schur(cov, target_idx, [row])
         variances.append(v)
-        gains.append(schur_gains(cov, target_idx, [row])[0])
+        gains.append(g)
     return np.array(variances), np.array(gains), v_target
 
 

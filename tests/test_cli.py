@@ -374,25 +374,22 @@ class TestKernelCalls:
         assert code == EXIT_OK
         assert len(calls) == count
 
-    def test_only_a_report_solves_for_gains(self, monkeypatch, capsys):
-        # The sweep prints no gains, so its key_rates solves for none; the threshold
-        # report solves once a side, one batched triangular solve each.
-        solves, real_gains, real_solve = [], keyrate.schur_gains, np.linalg.solve
-
-        def counted_gains(*args):
-            solves.append("schur_gains")
-            return real_gains(*args)
+    def test_only_a_report_solves_for_gains(self, calls, monkeypatch, capsys):
+        # The sweep's stacks print no gains, so its kernel calls solve for none; the
+        # threshold report's calls, on one covariance, each solve once from their factors:
+        # (2, 2) has access, honest complements and all players in p.
+        solves, real_solve = [], np.linalg.solve
 
         def counted_solve(*args, **kwargs):
             solves.append("solve")
             return real_solve(*args, **kwargs)
 
-        monkeypatch.setattr(keyrate, "schur_gains", counted_gains)
         monkeypatch.setattr(np.linalg, "solve", counted_solve)
         assert run(["sweep"], capsys)[0] == EXIT_OK
         assert solves == []
+        calls.clear()
         assert run(["threshold"], capsys)[0] == EXIT_OK
-        assert solves == ["schur_gains", "solve"] * 2
+        assert len(calls) == 3 and solves == ["solve"] * 3
 
 
 class TestSimulate:

@@ -20,7 +20,6 @@ from cvqss.estimation import (
     SCHUR_BLOCK_ROWS,
     check_conditional_variances,
     schur,
-    schur_gains,
 )
 from cvqss.keyrate import combine
 from helpers import (
@@ -84,8 +83,7 @@ def rows(state, *coords):
 class TestOptimalEstimator:
     def test_single_mode_matches_fixed(self):
         state = two_mode_squeezed(0.8)
-        v, _ = schur(state.cov, state.quad_index("A", "x"), rows(state, ("B", "x")))
-        gains = schur_gains(state.cov, state.quad_index("A", "x"), rows(state, ("B", "x")))
+        v, _, gains = schur(state.cov, state.quad_index("A", "x"), rows(state, ("B", "x")))
         fixed = conditional_variance_fixed(state, ("A", "x"), JointVariable("x", {"B": gains[0, 0]}))
         assert v[0] == pytest.approx(fixed, abs=1e-12)
         expected_gain = (covariance(state, ("A", "x"), ("B", "x"))
@@ -96,8 +94,7 @@ class TestOptimalEstimator:
     def test_fixed_with_optimal_gains_matches_optimal(self, r, transmissivity):
         state, _ = build_three_mode_chain(r, transmissivity)
         estimators = rows(state, ("B", "p"), ("C", "p"))
-        v, _ = schur(state.cov, state.quad_index("A", "p"), estimators)
-        gains = schur_gains(state.cov, state.quad_index("A", "p"), estimators)
+        v, _, gains = schur(state.cov, state.quad_index("A", "p"), estimators)
         optimal = JointVariable("p", dict(zip(["B", "C"], gains[0])))
         fixed = conditional_variance_fixed(state, ("A", "p"), optimal)
         assert fixed == pytest.approx(v[0], abs=1e-12)
@@ -106,14 +103,14 @@ class TestOptimalEstimator:
     def test_monotone_in_estimator_set(self, r, transmissivity):
         state, _ = build_three_mode_chain(r, transmissivity)
         target = state.quad_index("A", "p")
-        both, _ = schur(state.cov, target, rows(state, ("B", "p"), ("C", "p")))
-        one, _ = schur(state.cov, target, rows(state, ("C", "p")))
+        both, _, _ = schur(state.cov, target, rows(state, ("B", "p"), ("C", "p")))
+        one, _, _ = schur(state.cov, target, rows(state, ("C", "p")))
         assert both[0] <= one[0] + 1e-12
 
     def test_result_invariant_holds(self):
         state, _ = build_three_mode_chain(1.0, 0.9)
-        v, v_unc = schur(state.cov, state.quad_index("A", "x"),
-                         rows(state, ("B", "x"), ("C", "x")))
+        v, v_unc, _ = schur(state.cov, state.quad_index("A", "x"),
+                            rows(state, ("B", "x"), ("C", "x")))
         assert 0.0 < v[0] <= v_unc
 
     def test_empty_estimator_set_rejected(self):
@@ -136,8 +133,7 @@ class TestMixedCoordinates:
         r = 1.0
         state, _ = build_three_mode_chain(r, 1.0)
         estimators = rows(state, ("B", "p"), ("C", "x"))
-        v_cond, v_unc = schur(state.cov, state.quad_index("A", "x"), estimators)
-        gains = schur_gains(state.cov, state.quad_index("A", "x"), estimators)
+        v_cond, v_unc, gains = schur(state.cov, state.quad_index("A", "x"), estimators)
         assert v_cond[0] == pytest.approx(1.0 / (4.0 * math.cosh(2 * r)), rel=1e-12)
         assert v_unc == pytest.approx(0.5 * math.exp(2 * r), rel=1e-12)
         assert gains[0, 0] == pytest.approx(-gains[0, 1], rel=1e-12)
@@ -146,14 +142,14 @@ class TestMixedCoordinates:
         # The literal x-x covariances vanish on the chain, so an x-only
         # estimator learns nothing; the announced labels fix this.
         state, _ = build_three_mode_chain(1.0, 1.0)
-        v, _ = schur(state.cov, state.quad_index("A", "x"),
-                     rows(state, ("B", "x"), ("C", "x")))
+        v, _, _ = schur(state.cov, state.quad_index("A", "x"),
+                        rows(state, ("B", "x"), ("C", "x")))
         assert v[0] == pytest.approx(variance(state, "A", "x"), rel=1e-12)
 
     def test_optimal_beats_unit_gain_choice_under_loss(self):
         state, _ = build_three_mode_chain(1.0, 0.9)
-        v_opt, _ = schur(state.cov, state.quad_index("A", "x"),
-                         rows(state, ("B", "p"), ("C", "x")))
+        v_opt, _, _ = schur(state.cov, state.quad_index("A", "x"),
+                            rows(state, ("B", "p"), ("C", "x")))
         # Fixed unit-gain combination, evaluated from raw covariances.
         var_est = (variance(state, "B", "p") + variance(state, "C", "x")
                    - 2.0 * covariance(state, ("B", "p"), ("C", "x")))
@@ -164,8 +160,8 @@ class TestMixedCoordinates:
 
     def test_unit_gain_choice_is_optimal_without_loss(self):
         state, _ = build_three_mode_chain(1.0, 1.0)
-        v_opt, _ = schur(state.cov, state.quad_index("A", "x"),
-                         rows(state, ("B", "p"), ("C", "x")))
+        v_opt, _, _ = schur(state.cov, state.quad_index("A", "x"),
+                            rows(state, ("B", "p"), ("C", "x")))
         var_est = (variance(state, "B", "p") + variance(state, "C", "x")
                    - 2.0 * covariance(state, ("B", "p"), ("C", "x")))
         cov_te = (covariance(state, ("A", "x"), ("B", "p"))
@@ -186,10 +182,9 @@ class TestMixedCoordinates:
                 (state.cov, state.quad_index("A", "x"),
                  rows(state, ("B", "p"), ("B", "x")) + rows(state, ("B", "x"), ("B", "x"))),
                 (star.cov, star.quad_index("A", "x"), [[b2, b1, b2]])):
-            for kernel in (schur, schur_gains):
-                with pytest.raises(ValueError, match="^estimator coordinates must be distinct "
-                                                     "within a row$"):
-                    kernel(cov, target, bad)
+            with pytest.raises(ValueError, match="^estimator coordinates must be distinct "
+                                                 "within a row$"):
+                schur(cov, target, bad)
 
 
 class TestSchurKernel:
@@ -205,7 +200,7 @@ class TestSchurKernel:
     def test_singular_blocks_match_loop(self):
         # At r = 300 the blocks are singular to double precision. A stack is refused
         # with the message of the first row a loop of one-row calls refuses, at the
-        # first point that has one, whichever kernel is asked.
+        # first point that has one.
         spec = ChannelSpec(0.9, 0.01)
         stack, layout = build_kn_state(6, np.array([1.15, 300.0]),
                                        {f"B{i}": spec for i in range(1, 7)}, star_topology(6))
@@ -216,10 +211,9 @@ class TestSchurKernel:
             schur_loop(stack.cov[1], t, rows)
         assert str(lone.value).startswith(f"V({t} | ")
         assert "at target variance 1.88651e+260 has no Cholesky factor" in str(lone.value)
-        for kernel in (schur, schur_gains):
-            with pytest.raises(ValueError) as batched:
-                kernel(stack.cov, t, rows)
-            assert str(batched.value) == str(lone.value)
+        with pytest.raises(ValueError) as batched:
+            schur(stack.cov, t, rows)
+        assert str(batched.value) == str(lone.value)
 
     def test_rows_across_blocks_match_loop(self):
         state = self.star_state()
@@ -228,8 +222,7 @@ class TestSchurKernel:
         rng = np.random.default_rng(7)
         rows = np.array([rng.choice(candidates, 4, replace=False)
                          for _ in range(2 * SCHUR_BLOCK_ROWS + 3)])
-        variances, _ = schur(state.cov, t, rows)
-        gains = schur_gains(state.cov, t, rows)
+        variances, _, gains = schur(state.cov, t, rows)
         ref_variances, ref_gains, _ = schur_loop(state.cov, t, rows)
         assert np.array_equal(variances, ref_variances)
         assert np.array_equal(gains, ref_gains)
@@ -255,8 +248,7 @@ class TestSchurKernel:
         chain_state, chain_t, chain_rows = self.access_rows(12, 6, chain_topology)
         for cov, target, rows in ((state.cov, t, repeated),
                                   (chain_state.cov, chain_t, chain_rows)):
-            variances, _ = schur(cov, target, rows)
-            gains = schur_gains(cov, target, rows)
+            variances, _, gains = schur(cov, target, rows)
             ref_variances, ref_gains, _ = schur_loop(cov, target, rows)
             assert np.array_equal(variances, ref_variances)
             assert np.array_equal(gains, ref_gains)
@@ -288,7 +280,7 @@ class TestMutualInformation:
     @pytest.mark.parametrize("r", [0.3, 1.0, 2.0])
     def test_tmsv_information(self, r):
         state = two_mode_squeezed(r)
-        v, v_unc = schur(state.cov, state.quad_index("A", "x"), rows(state, ("B", "x")))
+        v, v_unc, _ = schur(state.cov, state.quad_index("A", "x"), rows(state, ("B", "x")))
         info = combine(v_unc, v, [v_unc]).access_bits[0]
         assert info == pytest.approx(math.log2(math.cosh(2 * r)), rel=1e-12)
 
@@ -335,8 +327,8 @@ def test_star_rows_of_every_width_equal_the_closed_form_within_the_kernel_bound(
         announced = np.array([state.quad_index(*coord) for coord in
                               layout.announced_coordinates(layout.player_modes, basis)])
         for width in range(1, n + 1):
-            (v,), _ = schur(state.cov, state.quad_index("A", basis),
-                            announced[order[:width]][None])
+            (v,), _, _ = schur(state.cov, state.quad_index("A", basis),
+                               announced[order[:width]][None])
             ratio = float(abs(v - forms[width]) / (eps * kappa[width] * big_v))
             assert ratio <= 8.0, (basis, width, ratio)
 
@@ -362,7 +354,7 @@ def test_conditioning_never_hurts_beyond_one_eps(n, topology, r, transmissivity,
         conditional = {(): big_v}
         for width in range(1, n + 1):
             rows = list(combinations(range(n), width))
-            variances, _ = schur(state.cov, target, announced[np.array(rows)])
+            variances, _, _ = schur(state.cov, target, announced[np.array(rows)])
             for row, v in zip(rows, variances.tolist()):
                 worst = max(v - conditional[row[:i] + row[i + 1:]] for i in range(width))
                 assert worst <= eps * big_v, (basis, row, worst / (eps * big_v))
@@ -396,7 +388,8 @@ def test_degrading_one_player_never_helps_beyond_one_eps(data, n, topology, r):
         big_v = state.cov[target, target]
         for width in range(1, n + 1):
             rows = np.array(list(combinations(range(n), width)))
-            (before, _), (after, _) = (schur(s.cov, target, announced[rows]) for s in (state, worse))
+            (before, _, _), (after, _, _) = (schur(s.cov, target, announced[rows])
+                                             for s in (state, worse))
             holds = (rows == j).any(axis=1)
             assert np.array_equal(after[~holds], before[~holds]), (basis, width)
             worst = float((before - after)[holds].max())

@@ -422,6 +422,22 @@ class TestBatchedStructures:
         state, layout = _kn_state(n, topology)
         _assert_report_matches_loop(state, layout, ThresholdScheme(k, n))
 
+    def test_each_estimator_set_is_factored_once(self, monkeypatch):
+        # A chain's players are not interchangeable, so a (4, 8) report evaluates
+        # C(8, 4) access rows, C(8, 3) honest sides, all players in x and in p, and the
+        # eight single dishonest players, and its gains come from the same factors.
+        state, layout = _kn_state(8, chain_topology, transmissivity=0.9)
+        assert not keyrate_module._interchangeable(state, layout)
+        cholesky, blocks = np.linalg.cholesky, []
+
+        def counting_cholesky(a, *args, **kwargs):
+            blocks.append(math.prod(np.shape(a)[:-2]))
+            return cholesky(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+        keyrate_qss(state, layout, ThresholdScheme(4, 8))
+        assert blocks == [70, 56, 1, 1, 8]
+
     @pytest.mark.parametrize("n, k, topology", [
         (5, 3, chain_topology), (4, 1, star_topology), (6, 6, star_topology)])
     def test_structure_labels_are_the_combinations_of_the_player_modes(self, n, k, topology):
@@ -446,10 +462,10 @@ class TestBatchedStructures:
             bad = scale * variance(state, "A", side)
 
             def corrupted(cov, target_idx, estimator_idx, labels):
-                variances, v_target = real_schur(cov, target_idx, estimator_idx, labels)
+                variances, v_target, gains = real_schur(cov, target_idx, estimator_idx, labels)
                 if target_idx == target:
                     variances[..., -1] = bad
-                return variances, v_target
+                return variances, v_target, gains
 
             monkeypatch.setattr(keyrate_module, "schur", corrupted)
             with pytest.raises(ValueError) as batched:
@@ -514,9 +530,10 @@ class TestInterchangeable:
 
         def corrupted(cov, target_idx, estimator_idx, labels):
             # Rows holding B3 fail with a value naming its position; (B1, B2, B3) comes first.
-            variances, v_target = real_schur(cov, target_idx, estimator_idx, labels)
+            variances, v_target, gains = real_schur(cov, target_idx, estimator_idx, labels)
             hit = np.isin(estimator_idx, b3)
-            return np.where(hit.any(axis=1), -1.0 - hit.argmax(axis=1), variances), v_target
+            return (np.where(hit.any(axis=1), -1.0 - hit.argmax(axis=1), variances), v_target,
+                    gains)
 
         monkeypatch.setattr(keyrate_module, "schur", corrupted)
         messages = []
@@ -560,8 +577,8 @@ class TestInterchangeable:
 
     def test_each_inference_evaluates_one_row(self, monkeypatch):
         # Access, adversarial, all-player x and p, and single dishonest players:
-        # five rows in all, against 1,730 (12 players) and 6,451 (14) structure rows;
-        # the report's access and adversarial gains factor those two rows again.
+        # five rows in all, against 1,730 (12 players) and 6,451 (14) structure rows,
+        # each factored once: the report's gains come from the same factors.
         real_schur, cholesky, rows, blocks = keyrate_module.schur, np.linalg.cholesky, [], []
 
         def counting_schur(cov, target_idx, estimator_idx, labels):
@@ -579,7 +596,7 @@ class TestInterchangeable:
             blocks.clear()
             keyrate_qss(*_kn_state(n, star_topology, transmissivity=0.9),
                         ThresholdScheme(n // 2, n))
-            assert sum(rows) == 5 and sum(blocks) == 7
+            assert sum(rows) == 5 and sum(blocks) == 5
 
     @pytest.mark.parametrize("n, k, topology", [
         (4, 2, star_topology), (6, 3, star_topology),
@@ -810,3 +827,25 @@ def test_stars_with_one_shared_channel_are_interchangeable(n, noise, cz_weight, 
     assert keyrate_module._interchangeable(*star(*map(np.array, zip(*points))))
     for r, transmissivity in points:
         assert keyrate_module._interchangeable(*star(r, transmissivity))
+
+
+@seed(2026_1102)
+@settings(max_examples=40, deadline=None, database=None)
+@given(scheme=st.sampled_from([(k, n) for n in range(2, 9) for k in range(1, n + 1)
+                               if (k, n) != (2, 2)]),
+       r=st.floats(0.0, 3.0), transmissivity=st.floats(0.3, 1.0), noise=st.floats(0.0, 0.05),
+       cz_weight=st.floats(0.3, 3.0))
+def test_no_chain_but_the_2_2_one_has_a_positive_key(scheme, r, transmissivity, noise,
+                                                      cz_weight):
+    # On a chain x_A correlates only with p_B1, so for k < n the access structures
+    # without B1 have c = 0 exactly and I = 0; for k >= 3 the collusion {B1, B2}
+    # leaves an honest side with u = V(p_A). Either way Heisenberg's relation on the
+    # state conditioned on one measurement M, V(x_A|M) V(p_A|M) >= 1/4, bounds the
+    # key by 1 - log2(e).
+    k, n = scheme
+    spec = ChannelSpec(transmissivity, noise)
+    state, layout = build_kn_state(n, r, dict.fromkeys([f"B{i}" for i in range(1, n + 1)], spec),
+                                   chain_topology(n), cz_weight=cz_weight)
+    bound = keyrate_module.key_rates(state, layout, ThresholdScheme(k, n)).combined
+    assert bound.rate <= 1.0 - math.log2(math.e) + 1e-12
+    assert (bound.access_bits.min() == 0.0) == (k < n)

@@ -26,12 +26,13 @@ from cvqss import (
     validate,
 )
 from cvqss.cli import EXIT_CONFIG, EXIT_OK, SWEEP_HEADER, main
-from cvqss.estimation import schur, schur_gains
+from cvqss.estimation import schur
 from cvqss.keyrate import MAX_PLAYERS, key_rates
 
 from helpers import (
     chain_sweep_row,
     covariance,
+    schur_loop,
     star_closed_forms,
     sweep_loop,
     variance,
@@ -155,12 +156,15 @@ def test_stacked_kernel_equals_one_matrix_calls_across_row_blocks():
     factors = np.random.default_rng(7).standard_normal((3, 12, 12))
     stack = factors @ factors.transpose(0, 2, 1)
     idx = np.array(list(itertools.combinations(range(1, 12), 4)))
-    (variances, dealer), gains = schur(stack, 0, idx), schur_gains(stack, 0, idx)
+    # A stack solves for no gains; each point's one-covariance call does.
+    variances, dealer, gains = schur(stack, 0, idx)
+    assert gains is None
     for point, cov in enumerate(stack):
         alone = schur(cov, 0, idx)
         assert np.array_equal(variances[point], alone[0])
-        assert np.array_equal(gains[point], schur_gains(cov, 0, idx))
         assert dealer[point] == alone[1]
+        assert alone[2].shape == idx.shape
+        assert np.array_equal(alone[2], schur_loop(cov, 0, idx)[1])
 
 
 def test_rows_at_curve_and_chunk_edges_equal_one_point_sweeps(monkeypatch):
