@@ -250,9 +250,10 @@ def cmd_threshold(args) -> int:
                      f"r={_fmt(args.r)}  T={_fmt(args.transmissivity)}")
         lines.append("")
         lines.append(f"{'kind':<12} {'structure':<18} {'bits':>16}  binding")
-        lines.append(_table("access", report.access_mutual_information, report.binding_access))
-        lines.append(_table("adversarial", report.adversarial_holevo,
-                            report.binding_adversarial))
+        # The binding rows by combine's own rule: the first extreme.
+        access, holevo = report.access_mutual_information, report.adversarial_holevo
+        lines.append(_table("access", access, np.argmin(access.array)))
+        lines.append(_table("adversarial", holevo, np.argmax(holevo.array)))
         lines.append("")
         lines.append(f"eavesdropping-only rate: {_fmt(report.eavesdropping_rate)}")
         for player, rate in report.dishonest_rates.items():
@@ -260,31 +261,33 @@ def cmd_threshold(args) -> int:
     lines.append(f"K = {_fmt(report.combined_rate)}")
     lines.append("verdict: " + ("positive key rate" if report.positive
                                 else "no secure key"))
-    _write_text(args.output, ["\n".join(lines) + "\n"], args.quiet)
+    _write_text(args.output, [text for line in lines for text in (line, "\n")], args.quiet)
     return EXIT_OK
 
 
-def _table(kind: str, terms, binding: tuple) -> str:
+def _table(kind: str, terms, binding: int) -> str:
     """One line per structure of the per-structure map ``terms``, in ``_fmt``'s digits,
     written from its player rows and value array, with no newline after the last;
-    ``binding``'s line is marked.
+    row ``binding``'s line is marked.
 
     A label, "{B1,B2,...}" left-justified to 18 characters, is the player names two
     positions a column (``jsontext._position_columns``), then "}", the padding its
-    length leaves and the space before the value. Each distinct value is spelled once
-    with its line end and the next line's head; the binding line's "*" is patched in.
+    length leaves and the space before the value, one "} " if the shortest fills 18.
+    Each distinct value is spelled once with its line end and the next line's head.
     """
     names, rows = terms.names, terms.rows
-    head = f"{kind:<12} {{"
+    head, width = f"{kind:<12} {{", rows.shape[1]
     values = float_texts(terms.array, lambda value: format(value, ">16.12g") + "  \n" + head)
-    mark = (rows == [names.index(name) for name in binding]).all(axis=1).argmax()
-    values[mark] = values[mark].replace("\n", "*\n")
-    lengths = (2 + max(rows.shape[1] - 1, 0)
-               + np.array([len(name) for name in names])[rows].sum(axis=1))
-    closers = np.array(["}" + " " * pad + " " for pad in range(17)], dtype=object)
-    return _rows(head, [*_position_columns(names, rows, ","),
-                        closers[np.maximum(18 - lengths, 0)].tolist(), values],
-                 values[-1][:-1 - len(head)])
+    values[binding] = values[binding].replace("\n", "*\n")
+    if 1 + width + sum(sorted(map(len, names))[:width]) >= 18:  # the shortest label fills 18
+        columns = _position_columns(names, rows, ",", "} ")
+    else:
+        lengths = (2 + max(width - 1, 0)
+                   + np.array([len(name) for name in names])[rows].sum(axis=1))
+        closers = np.array(["}" + " " * pad + " " for pad in range(17)], dtype=object)
+        columns = [*_position_columns(names, rows, ","),
+                   closers[np.maximum(18 - lengths, 0)].tolist()]
+    return _rows(head, [*columns, values], values[-1][:-1 - len(head)])
 
 
 def _label_texts(labels) -> list:

@@ -12,9 +12,9 @@ interleaved into one list by slice assignment and joined once
 (:func:`_rows`). A row costs a few list slots: each writer folds its constant
 separators into the distinct texts beside them before they are gathered, and
 each distinct double of a per-structure array is spelled once, separator
-included (:func:`float_texts`): a report's values are massively tied, bit for
-bit. Structures are written from their rows of player positions, two positions
-a column (:func:`_position_columns`), with no tuple built: a
+included (:func:`float_texts`): values tie bit for bit, and a folded side's
+one pattern takes no sort. Structures are written from their rows of player
+positions, two a column (:func:`_position_columns`), with no tuple built: a
 :class:`~cvqss.keyrate.ThresholdScheme` as its (k, n) and the lists of its
 1-based structures, and a per-structure map
 (:class:`~cvqss.keyrate._StructureMap`, a read-only ``Mapping`` view over
@@ -47,10 +47,13 @@ def float_texts(array: np.ndarray, spell=_json_float) -> list:
     a value's JSON text.
 
     ``spell`` is called once per distinct bit pattern, so ``0.0`` and ``-0.0`` stay
-    apart, as do NaNs with different payloads.
+    apart, as do NaNs with different payloads; one pattern is spelled with no sort.
     """
-    bits = np.ascontiguousarray(array, dtype=np.float64).view(np.int64).ravel()
-    patterns, where = np.unique(bits, return_inverse=True)
+    array = np.asarray(array, dtype=np.float64)
+    bits = array.view(np.int64)
+    if bits.size and (bits == bits.flat[0]).all():  # a folded side's broadcast, say
+        return [spell(array.flat[0].item())] * bits.size
+    patterns, where = np.unique(bits.ravel(), return_inverse=True)
     spelled = np.array(list(map(spell, patterns.view(np.float64).tolist())), dtype=object)
     return spelled[where].tolist()
 

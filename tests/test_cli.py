@@ -153,7 +153,7 @@ class TestThreshold:
         rows = np.arange(len(values))[:, None] + [0, 1]
         labels = [(f"B{i}", f"B{i + 1}") for i in range(1, len(values) + 1)]
         terms = keyrate._StructureMap(names, rows, np.array(values))
-        rows = cli._table("access", terms, labels[3]).split("\n")
+        rows = cli._table("access", terms, 3).split("\n")
         assert rows == [f"{'access':<12} {'{' + ','.join(label) + '}':<18} {value:>16.12g}  "
                         + "*" * (label == labels[3]) for label, value in zip(labels, values)]
 
@@ -163,9 +163,13 @@ class TestTableWriter:
     column; its bytes are those of one left-justified label text per line."""
 
     # Labels are written two positions a column: (6, 12) and (2, 3) end their access
-    # labels in a pair and their collusion labels in a single position.
-    @pytest.mark.parametrize("k, n", [(7, 14), (1, 3), (4, 4), (1, 24), (6, 12), (2, 3)],
-                             ids=["labels-over-18", "k-1", "k-n", "1-24", "6-12", "2-3"])
+    # labels in a pair and their collusion labels in a single position. At (7, 14) no
+    # label pads, so every row closes with one "} "; a (5, 12) access label is 16 to 19
+    # characters, so one side holds padded and unpadded labels.
+    @pytest.mark.parametrize("k, n", [(7, 14), (1, 3), (4, 4), (1, 24), (6, 12), (2, 3),
+                                      (5, 12)],
+                             ids=["labels-over-18", "k-1", "k-n", "1-24", "6-12", "2-3",
+                                  "5-12"])
     @pytest.mark.parametrize("side", [0, 1], ids=["access", "adversarial"])
     def test_bytes_equal_the_label_text_writer(self, k, n, side):
         names = tuple(f"B{i}" for i in range(1, n + 1))
@@ -174,14 +178,15 @@ class TestTableWriter:
         terms, kind = keyrate._StructureMap(names, rows, values), ("access", "adversarial")[side]
         for binding in {0, len(rows) // 2, len(rows) - 1}:
             label = tuple(names[p] for p in rows[binding])
-            assert cli._table(kind, terms, label) == label_table(kind, terms, label)
+            assert cli._table(kind, terms, binding) == label_table(kind, terms, label)
 
     def test_names_of_any_length_pad_as_their_text(self):
         names = ("A", "Bob", "Carolina-Longname", "D")
         rows = keyrate.ThresholdScheme(2, 4)._player_rows[0]
         terms = keyrate._StructureMap(names, rows, np.arange(len(rows), dtype=float))
-        assert cli._table("access", terms, ("Bob", "D")) == label_table("access", terms,
-                                                                      ("Bob", "D"))
+        binding = rows.tolist().index([1, 3])
+        assert cli._table("access", terms, binding) == label_table("access", terms,
+                                                                   ("Bob", "D"))
 
 
 class TestNoStructureTuples:
@@ -253,6 +258,27 @@ class TestThresholdBytes:
         code, out, _ = run(argv, capsys)
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv, folded", [
+        (ARGV, True), (ARGV, False), (["threshold", "--n", "6", "--k", "3"], False),
+    ], ids=["star-4-8", "star-4-8-unfolded", "chain-3-6"])
+    def test_starred_lines_name_the_reports_binding(self, capsys, monkeypatch, argv, folded):
+        # The table marks the rows combine's first-extreme rule picks, folded or not.
+        reports, real_report = [], cli.keyrate_qss
+        monkeypatch.setattr(cli, "keyrate_qss",
+                            lambda *args: reports.append(real_report(*args)) or reports[-1])
+        if not folded:
+            monkeypatch.setattr(keyrate, "_interchangeable", lambda state, layout: False)
+        code, out, _ = run(argv, capsys)
+        assert code == EXIT_OK
+        (report,) = reports
+        starred = {}
+        for kind, binding in (("access", report.binding_access),
+                              ("adversarial", report.binding_adversarial)):
+            lines = [line.split() for line in out.splitlines() if line.startswith(kind + " ")]
+            starred[kind] = [j for j, line in enumerate(lines) if line[-1] == "*"]
+            assert [lines[j][1] for j in starred[kind]] == ["{" + ",".join(binding) + "}"]
+        assert starred["access"] == ([10] if argv[2] == "6" else [0])
 
     def test_text_and_json_build_no_joint_variable(self, capsys, monkeypatch):
         built, dicts, labelled = [], [], []
@@ -343,7 +369,8 @@ class TestSimulateBytes:
 class TestKernelCalls:
     """Each distinct inference is evaluated once per op, counted at ``keyrate.schur``:
     a side whose one row is every player is the all-player inference, and
-    ``simulate`` reads that inference from its analytic report."""
+    ``simulate`` reads that inference from its analytic report. A folded table sorts
+    no values."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -390,6 +417,20 @@ class TestKernelCalls:
         calls.clear()
         assert run(["threshold"], capsys)[0] == EXIT_OK
         assert len(calls) == 3 and solves == ["solve"] * 3
+
+    def test_folded_star_table_sorts_no_values(self, monkeypatch, capsys):
+        # Both (7, 14) star sides are folded, so each value array is one bit pattern.
+        uniques, real_unique = [], np.unique
+
+        def counted_unique(*args, **kwargs):
+            uniques.append(args)
+            return real_unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counted_unique)
+        code, out, _ = run(["threshold", "--n", "14", "--k", "7", "--topology", "star"],
+                           capsys)
+        assert code == EXIT_OK and out.count("*\n") == 2
+        assert uniques == []
 
 
 class TestSimulate:

@@ -2,6 +2,7 @@
 
 import json
 import re
+import struct
 import types
 from dataclasses import dataclass
 from itertools import combinations
@@ -134,6 +135,36 @@ class TestFloatTexts:
                              0x7FF0000000000001], dtype=np.uint64).view(np.float64)
         array = np.concatenate([payloads, [float("inf"), float("-inf"), 1.0]])
         assert float_texts(array) == ["NaN"] * 4 + ["Infinity", "-Infinity", "1.0"]
+
+    # Inputs of one bit pattern take the path with no sort; the rest pin its edges.
+    _NANS = np.array([0x7FF8000000000000, 0x7FF8000000000001], dtype=np.uint64).view(np.float64)
+
+    @pytest.mark.parametrize("array", [
+        np.zeros(0),
+        np.full(7, 0.1),
+        np.broadcast_to(np.array([2.0 / 3.0]), (3_432,)),
+        np.full(5, -0.0),
+        np.array([-0.0, 0.0, -0.0]),
+        np.array([0.0, -0.0, 0.0]),
+        _NANS[[1, 1, 1]],
+        _NANS[[0, 1, 0]],
+        np.array([float("inf"), float("-inf"), float("inf")]),
+        np.broadcast_to(np.array([0.25, -0.5, 0.25]), (35, 3)),
+        np.broadcast_to(np.array([-1e-300]), (35, 3)),
+    ], ids=["empty", "constant", "stride-0", "negative-zeros", "zeros-negative-first",
+            "zeros-positive-first", "one-nan-payload", "two-nan-payloads", "infinities",
+            "gains", "constant-gains"])
+    def test_texts_are_the_values_bit_patterns(self, array):
+        calls = []
+
+        def spell(value):
+            calls.append(value)
+            return struct.pack(">d", value).hex()
+
+        bits = [format(pattern, "016x") for pattern in
+                np.ascontiguousarray(array).view(np.uint64).ravel().tolist()]
+        assert float_texts(array, spell) == bits
+        assert len(calls) == len(set(bits))
 
 
 def _positions(rows, width):
