@@ -259,10 +259,11 @@ class TestThresholdBytes:
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-    @pytest.mark.parametrize("argv, folded", [
-        (ARGV, True), (ARGV, False), (["threshold", "--n", "6", "--k", "3"], False),
+    @pytest.mark.parametrize("argv, folded, access_row", [
+        (ARGV, True, 0), (ARGV, False, 0), (["threshold", "--n", "6", "--k", "3"], False, 10),
     ], ids=["star-4-8", "star-4-8-unfolded", "chain-3-6"])
-    def test_starred_lines_name_the_reports_binding(self, capsys, monkeypatch, argv, folded):
+    def test_starred_lines_name_the_reports_binding(self, capsys, monkeypatch, argv, folded,
+                                                    access_row):
         # The table marks the rows combine's first-extreme rule picks, folded or not.
         reports, real_report = [], cli.keyrate_qss
         monkeypatch.setattr(cli, "keyrate_qss",
@@ -278,7 +279,7 @@ class TestThresholdBytes:
             lines = [line.split() for line in out.splitlines() if line.startswith(kind + " ")]
             starred[kind] = [j for j, line in enumerate(lines) if line[-1] == "*"]
             assert [lines[j][1] for j in starred[kind]] == ["{" + ",".join(binding) + "}"]
-        assert starred["access"] == ([10] if argv[2] == "6" else [0])
+        assert starred["access"] == [access_row]
 
     def test_text_and_json_build_no_joint_variable(self, capsys, monkeypatch):
         built, dicts, labelled = [], [], []
