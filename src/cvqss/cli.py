@@ -205,8 +205,8 @@ def cmd_sweep(args) -> int:
     # doubles (one point at least), and the text one piece per chunk, never joined:
     # memory is the output plus one chunk, whatever the grid and scheme. The kernel
     # blocks its own gathers, so a chunk's size is set by what its points hold.
-    access, _, honest = scheme._player_rows
-    points = max(1, SWEEP_CHUNK_DOUBLES // ((2 * args.n + 2) ** 2 + len(access) + len(honest)))
+    access, colluding = scheme._player_rows  # one honest side per collusion
+    points = max(1, SWEEP_CHUNK_DOUBLES // ((2 * args.n + 2) ** 2 + len(access) + len(colluding)))
     total = len(grid) * len(transmissivities)
     chunks = (_sweep_rows(args, scheme, grid[flat % len(grid)],
                           transmissivities[flat // len(grid)])

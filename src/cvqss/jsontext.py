@@ -13,7 +13,7 @@ interleaved into one list by slice assignment and joined once
 separators into the distinct texts beside them before they are gathered, and
 each distinct double of a per-structure array is spelled once, separator
 included (:func:`float_texts`): values tie bit for bit, and a folded side's
-one pattern takes no sort. Structures are written from their rows of player
+broadcast row takes no sort. Structures are written from their rows of player
 positions, two a column (:func:`_position_columns`), with no tuple built: a
 :class:`~cvqss.keyrate.ThresholdScheme` as its (k, n) and the lists of its
 1-based structures, and a per-structure map
@@ -47,13 +47,16 @@ def float_texts(array: np.ndarray, spell=_json_float) -> list:
     a value's JSON text.
 
     ``spell`` is called once per distinct bit pattern, so ``0.0`` and ``-0.0`` stay
-    apart, as do NaNs with different payloads; one pattern is spelled with no sort.
+    apart, as do NaNs with different payloads; one row broadcast along the first axis
+    (stride 0), as a folded side's spread, is spelled from that row with no sort.
     """
     array = np.asarray(array, dtype=np.float64)
-    bits = array.view(np.int64)
-    if bits.size and (bits == bits.flat[0]).all():  # a folded side's broadcast, say
-        return [spell(array.flat[0].item())] * bits.size
-    patterns, where = np.unique(bits.ravel(), return_inverse=True)
+    if array.ndim and not array.strides[0]:
+        row = array[:1].ravel()
+        bits = row.view(np.int64).tolist()
+        texts = {pattern: spell(value) for pattern, value in dict(zip(bits, row.tolist())).items()}
+        return list(map(texts.__getitem__, bits)) * len(array)
+    patterns, where = np.unique(array.view(np.int64).ravel(), return_inverse=True)
     spelled = np.array(list(map(spell, patterns.view(np.float64).tolist())), dtype=object)
     return spelled[where].tolist()
 
@@ -218,7 +221,7 @@ def json_text(value, pad: str = "\n") -> str:
                      columns[-1][-1][:-len(end)] + inner + "]" + pad + "]")
 
     def scheme(value, pad):
-        access, colluding, _ = value._player_rows
+        access, colluding = value._player_rows
         inner = pad + "  "
         return ("{" + inner + '"k": ' + text(value.k, inner) + "," + inner + '"n": '
                 + text(value.n, inner) + "," + inner + '"access_structures": '

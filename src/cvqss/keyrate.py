@@ -27,7 +27,7 @@ computed, all in bits per round with ideal reconciliation:
 
 :func:`key_rates` evaluates every term as arrays over a state stack (a
 sweep curve), one kernel call per side; :func:`keyrate_qss` is its report
-on one state, gains included.
+on one state, gains included, solved when first read (the text never does).
 A side whose one structure is every player stands in for the all-player
 inference of the eavesdropping bound, which is then not repeated: the access
 side at k = n, and the honest side of the one (empty) collusion at k = 1.
@@ -51,7 +51,7 @@ announcement map, and the dealer's quadratures are always literal.
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations
 from typing import NamedTuple
 
@@ -117,9 +117,10 @@ class ThresholdScheme:
     cannot evaluate is refused before any subset is built.
 
     ``_player_rows`` (not a field: unseen by equality, repr and hash) holds
-    (access, colluding, honest) arrays of 0-based positions: row s lists the
-    players in access structure s, in adversarial structure s and outside it.
-    The evaluator and every writer read these rows, never the tuples.
+    (access, colluding) arrays of 0-based positions: row s lists the players in
+    access structure s and in adversarial structure s, whose honest side is the
+    row's :func:`_complements`, built only where it is read. The evaluator and
+    every writer read these rows, never the tuples.
     """
 
     k: int
@@ -146,7 +147,7 @@ class ThresholdScheme:
                 f"(k, n) = ({k}, {n}) has {count} access and adversarial structures, "
                 f"over the budget of {MAX_STRUCTURES}")
         colluding, access = _subset_rows(n, k)
-        rows = (access, colluding, _complements(colluding, n))
+        rows = (access, colluding)
         for array in rows:
             array.setflags(write=False)
         object.__setattr__(self, "_player_rows", rows)
@@ -185,14 +186,26 @@ class _StructureMap(Mapping):
     with the dict. ``array`` holds one value per row, as an (S,) array, or for a gain
     map one gains row per structure, as an (S, g) array, which with the map's quadrature
     and the players at row s of ``estimators`` (distinct within a row) reads as a
-    :class:`JointVariable`. ``json_text`` and the text table write it from these arrays.
+    :class:`JointVariable`; a lone row, a folded side's, stands for every row. A gain map's
+    array and estimators may be zero-argument callables of data (``schur``'s deferred gains,
+    :func:`_complements`), resolved on first read. ``json_text`` and the text table write
+    it from these arrays.
     """
 
-    def __init__(self, names, rows: np.ndarray, array: np.ndarray, quadrature: str = None,
-                 estimators: np.ndarray = None):
+    def __init__(self, names, rows: np.ndarray, array, quadrature: str = None,
+                 estimators=None):
+        self.names, self.rows, self.quadrature = names, rows, quadrature
+        self._array, self._estimators = array, estimators  # a gain map's may be deferred
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        array = self._array() if callable(self._array) else self._array
         array.setflags(write=False)  # the dict, once built, must keep reading as the array
-        self.names, self.rows, self.array = names, rows, array
-        self.quadrature, self.estimators = quadrature, estimators  # a gain map's; else None
+        return np.broadcast_to(array, (len(self.rows), *array.shape[1:]))
+
+    @cached_property
+    def estimators(self) -> np.ndarray:  # a gain map's; else None
+        return self._estimators() if callable(self._estimators) else self._estimators
 
     @cached_property
     def _dict(self) -> dict:
@@ -233,8 +246,8 @@ class KeyRateReport:
     The six per-structure maps (mutual information, Holevo terms, conditional
     variances and gains, by access structure or collusion) are read-only
     ``Mapping`` views over the :func:`key_rates` arrays. Each builds its dict,
-    the two ``*_gains`` maps their :class:`JointVariable` s, only when first
-    read; the command line's text table and ``json_text`` write them from
+    the two ``*_gains`` maps their gains and :class:`JointVariable` s, only when
+    first read; the command line's text table and ``json_text`` write them from
     their arrays and build none.
 
     ``_everyone_variances`` (not a field: unseen by equality, repr and JSON)
@@ -360,10 +373,10 @@ def key_rates(state: GaussianState, layout: PartyLayout, scheme: ThresholdScheme
     if scheme.n != layout.num_players:
         raise ValueError(f"scheme expects {scheme.n} players but the layout has "
                          f"{layout.num_players}")
-    access, _, honest = scheme._player_rows
+    access, colluding = scheme._player_rows
     evaluated = slice(1) if _interchangeable(state, layout) else slice(None)
     access_side = _infer(state, layout, "x", access[evaluated])
-    adversarial_side = _infer(state, layout, "p", honest[evaluated])
+    adversarial_side = _infer(state, layout, "p", _complements(colluding[evaluated], scheme.n))
     # A side whose one row is every player is the all-player inference, bit for bit.
     everyone = np.arange(layout.num_players)[None]
     everyone_x = access_side if scheme.k == scheme.n else _infer(state, layout, "x", everyone)
@@ -373,20 +386,14 @@ def key_rates(state: GaussianState, layout: PartyLayout, scheme: ThresholdScheme
                     combine(everyone_x[1], everyone_x[0], everyone_p[0]), evaluated)
 
 
-def _spread(terms: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """A side's terms at its :class:`KeyRates` ``evaluated`` rows, one per row of ``rows``,
-    as a read-only view: a lone evaluated row, the first structure, stands for every row."""
-    return np.broadcast_to(terms, (len(rows), *terms.shape[1:]))
-
-
 def keyrate_eavesdropping(state: GaussianState, layout: PartyLayout) -> EavesdroppingReport:
     """Bound secure against external eavesdropping only.
 
     Both joint variables are optimal over *all* players.
     """
     layout.check_state(state)
-    (v_x, dealer_x, (x_gains,)), (v_p, dealer_p, (p_gains,)), bound = _everyone(state, layout)
-    (v_x,), (v_p,) = v_x.tolist(), v_p.tolist()
+    (v_x, dealer_x, x_gains), (v_p, dealer_p, p_gains), bound = _everyone(state, layout)
+    (v_x,), (v_p,), (x_gains,), (p_gains,) = v_x.tolist(), v_p.tolist(), x_gains(), p_gains()
     return EavesdroppingReport(
         rate=float(bound.rate),
         mutual_information=float(bound.access_bits[0]),
@@ -414,30 +421,27 @@ def keyrate_qss(state: GaussianState, layout: PartyLayout,
         rates.access, rates.adversarial)
     bound, evaluated = rates.combined, rates.evaluated
 
-    names, (access, colluding, honest) = layout.player_modes, scheme._player_rows
+    names, (access, colluding), n = layout.player_modes, scheme._player_rows, scheme.n
     # Player j alone dishonest: the all-player x side against the p side of every player
-    # but j, for k = 2 the adversarial structures' honest sides already.
-    others = _complements(np.arange(scheme.n)[:, None], scheme.n)
+    # but j, for k = 2 the adversarial structures' honest sides already. A side's evaluated
+    # rows stand for all of its structures, here and in the maps.
     single = adversarial_v if scheme.k == 2 else _infer(
-        state, layout, "p", others[evaluated])[0]
-    v_x = np.broadcast_to(rates.everyone_x[0], (scheme.n, 1))
-    dishonest = combine(np.full(scheme.n, dealer_x), v_x, _spread(single, others)[:, None])
-    access_v, access_bits, access_g = (_spread(terms, access) for terms in (
-        access_v, bound.access_bits, access_g))
-    adversarial_v, holevo, adversarial_g = (_spread(terms, honest) for terms in (
-        adversarial_v, bound.adversarial_holevo, adversarial_g))
+        state, layout, "p", _complements(np.arange(n)[evaluated, None], n))[0]
+    v_x = np.broadcast_to(rates.everyone_x[0], (n, 1))
+    dishonest = combine(np.full(n, dealer_x), v_x, single[:, None])
     report = KeyRateReport(
         scheme=scheme,
         combined_rate=float(bound.rate),
         positive=bool(bound.rate > 0.0),
         eavesdropping_rate=float(rates.eavesdropping.rate),
         dishonest_rates=dict(zip(names, dishonest.rate.tolist())),
-        access_mutual_information=_StructureMap(names, access, access_bits),
+        access_mutual_information=_StructureMap(names, access, bound.access_bits),
         access_conditional_variance=_StructureMap(names, access, access_v),
         access_gains=_StructureMap(names, access, access_g, "x", access),
-        adversarial_holevo=_StructureMap(names, colluding, holevo),
+        adversarial_holevo=_StructureMap(names, colluding, bound.adversarial_holevo),
         adversarial_conditional_variance=_StructureMap(names, colluding, adversarial_v),
-        adversarial_gains=_StructureMap(names, colluding, adversarial_g, "p", honest),
+        adversarial_gains=_StructureMap(names, colluding, adversarial_g, "p",
+                                        partial(_complements, colluding, n)),
         binding_access=_labels(names, access[[bound.binding_access]])[0],
         binding_adversarial=_labels(names, colluding[[bound.binding_adversarial]])[0],
         dealer_x_variance=dealer_x,

@@ -39,7 +39,7 @@ import numpy as np
 
 from .estimation import SCHUR_BLOCK_ROWS, JointVariable
 from .gaussian import GaussianState, Quadrature, UnphysicalStateError, validate
-from .keyrate import KeyRateReport, ThresholdScheme, _labels, combine, keyrate_qss
+from .keyrate import KeyRateReport, ThresholdScheme, _complements, _labels, combine, keyrate_qss
 from .states import PartyLayout
 
 #: Minimum sifted rounds required for a regression.
@@ -266,9 +266,10 @@ def run_protocol(
     total = key_grams[0]
     dealer_x_var = float((total[1, 1] - total[0, 1] ** 2 / total[0, 0]) / (total[0, 0] - 1))
 
-    access, _, honest = scheme._player_rows
+    access, colluding = scheme._player_rows
+    honest = _complements(colluding, scheme.n)
     access_labels, adversarial_labels, honest_labels = (
-        _labels(players, rows) for rows in scheme._player_rows)
+        _labels(players, rows) for rows in (access, colluding, honest))
     access_fits = _fit(*key_grams, "x", access, access_labels)
     adversarial_fits = _fit(*check_grams, "p", honest, honest_labels)
     bound = combine(dealer_x_var, [fit.variance for fit in access_fits],

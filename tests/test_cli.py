@@ -402,22 +402,52 @@ class TestKernelCalls:
         assert code == EXIT_OK
         assert len(calls) == count
 
-    def test_only_a_report_solves_for_gains(self, calls, monkeypatch, capsys):
-        # The sweep's stacks print no gains, so its kernel calls solve for none; the
-        # threshold report's calls, on one covariance, each solve once from their factors:
-        # (2, 2) has access, honest complements and all players in p.
+    def test_only_printed_gains_maps_are_solved(self, calls, monkeypatch, capsys):
+        # The sweep's stacks print no gains, so its kernel calls solve for none. A threshold
+        # report's calls, on one covariance, defer their gains: the text prints none and
+        # solves none, and the JSON solves each printed gains map once, one block of rows
+        # each here. (2, 2) has access, honest complements and all players in p, its maps
+        # one and two rows; a (4, 8) chain also all players in x and the eight single
+        # dishonest players, its maps 70 and 56 rows.
         solves, real_solve = [], np.linalg.solve
 
         def counted_solve(*args, **kwargs):
-            solves.append("solve")
+            solves.append(len(args[0]))
             return real_solve(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "solve", counted_solve)
         assert run(["sweep"], capsys)[0] == EXIT_OK
         assert solves == []
-        calls.clear()
-        assert run(["threshold"], capsys)[0] == EXIT_OK
-        assert len(calls) == 3 and solves == ["solve"] * 3
+        for argv, count, gains in ((["threshold"], 3, [1, 2]),
+                                   (["threshold", "--n", "8", "--k", "4", "--topology", "chain"],
+                                    5, [70, 56])):
+            calls.clear()
+            code, out, _ = run(argv, capsys)
+            assert code == EXIT_OK and "K = " in out
+            assert len(calls) == count and solves == []
+            code, out, _ = run([*argv, "--format", "json"], capsys)
+            assert code == EXIT_OK and out.count('"gains": {') == sum(gains)
+            assert len(calls) == 2 * count and solves == gains
+            solves.clear()
+
+    def test_folded_star_text_builds_no_complement_of_more_than_one_row(
+            self, monkeypatch, capsys):
+        # A folded side evaluates one honest side; the 3,003 of the (7, 14) star are built
+        # only where they are read, by the JSON's adversarial gains.
+        real, sizes = keyrate._complements, []
+
+        def counted(rows, n):
+            sizes.append(len(rows))
+            return real(rows, n)
+
+        monkeypatch.setattr(keyrate, "_complements", counted)
+        argv = ["threshold", "--n", "14", "--k", "7", "--topology", "star"]
+        code, out, _ = run(argv, capsys)
+        assert code == EXIT_OK and out.count("*\n") == 2
+        assert sizes and max(sizes) == 1
+        sizes.clear()
+        assert run([*argv, "--format", "json"], capsys)[0] == EXIT_OK
+        assert max(sizes) == 3003
 
     def test_folded_star_table_sorts_no_values(self, monkeypatch, capsys):
         # Both (7, 14) star sides are folded, so each value array is one bit pattern.

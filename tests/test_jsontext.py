@@ -136,7 +136,7 @@ class TestFloatTexts:
         array = np.concatenate([payloads, [float("inf"), float("-inf"), 1.0]])
         assert float_texts(array) == ["NaN"] * 4 + ["Infinity", "-Infinity", "1.0"]
 
-    # Inputs of one bit pattern take the path with no sort; the rest pin its edges.
+    # Bit patterns on either path: broadcast rows (stride 0) are spelled with no sort.
     _NANS = np.array([0x7FF8000000000000, 0x7FF8000000000001], dtype=np.uint64).view(np.float64)
 
     @pytest.mark.parametrize("array", [
@@ -165,6 +165,32 @@ class TestFloatTexts:
                 np.ascontiguousarray(array).view(np.uint64).ravel().tolist()]
         assert float_texts(array, spell) == bits
         assert len(calls) == len(set(bits))
+
+    @pytest.mark.parametrize("row", [
+        np.array([-0.0, 0.0, -0.0, 1.5]),
+        np.array([0.0, -0.0]),
+        _NANS[[0, 1, 1, 0]],
+        np.array([float("inf"), float("-inf"), 0.1, float("inf")]),
+        np.array([2.0 / 3.0]),
+    ], ids=["zeros-negative-first", "zeros-positive-first", "two-nan-payloads", "infinities",
+            "one-value"])
+    @pytest.mark.parametrize("shape", [(35,), (1,), (4, 3)], ids=["rows", "one-row", "3-d"])
+    def test_a_broadcast_row_is_spelled_from_the_row_with_no_sort(self, row, shape,
+                                                                  monkeypatch):
+        array = np.broadcast_to(row, (*shape, len(row)))
+        contiguous = np.ascontiguousarray(array)
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("sorted")
+
+        calls, real_unique = [], np.unique
+        monkeypatch.setattr(np, "unique", no_sort)
+        texts = float_texts(array, self.counting(calls))
+        json_texts = float_texts(array)
+        monkeypatch.setattr(np, "unique", real_unique)
+        assert texts == float_texts(contiguous, float.__repr__)
+        assert json_texts == float_texts(contiguous)
+        assert len(calls) == len(set(row.view(np.uint64).tolist()))
 
 
 def _positions(rows, width):

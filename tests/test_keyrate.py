@@ -104,16 +104,19 @@ class TestEnumeration:
         players = range(1, n + 1)
         assert scheme.access_structures == tuple(combinations(players, k))
         assert scheme.adversarial_structures == tuple(combinations(players, k - 1))
-        access, colluding, honest = scheme._player_rows
+        access, colluding = scheme._player_rows
+        honest = keyrate_module._complements(colluding, n)
         assert access.tolist() == (np.array(scheme.access_structures) - 1).tolist()
         assert [sorted(set(range(n)) - set(c)) for c in colluding.tolist()] == honest.tolist()
         groups = list(combinations(range(n), k - 1))
         expected = (np.array(list(combinations(range(n), k)), dtype=int),
                     np.array(groups, dtype=int).reshape(len(groups), k - 1),  # k = 1: one ()
                     np.array([[i for i in range(n) if i not in group] for group in groups]))
-        for rows, want in zip(scheme._player_rows, expected):
+        for rows, want in zip((access, colluding, honest), expected, strict=True):
             assert rows.dtype == want.dtype and rows.shape == want.shape
-            assert np.array_equal(rows, want) and not rows.flags.writeable
+            assert np.array_equal(rows, want)
+        # The scheme holds its access and colluding rows, read-only; honest sides are built.
+        assert [rows.flags.writeable for rows in scheme._player_rows] == [False, False]
         assert scheme == ThresholdScheme(k, n)
         with pytest.raises(TypeError):
             ThresholdScheme(k, n, scheme.access_structures, scheme.adversarial_structures)
@@ -387,13 +390,18 @@ def _reference_sides(state, layout, scheme):
               for s in scheme.adversarial_structures]
     x_side = schur_loop(state.cov, state.quad_index("A", "x"), indices(access, "x"))
     p_side = schur_loop(state.cov, state.quad_index("A", "p"), indices(honest, "p"))
-    return x_side, p_side
+    return x_side, p_side, honest
 
 
 def _assert_report_matches_loop(state, layout, scheme):
-    """keyrate_qss's per-structure variances and gains equal the loop reference bit for bit."""
+    """keyrate_qss's per-structure variances and gains equal the loop reference bit for bit,
+    and its gains' estimators are the access rows and the collusions' complements."""
     report = keyrate_qss(state, layout, scheme)
-    (x_var, x_gains, _), (p_var, p_gains, _) = _reference_sides(state, layout, scheme)
+    (x_var, x_gains, _), (p_var, p_gains, _), honest = _reference_sides(state, layout, scheme)
+    access, colluding = scheme._player_rows
+    assert np.array_equal(report.access_gains.estimators, access)
+    assert np.array_equal(report.adversarial_gains.estimators,
+                          keyrate_module._complements(colluding, scheme.n))
     assert np.array_equal(list(report.access_conditional_variance.values()), x_var)
     assert np.array_equal(
         [list(g.gains.values()) for g in report.access_gains.values()], x_gains)
@@ -402,9 +410,10 @@ def _assert_report_matches_loop(state, layout, scheme):
         [list(g.gains.values()) for g in report.adversarial_gains.values()], p_gains)
     for players, gains in report.access_gains.items():
         assert tuple(gains.gains) == players and gains.quadrature == "x"
-    for colluders, gains in report.adversarial_gains.items():
+    for (colluders, gains), players in zip(report.adversarial_gains.items(), honest,
+                                           strict=True):
         assert set(gains.gains).isdisjoint(colluders) and gains.quadrature == "p"
-        assert len(gains.gains) == scheme.n - len(colluders)
+        assert tuple(gains.gains) == players and len(players) == scheme.n - len(colluders)
 
 
 class TestBatchedStructures:
@@ -414,6 +423,7 @@ class TestBatchedStructures:
         (14, 7, star_topology),
         (4, 2, star_topology),
         (6, 3, chain_topology),
+        (5, 1, star_topology),
         (5, 1, chain_topology),
         (5, 5, star_topology),
         (5, 5, chain_topology),
@@ -425,7 +435,8 @@ class TestBatchedStructures:
     def test_each_estimator_set_is_factored_once(self, monkeypatch):
         # A chain's players are not interchangeable, so a (4, 8) report evaluates
         # C(8, 4) access rows, C(8, 3) honest sides, all players in x and in p, and the
-        # eight single dishonest players, and its gains come from the same factors.
+        # eight single dishonest players. Its gains are solved only when a gain map is
+        # read, from its sides' blocks factored again.
         state, layout = _kn_state(8, chain_topology, transmissivity=0.9)
         assert not keyrate_module._interchangeable(state, layout)
         cholesky, blocks = np.linalg.cholesky, []
@@ -435,8 +446,29 @@ class TestBatchedStructures:
             return cholesky(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
-        keyrate_qss(state, layout, ThresholdScheme(4, 8))
+        report = keyrate_qss(state, layout, ThresholdScheme(4, 8))
         assert blocks == [70, 56, 1, 1, 8]
+        report.adversarial_gains.array, report.access_gains.array
+        assert blocks == [70, 56, 1, 1, 8, 56, 70]
+        dict(report.access_gains), dict(report.adversarial_gains)  # resolved once
+        assert blocks == [70, 56, 1, 1, 8, 56, 70]
+
+    def test_a_report_retains_less_than_its_blocks_factors(self):
+        # Deferred gains hold the covariance and the estimator rows, never the factors:
+        # a (4, 8) chain's blocks' factors, (g + 1)^2 doubles a row, hold 35,520 bytes.
+        state, layout = _kn_state(8, chain_topology, transmissivity=0.9)
+        scheme = ThresholdScheme(4, 8)
+        keyrate_qss(state, layout, scheme)  # warm every cache first
+        factors = 8 * (70 * 5**2 + 56 * 6**2 + 2 * 9**2 + 8 * 8**2)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = keyrate_qss(state, layout, scheme)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert "array" not in vars(report.access_gains)
+        assert 0 < retained < factors, (retained, factors)
 
     @pytest.mark.parametrize("n, k, topology", [
         (5, 3, chain_topology), (4, 1, star_topology), (6, 6, star_topology)])
@@ -446,8 +478,9 @@ class TestBatchedStructures:
         colluding = list(combinations(modes, k - 1))
         expected = (list(combinations(modes, k)), colluding,
                     [tuple(m for m in modes if m not in group) for group in colluding])
-        labels = tuple(keyrate_module._labels(modes, rows)
-                       for rows in ThresholdScheme(k, n)._player_rows)
+        access, colluding = ThresholdScheme(k, n)._player_rows
+        labels = tuple(keyrate_module._labels(modes, rows) for rows in (
+            access, colluding, keyrate_module._complements(colluding, n)))
         assert labels == expected
         assert {type(label) for side in labels for label in side} == {tuple}
 
@@ -578,7 +611,7 @@ class TestInterchangeable:
     def test_each_inference_evaluates_one_row(self, monkeypatch):
         # Access, adversarial, all-player x and p, and single dishonest players:
         # five rows in all, against 1,730 (12 players) and 6,451 (14) structure rows,
-        # each factored once: the report's gains come from the same factors.
+        # each factored once: the report's gains are solved only when read.
         real_schur, cholesky, rows, blocks = keyrate_module.schur, np.linalg.cholesky, [], []
 
         def counting_schur(cov, target_idx, estimator_idx, labels):
@@ -650,6 +683,21 @@ class TestReportValue:
                 view.array[0] = 0.0
         assert report == keyrate_qss(state, layout, scheme)
         assert report != keyrate_qss(*_kn_state(6, chain_topology, r=1.0), scheme)
+
+    @pytest.mark.parametrize("topology", [star_topology, chain_topology])
+    def test_a_report_copied_before_any_gains_read_gives_equal_gains(self, topology):
+        state, layout = _kn_state(6, topology)
+        report = keyrate_qss(state, layout, ThresholdScheme(3, 6))
+        copies = pickle.loads(pickle.dumps(report)), copy.deepcopy(report)
+        for field in ("access_gains", "adversarial_gains"):
+            gains = getattr(report, field)
+            for copied in (getattr(other, field) for other in copies):
+                assert "array" not in vars(copied) and "estimators" not in vars(copied)
+                assert copied.array.tobytes() == gains.array.tobytes()
+                assert copied.array.shape == gains.array.shape
+                assert np.array_equal(copied.estimators, gains.estimators)
+                assert copied == gains and repr(copied) == repr(gains)
+        assert all(copied == report for copied in copies)
 
     def test_json_does_not_depend_on_reading_the_gains_first(self):
         unread, read = self._report(), self._report()
@@ -732,7 +780,7 @@ class TestCombine:
         cases = [(k, n) for n in range(2, 17) for k in range(1, n + 1)]
         cases += [(k, n) for n in range(17, 25) for k in (1, 2, n - 1, n)]
         for k, n in cases:
-            honest = ThresholdScheme(k, n)._player_rows[2]
+            honest = keyrate_module._complements(ThresholdScheme(k, n)._player_rows[1], n)
             assert np.array_equal(honest, keyrate_module._subset_rows(n, n - k + 1)[1][::-1])
 
     @pytest.mark.parametrize("n, k, topology", [

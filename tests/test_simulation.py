@@ -25,7 +25,7 @@ from cvqss import (
 )
 from cvqss import simulation
 from cvqss.estimation import SCHUR_BLOCK_ROWS
-from cvqss.keyrate import _labels, combine
+from cvqss.keyrate import _complements, _labels, combine
 from helpers import (
     chain_expected_variances,
     design_gram,
@@ -93,10 +93,13 @@ def structure_fit_z(state, layout, scheme, analytic, rounds, seed):
     patterns = [announced_pattern(layout, "x"), announced_pattern(layout, "p")]
     _, (key, check) = simulation._revealed_grams(state, patterns, rounds, 1.0, 0.5, seed)
     players = layout.player_modes
-    access, adversarial, honest = (_labels(players, rows) for rows in scheme._player_rows)
-    pairs = [*zip(simulation._fit(*key, "x", scheme._player_rows[0], access),
+    access_rows, colluding = scheme._player_rows
+    honest_rows = _complements(colluding, scheme.n)
+    access, adversarial, honest = (_labels(players, rows)
+                                   for rows in (access_rows, colluding, honest_rows))
+    pairs = [*zip(simulation._fit(*key, "x", access_rows, access),
                   (analytic.access_conditional_variance[s] for s in access)),
-             *zip(simulation._fit(*check, "p", scheme._player_rows[2], honest),
+             *zip(simulation._fit(*check, "p", honest_rows, honest),
                   (analytic.adversarial_conditional_variance[s] for s in adversarial))]
     return [(fit.variance - variance) / fit.standard_error for fit, variance in pairs]
 
@@ -460,7 +463,8 @@ class TestRegressionKernel:
         _, designs = revealed_designs(state, patterns, rounds, 0.5, 0.5, seed)
         everyone = layout.player_modes
         column = {player: j for j, player in enumerate(everyone, start=2)}
-        access_rows, _, honest_rows = ThresholdScheme(2, players)._player_rows
+        access_rows, colluding = ThresholdScheme(2, players)._player_rows
+        honest_rows = _complements(colluding, players)
 
         for design, basis, rows in zip(designs, "xp", (access_rows, honest_rows)):
             gram = design_gram(design)
