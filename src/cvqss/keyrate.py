@@ -199,7 +199,7 @@ class _StructureMap(Mapping):
 
     @cached_property
     def array(self) -> np.ndarray:
-        array = self._array() if callable(self._array) else self._array
+        array = self._array = self._array() if callable(self._array) else self._array
         array.setflags(write=False)  # the dict, once built, must keep reading as the array
         return np.broadcast_to(array, (len(self.rows), *array.shape[1:]))
 
