@@ -17,8 +17,7 @@ decomposition per block of SCHUR_BLOCK_ROWS rows, so a (k, n) scheme's
 C(n, k) access structures cost a few numpy calls instead of a Python loop;
 a stack of covariances, one per grid point, shares the same blocks. The
 factor's last row holds l = L^-1 c, so the conditional variance is
-V - l.l and the gains, for one covariance but not a stack, are L^-T l,
-solved only when read, from the blocks factored again.
+V - l.l and the gains, for one covariance but not a stack, are L^-T l.
 Cholesky is backward stable on positive definite blocks (Higham, Accuracy
 and Stability of Numerical Algorithms, 2nd ed., ch. 10), so each variance is
 accurate to about eps * V, relative to v that is eps * V / v. A block that
@@ -33,7 +32,6 @@ information instead.
 """
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import product
 from typing import Mapping
 
@@ -93,9 +91,9 @@ def schur(cov: np.ndarray, target_idx: int, estimator_idx: np.ndarray, labels=()
     conditional variance is V - l.l, l the last row of the Cholesky factor of
     the set's block bordered by the target; V - l.l is at most V bit for bit,
     which the squared last pivot is not where c = 0. Its gains L^-T l come from
-    the same factorisation, for one covariance only: a stack is a sweep grid,
-    which prints no gains, and its gains would hold g doubles per row and point,
-    g times its variances. A row's result never depends on the other rows.
+    the same factor, for one covariance only: a stack is a sweep grid, which
+    prints no gains, and its gains would hold g doubles per row and point, g
+    times its variances. A row's result never depends on the other rows.
 
     Args:
         cov: Covariance matrix, or a (..., d, d) stack of them.
@@ -108,9 +106,7 @@ def schur(cov: np.ndarray, target_idx: int, estimator_idx: np.ndarray, labels=()
     Returns:
         (conditional_variances, unconditional_variance, gains): a (..., S)
         array; the target's variance, a (...) array for a stack or a float;
-        and a zero-argument callable, holding the covariance and rows but no
-        factor, that factors the blocks again and returns the (S, g) gains
-        aligned with ``estimator_idx`` (most reports print none); None for a stack.
+        and an (S, g) array aligned with ``estimator_idx``, None for a stack.
 
     Raises:
         ValueError: for a block that is not positive definite to double
@@ -130,33 +126,15 @@ def schur(cov: np.ndarray, target_idx: int, estimator_idx: np.ndarray, labels=()
     if np.count_nonzero(seen) != idx.size:
         raise ValueError("estimator coordinates must be distinct within a row")
     stack = cov.reshape((-1,) + cov.shape[-2:])
-    bordered = np.concatenate((idx, np.full((len(idx), 1), target_idx)), axis=1)
-    lengths = []
-    for factors in _factors(stack, target_idx, bordered, labels):
-        # l = L^-1 c, the last row. numpy sums each l.l along its contiguous axis in
-        # one fixed order, whatever the batch, and without BLAS.
-        last = factors[:, -1, :-1]
-        lengths.append((last * last).sum(axis=-1))
-    leading = cov.shape[:-2]
+    count, width = idx.shape
     v_target = stack[:, target_idx, target_idx]
-    v_target = v_target.reshape(leading) if leading else float(v_target[0])
-    lengths = np.concatenate(lengths).reshape(leading + (len(idx),))
-    return (np.asarray(v_target)[..., None] - lengths, v_target,
-            None if leading else partial(_gains, stack, target_idx, bordered, labels))
-
-
-def _factors(stack: np.ndarray, target_idx: int, bordered: np.ndarray, labels):
-    """The Cholesky factors of the ``bordered`` rows' blocks of the (points, d, d) ``stack``,
-    one array per block, or the ValueError that names the first block with none."""
-    count, width = bordered.shape
+    bordered = np.concatenate((idx, np.full((count, 1), target_idx)), axis=1)
     # Whole covariances per block where their rows fit.
     points = max(1, SCHUR_BLOCK_ROWS // count)
-    flat, d = stack.reshape(len(stack), -1), stack.shape[-1]
+    lengths, gains = [], []
     for first, start in product(range(0, len(stack), points), range(0, count, SCHUR_BLOCK_ROWS)):
-        rows = bordered[start:start + SCHUR_BLOCK_ROWS]
-        # One take of flat indices copies what two index arrays would, in about half the time.
-        blocks = flat[first:first + points].take(rows[:, :, None] * d + rows[:, None, :], axis=1)
-        blocks = blocks.reshape(-1, width, width)
+        block, rows = stack[first:first + points], bordered[start:start + SCHUR_BLOCK_ROWS]
+        blocks = block[:, rows[:, :, None], rows[:, None, :]].reshape(-1, width + 1, width + 1)
         try:
             factors = np.linalg.cholesky(blocks)
         except np.linalg.LinAlgError:
@@ -169,16 +147,18 @@ def _factors(stack: np.ndarray, target_idx: int, bordered: np.ndarray, labels):
             names = ", ".join(_coordinate(labels, i) for i in rows[row, :-1])
             raise ValueError(
                 f"V({_coordinate(labels, target_idx)} | {names}) at target variance "
-                f"{stack[first + point, target_idx, target_idx]:.6g} has no Cholesky factor: "
-                "the squeezing is beyond what double precision resolves, or the estimators "
-                "are linearly dependent") from None
-        yield factors
-
-
-def _gains(stack: np.ndarray, target_idx: int, bordered: np.ndarray, labels) -> np.ndarray:
-    """:func:`schur`'s deferred gains L^-T l on one covariance, an (S, g) array: each
-    block is gathered and factored again, as its variances were, then solved."""
-    return np.concatenate([
-        np.linalg.solve(factors[:, :-1, :-1].transpose(0, 2, 1),
-                        factors[:, -1, :-1, None])[..., 0]
-        for factors in _factors(stack, target_idx, bordered, labels)])
+                f"{v_target[first + point]:.6g} has no Cholesky factor: the squeezing is "
+                "beyond what double precision resolves, or the estimators are linearly "
+                "dependent") from None
+        # l = L^-1 c, the last row. numpy sums each l.l along its contiguous axis in
+        # one fixed order, whatever the batch, and without BLAS.
+        last = factors[:, -1, :-1]
+        lengths.append((last * last).sum(axis=-1))
+        if cov.ndim == 2:
+            gains.append(np.linalg.solve(factors[:, :-1, :-1].transpose(0, 2, 1),
+                                         last[..., None])[..., 0])
+    leading = cov.shape[:-2]
+    v_target = v_target.reshape(leading) if leading else float(v_target[0])
+    lengths = np.concatenate(lengths).reshape(leading + (count,))
+    return (np.asarray(v_target)[..., None] - lengths, v_target,
+            np.concatenate(gains) if gains else None)

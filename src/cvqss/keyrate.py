@@ -27,7 +27,7 @@ computed, all in bits per round with ideal reconciliation:
 
 :func:`key_rates` evaluates every term as arrays over a state stack (a
 sweep curve), one kernel call per side; :func:`keyrate_qss` is its report
-on one state, gains included, solved when first read (the text never does).
+on one state, gains included.
 A side whose one structure is every player stands in for the all-player
 inference of the eavesdropping bound, which is then not repeated: the access
 side at k = n, and the honest side of the one (empty) collusion at k = 1.
@@ -186,25 +186,21 @@ class _StructureMap(Mapping):
     with the dict. ``array`` holds one value per row, as an (S,) array, or for a gain
     map one gains row per structure, as an (S, g) array, which with the map's quadrature
     and the players at row s of ``estimators`` (distinct within a row) reads as a
-    :class:`JointVariable`; a lone row, a folded side's, stands for every row. A gain map's
-    array and estimators may be zero-argument callables of data (``schur``'s deferred gains,
-    :func:`_complements`), resolved on first read. ``json_text`` and the text table write
-    it from these arrays.
+    :class:`JointVariable`; a lone row, a folded side's, stands for every row, as a
+    read-only view. A gain map's ``estimators`` may be a zero-argument callable of data
+    (a :func:`_complements` ``partial``), built on first read. ``json_text`` and the text
+    table write it from these arrays.
     """
 
-    def __init__(self, names, rows: np.ndarray, array, quadrature: str = None,
+    def __init__(self, names, rows: np.ndarray, array: np.ndarray, quadrature: str = None,
                  estimators=None):
-        self.names, self.rows, self.quadrature = names, rows, quadrature
-        self._array, self._estimators = array, estimators  # a gain map's may be deferred
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        array = self._array = self._array() if callable(self._array) else self._array
         array.setflags(write=False)  # the dict, once built, must keep reading as the array
-        return np.broadcast_to(array, (len(self.rows), *array.shape[1:]))
+        self.names, self.rows, self.quadrature = names, rows, quadrature
+        self.array = np.broadcast_to(array, (len(rows), *array.shape[1:]))
+        self._estimators = estimators  # a gain map's; else None
 
     @cached_property
-    def estimators(self) -> np.ndarray:  # a gain map's; else None
+    def estimators(self) -> np.ndarray:
         return self._estimators() if callable(self._estimators) else self._estimators
 
     @cached_property
@@ -246,8 +242,8 @@ class KeyRateReport:
     The six per-structure maps (mutual information, Holevo terms, conditional
     variances and gains, by access structure or collusion) are read-only
     ``Mapping`` views over the :func:`key_rates` arrays. Each builds its dict,
-    the two ``*_gains`` maps their gains and :class:`JointVariable` s, only when
-    first read; the command line's text table and ``json_text`` write them from
+    the two ``*_gains`` maps their :class:`JointVariable` s, only when first
+    read; the command line's text table and ``json_text`` write them from
     their arrays and build none.
 
     ``_everyone_variances`` (not a field: unseen by equality, repr and JSON)
@@ -392,8 +388,8 @@ def keyrate_eavesdropping(state: GaussianState, layout: PartyLayout) -> Eavesdro
     Both joint variables are optimal over *all* players.
     """
     layout.check_state(state)
-    (v_x, dealer_x, x_gains), (v_p, dealer_p, p_gains), bound = _everyone(state, layout)
-    (v_x,), (v_p,), (x_gains,), (p_gains,) = v_x.tolist(), v_p.tolist(), x_gains(), p_gains()
+    (v_x, dealer_x, (x_gains,)), (v_p, dealer_p, (p_gains,)), bound = _everyone(state, layout)
+    (v_x,), (v_p,) = v_x.tolist(), v_p.tolist()
     return EavesdroppingReport(
         rate=float(bound.rate),
         mutual_information=float(bound.access_bits[0]),

@@ -420,13 +420,12 @@ def schur_loop(cov: np.ndarray, target_idx: int, estimator_idx) -> tuple:
 
     The unbatched reference for ``cvqss.estimation.schur`` on one matrix: its
     return values as (variances, gains, target variance), each row from a lone
-    one-row call, its deferred gains resolved at once. It checks that batching
-    moves no bit; the closed forms and the 50-digit solves check the arithmetic.
+    one-row call. It checks that batching moves no bit; the closed forms and
+    the 50-digit solves check the arithmetic.
     """
     variances, gains = [], []
     for row in np.asarray(estimator_idx):
-        (v,), v_target, deferred = schur(cov, target_idx, [row])
-        (g,) = deferred()
+        (v,), v_target, (g,) = schur(cov, target_idx, [row])
         variances.append(v)
         gains.append(g)
     return np.array(variances), np.array(gains), v_target

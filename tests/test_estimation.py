@@ -84,7 +84,6 @@ class TestOptimalEstimator:
     def test_single_mode_matches_fixed(self):
         state = two_mode_squeezed(0.8)
         v, _, gains = schur(state.cov, state.quad_index("A", "x"), rows(state, ("B", "x")))
-        gains = gains()
         fixed = conditional_variance_fixed(state, ("A", "x"), JointVariable("x", {"B": gains[0, 0]}))
         assert v[0] == pytest.approx(fixed, abs=1e-12)
         expected_gain = (covariance(state, ("A", "x"), ("B", "x"))
@@ -96,7 +95,7 @@ class TestOptimalEstimator:
         state, _ = build_three_mode_chain(r, transmissivity)
         estimators = rows(state, ("B", "p"), ("C", "p"))
         v, _, gains = schur(state.cov, state.quad_index("A", "p"), estimators)
-        optimal = JointVariable("p", dict(zip(["B", "C"], gains()[0])))
+        optimal = JointVariable("p", dict(zip(["B", "C"], gains[0])))
         fixed = conditional_variance_fixed(state, ("A", "p"), optimal)
         assert fixed == pytest.approx(v[0], abs=1e-12)
 
@@ -135,7 +134,6 @@ class TestMixedCoordinates:
         state, _ = build_three_mode_chain(r, 1.0)
         estimators = rows(state, ("B", "p"), ("C", "x"))
         v_cond, v_unc, gains = schur(state.cov, state.quad_index("A", "x"), estimators)
-        gains = gains()
         assert v_cond[0] == pytest.approx(1.0 / (4.0 * math.cosh(2 * r)), rel=1e-12)
         assert v_unc == pytest.approx(0.5 * math.exp(2 * r), rel=1e-12)
         assert gains[0, 0] == pytest.approx(-gains[0, 1], rel=1e-12)
@@ -225,7 +223,6 @@ class TestSchurKernel:
         rows = np.array([rng.choice(candidates, 4, replace=False)
                          for _ in range(2 * SCHUR_BLOCK_ROWS + 3)])
         variances, _, gains = schur(state.cov, t, rows)
-        gains = gains()
         ref_variances, ref_gains, _ = schur_loop(state.cov, t, rows)
         assert np.array_equal(variances, ref_variances)
         assert np.array_equal(gains, ref_gains)
@@ -252,7 +249,6 @@ class TestSchurKernel:
         for cov, target, rows in ((state.cov, t, repeated),
                                   (chain_state.cov, chain_t, chain_rows)):
             variances, _, gains = schur(cov, target, rows)
-            gains = gains()
             ref_variances, ref_gains, _ = schur_loop(cov, target, rows)
             assert np.array_equal(variances, ref_variances)
             assert np.array_equal(gains, ref_gains)

@@ -435,8 +435,7 @@ class TestBatchedStructures:
     def test_each_estimator_set_is_factored_once(self, monkeypatch):
         # A chain's players are not interchangeable, so a (4, 8) report evaluates
         # C(8, 4) access rows, C(8, 3) honest sides, all players in x and in p, and the
-        # eight single dishonest players. Its gains are solved only when a gain map is
-        # read, from its sides' blocks factored again.
+        # eight single dishonest players, and its gains come from the same factors.
         state, layout = _kn_state(8, chain_topology, transmissivity=0.9)
         assert not keyrate_module._interchangeable(state, layout)
         cholesky, blocks = np.linalg.cholesky, []
@@ -446,29 +445,8 @@ class TestBatchedStructures:
             return cholesky(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
-        report = keyrate_qss(state, layout, ThresholdScheme(4, 8))
+        keyrate_qss(state, layout, ThresholdScheme(4, 8))
         assert blocks == [70, 56, 1, 1, 8]
-        report.adversarial_gains.array, report.access_gains.array
-        assert blocks == [70, 56, 1, 1, 8, 56, 70]
-        dict(report.access_gains), dict(report.adversarial_gains)  # resolved once
-        assert blocks == [70, 56, 1, 1, 8, 56, 70]
-
-    def test_a_report_retains_less_than_its_blocks_factors(self):
-        # Deferred gains hold the covariance and the estimator rows, never the factors:
-        # a (4, 8) chain's blocks' factors, (g + 1)^2 doubles a row, hold 35,520 bytes.
-        state, layout = _kn_state(8, chain_topology, transmissivity=0.9)
-        scheme = ThresholdScheme(4, 8)
-        keyrate_qss(state, layout, scheme)  # warm every cache first
-        factors = 8 * (70 * 5**2 + 56 * 6**2 + 2 * 9**2 + 8 * 8**2)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            report = keyrate_qss(state, layout, scheme)
-            retained = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert "array" not in vars(report.access_gains)
-        assert 0 < retained < factors, (retained, factors)
 
     @pytest.mark.parametrize("n, k, topology", [
         (5, 3, chain_topology), (4, 1, star_topology), (6, 6, star_topology)])
@@ -611,7 +589,7 @@ class TestInterchangeable:
     def test_each_inference_evaluates_one_row(self, monkeypatch):
         # Access, adversarial, all-player x and p, and single dishonest players:
         # five rows in all, against 1,730 (12 players) and 6,451 (14) structure rows,
-        # each factored once: the report's gains are solved only when read.
+        # each factored once: the report's gains come from the same factors.
         real_schur, cholesky, rows, blocks = keyrate_module.schur, np.linalg.cholesky, [], []
 
         def counting_schur(cov, target_idx, estimator_idx, labels):
@@ -686,13 +664,14 @@ class TestReportValue:
 
     @pytest.mark.parametrize("topology", [star_topology, chain_topology])
     def test_a_report_copied_before_any_gains_read_gives_equal_gains(self, topology):
+        # The adversarial gains' estimator rows are built on first read, copied or not.
         state, layout = _kn_state(6, topology)
         report = keyrate_qss(state, layout, ThresholdScheme(3, 6))
         copies = pickle.loads(pickle.dumps(report)), copy.deepcopy(report)
         for field in ("access_gains", "adversarial_gains"):
             gains = getattr(report, field)
             for copied in (getattr(other, field) for other in copies):
-                assert "array" not in vars(copied) and "estimators" not in vars(copied)
+                assert "estimators" not in vars(copied)
                 assert copied.array.tobytes() == gains.array.tobytes()
                 assert copied.array.shape == gains.array.shape
                 assert np.array_equal(copied.estimators, gains.estimators)
