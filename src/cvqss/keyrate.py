@@ -33,7 +33,8 @@ inference of the eavesdropping bound, which is then not repeated: the access
 side at k = n, and the honest side of the one (empty) collusion at k = 1.
 Where every player permutation leaves the announcement map and each
 covariance unchanged bit for bit, as on a star, a side's structures are one
-inference: each side evaluates its first structure only.
+inference: each side evaluates its first structure only, and the honest side
+is built for the first collusion alone.
 :func:`combine` is the one reduction from conditional variances to these
 rates, over any leading axes, for the empirical ones of
 :func:`~cvqss.simulation.run_protocol` too.
