@@ -13,25 +13,26 @@ such a stage would need).
 
 Simulation device, not physics: :func:`run_protocol` draws the key,
 check and other round counts from one multinomial law, then only what the
-regressions read of the revealed key and check rounds: the Gram matrix of
-each pattern's design rows (1, outcomes of the m measured quadratures).
-N iid N(mu, F F^T) rows have sum N mu + sqrt(N) F z and, independently,
-scatter F B B^T F^T about their mean, B the Bartlett factor of a
-Wishart(N - 1, I) matrix (Odell and Feiveson, JASA 61, 199 (1966)). Drawing
-those gives the Gram matrix its rows' law in O(m^2) draws whatever the
-round count; the fits batch one side's structures on sub-blocks,
-SCHUR_BLOCK_ROWS at a time. The rows are Gaussian, so each residual
-variance's error is its exact chi-squared law's, not a resampling estimate.
+regressions read of the revealed key and check rounds: each pattern's
+scatter of its m measured quadratures about their mean, all that a fit with
+an intercept reads of its rows (Frisch-Waugh-Lovell), so no fit depends on
+the state's mean. N iid N(mu, F F^T) rows have scatter F B B^T F^T, B the
+Bartlett factor of a Wishart(N - 1, I) matrix (Odell and Feiveson, JASA 61,
+199 (1966)). Drawing it gives the fits their rows' law in O(m^2) draws
+whatever the round count; the fits batch one side's structures on
+sub-blocks, SCHUR_BLOCK_ROWS at a time. The rows are Gaussian, so each
+residual variance's error is its exact chi-squared law's, not resampled.
 
 Determinism contract: a protocol run is a pure function of (state,
 layout, scheme, rounds, reveal fraction, basis probability, seed).
 One PCG64 stream seeded with ``seed`` draws, in this order, the pattern
-counts, then for the key and then the check pattern: the sum's m normals,
-the m Bartlett chi-squares on the diagonal, then the m(m - 1)/2 normals
-below it in row-major order.
+counts, then for the key and then the check pattern: the sum's m normals
+(unread, drawn to keep each seed's scatter), the m Bartlett chi-squares on
+the diagonal, then the m(m - 1)/2 normals below it in row-major order.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -76,8 +77,10 @@ def _pattern_probability(required: Mapping, basis_probability: float) -> float:
 
 
 def _check_sampling(state: GaussianState, rounds: int, basis_probability: float) -> None:
-    """Reject rounds outside [1, int64 max], a basis probability outside (0, 1)
-    and a state that :func:`~cvqss.gaussian.validate` calls unphysical."""
+    """Reject rounds that are not an int in [1, int64 max], a basis probability
+    outside (0, 1) and a state that :func:`~cvqss.gaussian.validate` calls unphysical."""
+    if not isinstance(rounds, numbers.Integral):  # numpy would truncate it in silence
+        raise ValueError(f"rounds must be an integer, got {rounds!r}")
     if rounds < 1:
         raise ValueError("need at least one round")
     if rounds > _MAX_ROUNDS:
@@ -103,38 +106,37 @@ class EmpiricalConditioning:
     rounds_used: int
 
 
-def _fit(gram: np.ndarray, rows: int, target_basis: Quadrature, positions: np.ndarray,
+def _fit(scatter: np.ndarray, rows: int, target_basis: Quadrature, positions: np.ndarray,
          groups: Sequence) -> list:
-    """Least-squares fits of the target on each estimator group of ``groups``.
+    """Least-squares fits, intercept included, of the target on each group of ``groups``.
 
-    The design's columns are the intercept, the target, then the parties;
-    group s is the parties at the 0-based positions in row s of ``positions``.
-    ``gram`` is the design's Gram matrix over N = ``rows`` rows. All groups have the
-    same size, so each chunk of SCHUR_BLOCK_ROWS of them is one batched
-    solve. The residual variance v uses 1/(N - d) with d fitted parameters.
-    The rows are Gaussian, so (N - d) v / V(target | group) is chi-squared
-    with N - d degrees of freedom and v's standard error is v sqrt(2 / (N - d))
-    (Leverrier, Grosshans and Grangier, PRA 81, 062343 (2010)); the gains'
-    errors are the usual OLS ones.
+    ``scatter`` is the N = ``rows`` rows' scatter about their mean, the target's
+    column first, then the parties; group s is the parties at the 0-based positions
+    in row s of ``positions``. All groups have the same size g, so each chunk of
+    SCHUR_BLOCK_ROWS of them is one batched solve on its g-square block. The residual
+    variance v uses 1/(N - d) with d = g + 1 fitted parameters. The rows are Gaussian,
+    so (N - d) v / V(target | group) is chi-squared with N - d degrees of freedom and
+    v's standard error is v sqrt(2 / (N - d)) (Leverrier, Grosshans and Grangier,
+    PRA 81, 062343 (2010)); the gains' errors, from the block's inverse diagonal,
+    are the usual OLS ones.
     """
-    columns = np.zeros((len(positions), positions.shape[1] + 1), dtype=int)
-    columns[:, 1:] = 2 + positions  # after the intercept and the target
+    columns = 1 + positions  # after the target
+    dof = rows - columns.shape[1] - 1
     fits = []
     for start in range(0, len(groups), SCHUR_BLOCK_ROWS):
         chunk = groups[start:start + SCHUR_BLOCK_ROWS]
         c = columns[start:start + SCHUR_BLOCK_ROWS]
-        block = gram[c[:, :, None], c[:, None, :]]
-        moment = gram[c, 1]
+        block = scatter[c[:, :, None], c[:, None, :]]
+        moment = scatter[c, 0]
         coeffs = np.linalg.solve(block, moment[..., None])[..., 0]
-        dof = rows - c.shape[1]
-        variances = (gram[1, 1] - (coeffs * moment).sum(axis=-1)) / dof
+        variances = (scatter[0, 0] - (coeffs * moment).sum(axis=-1)) / dof
         se = variances * math.sqrt(2.0 / dof)
         gain_se = np.sqrt(variances[:, None] * np.linalg.inv(block).diagonal(0, 1, 2))
         fits += [EmpiricalConditioning(
             variance=float(variances[s]),
-            gains=JointVariable(target_basis, dict(zip(group, coeffs[s, 1:]))),
+            gains=JointVariable(target_basis, dict(zip(group, coeffs[s]))),
             standard_error=float(se[s]),
-            gain_standard_errors=dict(zip(group, gain_se[s, 1:])),
+            gain_standard_errors=dict(zip(group, gain_se[s])),
             rounds_used=int(rows),
         ) for s, group in enumerate(chunk)]
     return fits
@@ -176,37 +178,33 @@ def _required_bases(layout: PartyLayout, dealer_basis: Quadrature) -> dict:
 
 
 # A string annotation: importing this module must not load numpy.random (~15 ms).
-def _pattern_grams(rng: "np.random.Generator", cov: np.ndarray, mean: np.ndarray,
-                   count: int) -> tuple:
-    """:func:`_fit`'s ``(gram, rows)`` for ``count`` iid N(``mean``, ``cov``) rows.
+def _pattern_scatter(rng: "np.random.Generator", cov: np.ndarray, count: int) -> tuple:
+    """:func:`_fit`'s ``(scatter, rows)`` for ``count`` iid rows of covariance ``cov``.
 
     F is ``cov``'s Cholesky factor. The scatter's Bartlett factor is lower
     triangular, with sqrt(chi-squared(count - 1 - j)) on column j's diagonal and
     standard normals below it; ``count`` >= MIN_SIFTED_ROUNDS exceeds the m columns.
     """
     factor = np.linalg.cholesky(cov)
-    m = len(mean)
-    total = count * mean + math.sqrt(count) * (factor @ rng.standard_normal(m))
+    m = len(cov)
+    rng.standard_normal(m)  # the rows' sum: no fit reads it, but each seed keeps its scatter
     bartlett = np.diag(np.sqrt(rng.chisquare(count - 1 - np.arange(m))))
     bartlett[np.tril_indices(m, -1)] = rng.standard_normal(m * (m - 1) // 2)
     root = factor @ bartlett
-    gram = np.empty((m + 1, m + 1))
-    gram[0, 0] = count
-    gram[0, 1:] = gram[1:, 0] = total
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        gram[1:, 1:] = root @ root.T + np.outer(total, total) / count
-    if not np.isfinite(gram).all():
-        raise ValueError(f"the Gram matrix of {count} revealed rounds overflows double precision")
-    return gram, count
+        scatter = root @ root.T
+    if not np.isfinite(scatter).all():
+        raise ValueError(f"the scatter of {count} revealed rounds overflows double precision")
+    return scatter, count
 
 
-def _revealed_grams(state: GaussianState, patterns: Sequence, rounds: int,
-                    reveal_fraction: float, basis_probability: float, seed: int) -> tuple:
+def _revealed_scatters(state: GaussianState, patterns: Sequence, rounds: int,
+                       reveal_fraction: float, basis_probability: float, seed: int) -> tuple:
     """Rounds on each of the two ``patterns`` and on any other, then each
-    pattern's revealed :func:`_pattern_grams`.
+    pattern's revealed :func:`_pattern_scatter`.
 
     ``patterns`` are the key and the check pattern, party -> basis maps in
-    design-column order. Raises UndersampledError before any outcome draw
+    scatter-column order. Raises UndersampledError before any outcome draw
     when a pattern reveals fewer than MIN_SIFTED_ROUNDS.
     """
     probabilities = [_pattern_probability(required, basis_probability) for required in patterns]
@@ -221,7 +219,7 @@ def _revealed_grams(state: GaussianState, patterns: Sequence, rounds: int,
         raise UndersampledError(min(revealed), math.ceil(needed) if needed < math.inf else None)
     indices = [[state.quad_index(party, basis) for party, basis in required.items()]
                for required in patterns]
-    return counts, [_pattern_grams(rng, state.cov[np.ix_(idx, idx)], state.mean[idx], count)
+    return counts, [_pattern_scatter(rng, state.cov[np.ix_(idx, idx)], count)
                     for idx, count in zip(indices, revealed)]
 
 
@@ -255,23 +253,22 @@ def run_protocol(
     check_required = _required_bases(layout, "p")
     key_pattern = "".join(key_required[label] for label in state.labels)
     check_pattern = "".join(check_required[label] for label in state.labels)
-    (key_count, check_count, other), (key_grams, check_grams) = _revealed_grams(
+    (key_count, check_count, other), (key_scatter, check_scatter) = _revealed_scatters(
         state, (key_required, check_required), rounds, reveal_fraction,
         basis_probability, seed)
 
     players = layout.player_modes
     everyone = np.arange(len(players))[None]
-    (inference_x,) = _fit(*key_grams, "x", everyone, [players])
-    (inference_p,) = _fit(*check_grams, "p", everyone, [players])
-    total = key_grams[0]
-    dealer_x_var = float((total[1, 1] - total[0, 1] ** 2 / total[0, 0]) / (total[0, 0] - 1))
+    (inference_x,) = _fit(*key_scatter, "x", everyone, [players])
+    (inference_p,) = _fit(*check_scatter, "p", everyone, [players])
+    dealer_x_var = float(key_scatter[0][0, 0] / (key_scatter[1] - 1))
 
     access, colluding = scheme._player_rows
     honest = _complements(colluding, scheme.n)
     access_labels, adversarial_labels, honest_labels = (
         _labels(players, rows) for rows in (access, colluding, honest))
-    access_fits = _fit(*key_grams, "x", access, access_labels)
-    adversarial_fits = _fit(*check_grams, "p", honest, honest_labels)
+    access_fits = _fit(*key_scatter, "x", access, access_labels)
+    adversarial_fits = _fit(*check_scatter, "p", honest, honest_labels)
     bound = combine(dealer_x_var, [fit.variance for fit in access_fits],
                     [fit.variance for fit in adversarial_fits])
 

@@ -6,8 +6,8 @@ exception: it calls the inference kernel one row at a time, so it checks
 batching, and ``dishonest_rate_loop`` and ``sweep_loop`` infer through it.
 ``revealed_designs`` is the row sampler: it draws every revealed design
 row, the oracle for the library's sufficient-statistics sampler, with
-``design_gram`` the Gram matrix ``run_protocol`` reads from them and
-``structure_fit`` the per-structure reference for its batched fit.
+``design_scatter`` the scatter about the mean ``run_protocol`` reads from
+them and ``structure_fit`` the per-structure reference for its batched fit.
 ``revealed_design`` draws from it, and ``fit_design`` runs the library's own
 fit on the result, which the closed-form oracles then check.
 ``dishonest_rate_loop`` reduces its loop inferences with the library's
@@ -469,7 +469,7 @@ def conditional_variance_fixed(state, target, estimator) -> float:
 def regression_loop(design, parties, estimators):
     """One least-squares fit on the design's rows.
 
-    The per-structure reference for the shared-Gram regression kernel in
+    The per-structure reference for the shared-scatter regression kernel in
     ``cvqss.simulation``. ``design`` has columns (intercept, target, then
     ``parties`` in order); the target is fitted on the intercept and the
     ``estimators`` columns. The residual variance's standard error is its
@@ -527,29 +527,30 @@ def revealed_designs(state, patterns, rounds, reveal_fraction, basis_probability
     return counts, designs
 
 
-def design_gram(design):
-    """``(design.T @ design, N)`` for a design of N rows: ``cvqss.simulation._fit``'s
-    ``(gram, rows)``."""
-    return design.T @ design, len(design)
+def design_scatter(design):
+    """``cvqss.simulation._fit``'s ``(scatter, rows)`` for a design of N rows: the
+    scatter of its columns after the intercept about their mean, and N."""
+    centered = design[:, 1:] - design[:, 1:].mean(axis=0)
+    return centered.T @ centered, len(design)
 
 
-def structure_fit(gram, rows, target_basis, columns):
-    """One structure's fit on a shared Gram, the per-structure reference for
+def structure_fit(scatter, rows, target_basis, columns):
+    """One structure's fit on a shared scatter, the per-structure reference for
     ``cvqss.simulation._fit``, which batches every structure of a side.
 
-    ``columns`` maps each estimator party to its design column; column 0 is
-    the intercept. Returns an ``EmpiricalConditioning``.
+    ``columns`` maps each estimator party to its scatter column; column 0 is
+    the target. Returns an ``EmpiricalConditioning``.
     """
-    c = np.array([0, *columns.values()])
-    dof = rows - len(c)
-    block = gram[c[:, None], c]
-    moment = gram[c, 1]
+    c = np.array(list(columns.values()))
+    dof = rows - len(c) - 1  # the intercept too
+    block = scatter[c[:, None], c]
+    moment = scatter[c, 0]
     coeffs = np.linalg.solve(block, moment)
-    variance = float((gram[1, 1] - (coeffs * moment).sum()) / dof)
-    gain_se = np.sqrt(variance * np.diag(np.linalg.inv(block)))[1:]
+    variance = float((scatter[0, 0] - (coeffs * moment).sum()) / dof)
+    gain_se = np.sqrt(variance * np.diag(np.linalg.inv(block)))
     return simulation.EmpiricalConditioning(
         variance=variance,
-        gains=JointVariable(target_basis, dict(zip(columns, coeffs[1:]))),
+        gains=JointVariable(target_basis, dict(zip(columns, coeffs))),
         standard_error=variance * math.sqrt(2.0 / dof),
         gain_standard_errors=dict(zip(columns, gain_se)),
         rounds_used=int(rows),
@@ -569,10 +570,10 @@ def revealed_design(state, pattern, rounds, seed):
 
 
 def fit_design(design, target_basis, estimators):
-    """``run_protocol``'s shared-Gram fit of design column 1 on ``estimators``,
+    """``run_protocol``'s shared-scatter fit of design column 1 on ``estimators``,
     the parties of columns 2, 3, ... in order."""
     estimators = list(estimators)
-    (fit,) = simulation._fit(*design_gram(design), target_basis,
+    (fit,) = simulation._fit(*design_scatter(design), target_basis,
                              np.arange(len(estimators))[None], [estimators])
     return fit
 

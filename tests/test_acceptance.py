@@ -129,9 +129,9 @@ def _oracle_fit(state, target_basis, estimators):
     that match that pattern (all revealed, the conjugate as check pattern)."""
     pattern = {"A": target_basis, **estimators}
     conjugate = {party: "p" if basis == "x" else "x" for party, basis in pattern.items()}
-    _, (grams, _) = simulation._revealed_grams(state, (pattern, conjugate), ORACLE_ROUNDS,
-                                               1.0, 0.5, ORACLE_SEED)
-    (fit,) = simulation._fit(*grams, target_basis, np.arange(len(estimators))[None],
+    _, (scatter, _) = simulation._revealed_scatters(
+        state, (pattern, conjugate), ORACLE_ROUNDS, 1.0, 0.5, ORACLE_SEED)
+    (fit,) = simulation._fit(*scatter, target_basis, np.arange(len(estimators))[None],
                              [list(estimators)])
     return fit
 
@@ -179,8 +179,9 @@ def test_criterion_3_statistical_oracle():
 
 def test_criterion_4_sweep_curve_family(sweep_file, sweep_rows):
     golden_rows = _read_rows(GOLDEN)
-    assert open(sweep_file).readline().strip() == SWEEP_HEADER
-    assert open(GOLDEN).readline().strip() == SWEEP_HEADER
+    for path in (sweep_file, GOLDEN):
+        with open(path) as handle:
+            assert handle.readline().strip() == SWEEP_HEADER
     assert len(sweep_rows) == len(golden_rows) == 244
     for fresh, golden in zip(sweep_rows, golden_rows):
         for column in SWEEP_HEADER.split(","):

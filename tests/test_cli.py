@@ -204,7 +204,7 @@ class TestNoStructureTuples:
          "98831d86c10b261dc8283bae21ccb02ee85e92a7dde2c8ce8f65b33bf1bdc746"),
         (["simulate", "--n", "4", "--k", "2", "--topology", "star", "--rounds", "200000",
           "--seed", "9", "--transmissivity", "0.95", "--format", "json"],
-         "b60498d931108d93c7ae14862c3740e4e95b761018eb59051af1cf34784b5adb"),
+         "0cc5d6bc8a6cdc73ec6353cd66b44c4f640bf2d9660aa1c0ec1a97bdf56b4d68"),
     ], ids=["threshold-star-7-14", "threshold-star-7-14-json", "sweep-star-3-6",
             "simulate-star-2-4-json"])
     def test_commands_never_call_combinations(self, capsys, monkeypatch, argv, digest):
@@ -353,11 +353,11 @@ class TestSimulateBytes:
         (["simulate", "--rounds", "100000", "--seed", "5", "--r", "1.0",
           "--transmissivity", "0.9"],
          "b10030580ab0c99da6bee53fb24dcc0581339e7557e603eb0535f8a1491b446d",
-         "6a58d0584ec3f51c8124b02fd2d9ff2255c80eec86ee5e456d611645ed687b11"),
+         "bec9879ac4b1eed752e0fef004898f57187c8e96f1e386a6caecea7d9fc415b3"),
         (["simulate", "--n", "4", "--k", "2", "--topology", "star",
           "--rounds", "200000", "--seed", "9", "--transmissivity", "0.95"],
          "7da78dcc5f0b3fbc4f8d7024b7f10034c4065a279ba2721ec184302b2725f274",
-         "b60498d931108d93c7ae14862c3740e4e95b761018eb59051af1cf34784b5adb"),
+         "0cc5d6bc8a6cdc73ec6353cd66b44c4f640bf2d9660aa1c0ec1a97bdf56b4d68"),
     ], ids=["chain-2-2", "star-2-4"])
     def test_output_digest(self, tmp_path, capsys, argv, stdout_digest, json_digest):
         report = tmp_path / "report.json"
@@ -707,7 +707,7 @@ class TestConfigFile:
     (["validate", "--cz-weight", "1e200"], "coupling weight 1e+200 overflows"),
     (["simulate", "--cz-weight", "1e200"], "coupling weight 1e+200 overflows"),
     # A finite covariance whose symmetrisation (V + V^T)/2 overflows, and a physical
-    # one whose revealed rounds' Gram matrix does.
+    # one whose revealed rounds' scatter does.
     (["validate", "--excess-noise", "1e308"], "cov entry 1e+308 overflows double precision"),
     (["simulate", "--excess-noise", "1e308"], "cov entry 1e+308 overflows double precision"),
     (["simulate", "--excess-noise", "1e300", "--rounds", "10000000000"],

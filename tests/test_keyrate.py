@@ -626,6 +626,35 @@ class TestInterchangeable:
         assert len(calls) == 1
 
 
+@seed(2026_1021)
+@settings(max_examples=24, deadline=None, database=None)
+@given(data=st.data(), n=st.integers(2, 6),
+       topology=st.sampled_from([star_topology, chain_topology]), r=st.floats(0.0, 2.0))
+def test_relabelling_the_players_moves_no_variance_beyond_a_few_eps(data, n, topology, r):
+    # The same names, channels and edges with the modes stored in a drawn player order:
+    # every structure's variance, keyed by its set of names, is unchanged within a few
+    # eps * V. Mixed channels keep a star from folding, so every row is evaluated.
+    k = data.draw(st.integers(1, n), label="k")
+    names = [f"B{i}" for i in range(1, n + 1)]
+    specs = {name: ChannelSpec(data.draw(st.floats(0.5, 1.0)), data.draw(st.floats(0.0, 0.05)))
+             for name in names}
+    order = data.draw(st.permutations(names), label="order")
+    scheme = ThresholdScheme(k, n)
+    report, permuted = (
+        keyrate_qss(*build_kn_state(n, r, specs, topology(n), player_labels=labels), scheme)
+        for labels in (names, order))
+    eps = np.finfo(float).eps
+    for side, big_v in (("access", report.dealer_x_variance),
+                        ("adversarial", report.dealer_p_variance)):
+        want, got = ({frozenset(key): v
+                      for key, v in getattr(each, f"{side}_conditional_variance").items()}
+                     for each in (report, permuted))
+        assert want.keys() == got.keys()
+        worst = max(abs(got[key] - v) for key, v in want.items())
+        assert worst <= 8 * eps * big_v, (side, worst / (eps * big_v))
+    assert abs(permuted.combined_rate - report.combined_rate) <= 1e-9
+
+
 class TestReportValue:
     """A report is a value, whether or not its gain maps have been read."""
 

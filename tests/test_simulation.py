@@ -1,5 +1,6 @@
 """Monte Carlo sampling, sifting and parameter estimation."""
 
+import dataclasses
 import math
 import time
 from itertools import combinations
@@ -28,7 +29,7 @@ from cvqss.estimation import SCHUR_BLOCK_ROWS
 from cvqss.keyrate import _complements, _labels, combine
 from helpers import (
     chain_expected_variances,
-    design_gram,
+    design_scatter,
     fit_design,
     product_vacuum,
     regression_loop,
@@ -77,11 +78,11 @@ def all_player_fit_z(state, layout, rounds, seed, references):
     of each gain against its OLS error.
     """
     patterns = [announced_pattern(layout, "x"), announced_pattern(layout, "p")]
-    _, grams = simulation._revealed_grams(state, patterns, rounds, 1.0, 0.5, seed)
+    _, scatters = simulation._revealed_scatters(state, patterns, rounds, 1.0, 0.5, seed)
     players = layout.player_modes
     z = []
-    for (gram, rows), basis, (variance, gains) in zip(grams, "xp", references):
-        (fit,) = simulation._fit(gram, rows, basis, np.arange(len(players))[None], [players])
+    for (scatter, rows), basis, (variance, gains) in zip(scatters, "xp", references):
+        (fit,) = simulation._fit(scatter, rows, basis, np.arange(len(players))[None], [players])
         z.append((fit.variance - variance) / fit.standard_error)
         z += [(fit.gains.gains[p] - gains[p]) / fit.gain_standard_errors[p] for p in gains]
     return z
@@ -91,7 +92,7 @@ def structure_fit_z(state, layout, scheme, analytic, rounds, seed):
     """z of every access and honest-side fit of one sampler draw, every round
     revealed, against ``analytic``'s per-structure conditional variances."""
     patterns = [announced_pattern(layout, "x"), announced_pattern(layout, "p")]
-    _, (key, check) = simulation._revealed_grams(state, patterns, rounds, 1.0, 0.5, seed)
+    _, (key, check) = simulation._revealed_scatters(state, patterns, rounds, 1.0, 0.5, seed)
     players = layout.player_modes
     access_rows, colluding = scheme._player_rows
     honest_rows = _complements(colluding, scheme.n)
@@ -116,17 +117,17 @@ class TestSampling:
     def test_same_seed_is_bit_identical(self):
         state, layout = build_three_mode_chain(0.7, 0.9)
         patterns = [announced_pattern(layout, "x"), announced_pattern(layout, "p")]
-        first = simulation._revealed_grams(state, patterns, 5000, 0.5, 0.5, seed=11)
-        second = simulation._revealed_grams(state, patterns, 5000, 0.5, 0.5, seed=11)
+        first = simulation._revealed_scatters(state, patterns, 5000, 0.5, 0.5, seed=11)
+        second = simulation._revealed_scatters(state, patterns, 5000, 0.5, 0.5, seed=11)
         assert first[0] == second[0]
-        for (grams_a, rows_a), (grams_b, rows_b) in zip(first[1], second[1]):
-            assert np.array_equal(grams_a, grams_b) and np.array_equal(rows_a, rows_b)
+        for (scatter_a, rows_a), (scatter_b, rows_b) in zip(first[1], second[1]):
+            assert np.array_equal(scatter_a, scatter_b) and rows_a == rows_b
 
     def test_different_seeds_differ(self):
         state, layout = build_three_mode_chain(0.7, 0.9)
         patterns = [announced_pattern(layout, "x"), announced_pattern(layout, "p")]
-        _, ((first, _), _) = simulation._revealed_grams(state, patterns, 5000, 0.5, 0.5, seed=1)
-        _, ((second, _), _) = simulation._revealed_grams(state, patterns, 5000, 0.5, 0.5, seed=2)
+        _, ((first, _), _) = simulation._revealed_scatters(state, patterns, 5000, 0.5, 0.5, 1)
+        _, ((second, _), _) = simulation._revealed_scatters(state, patterns, 5000, 0.5, 0.5, 2)
         assert not np.array_equal(first, second)
 
     def test_vacuum_variances(self):
@@ -272,6 +273,27 @@ class TestRunProtocol:
         assert report.analytic.combined_rate < 0.0
         assert not report.secure
 
+    def test_report_does_not_depend_on_the_state_mean(self):
+        # A fit with an intercept reads the rows only through their scatter about
+        # their mean, so shifting the mean moves no bit of the report.
+        state, layout = build_three_mode_chain(1.15, 0.95)
+        scheme = ThresholdScheme(2, 2)
+        report = run_protocol(state, layout, scheme, rounds=10**6, seed=7)
+        for shift in (1e8, -1e12):
+            moved = dataclasses.replace(state, mean=state.mean + shift)
+            assert run_protocol(moved, layout, scheme, rounds=10**6, seed=7) == report
+
+    def test_a_round_count_that_is_not_an_integer_is_refused_before_any_draw(
+            self, monkeypatch):
+        state, layout = build_three_mode_chain(1.0, 1.0)
+        scheme = ThresholdScheme(2, 2)
+        with monkeypatch.context() as patch:
+            patch.setattr(np.random, "default_rng", None)  # any draw fails
+            for rounds in (1000000.5, 1e6):
+                with pytest.raises(ValueError, match=f"rounds must be an integer, got {rounds}"):
+                    run_protocol(state, layout, scheme, rounds=rounds)
+        assert run_protocol(state, layout, scheme, rounds=np.int64(10**4)).rounds == 10**4
+
     def test_reveal_fraction_validation(self):
         state, layout = build_three_mode_chain(1.0, 1.0)
         scheme = ThresholdScheme(2, 2)
@@ -391,51 +413,39 @@ class TestRevealedSampling:
 
 
 class TestSufficientStatistics:
-    """Each pattern's drawn Gram matrix has its rows' law.
+    """Each pattern's drawn scatter has its rows' law.
 
-    n rows (1, x) with x ~ N(mu, Sigma) have E[Gram] =
-    n [[1, mu^T], [mu, Sigma + mu mu^T]]; at mu = 0 their sum has variance
-    n Sigma_ii and the moment entries Q_ij = sum x_i x_j have variance
-    n (Sigma_ij^2 + Sigma_ii Sigma_jj). Bounds are 5 standard errors of the
-    sample statistics, estimated from the same draws.
+    The scatter about their mean of n iid rows x ~ N(mu, Sigma) is
+    Wishart(n - 1, Sigma), whatever mu: its entries S_ij have mean
+    (n - 1) Sigma_ij and variance (n - 1) (Sigma_ij^2 + Sigma_ii Sigma_jj).
+    Bounds are 5 standard errors of the sample statistics, estimated from the
+    same draws.
     """
 
-    @staticmethod
-    def pattern_grams(count, calls, mean):
+    # The fewest rows a fit accepts (MIN_SIFTED_ROUNDS) and 50000 rows; and 6,
+    # the fewest rows with all five Bartlett columns live, where a Wishart
+    # degree of freedom off by one moves the scatter's mean by a fifth.
+    @pytest.mark.parametrize("count, calls", [(100, 200), (50000, 40), (6, 600)])
+    def test_pattern_scatter_moments(self, count, calls):
         state, layout = star_state(4, transmissivity=0.9)
         idx = [state.quad_index(party, basis)
                for party, basis in announced_pattern(layout, "x").items()]
         cov = state.cov[np.ix_(idx, idx)]
         rng = np.random.default_rng(53)
-        grams = []
+        scatters = []
         for _ in range(calls):
-            gram, rows = simulation._pattern_grams(rng, cov, mean, count)
+            scatter, rows = simulation._pattern_scatter(rng, cov, count)
             assert rows == count
-            grams.append(gram)
-        return cov, np.array(grams)
+            scatters.append(scatter)
+        scatters = np.array(scatters)
 
-    # The fewest rows a fit accepts (MIN_SIFTED_ROUNDS) and 50000 rows; and 6,
-    # the fewest rows with all five Bartlett columns live, where a Wishart
-    # degree of freedom off by one moves the scatter's mean by a sixth.
-    @pytest.mark.parametrize("count, calls", [(100, 200), (50000, 40), (6, 600)])
-    def test_group_gram_moments(self, count, calls):
-        mean = np.array([0.3, -0.2, 0.1, 0.5, -0.4])
-        cov, grams = self.pattern_grams(count, calls, mean)
-        outer = np.outer(np.r_[1.0, mean], np.r_[1.0, mean])
-        expected = count * outer
-        expected[1:, 1:] += count * cov
-        assert np.all(grams[:, 0, 0] == count)
-        sem = grams.std(axis=0, ddof=1) / math.sqrt(len(grams))
-        assert np.all(np.abs(grams.mean(axis=0) - expected) <= 5 * sem)
-
-        _, grams = self.pattern_grams(count, calls, np.zeros(5))
+        sem = scatters.std(axis=0, ddof=1) / math.sqrt(calls)
+        assert np.all(np.abs(scatters.mean(axis=0) - (count - 1) * cov) <= 5 * sem)
         diag = np.diag(cov)
-        expected = np.zeros((6, 6))
-        expected[0, 1:] = expected[1:, 0] = count * diag
-        expected[1:, 1:] = count * (cov**2 + np.outer(diag, diag))
-        squares = (grams - grams.mean(axis=0)) ** 2
-        sem = squares.std(axis=0, ddof=1) / math.sqrt(len(grams))
-        assert np.all(np.abs(grams.var(axis=0, ddof=1) - expected) <= 5 * sem)
+        expected = (count - 1) * (cov**2 + np.outer(diag, diag))
+        squares = (scatters - scatters.mean(axis=0)) ** 2
+        sem = squares.std(axis=0, ddof=1) / math.sqrt(calls)
+        assert np.all(np.abs(scatters.var(axis=0, ddof=1) - expected) <= 5 * sem)
 
 
 class TestRegressionKernel:
@@ -453,7 +463,7 @@ class TestRegressionKernel:
                                        rtol=self.RTOL)
 
     @pytest.mark.parametrize("players", [2, 4])
-    def test_shared_gram_fits_match_the_reference_loop(self, players):
+    def test_shared_scatter_fits_match_the_reference_loop(self, players):
         if players == 2:
             state, layout = build_three_mode_chain(1.0, 0.9)
         else:
@@ -462,20 +472,21 @@ class TestRegressionKernel:
         patterns = [announced_pattern(layout, "x"), announced_pattern(layout, "p")]
         _, designs = revealed_designs(state, patterns, rounds, 0.5, 0.5, seed)
         everyone = layout.player_modes
-        column = {player: j for j, player in enumerate(everyone, start=2)}
+        column = {player: j for j, player in enumerate(everyone, start=1)}
         access_rows, colluding = ThresholdScheme(2, players)._player_rows
         honest_rows = _complements(colluding, players)
 
         for design, basis, rows in zip(designs, "xp", (access_rows, honest_rows)):
-            gram = design_gram(design)
+            scatter = design_scatter(design)
             for positions in (np.arange(players)[None], rows):
                 batch = _labels(everyone, positions)
-                for estimators, fit in zip(batch, simulation._fit(*gram, basis, positions, batch),
+                for estimators, fit in zip(batch,
+                                           simulation._fit(*scatter, basis, positions, batch),
                                            strict=True):
                     self.assert_matches(fit, regression_loop(design, everyone, estimators))
                     # Batching the structures moves no bit of any fit.
                     self.assert_same_bits(
-                        fit, structure_fit(*gram, basis, {p: column[p] for p in estimators}))
+                        fit, structure_fit(*scatter, basis, {p: column[p] for p in estimators}))
 
     @staticmethod
     def assert_same_bits(fit, single):
@@ -488,12 +499,11 @@ class TestRegressionKernel:
              *single.gain_standard_errors.values()])
 
     def test_structures_are_fitted_in_bounded_chunks(self, monkeypatch):
-        # 330 structures of 4 estimators: chunks of 256 and 74, so the (S, d, d)
+        # 330 structures of 4 estimators: chunks of 256 and 74, so the (S, g, g)
         # sub-blocks never hold more than SCHUR_BLOCK_ROWS structures.
         rng = np.random.default_rng(3)
         root = rng.standard_normal((12, 12))
-        gram = simulation._pattern_grams(rng, root @ root.T + np.eye(12),
-                                          rng.standard_normal(12), 10000)
+        scatter = simulation._pattern_scatter(rng, root @ root.T + np.eye(12), 10000)
         parties = [f"B{i}" for i in range(1, 12)]
         structures = list(combinations(parties, 4))
         real_solve, shapes = np.linalg.solve, []
@@ -503,14 +513,14 @@ class TestRegressionKernel:
             return real_solve(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", solve)
-        fits = simulation._fit(*gram, "x", np.array(list(combinations(range(11), 4))),
+        fits = simulation._fit(*scatter, "x", np.array(list(combinations(range(11), 4))),
                                structures)
         monkeypatch.undo()
-        assert shapes == [(SCHUR_BLOCK_ROWS, 5, 5), (74, 5, 5)]
+        assert shapes == [(SCHUR_BLOCK_ROWS, 4, 4), (74, 4, 4)]
         assert len(fits) == len(structures)
         for group, fit in zip(structures, fits):
             self.assert_same_bits(fit, structure_fit(
-                *gram, "x", {party: 2 + parties.index(party) for party in group}))
+                *scatter, "x", {party: 1 + parties.index(party) for party in group}))
 
     def test_report_keys_carry_their_structures_fits(self):
         # An asymmetric (2, 4) chain: every structure's fit differs, so a fit
@@ -521,12 +531,12 @@ class TestRegressionKernel:
         rounds, seed = 10**6, 11
         report = run_protocol(state, layout, ThresholdScheme(2, 4), rounds=rounds, seed=seed)
         patterns = [announced_pattern(layout, "x"), announced_pattern(layout, "p")]
-        _, (key, check) = simulation._revealed_grams(state, patterns, rounds, 0.5, 0.5, seed)
+        _, (key, check) = simulation._revealed_scatters(state, patterns, rounds, 0.5, 0.5, seed)
         players = layout.player_modes
-        column = {player: j for j, player in enumerate(players, start=2)}
+        column = {player: j for j, player in enumerate(players, start=1)}
 
-        def single(gram, basis, estimators):
-            return structure_fit(*gram, basis, {p: column[p] for p in estimators})
+        def single(scatter, basis, estimators):
+            return structure_fit(*scatter, basis, {p: column[p] for p in estimators})
 
         assert list(report.access_variance) == list(combinations(players, 2))
         assert list(report.adversarial_variance) == list(combinations(players, 1))
