@@ -1,4 +1,4 @@
-"""Multimode Gaussian states as first and second moments, the squeezer and diagnostics.
+"""Multimode Gaussian states as covariance matrices, the squeezer and diagnostics.
 
 Conventions used throughout the package (fixed here, asserted everywhere):
 
@@ -67,10 +67,12 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
 class GaussianState:
     """A Gaussian state of ``m`` labelled modes, or a stack of such states.
 
+    Every quantity the package computes is a second moment, so a state is its
+    covariance: the quadrature means are not stored.
+
     Attributes:
-        mean: Length-2m vector of quadrature means, ordering x1,p1,...,xm,pm.
-        cov: Symmetric 2m x 2m covariance matrix in the same ordering, or a
-            (..., 2m, 2m) stack of them sharing mean and labels, which
+        cov: Symmetric 2m x 2m covariance matrix, ordering x1,p1,...,xm,pm, or
+            a (..., 2m, 2m) stack of them sharing labels, which
             ``cvqss.states.build_kn_state`` builds as one array.
         labels: Unique identifier per mode.
 
@@ -80,22 +82,15 @@ class GaussianState:
     matrices; see :func:`validate`.
     """
 
-    mean: np.ndarray
     cov: np.ndarray
     labels: tuple
 
     def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
         cov = np.asarray(self.cov, dtype=float)
         labels = tuple(self.labels)
         if len(set(labels)) != len(labels):
             raise ValueError(f"mode labels must be unique, got {labels}")
         dim = 2 * len(labels)
-        if mean.shape != (dim,):
-            raise ValueError(f"mean must have length {dim}, got {mean.shape}")
-        if not np.isfinite(mean).all():
-            raise ValueError(f"mean must be finite, got an entry of "
-                             f"{mean[np.isfinite(mean).argmin()]}")
         if cov.shape[-2:] != (dim, dim):
             raise ValueError(f"cov must be {dim}x{dim}, got {cov.shape}")
         if not cov.size:
@@ -116,11 +111,8 @@ class GaussianState:
         if not finite.all():
             raise ValueError(f"cov entry {cov.flat[finite.argmin()]:g} overflows double "
                              "precision when symmetrised")
-        cov = symmetric
-        mean.setflags(write=False)
-        cov.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
+        symmetric.setflags(write=False)
+        object.__setattr__(self, "cov", symmetric)
         object.__setattr__(self, "labels", labels)
 
     def mode_index(self, label) -> int:
@@ -190,6 +182,8 @@ def validate(state: GaussianState) -> StateDiagnostics:
     without one the spectrum is undefined: (), and no smallest eigenvalue or
     purity (None). Purity is the product of 1/(2 nu_k) over the spectrum (1 for
     pure states), or None where that is not finite, as only for an unphysical state.
+    ``symmetry_residual`` is exactly 0.0 for any constructed state: the constructor
+    stores (V + V^T)/2, whose two triangles are the same sums, bit for bit.
     """
     cov = state._single_cov()
     scale = max(np.abs(cov).max(), 1.0)

@@ -16,7 +16,7 @@ check and other round counts from one multinomial law, then only what the
 regressions read of the revealed key and check rounds: each pattern's
 scatter of its m measured quadratures about their mean, all that a fit with
 an intercept reads of its rows (Frisch-Waugh-Lovell), so no fit depends on
-the state's mean. N iid N(mu, F F^T) rows have scatter F B B^T F^T, B the
+the rows' mean. N iid N(mu, F F^T) rows have scatter F B B^T F^T, B the
 Bartlett factor of a Wishart(N - 1, I) matrix (Odell and Feiveson, JASA 61,
 199 (1966)). Drawing it gives the fits their rows' law in O(m^2) draws
 whatever the round count; the fits batch one side's structures on

@@ -22,7 +22,6 @@ builds the stack of their resources, one covariance per value.
 """
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -125,26 +124,6 @@ def star_topology(n: int) -> tuple:
     return tuple(("A", f"B{i}") for i in range(1, n + 1))
 
 
-def _bfs_distances(nodes: Sequence, edges: Sequence, root) -> dict:
-    adjacency = {node: set() for node in nodes}
-    for a, b in edges:
-        if a not in adjacency or b not in adjacency:
-            raise ValueError(f"edge ({a!r}, {b!r}) references an unknown node")
-        if a == b:
-            raise ValueError(f"self-loop on {a!r}")
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    dist = {root: 0}
-    queue = deque([root])
-    while queue:
-        node = queue.popleft()
-        for neigh in adjacency[node]:
-            if neigh not in dist:
-                dist[neigh] = dist[node] + 1
-                queue.append(neigh)
-    return dist
-
-
 def build_kn_state(
     n: int,
     r: float,
@@ -196,10 +175,26 @@ def build_kn_state(
     if len(player_labels) != n:
         raise ValueError(f"expected {n} player labels, got {len(player_labels)}")
     nodes = ["A"] + player_labels
+    index = {}
+    for i, node in enumerate(nodes):
+        index.setdefault(node, i)  # a repeated label keeps its first position
 
-    edges = [tuple(edge) for edge in topology]
-    dist = _bfs_distances(nodes, edges, "A")
-    disconnected = set(nodes) - set(dist)
+    counts = np.zeros((len(nodes), len(nodes)), dtype=np.int64)  # A: edges per pair
+    for a, b in topology:
+        if a not in index or b not in index:
+            raise ValueError(f"edge ({a!r}, {b!r}) references an unknown node")
+        if a == b:
+            raise ValueError(f"self-loop on {a!r}")
+        counts[index[a], index[b]] += 1
+        counts[index[b], index[a]] += 1
+    # Each node's distance from the dealer, breadth first over the rows of counts.
+    rows, level, queue = counts.tolist(), [0] + [-1] * n, [0]
+    for i in queue:
+        for j, edges in enumerate(rows[i]):
+            if edges and level[j] < 0:
+                level[j] = level[i] + 1
+                queue.append(j)
+    disconnected = {node for node in nodes if level[index[node]] < 0}
     if disconnected:
         # A player with no path to the dealer shares no correlations, so the
         # key rate would be trivially nonpositive; reject loudly instead.
@@ -215,11 +210,6 @@ def build_kn_state(
                          f"{sorted(missing_specs, key=str)}")
 
     dim = 2 * len(nodes)
-    counts = np.zeros((len(nodes), len(nodes)), dtype=np.int64)  # A: edges per pair
-    for a, b in edges:
-        i, j = nodes.index(a), nodes.index(b)
-        counts[i, j] += 1
-        counts[j, i] += 1
     points = np.broadcast_shapes(block.shape[:-2], *(
         np.shape(specs[label].transmissivity) for label in player_labels))
     scale, noise = np.ones(points + (dim,)), np.zeros(points + (dim,))
@@ -241,9 +231,9 @@ def build_kn_state(
         raise ValueError(f"coupling weight {cz_weight} overflows the resource covariance "
                          "(g^2 exp(2r)/2 times a node's gate count)")
 
-    conjugate = frozenset(lab for lab in player_labels if dist[lab] % 2 == 1)
+    conjugate = frozenset(lab for lab in player_labels if level[index[lab]] % 2 == 1)
     layout = PartyLayout("A", tuple(player_labels), conjugate)
-    return GaussianState(np.zeros(dim), cov, nodes), layout
+    return GaussianState(cov, nodes), layout
 
 
 def build_three_mode_chain(r: float, transmissivity: float, cz_weight: float = 1.0) -> tuple:

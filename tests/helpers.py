@@ -75,13 +75,13 @@ def symplectic_form(num_modes: int) -> np.ndarray:
 
 
 def vacuum(num_modes: int, labels: Sequence | None = None) -> GaussianState:
-    """The ``num_modes``-mode vacuum: zero mean, cov = (1/2) identity."""
+    """The ``num_modes``-mode vacuum: cov = (1/2) identity."""
     if num_modes < 1:
         raise ValueError("need at least one mode")
     if labels is None:
         labels = tuple(f"m{i}" for i in range(num_modes))
     dim = 2 * num_modes
-    return GaussianState(np.zeros(dim), VACUUM_VARIANCE * np.eye(dim), labels)
+    return GaussianState(VACUUM_VARIANCE * np.eye(dim), labels)
 
 
 def squeezed_vacuum(r, squeezed_quadrature: str = "p", label="m0") -> GaussianState:
@@ -92,7 +92,7 @@ def squeezed_vacuum(r, squeezed_quadrature: str = "p", label="m0") -> GaussianSt
     cov = _squeezed_covariance(r)  # p-squeezed
     if _check_quadrature(squeezed_quadrature) == "x":
         cov = cov[..., ::-1, ::-1]  # the diagonal swapped
-    return GaussianState(np.zeros(2), cov, (label,))
+    return GaussianState(cov, (label,))
 
 
 def variance(state: GaussianState, label, quadrature: str) -> float:
@@ -113,7 +113,7 @@ def pure(diagnostics: StateDiagnostics) -> bool:
 
 @dataclass(frozen=True)
 class SymplecticTransform:
-    """A linear map on quadratures: mean -> S mean, cov -> S cov S^T.
+    """A linear map on quadratures: cov -> S cov S^T.
 
     The constructor rejects matrices that fail the symplectic invariant
     ``S Omega S^T = Omega`` beyond :data:`SYMPLECTIC_TOL`.
@@ -136,7 +136,7 @@ class SymplecticTransform:
         if self.matrix.shape[0] != 2 * len(state.labels):
             raise ValueError("transform dimension does not match the state")
         s = self.matrix
-        return GaussianState(s @ state.mean, s @ state.cov @ s.T, state.labels)
+        return GaussianState(s @ state.cov @ s.T, state.labels)
 
 
 def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
@@ -149,7 +149,7 @@ def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
     cov = np.zeros(stack + (dim_a + dim_b, dim_a + dim_b))
     cov[..., :dim_a, :dim_a] = a.cov
     cov[..., dim_a:, dim_a:] = b.cov
-    return GaussianState(np.concatenate([a.mean, b.mean]), cov, a.labels + b.labels)
+    return GaussianState(cov, a.labels + b.labels)
 
 
 def _embed_pair(state: GaussianState, i, j, block: np.ndarray) -> SymplecticTransform:
@@ -224,7 +224,7 @@ def partial_trace(state: GaussianState, keep: Sequence) -> GaussianState:
     for lab in kept_labels:
         idx.extend([state.quad_index(lab, "x"), state.quad_index(lab, "p")])
     idx = np.array(idx)
-    return GaussianState(state.mean[idx], state.cov[..., idx[:, None], idx], kept_labels)
+    return GaussianState(state.cov[..., idx[:, None], idx], kept_labels)
 
 
 def pure_loss(state: GaussianState, mode, spec: ChannelSpec) -> GaussianState:
@@ -232,8 +232,8 @@ def pure_loss(state: GaussianState, mode, spec: ChannelSpec) -> GaussianState:
 
     Implemented by dilation: couple the mode to a vacuum ancilla on a beam
     splitter of transmissivity T, discard the ancilla, then add the excess
-    noise to the mode's covariance block. The mode's mean scales by
-    sqrt(T); its diagonal variances map to T*V + (1-T)/2 + excess_noise.
+    noise to the mode's covariance block. Its diagonal variances map to
+    T*V + (1-T)/2 + excess_noise.
     """
     state.mode_index(mode)  # raises on unknown mode
     ancilla = "_loss_ancilla"
@@ -247,7 +247,7 @@ def pure_loss(state: GaussianState, mode, spec: ChannelSpec) -> GaussianState:
         cov = np.array(out.cov)
         cov[..., i, i] += spec.excess_noise
         cov[..., i + 1, i + 1] += spec.excess_noise
-        out = GaussianState(out.mean, cov, out.labels)
+        out = GaussianState(cov, out.labels)
     return out
 
 
@@ -270,7 +270,7 @@ def tmsv_conditional_variance(r: float) -> float:
 def product_vacuum(labels) -> GaussianState:
     """Uncorrelated vacua on the given labels."""
     dim = 2 * len(labels)
-    return GaussianState(np.zeros(dim), 0.5 * np.eye(dim), tuple(labels))
+    return GaussianState(0.5 * np.eye(dim), tuple(labels))
 
 
 def chain_expected_cov(r: float, transmissivity: float) -> np.ndarray:
@@ -472,8 +472,10 @@ def regression_loop(design, parties, estimators):
     The per-structure reference for the shared-scatter regression kernel in
     ``cvqss.simulation``. ``design`` has columns (intercept, target, then
     ``parties`` in order); the target is fitted on the intercept and the
-    ``estimators`` columns. The residual variance's standard error is its
-    chi-squared law's, v sqrt(2 / (N - d)) for N rows and d parameters.
+    ``estimators`` columns, through the design's QR factor, not its Gram
+    matrix: an offset on the rows, which the intercept takes out, costs no
+    digits. The residual variance's standard error is its chi-squared law's,
+    v sqrt(2 / (N - d)) for N rows and d parameters.
     Returns (variance, gains, standard_error, gain_standard_errors,
     rounds_used), gains and their errors as party -> value dicts.
     """
@@ -483,16 +485,18 @@ def regression_loop(design, parties, estimators):
     design = design[:, [0] + [2 + list(parties).index(p) for p in order]]
     d = design.shape[1]
 
-    gram = design.T @ design
-    moment = design.T @ y
-    coeffs = np.linalg.solve(gram, moment)
-    variance = float(y @ y - coeffs @ moment) / (n - d)
-    gain_se = np.sqrt(variance * np.diag(np.linalg.inv(gram)))[1:]
+    q, r = np.linalg.qr(design)
+    coeffs = np.linalg.solve(r, q.T @ y)
+    residual = y - design @ coeffs
+    variance = float(residual @ residual) / (n - d)
+    # diag((X^T X)^-1) = diag(R^-1 R^-T), the squared rows of R^-1 summed.
+    gain_se = np.sqrt(variance * (np.linalg.inv(r) ** 2).sum(axis=1))[1:]
     se = variance * math.sqrt(2.0 / (n - d))
     return (variance, dict(zip(order, coeffs[1:])), se, dict(zip(order, gain_se)), n)
 
 
-def revealed_designs(state, patterns, rounds, reveal_fraction, basis_probability, seed):
+def revealed_designs(state, patterns, rounds, reveal_fraction, basis_probability, seed,
+                     offset=0.0):
     """Pattern counts, then outcomes of the revealed rounds of each pattern.
 
     Draws every revealed row, after the same multinomial count draw as
@@ -502,7 +506,8 @@ def revealed_designs(state, patterns, rounds, reveal_fraction, basis_probability
     pattern. Returns ``(counts, designs)``: ``counts`` is the number of
     rounds on the first pattern, the second and any other; ``designs[i]``
     has a row (1, outcome of party 1, ...) per revealed round of pattern i,
-    parties in the map's order. Raises UndersampledError before any
+    parties in the map's order, each outcome plus ``offset``: a mean that no
+    fit with an intercept may read. Raises UndersampledError before any
     Gaussian draw when a pattern reveals fewer than MIN_SIFTED_ROUNDS.
     """
     probabilities = [simulation._pattern_probability(required, basis_probability)
@@ -522,7 +527,7 @@ def revealed_designs(state, patterns, rounds, reveal_fraction, basis_probability
         # F @ F.T is the marginal covariance, rounding debris clipped to zero.
         factor = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
         design = np.ones((count, 1 + len(idx)))
-        design[:, 1:] = rng.standard_normal((count, len(idx))) @ factor.T + state.mean[idx]
+        design[:, 1:] = rng.standard_normal((count, len(idx))) @ factor.T + offset
         designs.append(design)
     return counts, designs
 

@@ -70,7 +70,7 @@ class TestFixedEstimator:
         assert 0.0 <= value < 1e-8
 
     def test_degenerate_estimator_rejected(self):
-        frozen = GaussianState(np.zeros(4), np.diag([0.5, 0.5, 0.0, 1e3]), ("A", "B"))
+        frozen = GaussianState(np.diag([0.5, 0.5, 0.0, 1e3]), ("A", "B"))
         with pytest.raises(DegenerateEstimatorError):
             conditional_variance_fixed(frozen, ("A", "x"), JointVariable("x", {"B": 1.0}))
 

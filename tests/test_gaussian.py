@@ -40,9 +40,7 @@ def symplectic_residual(matrix):
 
 class TestVacuum:
     def test_single_mode(self):
-        state = vacuum(1)
-        assert np.array_equal(state.mean, np.zeros(2))
-        assert np.array_equal(state.cov, 0.5 * np.eye(2))
+        assert np.array_equal(vacuum(1).cov, 0.5 * np.eye(2))
 
     def test_three_modes_is_tensor_of_vacua(self):
         assert np.array_equal(vacuum(3).cov, 0.5 * np.eye(6))
@@ -128,7 +126,6 @@ class TestTensor:
     def test_vacua_compose(self):
         state = tensor(vacuum(1, labels=("a",)), vacuum(1, labels=("b",)))
         assert np.array_equal(state.cov, vacuum(2).cov)
-        assert np.array_equal(state.mean, vacuum(2).mean)
 
     def test_product_state_has_no_cross_covariance(self):
         state = tensor(squeezed_vacuum(1.0, "x", label="a"),
@@ -137,7 +134,7 @@ class TestTensor:
 
     def test_symplectic_spectrum_is_union(self):
         a = squeezed_vacuum(0.8, "x", label="a")
-        lossy = GaussianState(np.zeros(2), 0.7 * np.eye(2), ("b",))
+        lossy = GaussianState(0.7 * np.eye(2), ("b",))
         nus = symplectic_eigenvalues(tensor(a, lossy).cov)
         expected = np.sort(np.concatenate([symplectic_eigenvalues(a.cov),
                                            symplectic_eigenvalues(lossy.cov)]))
@@ -173,7 +170,6 @@ class TestCzGate:
                        squeezed_vacuum(1.1, "x", label="b"))
         roundtrip = apply_cz(apply_cz(state, "a", "b", weight), "a", "b", -weight)
         assert np.allclose(roundtrip.cov, state.cov, atol=1e-12)
-        assert np.allclose(roundtrip.mean, state.mean, atol=1e-12)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -191,13 +187,14 @@ class TestBeamsplitter:
         assert np.allclose(out.cov, state.cov, atol=1e-15)
 
     def test_zero_transmission_swaps_modes(self):
-        # Reflected port carries the minus sign on mode j: means map
-        # (x_i, p_i) -> (x_j, p_j) and (x_j, p_j) -> (-x_i, -p_i).
+        # Reflected port carries the minus sign on mode j: quadratures map
+        # (x_i, p_i) -> (x_j, p_j) and (x_j, p_j) -> (-x_i, -p_i), so the
+        # variances swap and the x_i-x_j covariance changes sign.
         cov = np.diag([1.0, 2.0, 3.0, 4.0])
-        state = GaussianState(np.array([1.0, 2.0, 3.0, 4.0]), cov, ("i", "j"))
-        out = apply_beamsplitter(state, "i", "j", 0.0)
-        assert np.allclose(out.mean, [3.0, 4.0, -1.0, -2.0], atol=1e-15)
+        cov[0, 2] = cov[2, 0] = 0.5
+        out = apply_beamsplitter(GaussianState(cov, ("i", "j")), "i", "j", 0.0)
         assert np.allclose(np.diag(out.cov), [3.0, 4.0, 1.0, 2.0], atol=1e-15)
+        assert np.allclose(out.cov[0, 2], -0.5, atol=1e-15)
 
     @pytest.mark.parametrize("r", [0.4, 1.0])
     def test_balanced_mixing_of_squeezed_and_vacuum(self, r):
@@ -257,7 +254,7 @@ class TestValidate:
         assert pure(diag)
 
     def test_sub_vacuum_noise_is_flagged(self):
-        bogus = GaussianState(np.zeros(2), 0.25 * np.eye(2), ("m0",))
+        bogus = GaussianState(0.25 * np.eye(2), ("m0",))
         diag = validate(bogus)
         assert not diag.physical
         assert diag.min_symplectic_eigenvalue == pytest.approx(0.25, abs=1e-12)
@@ -265,7 +262,7 @@ class TestValidate:
     @pytest.mark.parametrize("cov", [-0.5 * np.eye(2), np.diag([1.0, -0.3, 1.0, 1.0])])
     def test_non_positive_covariance_is_flagged(self, cov):
         # No Cholesky factor: the symplectic spectrum is undefined, not that of -V.
-        state = GaussianState(np.zeros(len(cov)), cov, tuple(range(len(cov) // 2)))
+        state = GaussianState(cov, tuple(range(len(cov) // 2)))
         diag = validate(state)
         assert diag.symplectic_eigenvalues == ()
         assert diag.min_symplectic_eigenvalue is None and diag.purity is None
@@ -275,7 +272,7 @@ class TestValidate:
             symplectic_eigenvalues(cov)
 
     def test_never_raises_on_weird_input(self):
-        weird = GaussianState(np.zeros(2), np.diag([1e6, 1e-9]), ("m0",))
+        weird = GaussianState(np.diag([1e6, 1e-9]), ("m0",))
         assert not validate(weird).physical
 
 
@@ -306,6 +303,7 @@ class TestSymplecticSpectrumOracle:
         state = self.chain(r, excess_noise)
         exact = self.exact_min_nu(state.cov)
         diag = validate(state)
+        assert diag.symmetry_residual == 0.0  # the constructor symmetrises exactly
         assert abs(diag.min_symplectic_eigenvalue - exact) <= rtol * exact
         assert diag.physical == (exact >= 0.5 - 1e-9)
 
@@ -319,13 +317,11 @@ class TestStateConstruction:
         cov = 0.5 * np.eye(2)
         cov[0, 1] = 1e-3
         with pytest.raises(ValueError, match="symmetric"):
-            GaussianState(np.zeros(2), cov, ("m0",))
+            GaussianState(cov, ("m0",))
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            GaussianState(np.zeros(3), 0.5 * np.eye(2), ("m0",))
-        with pytest.raises(ValueError):
-            GaussianState(np.zeros(2), 0.5 * np.eye(4), ("m0",))
+        with pytest.raises(ValueError, match=r"^cov must be 2x2, got \(4, 4\)$"):
+            GaussianState(0.5 * np.eye(4), ("m0",))
 
     @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
     def test_non_finite_covariance_rejected(self, value):
@@ -333,18 +329,13 @@ class TestStateConstruction:
         cov = 0.5 * np.eye(4)
         cov[2, 2] = value
         with pytest.raises(ValueError, match=f"^cov must be finite, got an entry of {value}$"):
-            GaussianState(np.zeros(4), cov, ("a", "b"))
+            GaussianState(cov, ("a", "b"))
         with pytest.raises(ValueError, match="^cov must be finite"):
-            GaussianState(np.zeros(4), np.stack([0.5 * np.eye(4), cov]), ("a", "b"))
-
-    @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
-    def test_non_finite_mean_rejected(self, value):
-        with pytest.raises(ValueError, match=f"^mean must be finite, got an entry of {value}$"):
-            GaussianState(np.array([0.0, value]), 0.5 * np.eye(2), ("a",))
+            GaussianState(np.stack([0.5 * np.eye(4), cov]), ("a", "b"))
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError):
-            GaussianState(np.zeros(4), 0.5 * np.eye(4), ("a", "a"))
+            GaussianState(0.5 * np.eye(4), ("a", "a"))
 
     def test_states_are_immutable(self):
         state = vacuum(1)
@@ -358,10 +349,8 @@ class TestSymplecticTransform:
             SymplecticTransform(2.0 * np.eye(2))
 
     def test_applies_to_moments(self):
-        state = GaussianState(np.array([1.0, 0.0]), 0.5 * np.eye(2), ("m0",))
         squeeze = SymplecticTransform(np.diag([2.0, 0.5]))
-        out = squeeze.apply(state)
-        assert np.allclose(out.mean, [2.0, 0.0])
+        out = squeeze.apply(vacuum(1))
         assert np.allclose(np.diag(out.cov), [2.0, 0.125])
 
     def test_dimension_mismatch_rejected(self):

@@ -371,7 +371,7 @@ def _ulp_apart(state, layout, player):
     """The state with ``player``'s p variance one ulp lower."""
     cov, i = np.array(state.cov), state.quad_index(player, "p")
     cov[i, i] = np.nextafter(cov[i, i], 0.0)
-    return GaussianState(state.mean, cov, state.labels), layout
+    return GaussianState(cov, state.labels), layout
 
 
 def _reference_sides(state, layout, scheme):
@@ -559,7 +559,7 @@ class TestInterchangeable:
     def test_one_asymmetric_point_unfolds_the_whole_stack_and_no_bit_moves(self):
         even, layout = _kn_state(6, star_topology)
         uneven, _ = _ulp_apart(even, layout, "B3")
-        stack = GaussianState(even.mean, np.stack([even.cov, uneven.cov]), even.labels)
+        stack = GaussianState(np.stack([even.cov, uneven.cov]), even.labels)
         assert not keyrate_module._interchangeable(stack, layout)
         scheme = ThresholdScheme(3, 6)
         stacked = keyrate_module.key_rates(stack, layout, scheme)
@@ -583,7 +583,7 @@ class TestInterchangeable:
         layout = PartyLayout("A", ("B", "C"))
         for zero, interchangeable in ((0.0, True), (-0.0, False)):
             cov[2, 3] = cov[3, 2] = zero
-            state = GaussianState(np.zeros(6), cov.copy(), ("A", "B", "C"))
+            state = GaussianState(cov.copy(), ("A", "B", "C"))
             assert keyrate_module._interchangeable(state, layout) is interchangeable
 
     def test_each_inference_evaluates_one_row(self, monkeypatch):

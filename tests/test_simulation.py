@@ -1,6 +1,5 @@
 """Monte Carlo sampling, sifting and parameter estimation."""
 
-import dataclasses
 import math
 import time
 from itertools import combinations
@@ -151,13 +150,13 @@ class TestSampling:
 
     def test_unphysical_state_rejected(self):
         state, layout = build_three_mode_chain(1.0, 1.0)
-        bogus = GaussianState(state.mean, 0.25 * np.eye(6), state.labels)
+        bogus = GaussianState(0.25 * np.eye(6), state.labels)
         with pytest.raises(UnphysicalStateError, match="min symplectic eigenvalue"):
             run_protocol(bogus, layout, ThresholdScheme(2, 2), rounds=100)
 
     def test_negative_definite_state_rejected(self):
         state, layout = build_three_mode_chain(1.0, 1.0)
-        bogus = GaussianState(state.mean, -0.5 * np.eye(6), state.labels)
+        bogus = GaussianState(-0.5 * np.eye(6), state.labels)
         with pytest.raises(UnphysicalStateError, match="not positive definite"):
             run_protocol(bogus, layout, ThresholdScheme(2, 2), rounds=100)
 
@@ -272,16 +271,6 @@ class TestRunProtocol:
                               reveal_fraction=1.0)
         assert report.analytic.combined_rate < 0.0
         assert not report.secure
-
-    def test_report_does_not_depend_on_the_state_mean(self):
-        # A fit with an intercept reads the rows only through their scatter about
-        # their mean, so shifting the mean moves no bit of the report.
-        state, layout = build_three_mode_chain(1.15, 0.95)
-        scheme = ThresholdScheme(2, 2)
-        report = run_protocol(state, layout, scheme, rounds=10**6, seed=7)
-        for shift in (1e8, -1e12):
-            moved = dataclasses.replace(state, mean=state.mean + shift)
-            assert run_protocol(moved, layout, scheme, rounds=10**6, seed=7) == report
 
     def test_a_round_count_that_is_not_an_integer_is_refused_before_any_draw(
             self, monkeypatch):
@@ -470,7 +459,9 @@ class TestRegressionKernel:
             state, layout = star_state(players)
         rounds, seed = 200000, 41
         patterns = [announced_pattern(layout, "x"), announced_pattern(layout, "p")]
-        _, designs = revealed_designs(state, patterns, rounds, 0.5, 0.5, seed)
+        # 2 to 5 standard deviations on every column: the reference loop's intercept
+        # takes it out, and _fit never sees it (Frisch-Waugh-Lovell).
+        _, designs = revealed_designs(state, patterns, rounds, 0.5, 0.5, seed, offset=10.0)
         everyone = layout.player_modes
         column = {player: j for j, player in enumerate(everyone, start=1)}
         access_rows, colluding = ThresholdScheme(2, players)._player_rows

@@ -113,12 +113,6 @@ class TestPureLoss:
                         + 0.5 * (1.0 - transmissivity) + excess)
             assert variance(out, "a", quad) == pytest.approx(expected, abs=1e-12)
 
-    def test_mean_scales_by_root_transmissivity(self):
-        state = GaussianState(np.array([2.0, -1.0, 0.5, 0.0]),
-                              0.5 * np.eye(4), ("a", "b"))
-        out = pure_loss(state, "a", ChannelSpec(0.49, 0.0))
-        assert np.allclose(out.mean, [1.4, -0.7, 0.5, 0.0], atol=1e-12)
-
     @pytest.mark.parametrize("transmissivity", [0.1, 0.6, 0.95])
     def test_output_stays_physical(self, transmissivity):
         state, _ = build_three_mode_chain(1.2, 1.0)
@@ -131,7 +125,7 @@ class TestPureLoss:
 
 
 def vacuum_state():
-    return GaussianState(np.zeros(2), 0.5 * np.eye(2), ("a",))
+    return GaussianState(0.5 * np.eye(2), ("a",))
 
 
 class TestThreeModeChain:
@@ -161,7 +155,6 @@ class TestThreeModeChain:
     def test_matches_hand_propagated_covariance(self, r, transmissivity):
         state, _ = build_three_mode_chain(r, transmissivity)
         assert np.allclose(state.cov, chain_expected_cov(r, transmissivity), atol=1e-12)
-        assert np.allclose(state.mean, np.zeros(6), atol=1e-15)
 
     def test_gate_order_is_irrelevant(self):
         # Both couplings are x-x interactions, so they commute.
@@ -202,6 +195,18 @@ class TestKnState:
         with pytest.raises(ValueError, match="disconnected"):
             build_kn_state(3, 0.5, {f"B{i}": spec for i in range(1, 4)},
                            (("A", "B1"), ("B2", "B3")))
+
+    def test_the_first_bad_edge_is_refused_before_the_graph_or_squeezing(self):
+        specs = {f"B{i}": ChannelSpec(1.0, 0.0) for i in range(1, 4)}
+        for edges, message in [
+            ((("A", "B1"), ("B1", "B1"), ("A", "Z")), "self-loop on 'B1'"),
+            ((("A", "B1"), ("Z", "Z"), ("B1", "B1")),
+             "edge ('Z', 'Z') references an unknown node"),
+            ((("A", "B1"), ("B2", "B3")), "topology is disconnected from the dealer: ['B2', 'B3']"),
+        ]:
+            with pytest.raises(ValueError) as refusal:
+                build_kn_state(3, -1.0, specs, edges)
+            assert str(refusal.value) == message
 
     def test_missing_channel_spec_rejected(self):
         with pytest.raises(ValueError, match="missing channel specs"):

@@ -245,7 +245,7 @@ def test_stacked_state_equals_the_per_point_build_bit_for_bit(topology, channels
     points = np.broadcast_shapes(np.shape(r), *(np.shape(spec.transmissivity)
                                                 for spec in channels))
     dim = 2 * n + 2
-    assert state.cov.shape == points + (dim, dim) and state.mean.shape == (dim,)
+    assert state.cov.shape == points + (dim, dim)
     for point, r_point in enumerate(np.broadcast_to(r, points).tolist()):
         alone_specs = {label: ChannelSpec(float(np.broadcast_to(spec.transmissivity,
                                                                 points)[point]),
