@@ -337,6 +337,15 @@ class TestStateConstruction:
         with pytest.raises(ValueError):
             GaussianState(0.5 * np.eye(4), ("a", "a"))
 
+    @pytest.mark.parametrize("call", [
+        lambda: GaussianState(np.zeros(2), 0.5 * np.eye(2), ("a",)),
+        lambda: GaussianState(mean=np.zeros(2), cov=0.5 * np.eye(2), labels=("a",)),
+    ], ids=["positional", "keyword"])
+    def test_a_mean_is_refused(self, call):
+        # A state is its covariance and labels: no argument carries a mean.
+        with pytest.raises(TypeError):
+            call()
+
     def test_states_are_immutable(self):
         state = vacuum(1)
         with pytest.raises(ValueError):

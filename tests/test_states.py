@@ -113,6 +113,16 @@ class TestPureLoss:
                         + 0.5 * (1.0 - transmissivity) + excess)
             assert variance(out, "a", quad) == pytest.approx(expected, abs=1e-12)
 
+    def test_cross_covariance_scales_by_root_transmissivity(self):
+        # The mode's amplitude, and so each of its correlations, keeps sqrt(T).
+        state, _ = build_three_mode_chain(0.8, 1.0)
+        out = pure_loss(state, "B", ChannelSpec(0.49, 0.05))
+        others = [0, 1, 4, 5]
+        assert np.allclose(out.cov[np.ix_([2, 3], others)],
+                           0.7 * state.cov[np.ix_([2, 3], others)], atol=1e-12)
+        assert np.allclose(out.cov[np.ix_(others, others)],
+                           state.cov[np.ix_(others, others)], atol=1e-12)
+
     @pytest.mark.parametrize("transmissivity", [0.1, 0.6, 0.95])
     def test_output_stays_physical(self, transmissivity):
         state, _ = build_three_mode_chain(1.2, 1.0)
@@ -189,6 +199,14 @@ class TestKnState:
         _, layout = build_kn_state(
             3, 0.5, {f"B{i}": spec for i in range(1, 4)}, chain_topology(3))
         assert layout.conjugate_players == frozenset({"B1", "B3"})
+
+    def test_parity_follows_the_shortest_path_on_a_cycle(self):
+        # A-B1-B2-B3-B4-A: the long way round puts B3 at distance 3, the
+        # short way at 2, so B3 is not conjugate and B4 is.
+        spec = ChannelSpec(1.0, 0.0)
+        edges = (("A", "B1"), ("B1", "B2"), ("B2", "B3"), ("B3", "B4"), ("B4", "A"))
+        _, layout = build_kn_state(4, 0.5, {f"B{i}": spec for i in range(1, 5)}, edges)
+        assert layout.conjugate_players == frozenset({"B1", "B4"})
 
     def test_disconnected_topology_rejected(self):
         spec = ChannelSpec(1.0, 0.0)
